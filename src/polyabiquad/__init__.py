@@ -9,7 +9,6 @@ formula with no shared code path.
 
 from .biquadratic import (BiquadElement, BiquadField, RamificationProfile,
                           biquadratic_field, ramification_profile)
-from .dyadic import ComplexBox, Dyadic, EmbeddingVector, Interval, refine_embedding
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
 from .intmath import SquarefreeDecomposition, kronecker, squarefree_decompose
@@ -31,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousIdealOracle", "BiquadElement", "BiquadField", "Budget",
-    "BudgetExceededError", "ComplexBox", "DomainError", "Dyadic",
-    "EmbeddingVector", "IdealLattice", "InconsistencyError", "InvalidInputError",
-    "Interval", "OutputRecord", "PolyaReport", "QuadElement", "QuadIdeal",
+    "BudgetExceededError", "DomainError", "IdealLattice", "InconsistencyError",
+    "InvalidInputError", "OutputRecord", "PolyaReport", "QuadElement", "QuadIdeal",
     "QuadRecord", "QuadraticField", "RamificationProfile",
     "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
     "biquad_record", "biquadratic_field", "chain_indices", "cokernel_order",
@@ -41,7 +39,7 @@ __all__ = [
     "kernel_order", "kronecker", "parse_records", "polya_order",
     "polya_order_quad", "polya_report", "prime_above", "prime_above_2", "prime_radical", "ramification_profile",
     "principal_generator_quad", "principal_ideal_generator", "quad_ideal_from_elements",
-    "quad_record", "quadratic_field", "rational_ideal", "refine_embedding",
-    "relative_norm_ideal", "render_records", "squarefree_decompose",
+    "quad_record", "quadratic_field", "rational_ideal", "relative_norm_ideal",
+    "render_records", "squarefree_decompose",
     "unit_square_root", "unit_structure", "verify_biquad", "verify_quad",
 ]

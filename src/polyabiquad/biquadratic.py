@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .dyadic import ComplexBox, Interval, sqrt_int_interval
 from .errors import DomainError, InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
 from .linalg import (hnf_rows, hnf_solve, mat_det_fraction, mat_inverse_fraction,
@@ -118,9 +117,6 @@ class BiquadElement:
         return BiquadElement(self.field,
                              [c * s for c, s in zip(self.coords, signs)])
 
-    def conjugates(self) -> list["BiquadElement"]:
-        return [self.sigma(t) for t in range(4)]
-
     def trace(self) -> Fraction:
         return 4 * self.coords[0]
 
@@ -156,71 +152,6 @@ class BiquadElement:
         den = _lcm_int(c0.denominator, c1.denominator)
         return QuadElement.make(K.d[i], int(c0 * den), int(c1 * den), den)
 
-    # -- numeric enclosures ------------------------------------------------
-
-    def _identity_enclosure(self, bits: int):
-        K = self.field
-        if K.is_real:
-            acc = Interval.of_fraction(self.coords[0], bits)
-            for i in (1, 2, 3):
-                if self.coords[i]:
-                    acc = acc.add(
-                        K.radical_interval(i, bits).scale_fraction(self.coords[i], bits),
-                        bits)
-            return acc
-        re = Interval.of_fraction(self.coords[0], bits)
-        r = K.real_radical_index
-        if self.coords[r]:
-            re = re.add(K.radical_interval(r, bits).scale_fraction(self.coords[r], bits),
-                        bits)
-        im = Interval.point(0)
-        for i in K.imag_radical_indices:
-            if self.coords[i]:
-                im = im.add(K.radical_interval(i, bits).scale_fraction(self.coords[i], bits),
-                            bits)
-        return ComplexBox(re, im)
-
-    def _place_enclosures(self, bits: int):
-        K = self.field
-        if K.is_real:
-            return [self.sigma(t)._identity_enclosure(bits) for t in range(4)]
-        a = K.imag_radical_indices[0]
-        return [self._identity_enclosure(bits), self.sigma(a)._identity_enclosure(bits)]
-
-    def real_sign(self) -> int:
-        """Exact sign of the identity real embedding (real fields only)."""
-        assert self.field.is_real
-        if self.is_zero():
-            return 0
-        bits = 32
-        while True:
-            iv = self._identity_enclosure(bits)
-            if iv.is_positive():
-                return 1
-            if iv.is_negative():
-                return -1
-            bits *= 2
-            assert bits < (1 << 16), "sign refinement failed to converge"
-
-    def imag_part_sign(self) -> int:
-        """Exact sign of Im under the identity embedding (imaginary fields)."""
-        K = self.field
-        assert not K.is_real
-        a, b = K.imag_radical_indices
-        ca, cb = self.coords[a], self.coords[b]
-        if ca == 0 and cb == 0:
-            return 0
-        A, B = -K.d[a - 1], -K.d[b - 1]
-        if ca >= 0 and cb >= 0:
-            return 1
-        if ca <= 0 and cb <= 0:
-            return -1
-        lhs, rhs = ca * ca * A, cb * cb * B
-        if lhs == rhs:
-            return 0
-        positive_is_a = ca > 0
-        return (1 if lhs > rhs else -1) if positive_is_a else (1 if rhs > lhs else -1)
-
     def __repr__(self):
         names = ["", *(f"sqrt({d})" for d in self.field.d)]
         parts = []
@@ -230,11 +161,6 @@ class BiquadElement:
             parts.append(f"{c}" if not n else (f"{c}*{n}" if abs(c) != 1 else
                                                (n if c == 1 else f"-{n}")))
         return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
-def _gcd_int(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _lcm_int(a, b):
@@ -276,16 +202,13 @@ class BiquadField:
         self.mul_table = self._build_mul_table()
         if self.is_real:
             self.real_radical_index = None
-            self.imag_radical_indices = ()
         else:
             reals = [i + 1 for i in range(3) if self.d[i] > 0]
             assert len(reals) == 1
             self.real_radical_index = reals[0]
-            self.imag_radical_indices = tuple(i + 1 for i in range(3) if self.d[i] < 0)
         self.disc = 1
         for k in self.subfields:
             self.disc *= k.delta
-        self._sqrt_cache: dict[tuple[int, int], Interval] = {}
         self.basis = self._integral_basis()
         self.basis_matrix = [list(e.coords) for e in self.basis]
         self.inv_basis_matrix = mat_inverse_fraction(self.basis_matrix)
@@ -293,7 +216,6 @@ class BiquadField:
         self.sigma_matrices = self._sigma_matrices()
         self.profile = self._ramification_profile()
         self._units = None
-        self._j2 = None
         self._oracle = None
 
     # -- construction helpers ----------------------------------------------
@@ -478,15 +400,6 @@ class BiquadField:
             raise InconsistencyError(f"prod e_p != 2^(s_K+i2) for {self.d}")
         return RamificationProfile(efg, s_k, i2, e2, product_e)
 
-    # -- numeric scaffolding -------------------------------------------------
-
-    def radical_interval(self, i: int, bits: int) -> Interval:
-        """Enclosure of sqrt(|d_i|), cached per precision."""
-        key = (i, bits)
-        if key not in self._sqrt_cache:
-            self._sqrt_cache[key] = sqrt_int_interval(abs(self.d[i - 1]), bits)
-        return self._sqrt_cache[key]
-
     # -- lazily computed unit and ideal data ---------------------------------
 
     @property
@@ -495,17 +408,6 @@ class BiquadField:
             from .units import unit_structure
             self._units = unit_structure(self)
         return self._units
-
-    @property
-    def j2(self) -> int:
-        """1 iff 2 is totally ramified and the prime above it is nonprincipal."""
-        if self._j2 is None:
-            if self.profile.i2 == 0:
-                self._j2 = 0
-            else:
-                self._j2 = 0 if self.default_oracle().is_principal_radical_power(
-                    {2: 1}) else 1
-        return self._j2
 
     def default_oracle(self):
         if self._oracle is None:

@@ -67,7 +67,7 @@ def _cmd_biquad(args) -> int:
     rep = polya_report(K, oracle)
     status = "unchecked"
     if args.verify:
-        status, _ = verify_biquad(K, oracle)
+        status, _ = verify_biquad(K, rep, oracle)
     rec = biquad_record(K, rep, status)
     fmt = _resolve_format(args)
     sys.stdout.write(render_records([rec], fmt))
@@ -107,7 +107,7 @@ def _scan_worker(task):
     status = "unchecked"
     if verify:
         try:
-            status, _ = verify_biquad(K, oracle)
+            status, _ = verify_biquad(K, rep, oracle)
         except BudgetExceededError:
             status = "budget_exceeded"
     return "record", biquad_record(K, rep, status)

@@ -44,8 +44,8 @@ def default_budget_units() -> int:
 
 
 class Budget:
-    """Mutable counter of abstract work units (cycle steps, candidate tests,
-    precision refinements).  charge() raises once the allowance is spent."""
+    """Mutable counter of abstract work units (cycle steps, candidate
+    tests).  charge() raises once the allowance is spent."""
 
     def __init__(self, units: int | None = None):
         self.limit = default_budget_units() if units is None else units

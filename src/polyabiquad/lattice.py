@@ -303,7 +303,8 @@ def principal_ideal_generator(lat: IdealLattice,
             continue
         if not K.is_integral(s):
             continue
-        xi = integral_square_root(K, s, budget)
+        # the square root the formula route also uses, for the unit index
+        xi = integral_square_root(K, s)
         if xi is not None and abs(xi.norm()) == n and lat.contains(xi):
             return xi
     return None

@@ -148,15 +148,15 @@ def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> 
     )
 
 
-def verify_biquad(K: BiquadField,
+def verify_biquad(K: BiquadField, rep: PolyaReport,
                   oracle: AmbiguousIdealOracle | None = None) -> tuple[str, dict]:
-    """Compare the formula path against the brute-force oracle.
+    """Compare the formula path, as computed in rep = polya_report(K, oracle),
+    against the brute-force oracle.
 
     Returns ("ok" | "mismatch", details); budget exhaustion propagates as
     BudgetExceededError rather than being folded into a verdict.
     """
     orc = oracle if oracle is not None else K.default_oracle()
-    rep = polya_report(K, orc)
     po_oracle = orc.polya_order_oracle()
     ker_oracle = orc.kernel_order_oracle()
     details = {"po_oracle": po_oracle, "ker_oracle": ker_oracle,

@@ -22,9 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .dyadic import ComplexBox, Interval, sqrt_int_interval
-from .errors import (Budget, BudgetExceededError, DomainError,
-                     InconsistencyError, InvalidInputError)
+from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .intmath import prime_divisors, squarefree_decompose
 
 
@@ -112,16 +110,6 @@ class QuadElement:
             base = base * base
             n >>= 1
         return result
-
-    def _place_enclosures(self, bits: int):
-        cx, cy = self.coeffs()
-        if self.d > 0:
-            rt = sqrt_int_interval(self.d, bits)
-            base = Interval.of_fraction(cx, bits)
-            off = rt.scale_fraction(cy, bits)
-            return [base.add(off, bits), base.sub(off, bits)]
-        rt = sqrt_int_interval(-self.d, bits)
-        return [ComplexBox(Interval.of_fraction(cx, bits), rt.scale_fraction(cy, bits))]
 
     def __str__(self):
         core = f"{self.x}"
@@ -459,7 +447,8 @@ def _indefinite_unit_representation(
         steps += 1
         if budget is not None:
             budget.charge()
-        assert steps < 10_000, "reduction failed to terminate"
+        if steps >= 10_000:
+            raise InconsistencyError(f"reduction of the form {form} did not terminate")
         assert f(u00, u10) == a
 
     start = (a, b, c)
@@ -493,7 +482,8 @@ def principal_generator_quad(
         return None
     x, y = xy
     gen = k.from_omega_coords(x * prim.a + y * prim.b, y).scale(content)
-    assert abs(gen.norm()) == ideal.norm and ideal.contains(gen)
+    if abs(gen.norm()) != ideal.norm or not ideal.contains(gen):
+        raise InconsistencyError(f"{gen} does not generate the ideal {ideal}")
     return gen
 
 
@@ -515,11 +505,7 @@ class AmbiguousClassesQuad:
     equivalent iff the product over their symmetric difference is principal.
     """
 
-    def __init__(self, k: QuadraticField, budget: Budget | None = None,
-                 disc_bound: int = 10_000_000):
-        if abs(k.delta) > disc_bound:
-            raise BudgetExceededError(
-                f"|Delta| = {abs(k.delta)} exceeds the oracle bound {disc_bound}")
+    def __init__(self, k: QuadraticField, budget: Budget | None = None):
         self.k = k
         self.budget = budget
         self.primes = k.ramified_primes
@@ -552,8 +538,7 @@ class AmbiguousClassesQuad:
         return reps
 
 
-def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None,
-                          disc_bound: int = 10_000_000) -> int:
+def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:
     """Number of strongly ambiguous classes by direct enumeration; uses no
     closed formula, so it independently checks polya_order_quad."""
-    return len(AmbiguousClassesQuad(k, budget, disc_bound).class_representatives())
+    return len(AmbiguousClassesQuad(k, budget).class_representatives())

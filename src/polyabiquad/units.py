@@ -2,17 +2,20 @@
 q = (O_K^x : O_k1^x O_k2^x O_k3^x), and the indices tied to the norm-one /
 totally-signed unit subgroup.
 
-The computational heart is an exact squareness test.  Candidate square roots
-are reconstructed from interval enclosures of the conjugate embeddings:
-if xi^2 = eta then the embeddings of xi are square roots of the conjugates
-of eta up to sign (real case) or branch choice constrained by complex
-conjugation (imaginary case), and the radical coordinates of xi are signed
-averages of those embeddings.  Integral elements have coordinates in
-(1/4)Z, so once every coordinate enclosure is narrow enough the finitely
-many grid points inside it can be squared exactly; the interval enclosure
-property makes an exhausted pattern a *proof* that no root with those signs
-exists.  Precision starts at 128 bits and doubles; every verdict is
-finalized by exact rational squaring, never by the numerics.
+The computational heart is an exact squareness test, integral_square_root.
+It is the one primitive that the two routes to |Po(K)| share: the formula
+route decides the unit index q_K with it, and the oracle's principality
+test (lattice.principal_ideal_generator) ends in it.
+
+The test denests over k1 = Q(sqrt(d1)).  With sqrt(d1)*sqrt(d2) = m*sqrt(d3),
+every eta in K is alpha + beta*sqrt(d2) with alpha, beta in k1.  If beta != 0,
+eta = (a + b*sqrt(d2))**2 forces N_{K/k1}(eta) = alpha**2 - beta**2*d2 to be
+nu**2 = (a**2 - b**2*d2)**2 and one of (alpha +- nu)/2 to equal a**2 != 0;
+conversely any such a gives the root a + (beta/(2a))*sqrt(d2).  If beta = 0,
+eta is a square iff alpha or alpha/d2 is a square in k1.  The same identity
+one level down, with isqrt on numerators and denominators, settles squares
+in k1.  So "not a square" is a completed finite test, and a root is returned
+only after squaring it back exactly.
 
 The unit index follows by testing which products of subfield fundamental
 units (twisted by subfield roots of unity) become squares in K: squaring
@@ -29,216 +32,91 @@ from fractions import Fraction
 from math import isqrt
 
 from .biquadratic import BiquadElement, BiquadField
-from .dyadic import ComplexBox, Interval
-from .errors import Budget, InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError
 
-_GRID_DEN = 4  # integral coordinates lie in (1/4)Z
-_MAX_CANDIDATES = 16
+_F0 = Fraction(0)
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The root r >= 0 with r*r == q, or None."""
     if q < 0:
         return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n == q.numerator and d * d == q.denominator:
+        return Fraction(n, d)
     return None
 
 
-def _rational_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | None:
-    """Square root of a rational element: rational or rational * sqrt(d_i)."""
-    c = eta.coords[0]
-    r = _fraction_sqrt(c)
-    if r is not None:
-        return K.rational(r)
-    for i in (1, 2, 3):
-        r = _fraction_sqrt(c / K.d[i - 1])
+def _k1_mul(a, b, d1: int):
+    """Product in k1 of pairs (x, y) standing for x + y*sqrt(d1)."""
+    return a[0] * b[0] + d1 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _k1_sqrt(g, d1: int):
+    """A pair r with r*r == g in k1, or None when g is not a square in k1."""
+    x, y = g
+    if y == 0:
+        r = _rational_sqrt(x)
         if r is not None:
-            return K.radical(i).scale(r)
+            return r, _F0
+        r = _rational_sqrt(x / d1)
+        return None if r is None else (_F0, r)
+    n = _rational_sqrt(x * x - d1 * y * y)
+    if n is None:
+        return None
+    for s in (n, -n):
+        a = _rational_sqrt((x + s) / 2)
+        if a:
+            return a, y / (2 * a)
     return None
 
 
-def _sign_matrix() -> list[list[int]]:
-    # S[t][i]: sign of sqrt(d_i) inside sigma_t, with column i = 0 for the
-    # rational coordinate.
-    S = [[1, 1, 1, 1]]
-    for t in (1, 2, 3):
-        S.append([1] + [1 if i == t else -1 for i in (1, 2, 3)])
-    return S
+def _relative_sqrt(alpha, beta, d1: int, d2: int):
+    """A root (a, b) of alpha + beta*sqrt(d2) over k1, or None."""
+    if beta == (_F0, _F0):
+        a = _k1_sqrt(alpha, d1)
+        if a is not None:
+            return a, (_F0, _F0)
+        b = _k1_sqrt((alpha[0] / d2, alpha[1] / d2), d1)
+        return None if b is None else ((_F0, _F0), b)
+    a2, b2 = _k1_mul(alpha, alpha, d1), _k1_mul(beta, beta, d1)
+    nu = _k1_sqrt((a2[0] - d2 * b2[0], a2[1] - d2 * b2[1]), d1)
+    if nu is None:
+        return None
+    for s in (1, -1):
+        a = _k1_sqrt(((alpha[0] + s * nu[0]) / 2, (alpha[1] + s * nu[1]) / 2), d1)
+        if a is not None and a != (_F0, _F0):
+            # beta / (2a) = beta * conj(a) / (2 N(a))
+            n2 = 2 * (a[0] * a[0] - d1 * a[1] * a[1])
+            b = _k1_mul(beta, (a[0] / n2, -a[1] / n2), d1)
+            return a, b
+    return None
 
 
-_S = _sign_matrix()
-
-
-def _quad_sign(c0: Fraction, c1: Fraction, D: int) -> int:
-    """Exact sign of c0 + c1*sqrt(D), D > 0 nonsquare."""
-    if c0 == 0 and c1 == 0:
-        return 0
-    if c0 >= 0 and c1 >= 0:
-        return 1
-    if c0 <= 0 and c1 <= 0:
-        return -1
-    lhs, rhs = c0 * c0, c1 * c1 * D
-    if lhs == rhs:
-        return 0
-    return (1 if lhs > rhs else -1) if c0 > 0 else (1 if rhs > lhs else -1)
-
-
-def _grid_candidates(coord_intervals: list[Interval]) -> list[tuple[Fraction, ...]] | None:
-    """Cartesian product of the (1/4)Z points in each interval, or None when
-    the product is still too large to enumerate at this precision."""
-    per_coord = []
-    total = 1
-    for iv in coord_intervals:
-        pts = iv.grid_points(_GRID_DEN)
-        total *= len(pts)
-        if total > _MAX_CANDIDATES:
-            return None
-        per_coord.append(pts)
-    out: list[tuple[Fraction, ...]] = [()]
-    for pts in per_coord:
-        out = [c + (p,) for c in out for p in pts]
-    return out
-
-
-def _real_root_search(K: BiquadField, eta: BiquadElement,
-                      budget: Budget | None) -> BiquadElement | None:
-    patterns = [(1, s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
-    bits = 128
-    while True:
-        if budget is not None:
-            budget.charge()
-        encs = [eta.sigma(t)._identity_enclosure(bits) for t in range(4)]
-        if any(e.is_negative() for e in encs):
-            return None  # squares are totally positive
-        if all(e.is_positive() for e in encs):
-            roots = [e.sqrt(bits) for e in encs]
-            four = Fraction(1, 4)
-            rad4 = [None] + [K.radical_interval(i, bits).mul(Interval.point(4), bits)
-                             for i in (1, 2, 3)]
-            undecided = []
-            for pat in patterns:
-                embs = [roots[t] if pat[t] > 0 else roots[t].neg() for t in range(4)]
-                coords = []
-                for i in range(4):
-                    num = embs[0]
-                    for t in (1, 2, 3):
-                        num = num.add(embs[t], bits) if _S[t][i] > 0 \
-                            else num.sub(embs[t], bits)
-                    coords.append(num.scale_fraction(four, bits) if i == 0
-                                  else num.div(rad4[i], bits))
-                cands = _grid_candidates(coords)
-                if cands is None:
-                    undecided.append(pat)
-                    continue
-                for cand in cands:
-                    xi = BiquadElement(K, cand)
-                    if xi * xi == eta:
-                        return xi
-            if not undecided:
-                return None
-            patterns = undecided
-        bits *= 2
-        if bits >= (1 << 15):
-            raise InconsistencyError("square-root precision ladder failed to converge")
-
-
-def _complex_sqrt_of(K: BiquadField, el: BiquadElement, box: ComplexBox,
-                     im_sign: int, bits: int) -> ComplexBox:
-    """Branch of sqrt at the identity embedding; im_sign is the exact sign of
-    Im(el), with the exactly-real case dispatched on the exact real sign."""
-    if im_sign != 0:
-        return box.sqrt(bits, im_sign)
-    r = K.real_radical_index
-    re_sign = _quad_sign(el.coords[0], el.coords[r], K.d[r - 1])
-    assert re_sign != 0, "nonzero element with zero embedding"
-    zero = Interval.point(0)
-    if re_sign > 0:
-        return ComplexBox(box.re.sqrt(bits), zero)
-    return ComplexBox(zero, box.re.neg().sqrt(bits))
-
-
-def _imag_root_search(K: BiquadField, eta: BiquadElement,
-                      budget: Budget | None) -> BiquadElement | None:
-    a_idx = K.imag_radical_indices[0]
-    r = K.real_radical_index
-    b_idx = K.imag_radical_indices[1]
-    sig_a = eta.sigma(a_idx)
-    s0, sa = eta.imag_part_sign(), sig_a.imag_part_sign()
-    patterns = [1, -1]
-    bits = 128
-    while True:
-        if budget is not None:
-            budget.charge()
-        w0 = _complex_sqrt_of(K, eta, eta._identity_enclosure(bits), s0, bits)
-        wa = _complex_sqrt_of(K, sig_a, sig_a._identity_enclosure(bits), sa, bits)
-        undecided = []
-        for flip in patterns:
-            ea = wa if flip > 0 else wa.neg()
-            embs = {0: w0, r: w0.conj(), a_idx: ea, b_idx: ea.conj()}
-            coords = []
-            ok = True
-            for i in range(4):
-                num_re, num_im = Interval.point(0), Interval.point(0)
-                for t in range(4):
-                    box = embs[t]
-                    if _S[t][i] > 0:
-                        num_re = num_re.add(box.re, bits)
-                        num_im = num_im.add(box.im, bits)
-                    else:
-                        num_re = num_re.sub(box.re, bits)
-                        num_im = num_im.sub(box.im, bits)
-                if i == 0:
-                    assert num_im.contains_zero()
-                    coords.append(num_re.scale_fraction(Fraction(1, 4), bits))
-                elif i == r:
-                    assert num_im.contains_zero()
-                    coords.append(num_re.div(
-                        K.radical_interval(r, bits).mul(Interval.point(4), bits), bits))
-                else:
-                    # dividing by 4*i*sqrt(|d_i|): real part is Im/(4 sqrt|d_i|)
-                    assert num_re.contains_zero()
-                    coords.append(num_im.div(
-                        K.radical_interval(i, bits).mul(Interval.point(4), bits), bits))
-            cands = _grid_candidates(coords)
-            if cands is None:
-                undecided.append(flip)
-                continue
-            for cand in cands:
-                xi = BiquadElement(K, cand)
-                if xi * xi == eta:
-                    return xi
-        if not undecided:
-            return None
-        patterns = undecided
-        bits *= 2
-        if bits >= (1 << 15):
-            raise InconsistencyError("square-root precision ladder failed to converge")
-
-
-def integral_square_root(K: BiquadField, eta: BiquadElement,
-                         budget: Budget | None = None) -> BiquadElement | None:
+def integral_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | None:
     """Exact xi with xi*xi == eta, or None when eta is provably not a square.
 
-    eta must be integral; the returned root is then integral automatically
-    (it satisfies the monic polynomial x^2 - eta over O_K).
+    The test is exact for every element of K; when eta is integral the
+    root is integral too (it satisfies the monic polynomial x^2 - eta).
     """
-    if eta.is_zero():
-        return K.zero()
-    if eta.is_rational():
-        return _rational_square_root(K, eta)
-    if K.is_real:
-        return _real_root_search(K, eta, budget)
-    return _imag_root_search(K, eta, budget)
+    d1, d2 = K.d[0], K.d[1]
+    m = K.mul_table[(1, 2)][1]
+    c0, c1, c2, c3 = eta.coords
+    root = _relative_sqrt((c0, c1), (c2, c3 / m), d1, d2)
+    if root is None:
+        return None
+    (a0, a1), (b0, b1) = root
+    xi = BiquadElement(K, (a0, a1, b0, b1 * m))
+    if xi * xi != eta:
+        raise InconsistencyError(f"denested square root of {eta} does not square back")
+    return xi
 
 
-def unit_square_root(K: BiquadField, eta: BiquadElement,
-                     budget: Budget | None = None) -> BiquadElement | None:
+def unit_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | None:
     """Squareness test restricted to units of O_K (the unit-index primitive)."""
     if not K.is_integral(eta) or abs(eta.norm()) != 1:
         raise InvalidInputError("argument must be a unit of the ring of integers")
-    return integral_square_root(K, eta, budget)
+    return integral_square_root(K, eta)
 
 
 @dataclass
@@ -309,7 +187,7 @@ def _element_conj_in_field(K: BiquadField, el: BiquadElement) -> BiquadElement:
     return el.sigma(K.real_radical_index)
 
 
-def unit_structure(K: BiquadField, budget: Budget | None = None) -> UnitStructure:
+def unit_structure(K: BiquadField) -> UnitStructure:
     lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
     nu_k = sum(k.nu for k in K.subfields)
     mu_order, has_i = _mu_data(K)
@@ -325,7 +203,7 @@ def unit_structure(K: BiquadField, budget: Budget | None = None) -> UnitStructur
             for i in range(3):
                 if a[i]:
                     eta = eta * eps[i]
-            xi = integral_square_root(K, eta, budget)
+            xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[a] = xi
         q = len(roots) + 1
@@ -342,7 +220,7 @@ def unit_structure(K: BiquadField, budget: Budget | None = None) -> UnitStructur
         eps_r = K.from_quad(r, K.subfields[r].fundamental_unit)
         candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): zeta * eps_r}
         for key, eta in candidates.items():
-            xi = integral_square_root(K, eta, budget)
+            xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[key] = xi
         q = len(roots) + 1

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -276,3 +277,24 @@ def test_square_root_roundtrip_random_elements():
             eta = xi * xi
             root = integral_square_root(K, eta)
             assert root is not None and root in (xi, -xi), (pair, xi.coords)
+
+
+def test_square_root_matches_frozen_verdicts():
+    # every input 'scan --bound 6 --verify' gives the square root, with the
+    # verdicts of the interval-refinement search the denesting replaced
+    path = os.path.join(os.path.dirname(__file__), "square_root_verdicts.txt")
+    fields, verdicts = {}, {"square": 0, "nonsquare": 0}
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            *triple, c0, c1, c2, c3, verdict = line.split()
+            d = tuple(int(v) for v in triple)
+            K = fields.setdefault(d, biquadratic_field(d[0], d[1]))
+            assert K.d == d
+            eta = BiquadElement(K, [Fraction(c) for c in (c0, c1, c2, c3)])
+            xi = integral_square_root(K, eta)
+            assert (xi is not None) == (verdict == "square"), (d, eta)
+            assert xi is None or xi * xi == eta
+            verdicts[verdict] += 1
+    assert verdicts == {"square": 96, "nonsquare": 168}

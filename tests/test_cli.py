@@ -164,7 +164,7 @@ def test_scan_jobs_deterministic(capsys):
 def test_biquad_mismatch_exit_2(capsys, monkeypatch):
     import polyabiquad.cli as cli_mod
     monkeypatch.setattr(cli_mod, "verify_biquad",
-                        lambda K, oracle=None: ("mismatch", {}))
+                        lambda K, rep, oracle=None: ("mismatch", {}))
     code, out, _ = run(capsys, "biquad", "2", "3", "--verify")
     assert code == 2
     rec = parse_records(out, "text", OutputRecord)[0]
@@ -174,7 +174,7 @@ def test_biquad_mismatch_exit_2(capsys, monkeypatch):
 def test_scan_mismatch_exit_2(capsys, monkeypatch):
     import polyabiquad.cli as cli_mod
     monkeypatch.setattr(cli_mod, "verify_biquad",
-                        lambda K, oracle=None: ("mismatch", {}))
+                        lambda K, rep, oracle=None: ("mismatch", {}))
     code, _, _ = run(capsys, "scan", "--bound", "3", "--verify")
     assert code == 2
 
@@ -201,3 +201,19 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "polyabiquad", "quad", "2"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "po" in proc.stdout
+
+
+def test_scan_output_survives_python_O():
+    # verdict guards must raise, not assert: -O strips asserts and must not
+    # change a single byte of a verified scan
+    import subprocess, sys
+    import polyabiquad
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["-m", "polyabiquad", "scan", "--bound", "5", "--verify", "--json"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, env=env)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and plain.stdout == optimized.stdout

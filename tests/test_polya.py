@@ -88,7 +88,7 @@ def test_report_example_zeta8():
 def test_verify_biquad_ok_and_oracle_reuse():
     K = biquadratic_field(-1, -5)
     orc = AmbiguousIdealOracle(K)
-    status, details = verify_biquad(K, orc)
+    status, details = verify_biquad(K, polya_report(K, orc), orc)
     assert status == "ok"
     assert details["po_oracle"] == details["po_formula"] == 1
     assert details["ker_oracle"] == details["ker_formula"] == 2
@@ -105,5 +105,5 @@ def test_formula_oracle_agreement_with_nontrivial_values():
     # fields exercising j2 = 1, kernel > 1, |Po| > 1
     for pair in ((-5, -10), (-1, -5), (2, 5), (-5, 13), (-6, -10)):
         K = biquadratic_field(*pair)
-        status, details = verify_biquad(K)
+        status, details = verify_biquad(K, polya_report(K))
         assert status == "ok", (pair, details)

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from polyabiquad.errors import (BudgetExceededError, DomainError, InvalidInputError)
+from polyabiquad.errors import DomainError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadElement, QuadIdeal,
                                    ambiguous_oracle_quad, polya_order_quad,
@@ -180,9 +180,10 @@ def test_oracle_representatives_deterministic():
     assert reps1[0] == 0  # the principal class is represented by the empty product
 
 
-def test_oracle_disc_bound_is_resource_error():
-    with pytest.raises(BudgetExceededError):
-        ambiguous_oracle_quad(quadratic_field(-5), disc_bound=10)
+def test_oracle_runs_on_a_large_discriminant():
+    # |Delta| = 11,651,640: no discriminant cap stands before the class count
+    k = quadratic_field(-2912910)
+    assert ambiguous_oracle_quad(k) == polya_order_quad(k) == 64
 
 
 def test_element_arithmetic_and_integrality():
