@@ -61,16 +61,23 @@ def _cmd_quad(args) -> int:
     return 2 if status == "mismatch" else 0
 
 
+def _mismatch_note(K, details: dict) -> str:
+    """One stderr line saying what the oracle and the formulas disagreed on."""
+    return f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
+
+
 def _cmd_biquad(args) -> int:
     K = biquadratic_field(args.d1, args.d2)
     oracle = AmbiguousIdealOracle(K, _budget_units(args))
     rep = polya_report(K, oracle)
     status = "unchecked"
     if args.verify:
-        status, _ = verify_biquad(K, rep, oracle)
+        status, details = verify_biquad(K, rep, oracle)
     rec = biquad_record(K, rep, status)
     fmt = _resolve_format(args)
     sys.stdout.write(render_records([rec], fmt))
+    if status == "mismatch":
+        print(_mismatch_note(K, details), file=sys.stderr)
     if args.chain and fmt == "text":
         h30, h21, h10, h32 = rep.chain
         sys.stdout.write(
@@ -103,14 +110,16 @@ def _scan_worker(task):
     try:
         rep = polya_report(K, oracle)
     except BudgetExceededError:
-        return "budget_abort", K.d
-    status = "unchecked"
+        return "budget_abort", K.d, None
+    status, note = "unchecked", None
     if verify:
         try:
-            status, _ = verify_biquad(K, rep, oracle)
+            status, details = verify_biquad(K, rep, oracle)
         except BudgetExceededError:
             status = "budget_exceeded"
-    return "record", biquad_record(K, rep, status)
+        if status == "mismatch":
+            note = _mismatch_note(K, details)
+    return "record", biquad_record(K, rep, status), note
 
 
 def _cmd_scan(args) -> int:
@@ -118,6 +127,8 @@ def _cmd_scan(args) -> int:
         raise InvalidInputError("--bound must be at least 2")
     if args.real_only and args.imag_only:
         raise InvalidInputError("--real-only and --imag-only are exclusive")
+    if args.jobs < 1:
+        raise InvalidInputError("--jobs must be at least 1")
     fmt = _resolve_format(args)
     units = _budget_units(args)
     tasks = [(a, b, args.verify, units)
@@ -128,11 +139,13 @@ def _cmd_scan(args) -> int:
     else:
         results = [_scan_worker(t) for t in tasks]
     records, aborted = [], []
-    for kind, payload in results:
+    for kind, payload, note in results:
         if kind == "record":
             records.append(payload)
         else:
             aborted.append(payload)
+        if note is not None:
+            print(note, file=sys.stderr)
     rendered = render_records(records, fmt) if records else ""
     if args.out:
         try:

@@ -21,19 +21,24 @@ squares.  So a is principal iff some twisted product tau_1 tau_2 tau_3 / n
 is a square of an element of a with the right norm, and every candidate is
 settled by the exact square-root test.  Both directions are complete: the
 search never reports "nonprincipal" heuristically.
+
+The oracle descends only on radical products that earlier verdicts leave
+undecided, so every verdict is either a completed descent or follows from one
+by the group law.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, prod
 
 from .biquadratic import BiquadElement, BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows, left_kernel
-from .quadratic import (AmbiguousClassesQuad, QuadElement, principal_generator_quad,
-                        quad_ideal_from_elements)
+from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
+                        principal_generator_quad, quad_ideal_from_elements)
 from .units import integral_square_root
 
 
@@ -317,13 +322,14 @@ def principal_ideal_generator(lat: IdealLattice,
 
 class AmbiguousIdealOracle:
     """Formula-free counts of strongly ambiguous classes and of the kernel of
-    the class-extension map, by exhaustive principality testing of the
-    products of ramified-prime radicals.
+    the class-extension map, from principality verdicts on the products of
+    ramified-prime radicals.
 
-    Exponent vectors live in prod_p Z/e_p: rad(p)^e_p = p*O_K is principal
-    and rational, so reducing exponents mod e_p never changes an ideal class,
-    and the class comparison a ~ b (via the conjugate-product trick
-    a * b~ ~ a * b^-1 * N(b)) becomes principality of the difference vector.
+    Exponent vectors live in G = prod_p Z/e_p: rad(p)^e_p = p*O_K is
+    principal and rational, so reducing exponents mod e_p never changes an
+    ideal class.  Via the conjugate-product trick a * b~ ~ a * b^-1 * N(b),
+    the classes are the cosets of the principal subgroup P, which a
+    PrincipalCosets book builds from as few descents as it can.
     """
 
     def __init__(self, K: BiquadField, budget_units: int | None = None):
@@ -332,7 +338,10 @@ class AmbiguousIdealOracle:
         self.primes = K.profile.primes
         self.exponents = [K.profile.efg[p][0] for p in self.primes]
         self._radicals: dict[int, IdealLattice] = {}
-        self._generators: dict[tuple[int, ...], BiquadElement | None] = {}
+        self._book = PrincipalCosets(
+            (0,) * len(self.primes),
+            lambda a, b: self.reduce_vector([x + y for x, y in zip(a, b)]),
+            self._descend)
 
     def radical(self, p: int) -> IdealLattice:
         if p not in self._radicals:
@@ -350,50 +359,28 @@ class AmbiguousIdealOracle:
                 lat = lat.multiply(self.radical(p))
         return lat
 
-    def generator_for_vector(self, vec) -> BiquadElement | None:
-        vec = self.reduce_vector(vec)
-        if vec not in self._generators:
-            self._generators[vec] = principal_ideal_generator(
-                self.vector_ideal(vec), self.budget)
-        return self._generators[vec]
+    def _descend(self, vec: tuple[int, ...]) -> bool:
+        return principal_ideal_generator(self.vector_ideal(vec), self.budget) is not None
 
     def is_principal_vector(self, vec) -> bool:
-        return self.generator_for_vector(vec) is not None
+        return self._book.is_principal(self.reduce_vector(vec))
 
     def is_principal_radical_power(self, powers: dict[int, int]) -> bool:
         vec = [powers.get(p, 0) for p in self.primes]
         return self.is_principal_vector(vec)
 
-    def _vector_difference(self, a, b):
-        return self.reduce_vector([x - y for x, y in zip(a, b)])
+    @cached_property
+    def _classes(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+        return self._book.classes(
+            list(itertools.product(*[range(e) for e in self.exponents])))
 
     def class_representatives(self) -> list[tuple[int, ...]]:
-        reps: list[tuple[int, ...]] = []
-        for vec in itertools.product(*[range(e) for e in self.exponents]):
-            if not any(self.is_principal_vector(self._vector_difference(vec, r))
-                       for r in reps):
-                reps.append(vec)
-        self._assert_principal_subgroup()
-        return reps
-
-    def _assert_principal_subgroup(self) -> None:
-        # principal * principal = principal: a failed closure would expose a
-        # wrong verdict somewhere in the descent
-        principal = [v for v, g in self._generators.items() if g is not None]
-        for v in principal:
-            for w in principal:
-                s = self.reduce_vector([a + b for a, b in zip(v, w)])
-                if s in self._generators and self._generators[s] is None:
-                    raise InconsistencyError(
-                        f"principal vectors not closed under products: {v} + {w}")
+        """The lexicographically first vector of each coset of P."""
+        return list(self._classes[0])
 
     def class_index(self, vec) -> int:
         """Index of the class of vec among the representatives."""
-        vec = self.reduce_vector(vec)
-        for idx, r in enumerate(self.class_representatives()):
-            if self.is_principal_vector(self._vector_difference(vec, r)):
-                return idx
-        raise InconsistencyError("vector matched no ambiguous class")  # pragma: no cover
+        return self._classes[1][self.reduce_vector(vec)]
 
     def polya_order_oracle(self) -> int:
         """Number of strongly ambiguous classes, counted directly."""
@@ -416,9 +403,7 @@ class AmbiguousIdealOracle:
         extends to a principal ideal of O_K."""
         sub = [AmbiguousClassesQuad(k, self.budget) for k in self.K.subfields]
         rep_masks = [c.class_representatives() for c in sub]
-        total = 1
-        for masks in rep_masks:
-            total *= len(masks)
+        total = prod(len(masks) for masks in rep_masks)
         kernel = 0
         images = set()
         for m1, m2, m3 in itertools.product(*rep_masks):
@@ -426,7 +411,6 @@ class AmbiguousIdealOracle:
             for i, m in enumerate((m1, m2, m3)):
                 for j, v in enumerate(self._subfield_vector(i, m)):
                     vec[j] += v
-            vec = self.reduce_vector(vec)
             if self.is_principal_vector(vec):
                 kernel += 1
             images.add(self.class_index(vec))

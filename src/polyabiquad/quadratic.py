@@ -497,45 +497,88 @@ def polya_order_quad(k: QuadraticField) -> int:
     return 2 ** (k.s - 1 - k.nu)
 
 
+class PrincipalCosets:
+    """Principality verdicts on a finite abelian group G mapping onto ideal
+    classes: the principal subgroup P found so far and the known-nonprincipal
+    set N, a union of cosets of P.  Only an element in neither is tested: a
+    principal v grows P to <P, v> and N to N + <P, v>, or raises
+    InconsistencyError if <P, v> meets N; a nonprincipal v adds v + P to N."""
+
+    def __init__(self, zero, add, test):
+        self.add = add
+        self.test = test
+        self.principal = {zero}
+        self.nonprincipal: set = set()
+
+    def is_principal(self, v) -> bool:
+        if v in self.principal:
+            return True
+        if v in self.nonprincipal:
+            return False
+        if not self.test(v):
+            self.nonprincipal.update(self.add(v, p) for p in self.principal)
+            return False
+        grown = set(self.principal)
+        coset = {self.add(v, p) for p in grown}
+        while coset.isdisjoint(grown):  # <P, v> is the union of the cosets k*v + P
+            grown |= coset
+            coset = {self.add(v, x) for x in coset}
+        if not grown.isdisjoint(self.nonprincipal):
+            raise InconsistencyError(f"{v} tested principal, yet <P, v> meets N")
+        spread: set = set()
+        for n in self.nonprincipal:
+            if n not in spread:
+                spread.update(self.add(n, g) for g in grown)
+        self.principal, self.nonprincipal = grown, spread
+        return True
+
+    def classes(self, elements: list) -> tuple[list, dict]:
+        """Decide every element of G, listed in order; return the first
+        element of each coset of P and each element's coset index."""
+        for v in elements:
+            self.is_principal(v)
+        reps, index = [], {}
+        for v in elements:
+            if v not in index:
+                index.update((self.add(v, p), len(reps)) for p in self.principal)
+                reps.append(v)
+        return reps, index
+
+
 class AmbiguousClassesQuad:
     """Enumeration of the classes of products of ramified primes.
 
     Squares of ramified primes are rational, so the 2**s products with
-    exponents 0/1 generate every strongly ambiguous class; two products are
-    equivalent iff the product over their symmetric difference is principal.
+    exponents 0/1 generate every strongly ambiguous class.  Their masks form
+    G = (Z/2)**s under XOR, and a PrincipalCosets book decides which masks,
+    i.e. which symmetric differences of two products, are principal.
     """
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
         self.k = k
         self.budget = budget
         self.primes = k.ramified_primes
-        self._principal: dict[int, bool] = {0: True}
-        self._ideals: dict[int, QuadIdeal] = {}
+        self._book = PrincipalCosets(0, int.__xor__, self._descend)
 
     def subset_ideal(self, mask: int) -> QuadIdeal:
-        if mask not in self._ideals:
-            ideal = quad_ideal_from_elements(self.k, [self.k.one()])
-            for i, p in enumerate(self.primes):
-                if mask >> i & 1:
-                    ideal = ideal.multiply(prime_above(self.k, p))
-            self._ideals[mask] = ideal
-        return self._ideals[mask]
+        ideal = quad_ideal_from_elements(self.k, [self.k.one()])
+        for i, p in enumerate(self.primes):
+            if mask >> i & 1:
+                ideal = ideal.multiply(prime_above(self.k, p))
+        return ideal
+
+    def _descend(self, mask: int) -> bool:
+        return principal_generator_quad(self.subset_ideal(mask), self.budget,
+                                        check_input=False) is not None
 
     def is_principal_subset(self, mask: int) -> bool:
-        if mask not in self._principal:
-            gen = principal_generator_quad(self.subset_ideal(mask), self.budget,
-                                           check_input=False)
-            self._principal[mask] = gen is not None
-        return self._principal[mask]
+        return self._book.is_principal(mask)
 
     def class_representatives(self) -> list[int]:
         """First-seen representatives in lexicographic exponent order."""
-        reps: list[int] = []
-        for exps in itertools.product((0, 1), repeat=len(self.primes)):
-            mask = sum(bit << i for i, bit in enumerate(exps))
-            if not any(self.is_principal_subset(mask ^ r) for r in reps):
-                reps.append(mask)
-        return reps
+        masks = [sum(bit << i for i, bit in enumerate(exps))
+                 for exps in itertools.product((0, 1), repeat=len(self.primes))]
+        return self._book.classes(masks)[0]
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:

@@ -181,11 +181,41 @@ def test_scan_mismatch_exit_2(capsys, monkeypatch):
 
 def test_scan_budget_exceeded_rows_exit_3(capsys):
     code, out, err = run(capsys, "scan", "--bound", "3", "--verify",
-                         "--budget", "25")
+                         "--budget", "20")
     assert code == 3
     if out:
         recs = parse_records(out, "text", OutputRecord)
         assert any(r.verify_status == "budget_exceeded" for r in recs) or err
+
+
+def test_mismatch_numbers_go_to_stderr(capsys, monkeypatch):
+    import polyabiquad.cli as cli_mod
+    details = {"po_oracle": 2, "ker_oracle": 1, "po_formula": 1, "ker_formula": 2}
+    _, out_ok, err_ok = run(capsys, "scan", "--bound", "3", "--verify", "--json")
+    monkeypatch.setattr(cli_mod, "verify_biquad",
+                        lambda K, rep, oracle=None: ("mismatch", details))
+    code, out, err = run(capsys, "scan", "--bound", "3", "--verify", "--json")
+    assert code == 2 and err_ok == ""
+    assert out == out_ok.replace('"ok"', '"mismatch"')
+    lines = err.splitlines()
+    assert len(lines) == len(out.splitlines()) == 6
+    assert all("po_oracle=2 ker_oracle=1 po_formula=1 ker_formula=2" in ln
+               for ln in lines)
+    code, _, err = run(capsys, "biquad", "2", "3", "--verify", "--json")
+    assert code == 2
+    assert err == "mismatch for (2, 3, 6): po_oracle=2 ker_oracle=1 po_formula=1 ker_formula=2\n"
+
+
+def test_scan_jobs_below_one_is_exit_1(capsys):
+    code, out, err = run(capsys, "scan", "--bound", "3", "--jobs", "0")
+    assert code == 1 and out == "" and "--jobs" in err
+
+
+def test_biquad_verifies_a_field_with_nine_ramified_primes(capsys):
+    code, out, _ = run(capsys, "biquad", "7429", "30030", "--verify", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["s_k"] == 9
+    assert (data["verify_status"], data["po_k"], data["ker"]) == ("ok", 16, 256)
 
 
 def test_quad_mismatch_exit_2(capsys, monkeypatch):

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from polyabiquad.biquadratic import BiquadElement, biquadratic_field
+from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import BudgetExceededError, DomainError, InvalidInputError
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice,
                                  ideal_from_elements, ideal_mul, prime_radical,
@@ -168,6 +170,27 @@ def test_oracle_kernel_counts():
     mask = 1 << K.subfields[i5].ramified_primes.index(2)
     vec = orc._subfield_vector(i5, mask)
     assert orc.is_principal_vector(vec)  # the capitulation witness
+
+
+def test_coset_verdicts_agree_with_a_descent_on_every_vector():
+    # the oracle descends on few vectors and infers the rest; compare every
+    # verdict and every class with a descent of its own, for two query orders
+    pairs = _scan_tasks(6, False, False) + [(30, 77)]
+    assert (2, 3) in pairs  # e_2 = 4: a Z/4 factor in G
+    for a, b in pairs:
+        K = biquadratic_field(a, b)
+        lex, rev = AmbiguousIdealOracle(K), AmbiguousIdealOracle(K)
+        vectors = list(itertools.product(*[range(e) for e in lex.exponents]))
+        direct = {v: principal_ideal_generator(lex.vector_ideal(v)) is not None
+                  for v in vectors}
+        lex.class_representatives()
+        for v in reversed(vectors):
+            assert rev.is_principal_vector(v) == direct[v], (K.d, v)
+        for v in vectors:
+            assert lex.is_principal_vector(v) == direct[v], (K.d, v)
+            for w in vectors:
+                diff = lex.reduce_vector([x - y for x, y in zip(v, w)])
+                assert (lex.class_index(v) == lex.class_index(w)) == direct[diff]
 
 
 def test_oracle_kernel_is_power_of_two_dividing_domain():

@@ -2,10 +2,10 @@ from math import isqrt
 
 import pytest
 
-from polyabiquad.errors import DomainError, InvalidInputError
+from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
-from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadElement, QuadIdeal,
-                                   ambiguous_oracle_quad, polya_order_quad,
+from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
+                                   QuadIdeal, ambiguous_oracle_quad, polya_order_quad,
                                    prime_above, principal_generator_quad,
                                    quad_ideal_from_elements, quadratic_field)
 
@@ -178,6 +178,37 @@ def test_oracle_representatives_deterministic():
     reps2 = AmbiguousClassesQuad(k).class_representatives()
     assert reps1 == reps2
     assert reps1[0] == 0  # the principal class is represented by the empty product
+
+
+def test_coset_verdicts_agree_with_a_descent_on_every_subset():
+    for d in range(-60, 61):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        k = quadratic_field(d)
+        lex, rev = AmbiguousClassesQuad(k), AmbiguousClassesQuad(k)
+        masks = range(2 ** len(lex.primes))
+        direct = [principal_generator_quad(lex.subset_ideal(m)) is not None
+                  for m in masks]
+        lex.class_representatives()
+        for m in reversed(masks):
+            assert rev.is_principal_subset(m) == direct[m], (d, m)
+        for m in masks:
+            assert lex.is_principal_subset(m) == direct[m], (d, m)
+
+
+def test_coset_book_rejects_verdicts_that_break_the_group_law():
+    # in Z/4: 2 nonprincipal and then 1 principal cannot both hold
+    tested = []
+
+    def test(v):
+        tested.append(v)
+        return {1: True, 2: False}[v]
+
+    book = PrincipalCosets(0, lambda a, b: (a + b) % 4, test)
+    assert not book.is_principal(2) and not book.is_principal(2)
+    assert tested == [2]  # the second verdict is a lookup
+    with pytest.raises(InconsistencyError):
+        book.is_principal(1)
 
 
 def test_oracle_runs_on_a_large_discriminant():
