@@ -6,12 +6,20 @@ field produces the same object.  Elements carry exact rational coordinates
 over the Q-basis (1, sqrt(d1), sqrt(d2), sqrt(d3)) with the principal-branch
 sign convention sqrt(a)*sqrt(b) = -sqrt(ab) exactly when a, b < 0.
 
-The integral basis is grown from the order Z[1, sqrt(d1), sqrt(d2), sqrt(d3)]
-by repeated index-2 saturation: any proper suborder admits a half-sum of
-basis vectors with integral characteristic polynomial, and the process stops
-exactly when the lattice discriminant equals the product of the three
-quadratic discriminants (the conductor-discriminant certificate).  The
-resulting basis starts with 1 and all integral coordinates lie in (1/4)Z.
+The integral basis is written down in closed form (K. S. Williams, "Integers
+of biquadratic fields", Canad. Math. Bull. 13, 1970) from the residues of
+(d1, d2, d3) mod 4, which are {1, 1, 1}, one 1 with {2, 2} or {3, 3}, or
+{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1; every
+change of coordinates goes through the integer adjugate and determinant of
+that 4x4 matrix.  Construction certifies the basis twice, and both checks
+raise InconsistencyError.  The lattice discriminant must equal the product of
+the three quadratic discriminants, and the products and Galois images of the
+basis elements must have integer coordinates.  The discriminant alone cannot
+tell O_K from a lattice of the same index that is not a ring: in
+Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
+(1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
+contains 1, is closed under multiplication and has the discriminant of O_K
+is O_K.
 
 Galois action: sigma_i fixes sqrt(d_i) and negates the other two radicals;
 sigma_i o sigma_j = sigma_l.  The ramification profile of a rational prime
@@ -25,15 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import DomainError, InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
-from .linalg import (hnf_rows, hnf_solve, mat_det_fraction, mat_inverse_fraction,
-                     mat_mul_int, unimodular_with_first_row)
+from .linalg import mat_adjugate_int
 from .quadratic import QuadElement, QuadraticField
 
 _F0 = Fraction(0)
+# coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
+# negates the other two radicals
+_SIGMA_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
 class BiquadElement:
@@ -43,7 +54,8 @@ class BiquadElement:
 
     def __init__(self, field: "BiquadField", coords):
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if c.__class__ is Fraction else Fraction(c)
+                            for c in coords)
         assert len(self.coords) == 4
 
     def __eq__(self, other):
@@ -73,27 +85,7 @@ class BiquadElement:
     def __mul__(self, other: "BiquadElement") -> "BiquadElement":
         K = self.field
         assert K.d == other.field.d
-        a, b = self.coords, other.coords
-        out = [_F0, _F0, _F0, _F0]
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                bj = b[j]
-                if not bj:
-                    continue
-                p = ai * bj
-                if i == 0:
-                    out[j] += p
-                elif j == 0:
-                    out[i] += p
-                elif i == j:
-                    out[0] += p * K.d[i - 1]
-                else:
-                    l, coef = K.mul_table[(i, j)]
-                    out[l] += p * coef
-        return BiquadElement(K, out)
+        return BiquadElement(K, K.radical_product(self.coords, other.coords, _F0))
 
     def scale(self, q) -> "BiquadElement":
         q = Fraction(q)
@@ -113,9 +105,8 @@ class BiquadElement:
         """Galois conjugate: sigma_0 = identity, sigma_t fixes sqrt(d_t)."""
         if t == 0:
             return self
-        signs = [1] + [1 if i == t else -1 for i in (1, 2, 3)]
         return BiquadElement(self.field,
-                             [c * s for c, s in zip(self.coords, signs)])
+                             [c * s for c, s in zip(self.coords, _SIGMA_SIGNS[t])])
 
     def trace(self) -> Fraction:
         return 4 * self.coords[0]
@@ -126,22 +117,6 @@ class BiquadElement:
         assert all(c == 0 for c in n.coords[1:]), "norm must be rational"
         return n.coords[0]
 
-    def char_poly(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(s1, s2, s3, s4) with char = x^4 - s1 x^3 + s2 x^2 - s3 x + s4."""
-        p1 = self * self.sigma(1)
-        p2 = self * self.sigma(2)
-        p3 = self * self.sigma(3)
-        s1 = self.trace()
-        s2 = 2 * (p1.coords[0] + p2.coords[0] + p3.coords[0])
-        m = p1 * self.sigma(2)
-        s3 = m.trace()
-        n = p1 * p1.sigma(2)
-        assert all(c == 0 for c in n.coords[1:])
-        return s1, s2, s3, n.coords[0]
-
-    def has_integral_char_poly(self) -> bool:
-        return all(s.denominator == 1 for s in self.char_poly())
-
     def to_quad(self, i: int) -> QuadElement:
         """The element as a member of the i-th quadratic subfield (0-based)."""
         K = self.field
@@ -149,7 +124,7 @@ class BiquadElement:
         if self.coords[others[0]] or self.coords[others[1]]:
             raise DomainError("element does not lie in that quadratic subfield")
         c0, c1 = self.coords[0], self.coords[i + 1]
-        den = _lcm_int(c0.denominator, c1.denominator)
+        den = lcm(c0.denominator, c1.denominator)
         return QuadElement.make(K.d[i], int(c0 * den), int(c1 * den), den)
 
     def __repr__(self):
@@ -161,11 +136,6 @@ class BiquadElement:
             parts.append(f"{c}" if not n else (f"{c}*{n}" if abs(c) != 1 else
                                                (n if c == 1 else f"-{n}")))
         return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
-def _lcm_int(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -209,11 +179,7 @@ class BiquadField:
         self.disc = 1
         for k in self.subfields:
             self.disc *= k.delta
-        self.basis = self._integral_basis()
-        self.basis_matrix = [list(e.coords) for e in self.basis]
-        self.inv_basis_matrix = mat_inverse_fraction(self.basis_matrix)
-        self.structure_constants = self._structure_constants()
-        self.sigma_matrices = self._sigma_matrices()
+        self._set_basis(self._integral_basis_rows())
         self.profile = self._ramification_profile()
         self._units = None
         self._oracle = None
@@ -258,98 +224,109 @@ class BiquadField:
         coords[i + 1] = Fraction(el.y, el.den)
         return BiquadElement(self, coords)
 
-    def _gram_disc(self, basis: list[BiquadElement]) -> Fraction:
-        gram = [[(x * y).trace() for y in basis] for x in basis]
-        return mat_det_fraction(gram)
+    def radical_product(self, a, b, zero=0) -> list:
+        """Product of two coordinate vectors over (1, sqrt(d1), sqrt(d2),
+        sqrt(d3)); integer vectors give an integer vector."""
+        out = [zero, zero, zero, zero]
+        for i in range(4):
+            ai = a[i]
+            if not ai:
+                continue
+            for j in range(4):
+                bj = b[j]
+                if not bj:
+                    continue
+                p = ai * bj
+                if i == 0:
+                    out[j] += p
+                elif j == 0:
+                    out[i] += p
+                elif i == j:
+                    out[0] += p * self.d[i - 1]
+                else:
+                    l, coef = self.mul_table[(i, j)]
+                    out[l] += p * coef
+        return out
 
-    def _integral_basis(self) -> tuple[BiquadElement, ...]:
-        basis = [self.one(), self.radical(1), self.radical(2), self.radical(3)]
-        half = Fraction(1, 2)
-        for _round in range(12):
-            disc = self._gram_disc(basis)
-            assert disc.denominator == 1
-            if disc == self.disc:
-                break
-            ratio = Fraction(int(disc), self.disc)
-            assert ratio.denominator == 1 and ratio >= 4, "basis overshot the maximal order"
-            grown = False
-            for mask in range(1, 16):
-                v = self.zero()
-                for i in range(4):
-                    if mask >> i & 1:
-                        v = v + basis[i]
-                v = v.scale(half)
-                if v.has_integral_char_poly():
-                    basis = self._extend_lattice(basis, v)
-                    grown = True
-                    break
-            if not grown:
-                raise InconsistencyError(
-                    f"no index-2 saturation step found for {self.d}, disc {disc}")
+    def _integral_basis_rows(self) -> list[list[int]]:
+        """The closed-form integral basis as integer rows in units of 1/4.
+        Row 0 is 1; outside the case {1, 1, 1}, row i > 0 is the element
+        whose first nonzero radical coordinate is at sqrt(d_i)."""
+        res = [x % 4 for x in self.d]
+        if res == [1, 1, 1]:
+            # (sqrt(d1) + sqrt(d3))/2, (sqrt(d2) + sqrt(d3))/2 and
+            # (1 + sqrt(d1))(1 + sqrt(d2))/4 = (1 + sqrt(d1) + sqrt(d2) + c*sqrt(d3))/4
+            c = self.mul_table[(1, 2)][1]
+            return [[4, 0, 0, 0], [0, 2, 0, 2], [0, 0, 2, 2], [1, 1, 1, c % 4]]
+        # d_a has the residue that occurs once: 1 against {2, 2} or {3, 3},
+        # or 3 against {2, 2}
+        a = next(i for i in (1, 2, 3) if res.count(res[i - 1]) == 1)
+        b, c = (i for i in (1, 2, 3) if i != a)
+        rows = [[4, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        if res[a - 1] == 1:
+            rows[a][0] = rows[a][a] = 2  # (1 + sqrt(d_a))/2
         else:
-            raise InconsistencyError(f"integral basis search did not terminate for {self.d}")
-        rows = [self._scaled_coords(e) for e in basis]
-        H = hnf_rows(rows, 4)
-        x = hnf_solve(H, [4, 0, 0, 0])
-        assert x is not None, "1 must lie in the maximal order"
-        rows = mat_mul_int(unimodular_with_first_row(x), H)
-        assert rows[0] == [4, 0, 0, 0]
-        out = tuple(BiquadElement(self, [Fraction(v, 4) for v in row]) for row in rows)
-        assert out[0] == self.one()
-        return out
+            rows[a][a] = 4  # sqrt(d_a)
+        rows[b][b] = rows[b][c] = 2  # (sqrt(d_b) + sqrt(d_c))/2
+        rows[c][c] = 4  # sqrt(d_c)
+        return rows
 
-    @staticmethod
-    def _scaled_coords(e: BiquadElement) -> list[int]:
+    def _set_basis(self, rows: list[list[int]]) -> None:
+        """Install rows (integers in units of 1/4) as the integral basis,
+        after the discriminant certificate and the closure checks."""
+        if rows[0] != [4, 0, 0, 0]:
+            raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
+        adj, det = mat_adjugate_int(rows)
+        # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
+        # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
+        d1, d2, d3 = self.d
+        if det * det * d1 * d2 * d3 != 256 * self.disc:
+            raise InconsistencyError(
+                f"lattice discriminant {Fraction(det * det * d1 * d2 * d3, 256)} "
+                f"!= {self.disc} for {self.d}")
+        self.basis_rows, self._det = rows, det
+        self._adj_cols = [list(col) for col in zip(*adj)]
+        self.basis = tuple(BiquadElement(self, [Fraction(v, 4) for v in r]) for r in rows)
+        self.structure_constants = [
+            [tuple(self._integer_coords(self.radical_product(ri, rj), 16,
+                                        "products of basis elements"))
+             for rj in rows] for ri in rows]
+        self.sigma_matrices = [
+            [self._integer_coords([v * s for v, s in zip(r, signs)], 4, "Galois images")
+             for r in rows]
+            for signs in _SIGMA_SIGNS]
+
+    def _integer_coords(self, vec, scale: int, what: str) -> list[int]:
+        """Basis coordinates of the element vec/scale, vec an integer vector
+        over the radicals; raises unless they are integers."""
+        den = scale * self._det
         out = []
-        for c in e.coords:
-            v = c * 4
-            assert v.denominator == 1, "integral coordinates must lie in (1/4)Z"
-            out.append(int(v))
+        for col in self._adj_cols:
+            q, r = divmod(4 * sum(map(mul, vec, col)), den)
+            if r:
+                raise InconsistencyError(f"{what} are not integral in the basis of {self.d}")
+            out.append(q)
         return out
 
-    def _extend_lattice(self, basis, v) -> list[BiquadElement]:
-        rows = [self._scaled_coords(e) for e in basis] + [self._scaled_coords(v)]
-        H = hnf_rows(rows, 4)
-        assert len(H) == 4
-        return [BiquadElement(self, [Fraction(x, 4) for x in row]) for row in H]
+    def _basis_numerators(self, el: BiquadElement) -> tuple[list[int], int]:
+        """(n, den) with n[j]/den the j-th basis coordinate of el."""
+        c = el.coords
+        den = lcm(*(x.denominator for x in c))
+        v = [x.numerator * (den // x.denominator) for x in c]
+        return [4 * sum(map(mul, v, col)) for col in self._adj_cols], den * self._det
 
     def to_basis_coords(self, el: BiquadElement) -> tuple[Fraction, ...]:
-        inv = self.inv_basis_matrix
-        return tuple(
-            sum(el.coords[k] * inv[k][j] for k in range(4)) for j in range(4))
+        n, den = self._basis_numerators(el)
+        return tuple(Fraction(x, den) for x in n)
 
     def element_from_basis_coords(self, row) -> BiquadElement:
-        acc = self.zero()
-        for x, e in zip(row, self.basis):
-            if x:
-                acc = acc + e.scale(x)
-        return acc
+        rows = self.basis_rows
+        return BiquadElement(self, [
+            Fraction(sum(x * r[k] for x, r in zip(row, rows)), 4) for k in range(4)])
 
     def is_integral(self, el: BiquadElement) -> bool:
-        return all(c.denominator == 1 for c in self.to_basis_coords(el))
-
-    def _structure_constants(self):
-        consts = []
-        for bi in self.basis:
-            row = []
-            for bj in self.basis:
-                coords = self.to_basis_coords(bi * bj)
-                assert all(c.denominator == 1 for c in coords), \
-                    "products of basis elements must be integral"
-                row.append(tuple(int(c) for c in coords))
-            consts.append(row)
-        return consts
-
-    def _sigma_matrices(self):
-        mats = []
-        for t in range(4):
-            rows = []
-            for e in self.basis:
-                coords = self.to_basis_coords(e.sigma(t))
-                assert all(c.denominator == 1 for c in coords)
-                rows.append([int(c) for c in coords])
-            mats.append(rows)
-        return mats
+        n, den = self._basis_numerators(el)
+        return all(x % den == 0 for x in n)
 
     def mul_basis_coords(self, x, y) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""

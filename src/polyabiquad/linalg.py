@@ -1,11 +1,9 @@
-"""Small exact matrix routines: integer Hermite forms, lattice membership,
-integer kernels, rational inverses and determinants.  Everything is dense
-and dimension <= 5-ish, so plain Euclidean elimination is plenty.
+"""Small exact integer matrix routines: Hermite forms, lattice membership,
+kernels, determinants and adjugates.  Everything is dense and dimension
+<= 5-ish, so plain Euclidean elimination and cofactor expansion are plenty.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf_rows(rows: list[list[int]], dim: int) -> list[list[int]]:
@@ -63,23 +61,6 @@ def hnf_contains(basis: list[list[int]], vec: list[int]) -> bool:
     return not any(v)
 
 
-def hnf_solve(basis: list[list[int]], vec: list[int]) -> list[int] | None:
-    """Integer coordinates of vec in the basis rows, or None."""
-    v = list(vec)
-    dim = len(v)
-    coords = [0] * len(basis)
-    for i, row in enumerate(basis):
-        pcol = next(j for j in range(dim) if row[j])
-        if v[pcol] % row[pcol]:
-            return None
-        q = v[pcol] // row[pcol]
-        coords[i] = q
-        if q:
-            for j in range(dim):
-                v[j] -= q * row[j]
-    return coords if not any(v) else None
-
-
 def left_kernel(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {x integer : sum x_i * rows[i] == 0}."""
     n = len(rows)
@@ -105,91 +86,22 @@ def left_kernel(rows: list[list[int]]) -> list[list[int]]:
     return [r[w:] for r in aug]
 
 
-def unimodular_with_first_row(x: list[int]) -> list[list[int]]:
-    """A unimodular integer matrix whose first row is the primitive vector x."""
-    n = len(x)
-    # Row-reduce the column vector x to e0 with recorded unimodular ops,
-    # U @ x == e0.  Then x is the first column of U^{-1}, hence the first
-    # row of its transpose.
-    v = list(x)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def rowop(i, j, q):  # row_i -= q * row_j  on (v, U)
-        v[i] -= q * v[j]
-        for t in range(n):
-            U[i][t] -= q * U[j][t]
-
-    while True:
-        nz = [i for i in range(n) if v[i]]
-        assert nz, "zero vector is not primitive"
-        if len(nz) == 1:
-            break
-        nz.sort(key=lambda i: abs(v[i]))
-        i0 = nz[0]
-        for i in nz[1:]:
-            rowop(i, i0, v[i] // v[i0])
-    i0 = next(i for i in range(n) if v[i])
-    g = v[i0]
-    assert abs(g) == 1, "vector is not primitive"
-    if i0 != 0:
-        U[0], U[i0] = U[i0], U[0]
-    if g < 0:
-        U[0] = [-t for t in U[0]]
-    W = mat_inverse_int_unimodular(U)
-    V = [[W[j][i] for j in range(n)] for i in range(n)]
-    assert V[0] == list(x)
-    return V
+def mat_det_int(M: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row (small n)."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * mat_det_int([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M)) if M[0][j])
 
 
-def mat_inverse_int_unimodular(M: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
+def mat_adjugate_int(M: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj(M), det(M)) of a small square integer matrix, with
+    M @ adj(M) == adj(M) @ M == det(M) * I."""
     n = len(M)
-    frac = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    inv = mat_inverse_fraction(frac)
-    out = []
-    for row in inv:
-        assert all(f.denominator == 1 for f in row)
-        out.append([f.numerator for f in row])
-    return out
 
+    def minor(i, j):
+        return [r[:j] + r[j + 1:] for t, r in enumerate(M) if t != i]
 
-def mat_inverse_fraction(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    a = [[Fraction(M[i][j]) for j in range(n)]
-         + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [v / p for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def mat_det_fraction(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    a = [[Fraction(v) for v in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-def mat_mul_int(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    adj = [[(-1) ** (i + j) * mat_det_int(minor(j, i)) for j in range(n)]
+           for i in range(n)]
+    return adj, sum(M[0][k] * adj[k][0] for k in range(n))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .biquadratic import BiquadField
 from .errors import InconsistencyError
@@ -62,18 +63,7 @@ def kernel_order(K: BiquadField) -> int:
 def polya_order(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
     """|Po(K)| by the closed formula, cross-checked against the kernel /
     cokernel decomposition."""
-    us, prof = K.units, K.profile
-    j2 = j2_value(K, oracle)
-    drop = max(1, us.nu_k) if K.is_real else us.nu_k
-    val = Fraction(us.q_k) * Fraction(2) ** (prof.s_k + j2 - 2 - drop)
-    if val.denominator != 1 or val < 1:
-        raise InconsistencyError(f"Polya order formula non-integral for {K.d}: {val}")
-    po = int(val)
-    po_sub = [polya_order_quad(k) for k in K.subfields]
-    if po * kernel_order(K) != po_sub[0] * po_sub[1] * po_sub[2] * 2 ** j2:
-        raise InconsistencyError(
-            f"Polya order does not match the kernel/cokernel decomposition for {K.d}")
-    return po
+    return _polya_order(K, j2_value(K, oracle), kernel_order(K), _subfield_orders(K))
 
 
 def chain_indices(K: BiquadField) -> tuple[int, int, int, int]:
@@ -81,6 +71,27 @@ def chain_indices(K: BiquadField) -> tuple[int, int, int, int]:
     between extended rational principal ideals H0 and ambiguous products H3,
     with H1 the ideals generated by square roots of rationals and H2 the
     principal ambiguous products.  The product telescopes to 2**s_K."""
+    return _chain_indices(K, kernel_order(K), _subfield_orders(K))
+
+
+def _subfield_orders(K: BiquadField) -> tuple[int, int, int]:
+    return tuple(polya_order_quad(k) for k in K.subfields)
+
+
+def _polya_order(K: BiquadField, j2: int, ker: int, po_sub) -> int:
+    us, prof = K.units, K.profile
+    drop = max(1, us.nu_k) if K.is_real else us.nu_k
+    val = Fraction(us.q_k) * Fraction(2) ** (prof.s_k + j2 - 2 - drop)
+    if val.denominator != 1 or val < 1:
+        raise InconsistencyError(f"Polya order formula non-integral for {K.d}: {val}")
+    po = int(val)
+    if po * ker != prod(po_sub) * 2 ** j2:
+        raise InconsistencyError(
+            f"Polya order does not match the kernel/cokernel decomposition for {K.d}")
+    return po
+
+
+def _chain_indices(K: BiquadField, ker: int, po_sub) -> tuple[int, int, int, int]:
     us, prof = K.units, K.profile
     h30 = 2 ** prof.s_k
     h21 = us.index_star_over_pm_squares
@@ -92,10 +103,8 @@ def chain_indices(K: BiquadField) -> tuple[int, int, int, int]:
     h32 = int(val)
     if h32 * h21 * h10 != h30:
         raise InconsistencyError(f"chain indices do not telescope for {K.d}")
-    po_sub_prod = 1
-    for k in K.subfields:
-        po_sub_prod *= polya_order_quad(k)
-    if po_sub_prod % h32 or po_sub_prod // h32 != kernel_order(K):
+    po_sub_prod = prod(po_sub)
+    if po_sub_prod % h32 or po_sub_prod // h32 != ker:
         raise InconsistencyError(
             f"kernel order via the chain disagrees with the closed formula for {K.d}")
     return h30, h21, h10, h32
@@ -130,15 +139,19 @@ class PolyaReport:
 
 
 def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> PolyaReport:
+    """Every order and index of the field, each computed once and passed on
+    to the identity checks that use it."""
     us, prof = K.units, K.profile
     j2 = j2_value(K, oracle)
+    ker = kernel_order(K)
+    po_sub = _subfield_orders(K)
     return PolyaReport(
         d=K.d,
-        po_sub=tuple(polya_order_quad(k) for k in K.subfields),
-        ker=kernel_order(K),
+        po_sub=po_sub,
+        ker=ker,
         coker=2 ** j2,
-        po_k=polya_order(K, oracle),
-        chain=chain_indices(K),
+        po_k=_polya_order(K, j2, ker, po_sub),
+        chain=_chain_indices(K, ker, po_sub),
         s_k=prof.s_k,
         i2=prof.i2,
         j2=j2,

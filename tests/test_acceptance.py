@@ -7,11 +7,13 @@ Corpora:
   - oracle corpus: all biquadratic fields with |d1|, |d2| <= 15
 """
 
+import hashlib
 import itertools
 import time
 
 import pytest
 
+from exact_reference import gram_determinant
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import main
 from polyabiquad.errors import BudgetExceededError
@@ -77,12 +79,10 @@ def test_criterion_structural_identities(corpus_20):
     for K in corpus_20:
         prof, us = K.profile, K.units
         assert sum(k.s for k in K.subfields) == 2 * prof.s_k + prof.i2, K.d
-        gram = [[(x * y).trace() for y in K.basis] for x in K.basis]
-        from polyabiquad.linalg import mat_det_fraction
         prod_disc = 1
         for k in K.subfields:
             prod_disc *= k.delta
-        assert mat_det_fraction(gram) == prod_disc, K.d
+        assert gram_determinant(K) == prod_disc, K.d
         assert (4 if K.is_real else 2) % us.q_k == 0, K.d
         assert prof.product_e == 2 ** (prof.s_k + prof.i2), K.d
     elapsed = time.time() - t0
@@ -154,3 +154,19 @@ def test_criterion_scan_determinism(capsys):
     rows = len(outputs[0].splitlines())
     print(f"\nPASS scan-determinism: {rows} rows byte-identical across runs "
           f"and worker counts")
+
+
+def test_criterion_scan_output_is_frozen(capsys):
+    """`scan --json` byte-identical to the frozen SHA-256 on bound 30 and on
+    bound 20 verified."""
+    frozen = {
+        ("--bound", "30"):
+            "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870",
+        ("--bound", "20", "--verify"):
+            "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1",
+    }
+    for args, digest in frozen.items():
+        assert main(["scan", *args, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+    print(f"\nPASS scan-frozen: {len(frozen)} scans match their SHA-256")

@@ -2,12 +2,15 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from exact_reference import char_poly, gram_determinant, mat_det_fraction
 from polyabiquad.biquadratic import BiquadElement, biquadratic_field
-from polyabiquad.errors import InvalidInputError
+from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
+from polyabiquad.linalg import hnf_rows
 from polyabiquad.units import integral_square_root, unit_square_root, unit_structure
 
 
@@ -74,14 +77,64 @@ def test_integral_basis_certificate():
     for K in small_corpus(8):
         assert K.basis[0] == K.one()
         for e in K.basis:
-            assert e.has_integral_char_poly()
-        gram = [[(x * y).trace() for y in K.basis] for x in K.basis]
-        from polyabiquad.linalg import mat_det_fraction
-        det = mat_det_fraction(gram)
+            assert all(s.denominator == 1 for s in char_poly(e))
         prod_disc = 1
         for k in K.subfields:
             prod_disc *= k.delta
-        assert det == prod_disc == K.disc
+        assert gram_determinant(K) == prod_disc == K.disc
+
+
+def test_integral_basis_matches_frozen_saturation_search():
+    # the lattice the index-2 saturation search found, for every field with
+    # |d_i| <= 30, before the closed form replaced it
+    path = os.path.join(os.path.dirname(__file__), "integral_basis_rows.txt")
+    checked = 0
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            vals = [int(v) for v in line.split()]
+            d, frozen = tuple(vals[:3]), vals[3:]
+            K = biquadratic_field(d[0], d[1])
+            assert K.d == d
+            H = hnf_rows([list(r) for r in K.basis_rows], 4)
+            assert [v for r in H for v in r] == frozen, d
+            assert K.basis_rows[0] == [4, 0, 0, 0]
+            checked += 1
+    assert checked == 534
+
+
+def test_integral_basis_certificate_up_to_60():
+    # construction runs the closure checks; the discriminant is checked again
+    # by a rational determinant the program does not use
+    patterns = set()
+    for K in small_corpus(60):
+        d1, d2, d3 = K.d
+        det = mat_det_fraction(K.basis_rows)
+        assert det * det * d1 * d2 * d3 == 256 * K.disc, K.d
+        assert K.basis_rows[0] == [4, 0, 0, 0]
+        patterns.add((tuple(x % 4 for x in K.d), K.is_real, abs(gcd(d1, d2)) > 1))
+    # the 10 placements of the residues mod 4 in the sorted triple, real and
+    # imaginary, with and without gcd(d1, d2) > 1, less the 4 where d1 and d2
+    # are both even
+    assert len(patterns) == 10 * 2 * 2 - 4
+
+
+def test_certificate_rejects_a_lattice_that_is_not_a_ring():
+    # (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
+    # (1 + sqrt(d1))(1 + sqrt(d2))/4: sqrt(-23)*sqrt(-19) = -sqrt(437), so the
+    # sign of the last coordinate is wrong, yet the discriminant is the same
+    K = biquadratic_field(-23, -19)
+    assert K.d == (-23, -19, 437)
+    good = [list(r) for r in K.basis_rows]
+    assert good[3] == [1, 1, 1, 3]
+    flipped = good[:3] + [[1, 1, 1, 1]]
+    assert mat_det_fraction(flipped) == -mat_det_fraction(good)
+    with pytest.raises(InconsistencyError, match="products of basis elements"):
+        biquadratic_field(-23, -19)._set_basis(flipped)
+    with pytest.raises(InconsistencyError, match="lattice discriminant"):
+        biquadratic_field(-23, -19)._set_basis(
+            [[4 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
 def test_profile_examples():
@@ -131,7 +184,7 @@ def test_galois_action_composition_and_norm():
 def test_trace_and_charpoly_are_rational_integers_on_basis():
     for K in small_corpus(6):
         for e in K.basis:
-            s1, s2, s3, s4 = e.char_poly()
+            s1, s2, s3, s4 = char_poly(e)
             assert all(v.denominator == 1 for v in (s1, s2, s3, s4))
 
 
