@@ -4,27 +4,26 @@ Exact-arithmetic computation of the order of the group of strongly ambiguous
 ideal classes of K = Q(sqrt(d1), sqrt(d2)) and its three quadratic subfields,
 via closed unit-index formulas, together with a brute-force ambiguous-ideal
 oracle (ideal lattices, radicals, principality search) that verifies every
-formula with no shared code path.
+formula.  The two routes share three pieces: the exact square root
+integral_square_root, the continued-fraction fundamental unit of each
+quadratic subfield, and j2, which polya_report takes from the descent of
+K.default_oracle().
 """
 
-from .biquadratic import (BiquadElement, BiquadField, RamificationProfile,
-                          biquadratic_field, ramification_profile)
+from .biquadratic import BiquadElement, BiquadField, RamificationProfile, biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
 from .intmath import SquarefreeDecomposition, kronecker, squarefree_decompose
-from .lattice import (AmbiguousIdealOracle, IdealLattice, ideal_from_elements,
-                      ideal_mul, prime_above_2, prime_radical,
-                      principal_ideal_generator, rational_ideal,
-                      relative_norm_ideal)
-from .polya import (PolyaReport, chain_indices, cokernel_order, j2_value,
-                    kernel_order, polya_order, polya_report, verify_biquad,
+from .lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
+                      principal_ideal_generator, rational_ideal, relative_norm_ideal)
+from .polya import (PolyaReport, j2_value, kernel_order, polya_report, verify_biquad,
                     verify_quad)
 from .quadratic import (QuadElement, QuadIdeal, QuadraticField,
                         ambiguous_oracle_quad, polya_order_quad, prime_above,
                         principal_generator_quad, quad_ideal_from_elements,
                         quadratic_field)
 from .report import OutputRecord, QuadRecord, biquad_record, parse_records, quad_record, render_records
-from .units import UnitStructure, integral_square_root, unit_square_root, unit_structure
+from .units import UnitStructure, integral_square_root, unit_structure
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,10 @@ __all__ = [
     "InvalidInputError", "OutputRecord", "PolyaReport", "QuadElement", "QuadIdeal",
     "QuadRecord", "QuadraticField", "RamificationProfile",
     "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
-    "biquad_record", "biquadratic_field", "chain_indices", "cokernel_order",
-    "ideal_from_elements", "ideal_mul", "integral_square_root", "j2_value",
-    "kernel_order", "kronecker", "parse_records", "polya_order",
-    "polya_order_quad", "polya_report", "prime_above", "prime_above_2", "prime_radical", "ramification_profile",
-    "principal_generator_quad", "principal_ideal_generator", "quad_ideal_from_elements",
-    "quad_record", "quadratic_field", "rational_ideal", "relative_norm_ideal",
-    "render_records", "squarefree_decompose",
-    "unit_square_root", "unit_structure", "verify_biquad", "verify_quad",
+    "biquad_record", "biquadratic_field", "integral_square_root", "j2_value",
+    "kernel_order", "kronecker", "parse_records", "polya_order_quad",
+    "polya_report", "prime_above", "prime_radical", "principal_generator_quad",
+    "principal_ideal_generator", "quad_ideal_from_elements", "quad_record",
+    "quadratic_field", "rational_ideal", "relative_norm_ideal", "render_records",
+    "squarefree_decompose", "unit_structure", "verify_biquad", "verify_quad",
 ]

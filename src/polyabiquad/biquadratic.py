@@ -68,9 +68,6 @@ class BiquadElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def __add__(self, other: "BiquadElement") -> "BiquadElement":
         return BiquadElement(self.field,
                              [a + b for a, b in zip(self.coords, other.coords)])
@@ -86,10 +83,6 @@ class BiquadElement:
         K = self.field
         assert K.d == other.field.d
         return BiquadElement(K, K.radical_product(self.coords, other.coords, _F0))
-
-    def scale(self, q) -> "BiquadElement":
-        q = Fraction(q)
-        return BiquadElement(self.field, [c * q for c in self.coords])
 
     def __pow__(self, n: int) -> "BiquadElement":
         assert n >= 0
@@ -295,6 +288,15 @@ class BiquadField:
             [self._integer_coords([v * s for v, s in zip(r, signs)], 4, "Galois images")
              for r in rows]
             for signs in _SIGMA_SIGNS]
+        # omega_i = sqrt(d_i), or (1 + sqrt(d_i))/2 when d_i = 1 mod 4: the
+        # ring of integers of k_i is Z + Z*omega_i
+        self.omega_rows = []
+        for i, d in enumerate(self.d):
+            vec, scale = [0, 0, 0, 0], 1
+            vec[i + 1] = 1
+            if d % 4 == 1:
+                vec[0], scale = 1, 2
+            self.omega_rows.append(self._integer_coords(vec, scale, "subfield integers"))
 
     def _integer_coords(self, vec, scale: int, what: str) -> list[int]:
         """Basis coordinates of the element vec/scale, vec an integer vector
@@ -323,10 +325,6 @@ class BiquadField:
         rows = self.basis_rows
         return BiquadElement(self, [
             Fraction(sum(x * r[k] for x, r in zip(row, rows)), 4) for k in range(4)])
-
-    def is_integral(self, el: BiquadElement) -> bool:
-        n, den = self._basis_numerators(el)
-        return all(x % den == 0 for x in n)
 
     def mul_basis_coords(self, x, y) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""
@@ -404,8 +402,3 @@ class BiquadField:
 
 def biquadratic_field(d1_raw: int, d2_raw: int) -> BiquadField:
     return BiquadField(d1_raw, d2_raw)
-
-
-def ramification_profile(K: BiquadField) -> RamificationProfile:
-    """Per-prime (e_p, f_p, g_p) data of the field (computed at construction)."""
-    return K.profile

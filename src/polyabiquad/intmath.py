@@ -87,10 +87,6 @@ def squarefree_part(n: int) -> int:
     return squarefree_decompose(n).squarefree_part
 
 
-def is_squarefree(n: int) -> bool:
-    return abs(squarefree_part(n)) == abs(n)
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), fully multiplicative in n, with the standard
     conventions (a|2) = 0, +-1 by a mod 8 and (a|-1) = sign of a."""

@@ -8,9 +8,14 @@ algebra over O_K/p: the Frobenius map x -> x^p is additive in characteristic
 p, and the nilradical is the kernel of its m-th iterate once p^m >= 4.
 
 Principality testing descends to the quadratic subfields.  For an ideal a of
-norm n with Galois group {1, s1, s2, s3}, the lattice intersection
-b_i = (a * s_i(a)) cap k_i is the relative norm ideal, of norm n in k_i.  If
-some b_i is nonprincipal then a is nonprincipal.  Otherwise pick generators
+norm n with Galois group {1, s1, s2, s3}, the relative norm ideal
+b_i = N_{K/k_i}(a) = (a * s_i(a)) cap O_{k_i} has norm n in k_i.  The
+intersection is one integer Hermite form: O_{k_i} = Z + Z*omega_i lies in
+O_K through the basis coordinates of omega_i, and the rows (omega_i, 1, 0),
+(1, 0, 1) and (r, 0, 0) for r in a * s_i(a) span a lattice of Z^6 whose
+vectors (0, u, v) are exactly the u*omega_i + v in a * s_i(a).  The last two
+rows of its Hermite form are therefore the canonical basis of b_i.  If some
+b_i is nonprincipal then a is nonprincipal.  Otherwise pick generators
 tau_i of b_i; for any generator alpha of a, N_{K/k_i}(alpha) is also a
 generator of b_i, and the three relative norms multiply to
 tau_1 tau_2 tau_3 = N(alpha) * alpha^2 = +-n * alpha^2.  Unit ambiguity in
@@ -19,7 +24,9 @@ product after adjusting by the finite twist sets {+-1, +-eps_i} (real) or
 the subfield roots of unity (imaginary), which cover the unit classes modulo
 squares.  So a is principal iff some twisted product tau_1 tau_2 tau_3 / n
 is a square of an element of a with the right norm, and every candidate is
-settled by the exact square-root test.  Both directions are complete: the
+settled by the exact square-root test.  The products are taken on integer
+coordinates over the integral basis, so tau_1 tau_2 tau_3 / n is integral
+exactly when n divides each coordinate.  Both directions are complete: the
 search never reports "nonprincipal" heuristically.
 
 The oracle descends only on radical products that earlier verdicts leave
@@ -30,15 +37,14 @@ by the group law.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 from .biquadratic import BiquadElement, BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
-from .linalg import hnf_contains, hnf_rows, left_kernel
-from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
-                        principal_generator_quad, quad_ideal_from_elements)
+from .linalg import hnf_contains, hnf_rows
+from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement, QuadIdeal,
+                        principal_generator_quad)
 from .units import integral_square_root
 
 
@@ -50,13 +56,10 @@ class IdealLattice:
     def __init__(self, field: BiquadField, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
-        assert len(self.rows) == 4
-        n = 1
-        for i in range(4):
-            assert self.rows[i][i] > 0 and all(
-                self.rows[i][j] == 0 for j in range(i)), "rows must be in HNF"
-            n *= self.rows[i][i]
-        self.norm = n
+        if len(self.rows) != 4 or any(r[i] <= 0 or any(r[:i])
+                                      for i, r in enumerate(self.rows)):
+            raise InconsistencyError(f"ideal rows {self.rows} are not in Hermite form")
+        self.norm = prod(r[i] for i, r in enumerate(self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, IdealLattice)
@@ -68,14 +71,11 @@ class IdealLattice:
     def __repr__(self):
         return f"IdealLattice(norm={self.norm}, rows={self.rows})"
 
-    def basis_elements(self) -> list[BiquadElement]:
-        return [self.field.element_from_basis_coords(r) for r in self.rows]
-
     def contains(self, el: BiquadElement) -> bool:
-        coords = self.field.to_basis_coords(el)
-        if any(c.denominator != 1 for c in coords):
+        num, den = self.field._basis_numerators(el)
+        if any(x % den for x in num):
             return False
-        return hnf_contains([list(r) for r in self.rows], [int(c) for c in coords])
+        return hnf_contains(self.rows, [x // den for x in num])
 
     def multiply(self, other: "IdealLattice") -> "IdealLattice":
         if self.field.d != other.field.d:
@@ -83,7 +83,9 @@ class IdealLattice:
         K = self.field
         prod_rows = [K.mul_basis_coords(a, b) for a in self.rows for b in other.rows]
         lat = IdealLattice(K, hnf_rows(prod_rows, 4))
-        assert lat.norm == self.norm * other.norm, "ideal norms must multiply"
+        if lat.norm != self.norm * other.norm:
+            raise InconsistencyError(
+                f"ideal norms must multiply: {self.norm} * {other.norm} != {lat.norm}")
         return lat
 
     def __mul__(self, other):
@@ -96,47 +98,12 @@ class IdealLattice:
                 for r in self.rows]
         return IdealLattice(self.field, hnf_rows(rows, 4))
 
-    def is_galois_stable(self) -> bool:
-        return all(self.conjugate(t) == self for t in (1, 2, 3))
-
-    def is_closed_under_multiplication(self) -> bool:
-        K = self.field
-        for r in self.rows:
-            for j in range(4):
-                unit = [0, 0, 0, 0]
-                unit[j] = 1
-                if not hnf_contains([list(x) for x in self.rows],
-                                    K.mul_basis_coords(r, unit)):
-                    return False
-        return True
-
-
-def ideal_from_elements(K: BiquadField, elements) -> IdealLattice:
-    """O_K-module generated by integral elements."""
-    rows = []
-    for el in elements:
-        coords = K.to_basis_coords(el)
-        if any(c.denominator != 1 for c in coords):
-            raise InvalidInputError("generators must be integral")
-        base = [int(c) for c in coords]
-        for j in range(4):
-            unit = [0, 0, 0, 0]
-            unit[j] = 1
-            rows.append(K.mul_basis_coords(base, unit))
-    H = hnf_rows(rows, 4)
-    if len(H) != 4:
-        raise InvalidInputError("generators span a rank-deficient lattice")
-    return IdealLattice(K, H)
-
 
 def rational_ideal(K: BiquadField, m: int) -> IdealLattice:
+    if m == 0:
+        raise InvalidInputError("the zero ideal is not a rank-4 lattice")
     m = abs(m)
-    assert m > 0
     return IdealLattice(K, [[m if i == j else 0 for j in range(4)] for i in range(4)])
-
-
-def ideal_mul(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    return a.multiply(b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,51 +193,28 @@ def prime_radical(K: BiquadField, p: int) -> IdealLattice:
     return rad
 
 
-def prime_above_2(K: BiquadField) -> IdealLattice:
-    """The unique prime ideal over 2 when 2 is totally ramified (e_2 = 4):
-    the norm-2 radical with rad**4 = 2*O_K."""
-    if K.profile.e2 != 4:
-        raise DomainError(f"2 is not totally ramified in {K.d} (e_2 = {K.profile.e2})")
-    return prime_radical(K, 2)
-
-
 # ---------------------------------------------------------------------------
 # Principality by relative-norm descent
 # ---------------------------------------------------------------------------
 
 
-def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int):
-    """N_{K/k_i}(a) = (a * sigma_i(a)) cap k_i as an ideal of the subfield."""
+def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
+    """N_{K/k_i}(a) = (a * sigma_i(a)) cap O_{k_i} as an ideal of the subfield,
+    read off the last two rows (0, c, b) and (0, 0, a) of one Hermite form."""
     m = lat.multiply(lat.conjugate(i + 1))
-    rad_rows = []
-    for r in m.rows:
-        el = K.element_from_basis_coords(r)
-        rad_rows.append(el.coords)
-    others = [j for j in (1, 2, 3) if j != i + 1]
-    cols = []
-    for j in others:
-        den = 1
-        for r in rad_rows:
-            den = den * r[j].denominator // gcd(den, r[j].denominator)
-        cols.append([int(r[j] * den) for r in rad_rows])
-    kern = left_kernel([[cols[0][t], cols[1][t]] for t in range(4)])
-    assert len(kern) == 2, "subfield intersection must have rank 2"
-    k = K.subfields[i]
-    gens = []
-    for x in kern:
-        c0 = sum(Fraction(x[t]) * rad_rows[t][0] for t in range(4))
-        c1 = sum(Fraction(x[t]) * rad_rows[t][i + 1] for t in range(4))
-        den = c0.denominator * c1.denominator // gcd(c0.denominator, c1.denominator)
-        gens.append(QuadElement.make(k.d, int(c0 * den), int(c1 * den), den))
-    ideal = quad_ideal_from_elements(k, gens)
+    rows = [[*K.omega_rows[i], 1, 0], [1, 0, 0, 0, 0, 1]]
+    rows += [[*r, 0, 0] for r in m.rows]
+    H = hnf_rows(rows, 6)
+    ideal = QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
     if ideal.norm != lat.norm:
         raise InconsistencyError(
             f"relative norm ideal has norm {ideal.norm}, expected {lat.norm}")
     return ideal
 
 
-def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[BiquadElement]:
-    """Generators of b_i modulo squares of subfield units."""
+def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[list[int]]:
+    """Generators of b_i modulo squares of subfield units, as integer
+    coordinates over the integral basis of K."""
     k = K.subfields[i]
     if k.is_real:
         ge = g * k.fundamental_unit
@@ -278,7 +222,13 @@ def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[BiquadElement]:
     else:
         z = k.torsion_generator()
         quads = [g, g * z]
-    return [K.from_quad(i, q) for q in quads]
+    twists = []
+    for q in quads:
+        u, v = k.omega_coords(q)
+        t = [v * w for w in K.omega_rows[i]]
+        t[0] += u  # the first basis element is 1
+        twists.append(t)
+    return twists
 
 
 def principal_ideal_generator(lat: IdealLattice,
@@ -295,21 +245,18 @@ def principal_ideal_generator(lat: IdealLattice,
         if g is None:
             return None  # a principal ideal has principal relative norms
         twist_sets.append(_unit_twists(K, i, g))
-    inv_n = Fraction(1, n)
     seen: set = set()
     for t1, t2, t3 in itertools.product(*twist_sets):
         if budget is not None:
             budget.charge()
-        s = (t1 * t2 * t3).scale(inv_n)
-        if s.coords in seen:
+        s = tuple(K.mul_basis_coords(K.mul_basis_coords(t1, t2), t3))
+        if s in seen:
             continue
-        seen.add(s.coords)
-        if any(c.denominator > 4 for c in s.coords):
-            continue
-        if not K.is_integral(s):
+        seen.add(s)
+        if any(c % n for c in s):
             continue
         # the square root the formula route also uses, for the unit index
-        xi = integral_square_root(K, s)
+        xi = integral_square_root(K, K.element_from_basis_coords([c // n for c in s]))
         if xi is not None and abs(xi.norm()) == n and lat.contains(xi):
             return xi
     return None

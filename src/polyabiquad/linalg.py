@@ -1,6 +1,6 @@
 """Small exact integer matrix routines: Hermite forms, lattice membership,
-kernels, determinants and adjugates.  Everything is dense and dimension
-<= 5-ish, so plain Euclidean elimination and cofactor expansion are plenty.
+determinants and adjugates.  Everything is dense and of dimension at most 6,
+so plain Euclidean elimination and cofactor expansion are plenty.
 """
 
 from __future__ import annotations
@@ -59,31 +59,6 @@ def hnf_contains(basis: list[list[int]], vec: list[int]) -> bool:
             for j in range(dim):
                 v[j] -= q * row[j]
     return not any(v)
-
-
-def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {x integer : sum x_i * rows[i] == 0}."""
-    n = len(rows)
-    w = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    used: list[list[int]] = []
-    for col in range(w):
-        while True:
-            cand = [r for r in aug if r[col]]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            for r in cand[1:]:
-                q = r[col] // piv[col]
-                if q:
-                    for j in range(w + n):
-                        r[j] -= q * piv[j]
-        cand = [r for r in aug if r[col]]
-        if cand:
-            aug.remove(cand[0])
-            used.append(cand[0])
-    return [r[w:] for r in aug]
 
 
 def mat_det_int(M: list[list[int]]) -> int:

@@ -44,11 +44,6 @@ def j2_value(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
     return 0 if orc.is_principal_radical_power({2: 1}) else 1
 
 
-def cokernel_order(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
-    """Order of the cokernel of the class-extension map: 2**j2."""
-    return 2 ** j2_value(K, oracle)
-
-
 def kernel_order(K: BiquadField) -> int:
     """Order of the kernel of the class-extension map from the three
     subfield ambiguous-class groups."""
@@ -60,25 +55,9 @@ def kernel_order(K: BiquadField) -> int:
     return prof.product_e // den
 
 
-def polya_order(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
+def _polya_order(K: BiquadField, j2: int, ker: int, po_sub) -> int:
     """|Po(K)| by the closed formula, cross-checked against the kernel /
     cokernel decomposition."""
-    return _polya_order(K, j2_value(K, oracle), kernel_order(K), _subfield_orders(K))
-
-
-def chain_indices(K: BiquadField) -> tuple[int, int, int, int]:
-    """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
-    between extended rational principal ideals H0 and ambiguous products H3,
-    with H1 the ideals generated by square roots of rationals and H2 the
-    principal ambiguous products.  The product telescopes to 2**s_K."""
-    return _chain_indices(K, kernel_order(K), _subfield_orders(K))
-
-
-def _subfield_orders(K: BiquadField) -> tuple[int, int, int]:
-    return tuple(polya_order_quad(k) for k in K.subfields)
-
-
-def _polya_order(K: BiquadField, j2: int, ker: int, po_sub) -> int:
     us, prof = K.units, K.profile
     drop = max(1, us.nu_k) if K.is_real else us.nu_k
     val = Fraction(us.q_k) * Fraction(2) ** (prof.s_k + j2 - 2 - drop)
@@ -92,6 +71,10 @@ def _polya_order(K: BiquadField, j2: int, ker: int, po_sub) -> int:
 
 
 def _chain_indices(K: BiquadField, ker: int, po_sub) -> tuple[int, int, int, int]:
+    """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
+    between extended rational principal ideals H0 and ambiguous products H3,
+    with H1 the ideals generated by square roots of rationals and H2 the
+    principal ambiguous products.  The product telescopes to 2**s_K."""
     us, prof = K.units, K.profile
     h30 = 2 ** prof.s_k
     h21 = us.index_star_over_pm_squares
@@ -144,7 +127,7 @@ def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> 
     us, prof = K.units, K.profile
     j2 = j2_value(K, oracle)
     ker = kernel_order(K)
-    po_sub = _subfield_orders(K)
+    po_sub = tuple(polya_order_quad(k) for k in K.subfields)
     return PolyaReport(
         d=K.d,
         po_sub=po_sub,

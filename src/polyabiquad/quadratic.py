@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .intmath import prime_divisors, squarefree_decompose
+from .linalg import hnf_rows
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,8 @@ class QuadElement:
             return QuadElement(d, x, y, 2)
         raise InvalidInputError(f"({x}+{y}*sqrt({d}))/{den} is not integral")
 
-    def coeffs(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.x, self.den), Fraction(self.y, self.den)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def is_rational(self) -> bool:
-        return self.y == 0
 
     def __add__(self, other: "QuadElement") -> "QuadElement":
         assert self.d == other.d
@@ -295,8 +289,8 @@ class QuadIdeal:
         return all(self.contains(g * om) for g in self.basis_elements())
 
     def content_and_primitive(self) -> tuple[int, "QuadIdeal"]:
-        g = gcd(gcd(self.a, self.b), self.c)
-        assert g == self.c, "ideal HNF must have c | a and c | b"
+        if gcd(gcd(self.a, self.b), self.c) != self.c:
+            raise InconsistencyError(f"ideal HNF {self} must have c | a and c | b")
         return self.c, QuadIdeal(self.field, self.a // self.c,
                                  (self.b // self.c) % (self.a // self.c), 1)
 
@@ -318,31 +312,13 @@ def quad_ideal_from_elements(k: QuadraticField, gens: list[QuadElement]) -> Quad
 
 
 def _quad_ideal_from_rows(k: QuadraticField, rows: list[tuple[int, int]]) -> QuadIdeal:
-    work = [(u, v) for (u, v) in rows if u or v]
-    assert work, "zero ideal"
-    # euclidean reduction of the omega column to one pivot row
-    while True:
-        withv = [r for r in work if r[1]]
-        if len(withv) <= 1:
-            break
-        withv.sort(key=lambda r: abs(r[1]))
-        u0, v0 = withv[0]
-        new = [(u0, v0)]
-        for u, v in withv[1:]:
-            q = v // v0
-            if (u - q * u0, v - q * v0) != (0, 0):
-                new.append((u - q * u0, v - q * v0))
-        work = [r for r in work if not r[1]] + new
-    pivot = [r for r in work if r[1]]
-    assert pivot, "not a full lattice"
-    b, c = pivot[0]
-    if c < 0:
-        b, c = -b, -c
-    a = 0
-    for u, _ in (r for r in work if not r[1]):
-        a = gcd(a, u)
-    assert a > 0, "not a full lattice"
-    return QuadIdeal(k, a, b % a, c)
+    """The ideal spanned by rows (u, v) = u + v*omega.  The Hermite form of
+    the rows (v, u) is [[c, b], [0, a]], the canonical basis (a, b + c*omega)."""
+    H = hnf_rows([(v, u) for u, v in rows], 2)
+    if len(H) != 2:
+        raise InvalidInputError(f"the rows {rows} span a rank-deficient lattice")
+    (c, b), (_, a) = H
+    return QuadIdeal(k, a, b, c)
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +341,9 @@ def prime_above(k: QuadraticField, p: int) -> QuadIdeal:
     r = _minpoly_double_root(k.d, p)
     ideal = quad_ideal_from_elements(
         k, [k.one().scale(p), k.omega() - k.one().scale(r)])
-    assert ideal.norm == p
+    if ideal.norm != p:
+        raise InconsistencyError(
+            f"the prime above {p} in Q(sqrt({k.d})) has norm {ideal.norm}")
     return ideal
 
 
@@ -376,21 +354,19 @@ def prime_above(k: QuadraticField, p: int) -> QuadIdeal:
 
 def _ideal_form(k: QuadraticField, a: int, b: int) -> tuple[int, int, int]:
     """Norm form of the primitive ideal [a, b + omega]; discriminant Delta."""
-    if k.d % 4 == 1:
-        bb = 2 * b + 1
-        num = bb * bb - k.d
-        assert num % (4 * a) == 0
-        return a, bb, num // (4 * a)
-    num = b * b - k.d
-    assert num % a == 0
-    return a, 2 * b, num // a
+    bb = 2 * b + 1 if k.d % 4 == 1 else 2 * b
+    num = bb * bb - k.delta
+    if num % (4 * a):
+        raise InconsistencyError(f"[{a}, {b} + omega] is not an ideal of Q(sqrt({k.d}))")
+    return a, bb, num // (4 * a)
 
 
 def _definite_unit_representation(form: tuple[int, int, int]) -> tuple[int, int] | None:
     """Solve a x^2 + b x y + c y^2 = 1 for a positive definite form."""
     a, b, c = form
     disc = b * b - 4 * a * c
-    assert disc < 0 and a > 0
+    if disc >= 0 or a <= 0:
+        raise InconsistencyError(f"the form {form} is not positive definite")
     ymax = isqrt(4 * a // -disc)
     for y in range(-ymax, ymax + 1):
         dx = disc * y * y + 4 * a
@@ -425,8 +401,8 @@ def _rho_step(a: int, b: int, c: int, delta: int, s: int) -> tuple[tuple[int, in
     else:
         r = s - ((s + b) % (2 * ac))
     num = r * r - delta
-    assert num % (4 * c) == 0
-    assert (b + r) % (2 * c) == 0
+    if num % (4 * c) or (b + r) % (2 * c):
+        raise InconsistencyError(f"the step from the form {(a, b, c)} is not integral")
     return (c, r, num // (4 * c)), (b + r) // (2 * c)
 
 
@@ -438,8 +414,6 @@ def _indefinite_unit_representation(
     a, b, c = form
     s = isqrt(delta)
     u00, u01, u10, u11 = 1, 0, 0, 1
-    f = lambda x, y: form[0] * x * x + form[1] * x * y + form[2] * y * y
-
     steps = 0
     while not _is_reduced_indefinite(a, b, c, delta, s):
         (a, b, c), m = _rho_step(a, b, c, delta, s)
@@ -449,18 +423,15 @@ def _indefinite_unit_representation(
             budget.charge()
         if steps >= 10_000:
             raise InconsistencyError(f"reduction of the form {form} did not terminate")
-        assert f(u00, u10) == a
 
     start = (a, b, c)
     while True:
         if abs(a) == 1:
-            assert f(u00, u10) == a
             return u00, u10
         (a, b, c), m = _rho_step(a, b, c, delta, s)
         u00, u01, u10, u11 = u01, -u00 + m * u01, u11, -u10 + m * u11
         if budget is not None:
             budget.charge()
-        assert f(u00, u10) == a
         if (a, b, c) == start:
             return None
 

@@ -3,9 +3,9 @@ q = (O_K^x : O_k1^x O_k2^x O_k3^x), and the indices tied to the norm-one /
 totally-signed unit subgroup.
 
 The computational heart is an exact squareness test, integral_square_root.
-It is the one primitive that the two routes to |Po(K)| share: the formula
-route decides the unit index q_K with it, and the oracle's principality
-test (lattice.principal_ideal_generator) ends in it.
+The two routes to |Po(K)| both use it: the formula route decides the unit
+index q_K with it, and the oracle's principality test
+(lattice.principal_ideal_generator) ends in it.
 
 The test denests over k1 = Q(sqrt(d1)).  With sqrt(d1)*sqrt(d2) = m*sqrt(d3),
 every eta in K is alpha + beta*sqrt(d2) with alpha, beta in k1.  If beta != 0,
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .biquadratic import BiquadElement, BiquadField
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError
 
 _F0 = Fraction(0)
 
@@ -110,13 +110,6 @@ def integral_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | 
     if xi * xi != eta:
         raise InconsistencyError(f"denested square root of {eta} does not square back")
     return xi
-
-
-def unit_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | None:
-    """Squareness test restricted to units of O_K (the unit-index primitive)."""
-    if not K.is_integral(eta) or abs(eta.norm()) != 1:
-        raise InvalidInputError("argument must be a unit of the ring of integers")
-    return integral_square_root(K, eta)
 
 
 @dataclass

@@ -1,9 +1,22 @@
-"""Exact rational references for the tests, independent of the program's
-own integer linear algebra: a Gaussian-elimination determinant over Q and
-the characteristic polynomial of a biquadratic element from its conjugates.
+"""References for the tests, kept apart from the routines they check.
+
+- A Gaussian-elimination determinant over Q and the characteristic
+  polynomial of a biquadratic element from its conjugates.
+- The earlier relative norm N_{K/k_i}(a), which takes a * s_i(a) to Fraction
+  radical coordinates and intersects it with k_i through an integer left
+  kernel, and the earlier two-column Euclidean reduction to the canonical
+  basis (a, b + c*omega) of a quadratic ideal.
+- Ideal constructors and checks only the tests use: the ideal generated by
+  elements, Galois stability and closure under multiplication.
 """
 
 from fractions import Fraction
+from math import gcd
+
+from polyabiquad.errors import InvalidInputError
+from polyabiquad.lattice import IdealLattice
+from polyabiquad.linalg import hnf_contains, hnf_rows
+from polyabiquad.quadratic import QuadElement, QuadIdeal
 
 
 def mat_det_fraction(M) -> Fraction:
@@ -42,3 +55,112 @@ def char_poly(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 def gram_determinant(K) -> Fraction:
     """det(Tr(b_i b_j)) over the field's integral basis."""
     return mat_det_fraction([[(x * y).trace() for y in K.basis] for x in K.basis])
+
+
+def left_kernel(rows):
+    """Basis of {x integer : sum x_i * rows[i] == 0}."""
+    n = len(rows)
+    w = len(rows[0]) if rows else 0
+    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    for col in range(w):
+        while True:
+            cand = [r for r in aug if r[col]]
+            if len(cand) <= 1:
+                break
+            cand.sort(key=lambda r: abs(r[col]))
+            piv = cand[0]
+            for r in cand[1:]:
+                q = r[col] // piv[col]
+                if q:
+                    for j in range(w + n):
+                        r[j] -= q * piv[j]
+        cand = [r for r in aug if r[col]]
+        if cand:
+            aug.remove(cand[0])
+    return [r[w:] for r in aug]
+
+
+def quad_ideal_euclid(k, gens) -> QuadIdeal:
+    """The ideal of k generated by gens, by Euclid on the omega column of the
+    rows g and g*omega in (1, omega) coordinates."""
+    work = []
+    for g in gens:
+        work += [k.omega_coords(g), k.omega_coords(g * k.omega())]
+    work = [(u, v) for (u, v) in work if u or v]
+    assert work, "zero ideal"
+    while True:
+        withv = [r for r in work if r[1]]
+        if len(withv) <= 1:
+            break
+        withv.sort(key=lambda r: abs(r[1]))
+        u0, v0 = withv[0]
+        new = [(u0, v0)]
+        for u, v in withv[1:]:
+            q = v // v0
+            if (u - q * u0, v - q * v0) != (0, 0):
+                new.append((u - q * u0, v - q * v0))
+        work = [r for r in work if not r[1]] + new
+    pivot = [r for r in work if r[1]]
+    assert pivot, "not a full lattice"
+    b, c = pivot[0]
+    if c < 0:
+        b, c = -b, -c
+    a = 0
+    for u, _ in (r for r in work if not r[1]):
+        a = gcd(a, u)
+    assert a > 0, "not a full lattice"
+    return QuadIdeal(k, a, b % a, c)
+
+
+def relative_norm_fraction(K, lat, i) -> QuadIdeal:
+    """N_{K/k_i}(a) = (a * sigma_i(a)) cap k_i through Fraction radical
+    coordinates: the integer relations among the two radical columns that
+    k_i lacks give the elements of k_i in a * sigma_i(a)."""
+    m = lat.multiply(lat.conjugate(i + 1))
+    rad_rows = [K.element_from_basis_coords(r).coords for r in m.rows]
+    others = [j for j in (1, 2, 3) if j != i + 1]
+    cols = []
+    for j in others:
+        den = 1
+        for r in rad_rows:
+            den = den * r[j].denominator // gcd(den, r[j].denominator)
+        cols.append([int(r[j] * den) for r in rad_rows])
+    kern = left_kernel([[cols[0][t], cols[1][t]] for t in range(4)])
+    assert len(kern) == 2, "subfield intersection must have rank 2"
+    k = K.subfields[i]
+    gens = []
+    for x in kern:
+        c0 = sum(Fraction(x[t]) * rad_rows[t][0] for t in range(4))
+        c1 = sum(Fraction(x[t]) * rad_rows[t][i + 1] for t in range(4))
+        den = c0.denominator * c1.denominator // gcd(c0.denominator, c1.denominator)
+        gens.append(QuadElement.make(k.d, int(c0 * den), int(c1 * den), den))
+    return quad_ideal_euclid(k, gens)
+
+
+def _unit_rows():
+    return [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def ideal_from_elements(K, elements) -> IdealLattice:
+    """O_K-module generated by integral elements."""
+    rows = []
+    for el in elements:
+        coords = K.to_basis_coords(el)
+        if any(c.denominator != 1 for c in coords):
+            raise InvalidInputError("generators must be integral")
+        base = [int(c) for c in coords]
+        rows += [K.mul_basis_coords(base, unit) for unit in _unit_rows()]
+    H = hnf_rows(rows, 4)
+    if len(H) != 4:
+        raise InvalidInputError("generators span a rank-deficient lattice")
+    return IdealLattice(K, H)
+
+
+def is_galois_stable(lat) -> bool:
+    return all(lat.conjugate(t) == lat for t in (1, 2, 3))
+
+
+def is_closed_under_multiplication(lat) -> bool:
+    K = lat.field
+    return all(hnf_contains(lat.rows, K.mul_basis_coords(r, unit))
+               for r in lat.rows for unit in _unit_rows())

@@ -19,7 +19,7 @@ from polyabiquad.cli import main
 from polyabiquad.errors import BudgetExceededError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.lattice import AmbiguousIdealOracle
-from polyabiquad.polya import chain_indices, kernel_order, polya_order, polya_report
+from polyabiquad.polya import polya_report
 from polyabiquad.quadratic import (ambiguous_oracle_quad, polya_order_quad,
                                    quadratic_field)
 
@@ -115,7 +115,7 @@ def test_criterion_polya_order_formula_vs_oracle(oracle_results_15):
 def test_criterion_chain_telescope(corpus_20):
     """(H3:H2)(H2:H1)(H1:H0) = 2^s_K; (H1:H0) = 2 iff sqrt(-1) in K, else 4."""
     for K in corpus_20:
-        h30, h21, h10, h32 = chain_indices(K)
+        h30, h21, h10, h32 = polya_report(K).chain
         assert h32 * h21 * h10 == h30 == 2 ** K.profile.s_k, K.d
         assert h10 == (2 if -1 in K.d else 4), K.d
     print(f"\nPASS chain-telescope: {len(corpus_20)} fields")
@@ -158,12 +158,14 @@ def test_criterion_scan_determinism(capsys):
 
 def test_criterion_scan_output_is_frozen(capsys):
     """`scan --json` byte-identical to the frozen SHA-256 on bound 30 and on
-    bound 20 verified."""
+    bounds 20 and 40 verified (every one of the 1,057 bound-40 rows is ok)."""
     frozen = {
         ("--bound", "30"):
             "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870",
         ("--bound", "20", "--verify"):
             "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1",
+        ("--bound", "40", "--verify", "--jobs", "2"):
+            "cac3cab988d9651b91c2c89a60753b13485892bf9ad9a03c7019444eaa3116c6",
     }
     for args, digest in frozen.items():
         assert main(["scan", *args, "--json"]) == 0

@@ -11,7 +11,7 @@ from polyabiquad.biquadratic import BiquadElement, biquadratic_field
 from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.linalg import hnf_rows
-from polyabiquad.units import integral_square_root, unit_square_root, unit_structure
+from polyabiquad.units import integral_square_root, unit_structure
 
 
 def radical_index(K, d):
@@ -236,12 +236,10 @@ def test_square_root_rational_cases():
     assert m1 is not None and m1 * m1 == K1.rational(-1)
 
 
-def test_unit_square_root_requires_unit():
+def test_square_root_of_a_subfield_unit():
     K = biquadratic_field(2, 3)
-    with pytest.raises(InvalidInputError):
-        unit_square_root(K, K.rational(2))
     eps3 = element(K, one=2, **{"3": 1})
-    xi = unit_square_root(K, eps3)  # (sqrt2+sqrt6)/2, hand-verified
+    xi = integral_square_root(K, eps3)  # (sqrt2+sqrt6)/2, hand-verified
     assert xi is not None and xi * xi == eps3
 
 
@@ -293,7 +291,8 @@ def test_square_class_roots_are_exact_witnesses():
                     if key[i]:
                         eta = eta * eps[i]
                 assert root * root == eta
-            assert K.is_integral(root) and abs(root.norm()) == 1
+            assert all(c.denominator == 1 for c in K.to_basis_coords(root))
+            assert abs(root.norm()) == 1
 
 
 def test_square_root_of_real_valued_element_in_imaginary_field():

@@ -1,14 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from exact_reference import (ideal_from_elements, is_closed_under_multiplication,
+                             is_galois_stable, relative_norm_fraction)
 from polyabiquad.biquadratic import BiquadElement, biquadratic_field
 from polyabiquad.cli import _scan_tasks
-from polyabiquad.errors import BudgetExceededError, DomainError, InvalidInputError
-from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice,
-                                 ideal_from_elements, ideal_mul, prime_radical,
+from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
+                                InvalidInputError)
+from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
 from polyabiquad.quadratic import prime_above
@@ -46,7 +51,7 @@ def test_radical_galois_stability():
     for pair in ((-1, 2), (-1, -3), (2, 3), (-2, 5)):
         K = biquadratic_field(*pair)
         for p in K.profile.primes:
-            assert prime_radical(K, p).is_galois_stable()
+            assert is_galois_stable(prime_radical(K, p))
 
 
 def test_radical_unramified_rejected():
@@ -58,7 +63,7 @@ def test_ideal_mul_identity_and_total_ramification():
     K = zeta8_field()
     rad = prime_radical(K, 2)
     one = rational_ideal(K, 1)
-    assert ideal_mul(rad, one) == rad
+    assert rad.multiply(one) == rad
     fourth = rad.multiply(rad).multiply(rad).multiply(rad)
     assert fourth == rational_ideal(K, 2)  # e_2 = 4
 
@@ -241,24 +246,27 @@ def test_extended_subfield_products_are_galois_stable():
                 for j, v in enumerate(orc._subfield_vector(i, m)):
                     vec[j] += v
             lat = orc.vector_ideal(orc.reduce_vector(vec))
-            assert lat.is_galois_stable()
+            assert is_galois_stable(lat)
 
 
-def test_prime_above_2_requires_total_ramification():
-    from polyabiquad.lattice import prime_above_2
+def test_radical_above_2_by_ramification_index():
+    # e_2 = 4: rad(2) is the prime above 2 and its fourth power is (2)
     K = zeta8_field()
-    pi2 = prime_above_2(K)
+    pi2 = prime_radical(K, 2)
     assert pi2.norm == 2
     assert pi2.multiply(pi2).multiply(pi2).multiply(pi2) == rational_ideal(K, 2)
-    with pytest.raises(DomainError):
-        prime_above_2(biquadratic_field(-1, -3))  # e_2 = 2 there
+    # e_2 = 2: already the square of rad(2) is (2)
+    K12 = biquadratic_field(-1, -3)
+    assert K12.profile.e2 == 2
+    rad = prime_radical(K12, 2)
+    assert rad.multiply(rad) == rational_ideal(K12, 2)
 
 
 def test_ideals_closed_under_multiplication():
     for pair in ((-1, 2), (2, 3), (-2, -7)):
         K = biquadratic_field(*pair)
         for p in K.profile.primes:
-            assert prime_radical(K, p).is_closed_under_multiplication()
+            assert is_closed_under_multiplication(prime_radical(K, p))
 
 
 def test_relative_norm_of_principal_ideal_matches_element_norm():
@@ -277,3 +285,43 @@ def test_relative_norm_of_principal_ideal_matches_element_norm():
                 q = (el * el.sigma(i + 1)).to_quad(i)
                 expected = quad_ideal_from_elements(K.subfields[i], [q])
                 assert rel == expected, (pair, i)
+
+
+def test_relative_norm_matches_the_fraction_route():
+    # every radical product of every field with |d_i| <= 12, each subfield
+    cases = 0
+    for a, b in _scan_tasks(12, False, False):
+        K = biquadratic_field(a, b)
+        orc = AmbiguousIdealOracle(K)
+        for vec in itertools.product(*[range(e) for e in orc.exponents]):
+            lat = orc.vector_ideal(vec)
+            for i in range(3):
+                assert relative_norm_ideal(K, lat, i) == relative_norm_fraction(K, lat, i), \
+                    (K.d, vec, i)
+                cases += 1
+    assert cases == 1908
+
+
+def test_malformed_lattices_raise():
+    K = zeta8_field()
+    with pytest.raises(InconsistencyError):
+        IdealLattice(K, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(InvalidInputError):
+        rational_ideal(K, 0)
+
+
+def test_non_hnf_rows_raise_under_python_O():
+    # the shape check guards every ideal norm, so -O must not strip it
+    import polyabiquad
+    code = ("from polyabiquad import biquadratic_field, IdealLattice, InconsistencyError\n"
+            "K = biquadratic_field(-1, 2)\n"
+            "try:\n"
+            "    IdealLattice(K, [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])\n"
+            "except InconsistencyError:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and out.stdout == "raised\n", (flags, out.stderr)

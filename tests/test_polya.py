@@ -5,9 +5,8 @@ import pytest
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.lattice import AmbiguousIdealOracle
-from polyabiquad.polya import (chain_indices, cokernel_order, j2_value,
-                               kernel_order, polya_order, polya_report,
-                               verify_biquad, verify_quad)
+from polyabiquad.polya import (j2_value, kernel_order, polya_report, verify_biquad,
+                               verify_quad)
 from polyabiquad.quadratic import polya_order_quad, quadratic_field
 
 
@@ -23,13 +22,13 @@ def small_corpus(bound):
 
 
 def test_cokernel_examples():
-    assert cokernel_order(biquadratic_field(-1, 2)) == 1  # 1+zeta8 generates
-    assert cokernel_order(biquadratic_field(-1, -3)) == 1  # i2 = 0
-    assert cokernel_order(biquadratic_field(2, 3)) == 1
+    assert polya_report(biquadratic_field(-1, 2)).coker == 1  # 1+zeta8 generates
+    assert polya_report(biquadratic_field(-1, -3)).coker == 1  # i2 = 0
+    assert polya_report(biquadratic_field(2, 3)).coker == 1
     # a field where the prime over 2 is nonprincipal: j2 = 1
     K = biquadratic_field(-5, -10)
     assert K.profile.i2 == 1 and j2_value(K) == 1
-    assert cokernel_order(K) == 2
+    assert polya_report(K).coker == 2
 
 
 def test_kernel_order_branches():
@@ -48,23 +47,23 @@ def test_kernel_order_branches():
 
 
 def test_polya_order_named_fields():
-    assert polya_order(biquadratic_field(-1, 2)) == 1
-    assert polya_order(biquadratic_field(-1, -3)) == 1
-    assert polya_order(biquadratic_field(2, 3)) == 1  # exercises max(1, nu_K)
+    assert polya_report(biquadratic_field(-1, 2)).po_k == 1
+    assert polya_report(biquadratic_field(-1, -3)).po_k == 1
+    assert polya_report(biquadratic_field(2, 3)).po_k == 1  # exercises max(1, nu_K)
 
 
 def test_chain_examples():
-    assert chain_indices(biquadratic_field(-1, 2))[2] == 2   # sqrt(-1) in K
-    assert chain_indices(biquadratic_field(2, 3))[2] == 4    # sqrt(-1) not in K
+    assert polya_report(biquadratic_field(-1, 2)).chain[2] == 2   # sqrt(-1) in K
+    assert polya_report(biquadratic_field(2, 3)).chain[2] == 4    # sqrt(-1) not in K
     for K in (biquadratic_field(-1, -3), biquadratic_field(2, 3),
               biquadratic_field(-1, -5)):
         if K.profile.s_k == 2:
-            assert chain_indices(K)[0] == 4  # (H3:H0) = 2^s_K
+            assert polya_report(K).chain[0] == 4  # (H3:H0) = 2^s_K
 
 
 def test_chain_telescopes_on_corpus():
     for K in small_corpus(8):
-        h30, h21, h10, h32 = chain_indices(K)
+        h30, h21, h10, h32 = polya_report(K).chain
         assert h32 * h21 * h10 == h30 == 2 ** K.profile.s_k
         assert h10 == (2 if K.units.has_sqrt_minus1 else 4)
 

@@ -1,7 +1,10 @@
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_reference import quad_ideal_euclid
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
@@ -233,3 +236,19 @@ def test_fundamental_unit_half_integer_long_periods():
     k193 = quadratic_field(193)
     assert k193.fundamental_unit == QuadElement.make(193, 1764132, 126985, 1)
     assert k193.lam == -1
+
+
+_SMALL_D = [d for d in range(-30, 31) if d not in (0, 1) and squarefree_part(d) == d]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SMALL_D),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=4))
+def test_ideal_from_elements_matches_the_euclid_reference(d, coords):
+    k = quadratic_field(d)
+    gens = [k.from_omega_coords(u, v) for u, v in coords]
+    if all(g.is_zero() for g in gens):
+        with pytest.raises(InvalidInputError):
+            quad_ideal_from_elements(k, gens)
+    else:
+        assert quad_ideal_from_elements(k, gens) == quad_ideal_euclid(k, gens)
