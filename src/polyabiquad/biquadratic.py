@@ -187,10 +187,10 @@ class BiquadField:
                     continue
                 l = 6 - i - j
                 di, dj, dl = self.d[i - 1], self.d[j - 1], self.d[l - 1]
-                assert di * dj % dl == 0
-                f2 = di * dj // dl
-                f = isqrt(f2)
-                assert f * f == f2, "triple is not multiplicatively closed"
+                f2, r = divmod(di * dj, dl)
+                f = isqrt(max(f2, 0))
+                if r or f * f != f2:
+                    raise InconsistencyError(f"{self.d} is not multiplicatively closed")
                 sign = -1 if (di < 0 and dj < 0) else 1
                 table[(i, j)] = (l, sign * f)
         return table
@@ -279,7 +279,6 @@ class BiquadField:
                 f"!= {self.disc} for {self.d}")
         self.basis_rows, self._det = rows, det
         self._adj_cols = [list(col) for col in zip(*adj)]
-        self.basis = tuple(BiquadElement(self, [Fraction(v, 4) for v in r]) for r in rows)
         self.structure_constants = [
             [tuple(self._integer_coords(self.radical_product(ri, rj), 16,
                                         "products of basis elements"))
@@ -317,10 +316,6 @@ class BiquadField:
         v = [x.numerator * (den // x.denominator) for x in c]
         return [4 * sum(map(mul, v, col)) for col in self._adj_cols], den * self._det
 
-    def to_basis_coords(self, el: BiquadElement) -> tuple[Fraction, ...]:
-        n, den = self._basis_numerators(el)
-        return tuple(Fraction(x, den) for x in n)
-
     def element_from_basis_coords(self, row) -> BiquadElement:
         rows = self.basis_rows
         return BiquadElement(self, [
@@ -354,13 +349,18 @@ class BiquadField:
         for p in primes:
             where = [i for i in range(3) if p in self.subfields[i].ramified_primes]
             if len(where) == 3:
-                assert p == 2
+                if p != 2:
+                    raise InconsistencyError(f"odd {p} ramifies in every subfield of {self.d}")
                 efg[p] = (4, 1, 1)
             else:
-                assert len(where) == 2, f"prime {p} ramifies in {len(where)} subfields"
+                if len(where) != 2:
+                    raise InconsistencyError(
+                        f"prime {p} ramifies in {len(where)} subfields of {self.d}")
                 j = ({0, 1, 2} - set(where)).pop()
                 sym = kronecker(deltas[j], p)
-                assert sym != 0
+                if sym == 0:
+                    raise InconsistencyError(
+                        f"{p} ramifies in the inertia-complement subfield of {self.d}")
                 f = 1 if sym == 1 else 2
                 efg[p] = (2, f, 2 // f)
         s_k = len(primes)

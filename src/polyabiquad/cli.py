@@ -14,6 +14,7 @@ default; each field gets its own budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import multiprocessing
 import sys
@@ -166,7 +167,11 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building the tree costs more than a formula
+    request."""
     parser = argparse.ArgumentParser(
         prog="polyabiquad",
         description="Orders of Polya groups (strongly ambiguous ideal classes) "
@@ -208,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidInputError, DomainError) as exc:

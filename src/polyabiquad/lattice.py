@@ -31,7 +31,10 @@ search never reports "nonprincipal" heuristically.
 
 The oracle descends only on radical products that earlier verdicts leave
 undecided, so every verdict is either a completed descent or follows from one
-by the group law.
+by the group law.  It builds the ideal of an exponent vector v as the ideal of
+v - e_j times rad(p_j), j the last nonzero coordinate of v, and keeps every
+product it builds for the life of the oracle, so each descent costs one
+lattice product rather than one per prime factor.
 """
 
 from __future__ import annotations
@@ -285,6 +288,7 @@ class AmbiguousIdealOracle:
         self.primes = K.profile.primes
         self.exponents = [K.profile.efg[p][0] for p in self.primes]
         self._radicals: dict[int, IdealLattice] = {}
+        self._ideals = {(0,) * len(self.primes): rational_ideal(K, 1)}
         self._book = PrincipalCosets(
             (0,) * len(self.primes),
             lambda a, b: self.reduce_vector([x + y for x, y in zip(a, b)]),
@@ -300,10 +304,12 @@ class AmbiguousIdealOracle:
 
     def vector_ideal(self, vec) -> IdealLattice:
         vec = self.reduce_vector(vec)
-        lat = rational_ideal(self.K, 1)
-        for p, v in zip(self.primes, vec):
-            for _ in range(v):
-                lat = lat.multiply(self.radical(p))
+        lat = self._ideals.get(vec)
+        if lat is None:
+            j = max(i for i, v in enumerate(vec) if v)
+            lat = self.vector_ideal(vec[:j] + (vec[j] - 1,) + vec[j + 1:]).multiply(
+                self.radical(self.primes[j]))
+            self._ideals[vec] = lat
         return lat
 
     def _descend(self, vec: tuple[int, ...]) -> bool:

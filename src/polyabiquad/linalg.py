@@ -11,30 +11,34 @@ def hnf_rows(rows: list[list[int]], dim: int) -> list[list[int]]:
 
     Returns one row per pivot, pivots positive and in increasing column
     order, entries above each pivot reduced into [0, pivot).  The result is
-    canonical for the lattice.
+    canonical for the lattice.  Each column is cleared in one pass: every
+    row with a nonzero entry b is folded into the pivot row (entry a) by the
+    unimodular step (piv, r) -> (s*piv + t*r, (a/g)*r - (b/g)*piv), where
+    s*a + t*b = g = gcd(a, b).
     """
-    work = [list(r) for r in rows if any(r)]
+    work = [list(r) for r in rows]
     basis: list[list[int]] = []
     for col in range(dim):
-        while True:
-            cand = [r for r in work if r[col]]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            for r in cand[1:]:
-                q = r[col] // piv[col]
-                if q:
-                    for j in range(dim):
-                        r[j] -= q * piv[j]
-            work = [r for r in work if any(r)]
-        cand = [r for r in work if r[col]]
-        if cand:
-            piv = cand[0]
-            work.remove(piv)
-            if piv[col] < 0:
-                piv = [-v for v in piv]
-            basis.append(piv)
+        piv = None
+        rest = []
+        for r in work:
+            b = r[col]
+            if not b:
+                rest.append(r)
+            elif piv is None:
+                piv = r
+            elif b % piv[col] == 0:
+                q = b // piv[col]
+                rest.append([y - q * x for x, y in zip(piv, r)])
+            else:
+                a = piv[col]
+                g, s, t = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                rest.append([ag * y - bg * x for x, y in zip(piv, r)])
+                piv = [s * x + t * y for x, y in zip(piv, r)]
+        work = rest
+        if piv is not None:
+            basis.append(piv if piv[col] > 0 else [-v for v in piv])
     # reduce entries above the pivots
     for i in range(len(basis)):
         for k in range(i + 1, len(basis)):
@@ -44,6 +48,16 @@ def hnf_rows(rows: list[list[int]], dim: int) -> list[list[int]]:
                 for j in range(dim):
                     basis[i][j] -= q * basis[k][j]
     return basis
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 def hnf_contains(basis: list[list[int]], vec: list[int]) -> bool:

@@ -215,7 +215,8 @@ def _cf_fundamental_unit(k: QuadraticField) -> QuadElement:
     """
     D = k.delta
     s = isqrt(D)
-    assert s * s != D
+    if s * s == D:
+        raise InconsistencyError(f"the discriminant {D} of Q(sqrt({k.d})) is a square")
     P, Q = D & 1, 2
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
@@ -224,10 +225,9 @@ def _cf_fundamental_unit(k: QuadraticField) -> QuadElement:
         a = _floor_surd(P, Q, s)
         digits.append(a)
         P = a * Q - P
-        assert (D - P * P) % Q == 0
-        Q = (D - P * P) // Q
-        assert Q != 0
-        assert len(digits) < 100_000
+        Q, r = divmod(D - P * P, Q)
+        if r or not Q or len(digits) >= 100_000:
+            raise InconsistencyError(f"the continued fraction of Q(sqrt({k.d})) broke down")
     m00, m01, m10, m11 = 1, 0, 0, 1
     for a in digits[seen[(P, Q)]:]:
         m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
@@ -236,7 +236,8 @@ def _cf_fundamental_unit(k: QuadraticField) -> QuadElement:
     num_x, num_y = m10 * P + m11 * Q, m10 * t
     g = gcd(gcd(num_x, num_y), Q)
     eps = QuadElement.make(k.d, num_x // g, num_y // g, Q // g)
-    assert eps.is_unit() and eps.x > 0 and eps.y > 0
+    if not (eps.is_unit() and eps.x > 0 and eps.y > 0):
+        raise InconsistencyError(f"{eps} is not a unit > 1 of Q(sqrt({k.d}))")
     return eps
 
 
@@ -269,16 +270,6 @@ class QuadIdeal:
             return False
         u -= (v // self.c) * self.b
         return u % self.a == 0
-
-    def conjugate(self) -> "QuadIdeal":
-        k = self.field
-        a1, a2 = self.basis_elements()
-        return quad_ideal_from_elements(k, [a1.conj(), a2.conj()])
-
-    def multiply(self, other: "QuadIdeal") -> "QuadIdeal":
-        assert self.field == other.field
-        gens = [x * y for x in self.basis_elements() for y in other.basis_elements()]
-        return quad_ideal_from_elements(self.field, gens)
 
     def scale(self, n: int) -> "QuadIdeal":
         n = abs(n)
@@ -334,17 +325,26 @@ def _minpoly_double_root(d: int, p: int) -> int:
     raise InconsistencyError  # pragma: no cover
 
 
+def ramified_product(k: QuadraticField, primes) -> QuadIdeal:
+    """The product of the primes above distinct ramified primes, in closed
+    form [m, b + omega]: m is the product of the p, and b = -r_p mod p for
+    the double root r_p of the minimal polynomial of omega, joined by CRT."""
+    m, b = 1, 0
+    for p in primes:
+        if p not in k.ramified_primes:
+            raise DomainError(f"{p} is not ramified in Q(sqrt({k.d}))")
+        r = _minpoly_double_root(k.d, p)
+        b += m * ((-r - b) * pow(m, -1, p) % p)
+        m *= p
+    # the certificate: [m, b + omega] is an ideal, and the only ideal whose
+    # norm is a squarefree product of ramified primes is their product
+    _ideal_form(k, m, b)
+    return QuadIdeal(k, m, b, 1)
+
+
 def prime_above(k: QuadraticField, p: int) -> QuadIdeal:
     """The (unique) prime ideal over a ramified prime p."""
-    if p not in k.ramified_primes:
-        raise DomainError(f"{p} is not ramified in Q(sqrt({k.d}))")
-    r = _minpoly_double_root(k.d, p)
-    ideal = quad_ideal_from_elements(
-        k, [k.one().scale(p), k.omega() - k.one().scale(r)])
-    if ideal.norm != p:
-        raise InconsistencyError(
-            f"the prime above {p} in Q(sqrt({k.d})) has norm {ideal.norm}")
-    return ideal
+    return ramified_product(k, (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +522,11 @@ class AmbiguousClassesQuad:
     Squares of ramified primes are rational, so the 2**s products with
     exponents 0/1 generate every strongly ambiguous class.  Their masks form
     G = (Z/2)**s under XOR, and a PrincipalCosets book decides which masks,
-    i.e. which symmetric differences of two products, are principal.
+    i.e. which symmetric differences of two products, are principal.  The
+    product over a mask is written down in closed form by ramified_product,
+    [m, b + omega] with m the product of the primes and b = -r_p mod each p,
+    and certified by _ideal_form: it is an ideal of squarefree norm m, so it
+    is the product.
     """
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
@@ -532,11 +536,8 @@ class AmbiguousClassesQuad:
         self._book = PrincipalCosets(0, int.__xor__, self._descend)
 
     def subset_ideal(self, mask: int) -> QuadIdeal:
-        ideal = quad_ideal_from_elements(self.k, [self.k.one()])
-        for i, p in enumerate(self.primes):
-            if mask >> i & 1:
-                ideal = ideal.multiply(prime_above(self.k, p))
-        return ideal
+        return ramified_product(
+            self.k, [p for i, p in enumerate(self.primes) if mask >> i & 1])
 
     def _descend(self, mask: int) -> bool:
         return principal_generator_quad(self.subset_ideal(mask), self.budget,

@@ -168,9 +168,11 @@ def _torsion_generator(K: BiquadField) -> tuple[BiquadElement, int]:
     # i and zeta_6 together generate a cyclic group of order 12, with
     # generator i * conj(zeta_6) = zeta_12.
     (g4, o4), (g6, o6) = sorted(gens, key=lambda t: t[1])
-    assert (o4, o6) == (4, 6)
+    if (o4, o6) != (4, 6):
+        raise InconsistencyError(f"subfield roots of unity of orders {o4}, {o6} in {K.d}")
     z12 = g4 * _element_conj_in_field(K, g6)
-    assert (z12 ** 12) == K.one() and (z12 ** 6) == K.rational(-1)
+    if z12 ** 12 != K.one() or z12 ** 6 != K.rational(-1):
+        raise InconsistencyError(f"{z12} fails z**12 = 1 and z**6 = -1")
     return z12, 12
 
 
@@ -229,7 +231,8 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             f"(O*:+-squares) is not integral for {K.d}: "
             f"{index_pm_squares}/{index_units_over_star}")
     index_star_over_pm = index_pm_squares // index_units_over_star
-    assert index_star_over_pm in (1, 2, 4, 8)
+    if index_star_over_pm not in (1, 2, 4, 8):
+        raise InconsistencyError(f"(O*:+-squares) = {index_star_over_pm} for {K.d}")
     return UnitStructure(
         mu_order=mu_order,
         has_sqrt_minus1=has_i,

@@ -8,15 +8,22 @@
   basis (a, b + c*omega) of a quadratic ideal.
 - Ideal constructors and checks only the tests use: the ideal generated by
   elements, Galois stability and closure under multiplication.
+- The integral basis as elements and basis coordinates as Fractions, read
+  off BiquadField.basis_rows.
+- The earlier sort-based Euclidean Hermite form, and the earlier quadratic
+  product of ramified primes as a chain of ideal products, each one the
+  Hermite form of the four products of the basis elements.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from polyabiquad.biquadratic import BiquadElement
 from polyabiquad.errors import InvalidInputError
 from polyabiquad.lattice import IdealLattice
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import QuadElement, QuadIdeal
+from polyabiquad.quadratic import (QuadElement, QuadIdeal, _minpoly_double_root,
+                                   quad_ideal_from_elements)
 
 
 def mat_det_fraction(M) -> Fraction:
@@ -52,9 +59,57 @@ def char_poly(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return s1, s2, s3, n.coords[0]
 
 
+def basis_elements(K) -> tuple:
+    """The integral basis of K as elements, from its rows over 1/4."""
+    return tuple(BiquadElement(K, [Fraction(v, 4) for v in r]) for r in K.basis_rows)
+
+
+def basis_coords(K, el) -> tuple:
+    """Coordinates of el over the integral basis, as Fractions."""
+    n, den = K._basis_numerators(el)
+    return tuple(Fraction(x, den) for x in n)
+
+
 def gram_determinant(K) -> Fraction:
     """det(Tr(b_i b_j)) over the field's integral basis."""
-    return mat_det_fraction([[(x * y).trace() for y in K.basis] for x in K.basis])
+    basis = basis_elements(K)
+    return mat_det_fraction([[(x * y).trace() for y in basis] for x in basis])
+
+
+def hnf_rows_euclid(rows, dim):
+    """The earlier row Hermite form: each column step re-filters the rows
+    with a nonzero entry, sorts them by its size and reduces by the smallest
+    until one is left, then the entries above the pivots are reduced."""
+    work = [list(r) for r in rows if any(r)]
+    basis = []
+    for col in range(dim):
+        while True:
+            cand = [r for r in work if r[col]]
+            if len(cand) <= 1:
+                break
+            cand.sort(key=lambda r: abs(r[col]))
+            piv = cand[0]
+            for r in cand[1:]:
+                q = r[col] // piv[col]
+                if q:
+                    for j in range(dim):
+                        r[j] -= q * piv[j]
+            work = [r for r in work if any(r)]
+        cand = [r for r in work if r[col]]
+        if cand:
+            piv = cand[0]
+            work.remove(piv)
+            if piv[col] < 0:
+                piv = [-v for v in piv]
+            basis.append(piv)
+    for i in range(len(basis)):
+        for k in range(i + 1, len(basis)):
+            pcol = next(j for j in range(dim) if basis[k][j])
+            q = basis[i][pcol] // basis[k][pcol]
+            if q:
+                for j in range(dim):
+                    basis[i][j] -= q * basis[k][j]
+    return basis
 
 
 def left_kernel(rows):
@@ -145,7 +200,7 @@ def ideal_from_elements(K, elements) -> IdealLattice:
     """O_K-module generated by integral elements."""
     rows = []
     for el in elements:
-        coords = K.to_basis_coords(el)
+        coords = basis_coords(K, el)
         if any(c.denominator != 1 for c in coords):
             raise InvalidInputError("generators must be integral")
         base = [int(c) for c in coords]
@@ -164,3 +219,28 @@ def is_closed_under_multiplication(lat) -> bool:
     K = lat.field
     return all(hnf_contains(lat.rows, K.mul_basis_coords(r, unit))
                for r in lat.rows for unit in _unit_rows())
+
+
+def quad_ideal_multiply(a, b) -> QuadIdeal:
+    """The product of two quadratic ideals, generated by the four products
+    of their basis elements."""
+    return quad_ideal_from_elements(
+        a.field, [x * y for x in a.basis_elements() for y in b.basis_elements()])
+
+
+def quad_ideal_conjugate(a) -> QuadIdeal:
+    return quad_ideal_from_elements(a.field, [x.conj() for x in a.basis_elements()])
+
+
+def subset_ideal_chain(k, mask) -> QuadIdeal:
+    """The product of the primes above the ramified primes of k selected by
+    mask, multiplied in one prime at a time; each prime is the ideal
+    generated by p and omega - r_p."""
+    ideal = quad_ideal_from_elements(k, [k.one()])
+    for i, p in enumerate(k.ramified_primes):
+        if mask >> i & 1:
+            r = _minpoly_double_root(k.d, p)
+            prime = quad_ideal_from_elements(k, [k.one().scale(p), k.omega() - k.one().scale(r)])
+            assert prime.norm == p
+            ideal = quad_ideal_multiply(ideal, prime)
+    return ideal

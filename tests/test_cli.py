@@ -247,3 +247,19 @@ def test_scan_output_survives_python_O():
         for flags in ([], ["-O"]))
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout and plain.stdout == optimized.stdout
+
+
+def test_main_runs_repeatedly_in_one_process(capsys):
+    # the parser is built once per process; no call may leave an option or
+    # an argparse error behind for the next one
+    code, out, _ = run(capsys, "biquad", "2", "3", "--verify", "--json")
+    assert code == 0 and json.loads(out)["verify_status"] == "ok"
+    code, out, _ = run(capsys, "biquad", "2", "3", "--json")
+    assert code == 0 and json.loads(out)["verify_status"] == "unchecked"
+    with pytest.raises(SystemExit) as exc:
+        main(["biquad", "2", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "biquad", "-1", "2", "--json")
+    data = json.loads(out)
+    assert code == 0 and (data["po_k"], data["verify_status"]) == (1, "unchecked")

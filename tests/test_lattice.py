@@ -311,12 +311,20 @@ def test_malformed_lattices_raise():
 
 
 def test_non_hnf_rows_raise_under_python_O():
-    # the shape check guards every ideal norm, so -O must not strip it
+    # the shape check guards every ideal norm, and the continued-fraction unit
+    # is shared by both routes, so -O must strip neither check
     import polyabiquad
     code = ("from polyabiquad import biquadratic_field, IdealLattice, InconsistencyError\n"
+            "from polyabiquad.quadratic import QuadraticField, _cf_fundamental_unit\n"
             "K = biquadratic_field(-1, 2)\n"
             "try:\n"
             "    IdealLattice(K, [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])\n"
+            "except InconsistencyError:\n"
+            "    print('raised')\n"
+            "k = QuadraticField(5)\n"
+            "k.delta = 16  # a square discriminant has no continued-fraction unit\n"
+            "try:\n"
+            "    _cf_fundamental_unit(k)\n"
             "except InconsistencyError:\n"
             "    print('raised')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
@@ -324,4 +332,28 @@ def test_non_hnf_rows_raise_under_python_O():
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0 and out.stdout == "raised\n", (flags, out.stderr)
+        assert out.returncode == 0 and out.stdout == "raised\nraised\n", (flags, out.stderr)
+
+
+def test_memoized_radical_products_match_products_from_scratch():
+    # vector_ideal(v) extends the stored ideal of v - e_j; compare with the
+    # plain product of radicals, queried in lexicographic and in reverse order
+    cases = 0
+    for a, b in _scan_tasks(12, False, False):
+        K = biquadratic_field(a, b)
+        lex, rev = AmbiguousIdealOracle(K), AmbiguousIdealOracle(K)
+        vectors = list(itertools.product(*[range(e) for e in lex.exponents]))
+        radicals = [prime_radical(K, p) for p in lex.primes]
+        expected = {}
+        for vec in vectors:
+            lat = rational_ideal(K, 1)
+            for rad, v in zip(radicals, vec):
+                for _ in range(v):
+                    lat = lat.multiply(rad)
+            expected[vec] = lat
+        for vec in vectors:
+            assert lex.vector_ideal(vec) == expected[vec], (K.d, vec)
+        for vec in reversed(vectors):
+            assert rev.vector_ideal(vec) == expected[vec], (K.d, vec)
+        cases += len(vectors)
+    assert cases == 636

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import quad_ideal_euclid
+from exact_reference import (quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_multiply,
+                             subset_ideal_chain)
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
@@ -119,7 +120,7 @@ def test_principality_conjugation_invariance():
         for p in k.ramified_primes:
             a = prime_above(k, p)
             g1 = principal_generator_quad(a)
-            g2 = principal_generator_quad(a.conjugate())
+            g2 = principal_generator_quad(quad_ideal_conjugate(a))
             assert (g1 is None) == (g2 is None)
 
 
@@ -149,10 +150,10 @@ def test_prime_above_requires_ramified():
 def test_ideal_arithmetic():
     k = quadratic_field(-5)
     p2 = prime_above(k, 2)
-    assert p2.multiply(p2) == quad_ideal_from_elements(k, [k.element(2, 0)])
-    assert p2.multiply(p2.conjugate()).norm == 4
+    assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [k.element(2, 0)])
+    assert quad_ideal_multiply(p2, quad_ideal_conjugate(p2)).norm == 4
     one = quad_ideal_from_elements(k, [k.one()])
-    assert p2.multiply(one) == p2
+    assert quad_ideal_multiply(p2, one) == p2
 
 
 def test_polya_order_examples():
@@ -252,3 +253,18 @@ def test_ideal_from_elements_matches_the_euclid_reference(d, coords):
             quad_ideal_from_elements(k, gens)
     else:
         assert quad_ideal_from_elements(k, gens) == quad_ideal_euclid(k, gens)
+
+
+def test_closed_form_products_match_the_multiplication_chain():
+    # ramified_product writes [m, b + omega] down by CRT; the chain multiplies
+    # one prime ideal at a time through Hermite forms
+    pairs = 0
+    for d in range(-1000, 1001):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        k = quadratic_field(d)
+        classes = AmbiguousClassesQuad(k)
+        for mask in range(2 ** k.s):
+            assert classes.subset_ideal(mask) == subset_ideal_chain(k, mask), (d, mask)
+            pairs += 1
+    assert pairs == 7096
