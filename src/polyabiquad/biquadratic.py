@@ -107,7 +107,8 @@ class BiquadElement:
     def norm(self) -> Fraction:
         p = self * self.sigma(1)
         n = p * p.sigma(2)
-        assert all(c == 0 for c in n.coords[1:]), "norm must be rational"
+        if any(n.coords[1:]):
+            raise InconsistencyError(f"the norm {n} of {self} must be rational")
         return n.coords[0]
 
     def to_quad(self, i: int) -> QuadElement:

@@ -35,6 +35,20 @@ by the group law.  It builds the ideal of an exponent vector v as the ideal of
 v - e_j times rad(p_j), j the last nonzero coordinate of v, and keeps every
 product it builds for the life of the oracle, so each descent costs one
 lattice product rather than one per prime factor.
+
+The oracle's descents take their three relative norms in closed form and
+need no lattice product, conjugate or intersection; the lattice
+intersection above is the generic path, for any ideal.  prime_radical
+raises unless rad(p)^e_p = p*O_K, so by unique factorisation rad(p) is the
+product of all primes above p, hence Galois-stable, and so is every
+radical product a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  Then
+a * s_i(a) = a^2 = r * rad(2)^(2*eps) with r = prod_p p^floor(2*v_p/e_p)
+and eps = 1 exactly when e_2 = 4 and v_2 is odd (e_p = 4 only for p = 2).
+Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
+prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  The
+closed form is not trusted alone: every norm must still equal N(a), and a
+"principal" verdict still needs xi in a with |N(xi)| = N(a), checked on the
+lattice of a.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from .biquadratic import BiquadElement, BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
 from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement, QuadIdeal,
-                        principal_generator_quad)
+                        prime_above, principal_generator_quad)
 from .units import integral_square_root
 
 
@@ -208,11 +222,7 @@ def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
     rows = [[*K.omega_rows[i], 1, 0], [1, 0, 0, 0, 0, 1]]
     rows += [[*r, 0, 0] for r in m.rows]
     H = hnf_rows(rows, 6)
-    ideal = QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
-    if ideal.norm != lat.norm:
-        raise InconsistencyError(
-            f"relative norm ideal has norm {ideal.norm}, expected {lat.norm}")
-    return ideal
+    return QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
 
 
 def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[list[int]]:
@@ -234,16 +244,20 @@ def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[list[int]]:
     return twists
 
 
-def principal_ideal_generator(lat: IdealLattice,
-                              budget: Budget | None = None) -> BiquadElement | None:
-    """Exact generator of the ideal, or None when provably nonprincipal."""
+def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
+                              norms=None) -> BiquadElement | None:
+    """Exact generator of the ideal, or None when provably nonprincipal.
+    norms, if given, yields the three relative norms of lat in order."""
     K = lat.field
     n = lat.norm
     if n == 1:
         return K.one()
+    if norms is None:
+        norms = (relative_norm_ideal(K, lat, i) for i in range(3))
     twist_sets = []
-    for i in range(3):
-        b = relative_norm_ideal(K, lat, i)
+    for i, b in enumerate(norms):
+        if b.norm != n:
+            raise InconsistencyError(f"relative norm ideal has norm {b.norm}, expected {n}")
         g = principal_generator_quad(b, budget, check_input=False)
         if g is None:
             return None  # a principal ideal has principal relative norms
@@ -312,8 +326,17 @@ class AmbiguousIdealOracle:
             self._ideals[vec] = lat
         return lat
 
+    def _relative_norms(self, vec: tuple[int, ...]):
+        """N_{K/k_i} of the radical product of vec, in closed form (see the
+        module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over."""
+        r = prod(p ** (2 * v // e) for p, e, v in zip(self.primes, self.exponents, vec))
+        eps = any(2 * v % e for e, v in zip(self.exponents, vec))
+        for k in self.K.subfields:
+            yield prime_above(k, 2).scale(r) if eps else QuadIdeal(k, r, 0, r)
+
     def _descend(self, vec: tuple[int, ...]) -> bool:
-        return principal_ideal_generator(self.vector_ideal(vec), self.budget) is not None
+        return principal_ideal_generator(self.vector_ideal(vec), self.budget,
+                                         self._relative_norms(vec)) is not None
 
     def is_principal_vector(self, vec) -> bool:
         return self._book.is_principal(self.reduce_vector(vec))

@@ -84,11 +84,13 @@ class QuadElement:
 
     def norm(self) -> int:
         num = self.x * self.x - self.d * self.y * self.y
-        assert num % (self.den * self.den) == 0
+        if num % (self.den * self.den):
+            raise InconsistencyError(f"{self} has a non-integral norm")
         return num // (self.den * self.den)
 
     def trace(self) -> int:
-        assert (2 * self.x) % self.den == 0
+        if (2 * self.x) % self.den:
+            raise InconsistencyError(f"{self} has a non-integral trace")
         return 2 * self.x // self.den
 
     def is_unit(self) -> bool:
@@ -148,12 +150,13 @@ class QuadraticField:
 
     def omega_coords(self, el: QuadElement) -> tuple[int, int]:
         if self.d % 4 == 1:
-            if el.den == 2:
-                assert (el.x - el.y) % 2 == 0
+            if el.den == 1:
+                return el.x - el.y, 2 * el.y
+            if el.den == 2 and (el.x - el.y) % 2 == 0:
                 return (el.x - el.y) // 2, el.y
-            return el.x - el.y, 2 * el.y
-        assert el.den == 1
-        return el.x, el.y
+        elif el.den == 1:
+            return el.x, el.y
+        raise InconsistencyError(f"{el} is not an integer of Q(sqrt({self.d}))")
 
     @property
     def fundamental_unit(self) -> QuadElement:

@@ -302,6 +302,24 @@ def test_relative_norm_matches_the_fraction_route():
     assert cases == 1908
 
 
+def test_closed_form_relative_norms_match_the_lattice_intersection():
+    # every radical product of every field with |d_i| <= 20, each subfield;
+    # with e_2 = 4 the odd powers of rad(2) leave the prime above 2 over
+    cases, parities = 0, set()
+    for a, b in _scan_tasks(20, False, False):
+        K = biquadratic_field(a, b)
+        orc = AmbiguousIdealOracle(K)
+        for vec in itertools.product(*[range(e) for e in orc.exponents]):
+            lat = orc.vector_ideal(vec)
+            for i, closed in enumerate(orc._relative_norms(vec)):
+                assert closed == relative_norm_ideal(K, lat, i), (K.d, vec, i)
+                cases += 1
+            if 4 in orc.exponents:
+                parities.add((K.d, vec[orc.exponents.index(4)] % 2))
+    assert cases == 6756
+    assert len(parities) == 2 * 64
+
+
 def test_malformed_lattices_raise():
     K = zeta8_field()
     with pytest.raises(InconsistencyError):
@@ -311,11 +329,13 @@ def test_malformed_lattices_raise():
 
 
 def test_non_hnf_rows_raise_under_python_O():
-    # the shape check guards every ideal norm, and the continued-fraction unit
-    # is shared by both routes, so -O must strip neither check
+    # the shape check guards every ideal norm, the continued-fraction unit is
+    # shared by both routes and omega_coords builds every unit twist, so -O
+    # must strip none of the three checks
     import polyabiquad
     code = ("from polyabiquad import biquadratic_field, IdealLattice, InconsistencyError\n"
-            "from polyabiquad.quadratic import QuadraticField, _cf_fundamental_unit\n"
+            "from polyabiquad.quadratic import (QuadElement, QuadraticField,\n"
+            "                                   _cf_fundamental_unit)\n"
             "K = biquadratic_field(-1, 2)\n"
             "try:\n"
             "    IdealLattice(K, [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])\n"
@@ -326,13 +346,17 @@ def test_non_hnf_rows_raise_under_python_O():
             "try:\n"
             "    _cf_fundamental_unit(k)\n"
             "except InconsistencyError:\n"
+            "    print('raised')\n"
+            "try:\n"
+            "    QuadraticField(5).omega_coords(QuadElement(5, 1, 0, 2))  # 1/2\n"
+            "except InconsistencyError:\n"
             "    print('raised')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0 and out.stdout == "raised\nraised\n", (flags, out.stderr)
+        assert out.returncode == 0 and out.stdout == "raised\n" * 3, (flags, out.stderr)
 
 
 def test_memoized_radical_products_match_products_from_scratch():
