@@ -10,7 +10,7 @@ quadratic subfield, and j2, which polya_report takes from the descent of
 K.default_oracle().
 """
 
-from .biquadratic import BiquadElement, BiquadField, RamificationProfile, biquadratic_field
+from .biquadratic import BiquadField, RamificationProfile, biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
 from .intmath import SquarefreeDecomposition, kronecker, squarefree_decompose
@@ -22,19 +22,19 @@ from .quadratic import (QuadElement, QuadIdeal, QuadraticField,
                         ambiguous_oracle_quad, polya_order_quad, prime_above,
                         principal_generator_quad, quad_ideal_from_elements,
                         quadratic_field)
-from .report import OutputRecord, QuadRecord, biquad_record, parse_records, quad_record, render_records
+from .report import OutputRecord, QuadRecord, biquad_record, quad_record, render_records
 from .units import UnitStructure, integral_square_root, unit_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousIdealOracle", "BiquadElement", "BiquadField", "Budget",
+    "AmbiguousIdealOracle", "BiquadField", "Budget",
     "BudgetExceededError", "DomainError", "IdealLattice", "InconsistencyError",
     "InvalidInputError", "OutputRecord", "PolyaReport", "QuadElement", "QuadIdeal",
     "QuadRecord", "QuadraticField", "RamificationProfile",
     "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
     "biquad_record", "biquadratic_field", "integral_square_root", "j2_value",
-    "kernel_order", "kronecker", "parse_records", "polya_order_quad",
+    "kernel_order", "kronecker", "polya_order_quad",
     "polya_report", "prime_above", "prime_radical", "principal_generator_quad",
     "principal_ideal_generator", "quad_ideal_from_elements", "quad_record",
     "quadratic_field", "rational_ideal", "relative_norm_ideal", "render_records",

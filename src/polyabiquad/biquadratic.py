@@ -2,9 +2,17 @@
 
 A field is keyed by the canonical ascending triple (d1, d2, d3) of squarefree
 integers, d3 the squarefree part of d1*d2, so any generating pair of the same
-field produces the same object.  Elements carry exact rational coordinates
-over the Q-basis (1, sqrt(d1), sqrt(d2), sqrt(d3)) with the principal-branch
-sign convention sqrt(a)*sqrt(b) = -sqrt(ab) exactly when a, b < 0.
+field produces the same object.
+
+Every element the program builds is an algebraic integer, so an element is a
+vector of integer coordinates over the integral basis (H. Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, 4.2): mul_basis_coords
+multiplies through the structure constants of the basis, sigma applies the
+integer matrix of a Galois element and norm(x) is x*sigma_1(x) times its
+sigma_2-conjugate.  Radical coordinates over (1, sqrt(d1), sqrt(d2),
+sqrt(d3)), with the principal-branch sign convention sqrt(a)*sqrt(b) =
+-sqrt(ab) exactly when a, b < 0, only build these tables and carry the
+denesting square root in units.py.
 
 The integral basis is written down in closed form (K. S. Williams, "Integers
 of biquadratic fields", Canad. Math. Bull. 13, 1970) from the residues of
@@ -32,104 +40,17 @@ inertia-complement subfield.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
-from .errors import DomainError, InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
 from .linalg import mat_adjugate_int
 from .quadratic import QuadElement, QuadraticField
 
-_F0 = Fraction(0)
 # coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
 # negates the other two radicals
 _SIGMA_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-
-
-class BiquadElement:
-    """Element of a biquadratic field in exact radical coordinates."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: "BiquadField", coords):
-        self.field = field
-        self.coords = tuple(c if c.__class__ is Fraction else Fraction(c)
-                            for c in coords)
-        assert len(self.coords) == 4
-
-    def __eq__(self, other):
-        return (isinstance(other, BiquadElement)
-                and self.field.d == other.field.d and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field.d, self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "BiquadElement") -> "BiquadElement":
-        return BiquadElement(self.field,
-                             [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "BiquadElement") -> "BiquadElement":
-        return BiquadElement(self.field,
-                             [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "BiquadElement":
-        return BiquadElement(self.field, [-a for a in self.coords])
-
-    def __mul__(self, other: "BiquadElement") -> "BiquadElement":
-        K = self.field
-        assert K.d == other.field.d
-        return BiquadElement(K, K.radical_product(self.coords, other.coords, _F0))
-
-    def __pow__(self, n: int) -> "BiquadElement":
-        assert n >= 0
-        result, base = self.field.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def sigma(self, t: int) -> "BiquadElement":
-        """Galois conjugate: sigma_0 = identity, sigma_t fixes sqrt(d_t)."""
-        if t == 0:
-            return self
-        return BiquadElement(self.field,
-                             [c * s for c, s in zip(self.coords, _SIGMA_SIGNS[t])])
-
-    def trace(self) -> Fraction:
-        return 4 * self.coords[0]
-
-    def norm(self) -> Fraction:
-        p = self * self.sigma(1)
-        n = p * p.sigma(2)
-        if any(n.coords[1:]):
-            raise InconsistencyError(f"the norm {n} of {self} must be rational")
-        return n.coords[0]
-
-    def to_quad(self, i: int) -> QuadElement:
-        """The element as a member of the i-th quadratic subfield (0-based)."""
-        K = self.field
-        others = [j for j in (1, 2, 3) if j != i + 1]
-        if self.coords[others[0]] or self.coords[others[1]]:
-            raise DomainError("element does not lie in that quadratic subfield")
-        c0, c1 = self.coords[0], self.coords[i + 1]
-        den = lcm(c0.denominator, c1.denominator)
-        return QuadElement.make(K.d[i], int(c0 * den), int(c1 * den), den)
-
-    def __repr__(self):
-        names = ["", *(f"sqrt({d})" for d in self.field.d)]
-        parts = []
-        for c, n in zip(self.coords, names):
-            if c == 0:
-                continue
-            parts.append(f"{c}" if not n else (f"{c}*{n}" if abs(c) != 1 else
-                                               (n if c == 1 else f"-{n}")))
-        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 @dataclass(frozen=True)
@@ -164,12 +85,9 @@ class BiquadField:
         self.subfields = tuple(QuadraticField(x) for x in self.d)
         self.is_real = all(x > 0 for x in self.d)
         self.mul_table = self._build_mul_table()
-        if self.is_real:
-            self.real_radical_index = None
-        else:
-            reals = [i + 1 for i in range(3) if self.d[i] > 0]
-            assert len(reals) == 1
-            self.real_radical_index = reals[0]
+        # the product of two d_i is the third times a square, so an imaginary
+        # field has two negative d_i and its one real subfield sorts last
+        self.real_radical_index = None if self.is_real else 3
         self.disc = 1
         for k in self.subfields:
             self.disc *= k.delta
@@ -196,32 +114,19 @@ class BiquadField:
                 table[(i, j)] = (l, sign * f)
         return table
 
-    def one(self) -> BiquadElement:
-        return BiquadElement(self, (1, 0, 0, 0))
+    def from_quad(self, i: int, el: QuadElement) -> list[int]:
+        """Basis coordinates of an integer u + v*omega_i of the i-th quadratic
+        subfield (0-based)."""
+        if el.d != self.d[i]:
+            raise InvalidInputError(f"{el} does not lie in Q(sqrt({self.d[i]}))")
+        u, v = self.subfields[i].omega_coords(el)
+        x = [v * w for w in self.omega_rows[i]]
+        x[0] += u  # the first basis element is 1
+        return x
 
-    def zero(self) -> BiquadElement:
-        return BiquadElement(self, (0, 0, 0, 0))
-
-    def rational(self, q) -> BiquadElement:
-        return BiquadElement(self, (Fraction(q), 0, 0, 0))
-
-    def radical(self, i: int) -> BiquadElement:
-        """sqrt(d_i) as an element, i in 1..3."""
-        coords = [0, 0, 0, 0]
-        coords[i] = 1
-        return BiquadElement(self, coords)
-
-    def from_quad(self, i: int, el: QuadElement) -> BiquadElement:
-        """Embed an element of the i-th quadratic subfield (0-based)."""
-        assert el.d == self.d[i]
-        coords = [Fraction(el.x, el.den), 0, 0, 0]
-        coords[i + 1] = Fraction(el.y, el.den)
-        return BiquadElement(self, coords)
-
-    def radical_product(self, a, b, zero=0) -> list:
-        """Product of two coordinate vectors over (1, sqrt(d1), sqrt(d2),
-        sqrt(d3)); integer vectors give an integer vector."""
-        out = [zero, zero, zero, zero]
+    def radical_product(self, a, b) -> list[int]:
+        """Product of two integer vectors over (1, sqrt(d1), sqrt(d2), sqrt(d3))."""
+        out = [0, 0, 0, 0]
         for i in range(4):
             ai = a[i]
             if not ai:
@@ -276,7 +181,7 @@ class BiquadField:
         d1, d2, d3 = self.d
         if det * det * d1 * d2 * d3 != 256 * self.disc:
             raise InconsistencyError(
-                f"lattice discriminant {Fraction(det * det * d1 * d2 * d3, 256)} "
+                f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
         self.basis_rows, self._det = rows, det
         self._adj_cols = [list(col) for col in zip(*adj)]
@@ -310,18 +215,6 @@ class BiquadField:
             out.append(q)
         return out
 
-    def _basis_numerators(self, el: BiquadElement) -> tuple[list[int], int]:
-        """(n, den) with n[j]/den the j-th basis coordinate of el."""
-        c = el.coords
-        den = lcm(*(x.denominator for x in c))
-        v = [x.numerator * (den // x.denominator) for x in c]
-        return [4 * sum(map(mul, v, col)) for col in self._adj_cols], den * self._det
-
-    def element_from_basis_coords(self, row) -> BiquadElement:
-        rows = self.basis_rows
-        return BiquadElement(self, [
-            Fraction(sum(x * r[k] for x, r in zip(row, rows)), 4) for k in range(4)])
-
     def mul_basis_coords(self, x, y) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""
         out = [0, 0, 0, 0]
@@ -342,6 +235,20 @@ class BiquadField:
                 out[2] += p * c[2]
                 out[3] += p * c[3]
         return out
+
+    def sigma(self, x, t: int) -> list[int]:
+        """Coordinates of sigma_t(x): sigma_0 = identity, sigma_t fixes sqrt(d_t)."""
+        S = self.sigma_matrices[t]
+        return [x[0] * S[0][j] + x[1] * S[1][j] + x[2] * S[2][j] + x[3] * S[3][j]
+                for j in range(4)]
+
+    def norm(self, x) -> int:
+        """N_{K/Q}(x) = x * sigma_1(x) * sigma_2(x * sigma_1(x))."""
+        p = self.mul_basis_coords(x, self.sigma(x, 1))
+        n = self.mul_basis_coords(p, self.sigma(p, 2))
+        if any(n[1:]):
+            raise InconsistencyError(f"the norm {n} of {x} must be rational")
+        return n[0]
 
     def _ramification_profile(self) -> RamificationProfile:
         deltas = [k.delta for k in self.subfields]

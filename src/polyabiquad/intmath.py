@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InconsistencyError, InvalidInputError
 
 
 def _sieve(limit: int) -> list[int]:
@@ -68,7 +68,8 @@ class SquarefreeDecomposition:
     square_part: int
 
     def __post_init__(self):
-        assert self.input == self.squarefree_part * self.square_part**2
+        if self.input != self.squarefree_part * self.square_part**2:
+            raise InconsistencyError(f"{self} does not multiply back to its input")
 
 
 def squarefree_decompose(n: int) -> SquarefreeDecomposition:

@@ -57,7 +57,7 @@ import itertools
 from functools import cached_property
 from math import prod
 
-from .biquadratic import BiquadElement, BiquadField
+from .biquadratic import BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
 from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement, QuadIdeal,
@@ -88,11 +88,9 @@ class IdealLattice:
     def __repr__(self):
         return f"IdealLattice(norm={self.norm}, rows={self.rows})"
 
-    def contains(self, el: BiquadElement) -> bool:
-        num, den = self.field._basis_numerators(el)
-        if any(x % den for x in num):
-            return False
-        return hnf_contains(self.rows, [x // den for x in num])
+    def contains(self, x) -> bool:
+        """Membership of the element with integer basis coordinates x."""
+        return hnf_contains(self.rows, x)
 
     def multiply(self, other: "IdealLattice") -> "IdealLattice":
         if self.field.d != other.field.d:
@@ -110,10 +108,8 @@ class IdealLattice:
 
     def conjugate(self, t: int) -> "IdealLattice":
         """Image under sigma_t."""
-        S = self.field.sigma_matrices[t]
-        rows = [[sum(r[k] * S[k][j] for k in range(4)) for j in range(4)]
-                for r in self.rows]
-        return IdealLattice(self.field, hnf_rows(rows, 4))
+        K = self.field
+        return IdealLattice(K, hnf_rows([K.sigma(r, t) for r in self.rows], 4))
 
 
 def rational_ideal(K: BiquadField, m: int) -> IdealLattice:
@@ -235,23 +231,18 @@ def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[list[int]]:
     else:
         z = k.torsion_generator()
         quads = [g, g * z]
-    twists = []
-    for q in quads:
-        u, v = k.omega_coords(q)
-        t = [v * w for w in K.omega_rows[i]]
-        t[0] += u  # the first basis element is 1
-        twists.append(t)
-    return twists
+    return [K.from_quad(i, q) for q in quads]
 
 
 def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
-                              norms=None) -> BiquadElement | None:
-    """Exact generator of the ideal, or None when provably nonprincipal.
-    norms, if given, yields the three relative norms of lat in order."""
+                              norms=None) -> tuple[int, ...] | None:
+    """Basis coordinates of a generator of the ideal, or None when provably
+    nonprincipal.  norms, if given, yields the three relative norms of lat
+    in order."""
     K = lat.field
     n = lat.norm
     if n == 1:
-        return K.one()
+        return (1, 0, 0, 0)
     if norms is None:
         norms = (relative_norm_ideal(K, lat, i) for i in range(3))
     twist_sets = []
@@ -273,8 +264,8 @@ def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
         if any(c % n for c in s):
             continue
         # the square root the formula route also uses, for the unit index
-        xi = integral_square_root(K, K.element_from_basis_coords([c // n for c in s]))
-        if xi is not None and abs(xi.norm()) == n and lat.contains(xi):
+        xi = integral_square_root(K, [c // n for c in s])
+        if xi is not None and abs(K.norm(xi)) == n and lat.contains(xi):
             return xi
     return None
 

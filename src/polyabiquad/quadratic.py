@@ -39,7 +39,6 @@ class QuadElement:
     def make(d: int, x: int, y: int, den: int = 1) -> "QuadElement":
         if den < 0:
             x, y, den = -x, -y, -den
-        assert den > 0
         g = gcd(gcd(x, y), den)
         if g > 1:
             x, y, den = x // g, y // g, den // g
@@ -53,7 +52,8 @@ class QuadElement:
         return self.x == 0 and self.y == 0
 
     def __add__(self, other: "QuadElement") -> "QuadElement":
-        assert self.d == other.d
+        if self.d != other.d:
+            raise InvalidInputError("elements belong to different fields")
         return QuadElement.make(
             self.d,
             self.x * other.den + other.x * self.den,
@@ -68,7 +68,8 @@ class QuadElement:
         return self + (-other)
 
     def __mul__(self, other: "QuadElement") -> "QuadElement":
-        assert self.d == other.d
+        if self.d != other.d:
+            raise InvalidInputError("elements belong to different fields")
         return QuadElement.make(
             self.d,
             self.x * other.x + self.y * other.y * self.d,
@@ -97,7 +98,8 @@ class QuadElement:
         return abs(self.norm()) == 1
 
     def __pow__(self, n: int) -> "QuadElement":
-        assert n >= 0
+        if n < 0:
+            raise InvalidInputError(f"negative power {n} of an integer")
         result = QuadElement(self.d, 1, 0, 1)
         base = self
         while n:

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .biquadratic import BiquadField
+from .errors import InvalidInputError
 from .polya import PolyaReport
 from .quadratic import QuadraticField
 
@@ -72,9 +73,14 @@ class QuadRecord:
     verify_status: str
 
 
+def _check_status(verify_status: str) -> None:
+    if verify_status not in VERIFY_STATUSES:
+        raise InvalidInputError(f"unknown verify status {verify_status!r}")
+
+
 def biquad_record(K: BiquadField, rep: PolyaReport,
                   verify_status: str = "unchecked") -> OutputRecord:
-    assert verify_status in VERIFY_STATUSES
+    _check_status(verify_status)
     us = K.units
     return OutputRecord(
         d1=K.d[0], d2=K.d[1], d3=K.d[2],
@@ -95,7 +101,7 @@ def biquad_record(K: BiquadField, rep: PolyaReport,
 
 def quad_record(k: QuadraticField, po: int,
                 verify_status: str = "unchecked") -> QuadRecord:
-    assert verify_status in VERIFY_STATUSES
+    _check_status(verify_status)
     if k.is_real:
         eps = k.fundamental_unit
         ex, ey, eden = eps.x, eps.y, eps.den
@@ -115,8 +121,7 @@ def _row_values(rec) -> list:
 
 
 def render_records(records, fmt: str) -> str:
-    """Render a list of records (all of one type) as json | csv | text."""
-    assert records, "nothing to render"
+    """Render a nonempty list of records (all of one type) as json | csv | text."""
     cols = _columns(type(records[0]))
     if fmt == "json":
         lines = [json.dumps({c: getattr(r, c) for c in cols}, separators=(", ", ": "))
@@ -126,31 +131,9 @@ def render_records(records, fmt: str) -> str:
         lines = [",".join(cols)]
         lines += [",".join(str(v) for v in _row_values(r)) for r in records]
         return "\n".join(lines) + "\n"
-    assert fmt == "text"
+    if fmt != "text":
+        raise InvalidInputError(f"unknown output format {fmt!r}")
     table = [cols] + [[str(v) for v in _row_values(r)] for r in records]
     widths = [max(len(row[j]) for row in table) for j in range(len(cols))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
     return "\n".join(lines) + "\n"
-
-
-def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
-    """Inverse of render_records; returns a list of cls instances."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-
-    def build(mapping):
-        kwargs = {}
-        for name, typ in types.items():
-            v = mapping[name]
-            kwargs[name] = str(v) if typ == "str" else int(v)
-        return cls(**kwargs)
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if fmt == "json":
-        return [build(json.loads(ln)) for ln in lines]
-    header = lines[0].split(",") if fmt == "csv" else lines[0].split()
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",") if fmt == "csv" else ln.split()
-        assert len(cells) == len(header), "malformed row"
-        out.append(build(dict(zip(header, cells))))
-    return out

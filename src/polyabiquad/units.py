@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
-from .biquadratic import BiquadElement, BiquadField
+from .biquadratic import BiquadField
 from .errors import InconsistencyError
 
 _F0 = Fraction(0)
@@ -93,21 +94,26 @@ def _relative_sqrt(alpha, beta, d1: int, d2: int):
     return None
 
 
-def integral_square_root(K: BiquadField, eta: BiquadElement) -> BiquadElement | None:
-    """Exact xi with xi*xi == eta, or None when eta is provably not a square.
+def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
+    """Exact xi with xi*xi == eta, or None when eta is provably not a square;
+    both are integer coordinates over the integral basis.
 
-    The test is exact for every element of K; when eta is integral the
-    root is integral too (it satisfies the monic polynomial x^2 - eta).
+    The denesting runs on the radical coordinates of eta.  A root of the
+    integer eta is integral (it satisfies the monic polynomial x^2 - eta),
+    so a root without integer basis coordinates raises.
     """
     d1, d2 = K.d[0], K.d[1]
     m = K.mul_table[(1, 2)][1]
-    c0, c1, c2, c3 = eta.coords
+    c0, c1, c2, c3 = (Fraction(sum(map(mul, eta, col)), 4) for col in zip(*K.basis_rows))
     root = _relative_sqrt((c0, c1), (c2, c3 / m), d1, d2)
     if root is None:
         return None
     (a0, a1), (b0, b1) = root
-    xi = BiquadElement(K, (a0, a1, b0, b1 * m))
-    if xi * xi != eta:
+    rad = (a0, a1, b0, b1 * m)
+    den = lcm(*(c.denominator for c in rad))
+    xi = tuple(K._integer_coords([c.numerator * (den // c.denominator) for c in rad],
+                                 den, "square roots"))
+    if K.mul_basis_coords(xi, xi) != list(eta):
         raise InconsistencyError(f"denested square root of {eta} does not square back")
     return xi
 
@@ -154,7 +160,7 @@ def _conj_sign_character(lam: tuple[int, int, int], a: tuple[int, int, int], t: 
     return s
 
 
-def _torsion_generator(K: BiquadField) -> tuple[BiquadElement, int]:
+def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
     """Generator of the subgroup of roots of unity generated by the
     subfield torsion units, with its order."""
     gens = []
@@ -162,24 +168,21 @@ def _torsion_generator(K: BiquadField) -> tuple[BiquadElement, int]:
         if k.torsion_order() > 2:
             gens.append((K.from_quad(i, k.torsion_generator()), k.torsion_order()))
     if not gens:
-        return K.rational(-1), 2
+        return [-1, 0, 0, 0], 2
     if len(gens) == 1:
         return gens[0]
     # i and zeta_6 together generate a cyclic group of order 12, with
-    # generator i * conj(zeta_6) = zeta_12.
+    # generator i * conj(zeta_6) = zeta_12; complex conjugation is the Galois
+    # element fixing the real subfield
     (g4, o4), (g6, o6) = sorted(gens, key=lambda t: t[1])
     if (o4, o6) != (4, 6):
         raise InconsistencyError(f"subfield roots of unity of orders {o4}, {o6} in {K.d}")
-    z12 = g4 * _element_conj_in_field(K, g6)
-    if z12 ** 12 != K.one() or z12 ** 6 != K.rational(-1):
-        raise InconsistencyError(f"{z12} fails z**12 = 1 and z**6 = -1")
+    z12 = K.mul_basis_coords(g4, K.sigma(g6, K.real_radical_index))
+    z2 = K.mul_basis_coords(z12, z12)
+    z6 = K.mul_basis_coords(z2, K.mul_basis_coords(z2, z2))
+    if z6 != [-1, 0, 0, 0] or z2 == [-1, 0, 0, 0]:
+        raise InconsistencyError(f"{z12} fails z**6 = -1 and z**2 != -1")
     return z12, 12
-
-
-def _element_conj_in_field(K: BiquadField, el: BiquadElement) -> BiquadElement:
-    """Complex conjugation = the Galois element fixing the real subfield."""
-    assert not K.is_real
-    return el.sigma(K.real_radical_index)
 
 
 def unit_structure(K: BiquadField) -> UnitStructure:
@@ -194,10 +197,10 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             a = (mask & 1, (mask >> 1) & 1, (mask >> 2) & 1)
             if any(_conj_sign_character(lam, a, t) < 0 for t in (1, 2, 3)):
                 continue
-            eta = K.one()
+            eta = [1, 0, 0, 0]
             for i in range(3):
                 if a[i]:
-                    eta = eta * eps[i]
+                    eta = K.mul_basis_coords(eta, eps[i])
             xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[a] = xi
@@ -211,9 +214,9 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         star_case = "real_all_minus" if star_all_minus else "product"
     else:
         zeta, zorder = _torsion_generator(K)
-        r = next(i for i in range(3) if K.d[i] > 0)
+        r = K.real_radical_index - 1
         eps_r = K.from_quad(r, K.subfields[r].fundamental_unit)
-        candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): zeta * eps_r}
+        candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): K.mul_basis_coords(zeta, eps_r)}
         for key, eta in candidates.items():
             xi = integral_square_root(K, eta)
             if xi is not None:

@@ -1,5 +1,10 @@
 """References for the tests, kept apart from the routines they check.
 
+- BiquadElement, an element of a biquadratic field in Fraction coordinates
+  over (1, sqrt(d1), sqrt(d2), sqrt(d3)), with its own radical product; the
+  program itself keeps elements as integer coordinates over the integral
+  basis.  basis_coords, element_from_coords, integral_coords and embed_quad
+  cross between the two.
 - A Gaussian-elimination determinant over Q and the characteristic
   polynomial of a biquadratic element from its conjugates.
 - The earlier relative norm N_{K/k_i}(a), which takes a * s_i(a) to Fraction
@@ -8,22 +13,135 @@
   basis (a, b + c*omega) of a quadratic ideal.
 - Ideal constructors and checks only the tests use: the ideal generated by
   elements, Galois stability and closure under multiplication.
-- The integral basis as elements and basis coordinates as Fractions, read
-  off BiquadField.basis_rows.
+- The integral basis as elements, read off BiquadField.basis_rows, and
+  basis coordinates as Fractions by Cramer's rule.
 - The earlier sort-based Euclidean Hermite form, and the earlier quadratic
   product of ramified primes as a chain of ideal products, each one the
   Hermite form of the four products of the basis elements.
+- parse_records, the inverse of report.render_records.
 """
 
+import dataclasses
+import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
-from polyabiquad.biquadratic import BiquadElement
-from polyabiquad.errors import InvalidInputError
+from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.lattice import IdealLattice
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (QuadElement, QuadIdeal, _minpoly_double_root,
                                    quad_ideal_from_elements)
+from polyabiquad.report import OutputRecord
+
+_F0 = Fraction(0)
+# coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
+# negates the other two radicals
+_SIGMA_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def radical_product(d, a, b) -> list:
+    """Product of two vectors over (1, sqrt(d1), sqrt(d2), sqrt(d3)) for the
+    triple d, with sqrt(x)*sqrt(y) = -sqrt(xy) exactly when x, y < 0."""
+    out = [_F0, _F0, _F0, _F0]
+    for i in range(4):
+        for j in range(4):
+            p = a[i] * b[j]
+            if not p:
+                continue
+            if i == 0 or j == 0:
+                out[i + j] += p
+            elif i == j:
+                out[0] += p * d[i - 1]
+            else:
+                x, y, z = d[i - 1], d[j - 1], d[5 - i - j]
+                sign = -1 if x < 0 and y < 0 else 1
+                out[6 - i - j] += p * sign * isqrt(x * y // z)
+    return out
+
+
+class BiquadElement:
+    """Element of a biquadratic field in exact radical coordinates."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = tuple(c if c.__class__ is Fraction else Fraction(c)
+                            for c in coords)
+        assert len(self.coords) == 4
+
+    def __eq__(self, other):
+        return (isinstance(other, BiquadElement)
+                and self.field.d == other.field.d and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self.field.d, self.coords))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def __add__(self, other: "BiquadElement") -> "BiquadElement":
+        return BiquadElement(self.field,
+                             [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other: "BiquadElement") -> "BiquadElement":
+        return BiquadElement(self.field,
+                             [a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self) -> "BiquadElement":
+        return BiquadElement(self.field, [-a for a in self.coords])
+
+    def __mul__(self, other: "BiquadElement") -> "BiquadElement":
+        K = self.field
+        assert K.d == other.field.d
+        return BiquadElement(K, radical_product(K.d, self.coords, other.coords))
+
+    def __pow__(self, n: int) -> "BiquadElement":
+        assert n >= 0
+        result, base = BiquadElement(self.field, (1, 0, 0, 0)), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def sigma(self, t: int) -> "BiquadElement":
+        """Galois conjugate: sigma_0 = identity, sigma_t fixes sqrt(d_t)."""
+        if t == 0:
+            return self
+        return BiquadElement(self.field,
+                             [c * s for c, s in zip(self.coords, _SIGMA_SIGNS[t])])
+
+    def trace(self) -> Fraction:
+        return 4 * self.coords[0]
+
+    def norm(self) -> Fraction:
+        p = self * self.sigma(1)
+        n = p * p.sigma(2)
+        if any(n.coords[1:]):
+            raise InconsistencyError(f"the norm {n} of {self} must be rational")
+        return n.coords[0]
+
+    def to_quad(self, i: int) -> QuadElement:
+        """The element as a member of the i-th quadratic subfield (0-based)."""
+        K = self.field
+        others = [j for j in (1, 2, 3) if j != i + 1]
+        if self.coords[others[0]] or self.coords[others[1]]:
+            raise DomainError("element does not lie in that quadratic subfield")
+        c0, c1 = self.coords[0], self.coords[i + 1]
+        den = lcm(c0.denominator, c1.denominator)
+        return QuadElement.make(K.d[i], int(c0 * den), int(c1 * den), den)
+
+    def __repr__(self):
+        names = ["", *(f"sqrt({d})" for d in self.field.d)]
+        parts = []
+        for c, n in zip(self.coords, names):
+            if c == 0:
+                continue
+            parts.append(f"{c}" if not n else (f"{c}*{n}" if abs(c) != 1 else
+                                               (n if c == 1 else f"-{n}")))
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def mat_det_fraction(M) -> Fraction:
@@ -65,9 +183,33 @@ def basis_elements(K) -> tuple:
 
 
 def basis_coords(K, el) -> tuple:
-    """Coordinates of el over the integral basis, as Fractions."""
-    n, den = K._basis_numerators(el)
-    return tuple(Fraction(x, den) for x in n)
+    """Coordinates of el over the integral basis, as Fractions: the x with
+    sum x_j * b_j = el, by Cramer's rule on the rows b_j."""
+    rows = [list(b.coords) for b in basis_elements(K)]
+    det = mat_det_fraction(rows)
+    return tuple(mat_det_fraction(rows[:j] + [list(el.coords)] + rows[j + 1:]) / det
+                 for j in range(4))
+
+
+def integral_coords(K, el) -> list[int]:
+    """basis_coords of an integral el as integers."""
+    coords = basis_coords(K, el)
+    if any(c.denominator != 1 for c in coords):
+        raise InvalidInputError(f"{el} is not integral")
+    return [int(c) for c in coords]
+
+
+def element_from_coords(K, x) -> BiquadElement:
+    """The element sum x_j * b_j over the integral basis."""
+    return BiquadElement(K, [Fraction(sum(v * r[k] for v, r in zip(x, K.basis_rows)), 4)
+                             for k in range(4)])
+
+
+def embed_quad(K, i, q) -> BiquadElement:
+    """The element q of the i-th quadratic subfield (0-based) as an element of K."""
+    coords = [Fraction(q.x, q.den), 0, 0, 0]
+    coords[i + 1] = Fraction(q.y, q.den)
+    return BiquadElement(K, coords)
 
 
 def gram_determinant(K) -> Fraction:
@@ -172,7 +314,7 @@ def relative_norm_fraction(K, lat, i) -> QuadIdeal:
     coordinates: the integer relations among the two radical columns that
     k_i lacks give the elements of k_i in a * sigma_i(a)."""
     m = lat.multiply(lat.conjugate(i + 1))
-    rad_rows = [K.element_from_basis_coords(r).coords for r in m.rows]
+    rad_rows = [element_from_coords(K, r).coords for r in m.rows]
     others = [j for j in (1, 2, 3) if j != i + 1]
     cols = []
     for j in others:
@@ -200,10 +342,7 @@ def ideal_from_elements(K, elements) -> IdealLattice:
     """O_K-module generated by integral elements."""
     rows = []
     for el in elements:
-        coords = basis_coords(K, el)
-        if any(c.denominator != 1 for c in coords):
-            raise InvalidInputError("generators must be integral")
-        base = [int(c) for c in coords]
+        base = integral_coords(K, el)
         rows += [K.mul_basis_coords(base, unit) for unit in _unit_rows()]
     H = hnf_rows(rows, 4)
     if len(H) != 4:
@@ -244,3 +383,26 @@ def subset_ideal_chain(k, mask) -> QuadIdeal:
             assert prime.norm == p
             ideal = quad_ideal_multiply(ideal, prime)
     return ideal
+
+
+def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
+    """Inverse of report.render_records; returns a list of cls instances."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+
+    def build(mapping):
+        kwargs = {}
+        for name, typ in types.items():
+            v = mapping[name]
+            kwargs[name] = str(v) if typ == "str" else int(v)
+        return cls(**kwargs)
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if fmt == "json":
+        return [build(json.loads(ln)) for ln in lines]
+    header = lines[0].split(",") if fmt == "csv" else lines[0].split()
+    out = []
+    for ln in lines[1:]:
+        cells = ln.split(",") if fmt == "csv" else ln.split()
+        assert len(cells) == len(header), "malformed row"
+        out.append(build(dict(zip(header, cells))))
+    return out

@@ -2,13 +2,18 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exact_reference import (basis_coords, basis_elements, char_poly, gram_determinant,
+from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
+                             embed_quad, gram_determinant, integral_coords,
                              mat_det_fraction)
-from polyabiquad.biquadratic import BiquadElement, biquadratic_field
+from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.linalg import hnf_rows
@@ -25,6 +30,15 @@ def element(K, **coeffs):
     for i, d in enumerate(K.d):
         coords[i + 1] = Fraction(coeffs.get(str(d), 0))
     return BiquadElement(K, coords)
+
+
+def radical(K, d):
+    """sqrt(d) as an element."""
+    return element(K, **{str(d): 1})
+
+
+def neg(x):
+    return [-c for c in x]
 
 
 def small_corpus(bound):
@@ -77,7 +91,7 @@ def test_imaginary_fields_have_one_real_subfield():
 def test_integral_basis_certificate():
     for K in small_corpus(8):
         basis = basis_elements(K)
-        assert basis[0] == K.one()
+        assert basis[0] == element(K, one=1)
         for e in basis:
             assert all(s.denominator == 1 for s in char_poly(e))
         prod_disc = 1
@@ -161,10 +175,10 @@ def test_profile_efg_product_is_degree():
 def test_multiplication_sign_convention():
     # sqrt(a)*sqrt(b) = -sqrt(ab) exactly when a, b < 0 (principal branch)
     K = biquadratic_field(-1, -3)  # triple (-3, -1, 3)
-    prod = K.radical(radical_index(K, -1)) * K.radical(radical_index(K, -3))
-    assert prod == element(K, **{"3": -1})
-    prod2 = K.radical(radical_index(K, -1)) * K.radical(radical_index(K, 3))
-    assert prod2 == element(K, **{"-3": 1})
+    i, r3, rm3 = (integral_coords(K, radical(K, d)) for d in (-1, 3, -3))
+    assert K.mul_basis_coords(i, rm3) == integral_coords(K, element(K, **{"3": -1}))
+    assert K.mul_basis_coords(i, r3) == integral_coords(K, element(K, **{"-3": 1}))
+    assert radical(K, -1) * radical(K, -3) == element(K, **{"3": -1})
 
 
 def test_galois_action_composition_and_norm():
@@ -172,15 +186,41 @@ def test_galois_action_composition_and_norm():
     for K in (biquadratic_field(2, 3), biquadratic_field(-1, -5),
               biquadratic_field(-2, 7)):
         for _ in range(10):
-            x = BiquadElement(K, [Fraction(rng.randint(-5, 5)) for _ in range(4)])
+            x_el = BiquadElement(K, [Fraction(rng.randint(-5, 5)) for _ in range(4)])
+            y_el = BiquadElement(K, [Fraction(rng.randint(-4, 4)) for _ in range(4)])
+            x, y = integral_coords(K, x_el), integral_coords(K, y_el)
             for i, j in ((1, 2), (1, 3), (2, 3)):
                 l = 6 - i - j
-                assert x.sigma(i).sigma(j) == x.sigma(l)
-            n = x.norm()
-            assert n.denominator == 1
-            y = BiquadElement(K, [Fraction(rng.randint(-4, 4)) for _ in range(4)])
-            assert (x * y).norm() == x.norm() * y.norm()
-            assert (x * y).sigma(1) == x.sigma(1) * y.sigma(1)
+                assert K.sigma(K.sigma(x, i), j) == K.sigma(x, l)
+            assert K.norm(x) == x_el.norm()
+            xy = K.mul_basis_coords(x, y)
+            assert K.norm(xy) == K.norm(x) * K.norm(y)
+            assert K.sigma(xy, 1) == K.mul_basis_coords(K.sigma(x, 1), K.sigma(y, 1))
+
+
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+_COORDS = st.lists(_INTS, min_size=4, max_size=4)
+
+
+@lru_cache(maxsize=None)
+def _field(pair):
+    return biquadratic_field(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_scan_tasks(12, False, False)), _COORDS, _COORDS,
+       st.integers(0, 3), st.integers(0, 2), _INTS, _INTS)
+def test_element_operations_match_the_fraction_reference(pair, x, y, t, i, u, v):
+    # the integer operations on basis coordinates against Fraction radical
+    # arithmetic, on every field with |d_i| <= 12
+    K = _field(pair)
+    x_el, y_el = element_from_coords(K, x), element_from_coords(K, y)
+    assert K.mul_basis_coords(x, y) == integral_coords(K, x_el * y_el)
+    assert K.sigma(x, t) == integral_coords(K, x_el.sigma(t))
+    assert K.norm(x) == x_el.norm()
+    k = K.subfields[i]
+    q = k.one().scale(u) + k.omega().scale(v)
+    assert K.from_quad(i, q) == integral_coords(K, embed_quad(K, i, q))
 
 
 def test_trace_and_charpoly_are_rational_integers_on_basis():
@@ -192,17 +232,18 @@ def test_trace_and_charpoly_are_rational_integers_on_basis():
 
 def test_square_root_identity_and_zeta8():
     K23 = biquadratic_field(2, 3)
-    assert integral_square_root(K23, K23.one()) == K23.one()
+    assert integral_square_root(K23, [1, 0, 0, 0]) == (1, 0, 0, 0)
 
     K8 = biquadratic_field(-1, 2)
-    i_el = K8.radical(radical_index(K8, -1))
+    i_el = integral_coords(K8, radical(K8, -1))
     xi = integral_square_root(K8, i_el)
-    assert xi is not None and xi * xi == i_el
+    assert xi is not None and K8.mul_basis_coords(xi, xi) == i_el
     half = Fraction(1, 2)
     expected = [0, 0, 0, 0]
     expected[radical_index(K8, 2)] = half
     expected[radical_index(K8, -2)] = half
-    assert xi.coords == tuple(expected) or (-xi).coords == tuple(expected)
+    root = element_from_coords(K8, xi)
+    assert root.coords == tuple(expected) or (-root).coords == tuple(expected)
 
 
 def test_square_root_frozen_real_case():
@@ -212,37 +253,37 @@ def test_square_root_frozen_real_case():
     eta = element(K, one=10, **{"2": 6, "3": 5, "6": 4})
     root = element(K, one=1, **{"2": Fraction(3, 2), "3": 1, "6": Fraction(1, 2)})
     assert root * root == eta
-    xi = integral_square_root(K, eta)
-    assert xi in (root, -root)
+    xi = integral_square_root(K, integral_coords(K, eta))
+    assert element_from_coords(K, xi) in (root, -root)
 
 
 def test_square_root_rejects_non_squares():
     K = biquadratic_field(2, 3)
     eps2 = element(K, one=1, **{"2": 1})  # 1+sqrt2 has a negative conjugate
-    assert integral_square_root(K, eps2) is None
-    assert integral_square_root(K, K.rational(5)) is None  # 5/d_i never a square
-    assert integral_square_root(K, K.rational(-1)) is None
+    assert integral_square_root(K, integral_coords(K, eps2)) is None
+    assert integral_square_root(K, [5, 0, 0, 0]) is None  # 5/d_i never a square
+    assert integral_square_root(K, [-1, 0, 0, 0]) is None
     K5 = biquadratic_field(-1, 5)
     eps5 = element(K5, one=Fraction(1, 2), **{"5": Fraction(1, 2)})
-    assert integral_square_root(K5, eps5) is None
+    assert integral_square_root(K5, integral_coords(K5, eps5)) is None
 
 
 def test_square_root_rational_cases():
     K = biquadratic_field(2, 3)
-    assert integral_square_root(K, K.rational(9)) == K.rational(3)
-    two = K.rational(2)
-    r = integral_square_root(K, K.rational(8))
-    assert r is not None and r * r == K.rational(8)  # 2*sqrt(2)
+    assert integral_square_root(K, [9, 0, 0, 0]) == (3, 0, 0, 0)
+    r = integral_square_root(K, [8, 0, 0, 0])
+    assert r is not None and element_from_coords(K, r) in (element(K, **{"2": 2}),
+                                                           element(K, **{"2": -2}))
     K1 = biquadratic_field(-1, 3)
-    m1 = integral_square_root(K1, K1.rational(-1))
-    assert m1 is not None and m1 * m1 == K1.rational(-1)
+    m1 = integral_square_root(K1, [-1, 0, 0, 0])
+    assert m1 is not None and K1.mul_basis_coords(m1, m1) == [-1, 0, 0, 0]
 
 
 def test_square_root_of_a_subfield_unit():
     K = biquadratic_field(2, 3)
     eps3 = element(K, one=2, **{"3": 1})
-    xi = integral_square_root(K, eps3)  # (sqrt2+sqrt6)/2, hand-verified
-    assert xi is not None and xi * xi == eps3
+    xi = integral_square_root(K, integral_coords(K, eps3))  # (sqrt2+sqrt6)/2, hand-verified
+    assert xi is not None and element_from_coords(K, xi) ** 2 == eps3
 
 
 def test_unit_structure_named_fields():
@@ -284,53 +325,60 @@ def test_square_class_roots_are_exact_witnesses():
     for K in (biquadratic_field(2, 3), biquadratic_field(-1, 2),
               biquadratic_field(2, 5), biquadratic_field(-1, -3)):
         us = K.units
-        eps = [K.from_quad(i, K.subfields[i].fundamental_unit)
+        eps = [embed_quad(K, i, K.subfields[i].fundamental_unit)
                if K.subfields[i].is_real else None for i in range(3)]
         for key, root in us.square_class_roots.items():
+            root_el = element_from_coords(K, root)
             if K.is_real:
-                eta = K.one()
+                eta = element(K, one=1)
                 for i in range(3):
                     if key[i]:
                         eta = eta * eps[i]
-                assert root * root == eta
-            assert all(c.denominator == 1 for c in basis_coords(K, root))
-            assert abs(root.norm()) == 1
+                assert root_el * root_el == eta
+            assert all(type(c) is int for c in root)
+            assert abs(root_el.norm()) == 1
 
 
 def test_square_root_of_real_valued_element_in_imaginary_field():
     # in Q(i, sqrt5): -eps^2 is real and totally negative, yet (i*eps)^2 = -eps^2
     K = biquadratic_field(-1, 5)
-    i5 = radical_index(K, 5)
     eps = element(K, one=Fraction(1, 2), **{"5": Fraction(1, 2)})
-    i_el = K.radical(radical_index(K, -1))
-    eta = -(eps * eps)
+    eta = integral_coords(K, -(eps * eps))
     xi = integral_square_root(K, eta)
-    assert xi is not None and xi * xi == eta
-    assert xi in (i_el * eps, -(i_el * eps))
+    assert xi is not None and K.mul_basis_coords(xi, xi) == eta
+    i_eps = radical(K, -1) * eps
+    assert element_from_coords(K, xi) in (i_eps, -i_eps)
 
 
 def test_radical_product_with_nontrivial_square_factor():
     # sqrt(94) * sqrt(141) = 47 * sqrt(6)
     K = biquadratic_field(94, 141)
     assert K.d == (6, 94, 141)
-    prod = K.radical(radical_index(K, 94)) * K.radical(radical_index(K, 141))
-    assert prod == element(K, **{"6": 47})
+    r6, r94, r141 = (integral_coords(K, radical(K, d)) for d in (6, 94, 141))
+    assert K.mul_basis_coords(r94, r141) == integral_coords(K, element(K, **{"6": 47}))
     # sqrt(6) * sqrt(94) = sqrt(564) = 2 * sqrt(141)
-    assert (K.radical(radical_index(K, 6)) * K.radical(radical_index(K, 94))) \
-        == element(K, **{"141": 2})
+    assert K.mul_basis_coords(r6, r94) == integral_coords(K, element(K, **{"141": 2}))
+    assert radical(K, 94) * radical(K, 141) == element(K, **{"6": 47})
 
 
 def test_square_root_roundtrip_random_elements():
+    # every residue pattern of the triple mod 4, real and imaginary, up to
+    # nine ramified primes, small and large coordinates; in a real field
+    # -xi**2 is negative at every embedding, so never a square
     rng = random.Random(23)
-    for pair in ((2, 3), (-1, -3), (5, 13), (-2, -5), (-1, 2), (11, 14)):
+    for pair in ((2, 3), (-1, -3), (5, 13), (-2, -5), (-1, 2), (11, 14), (-23, -19),
+                 (3, 7), (-5, 21), (2, 51), (7429, 30030), (-510510, -221)):
         K = biquadratic_field(*pair)
-        for _ in range(6):
-            xi = K.element_from_basis_coords([rng.randint(-3, 3) for _ in range(4)])
-            if xi.is_zero():
-                continue
-            eta = xi * xi
-            root = integral_square_root(K, eta)
-            assert root is not None and root in (xi, -xi), (pair, xi.coords)
+        for bound in (3, 40, 10**6):
+            for _ in range(6):
+                xi = [rng.randint(-bound, bound) for _ in range(4)]
+                if not any(xi):
+                    continue
+                eta = K.mul_basis_coords(xi, xi)
+                root = integral_square_root(K, eta)
+                assert root is not None and list(root) in (xi, neg(xi)), (pair, xi)
+                if K.is_real:
+                    assert integral_square_root(K, neg(eta)) is None, (pair, xi)
 
 
 def test_square_root_matches_frozen_verdicts():
@@ -346,9 +394,9 @@ def test_square_root_matches_frozen_verdicts():
             d = tuple(int(v) for v in triple)
             K = fields.setdefault(d, biquadratic_field(d[0], d[1]))
             assert K.d == d
-            eta = BiquadElement(K, [Fraction(c) for c in (c0, c1, c2, c3)])
+            eta = integral_coords(K, BiquadElement(K, [Fraction(c) for c in (c0, c1, c2, c3)]))
             xi = integral_square_root(K, eta)
             assert (xi is not None) == (verdict == "square"), (d, eta)
-            assert xi is None or xi * xi == eta
+            assert xi is None or K.mul_basis_coords(xi, xi) == eta
             verdicts[verdict] += 1
     assert verdicts == {"square": 96, "nonsquare": 168}

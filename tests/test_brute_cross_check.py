@@ -16,7 +16,8 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from polyabiquad.biquadratic import BiquadElement, biquadratic_field
+from exact_reference import BiquadElement, basis_coords
+from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.lattice import AmbiguousIdealOracle, principal_ideal_generator
 
 
@@ -56,7 +57,8 @@ def brute_principal_imaginary(lat) -> bool:
             continue
         el = BiquadElement(K, [Fraction(q, 4) for q in (q0, q1, q2, q3)])
         assert abs(el.norm()) == n
-        if lat.contains(el):
+        coords = basis_coords(K, el)
+        if all(c.denominator == 1 for c in coords) and lat.contains([int(c) for c in coords]):
             return True
     return False
 

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from exact_reference import parse_records
 from polyabiquad.cli import main
-from polyabiquad.report import OutputRecord, QuadRecord, parse_records, render_records
+from polyabiquad.report import OutputRecord, QuadRecord, render_records
 
 
 def run(capsys, *argv):
@@ -224,6 +225,32 @@ def test_quad_mismatch_exit_2(capsys, monkeypatch):
                         lambda k, budget=None: ("mismatch", {}))
     code, out, _ = run(capsys, "quad", "-5", "--verify")
     assert code == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: j2 asks whether the prime above 2 is principal, not whether "
+    "its class lies outside the image of the subfield ambiguous classes, so the "
+    "formula gives |Po(K)| = 4 where the oracle gives 2"))
+@pytest.mark.parametrize("d", [51, 123, 187, 287])
+def test_biquad_verify_q_sqrt2_j2_family(capsys, d):
+    code, out, _ = run(capsys, "biquad", "2", str(d), "--verify", "--json")
+    assert code == 0
+    assert json.loads(out)["po_k"] == 2
+
+
+def test_src_has_no_bare_assert():
+    # python -O strips assert, so a check in the program must raise instead
+    import ast
+    import polyabiquad
+    pkg = os.path.dirname(os.path.abspath(polyabiquad.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"polyabiquad/{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_module_entry_point():
