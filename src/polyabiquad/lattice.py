@@ -3,9 +3,9 @@ oracle.
 
 An integral ideal is a rank-4 sublattice of the ring of integers, stored in
 row Hermite normal form over the integral basis; the norm is the lattice
-index, i.e. the determinant.  The radical of p*O_K is computed by linear
-algebra over O_K/p: the Frobenius map x -> x^p is additive in characteristic
-p, and the nilradical is the kernel of its m-th iterate once p^m >= 4.
+index, i.e. the determinant.  The radical of p*O_K is written down in closed
+form from the prime above p in a quadratic subfield, or, for a totally
+ramified 2, as the kernel of x -> N(x) mod 2 (see prime_radical).
 
 Principality testing descends to the quadratic subfields.  For an ideal a of
 norm n with Galois group {1, s1, s2, s3}, the relative norm ideal
@@ -32,9 +32,9 @@ search never reports "nonprincipal" heuristically.
 The oracle descends only on radical products that earlier verdicts leave
 undecided, so every verdict is either a completed descent or follows from one
 by the group law.  It builds the ideal of an exponent vector v as the ideal of
-v - e_j times rad(p_j), j the last nonzero coordinate of v, and keeps every
-product it builds for the life of the oracle, so each descent costs one
-lattice product rather than one per prime factor.
+v - e_j times rad(p_j), j the last nonzero coordinate of v (rad(p_j) itself
+when v = e_j), and keeps every product it builds for the life of the oracle,
+so each descent costs one lattice product rather than one per prime factor.
 
 The oracle's descents take their three relative norms in closed form and
 need no lattice product, conjugate or intersection; the lattice
@@ -124,77 +124,27 @@ def rational_ideal(K: BiquadField, m: int) -> IdealLattice:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul_mod(A, B, p):
-    n = len(A)
-    return [[sum(A[i][t] * B[t][j] for t in range(n)) % p for j in range(n)]
-            for i in range(n)]
-
-
-def _pow_coords_mod(K: BiquadField, v, e: int, p: int):
-    result = [1, 0, 0, 0]
-    base = [x % p for x in v]
-    while e:
-        if e & 1:
-            result = [x % p for x in K.mul_basis_coords(result, base)]
-        base = [x % p for x in K.mul_basis_coords(base, base)]
-        e >>= 1
-    return result
-
-
-def _right_kernel_mod(A, p):
-    """Basis of {x : A x = 0 mod p} by Gaussian elimination over F_p."""
-    n = len(A)
-    M = [[A[i][j] % p for j in range(n)] for i in range(n)]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if M[i][c] % p), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(v * inv) % p for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(v - f * w) % p for v, w in zip(M[i], M[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        vec = [0] * n
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-M[pr][c]) % p
-        basis.append(vec)
-    return basis
-
-
 def prime_radical(K: BiquadField, p: int) -> IdealLattice:
     """rad(p*O_K), the product of the primes above a ramified p; satisfies
-    rad**e_p = p*O_K."""
+    rad**e_p = p*O_K.
+
+    When e_p = 2, p ramifies in some k_i and K/k_i is unramified above it,
+    so rad(p) is the extension of the prime [p, b + omega_i] of k_i.  When
+    e_2 = 4, the one prime P above 2 has residue field F_2 and v_2(N(x)) =
+    v_P(x), so P is the kernel of the ring map x -> N(x) mod 2.
+    """
     if p not in K.profile.efg:
         raise DomainError(f"{p} is unramified in the field {K.d}")
-    frob = []
-    for t in range(4):
-        unit = [0, 0, 0, 0]
-        unit[t] = 1
-        frob.append(_pow_coords_mod(K, unit, p, p))
-    m = 1
-    while p**m < 4:
-        m += 1
-    fm = frob
-    for _ in range(m - 1):
-        fm = _mat_mul_mod(fm, frob, p)
-    # left kernel of fm: solve x*fm = 0, i.e. fm^T x = 0
-    fmt = [[fm[j][i] for j in range(4)] for i in range(4)]
-    kernel = _right_kernel_mod(fmt, p)
-    rows = [[p if i == j else 0 for j in range(4)] for i in range(4)]
-    rows += [list(v) for v in kernel]
-    rad = IdealLattice(K, hnf_rows(rows, 4))
     e, f, g = K.profile.efg[p]
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    rows = [[p * x for x in u] for u in eye]
+    if e == 2:
+        i = next(i for i, k in enumerate(K.subfields) if p in k.ramified_primes)
+        gen = K.from_quad(i, prime_above(K.subfields[i], p).basis_elements()[1])
+        rows += [K.mul_basis_coords(gen, u) for u in eye]
+    else:
+        rows += [[-(K.norm(u) % 2), *u[1:]] for u in eye[1:]]
+    rad = IdealLattice(K, hnf_rows(rows, 4))
     if rad.norm != p ** (f * g):
         raise InconsistencyError(
             f"radical norm {rad.norm} != p^(f*g) = {p**(f*g)} for p={p}, field {K.d}")
@@ -312,8 +262,10 @@ class AmbiguousIdealOracle:
         lat = self._ideals.get(vec)
         if lat is None:
             j = max(i for i, v in enumerate(vec) if v)
-            lat = self.vector_ideal(vec[:j] + (vec[j] - 1,) + vec[j + 1:]).multiply(
-                self.radical(self.primes[j]))
+            rest = vec[:j] + (vec[j] - 1,) + vec[j + 1:]
+            lat = self.radical(self.primes[j])
+            if any(rest):
+                lat = self.vector_ideal(rest).multiply(lat)
             self._ideals[vec] = lat
         return lat
 

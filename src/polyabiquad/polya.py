@@ -23,7 +23,6 @@ produce a report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .biquadratic import BiquadField
@@ -34,6 +33,13 @@ from .quadratic import ambiguous_oracle_quad, polya_order_quad
 
 def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _times_power_of_two(n: int, e: int, what: str) -> int:
+    """n * 2**e, raising unless it is a positive integer."""
+    if n < 1 or (e < 0 and n % (1 << -e)):
+        raise InconsistencyError(f"{what} is not a positive integer: {n} * 2^{e}")
+    return n << e if e >= 0 else n >> -e
 
 
 def j2_value(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
@@ -55,37 +61,28 @@ def kernel_order(K: BiquadField) -> int:
     return prof.product_e // den
 
 
-def _polya_order(K: BiquadField, j2: int, ker: int, po_sub) -> int:
-    """|Po(K)| by the closed formula, cross-checked against the kernel /
-    cokernel decomposition."""
+def _polya_order(K: BiquadField, j2: int) -> int:
+    """|Po(K)| by the closed formula; PolyaReport checks it against the
+    kernel / cokernel decomposition."""
     us, prof = K.units, K.profile
     drop = max(1, us.nu_k) if K.is_real else us.nu_k
-    val = Fraction(us.q_k) * Fraction(2) ** (prof.s_k + j2 - 2 - drop)
-    if val.denominator != 1 or val < 1:
-        raise InconsistencyError(f"Polya order formula non-integral for {K.d}: {val}")
-    po = int(val)
-    if po * ker != prod(po_sub) * 2 ** j2:
-        raise InconsistencyError(
-            f"Polya order does not match the kernel/cokernel decomposition for {K.d}")
-    return po
+    return _times_power_of_two(us.q_k, prof.s_k + j2 - 2 - drop,
+                               f"the Polya order formula for {K.d}")
 
 
 def _chain_indices(K: BiquadField, ker: int, po_sub) -> tuple[int, int, int, int]:
     """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
     between extended rational principal ideals H0 and ambiguous products H3,
     with H1 the ideals generated by square roots of rationals and H2 the
-    principal ambiguous products.  The product telescopes to 2**s_K."""
+    principal ambiguous products.  PolyaReport checks that the product
+    telescopes to 2**s_K."""
     us, prof = K.units, K.profile
     h30 = 2 ** prof.s_k
     h21 = us.index_star_over_pm_squares
     h10 = 2 if us.has_sqrt_minus1 else 4
     shift = 5 if K.is_real else 3
-    val = Fraction(us.index_units_over_star) * Fraction(2) ** (prof.s_k - shift)
-    if val.denominator != 1 or val < 1:
-        raise InconsistencyError(f"(H3:H2) non-integral for {K.d}: {val}")
-    h32 = int(val)
-    if h32 * h21 * h10 != h30:
-        raise InconsistencyError(f"chain indices do not telescope for {K.d}")
+    h32 = _times_power_of_two(us.index_units_over_star, prof.s_k - shift,
+                              f"(H3:H2) for {K.d}")
     po_sub_prod = prod(po_sub)
     if po_sub_prod % h32 or po_sub_prod // h32 != ker:
         raise InconsistencyError(
@@ -133,7 +130,7 @@ def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> 
         po_sub=po_sub,
         ker=ker,
         coker=2 ** j2,
-        po_k=_polya_order(K, j2, ker, po_sub),
+        po_k=_polya_order(K, j2),
         chain=_chain_indices(K, ker, po_sub),
         s_k=prof.s_k,
         i2=prof.i2,

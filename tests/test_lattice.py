@@ -49,11 +49,20 @@ def test_radical_examples():
     assert rad3.multiply(rad3) == rational_ideal(K12, 3)
 
 
-def test_radical_galois_stability():
-    for pair in ((-1, 2), (-1, -3), (2, 3), (-2, 5)):
-        K = biquadratic_field(*pair)
+def radicals_up_to_30():
+    """(K, p, rad(p)) for every ramified p of every field with |d_i| <= 30."""
+    for a, b in _scan_tasks(30, False, False):
+        K = biquadratic_field(a, b)
         for p in K.profile.primes:
-            assert is_galois_stable(prime_radical(K, p))
+            yield K, p, prime_radical(K, p)
+
+
+def test_radical_galois_stability():
+    cases = 0
+    for K, p, rad in radicals_up_to_30():
+        assert is_galois_stable(rad), (K.d, p)
+        cases += 1
+    assert cases == 1627
 
 
 def test_radical_unramified_rejected():
@@ -266,10 +275,18 @@ def test_radical_above_2_by_ramification_index():
 
 
 def test_ideals_closed_under_multiplication():
-    for pair in ((-1, 2), (2, 3), (-2, -7)):
-        K = biquadratic_field(*pair)
-        for p in K.profile.primes:
-            assert is_closed_under_multiplication(prime_radical(K, p))
+    # each radical is an ideal, of norm p^(f*g), whose e_p-th power is p*O_K
+    cases = 0
+    for K, p, rad in radicals_up_to_30():
+        e, f, g = K.profile.efg[p]
+        assert is_closed_under_multiplication(rad), (K.d, p)
+        assert rad.norm == p ** (f * g), (K.d, p)
+        power = rational_ideal(K, 1)
+        for _ in range(e):
+            power = power.multiply(rad)
+        assert power == rational_ideal(K, p), (K.d, p)
+        cases += 1
+    assert cases == 1627
 
 
 def test_relative_norm_of_principal_ideal_matches_element_norm():
@@ -364,7 +381,8 @@ def test_non_hnf_rows_raise_under_python_O():
 
 def test_memoized_radical_products_match_products_from_scratch():
     # vector_ideal(v) extends the stored ideal of v - e_j; compare with the
-    # plain product of radicals, queried in lexicographic and in reverse order
+    # plain product of radicals, queried in lexicographic and in reverse order.
+    # The ideal of a unit vector e_j is the stored radical itself.
     cases = 0
     for a, b in _scan_tasks(12, False, False):
         K = biquadratic_field(a, b)
@@ -382,5 +400,9 @@ def test_memoized_radical_products_match_products_from_scratch():
             assert lex.vector_ideal(vec) == expected[vec], (K.d, vec)
         for vec in reversed(vectors):
             assert rev.vector_ideal(vec) == expected[vec], (K.d, vec)
+        for orc in (lex, rev):
+            for j, p in enumerate(orc.primes):
+                unit = tuple(int(i == j) for i in range(len(orc.primes)))
+                assert orc.vector_ideal(unit) is orc.radical(p), (K.d, p)
         cases += len(vectors)
     assert cases == 636
