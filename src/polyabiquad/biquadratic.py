@@ -48,9 +48,9 @@ from .intmath import kronecker, squarefree_part
 from .linalg import mat_adjugate_int
 from .quadratic import QuadElement, QuadraticField
 
-# coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
-# negates the other two radicals
-_SIGMA_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+# coordinate signs of sigma_1, sigma_2, sigma_3: sigma_t fixes sqrt(d_t), negates the rest
+_SIGMA_SIGNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+_IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,15 @@ class BiquadField:
                 f"!= {self.disc} for {self.d}")
         self.basis_rows, self._det = rows, det
         self._adj_cols = [list(col) for col in zip(*adj)]
-        self.structure_constants = [
-            [tuple(self._integer_coords(self.radical_product(ri, rj), 16,
-                                        "products of basis elements"))
-             for rj in rows] for ri in rows]
-        self.sigma_matrices = [
+        self.structure_constants = consts = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                consts[i][j] = consts[j][i] = tuple(self._integer_coords(
+                    self.radical_product(rows[i], rows[j]), 16, "products of basis elements"))
+        # row 0 is 1, so this checks that the adjugate inverts the rows
+        if tuple(consts[0]) != _IDENTITY:
+            raise InconsistencyError(f"1 times the basis of {self.d} is not the basis")
+        self.sigma_matrices = [_IDENTITY] + [
             [self._integer_coords([v * s for v, s in zip(r, signs)], 4, "Galois images")
              for r in rows]
             for signs in _SIGMA_SIGNS]

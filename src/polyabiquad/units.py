@@ -7,15 +7,18 @@ The two routes to |Po(K)| both use it: the formula route decides the unit
 index q_K with it, and the oracle's principality test
 (lattice.principal_ideal_generator) ends in it.
 
-The test denests over k1 = Q(sqrt(d1)).  With sqrt(d1)*sqrt(d2) = m*sqrt(d3),
-every eta in K is alpha + beta*sqrt(d2) with alpha, beta in k1.  If beta != 0,
-eta = (a + b*sqrt(d2))**2 forces N_{K/k1}(eta) = alpha**2 - beta**2*d2 to be
-nu**2 = (a**2 - b**2*d2)**2 and one of (alpha +- nu)/2 to equal a**2 != 0;
-conversely any such a gives the root a + (beta/(2a))*sqrt(d2).  If beta = 0,
-eta is a square iff alpha or alpha/d2 is a square in k1.  The same identity
-one level down, with isqrt on numerators and denominators, settles squares
-in k1.  So "not a square" is a completed finite test, and a root is returned
-only after squaring it back exactly.
+The test denests over k1 = Q(sqrt(d1)) in integers.  With sqrt(d1)*sqrt(d2)
+= m*sqrt(d3) and C the radical coordinates of 4*eta, (4|m|)**2 * eta =
+alpha + beta*sqrt(d2) with alpha = 4m^2 (C0 + C1 sqrt(d1)), beta = 4m^2 C2 +
+4m C3 sqrt(d1), and its roots +-4|m|*xi (xi is integral) are a + b*sqrt(d2)
+with a, b in Z[sqrt(d1)].  If beta != 0, then alpha**2 - beta**2*d2 = nu**2,
+nu = +-(a**2 - b**2*d2), and (alpha +- nu)/2 = a**2 != 0 for one sign, and
+any such a gives the root a + (beta/(2a))*sqrt(d2); if beta = 0, alpha or
+alpha/d2 is a square in k1.  Squares in k1 are settled the same way with
+isqrt; a root in k1 of an element of Z[sqrt(d1)] lies in Z[sqrt(d1)], since
+((u + v*sqrt(d1))/2)**2 with u, v odd has a half-odd sqrt(d1) coefficient.  So
+an odd sum or an inexact division ends a branch with no root, "not a square"
+is a completed finite test, and a root is returned only after squaring back.
 
 The unit index follows by testing which products of subfield fundamental
 units (twisted by subfield roots of unity) become squares in K: squaring
@@ -28,69 +31,62 @@ totally positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from .biquadratic import BiquadField
 from .errors import InconsistencyError
 
-_F0 = Fraction(0)
+
+def _int_sqrt(n: int) -> int | None:
+    """The root r >= 0 with r*r == n, or None."""
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """The root r >= 0 with r*r == q, or None."""
-    if q < 0:
-        return None
-    n, d = isqrt(q.numerator), isqrt(q.denominator)
-    if n * n == q.numerator and d * d == q.denominator:
-        return Fraction(n, d)
-    return None
-
-
-def _k1_mul(a, b, d1: int):
-    """Product in k1 of pairs (x, y) standing for x + y*sqrt(d1)."""
-    return a[0] * b[0] + d1 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _k1_sqrt(g, d1: int):
-    """A pair r with r*r == g in k1, or None when g is not a square in k1."""
-    x, y = g
+def _k1_sqrt(x: int, y: int, d1: int) -> tuple[int, int] | None:
+    """Integers (r0, r1) with (r0 + r1*sqrt(d1))**2 == x + y*sqrt(d1), or None
+    when x + y*sqrt(d1) is not a square in k1."""
     if y == 0:
-        r = _rational_sqrt(x)
+        r = _int_sqrt(x)
         if r is not None:
-            return r, _F0
-        r = _rational_sqrt(x / d1)
-        return None if r is None else (_F0, r)
-    n = _rational_sqrt(x * x - d1 * y * y)
-    if n is None:
+            return r, 0
+        r = None if x % d1 else _int_sqrt(x // d1)
+        return None if r is None else (0, r)
+    n = _int_sqrt(x * x - d1 * y * y)
+    if n is None or (x + n) & 1:
         return None
     for s in (n, -n):
-        a = _rational_sqrt((x + s) / 2)
+        a = _int_sqrt((x + s) // 2)
         if a:
-            return a, y / (2 * a)
+            b, r = divmod(y, 2 * a)
+            return None if r else (a, b)
     return None
 
 
-def _relative_sqrt(alpha, beta, d1: int, d2: int):
-    """A root (a, b) of alpha + beta*sqrt(d2) over k1, or None."""
-    if beta == (_F0, _F0):
-        a = _k1_sqrt(alpha, d1)
+def _relative_sqrt(x0: int, x1: int, y0: int, y1: int, d1: int, d2: int):
+    """A root (a0, a1, b0, b1), meaning a0 + a1*sqrt(d1) + (b0 + b1*sqrt(d1))*sqrt(d2),
+    of (x0 + x1*sqrt(d1)) + (y0 + y1*sqrt(d1))*sqrt(d2), or None."""
+    if y0 == y1 == 0:
+        a = _k1_sqrt(x0, x1, d1)
         if a is not None:
-            return a, (_F0, _F0)
-        b = _k1_sqrt((alpha[0] / d2, alpha[1] / d2), d1)
-        return None if b is None else ((_F0, _F0), b)
-    a2, b2 = _k1_mul(alpha, alpha, d1), _k1_mul(beta, beta, d1)
-    nu = _k1_sqrt((a2[0] - d2 * b2[0], a2[1] - d2 * b2[1]), d1)
-    if nu is None:
+            return (*a, 0, 0)
+        b = None if x0 % d2 or x1 % d2 else _k1_sqrt(x0 // d2, x1 // d2, d1)
+        return None if b is None else (0, 0, *b)
+    # N_{K/k1}(eta) = alpha**2 - beta**2*d2
+    nu = _k1_sqrt(x0 * x0 + d1 * x1 * x1 - d2 * (y0 * y0 + d1 * y1 * y1),
+                  2 * (x0 * x1 - d2 * y0 * y1), d1)
+    if nu is None or (x0 + nu[0]) & 1 or (x1 + nu[1]) & 1:
         return None
     for s in (1, -1):
-        a = _k1_sqrt(((alpha[0] + s * nu[0]) / 2, (alpha[1] + s * nu[1]) / 2), d1)
-        if a is not None and a != (_F0, _F0):
+        a = _k1_sqrt((x0 + s * nu[0]) // 2, (x1 + s * nu[1]) // 2, d1)
+        if a is not None and a != (0, 0):
             # beta / (2a) = beta * conj(a) / (2 N(a))
-            n2 = 2 * (a[0] * a[0] - d1 * a[1] * a[1])
-            b = _k1_mul(beta, (a[0] / n2, -a[1] / n2), d1)
-            return a, b
+            a0, a1 = a
+            n2 = 2 * (a0 * a0 - d1 * a1 * a1)
+            b0, r0 = divmod(y0 * a0 - d1 * y1 * a1, n2)
+            b1, r1 = divmod(y1 * a0 - y0 * a1, n2)
+            return None if r0 or r1 else (a0, a1, b0, b1)
     return None
 
 
@@ -98,21 +94,20 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
     """Exact xi with xi*xi == eta, or None when eta is provably not a square;
     both are integer coordinates over the integral basis.
 
-    The denesting runs on the radical coordinates of eta.  A root of the
-    integer eta is integral (it satisfies the monic polynomial x^2 - eta),
-    so a root without integer basis coordinates raises.
+    The denesting runs on (4|m|)**2 * eta, as the module docstring says.  A
+    root of the integer eta is integral (it satisfies the monic polynomial
+    x^2 - eta), so a root without integer basis coordinates raises.
     """
     d1, d2 = K.d[0], K.d[1]
     m = K.mul_table[(1, 2)][1]
-    c0, c1, c2, c3 = (Fraction(sum(map(mul, eta, col)), 4) for col in zip(*K.basis_rows))
-    root = _relative_sqrt((c0, c1), (c2, c3 / m), d1, d2)
+    c0, c1, c2, c3 = (sum(map(mul, eta, col)) for col in zip(*K.basis_rows))
+    f = 4 * m * m
+    root = _relative_sqrt(f * c0, f * c1, f * c2, 4 * m * c3, d1, d2)
     if root is None:
         return None
-    (a0, a1), (b0, b1) = root
-    rad = (a0, a1, b0, b1 * m)
-    den = lcm(*(c.denominator for c in rad))
-    xi = tuple(K._integer_coords([c.numerator * (den // c.denominator) for c in rad],
-                                 den, "square roots"))
+    a0, a1, b0, b1 = root
+    # the scale must be positive: 4*m would return -xi when m < 0
+    xi = tuple(K._integer_coords([a0, a1, b0, b1 * m], 4 * abs(m), "square roots"))
     if K.mul_basis_coords(xi, xi) != list(eta):
         raise InconsistencyError(f"denested square root of {eta} does not square back")
     return xi

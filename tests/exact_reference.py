@@ -15,6 +15,8 @@
   elements, Galois stability and closure under multiplication.
 - The integral basis as elements, read off BiquadField.basis_rows, and
   basis coordinates as Fractions by Cramer's rule.
+- The earlier square root integral_square_root_fraction, which runs the
+  denesting over k1 in Fraction radical coordinates.
 - The earlier sort-based Euclidean Hermite form, and the earlier quadratic
   product of ramified primes as a chain of ideal products, each one the
   Hermite form of the four products of the basis elements.
@@ -25,6 +27,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.lattice import IdealLattice
@@ -216,6 +219,81 @@ def gram_determinant(K) -> Fraction:
     """det(Tr(b_i b_j)) over the field's integral basis."""
     basis = basis_elements(K)
     return mat_det_fraction([[(x * y).trace() for y in basis] for x in basis])
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The root r >= 0 with r*r == q, or None."""
+    if q < 0:
+        return None
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n == q.numerator and d * d == q.denominator:
+        return Fraction(n, d)
+    return None
+
+
+def _k1_mul(a, b, d1: int):
+    """Product in k1 of pairs (x, y) standing for x + y*sqrt(d1)."""
+    return a[0] * b[0] + d1 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _k1_sqrt(g, d1: int):
+    """A pair r with r*r == g in k1, or None when g is not a square in k1."""
+    x, y = g
+    if y == 0:
+        r = _rational_sqrt(x)
+        if r is not None:
+            return r, _F0
+        r = _rational_sqrt(x / d1)
+        return None if r is None else (_F0, r)
+    n = _rational_sqrt(x * x - d1 * y * y)
+    if n is None:
+        return None
+    for s in (n, -n):
+        a = _rational_sqrt((x + s) / 2)
+        if a:
+            return a, y / (2 * a)
+    return None
+
+
+def _relative_sqrt(alpha, beta, d1: int, d2: int):
+    """A root (a, b) of alpha + beta*sqrt(d2) over k1, or None."""
+    if beta == (_F0, _F0):
+        a = _k1_sqrt(alpha, d1)
+        if a is not None:
+            return a, (_F0, _F0)
+        b = _k1_sqrt((alpha[0] / d2, alpha[1] / d2), d1)
+        return None if b is None else ((_F0, _F0), b)
+    a2, b2 = _k1_mul(alpha, alpha, d1), _k1_mul(beta, beta, d1)
+    nu = _k1_sqrt((a2[0] - d2 * b2[0], a2[1] - d2 * b2[1]), d1)
+    if nu is None:
+        return None
+    for s in (1, -1):
+        a = _k1_sqrt(((alpha[0] + s * nu[0]) / 2, (alpha[1] + s * nu[1]) / 2), d1)
+        if a is not None and a != (_F0, _F0):
+            # beta / (2a) = beta * conj(a) / (2 N(a))
+            n2 = 2 * (a[0] * a[0] - d1 * a[1] * a[1])
+            b = _k1_mul(beta, (a[0] / n2, -a[1] / n2), d1)
+            return a, b
+    return None
+
+
+def integral_square_root_fraction(K, eta) -> tuple[int, ...] | None:
+    """The earlier square root: the same denesting over k1 on the Fraction
+    radical coordinates of eta, with no common scale."""
+    d1, d2 = K.d[0], K.d[1]
+    m = K.mul_table[(1, 2)][1]
+    c0, c1, c2, c3 = (Fraction(sum(map(mul, eta, col)), 4) for col in zip(*K.basis_rows))
+    root = _relative_sqrt((c0, c1), (c2, c3 / m), d1, d2)
+    if root is None:
+        return None
+    (a0, a1), (b0, b1) = root
+    rad = (a0, a1, b0, b1 * m)
+    den = lcm(*(c.denominator for c in rad))
+    xi = tuple(K._integer_coords([c.numerator * (den // c.denominator) for c in rad],
+                                 den, "square roots"))
+    if K.mul_basis_coords(xi, xi) != list(eta):
+        raise InconsistencyError(f"denested square root of {eta} does not square back")
+    return xi
 
 
 def hnf_rows_euclid(rows, dim):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
                              embed_quad, gram_determinant, integral_coords,
-                             mat_det_fraction)
+                             integral_square_root_fraction, mat_det_fraction)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
@@ -379,6 +379,27 @@ def test_square_root_roundtrip_random_elements():
                 assert root is not None and list(root) in (xi, neg(xi)), (pair, xi)
                 if K.is_real:
                     assert integral_square_root(K, neg(eta)) is None, (pair, xi)
+
+
+# m = -1 in Q(sqrt(-19), sqrt(-17)), Q(i, sqrt2) (mu_K = 8) and Q(i, sqrt3)
+# (mu_K = 12), m = -2 in Q(sqrt(-6), sqrt(-10)), m = 2 in Q(sqrt6, sqrt10),
+# where sqrt(d1)*sqrt(d2) = m*sqrt(d3)
+_ROOT_FIELDS = ((-19, -17), (-1, 2), (-1, 3), (-6, -10), (6, 10), (2, 3), (-1, 5),
+                (5, 13), (-23, -19), (11, 14), (-5, 21), (2, 51), (-510510, -221))
+_ROOT_INPUTS = ("square", "negated square", "d1 square", "d2 square", "d3 square",
+                "rational", "rational square", "arbitrary")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_ROOT_FIELDS), st.sampled_from(_ROOT_INPUTS), _COORDS, _INTS)
+def test_square_root_returns_the_reference_root(pair, kind, x, r):
+    # the verdict and the root, sign included, against the Fraction denesting
+    K = _field(pair)
+    sq = K.mul_basis_coords(x, x)
+    eta = {"square": sq, "negated square": neg(sq), "rational": [r, 0, 0, 0],
+           "rational square": [r * r, 0, 0, 0], "arbitrary": x,
+           **{f"d{j + 1} square": [d * c for c in sq] for j, d in enumerate(K.d)}}[kind]
+    assert integral_square_root(K, eta) == integral_square_root_fraction(K, eta), (pair, eta)
 
 
 def test_square_root_matches_frozen_verdicts():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 
@@ -238,18 +239,33 @@ def test_biquad_verify_q_sqrt2_j2_family(capsys, d):
     assert json.loads(out)["po_k"] == 2
 
 
-def test_src_has_no_bare_assert():
-    # python -O strips assert, so a check in the program must raise instead
-    import ast
+def _src_nodes():
+    """(location, node) for every ast node of every module of the package."""
     import polyabiquad
     pkg = os.path.dirname(os.path.abspath(polyabiquad.__file__))
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += [f"polyabiquad/{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            for node in ast.walk(tree):
+                if hasattr(node, "lineno"):
+                    yield f"polyabiquad/{name}:{node.lineno}", node
+
+
+def test_src_has_no_bare_assert():
+    # python -O strips assert, so a check in the program must raise instead
+    found = [where for where, node in _src_nodes() if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_src_imports_no_fractions():
+    # elements and ideals are integer coordinates, so no rational type belongs
+    # in the program
+    found = [where for where, node in _src_nodes()
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "fractions" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "fractions"]
     assert not found, found
 
 
