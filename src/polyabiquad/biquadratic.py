@@ -17,11 +17,13 @@ denesting square root in units.py.
 The integral basis is written down in closed form (K. S. Williams, "Integers
 of biquadratic fields", Canad. Math. Bull. 13, 1970) from the residues of
 (d1, d2, d3) mod 4, which are {1, 1, 1}, one 1 with {2, 2} or {3, 3}, or
-{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1; every
-change of coordinates goes through the integer adjugate and determinant of
-that 4x4 matrix.  Construction certifies the basis twice, and both checks
-raise InconsistencyError.  The lattice discriminant must equal the product of
-the three quadratic discriminants, and the products and Galois images of the
+{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1, so the
+4x4 matrix is block triangular, [[4, 0], [b, C]]; every change of
+coordinates goes through its integer adjugate [[det C, 0], [-adj(C)*b,
+4*adj(C)]] and determinant 4*det C, with adj(C) from 3x3 cofactors.
+Construction certifies the basis twice, and both checks raise
+InconsistencyError.  The lattice discriminant must equal the product of the
+three quadratic discriminants, and the products and Galois images of the
 basis elements must have integer coordinates.  The discriminant alone cannot
 tell O_K from a lattice of the same index that is not a ring: in
 Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
@@ -41,11 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul
 
 from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
-from .linalg import mat_adjugate_int
 from .quadratic import QuadElement, QuadraticField
 
 # coordinate signs of sigma_1, sigma_2, sigma_3: sigma_t fixes sqrt(d_t), negates the rest
@@ -175,7 +175,15 @@ class BiquadField:
         after the discriminant certificate and the closure checks."""
         if rows[0] != [4, 0, 0, 0]:
             raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
-        adj, det = mat_adjugate_int(rows)
+        # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C) and
+        # adj(rows) = [[det(C), 0], [-adj(C)*b, 4*adj(C)]]; adj(C)[i][j] is
+        # the cofactor of C[j][i], written cyclically with indices mod 3
+        C = [r[1:] for r in rows[1:]]
+        adj_c = [[C[(j + 1) % 3][(i + 1) % 3] * C[(j + 2) % 3][(i + 2) % 3]
+                  - C[(j + 1) % 3][(i + 2) % 3] * C[(j + 2) % 3][(i + 1) % 3]
+                  for j in range(3)] for i in range(3)]
+        det_c = C[0][0] * adj_c[0][0] + C[0][1] * adj_c[1][0] + C[0][2] * adj_c[2][0]
+        det = 4 * det_c
         # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
         # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
         d1, d2, d3 = self.d
@@ -184,7 +192,10 @@ class BiquadField:
                 f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
         self.basis_rows, self._det = rows, det
-        self._adj_cols = [list(col) for col in zip(*adj)]
+        # column j of adj(rows), for the coordinates x = 4 * vec * adj / det
+        self._adj_cols = [(det_c, *(-sum(a * r[0] for a, r in zip(adj_c[i], rows[1:]))
+                                    for i in range(3)))]
+        self._adj_cols += [(0, *(4 * adj_c[i][j] for i in range(3))) for j in range(3)]
         self.structure_constants = consts = [[None] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
@@ -211,9 +222,10 @@ class BiquadField:
         """Basis coordinates of the element vec/scale, vec an integer vector
         over the radicals; raises unless they are integers."""
         den = scale * self._det
+        v0, v1, v2, v3 = vec
         out = []
-        for col in self._adj_cols:
-            q, r = divmod(4 * sum(map(mul, vec, col)), den)
+        for c0, c1, c2, c3 in self._adj_cols:
+            q, r = divmod(4 * (v0 * c0 + v1 * c1 + v2 * c2 + v3 * c3), den)
             if r:
                 raise InconsistencyError(f"{what} are not integral in the basis of {self.d}")
             out.append(q)

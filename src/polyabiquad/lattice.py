@@ -39,11 +39,14 @@ so each descent costs one lattice product rather than one per prime factor.
 The oracle's descents take their three relative norms in closed form and
 need no lattice product, conjugate or intersection; the lattice
 intersection above is the generic path, for any ideal.  prime_radical
-raises unless rad(p)^e_p = p*O_K, so by unique factorisation rad(p) is the
-product of all primes above p, hence Galois-stable, and so is every
-radical product a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  Then
-a * s_i(a) = a^2 = r * rad(2)^(2*eps) with r = prod_p p^floor(2*v_p/e_p)
-and eps = 1 exactly when e_2 = 4 and v_2 is odd (e_p = 4 only for p = 2).
+raises unless one lattice product holds: rad(p)^2 = p*O_K when e_p = 2,
+and rad(2)^2 = P*O_K for the prime P above 2 of the first subfield when
+e_2 = 4.  As P^2 = 2*O_{k_1}, both give rad(p)^e_p = p*O_K, so by unique
+factorisation rad(p) is the product of all primes above p, hence
+Galois-stable, and so is every radical product a = prod_p rad(p)^v_p with
+0 <= v_p < e_p.  Then a * s_i(a) = a^2 = r * rad(2)^(2*eps) with
+r = prod_p p^floor(2*v_p/e_p) and eps = 1 exactly when e_2 = 4 and v_2 is
+odd (e_p = 4 only for p = 2).
 Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
 prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  The
 closed form is not trusted alone: every norm must still equal N(a), and a
@@ -128,31 +131,34 @@ def prime_radical(K: BiquadField, p: int) -> IdealLattice:
     """rad(p*O_K), the product of the primes above a ramified p; satisfies
     rad**e_p = p*O_K.
 
-    When e_p = 2, p ramifies in some k_i and K/k_i is unramified above it,
-    so rad(p) is the extension of the prime [p, b + omega_i] of k_i.  When
-    e_2 = 4, the one prime P above 2 has residue field F_2 and v_2(N(x)) =
-    v_P(x), so P is the kernel of the ring map x -> N(x) mod 2.
+    p ramifies in some k_i, the first such, with prime P_i = [p, b + omega_i]
+    and P_i^2 = p*O_{k_i}.  When e_p = 2, K/k_i is unramified above p, so
+    rad(p) = P_i*O_K, certified by rad^2 = p*O_K.  When e_2 = 4, the one
+    prime P above 2 has residue field F_2 and v_2(N(x)) = v_P(x), so P is the
+    kernel of the ring map x -> N(x) mod 2.  It is certified by one product,
+    P^2 = P_i*O_K, which gives P^4 = P_i^2*O_K = 2*O_K.  Both certificates,
+    and N(rad) = p^(f*g), raise InconsistencyError.
     """
     if p not in K.profile.efg:
         raise DomainError(f"{p} is unramified in the field {K.d}")
     e, f, g = K.profile.efg[p]
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     rows = [[p * x for x in u] for u in eye]
+    i = next(i for i, k in enumerate(K.subfields) if p in k.ramified_primes)
+    gen = K.from_quad(i, prime_above(K.subfields[i], p).basis_elements()[1])
+    extended = IdealLattice(K, hnf_rows(rows + [K.mul_basis_coords(gen, u) for u in eye], 4))
     if e == 2:
-        i = next(i for i, k in enumerate(K.subfields) if p in k.ramified_primes)
-        gen = K.from_quad(i, prime_above(K.subfields[i], p).basis_elements()[1])
-        rows += [K.mul_basis_coords(gen, u) for u in eye]
+        rad, square = extended, rational_ideal(K, p)
     else:
-        rows += [[-(K.norm(u) % 2), *u[1:]] for u in eye[1:]]
-    rad = IdealLattice(K, hnf_rows(rows, 4))
+        rad = IdealLattice(K, hnf_rows(
+            rows + [[-(K.norm(u) % 2), *u[1:]] for u in eye[1:]], 4))
+        square = extended
     if rad.norm != p ** (f * g):
         raise InconsistencyError(
             f"radical norm {rad.norm} != p^(f*g) = {p**(f*g)} for p={p}, field {K.d}")
-    power = rad
-    for _ in range(e - 1):
-        power = power.multiply(rad)
-    if power != rational_ideal(K, p):
-        raise InconsistencyError(f"rad(pO_K)^e_p != pO_K for p={p}, field {K.d}")
+    if rad.multiply(rad) != square:
+        raise InconsistencyError(
+            f"rad(pO_K)^2 != {'pO_K' if e == 2 else 'P_i*O_K'} for p={p}, field {K.d}")
     return rad
 
 

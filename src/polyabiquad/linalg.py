@@ -1,6 +1,6 @@
-"""Small exact integer matrix routines: Hermite forms, lattice membership,
-determinants and adjugates.  Everything is dense and of dimension at most 6,
-so plain Euclidean elimination and cofactor expansion are plenty.
+"""Small exact integer matrix routines: Hermite forms and lattice
+membership.  Everything is dense and of dimension at most 6, so plain
+Euclidean elimination is plenty.
 """
 
 from __future__ import annotations
@@ -73,24 +73,3 @@ def hnf_contains(basis: list[list[int]], vec: list[int]) -> bool:
             for j in range(dim):
                 v[j] -= q * row[j]
     return not any(v)
-
-
-def mat_det_int(M: list[list[int]]) -> int:
-    """Determinant by cofactor expansion along the first row (small n)."""
-    if len(M) == 1:
-        return M[0][0]
-    return sum((-1) ** j * M[0][j] * mat_det_int([r[:j] + r[j + 1:] for r in M[1:]])
-               for j in range(len(M)) if M[0][j])
-
-
-def mat_adjugate_int(M: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj(M), det(M)) of a small square integer matrix, with
-    M @ adj(M) == adj(M) @ M == det(M) * I."""
-    n = len(M)
-
-    def minor(i, j):
-        return [r[:j] + r[j + 1:] for t, r in enumerate(M) if t != i]
-
-    adj = [[(-1) ** (i + j) * mat_det_int(minor(j, i)) for j in range(n)]
-           for i in range(n)]
-    return adj, sum(M[0][k] * adj[k][0] for k in range(n))

@@ -129,6 +129,12 @@ def test_integral_basis_certificate_up_to_60():
         det = mat_det_fraction(K.basis_rows)
         assert det * det * d1 * d2 * d3 == 256 * K.disc, K.d
         assert K.basis_rows[0] == [4, 0, 0, 0]
+        # the block adjugate and its determinant invert the rows
+        assert K._det == det, K.d
+        adj = list(zip(*K._adj_cols))
+        assert [[sum(r[k] * adj[k][j] for k in range(4)) for j in range(4)]
+                for r in K.basis_rows] == [[K._det * (i == j) for j in range(4)]
+                                           for i in range(4)], K.d
         patterns.add((tuple(x % 4 for x in K.d), K.is_real, abs(gcd(d1, d2)) > 1))
     # the 10 placements of the residues mod 4 in the sorted triple, real and
     # imaginary, with and without gcd(d1, d2) > 1, less the 4 where d1 and d2

@@ -10,7 +10,7 @@ import pytest
 from exact_reference import (BiquadElement, element_from_coords, embed_quad,
                              ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             relative_norm_fraction)
+                             quad_ideal_multiply, relative_norm_fraction)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
@@ -18,7 +18,7 @@ from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyE
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
-from polyabiquad.quadratic import prime_above
+from polyabiquad.quadratic import prime_above, quad_ideal_from_elements
 
 
 def radical_index(K, d):
@@ -275,7 +275,9 @@ def test_radical_above_2_by_ramification_index():
 
 
 def test_ideals_closed_under_multiplication():
-    # each radical is an ideal, of norm p^(f*g), whose e_p-th power is p*O_K
+    # each radical is an ideal, of norm p^(f*g), whose e_p-th power is p*O_K;
+    # for e_2 = 4 prime_radical certifies only rad^2 = P_i*O_K, so the fourth
+    # power is taken here by explicit products
     cases = 0
     for K, p, rad in radicals_up_to_30():
         e, f, g = K.profile.efg[p]
@@ -289,9 +291,42 @@ def test_ideals_closed_under_multiplication():
     assert cases == 1627
 
 
+def totally_ramified_2_up_to_30():
+    """Every field with |d_i| <= 30 in which 2 is totally ramified."""
+    for a, b in _scan_tasks(30, False, False):
+        K = biquadratic_field(a, b)
+        if K.profile.e2 == 4:
+            yield K
+
+
+def test_subfield_primes_above_a_totally_ramified_2_square_to_2():
+    # prime_radical's one-product certificate for e_2 = 4 rests on P_i^2 = 2*O_{k_i}
+    fields = 0
+    for K in totally_ramified_2_up_to_30():
+        for k in K.subfields:
+            p2 = prime_above(k, 2)
+            assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [k.one().scale(2)])
+        fields += 1
+    assert fields == 163
+
+
+def test_radical_of_a_totally_ramified_2_rejects_a_wrong_kernel(monkeypatch):
+    # flipping the parity of N(x) mod 2 on the second basis element changes
+    # the kernel rows but keeps a lattice of norm 2, which the norm check
+    # passes; the one product rad * rad must raise, for every e_2 = 4 field
+    # with |d_i| <= 30
+    fields = 0
+    for K in totally_ramified_2_up_to_30():
+        norm = K.norm
+        monkeypatch.setattr(K, "norm", lambda x, norm=norm: norm(x) + (x == [0, 1, 0, 0]))
+        with pytest.raises(InconsistencyError):
+            prime_radical(K, 2)
+        fields += 1
+    assert fields == 163
+
+
 def test_relative_norm_of_principal_ideal_matches_element_norm():
     # N_{K/k_i}((gamma)) must equal the subfield ideal (gamma * sigma_i(gamma))
-    from polyabiquad.quadratic import quad_ideal_from_elements
     rng = random.Random(17)
     for pair in ((2, 3), (-1, -5), (-2, 7)):
         K = biquadratic_field(*pair)
