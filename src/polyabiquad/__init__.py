@@ -18,9 +18,8 @@ from .lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                       principal_ideal_generator, rational_ideal, relative_norm_ideal)
 from .polya import (PolyaReport, j2_value, kernel_order, polya_report, verify_biquad,
                     verify_quad)
-from .quadratic import (QuadElement, QuadIdeal, QuadraticField,
-                        ambiguous_oracle_quad, polya_order_quad, prime_above,
-                        principal_generator_quad, quad_ideal_from_elements,
+from .quadratic import (QuadIdeal, QuadraticField, ambiguous_oracle_quad,
+                        polya_order_quad, prime_above, principal_generator_quad,
                         quadratic_field)
 from .report import OutputRecord, QuadRecord, biquad_record, quad_record, render_records
 from .units import UnitStructure, integral_square_root, unit_structure
@@ -30,13 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousIdealOracle", "BiquadField", "Budget",
     "BudgetExceededError", "DomainError", "IdealLattice", "InconsistencyError",
-    "InvalidInputError", "OutputRecord", "PolyaReport", "QuadElement", "QuadIdeal",
+    "InvalidInputError", "OutputRecord", "PolyaReport", "QuadIdeal",
     "QuadRecord", "QuadraticField", "RamificationProfile",
     "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
     "biquad_record", "biquadratic_field", "integral_square_root", "j2_value",
     "kernel_order", "kronecker", "polya_order_quad",
     "polya_report", "prime_above", "prime_radical", "principal_generator_quad",
-    "principal_ideal_generator", "quad_ideal_from_elements", "quad_record",
+    "principal_ideal_generator", "quad_record",
     "quadratic_field", "rational_ideal", "relative_norm_ideal", "render_records",
     "squarefree_decompose", "unit_structure", "verify_biquad", "verify_quad",
 ]

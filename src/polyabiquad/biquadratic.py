@@ -46,7 +46,7 @@ from math import isqrt
 
 from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
-from .quadratic import QuadElement, QuadraticField
+from .quadratic import QuadraticField
 
 # coordinate signs of sigma_1, sigma_2, sigma_3: sigma_t fixes sqrt(d_t), negates the rest
 _SIGMA_SIGNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
@@ -114,12 +114,10 @@ class BiquadField:
                 table[(i, j)] = (l, sign * f)
         return table
 
-    def from_quad(self, i: int, el: QuadElement) -> list[int]:
-        """Basis coordinates of an integer u + v*omega_i of the i-th quadratic
-        subfield (0-based)."""
-        if el.d != self.d[i]:
-            raise InvalidInputError(f"{el} does not lie in Q(sqrt({self.d[i]}))")
-        u, v = self.subfields[i].omega_coords(el)
+    def from_quad(self, i: int, el: tuple[int, int]) -> list[int]:
+        """Basis coordinates of the integer u + v*omega_i, el = (u, v), of the
+        i-th quadratic subfield (0-based)."""
+        u, v = el
         x = [v * w for w in self.omega_rows[i]]
         x[0] += u  # the first basis element is 1
         return x

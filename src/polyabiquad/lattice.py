@@ -63,8 +63,8 @@ from math import prod
 from .biquadratic import BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement, QuadIdeal,
-                        prime_above, principal_generator_quad)
+from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal, prime_above,
+                        principal_generator_quad)
 from .units import integral_square_root
 
 
@@ -177,17 +177,17 @@ def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
     return QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
 
 
-def _unit_twists(K: BiquadField, i: int, g: QuadElement) -> list[list[int]]:
+def _unit_twists(K: BiquadField, i: int, g: tuple[int, int]) -> list[list[int]]:
     """Generators of b_i modulo squares of subfield units, as integer
-    coordinates over the integral basis of K."""
+    coordinates over the integral basis of K: g, -g, g*eps, -g*eps (real)
+    or g, g*zeta (imaginary)."""
     k = K.subfields[i]
+    unit = k.fundamental_unit if k.is_real else k.torsion_generator()
+    g = K.from_quad(i, g)
+    gu = K.mul_basis_coords(g, K.from_quad(i, unit))
     if k.is_real:
-        ge = g * k.fundamental_unit
-        quads = [g, -g, ge, -ge]
-    else:
-        z = k.torsion_generator()
-        quads = [g, g * z]
-    return [K.from_quad(i, q) for q in quads]
+        return [g, [-c for c in g], gu, [-c for c in gu]]
+    return [g, gu]
 
 
 def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
@@ -205,7 +205,7 @@ def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
     for i, b in enumerate(norms):
         if b.norm != n:
             raise InconsistencyError(f"relative norm ideal has norm {b.norm}, expected {n}")
-        g = principal_generator_quad(b, budget, check_input=False)
+        g = principal_generator_quad(b, budget)
         if g is None:
             return None  # a principal ideal has principal relative norms
         twist_sets.append(_unit_twists(K, i, g))
@@ -289,10 +289,6 @@ class AmbiguousIdealOracle:
 
     def is_principal_vector(self, vec) -> bool:
         return self._book.is_principal(self.reduce_vector(vec))
-
-    def is_principal_radical_power(self, powers: dict[int, int]) -> bool:
-        vec = [powers.get(p, 0) for p in self.primes]
-        return self.is_principal_vector(vec)
 
     @cached_property
     def _classes(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:

@@ -47,7 +47,7 @@ def j2_value(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
     if K.profile.i2 == 0:
         return 0
     orc = oracle if oracle is not None else K.default_oracle()
-    return 0 if orc.is_principal_radical_power({2: 1}) else 1
+    return 0 if orc.is_principal_vector([int(p == 2) for p in orc.primes]) else 1
 
 
 def kernel_order(K: BiquadField) -> int:

@@ -1,7 +1,12 @@
-"""Quadratic fields Q(sqrt(d)): exact elements, fundamental units by
-continued fractions, ideal lattices in 2x2 Hermite form, principality
-testing, and the order of the group of strongly ambiguous ideal classes
-both by the closed formula 2**(s-1-nu) and by direct enumeration.
+"""Quadratic fields Q(sqrt(d)): fundamental units by continued fractions,
+ideal lattices in 2x2 Hermite form, principality testing, and the order of
+the group of strongly ambiguous ideal classes both by the closed formula
+2**(s-1-nu) and by direct enumeration.
+
+An integer of Q(sqrt(d)) is a pair (u, v) standing for u + v*omega, with
+omega = sqrt(d), or (1 + sqrt(d))/2 when d = 1 mod 4; this is the one
+representation the program uses.  omega_norm gives its norm, and
+radical_coords writes it as (x + y*sqrt(d))/den for the output record.
 
 Principality of an integral ideal is decided through the classical
 correspondence with binary quadratic forms of discriminant Delta:
@@ -23,100 +28,6 @@ from math import gcd, isqrt
 
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .intmath import prime_divisors, squarefree_decompose
-from .linalg import hnf_rows
-
-
-@dataclass(frozen=True)
-class QuadElement:
-    """(x + y*sqrt(d)) / den with den in {1, 2}; always an algebraic integer."""
-
-    d: int
-    x: int
-    y: int
-    den: int = 1
-
-    @staticmethod
-    def make(d: int, x: int, y: int, den: int = 1) -> "QuadElement":
-        if den < 0:
-            x, y, den = -x, -y, -den
-        g = gcd(gcd(x, y), den)
-        if g > 1:
-            x, y, den = x // g, y // g, den // g
-        if den == 1:
-            return QuadElement(d, x, y, 1)
-        if den == 2 and d % 4 == 1 and (x - y) % 2 == 0:
-            return QuadElement(d, x, y, 2)
-        raise InvalidInputError(f"({x}+{y}*sqrt({d}))/{den} is not integral")
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def __add__(self, other: "QuadElement") -> "QuadElement":
-        if self.d != other.d:
-            raise InvalidInputError("elements belong to different fields")
-        return QuadElement.make(
-            self.d,
-            self.x * other.den + other.x * self.den,
-            self.y * other.den + other.y * self.den,
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "QuadElement":
-        return QuadElement(self.d, -self.x, -self.y, self.den)
-
-    def __sub__(self, other: "QuadElement") -> "QuadElement":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadElement") -> "QuadElement":
-        if self.d != other.d:
-            raise InvalidInputError("elements belong to different fields")
-        return QuadElement.make(
-            self.d,
-            self.x * other.x + self.y * other.y * self.d,
-            self.x * other.y + self.y * other.x,
-            self.den * other.den,
-        )
-
-    def scale(self, n: int) -> "QuadElement":
-        return QuadElement.make(self.d, self.x * n, self.y * n, self.den)
-
-    def conj(self) -> "QuadElement":
-        return QuadElement(self.d, self.x, -self.y, self.den)
-
-    def norm(self) -> int:
-        num = self.x * self.x - self.d * self.y * self.y
-        if num % (self.den * self.den):
-            raise InconsistencyError(f"{self} has a non-integral norm")
-        return num // (self.den * self.den)
-
-    def trace(self) -> int:
-        if (2 * self.x) % self.den:
-            raise InconsistencyError(f"{self} has a non-integral trace")
-        return 2 * self.x // self.den
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
-    def __pow__(self, n: int) -> "QuadElement":
-        if n < 0:
-            raise InvalidInputError(f"negative power {n} of an integer")
-        result = QuadElement(self.d, 1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self):
-        core = f"{self.x}"
-        if self.y:
-            sign = "+" if self.y > 0 else "-"
-            mag = abs(self.y)
-            term = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
-            core = f"{self.x}{sign}{term}" if self.x else (f"-{term}" if self.y < 0 else term)
-        return f"({core})/2" if self.den == 2 else core
 
 
 class QuadraticField:
@@ -131,38 +42,12 @@ class QuadraticField:
         self.is_real = self.d > 0
         self.ramified_primes = prime_divisors(self.delta)
         self.s = len(self.ramified_primes)
-        self._fu: QuadElement | None = None
-
-    def element(self, x: int, y: int, den: int = 1) -> QuadElement:
-        return QuadElement.make(self.d, x, y, den)
-
-    def one(self) -> QuadElement:
-        return QuadElement(self.d, 1, 0, 1)
-
-    def omega(self) -> QuadElement:
-        """Standard quadratic integer generator: sqrt(d) or (1+sqrt(d))/2."""
-        if self.d % 4 == 1:
-            return QuadElement(self.d, 1, 1, 2)
-        return QuadElement(self.d, 0, 1, 1)
-
-    def from_omega_coords(self, c0: int, c1: int) -> QuadElement:
-        if self.d % 4 == 1:
-            return QuadElement.make(self.d, 2 * c0 + c1, c1, 2)
-        return QuadElement.make(self.d, c0, c1, 1)
-
-    def omega_coords(self, el: QuadElement) -> tuple[int, int]:
-        if self.d % 4 == 1:
-            if el.den == 1:
-                return el.x - el.y, 2 * el.y
-            if el.den == 2 and (el.x - el.y) % 2 == 0:
-                return (el.x - el.y) // 2, el.y
-        elif el.den == 1:
-            return el.x, el.y
-        raise InconsistencyError(f"{el} is not an integer of Q(sqrt({self.d}))")
+        self._fu: tuple[int, int] | None = None
 
     @property
-    def fundamental_unit(self) -> QuadElement:
-        """The unit > 1 generating the units modulo +-1 (real fields only)."""
+    def fundamental_unit(self) -> tuple[int, int]:
+        """The unit > 1, as (u, v), generating the units modulo +-1 (real fields
+        only)."""
         if not self.is_real:
             raise DomainError("imaginary quadratic fields have no fundamental unit")
         if self._fu is None:
@@ -172,19 +57,15 @@ class QuadraticField:
     @property
     def lam(self) -> int:
         """Norm of the fundamental unit for real fields, else 0."""
-        return self.fundamental_unit.norm() if self.is_real else 0
+        return omega_norm(self.d, *self.fundamental_unit) if self.is_real else 0
 
     @property
     def nu(self) -> int:
         return 1 if self.is_real and self.lam == 1 else 0
 
-    def torsion_generator(self) -> QuadElement:
-        """Generator of the roots of unity: i, zeta_6, or -1."""
-        if self.d == -1:
-            return QuadElement(self.d, 0, 1, 1)
-        if self.d == -3:
-            return QuadElement(self.d, 1, 1, 2)
-        return QuadElement(self.d, -1, 0, 1)
+    def torsion_generator(self) -> tuple[int, int]:
+        """Generator of the roots of unity: omega, which is i or zeta_6, or -1."""
+        return (0, 1) if self.d in (-1, -3) else (-1, 0)
 
     def torsion_order(self) -> int:
         return {-1: 4, -3: 6}.get(self.d, 2)
@@ -205,6 +86,22 @@ def quadratic_field(d_raw: int) -> QuadraticField:
     return QuadraticField(d_raw)
 
 
+def omega_norm(d: int, u: int, v: int) -> int:
+    """N(u + v*omega) in Q(sqrt(d))."""
+    if d % 4 == 1:
+        return u * u + u * v - (d - 1) // 4 * v * v
+    return u * u - d * v * v
+
+
+def radical_coords(d: int, u: int, v: int) -> tuple[int, int, int]:
+    """u + v*omega as (x + y*sqrt(d))/den in lowest terms, den in {1, 2}."""
+    if d % 4 != 1:
+        return u, v, 1
+    if v % 2:
+        return 2 * u + v, v, 2
+    return u + v // 2, v // 2, 1
+
+
 def _floor_surd(P: int, Q: int, s: int) -> int:
     """floor((P + sqrt(D)) / Q) for nonsquare D with s = isqrt(D)."""
     if Q > 0:
@@ -212,11 +109,12 @@ def _floor_surd(P: int, Q: int, s: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
-def _cf_fundamental_unit(k: QuadraticField) -> QuadElement:
-    """Fundamental unit via the continued fraction of (D mod 2 + sqrt(D))/2,
-    D = Delta.  When the surd state (P, Q) first repeats, the product M of
-    the digit matrices over the periodic block fixes the surd x, and
-    M10*x + M11 is the smallest unit > 1 of the order of discriminant D.
+def _cf_fundamental_unit(k: QuadraticField) -> tuple[int, int]:
+    """Fundamental unit (u, v), u + v*omega, via the continued fraction of
+    (D mod 2 + sqrt(D))/2, D = Delta.  When the surd state (P, Q) first
+    repeats, the product M of the digit matrices over the periodic block
+    fixes the surd x, and M10*x + M11 is the smallest unit > 1 of the order
+    of discriminant D.
     """
     D = k.delta
     s = isqrt(D)
@@ -236,14 +134,14 @@ def _cf_fundamental_unit(k: QuadraticField) -> QuadElement:
     m00, m01, m10, m11 = 1, 0, 0, 1
     for a in digits[seen[(P, Q)]:]:
         m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    # unit = m10 * (P + sqrt(D))/Q + m11, with sqrt(D) = t*sqrt(d)
-    t = 2 if D == 4 * k.d else 1
-    num_x, num_y = m10 * P + m11 * Q, m10 * t
-    g = gcd(gcd(num_x, num_y), Q)
-    eps = QuadElement.make(k.d, num_x // g, num_y // g, Q // g)
-    if not (eps.is_unit() and eps.x > 0 and eps.y > 0):
-        raise InconsistencyError(f"{eps} is not a unit > 1 of Q(sqrt({k.d}))")
-    return eps
+    # unit = m10 * (P + sqrt(D))/Q + m11, with sqrt(D) = 2*omega - D mod 2
+    u, ru = divmod(m10 * (P - (D & 1)) + m11 * Q, Q)
+    v, rv = divmod(2 * m10, Q)
+    x, y, _ = radical_coords(k.d, u, v)
+    if ru or rv or abs(omega_norm(k.d, u, v)) != 1 or x <= 0 or y <= 0:
+        raise InconsistencyError(
+            f"{u} + {v}*omega is not a unit > 1 of Q(sqrt({k.d}))")
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +162,11 @@ class QuadIdeal:
     def norm(self) -> int:
         return self.a * self.c
 
-    def basis_elements(self) -> tuple[QuadElement, QuadElement]:
-        k = self.field
-        one, om = k.one(), k.omega()
-        return one.scale(self.a), one.scale(self.b) + om.scale(self.c)
+    def basis_elements(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return (self.a, 0), (self.b, self.c)
 
-    def contains(self, el: QuadElement) -> bool:
-        u, v = self.field.omega_coords(el)
+    def contains(self, el: tuple[int, int]) -> bool:
+        u, v = el
         if v % self.c:
             return False
         u -= (v // self.c) * self.b
@@ -280,41 +176,11 @@ class QuadIdeal:
         n = abs(n)
         return QuadIdeal(self.field, self.a * n, self.b * n, self.c * n)
 
-    def is_closed_under_multiplication(self) -> bool:
-        om = self.field.omega()
-        return all(self.contains(g * om) for g in self.basis_elements())
-
     def content_and_primitive(self) -> tuple[int, "QuadIdeal"]:
         if gcd(gcd(self.a, self.b), self.c) != self.c:
             raise InconsistencyError(f"ideal HNF {self} must have c | a and c | b")
         return self.c, QuadIdeal(self.field, self.a // self.c,
                                  (self.b // self.c) % (self.a // self.c), 1)
-
-
-def _mul_omega_coords(k: QuadraticField, u: int, v: int) -> tuple[int, int]:
-    # (u + v*omega) * omega
-    if k.d % 4 == 1:
-        return v * (k.d - 1) // 4, u + v
-    return v * k.d, u
-
-
-def quad_ideal_from_elements(k: QuadraticField, gens: list[QuadElement]) -> QuadIdeal:
-    rows = []
-    for g in gens:
-        u, v = k.omega_coords(g)
-        rows.append((u, v))
-        rows.append(_mul_omega_coords(k, u, v))
-    return _quad_ideal_from_rows(k, rows)
-
-
-def _quad_ideal_from_rows(k: QuadraticField, rows: list[tuple[int, int]]) -> QuadIdeal:
-    """The ideal spanned by rows (u, v) = u + v*omega.  The Hermite form of
-    the rows (v, u) is [[c, b], [0, a]], the canonical basis (a, b + c*omega)."""
-    H = hnf_rows([(v, u) for u, v in rows], 2)
-    if len(H) != 2:
-        raise InvalidInputError(f"the rows {rows} span a rank-deficient lattice")
-    (c, b), (_, a) = H
-    return QuadIdeal(k, a, b, c)
 
 
 @lru_cache(maxsize=None)
@@ -441,13 +307,11 @@ def _indefinite_unit_representation(
             return None
 
 
-def principal_generator_quad(
-    ideal: QuadIdeal, budget: Budget | None = None, check_input: bool = True
-) -> QuadElement | None:
-    """Exact generator of the ideal, or None when provably nonprincipal."""
+def principal_generator_quad(ideal: QuadIdeal,
+                             budget: Budget | None = None) -> tuple[int, int] | None:
+    """Exact generator (u, v) of the ideal, or None when provably nonprincipal.
+    A lattice that is not an ideal fails content_and_primitive or _ideal_form."""
     k = ideal.field
-    if check_input and not ideal.is_closed_under_multiplication():
-        raise InvalidInputError("lattice is not an ideal (not closed under omega)")
     content, prim = ideal.content_and_primitive()
     form = _ideal_form(k, prim.a, prim.b)
     if k.is_real:
@@ -457,8 +321,8 @@ def principal_generator_quad(
     if xy is None:
         return None
     x, y = xy
-    gen = k.from_omega_coords(x * prim.a + y * prim.b, y).scale(content)
-    if abs(gen.norm()) != ideal.norm or not ideal.contains(gen):
+    gen = content * (x * prim.a + y * prim.b), content * y
+    if abs(omega_norm(k.d, *gen)) != ideal.norm or not ideal.contains(gen):
         raise InconsistencyError(f"{gen} does not generate the ideal {ideal}")
     return gen
 
@@ -545,8 +409,7 @@ class AmbiguousClassesQuad:
             self.k, [p for i, p in enumerate(self.primes) if mask >> i & 1])
 
     def _descend(self, mask: int) -> bool:
-        return principal_generator_quad(self.subset_ideal(mask), self.budget,
-                                        check_input=False) is not None
+        return principal_generator_quad(self.subset_ideal(mask), self.budget) is not None
 
     def is_principal_subset(self, mask: int) -> bool:
         return self._book.is_principal(mask)

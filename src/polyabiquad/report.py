@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .biquadratic import BiquadField
 from .errors import InvalidInputError
 from .polya import PolyaReport
-from .quadratic import QuadraticField
+from .quadratic import QuadraticField, radical_coords
 
 VERIFY_STATUSES = ("unchecked", "ok", "mismatch", "budget_exceeded")
 
@@ -102,11 +102,7 @@ def biquad_record(K: BiquadField, rep: PolyaReport,
 def quad_record(k: QuadraticField, po: int,
                 verify_status: str = "unchecked") -> QuadRecord:
     _check_status(verify_status)
-    if k.is_real:
-        eps = k.fundamental_unit
-        ex, ey, eden = eps.x, eps.y, eps.den
-    else:
-        ex, ey, eden = 0, 0, 1
+    ex, ey, eden = radical_coords(k.d, *k.fundamental_unit) if k.is_real else (0, 0, 1)
     return QuadRecord(d=k.d, delta=k.delta, s=k.s,
                       eps_x=ex, eps_y=ey, eps_den=eden,
                       lam=k.lam, nu=k.nu, po=po, verify_status=verify_status)

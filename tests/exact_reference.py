@@ -1,5 +1,9 @@
 """References for the tests, kept apart from the routines they check.
 
+- QuadElement, an integer (x + y*sqrt(d))/den of a quadratic field with
+  den in {1, 2}, with its own arithmetic; the program itself keeps subfield
+  integers as pairs (u, v) standing for u + v*omega, and from_omega and
+  omega_coords cross between the two.
 - BiquadElement, an element of a biquadratic field in Fraction coordinates
   over (1, sqrt(d1), sqrt(d2), sqrt(d3)), with its own radical product; the
   program itself keeps elements as integer coordinates over the integral
@@ -12,7 +16,8 @@
   kernel, and the earlier two-column Euclidean reduction to the canonical
   basis (a, b + c*omega) of a quadratic ideal.
 - Ideal constructors and checks only the tests use: the ideal generated by
-  elements, Galois stability and closure under multiplication.
+  elements, in K and in a quadratic subfield, Galois stability and closure
+  under multiplication, in K and in a quadratic subfield.
 - The integral basis as elements, read off BiquadField.basis_rows, and
   basis coordinates as Fractions by Cramer's rule.
 - The earlier square root integral_square_root_fraction, which runs the
@@ -25,6 +30,7 @@
 
 import dataclasses
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -32,8 +38,7 @@ from operator import mul
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.lattice import IdealLattice
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import (QuadElement, QuadIdeal, _minpoly_double_root,
-                                   quad_ideal_from_elements)
+from polyabiquad.quadratic import QuadIdeal, _minpoly_double_root
 from polyabiquad.report import OutputRecord
 
 _F0 = Fraction(0)
@@ -60,6 +65,103 @@ def radical_product(d, a, b) -> list:
                 sign = -1 if x < 0 and y < 0 else 1
                 out[6 - i - j] += p * sign * isqrt(x * y // z)
     return out
+
+
+@dataclass(frozen=True)
+class QuadElement:
+    """(x + y*sqrt(d)) / den with den in {1, 2}; always an algebraic integer."""
+
+    d: int
+    x: int
+    y: int
+    den: int = 1
+
+    @staticmethod
+    def make(d: int, x: int, y: int, den: int = 1) -> "QuadElement":
+        if den < 0:
+            x, y, den = -x, -y, -den
+        g = gcd(gcd(x, y), den)
+        if g > 1:
+            x, y, den = x // g, y // g, den // g
+        if den == 1:
+            return QuadElement(d, x, y, 1)
+        if den == 2 and d % 4 == 1 and (x - y) % 2 == 0:
+            return QuadElement(d, x, y, 2)
+        raise InvalidInputError(f"({x}+{y}*sqrt({d}))/{den} is not integral")
+
+    def __add__(self, other: "QuadElement") -> "QuadElement":
+        if self.d != other.d:
+            raise InvalidInputError("elements belong to different fields")
+        return QuadElement.make(
+            self.d,
+            self.x * other.den + other.x * self.den,
+            self.y * other.den + other.y * self.den,
+            self.den * other.den,
+        )
+
+    def __neg__(self) -> "QuadElement":
+        return QuadElement(self.d, -self.x, -self.y, self.den)
+
+    def __mul__(self, other: "QuadElement") -> "QuadElement":
+        if self.d != other.d:
+            raise InvalidInputError("elements belong to different fields")
+        return QuadElement.make(
+            self.d,
+            self.x * other.x + self.y * other.y * self.d,
+            self.x * other.y + self.y * other.x,
+            self.den * other.den,
+        )
+
+    def scale(self, n: int) -> "QuadElement":
+        return QuadElement.make(self.d, self.x * n, self.y * n, self.den)
+
+    def conj(self) -> "QuadElement":
+        return QuadElement(self.d, self.x, -self.y, self.den)
+
+    def norm(self) -> int:
+        num = self.x * self.x - self.d * self.y * self.y
+        if num % (self.den * self.den):
+            raise InconsistencyError(f"{self} has a non-integral norm")
+        return num // (self.den * self.den)
+
+    def trace(self) -> int:
+        if (2 * self.x) % self.den:
+            raise InconsistencyError(f"{self} has a non-integral trace")
+        return 2 * self.x // self.den
+
+    def __pow__(self, n: int) -> "QuadElement":
+        if n < 0:
+            raise InvalidInputError(f"negative power {n} of an integer")
+        result = QuadElement(self.d, 1, 0, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    @staticmethod
+    def from_omega(d: int, u: int, v: int) -> "QuadElement":
+        """u + v*omega, omega = sqrt(d) or (1 + sqrt(d))/2."""
+        if d % 4 == 1:
+            return QuadElement.make(d, 2 * u + v, v, 2)
+        return QuadElement.make(d, u, v, 1)
+
+    def omega_coords(self) -> tuple[int, int]:
+        """(u, v) with self = u + v*omega."""
+        if self.d % 4 == 1:
+            return (self.x - self.y) // self.den, 2 * self.y // self.den
+        return self.x, self.y
+
+    def __str__(self):
+        core = f"{self.x}"
+        if self.y:
+            sign = "+" if self.y > 0 else "-"
+            mag = abs(self.y)
+            term = f"sqrt({self.d})" if mag == 1 else f"{mag}*sqrt({self.d})"
+            core = f"{self.x}{sign}{term}" if self.x else (f"-{term}" if self.y < 0 else term)
+        return f"({core})/2" if self.den == 2 else core
 
 
 class BiquadElement:
@@ -126,7 +228,7 @@ class BiquadElement:
             raise InconsistencyError(f"the norm {n} of {self} must be rational")
         return n.coords[0]
 
-    def to_quad(self, i: int) -> QuadElement:
+    def to_quad(self, i: int) -> "QuadElement":
         """The element as a member of the i-th quadratic subfield (0-based)."""
         K = self.field
         others = [j for j in (1, 2, 3) if j != i + 1]
@@ -208,8 +310,10 @@ def element_from_coords(K, x) -> BiquadElement:
                              for k in range(4)])
 
 
-def embed_quad(K, i, q) -> BiquadElement:
-    """The element q of the i-th quadratic subfield (0-based) as an element of K."""
+def embed_quad(K, i, uv) -> BiquadElement:
+    """The integer u + v*omega_i, uv = (u, v), of the i-th quadratic subfield
+    (0-based) as an element of K."""
+    q = QuadElement.from_omega(K.d[i], *uv)
     coords = [Fraction(q.x, q.den), 0, 0, 0]
     coords[i + 1] = Fraction(q.y, q.den)
     return BiquadElement(K, coords)
@@ -356,11 +460,13 @@ def left_kernel(rows):
 
 
 def quad_ideal_euclid(k, gens) -> QuadIdeal:
-    """The ideal of k generated by gens, by Euclid on the omega column of the
-    rows g and g*omega in (1, omega) coordinates."""
+    """The ideal of k generated by gens (u, v), by Euclid on the omega column
+    of the rows g and g*omega in (1, omega) coordinates; g*omega is taken
+    by QuadElement arithmetic."""
+    omega = QuadElement.from_omega(k.d, 0, 1)
     work = []
     for g in gens:
-        work += [k.omega_coords(g), k.omega_coords(g * k.omega())]
+        work += [g, (QuadElement.from_omega(k.d, *g) * omega).omega_coords()]
     work = [(u, v) for (u, v) in work if u or v]
     assert work, "zero ideal"
     while True:
@@ -408,7 +514,7 @@ def relative_norm_fraction(K, lat, i) -> QuadIdeal:
         c0 = sum(Fraction(x[t]) * rad_rows[t][0] for t in range(4))
         c1 = sum(Fraction(x[t]) * rad_rows[t][i + 1] for t in range(4))
         den = c0.denominator * c1.denominator // gcd(c0.denominator, c1.denominator)
-        gens.append(QuadElement.make(k.d, int(c0 * den), int(c1 * den), den))
+        gens.append(QuadElement.make(k.d, int(c0 * den), int(c1 * den), den).omega_coords())
     return quad_ideal_euclid(k, gens)
 
 
@@ -438,26 +544,63 @@ def is_closed_under_multiplication(lat) -> bool:
                for r in lat.rows for unit in _unit_rows())
 
 
+def _mul_omega_coords(k, u: int, v: int) -> tuple[int, int]:
+    # (u + v*omega) * omega
+    if k.d % 4 == 1:
+        return v * (k.d - 1) // 4, u + v
+    return v * k.d, u
+
+
+def quad_ideal_from_elements(k, gens) -> QuadIdeal:
+    """The ideal of k generated by gens (u, v): the Hermite form of the rows
+    g and g*omega."""
+    rows = []
+    for u, v in gens:
+        rows.append((u, v))
+        rows.append(_mul_omega_coords(k, u, v))
+    return _quad_ideal_from_rows(k, rows)
+
+
+def _quad_ideal_from_rows(k, rows) -> QuadIdeal:
+    """The ideal spanned by rows (u, v) = u + v*omega.  The Hermite form of
+    the rows (v, u) is [[c, b], [0, a]], the canonical basis (a, b + c*omega)."""
+    H = hnf_rows([(v, u) for u, v in rows], 2)
+    if len(H) != 2:
+        raise InvalidInputError(f"the rows {rows} span a rank-deficient lattice")
+    (c, b), (_, a) = H
+    return QuadIdeal(k, a, b, c)
+
+
+def quad_ideal_closed_under_multiplication(a) -> bool:
+    """Whether the lattice (a, b + c*omega) of a QuadIdeal is closed under
+    multiplication by omega, i.e. an ideal."""
+    return all(a.contains(_mul_omega_coords(a.field, *g)) for g in a.basis_elements())
+
+
+def _quad_elements(a) -> list:
+    return [QuadElement.from_omega(a.field.d, *g) for g in a.basis_elements()]
+
+
 def quad_ideal_multiply(a, b) -> QuadIdeal:
     """The product of two quadratic ideals, generated by the four products
     of their basis elements."""
     return quad_ideal_from_elements(
-        a.field, [x * y for x in a.basis_elements() for y in b.basis_elements()])
+        a.field, [(x * y).omega_coords() for x in _quad_elements(a) for y in _quad_elements(b)])
 
 
 def quad_ideal_conjugate(a) -> QuadIdeal:
-    return quad_ideal_from_elements(a.field, [x.conj() for x in a.basis_elements()])
+    return quad_ideal_from_elements(a.field, [x.conj().omega_coords() for x in _quad_elements(a)])
 
 
 def subset_ideal_chain(k, mask) -> QuadIdeal:
     """The product of the primes above the ramified primes of k selected by
     mask, multiplied in one prime at a time; each prime is the ideal
     generated by p and omega - r_p."""
-    ideal = quad_ideal_from_elements(k, [k.one()])
+    ideal = quad_ideal_from_elements(k, [(1, 0)])
     for i, p in enumerate(k.ramified_primes):
         if mask >> i & 1:
             r = _minpoly_double_root(k.d, p)
-            prime = quad_ideal_from_elements(k, [k.one().scale(p), k.omega() - k.one().scale(r)])
+            prime = quad_ideal_from_elements(k, [(p, 0), (-r, 1)])
             assert prime.norm == p
             ideal = quad_ideal_multiply(ideal, prime)
     return ideal

@@ -172,3 +172,20 @@ def test_criterion_scan_output_is_frozen(capsys):
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
     print(f"\nPASS scan-frozen: {len(frozen)} scans match their SHA-256")
+
+
+def test_criterion_quad_output_is_frozen(capsys):
+    """`quad d --json --verify` byte-identical to the frozen SHA-256 over all
+    1,215 squarefree 2 <= |d| <= 1000 (77 units with eps_den = 2)."""
+    fields = 0
+    for d in range(-1000, 1001):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        assert main(["quad", str(d), "--json", "--verify"]) == 0, d
+        fields += 1
+    out = capsys.readouterr().out
+    assert fields == 1215
+    assert sum('"eps_den": 2' in line for line in out.splitlines()) == 77
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5cb5557d1c34510b79c05aee0cdbd4e01f5a057f9a5f0e6fa05f38580f01a187"
+    print(f"\nPASS quad-frozen: {fields} quadratic fields match their SHA-256")

@@ -224,9 +224,7 @@ def test_element_operations_match_the_fraction_reference(pair, x, y, t, i, u, v)
     assert K.mul_basis_coords(x, y) == integral_coords(K, x_el * y_el)
     assert K.sigma(x, t) == integral_coords(K, x_el.sigma(t))
     assert K.norm(x) == x_el.norm()
-    k = K.subfields[i]
-    q = k.one().scale(u) + k.omega().scale(v)
-    assert K.from_quad(i, q) == integral_coords(K, embed_quad(K, i, q))
+    assert K.from_quad(i, (u, v)) == integral_coords(K, embed_quad(K, i, (u, v)))
 
 
 def test_trace_and_charpoly_are_rational_integers_on_basis():

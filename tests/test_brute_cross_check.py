@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from exact_reference import BiquadElement, basis_coords
+from exact_reference import BiquadElement, QuadElement, basis_coords
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.lattice import AmbiguousIdealOracle, principal_ideal_generator
 
@@ -32,7 +32,7 @@ def brute_principal_imaginary(lat) -> bool:
     assert not K.is_real
     n = lat.norm
     r = K.real_radical_index
-    eps = K.subfields[r - 1].fundamental_unit
+    eps = QuadElement.from_omega(K.d[r - 1], *K.subfields[r - 1].fundamental_unit)
     eps_upper = (Fraction(eps.x, eps.den)
                  + Fraction(eps.y, eps.den) * _sqrt_upper(Fraction(K.d[r - 1])))
     # |sigma(alpha)| <= B with B^2 = 1.1 * eps * sqrt(n)

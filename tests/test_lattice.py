@@ -10,7 +10,8 @@ import pytest
 from exact_reference import (BiquadElement, element_from_coords, embed_quad,
                              ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             quad_ideal_multiply, relative_norm_fraction)
+                             quad_ideal_from_elements, quad_ideal_multiply,
+                             relative_norm_fraction)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
@@ -18,7 +19,7 @@ from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyE
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
-from polyabiquad.quadratic import prime_above, quad_ideal_from_elements
+from polyabiquad.quadratic import prime_above
 
 
 def radical_index(K, d):
@@ -305,7 +306,7 @@ def test_subfield_primes_above_a_totally_ramified_2_square_to_2():
     for K in totally_ramified_2_up_to_30():
         for k in K.subfields:
             p2 = prime_above(k, 2)
-            assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [k.one().scale(2)])
+            assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [(2, 0)])
         fields += 1
     assert fields == 163
 
@@ -337,7 +338,7 @@ def test_relative_norm_of_principal_ideal_matches_element_norm():
             lat = ideal_from_elements(K, [el])
             for i in range(3):
                 rel = relative_norm_ideal(K, lat, i)
-                q = (el * el.sigma(i + 1)).to_quad(i)
+                q = (el * el.sigma(i + 1)).to_quad(i).omega_coords()
                 expected = quad_ideal_from_elements(K.subfields[i], [q])
                 assert rel == expected, (pair, i)
 
@@ -385,12 +386,13 @@ def test_malformed_lattices_raise():
 
 def test_non_hnf_rows_raise_under_python_O():
     # the shape check guards every ideal norm, the continued-fraction unit is
-    # shared by both routes and omega_coords builds every unit twist, so -O
-    # must strip none of the three checks
+    # shared by both routes and the norm form guards every subfield ideal
+    # the descent takes a generator of, so -O must strip none of the three checks
     import polyabiquad
     code = ("from polyabiquad import biquadratic_field, IdealLattice, InconsistencyError\n"
-            "from polyabiquad.quadratic import (QuadElement, QuadraticField,\n"
-            "                                   _cf_fundamental_unit)\n"
+            "from polyabiquad.quadratic import (QuadIdeal, QuadraticField,\n"
+            "                                   _cf_fundamental_unit,\n"
+            "                                   principal_generator_quad)\n"
             "K = biquadratic_field(-1, 2)\n"
             "try:\n"
             "    IdealLattice(K, [[2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])\n"
@@ -403,7 +405,7 @@ def test_non_hnf_rows_raise_under_python_O():
             "except InconsistencyError:\n"
             "    print('raised')\n"
             "try:\n"
-            "    QuadraticField(5).omega_coords(QuadElement(5, 1, 0, 2))  # 1/2\n"
+            "    principal_generator_quad(QuadIdeal(QuadraticField(-5), 4, 1, 1))\n"
             "except InconsistencyError:\n"
             "    print('raised')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))

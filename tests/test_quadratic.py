@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_multiply,
-                             subset_ideal_chain)
+from exact_reference import (QuadElement, quad_ideal_closed_under_multiplication,
+                             quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_from_elements,
+                             quad_ideal_multiply, subset_ideal_chain)
+from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
-from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadElement,
-                                   QuadIdeal, ambiguous_oracle_quad, polya_order_quad,
-                                   prime_above, principal_generator_quad,
-                                   quad_ideal_from_elements, quadratic_field)
+from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
+                                   ambiguous_oracle_quad, omega_norm, polya_order_quad,
+                                   prime_above, principal_generator_quad, quadratic_field,
+                                   radical_coords)
 
 
 def brute_fundamental_unit(d: int, cap: int = 10**7) -> QuadElement:
@@ -31,6 +33,11 @@ def brute_fundamental_unit(d: int, cap: int = 10**7) -> QuadElement:
     raise AssertionError("no unit found under cap")
 
 
+def unit_element(d: int) -> QuadElement:
+    """The fundamental unit of Q(sqrt(d)) as a reference element."""
+    return QuadElement.from_omega(d, *quadratic_field(d).fundamental_unit)
+
+
 def test_construct_examples():
     k = quadratic_field(-1)
     assert (k.delta, k.ramified_primes, k.s, k.nu) == (-4, [2], 1, 0)
@@ -46,11 +53,11 @@ def test_construct_rejects_squares():
 
 
 def test_fundamental_unit_examples():
-    assert quadratic_field(2).fundamental_unit == QuadElement(2, 1, 1, 1)
+    assert quadratic_field(2).fundamental_unit == (1, 1)  # 1 + sqrt(2)
     assert quadratic_field(2).lam == -1
-    assert quadratic_field(3).fundamental_unit == QuadElement(3, 2, 1, 1)
+    assert quadratic_field(3).fundamental_unit == (2, 1)  # 2 + sqrt(3)
     assert quadratic_field(3).lam == 1
-    assert quadratic_field(5).fundamental_unit == QuadElement(5, 1, 1, 2)
+    assert quadratic_field(5).fundamental_unit == (0, 1)  # (1 + sqrt(5))/2
     assert quadratic_field(5).lam == -1
 
 
@@ -58,16 +65,14 @@ def test_fundamental_unit_matches_brute_oracle():
     for d in range(2, 60):
         if squarefree_part(d) != d:
             continue
-        k = quadratic_field(d)
-        assert k.fundamental_unit == brute_fundamental_unit(d), d
-        assert abs(k.fundamental_unit.norm()) == 1
+        assert unit_element(d) == brute_fundamental_unit(d), d
+        assert abs(unit_element(d).norm()) == 1
 
 
 def test_fundamental_unit_large_case():
     # big continued-fraction period; value cross-checked by the Pell oracle
-    k = quadratic_field(94)
-    assert k.fundamental_unit == QuadElement(94, 2143295, 221064, 1)
-    assert k.fundamental_unit.norm() == 1
+    assert unit_element(94) == QuadElement(94, 2143295, 221064, 1)
+    assert unit_element(94).norm() == 1
 
 
 def test_fundamental_unit_imaginary_rejected():
@@ -81,7 +86,7 @@ def test_norm_one_unit_has_square_over_rational_form():
         k = quadratic_field(d)
         if k.lam != 1:
             continue
-        eps = k.fundamental_unit
+        eps = unit_element(d)
         rho = QuadElement(d, 1, 0, 1) + eps
         assert eps.scale(rho.norm()) == rho * rho
 
@@ -97,7 +102,7 @@ def test_nu_iff_lambda_plus_one():
 def test_principality_examples():
     ki = quadratic_field(-1)
     gen = principal_generator_quad(prime_above(ki, 2))
-    assert gen is not None and abs(gen.norm()) == 2
+    assert gen is not None and abs(omega_norm(-1, *gen)) == 2
 
     k5 = quadratic_field(-5)
     assert principal_generator_quad(prime_above(k5, 2)) is None
@@ -106,7 +111,7 @@ def test_principality_examples():
 
     k2 = quadratic_field(2)
     gen = principal_generator_quad(prime_above(k2, 2))
-    assert gen is not None and abs(gen.norm()) == 2
+    assert gen is not None and abs(omega_norm(2, *gen)) == 2
 
     k10 = quadratic_field(10)
     assert principal_generator_quad(prime_above(k10, 2)) is None
@@ -127,7 +132,7 @@ def test_principality_conjugation_invariance():
 def test_principal_generator_of_constructed_principal_ideals():
     for d in (-5, -6, 10, 15, 79):
         k = quadratic_field(d)
-        for el in (k.element(3, 1), k.element(7, -2), k.omega() + k.one().scale(4)):
+        for el in ((3, 1), (7, -2), (4, 1)):
             ideal = quad_ideal_from_elements(k, [el])
             gen = principal_generator_quad(ideal)
             assert gen is not None
@@ -137,9 +142,9 @@ def test_principal_generator_of_constructed_principal_ideals():
 def test_non_ideal_lattice_rejected():
     k = quadratic_field(-5)
     bad = QuadIdeal(k, 4, 1, 1)  # (4, 1+omega) is not closed under omega
-    assert not bad.is_closed_under_multiplication()
-    with pytest.raises(InvalidInputError):
-        principal_generator_quad(bad, check_input=True)
+    assert not quad_ideal_closed_under_multiplication(bad)
+    with pytest.raises(InconsistencyError):  # its norm form is not integral
+        principal_generator_quad(bad)
 
 
 def test_prime_above_requires_ramified():
@@ -150,9 +155,9 @@ def test_prime_above_requires_ramified():
 def test_ideal_arithmetic():
     k = quadratic_field(-5)
     p2 = prime_above(k, 2)
-    assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [k.element(2, 0)])
+    assert quad_ideal_multiply(p2, p2) == quad_ideal_from_elements(k, [(2, 0)])
     assert quad_ideal_multiply(p2, quad_ideal_conjugate(p2)).norm == 4
-    one = quad_ideal_from_elements(k, [k.one()])
+    one = quad_ideal_from_elements(k, [(1, 0)])
     assert quad_ideal_multiply(p2, one) == p2
 
 
@@ -232,11 +237,10 @@ def test_element_arithmetic_and_integrality():
 
 def test_fundamental_unit_half_integer_long_periods():
     # classical norm -1 units with den = 2 and longer periods
-    assert quadratic_field(61).fundamental_unit == QuadElement.make(61, 39, 5, 2)
-    assert quadratic_field(109).fundamental_unit == QuadElement.make(109, 261, 25, 2)
-    k193 = quadratic_field(193)
-    assert k193.fundamental_unit == QuadElement.make(193, 1764132, 126985, 1)
-    assert k193.lam == -1
+    assert unit_element(61) == QuadElement.make(61, 39, 5, 2)
+    assert unit_element(109) == QuadElement.make(109, 261, 25, 2)
+    assert unit_element(193) == QuadElement.make(193, 1764132, 126985, 1)
+    assert quadratic_field(193).lam == -1
 
 
 _SMALL_D = [d for d in range(-30, 31) if d not in (0, 1) and squarefree_part(d) == d]
@@ -247,12 +251,28 @@ _SMALL_D = [d for d in range(-30, 31) if d not in (0, 1) and squarefree_part(d) 
        st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=4))
 def test_ideal_from_elements_matches_the_euclid_reference(d, coords):
     k = quadratic_field(d)
-    gens = [k.from_omega_coords(u, v) for u, v in coords]
-    if all(g.is_zero() for g in gens):
+    if all(g == (0, 0) for g in coords):
         with pytest.raises(InvalidInputError):
-            quad_ideal_from_elements(k, gens)
+            quad_ideal_from_elements(k, coords)
     else:
-        assert quad_ideal_from_elements(k, gens) == quad_ideal_euclid(k, gens)
+        assert quad_ideal_from_elements(k, coords) == quad_ideal_euclid(k, coords)
+
+
+_OTHER_D = [-1, 2, 3, -5, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SMALL_D), st.sampled_from(_OTHER_D),
+       st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_omega_norm_and_radical_coords_match_the_reference(d, d_other, u, v):
+    # the two primitives on (u, v) against QuadElement arithmetic, and the
+    # norm from K of a subfield integer is the square of its subfield norm
+    q = QuadElement.from_omega(d, u, v)
+    assert omega_norm(d, u, v) == q.norm()
+    assert radical_coords(d, u, v) == (q.x, q.y, q.den)
+    K = biquadratic_field(d, d_other if d_other != d else 11)
+    i = K.d.index(d)
+    assert K.norm(K.from_quad(i, (u, v))) == omega_norm(d, u, v) ** 2
 
 
 def test_closed_form_products_match_the_multiplication_chain():
