@@ -4,10 +4,11 @@ Exact-arithmetic computation of the order of the group of strongly ambiguous
 ideal classes of K = Q(sqrt(d1), sqrt(d2)) and its three quadratic subfields,
 via closed unit-index formulas, together with a brute-force ambiguous-ideal
 oracle (ideal lattices, radicals, principality search) that verifies every
-formula.  The two routes share three pieces: the exact square root
-integral_square_root, the continued-fraction fundamental unit of each
-quadratic subfield, and j2, which polya_report takes from the descent of
-K.default_oracle().
+formula.  The two routes share only the exact square root
+integral_square_root and the continued-fraction fundamental unit of each
+quadratic subfield: the formula route solves j2 (the class of the prime
+above 2 lies outside the image of the subfield ambiguous classes) from
+|H^1(G, O_K^x)| and builds no ideal.
 """
 
 from .biquadratic import BiquadField, RamificationProfile, biquadratic_field

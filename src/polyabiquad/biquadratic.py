@@ -48,8 +48,8 @@ from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
 from .quadratic import QuadraticField
 
-# coordinate signs of sigma_1, sigma_2, sigma_3: sigma_t fixes sqrt(d_t), negates the rest
-_SIGMA_SIGNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+# coordinate signs of sigma_1 and sigma_2: sigma_t fixes sqrt(d_t), negates the rest
+_SIGMA_SIGNS = ((1, 1, -1, -1), (1, -1, 1, -1))
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -94,7 +94,6 @@ class BiquadField:
         self._set_basis(self._integral_basis_rows())
         self.profile = self._ramification_profile()
         self._units = None
-        self._oracle = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -206,6 +205,8 @@ class BiquadField:
             [self._integer_coords([v * s for v, s in zip(r, signs)], 4, "Galois images")
              for r in rows]
             for signs in _SIGMA_SIGNS]
+        # sigma_3 = sigma_1 o sigma_2, so its rows are those of sigma_1 mapped by sigma_2
+        self.sigma_matrices.append([self.sigma(r, 2) for r in self.sigma_matrices[1]])
         # omega_i = sqrt(d_i), or (1 + sqrt(d_i))/2 when d_i = 1 mod 4: the
         # ring of integers of k_i is Z + Z*omega_i
         self.omega_rows = []
@@ -305,12 +306,6 @@ class BiquadField:
             from .units import unit_structure
             self._units = unit_structure(self)
         return self._units
-
-    def default_oracle(self):
-        if self._oracle is None:
-            from .lattice import AmbiguousIdealOracle
-            self._oracle = AmbiguousIdealOracle(self)
-        return self._oracle
 
     def __repr__(self):
         return f"BiquadField{self.d}"

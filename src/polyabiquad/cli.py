@@ -69,11 +69,10 @@ def _mismatch_note(K, details: dict) -> str:
 
 def _cmd_biquad(args) -> int:
     K = biquadratic_field(args.d1, args.d2)
-    oracle = AmbiguousIdealOracle(K, _budget_units(args))
-    rep = polya_report(K, oracle)
+    rep = polya_report(K)
     status = "unchecked"
     if args.verify:
-        status, details = verify_biquad(K, rep, oracle)
+        status, details = verify_biquad(K, rep, AmbiguousIdealOracle(K, _budget_units(args)))
     rec = biquad_record(K, rep, status)
     fmt = _resolve_format(args)
     sys.stdout.write(render_records([rec], fmt))
@@ -107,20 +106,16 @@ def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
 def _scan_worker(task):
     a, b, verify, units = task
     K = biquadratic_field(a, b)
-    oracle = AmbiguousIdealOracle(K, units)
-    try:
-        rep = polya_report(K, oracle)
-    except BudgetExceededError:
-        return "budget_abort", K.d, None
+    rep = polya_report(K)
     status, note = "unchecked", None
     if verify:
         try:
-            status, details = verify_biquad(K, rep, oracle)
+            status, details = verify_biquad(K, rep, AmbiguousIdealOracle(K, units))
         except BudgetExceededError:
             status = "budget_exceeded"
         if status == "mismatch":
             note = _mismatch_note(K, details)
-    return "record", biquad_record(K, rep, status), note
+    return biquad_record(K, rep, status), note
 
 
 def _cmd_scan(args) -> int:
@@ -139,12 +134,9 @@ def _cmd_scan(args) -> int:
             results = pool.map(_scan_worker, tasks)
     else:
         results = [_scan_worker(t) for t in tasks]
-    records, aborted = [], []
-    for kind, payload, note in results:
-        if kind == "record":
-            records.append(payload)
-        else:
-            aborted.append(payload)
+    records = []
+    for rec, note in results:
+        records.append(rec)
         if note is not None:
             print(note, file=sys.stderr)
     rendered = render_records(records, fmt) if records else ""
@@ -157,12 +149,9 @@ def _cmd_scan(args) -> int:
             return 1
     else:
         sys.stdout.write(rendered)
-    for triple in aborted:
-        print(f"warning: budget exhausted before the report for {triple}",
-              file=sys.stderr)
     if any(r.verify_status == "mismatch" for r in records):
         return 2
-    if aborted or any(r.verify_status == "budget_exceeded" for r in records):
+    if any(r.verify_status == "budget_exceeded" for r in records):
         return 3
     return 0
 

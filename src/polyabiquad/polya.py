@@ -1,10 +1,11 @@
 """Closed formulas for the order of the Polya group of a biquadratic field,
 assembled from the unit structure and the ramification profile.
 
-With s_K ramified primes, i2/j2 the flags for 2 being totally ramified
-(resp. totally ramified with a nonprincipal prime above it), q the unit
-index, and nu_K the number of real quadratic subfields whose fundamental
-unit has norm +1:
+With s_K ramified primes, i2 the flag for 2 being totally ramified, q the
+unit index, nu_K the number of real quadratic subfields whose fundamental
+unit has norm +1, and j2 the flag for 2 being totally ramified with the
+class of the prime above 2 outside the image of the subfield ambiguous
+classes:
 
   |Po(k_i)|   = 2**(s_i - 1 - nu_i)                    (quadratic subfields)
   |cokernel|  = 2**j2
@@ -13,11 +14,18 @@ unit has norm +1:
   |Po(K)|     = q * 2**(s_K + j2 - 2 - max(1, nu_K))   if K real
               = q * 2**(s_K + j2 - 2 - nu_K)           if K imaginary
 
+j2 is solved from the unit group, with no ideal.  For Galois K/Q the exact
+sequence 0 -> H^1(G, O_K^x) -> sum_p Z/e_p -> Po(K) -> 0 (H. Zantema,
+"Integer valued polynomials over a number field", Manuscripta Math. 40,
+1982) gives |Po(K)| * |H^1(G, O_K^x)| = prod_p e_p = 2**(s_K + i2), so
+j2 = i2 + 2 + drop - log2(q) - log2|H^1(G, O_K^x)|, drop = max(1, nu_K)
+(real) or nu_K (imaginary); units.unit_cohomology_order computes |H^1|.
+
 The two routes |Po(K)| and prod|Po(k_i)| * |cokernel| / |kernel| must agree,
 and the chain of subgroups between the rational principal ideals and the
-ambiguous ideals telescopes to 2**s_K; both identities are asserted on every
-call, so a silent inconsistency upstream (a wrong q, a wrong profile) cannot
-produce a report.
+ambiguous ideals telescopes to 2**s_K; both identities are checked on every
+call, so a silent inconsistency upstream (a wrong q, a wrong profile, a wrong
+|H^1|) cannot produce a report.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .biquadratic import BiquadField
 from .errors import InconsistencyError
 from .lattice import AmbiguousIdealOracle
 from .quadratic import ambiguous_oracle_quad, polya_order_quad
+from .units import unit_cohomology_order
 
 
 def _power_of_two(n: int) -> bool:
@@ -42,12 +51,23 @@ def _times_power_of_two(n: int, e: int, what: str) -> int:
     return n << e if e >= 0 else n >> -e
 
 
-def j2_value(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> int:
-    """1 iff 2 is totally ramified and the prime above 2 is nonprincipal."""
+def _drop(K: BiquadField) -> int:
+    nu = K.units.nu_k
+    return max(1, nu) if K.is_real else nu
+
+
+def j2_value(K: BiquadField) -> int:
+    """1 iff 2 is totally ramified and the class of the prime above 2 lies
+    outside the image of the subfield ambiguous classes; solved from
+    |H^1(G, O_K^x)| as the module docstring says."""
     if K.profile.i2 == 0:
         return 0
-    orc = oracle if oracle is not None else K.default_oracle()
-    return 0 if orc.is_principal_vector([int(p == 2) for p in orc.primes]) else 1
+    h1 = unit_cohomology_order(K)
+    log_h1, log_q = h1.bit_length() - 1, K.units.q_k.bit_length() - 1
+    j2 = K.profile.i2 + 2 + _drop(K) - log_q - log_h1
+    if not _power_of_two(h1) or j2 not in (0, 1):
+        raise InconsistencyError(f"|H^1(G, O_K^x)| = {h1} gives j2 = {j2} for {K.d}")
+    return j2
 
 
 def kernel_order(K: BiquadField) -> int:
@@ -64,9 +84,7 @@ def kernel_order(K: BiquadField) -> int:
 def _polya_order(K: BiquadField, j2: int) -> int:
     """|Po(K)| by the closed formula; PolyaReport checks it against the
     kernel / cokernel decomposition."""
-    us, prof = K.units, K.profile
-    drop = max(1, us.nu_k) if K.is_real else us.nu_k
-    return _times_power_of_two(us.q_k, prof.s_k + j2 - 2 - drop,
+    return _times_power_of_two(K.units.q_k, K.profile.s_k + j2 - 2 - _drop(K),
                                f"the Polya order formula for {K.d}")
 
 
@@ -118,11 +136,11 @@ class PolyaReport:
                 raise InconsistencyError("all report entries must be powers of two")
 
 
-def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> PolyaReport:
+def polya_report(K: BiquadField) -> PolyaReport:
     """Every order and index of the field, each computed once and passed on
-    to the identity checks that use it."""
+    to the identity checks that use it; no ideal is built."""
     us, prof = K.units, K.profile
-    j2 = j2_value(K, oracle)
+    j2 = j2_value(K)
     ker = kernel_order(K)
     po_sub = tuple(polya_order_quad(k) for k in K.subfields)
     return PolyaReport(
@@ -143,13 +161,13 @@ def polya_report(K: BiquadField, oracle: AmbiguousIdealOracle | None = None) -> 
 
 def verify_biquad(K: BiquadField, rep: PolyaReport,
                   oracle: AmbiguousIdealOracle | None = None) -> tuple[str, dict]:
-    """Compare the formula path, as computed in rep = polya_report(K, oracle),
-    against the brute-force oracle.
+    """Compare the formula path, as computed in rep = polya_report(K),
+    against the brute-force oracle (a fresh one when none is given).
 
     Returns ("ok" | "mismatch", details); budget exhaustion propagates as
     BudgetExceededError rather than being folded into a verdict.
     """
-    orc = oracle if oracle is not None else K.default_oracle()
+    orc = oracle if oracle is not None else AmbiguousIdealOracle(K)
     po_oracle = orc.polya_order_oracle()
     ker_oracle = orc.kernel_order_oracle()
     details = {"po_oracle": po_oracle, "ker_oracle": ker_oracle,

@@ -26,10 +26,43 @@ embeds O_K^x / E_0 into E_0 / E_0^2 for E_0 the subgroup generated by the
 subfield units, so q equals the number of square classes found.  For real
 fields a sign character on the lambda_i prunes candidates that are not
 totally positive.
+
+The same data give |H^1(G, O_K^x)| for G = Gal(K/Q) = {1, s1, s2, s3}
+(unit_cohomology_order), which the formula route needs for j2.  Write F =
+O_K^x / mu_K.  Its G-invariants are trivial (every unit fixed by G is
+rational), so 0 -> mu_K -> O_K^x -> F -> 0 gives |H^1(G, O_K^x)| =
+|H^1(G, mu_K)| * |ker delta| for the connecting map delta: H^1(G, F) ->
+H^2(G, mu_K).  A cocycle is fixed by its values x = f(s1), y = f(s2), and
+the relations s1^2 = s2^2 = 1, s1 s2 = s2 s1 make it one exactly when
+(1 + s1) x = (1 + s2) y = 0 and (1 - s2) x = (1 - s1) y.
+
+Real K.  mu_K = {+-1} with trivial action, so |H^1(G, mu_K)| = 4.  F is the
+lattice L = 2Z^3 + sum Z*a of half-exponents, a over the keys of
+square_class_roots (a stands for xi_a, 2e_i for eps_i), and s_t acts on it
+by diag(+-1) with +1 at t.  The cocycles are x = (0, x2, c), y = (y1, 0, c)
+in L and the coboundaries are 2L with coordinates permuted, so
+[Z : B] = |V| * 8 / q for V the cocycles mod 2.  Lift f through the section
+of F that is positive at the embedding where every eps_i > 1; then
+delta(f)(s, t) = chi_s(f(t)), where chi_t(a) is the sign in N_{K/k_t}(xi_a)
+= s_t(xi_a) * xi_a = +-eps_t^a_t and chi_t(2e_i) = lambda_i for i != t, 1
+for i = t.  H^2(G, {+-1}) is F_2^3, read off a normalised cocycle c as
+c(s1, s1), c(s2, s2) and c(s1, s2) + c(s2, s1), so |ker delta| = [Z : B] /
+|delta(Z)|.  The product of the three signs of xi_a is N(xi_a) = prod
+lambda_i^a_i, and a relative norm off that raises InconsistencyError.
+
+Imaginary K.  k_3 is the real subfield, s_3 is complex conjugation, and
+F = Z, generated by eta, with s_1 = s_2 = -1; so H^1(G, F) = Z/2, from
+x = y = 1.  With s_t(zeta) = zeta^k_t for a generator zeta of mu_K of order
+w, and N_{K/k_t}(eta) = zeta^c_t (t = 1, 2), that class lifts to a cocycle
+zeta^x eta, zeta^y eta exactly when x(1 + k1) + c1 = y(1 + k2) + c2 =
+x + k1 y + c1 - y - k2 x - c2 = 0 (mod w) has a solution.  Since N_{K/Q}
+(eta) = 1, N_{K/k_3}(eta) must equal eta^2 zeta^-(c1 + c2), or
+InconsistencyError is raised.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import isqrt
 from operator import mul
@@ -178,6 +211,100 @@ def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
     if z6 != [-1, 0, 0, 0] or z2 == [-1, 0, 0, 0]:
         raise InconsistencyError(f"{z12} fails z**6 = -1 and z**2 != -1")
     return z12, 12
+
+
+def _relative_norm(K: BiquadField, x, t: int) -> list[int]:
+    """N_{K/k_t}(x) = x * sigma_t(x)."""
+    return K.mul_basis_coords(x, K.sigma(x, t))
+
+
+def _cocycle_count(w: int, k1: int, k2: int, c1: int = 0, c2: int = 0) -> int:
+    """Number of (x, y) mod w with zeta^x * h, zeta^y * h a cocycle on (s1, s2),
+    where s_t(zeta) = zeta^k_t and N_{K/k_t}(h) = zeta^c_t (h = 1 for c = 0)."""
+    return sum(1 for x in range(w) for y in range(w)
+               if (x * (1 + k1) + c1) % w == (y * (1 + k2) + c2) % w
+               == (x + k1 * y + c1 - y - k2 * x - c2) % w == 0)
+
+
+def _h1_roots_of_unity(w: int, k1: int, k2: int) -> int:
+    """|H^1(G, mu)| for mu cyclic of order w, s_t acting by zeta -> zeta^k_t."""
+    coboundaries = {((k1 - 1) * m % w, (k2 - 1) * m % w) for m in range(w)}
+    return _cocycle_count(w, k1, k2) // len(coboundaries)
+
+
+def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
+    one = [1, 0, 0, 0]
+    eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
+    # chi[a] = (chi_1(a), chi_2(a)) on the square classes a, 1 meaning -1
+    chi = {(0, 0, 0): (0, 0)}
+    for a, xi in us.square_class_roots.items():
+        signs = []
+        for t in (1, 2, 3):
+            n, target = _relative_norm(K, xi, t), eps[t - 1] if a[t - 1] else one
+            if n != target and n != [-c for c in target]:
+                raise InconsistencyError(
+                    f"N_(K/k_{t}) of the root {xi} is not +-eps_{t}^{a[t - 1]} in {K.d}")
+            signs.append(int(n != target))
+        if sum(signs) % 2 != sum(a[i] for i in range(3) if us.lam[i] == -1) % 2:
+            raise InconsistencyError(
+                f"the relative norm signs {signs} of {xi} disagree with N(xi) in {K.d}")
+        chi[a] = signs[0], signs[1]
+
+    def char(t: int, v) -> int:
+        """chi_t (t = 1, 2) on the half-exponent vector v in L."""
+        a = tuple(c & 1 for c in v)
+        return (chi[a][t - 1] + sum((c - r) // 2 for i, (c, r) in enumerate(zip(v, a))
+                                    if i != t - 1 and us.lam[i] == -1)) & 1
+
+    def delta(x2: int, y1: int, c: int) -> int:
+        x, y = (0, x2, c), (y1, 0, c)
+        return char(1, x) | char(2, y) << 1 | (char(1, y) ^ char(2, x)) << 2
+
+    cocycles_mod_2 = [z for z in itertools.product((0, 1), repeat=3)
+                      if (0, z[0], z[2]) in chi and (z[1], 0, z[2]) in chi]
+    image = {0}
+    for z in [(2, 0, 0), (0, 2, 0), (0, 0, 2), *cocycles_mod_2]:
+        d = delta(*z)
+        if d not in image:
+            image |= {d ^ s for s in image}
+    # |H^1(mu_K)| * [Z : B] / |delta(Z)| = 4 * |V| * 8 / q / |delta(Z)|
+    num, den = 32 * len(cocycles_mod_2), us.q_k * len(image)
+    if num % den:
+        raise InconsistencyError(f"|H^1(G, O_K^x)| = {num}/{den} for {K.d}")
+    return num // den
+
+
+def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
+    zeta, order = _torsion_generator(K)
+    r = K.real_radical_index - 1
+    eta = K.from_quad(r, K.subfields[r].fundamental_unit)
+    for key, xi in us.square_class_roots.items():
+        if key == (1, 0):
+            zeta, order = xi, 2 * order
+        else:
+            eta = xi
+    w = us.mu_order
+    powers = [[1, 0, 0, 0]]
+    for _ in range(w):
+        powers.append(K.mul_basis_coords(powers[-1], zeta))
+    log = {tuple(p): e for e, p in enumerate(powers[:w])}
+    if order != w or len(log) != w or powers[w] != powers[0]:
+        raise InconsistencyError(f"{zeta} does not generate the {w} roots of unity of {K.d}")
+    k1, k2, c1, c2 = (log.get(tuple(x)) for x in (
+        K.sigma(zeta, 1), K.sigma(zeta, 2),
+        _relative_norm(K, eta, 1), _relative_norm(K, eta, 2)))
+    if None in (k1, k2, c1, c2) or K.mul_basis_coords(
+            _relative_norm(K, eta, 3), powers[(c1 + c2) % w]) != K.mul_basis_coords(eta, eta):
+        raise InconsistencyError(f"the relative norms of {eta} disagree with N(eta) = 1 in {K.d}")
+    lifts = _cocycle_count(w, k1, k2, c1, c2) > 0
+    return _h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
+
+
+def unit_cohomology_order(K: BiquadField) -> int:
+    """|H^1(G, O_K^x)|, from the unit structure alone (module docstring)."""
+    if K.is_real:
+        return _real_h1_order(K, K.units)
+    return _imaginary_h1_order(K, K.units)
 
 
 def unit_structure(K: BiquadField) -> UnitStructure:

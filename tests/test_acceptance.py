@@ -51,7 +51,7 @@ def oracle_results_15():
     out = {}
     for K in _fields(15):
         orc = AmbiguousIdealOracle(K)
-        rep = polya_report(K, orc)
+        rep = polya_report(K)
         out[K.d] = (rep, orc.polya_order_oracle(), orc.kernel_order_oracle())
     return out, time.time() - t0
 
@@ -134,7 +134,7 @@ def test_criterion_named_fields():
         po_oracle = orc.polya_order_oracle()
         ker_oracle = orc.kernel_order_oracle()
         assert po_oracle == want["po_k"], (pair, po_oracle)
-        rep = polya_report(K, orc)
+        rep = polya_report(K)
         assert rep.po_k == po_oracle and rep.ker == ker_oracle, pair
         for key, val in want.items():
             assert getattr(rep, key) == val, (pair, key)

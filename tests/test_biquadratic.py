@@ -204,6 +204,15 @@ def test_galois_action_composition_and_norm():
             assert K.sigma(xy, 1) == K.mul_basis_coords(K.sigma(x, 1), K.sigma(y, 1))
 
 
+def test_sigma_3_is_the_product_of_sigma_1_and_sigma_2_up_to_60():
+    # sigma_3 is built as sigma_1 o sigma_2; it must equal the Galois images
+    # sigma_3(basis) converted from radical coordinates
+    for K in small_corpus(60):
+        direct = [K._integer_coords([v * s for v, s in zip(r, (1, -1, -1, 1))], 4, "images")
+                  for r in K.basis_rows]
+        assert K.sigma_matrices[3] == direct, K.d
+
+
 _INTS = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
 _COORDS = st.lists(_INTS, min_size=4, max_size=4)
 

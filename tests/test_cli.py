@@ -228,15 +228,30 @@ def test_quad_mismatch_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: j2 asks whether the prime above 2 is principal, not whether "
-    "its class lies outside the image of the subfield ambiguous classes, so the "
-    "formula gives |Po(K)| = 4 where the oracle gives 2"))
 @pytest.mark.parametrize("d", [51, 123, 187, 287])
 def test_biquad_verify_q_sqrt2_j2_family(capsys, d):
+    # the prime above 2 is nonprincipal, but its class is extended from a
+    # subfield, so j2 = 0 and |Po(K)| = 2
     code, out, _ = run(capsys, "biquad", "2", str(d), "--verify", "--json")
     assert code == 0
     assert json.loads(out)["po_k"] == 2
+
+
+def test_formula_scan_builds_no_ideal(capsys, monkeypatch):
+    # the formula route solves j2 from the unit group: with the radicals and
+    # the principality descent made to raise, scan --bound 30 keeps its digest
+    import hashlib
+    import polyabiquad.lattice as lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula route built an ideal")
+
+    monkeypatch.setattr(lattice, "principal_ideal_generator", refuse)
+    monkeypatch.setattr(lattice, "prime_radical", refuse)
+    code, out, _ = run(capsys, "scan", "--bound", "30", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870"
 
 
 def _src_nodes():

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -8,6 +9,12 @@ from polyabiquad.lattice import AmbiguousIdealOracle
 from polyabiquad.polya import (j2_value, kernel_order, polya_report, verify_biquad,
                                verify_quad)
 from polyabiquad.quadratic import polya_order_quad, quadratic_field
+from polyabiquad.units import unit_cohomology_order
+
+# Q(sqrt2, sqrt d) with the prime above 2 nonprincipal but its class extended
+# from a subfield (j2 = 0), and five fields with s_K >= 5
+Q_SQRT2_FAMILY = ((2, 51), (2, 123), (2, 187), (2, 287))
+MANY_PRIME_PAIRS = ((-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77))
 
 
 def small_corpus(bound):
@@ -25,7 +32,8 @@ def test_cokernel_examples():
     assert polya_report(biquadratic_field(-1, 2)).coker == 1  # 1+zeta8 generates
     assert polya_report(biquadratic_field(-1, -3)).coker == 1  # i2 = 0
     assert polya_report(biquadratic_field(2, 3)).coker == 1
-    # a field where the prime over 2 is nonprincipal: j2 = 1
+    # a field where the class of the prime over 2 lies outside the image of the
+    # subfield ambiguous classes: j2 = 1
     K = biquadratic_field(-5, -10)
     assert K.profile.i2 == 1 and j2_value(K) == 1
     assert polya_report(K).coker == 2
@@ -87,7 +95,7 @@ def test_report_example_zeta8():
 def test_verify_biquad_ok_and_oracle_reuse():
     K = biquadratic_field(-1, -5)
     orc = AmbiguousIdealOracle(K)
-    status, details = verify_biquad(K, polya_report(K, orc), orc)
+    status, details = verify_biquad(K, polya_report(K), orc)
     assert status == "ok"
     assert details["po_oracle"] == details["po_formula"] == 1
     assert details["ker_oracle"] == details["ker_formula"] == 2
@@ -106,3 +114,55 @@ def test_formula_oracle_agreement_with_nontrivial_values():
         K = biquadratic_field(*pair)
         status, details = verify_biquad(K, polya_report(K))
         assert status == "ok", (pair, details)
+
+
+def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
+    # Zantema: 0 -> H^1(G, O_K^x) -> sum_p Z/e_p -> Po(K) -> 0, checked against
+    # the direct class count on fields with and without a totally ramified 2
+    fields = [*small_corpus(30),
+              *(biquadratic_field(*p) for p in Q_SQRT2_FAMILY + MANY_PRIME_PAIRS)]
+    assert len({K.d for K in fields}) == 534 + 4 + 5
+    for K in fields:
+        h1 = unit_cohomology_order(K)
+        po = AmbiguousIdealOracle(K).polya_order_oracle()
+        assert h1 * po == K.profile.product_e, (K.d, h1, po)
+
+
+def test_a_corrupt_relative_norm_sign_raises_under_python_O():
+    # every relative norm sign the H^1 computation reads is guarded by a raise,
+    # not an assert: flip each one in turn, in a real and an imaginary field
+    import subprocess, sys
+    import polyabiquad
+    script = """
+import polyabiquad.units as units
+from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.errors import InconsistencyError
+from polyabiquad.polya import polya_report
+norm = units._relative_norm
+for pair in ((2, 51), (-1, 2)):
+    calls = []
+    units._relative_norm = lambda K, x, t: calls.append(t) or norm(K, x, t)
+    polya_report(biquadratic_field(*pair))
+    for bad in range(len(calls)):
+        seen = []
+        def corrupt(K, x, t):
+            seen.append(t)
+            n = norm(K, x, t)
+            return [-c for c in n] if len(seen) == bad + 1 else n
+        units._relative_norm = corrupt
+        try:
+            polya_report(biquadratic_field(*pair))
+        except InconsistencyError:
+            print("raised", pair, bad)
+        else:
+            print("passed", pair, bad)
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # nine norms for the three square classes of Q(sqrt2, sqrt51), three for Q(zeta_8)
+    assert len(lines) == 9 + 3 and all(ln.startswith("raised") for ln in lines), lines
