@@ -30,11 +30,17 @@ exactly when n divides each coordinate.  Both directions are complete: the
 search never reports "nonprincipal" heuristically.
 
 The oracle descends only on radical products that earlier verdicts leave
-undecided, so every verdict is either a completed descent or follows from one
-by the group law.  It builds the ideal of an exponent vector v as the ideal of
-v - e_j times rad(p_j), j the last nonzero coordinate of v (rad(p_j) itself
-when v = e_j), and keeps every product it builds for the life of the oracle,
-so each descent costs one lattice product rather than one per prime factor.
+undecided.  Before any descent it marks principal the extension of every
+principal product of ramified primes of a quadratic subfield: A = (alpha)
+gives A*O_K = alpha*O_K.  Both oracle counts rest on one fact: the prime
+P_i of k_i above p extends to rad(p) when e_p = 2 and to rad(2)^2 when
+e_2 = 4, for every k_i in which p ramifies (prime_radical certifies it for
+the first such k_i, the tests for every k_i of every field with |d_i| <= 30).
+So every verdict is a completed descent, in K or in a subfield, or follows
+from such verdicts by the group law.  The oracle builds the ideal of an
+exponent vector v as the ideal of v - e_j times rad(p_j), j the last
+nonzero coordinate of v (rad(p_j) itself when v = e_j), and keeps every
+product it builds, so each descent costs one lattice product.
 
 The oracle's descents take their three relative norms in closed form and
 need no lattice product, conjugate or intersection; the lattice
@@ -240,7 +246,9 @@ class AmbiguousIdealOracle:
     principal and rational, so reducing exponents mod e_p never changes an
     ideal class.  Via the conjugate-product trick a * b~ ~ a * b^-1 * N(b),
     the classes are the cosets of the principal subgroup P, which a
-    PrincipalCosets book builds from as few descents as it can.
+    PrincipalCosets book builds from as few descents as it can, seeded with
+    the extended principal classes of the subfields (both counts rest on
+    P_i*O_K = rad(p), or rad(2)^2 when e_2 = 4; see the module docstring).
     """
 
     def __init__(self, K: BiquadField, budget_units: int | None = None):
@@ -250,10 +258,22 @@ class AmbiguousIdealOracle:
         self.exponents = [K.profile.efg[p][0] for p in self.primes]
         self._radicals: dict[int, IdealLattice] = {}
         self._ideals = {(0,) * len(self.primes): rational_ideal(K, 1)}
-        self._book = PrincipalCosets(
+
+    @cached_property
+    def _subfield_books(self) -> list[AmbiguousClassesQuad]:
+        return [AmbiguousClassesQuad(k, self.budget) for k in self.K.subfields]
+
+    @cached_property
+    def _book(self) -> PrincipalCosets:
+        book = PrincipalCosets(
             (0,) * len(self.primes),
             lambda a, b: self.reduce_vector([x + y for x, y in zip(a, b)]),
             self._descend)
+        for i, sub in enumerate(self._subfield_books):
+            for mask in range(1 << len(sub.primes)):
+                if sub.is_principal_subset(mask):
+                    book.add_principal(self.reduce_vector(self._subfield_vector(i, mask)))
+        return book
 
     def radical(self, p: int) -> IdealLattice:
         if p not in self._radicals:
@@ -322,8 +342,7 @@ class AmbiguousIdealOracle:
         """Order of the kernel of the extension map on ambiguous classes:
         count the triples of subfield class representatives whose product
         extends to a principal ideal of O_K."""
-        sub = [AmbiguousClassesQuad(k, self.budget) for k in self.K.subfields]
-        rep_masks = [c.class_representatives() for c in sub]
+        rep_masks = [c.class_representatives() for c in self._subfield_books]
         total = prod(len(masks) for masks in rep_masks)
         kernel = 0
         images = set()

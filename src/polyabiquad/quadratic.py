@@ -358,19 +358,25 @@ class PrincipalCosets:
         if not self.test(v):
             self.nonprincipal.update(self.add(v, p) for p in self.principal)
             return False
+        self.add_principal(v)
+        return True
+
+    def add_principal(self, v) -> None:
+        """Grow P to <P, v> for a v known to be principal, tested or not."""
+        if v in self.principal:
+            return
         grown = set(self.principal)
         coset = {self.add(v, p) for p in grown}
         while coset.isdisjoint(grown):  # <P, v> is the union of the cosets k*v + P
             grown |= coset
             coset = {self.add(v, x) for x in coset}
         if not grown.isdisjoint(self.nonprincipal):
-            raise InconsistencyError(f"{v} tested principal, yet <P, v> meets N")
+            raise InconsistencyError(f"{v} is principal, yet <P, v> meets N")
         spread: set = set()
         for n in self.nonprincipal:
             if n not in spread:
                 spread.update(self.add(n, g) for g in grown)
         self.principal, self.nonprincipal = grown, spread
-        return True
 
     def classes(self, elements: list) -> tuple[list, dict]:
         """Decide every element of G, listed in order; return the first

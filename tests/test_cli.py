@@ -182,8 +182,9 @@ def test_scan_mismatch_exit_2(capsys, monkeypatch):
 
 
 def test_scan_budget_exceeded_rows_exit_3(capsys):
+    # the largest spend on a field of bound 3 is between 12 and 15 units
     code, out, err = run(capsys, "scan", "--bound", "3", "--verify",
-                         "--budget", "20")
+                         "--budget", "10")
     assert code == 3
     if out:
         recs = parse_records(out, "text", OutputRecord)

@@ -19,6 +19,7 @@ from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyE
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
+from polyabiquad.linalg import hnf_rows
 from polyabiquad.quadratic import prime_above
 
 
@@ -193,7 +194,7 @@ def test_oracle_kernel_counts():
 def test_coset_verdicts_agree_with_a_descent_on_every_vector():
     # the oracle descends on few vectors and infers the rest; compare every
     # verdict and every class with a descent of its own, for two query orders
-    pairs = _scan_tasks(6, False, False) + [(30, 77)]
+    pairs = _scan_tasks(12, False, False) + [(30, 77)]
     assert (2, 3) in pairs  # e_2 = 4: a Z/4 factor in G
     for a, b in pairs:
         K = biquadratic_field(a, b)
@@ -209,6 +210,50 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
             for w in vectors:
                 diff = lex.reduce_vector([x - y for x, y in zip(v, w)])
                 assert (lex.class_index(v) == lex.class_index(w)) == direct[diff]
+
+
+# the five fields of the benchmark's many-prime workload (s_K >= 5)
+MANYPRIME_PAIRS = ((-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77))
+
+
+def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
+    # both oracle counts rest on P_i*O_K = rad(p) when e_p = 2 and rad(2)^2
+    # when e_2 = 4, for every subfield k_i in which p ramifies, not only the
+    # first one, whose extension prime_radical certifies
+    cases = 0
+    for a, b in _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS):
+        K = biquadratic_field(a, b)
+        orc = AmbiguousIdealOracle(K)
+        eye = [[int(r == c) for c in range(4)] for r in range(4)]
+        for i, k in enumerate(K.subfields):
+            for bit, p in enumerate(k.ramified_primes):
+                gen = K.from_quad(i, prime_above(k, p).basis_elements()[1])
+                rows = [[p * x for x in u] for u in eye] + [K.mul_basis_coords(gen, u)
+                                                           for u in eye]
+                extended = IdealLattice(K, hnf_rows(rows, 4))
+                assert extended == orc.vector_ideal(orc._subfield_vector(i, 1 << bit)), \
+                    (K.d, i, p)
+                cases += 1
+    assert cases == 3477
+
+
+def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
+    # on the many-prime fields every principal verdict comes from an extended
+    # principal subfield product, so every K-level descent finds no generator
+    from polyabiquad import lattice
+    found = []
+    descend = lattice.principal_ideal_generator
+
+    def recording(lat, budget=None, norms=None):
+        found.append(descend(lat, budget, norms))
+        return found[-1]
+
+    monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
+    for pair in MANYPRIME_PAIRS:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        orc.polya_order_oracle()
+        orc.kernel_order_oracle()
+    assert found and all(xi is None for xi in found)
 
 
 def test_oracle_kernel_is_power_of_two_dividing_domain():

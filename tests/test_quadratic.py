@@ -220,6 +220,23 @@ def test_coset_book_rejects_verdicts_that_break_the_group_law():
         book.is_principal(1)
 
 
+def test_coset_book_grows_by_a_known_principal_element_without_a_test():
+    # in Z/6: 3 known principal gives P = {0, 3}; 1 tested nonprincipal then
+    # puts its coset {1, 4} in N, and seeding 4 must raise
+    tested = []
+
+    def test(v):
+        tested.append(v)
+        return False
+
+    book = PrincipalCosets(0, lambda a, b: (a + b) % 6, test)
+    book.add_principal(3)
+    assert book.is_principal(3) and not book.is_principal(1) and not book.is_principal(4)
+    assert tested == [1]
+    with pytest.raises(InconsistencyError):
+        book.add_principal(4)
+
+
 def test_oracle_runs_on_a_large_discriminant():
     # |Delta| = 11,651,640: no discriminant cap stands before the class count
     k = quadratic_field(-2912910)
