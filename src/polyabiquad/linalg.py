@@ -1,6 +1,8 @@
 """Small exact integer matrix routines: Hermite forms and lattice
-membership.  Everything is dense and of dimension at most 6, so plain
-Euclidean elimination is plenty.
+membership.  Everything is dense: ideal lattices have dimension 4, the
+relative-norm intersection 6, and exponent lattices of the ambiguous-ideal
+oracle s_K, one column per ramified prime.  Plain Euclidean elimination is
+plenty.
 """
 
 from __future__ import annotations

@@ -378,17 +378,17 @@ class PrincipalCosets:
                 spread.update(self.add(n, g) for g in grown)
         self.principal, self.nonprincipal = grown, spread
 
-    def classes(self, elements: list) -> tuple[list, dict]:
+    def classes(self, elements: list) -> list:
         """Decide every element of G, listed in order; return the first
-        element of each coset of P and each element's coset index."""
+        element of each coset of P."""
         for v in elements:
             self.is_principal(v)
-        reps, index = [], {}
+        reps, seen = [], set()
         for v in elements:
-            if v not in index:
-                index.update((self.add(v, p), len(reps)) for p in self.principal)
+            if v not in seen:
+                seen.update(self.add(v, p) for p in self.principal)
                 reps.append(v)
-        return reps, index
+        return reps
 
 
 class AmbiguousClassesQuad:
@@ -424,7 +424,7 @@ class AmbiguousClassesQuad:
         """First-seen representatives in lexicographic exponent order."""
         masks = [sum(bit << i for i, bit in enumerate(exps))
                  for exps in itertools.product((0, 1), repeat=len(self.primes))]
-        return self._book.classes(masks)[0]
+        return self._book.classes(masks)
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:

@@ -25,14 +25,17 @@
 - The earlier sort-based Euclidean Hermite form, and the earlier quadratic
   product of ramified primes as a chain of ideal products, each one the
   Hermite form of the four products of the basis elements.
+- The earlier kernel count kernel_order_by_triples, which walks every
+  triple of subfield class representatives of an ambiguous-ideal oracle.
 - parse_records, the inverse of report.render_records.
 """
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
@@ -604,6 +607,28 @@ def subset_ideal_chain(k, mask) -> QuadIdeal:
             assert prime.norm == p
             ideal = quad_ideal_multiply(ideal, prime)
     return ideal
+
+
+def kernel_order_by_triples(orc) -> int:
+    """Order of the kernel of the extension map, counted on every triple of
+    subfield class representatives whose extended product is principal; the
+    kernel size times the number of classes hit must be the triple count."""
+    index = {orc._book.add(r, p): i for i, r in enumerate(orc.class_representatives())
+             for p in orc._book.principal}
+    rep_masks = [sub.class_representatives() for sub in orc._subfield_books]
+    kernel = 0
+    images = set()
+    for masks in itertools.product(*rep_masks):
+        vec = [0] * len(orc.primes)
+        for i, m in enumerate(masks):
+            for j, v in enumerate(orc._subfield_vector(i, m)):
+                vec[j] += v
+        if orc.is_principal_vector(vec):
+            kernel += 1
+        images.add(index[orc.reduce_vector(vec)])
+    if kernel * len(images) != prod(len(masks) for masks in rep_masks):
+        raise InconsistencyError("kernel size times image size must equal the triple count")
+    return kernel
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

@@ -42,6 +42,21 @@ def test_biquad_verify_named_field(capsys):
     assert (data["po_k"], data["q_k"], data["verify_status"]) == (1, 2, "ok")
 
 
+@pytest.mark.parametrize("d1, d2, s_k, po_k, ker", [
+    ("-9699690", "765049", 12, 512, 2048),
+    ("9699690", "-765049", 12, 1024, 4096),
+    ("-9699690", "31367009", 13, 1024, 4096),
+])
+def test_biquad_verify_wide_fields(capsys, d1, d2, s_k, po_k, ker):
+    # s_K >= 12: about 4^(s_K) class triples, so the oracle's kernel must
+    # come from subgroup orders, not from walking the triples
+    code, out, _ = run(capsys, "biquad", d1, d2, "--verify", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["s_k"], data["po_k"], data["ker"], data["verify_status"]) == (
+        s_k, po_k, ker, "ok")
+
+
 def test_biquad_chain_flag(capsys):
     code, out, _ = run(capsys, "biquad", "2", "3", "--chain")
     assert code == 0

@@ -10,8 +10,8 @@ import pytest
 from exact_reference import (BiquadElement, element_from_coords, embed_quad,
                              ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             quad_ideal_from_elements, quad_ideal_multiply,
-                             relative_norm_fraction)
+                             kernel_order_by_triples, quad_ideal_from_elements,
+                             quad_ideal_multiply, relative_norm_fraction)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
@@ -202,14 +202,14 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
         vectors = list(itertools.product(*[range(e) for e in lex.exponents]))
         direct = {v: principal_ideal_generator(lex.vector_ideal(v)) is not None
                   for v in vectors}
-        lex.class_representatives()
+        reps = lex.class_representatives()
         for v in reversed(vectors):
             assert rev.is_principal_vector(v) == direct[v], (K.d, v)
         for v in vectors:
             assert lex.is_principal_vector(v) == direct[v], (K.d, v)
-            for w in vectors:
-                diff = lex.reduce_vector([x - y for x, y in zip(v, w)])
-                assert (lex.class_index(v) == lex.class_index(w)) == direct[diff]
+            # the representatives partition G: v lies in the class of exactly one
+            assert sum(direct[lex.reduce_vector([x - y for x, y in zip(v, r)])]
+                       for r in reps) == 1, (K.d, v)
 
 
 # the five fields of the benchmark's many-prime workload (s_K >= 5)
@@ -254,6 +254,16 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
     assert found and all(xi is None for xi in found)
+
+
+def test_kernel_order_matches_the_triple_count():
+    # the Hermite-form count of the kernel against the walk over every triple
+    # of subfield class representatives, which also checks kernel * image
+    pairs = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS) + [(7429, 30030)]
+    for a, b in pairs:
+        orc = AmbiguousIdealOracle(biquadratic_field(a, b))
+        assert orc.kernel_order_oracle() == kernel_order_by_triples(orc), (a, b)
+    assert len(pairs) == 540
 
 
 def test_oracle_kernel_is_power_of_two_dividing_domain():
