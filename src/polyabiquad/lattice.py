@@ -37,14 +37,13 @@ P_i of k_i above p extends to rad(p) when e_p = 2 and to rad(2)^2 when
 e_2 = 4, for every k_i in which p ramifies (prime_radical certifies it for
 the first such k_i, the tests for every k_i of every field with |d_i| <= 30).
 So every verdict is a completed descent, in K or in a subfield, or follows
-from such verdicts by the group law.  The oracle builds the ideal of an
-exponent vector v as the ideal of v - e_j times rad(p_j), j the last
-nonzero coordinate of v (rad(p_j) itself when v = e_j), and keeps every
-product it builds, so each descent costs one lattice product.
+from such verdicts by the group law.  The oracle builds no lattice for the
+radical product of an exponent vector: its descents read the norm, the
+three relative norms and membership off the radicals alone.
 
-The oracle's descents take their three relative norms in closed form and
-need no lattice product, conjugate or intersection; the lattice
-intersection above is the generic path, for any ideal.  prime_radical
+The oracle's relative norms are written down in closed form and need no
+lattice product, conjugate or intersection; relative_norm_ideal takes the
+lattice intersection above for any ideal lattice.  prime_radical
 raises unless one lattice product holds: rad(p)^2 = p*O_K when e_p = 2,
 and rad(2)^2 = P*O_K for the prime P above 2 of the first subfield when
 e_2 = 4.  As P^2 = 2*O_{k_1}, both give rad(p)^e_p = p*O_K, so by unique
@@ -56,8 +55,9 @@ odd (e_p = 4 only for p = 2).
 Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
 prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  The
 closed form is not trusted alone: every norm must still equal N(a), and a
-"principal" verdict still needs xi in a with |N(xi)| = N(a), checked on the
-lattice of a.
+"principal" verdict still needs xi in a with |N(xi)| = N(a), and xi in a is
+checked radical by radical: it holds iff xi lies in rad(p) for every p
+with v_p > 0 (see AmbiguousIdealOracle._descend).
 """
 
 from __future__ import annotations
@@ -193,17 +193,14 @@ def _unit_twists(K: BiquadField, i: int, g: tuple[int, int]) -> list[list[int]]:
     return [g, gu]
 
 
-def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
-                              norms=None) -> tuple[int, ...] | None:
-    """Basis coordinates of a generator of the ideal, or None when provably
-    nonprincipal.  norms, if given, yields the three relative norms of lat
-    in order."""
-    K = lat.field
-    n = lat.norm
+def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
+                              budget: Budget | None = None) -> tuple[int, ...] | None:
+    """Basis coordinates of a generator of an ideal a of norm n, or None when
+    provably nonprincipal.  norms yields the three relative norms
+    N_{K/k_i}(a) in order; contains(xi) decides xi in a for an xi with
+    |N(xi)| = n."""
     if n == 1:
         return (1, 0, 0, 0)
-    if norms is None:
-        norms = (relative_norm_ideal(K, lat, i) for i in range(3))
     twist_sets = []
     for i, b in enumerate(norms):
         if b.norm != n:
@@ -224,7 +221,7 @@ def principal_ideal_generator(lat: IdealLattice, budget: Budget | None = None,
             continue
         # the square root the formula route also uses, for the unit index
         xi = integral_square_root(K, [c // n for c in s])
-        if xi is not None and abs(K.norm(xi)) == n and lat.contains(xi):
+        if xi is not None and abs(K.norm(xi)) == n and contains(xi):
             return xi
     return None
 
@@ -246,6 +243,9 @@ class AmbiguousIdealOracle:
     PrincipalCosets book builds from as few descents as it can, seeded with
     the extended principal classes of the subfields (both counts rest on
     P_i*O_K = rad(p), or rad(2)^2 when e_2 = 4; see the module docstring).
+    A descent builds no lattice for a radical product a: N(a) comes from the
+    certified radical norms, the relative norms in closed form, and a root
+    is tested for membership in a radical by radical.
     The classes are counted as the cosets of P; the kernel is counted by
     subgroup orders, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, with
     im phi spanned by the extended ramified primes of the subfields.
@@ -257,7 +257,6 @@ class AmbiguousIdealOracle:
         self.primes = K.profile.primes
         self.exponents = [K.profile.efg[p][0] for p in self.primes]
         self._radicals: dict[int, IdealLattice] = {}
-        self._ideals = {(0,) * len(self.primes): rational_ideal(K, 1)}
 
     @cached_property
     def _subfield_books(self) -> list[AmbiguousClassesQuad]:
@@ -283,18 +282,6 @@ class AmbiguousIdealOracle:
     def reduce_vector(self, vec) -> tuple[int, ...]:
         return tuple(v % e for v, e in zip(vec, self.exponents))
 
-    def vector_ideal(self, vec) -> IdealLattice:
-        vec = self.reduce_vector(vec)
-        lat = self._ideals.get(vec)
-        if lat is None:
-            j = max(i for i, v in enumerate(vec) if v)
-            rest = vec[:j] + (vec[j] - 1,) + vec[j + 1:]
-            lat = self.radical(self.primes[j])
-            if any(rest):
-                lat = self.vector_ideal(rest).multiply(lat)
-            self._ideals[vec] = lat
-        return lat
-
     def _relative_norms(self, vec: tuple[int, ...]):
         """N_{K/k_i} of the radical product of vec, in closed form (see the
         module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over."""
@@ -304,8 +291,18 @@ class AmbiguousIdealOracle:
             yield prime_above(k, 2).scale(r) if eps else QuadIdeal(k, r, 0, r)
 
     def _descend(self, vec: tuple[int, ...]) -> bool:
-        return principal_ideal_generator(self.vector_ideal(vec), self.budget,
-                                         self._relative_norms(vec)) is not None
+        """Principality of a = prod_p rad(p)^v_p from its radicals alone.
+
+        For a root xi with |N(xi)| = N(a), xi is in a iff xi is in rad(p) for
+        every p with v_p > 0, i.e. iff v_P(xi) >= v_P(a) for every prime P
+        above such a p.  When e_2 = 4 the one P above 2 has f = 1, so
+        v_P(xi) = v_2(N(xi)) = v_2(N(a)) = v_P(a).  When e_p = 2, v_p = 1 and
+        f*g = 2: xi in rad(p) gives v_P(xi) >= 1 = v_P(a) at each P above p.
+        """
+        rads = [(self.radical(p), v) for p, v in zip(self.primes, vec) if v]
+        return principal_ideal_generator(
+            self.K, prod(rad.norm ** v for rad, v in rads), self._relative_norms(vec),
+            lambda xi: all(rad.contains(xi) for rad, _ in rads), self.budget) is not None
 
     def is_principal_vector(self, vec) -> bool:
         return self._book.is_principal(self.reduce_vector(vec))

@@ -27,6 +27,10 @@
   Hermite form of the four products of the basis elements.
 - The earlier kernel count kernel_order_by_triples, which walks every
   triple of subfield class representatives of an ambiguous-ideal oracle.
+- The earlier lattice route of a descent: vector_lattice, the product
+  lattice of an oracle's radicals for an exponent vector, and
+  lattice_generator, a descent on any ideal lattice through its lattice
+  relative norms and lattice membership.
 - parse_records, the inverse of report.render_records.
 """
 
@@ -39,7 +43,8 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
-from polyabiquad.lattice import IdealLattice
+from polyabiquad.lattice import (IdealLattice, principal_ideal_generator, rational_ideal,
+                                 relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import QuadIdeal, _minpoly_double_root
 from polyabiquad.report import OutputRecord
@@ -629,6 +634,23 @@ def kernel_order_by_triples(orc) -> int:
     if kernel * len(images) != prod(len(masks) for masks in rep_masks):
         raise InconsistencyError("kernel size times image size must equal the triple count")
     return kernel
+
+
+def vector_lattice(orc, vec) -> IdealLattice:
+    """prod_p rad(p)^v_p as a lattice, multiplied out from orc.radical(p)."""
+    lat = rational_ideal(orc.K, 1)
+    for p, v in zip(orc.primes, vec):
+        for _ in range(v):
+            lat = lat.multiply(orc.radical(p))
+    return lat
+
+
+def lattice_generator(lat, budget=None) -> tuple[int, ...] | None:
+    """principal_ideal_generator on the lattice lat: relative norms by the
+    lattice intersection and membership by the Hermite form."""
+    K = lat.field
+    norms = (relative_norm_ideal(K, lat, i) for i in range(3))
+    return principal_ideal_generator(K, lat.norm, norms, lat.contains, budget)
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

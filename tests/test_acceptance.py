@@ -158,7 +158,8 @@ def test_criterion_scan_determinism(capsys):
 
 def test_criterion_scan_output_is_frozen(capsys):
     """`scan --json` byte-identical to the frozen SHA-256 on bound 30 and on
-    bounds 20 and 40 verified (every one of the 1,057 bound-40 rows is ok)."""
+    bounds 20, 40 and 60 verified (every one of the 1,057 bound-40 rows is
+    ok, and verified bound 60 exits 0)."""
     frozen = {
         ("--bound", "30"):
             "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870",
@@ -166,6 +167,8 @@ def test_criterion_scan_output_is_frozen(capsys):
             "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1",
         ("--bound", "40", "--verify", "--jobs", "2"):
             "cac3cab988d9651b91c2c89a60753b13485892bf9ad9a03c7019444eaa3116c6",
+        ("--bound", "60", "--verify", "--jobs", "2"):
+            "7093bf81d7de07685f39244ce729a39f2144c5c841dfbd7f10e9ac692ccbbaf6",
     }
     for args, digest in frozen.items():
         assert main(["scan", *args, "--json"]) == 0

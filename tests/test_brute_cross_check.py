@@ -16,9 +16,10 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from exact_reference import BiquadElement, QuadElement, basis_coords
+from exact_reference import (BiquadElement, QuadElement, basis_coords, lattice_generator,
+                             vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
-from polyabiquad.lattice import AmbiguousIdealOracle, principal_ideal_generator
+from polyabiquad.lattice import AmbiguousIdealOracle
 
 
 def _sqrt_upper(x: Fraction, scale: int = 1 << 24) -> Fraction:
@@ -68,8 +69,8 @@ def test_descent_matches_naive_enumeration_on_small_imaginary_fields():
         K = biquadratic_field(*pair)
         orc = AmbiguousIdealOracle(K)
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
-            lat = orc.vector_ideal(vec)
+            lat = vector_lattice(orc, vec)
             if lat.norm > 12:
                 continue
-            descent = principal_ideal_generator(lat) is not None
+            descent = lattice_generator(lat) is not None
             assert brute_principal_imaginary(lat) == descent, (pair, vec)

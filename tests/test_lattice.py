@@ -10,15 +10,15 @@ import pytest
 from exact_reference import (BiquadElement, element_from_coords, embed_quad,
                              ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             kernel_order_by_triples, quad_ideal_from_elements,
-                             quad_ideal_multiply, relative_norm_fraction)
+                             kernel_order_by_triples, lattice_generator,
+                             quad_ideal_from_elements, quad_ideal_multiply,
+                             relative_norm_fraction, vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
                                 InvalidInputError)
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
-                                 principal_ideal_generator, rational_ideal,
-                                 relative_norm_ideal)
+                                 rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_rows
 from polyabiquad.quadratic import prime_above
 
@@ -115,15 +115,15 @@ def test_relative_norm_ideal_norms():
     K = biquadratic_field(-1, -5)
     orc = AmbiguousIdealOracle(K)
     for vec in ((1, 0), (0, 1), (1, 1)):
-        lat = orc.vector_ideal(vec)
+        lat = vector_lattice(orc, vec)
         for i in range(3):
             assert relative_norm_ideal(K, lat, i).norm == lat.norm
 
 
 def test_principality_rational_ideal():
     K = zeta8_field()
-    assert principal_ideal_generator(rational_ideal(K, 1)) == (1, 0, 0, 0)
-    gen = principal_ideal_generator(rational_ideal(K, 2))
+    assert lattice_generator(rational_ideal(K, 1)) == (1, 0, 0, 0)
+    gen = lattice_generator(rational_ideal(K, 2))
     assert gen is not None and abs(element_from_coords(K, gen).norm()) == 16
     assert ideal_from_elements(K, [element_from_coords(K, gen)]) == rational_ideal(K, 2)
 
@@ -131,7 +131,7 @@ def test_principality_rational_ideal():
 def test_principality_pi2_zeta8():
     K = zeta8_field()
     rad = prime_radical(K, 2)
-    gen = principal_ideal_generator(rad)
+    gen = lattice_generator(rad)
     assert gen is not None
     assert abs(element_from_coords(K, gen).norm()) == 2 and rad.contains(gen)
     assert ideal_from_elements(K, [element_from_coords(K, gen)]) == rad
@@ -146,7 +146,7 @@ def test_principality_of_constructed_principal_ideals():
             while el.is_zero() or abs(el.norm()) > 600 or el.norm() == 0:
                 el = BiquadElement(K, [Fraction(rng.randint(-2, 2)) for _ in range(4)])
             lat = ideal_from_elements(K, [el])
-            gen = principal_ideal_generator(lat)
+            gen = lattice_generator(lat)
             assert gen is not None
             assert ideal_from_elements(K, [element_from_coords(K, gen)]) == lat
 
@@ -155,19 +155,19 @@ def test_principality_galois_invariant():
     K = biquadratic_field(-1, -5)
     orc = AmbiguousIdealOracle(K)
     for vec in ((1, 0), (0, 1), (1, 1)):
-        lat = orc.vector_ideal(vec)
-        verdict = principal_ideal_generator(lat) is not None
+        lat = vector_lattice(orc, vec)
+        verdict = lattice_generator(lat) is not None
         for t in (1, 2, 3):
-            assert (principal_ideal_generator(lat.conjugate(t)) is not None) == verdict
+            assert (lattice_generator(lat.conjugate(t)) is not None) == verdict
 
 
 def test_class_counting_ignores_rational_factors():
     K = biquadratic_field(-1, -5)
     orc = AmbiguousIdealOracle(K)
-    lat = orc.vector_ideal((1, 1))
+    lat = vector_lattice(orc, (1, 1))
     scaled = lat.multiply(rational_ideal(K, 6))
-    assert (principal_ideal_generator(lat) is None) \
-        == (principal_ideal_generator(scaled) is None)
+    assert (lattice_generator(lat) is None) \
+        == (lattice_generator(scaled) is None)
 
 
 def test_oracle_polya_counts_named_fields():
@@ -200,7 +200,7 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
         K = biquadratic_field(a, b)
         lex, rev = AmbiguousIdealOracle(K), AmbiguousIdealOracle(K)
         vectors = list(itertools.product(*[range(e) for e in lex.exponents]))
-        direct = {v: principal_ideal_generator(lex.vector_ideal(v)) is not None
+        direct = {v: lattice_generator(vector_lattice(lex, v)) is not None
                   for v in vectors}
         reps = lex.class_representatives()
         for v in reversed(vectors):
@@ -231,7 +231,7 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
                 rows = [[p * x for x in u] for u in eye] + [K.mul_basis_coords(gen, u)
                                                            for u in eye]
                 extended = IdealLattice(K, hnf_rows(rows, 4))
-                assert extended == orc.vector_ideal(orc._subfield_vector(i, 1 << bit)), \
+                assert extended == vector_lattice(orc, orc._subfield_vector(i, 1 << bit)), \
                     (K.d, i, p)
                 cases += 1
     assert cases == 3477
@@ -244,8 +244,8 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
     found = []
     descend = lattice.principal_ideal_generator
 
-    def recording(lat, budget=None, norms=None):
-        found.append(descend(lat, budget, norms))
+    def recording(K, n, norms, contains, budget=None):
+        found.append(descend(K, n, norms, contains, budget))
         return found[-1]
 
     monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
@@ -254,6 +254,61 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
     assert found and all(xi is None for xi in found)
+
+
+def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
+    # the oracle tests a root for membership radical by radical: every root
+    # its descents find lies in the product lattice of the radicals, the
+    # guard refuses 1, and the same descent with a guard that refuses every
+    # root finds none
+    from polyabiquad import lattice
+    descend, generator = AmbiguousIdealOracle._descend, lattice.principal_ideal_generator
+    vectors, calls = [], []
+
+    def recording_descend(orc, vec):
+        vectors.append((orc, vec))
+        return descend(orc, vec)
+
+    def recording(K, n, norms, contains, budget=None):
+        norms = list(norms)
+        calls.append((vectors[-1], K, n, norms, contains,
+                      generator(K, n, norms, contains, budget)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(AmbiguousIdealOracle, "_descend", recording_descend)
+    monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
+    for a, b in _scan_tasks(20, False, False):
+        orc = AmbiguousIdealOracle(biquadratic_field(a, b))
+        orc.polya_order_oracle()
+        orc.kernel_order_oracle()
+    roots = 0
+    for (orc, vec), K, n, norms, contains, xi in calls:
+        assert not contains((1, 0, 0, 0)), (K.d, vec)
+        if xi is None:
+            continue
+        assert vector_lattice(orc, vec).contains(xi), (K.d, vec)
+        assert generator(K, n, norms, lambda _: False) is None, (K.d, vec)
+        roots += 1
+    assert len(calls) == len(vectors) and roots > 0
+
+
+def test_oracle_multiplies_lattices_only_to_certify_radicals(monkeypatch):
+    # a descent builds no product lattice: the only lattice products are the
+    # one certificate rad * rad of each radical
+    count = [0]
+    multiply = IdealLattice.multiply
+
+    def counting(self, other):
+        count[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(IdealLattice, "multiply", counting)
+    for pair in MANYPRIME_PAIRS:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        count[0] = 0
+        orc.polya_order_oracle()
+        orc.kernel_order_oracle()
+        assert count[0] == len(orc._radicals) > 0, pair
 
 
 def test_kernel_order_matches_the_triple_count():
@@ -313,7 +368,7 @@ def test_extended_subfield_products_are_galois_stable():
             for i, m in enumerate(trip):
                 for j, v in enumerate(orc._subfield_vector(i, m)):
                     vec[j] += v
-            lat = orc.vector_ideal(orc.reduce_vector(vec))
+            lat = vector_lattice(orc, orc.reduce_vector(vec))
             assert is_galois_stable(lat)
 
 
@@ -405,7 +460,7 @@ def test_relative_norm_matches_the_fraction_route():
         K = biquadratic_field(a, b)
         orc = AmbiguousIdealOracle(K)
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
-            lat = orc.vector_ideal(vec)
+            lat = vector_lattice(orc, vec)
             for i in range(3):
                 assert relative_norm_ideal(K, lat, i) == relative_norm_fraction(K, lat, i), \
                     (K.d, vec, i)
@@ -421,7 +476,7 @@ def test_closed_form_relative_norms_match_the_lattice_intersection():
         K = biquadratic_field(a, b)
         orc = AmbiguousIdealOracle(K)
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
-            lat = orc.vector_ideal(vec)
+            lat = vector_lattice(orc, vec)
             for i, closed in enumerate(orc._relative_norms(vec)):
                 assert closed == relative_norm_ideal(K, lat, i), (K.d, vec, i)
                 cases += 1
@@ -470,31 +525,3 @@ def test_non_hnf_rows_raise_under_python_O():
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0 and out.stdout == "raised\n" * 3, (flags, out.stderr)
 
-
-def test_memoized_radical_products_match_products_from_scratch():
-    # vector_ideal(v) extends the stored ideal of v - e_j; compare with the
-    # plain product of radicals, queried in lexicographic and in reverse order.
-    # The ideal of a unit vector e_j is the stored radical itself.
-    cases = 0
-    for a, b in _scan_tasks(12, False, False):
-        K = biquadratic_field(a, b)
-        lex, rev = AmbiguousIdealOracle(K), AmbiguousIdealOracle(K)
-        vectors = list(itertools.product(*[range(e) for e in lex.exponents]))
-        radicals = [prime_radical(K, p) for p in lex.primes]
-        expected = {}
-        for vec in vectors:
-            lat = rational_ideal(K, 1)
-            for rad, v in zip(radicals, vec):
-                for _ in range(v):
-                    lat = lat.multiply(rad)
-            expected[vec] = lat
-        for vec in vectors:
-            assert lex.vector_ideal(vec) == expected[vec], (K.d, vec)
-        for vec in reversed(vectors):
-            assert rev.vector_ideal(vec) == expected[vec], (K.d, vec)
-        for orc in (lex, rev):
-            for j, p in enumerate(orc.primes):
-                unit = tuple(int(i == j) for i in range(len(orc.primes)))
-                assert orc.vector_ideal(unit) is orc.radical(p), (K.d, p)
-        cases += len(vectors)
-    assert cases == 636

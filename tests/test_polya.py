@@ -1,7 +1,10 @@
 import itertools
 import os
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.intmath import squarefree_part
@@ -114,6 +117,23 @@ def test_formula_oracle_agreement_with_nontrivial_values():
         K = biquadratic_field(*pair)
         status, details = verify_biquad(K, polya_report(K))
         assert status == "ok", (pair, details)
+
+
+# a signed product of at most four distinct primes <= 53; two of them ramify
+# at most nine primes in K, so s_K <= 10
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_SQUAREFREE = st.builds(lambda sign, ps: sign * prod(ps), st.sampled_from((1, -1)),
+                        st.lists(st.sampled_from(_PRIMES), unique=True, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SQUAREFREE, _SQUAREFREE)
+def test_formula_matches_oracle_on_random_fields(d1, d2):
+    assume(1 not in (d1, d2) and d1 != d2)
+    K = biquadratic_field(d1, d2)
+    assert len(K.profile.primes) <= 10
+    status, details = verify_biquad(K, polya_report(K))
+    assert status == "ok", (K.d, details)
 
 
 def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
