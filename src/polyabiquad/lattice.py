@@ -37,9 +37,11 @@ P_i of k_i above p extends to rad(p) when e_p = 2 and to rad(2)^2 when
 e_2 = 4, for every k_i in which p ramifies (prime_radical certifies it for
 the first such k_i, the tests for every k_i of every field with |d_i| <= 30).
 So every verdict is a completed descent, in K or in a subfield, or follows
-from such verdicts by the group law.  The oracle builds no lattice for the
+from such verdicts by the group law; each subfield book starts with the
+mask of (sqrt(d)).  The oracle builds no lattice for the
 radical product of an exponent vector: its descents read the norm, the
-three relative norms and membership off the radicals alone.
+three relative norms and membership off the radicals alone.  Its coset book
+holds exponent vectors packed into integers (see AmbiguousIdealOracle).
 
 The oracle's relative norms are written down in closed form and need no
 lattice product, conjugate or intersection; relative_norm_ideal takes the
@@ -210,10 +212,11 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
             return None  # a principal ideal has principal relative norms
         twist_sets.append(_unit_twists(K, i, g))
     seen: set = set()
-    for t1, t2, t3 in itertools.product(*twist_sets):
+    pairs = [K.mul_basis_coords(t1, t2) for t1, t2 in itertools.product(*twist_sets[:2])]
+    for t12, t3 in itertools.product(pairs, twist_sets[2]):
         if budget is not None:
             budget.charge()
-        s = tuple(K.mul_basis_coords(K.mul_basis_coords(t1, t2), t3))
+        s = tuple(K.mul_basis_coords(t12, t3))
         if s in seen:
             continue
         seen.add(s)
@@ -243,6 +246,14 @@ class AmbiguousIdealOracle:
     PrincipalCosets book builds from as few descents as it can, seeded with
     the extended principal classes of the subfields (both counts rest on
     P_i*O_K = rad(p), or rad(2)^2 when e_2 = 4; see the module docstring).
+    The book holds each vector packed into one integer, mixed radix with the
+    first prime most significant, so range(|G|) lists G in the order of
+    itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
+    G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
+    mod e_2, and add is one integer expression.  The image of each subfield
+    product of ramified primes is read from a table built once per subfield.
+    A vector is unpacked only for a descent, for the kernel's Hermite rows
+    and for class_representatives.
     A descent builds no lattice for a radical product a: N(a) comes from the
     certified radical norms, the relative norms in closed form, and a root
     is tested for membership in a radical by radical.
@@ -256,31 +267,67 @@ class AmbiguousIdealOracle:
         self.budget = Budget(budget_units)
         self.primes = K.profile.primes
         self.exponents = [K.profile.efg[p][0] for p in self.primes]
+        if self.exponents[0] not in (2, 4) or any(e != 2 for e in self.exponents[1:]):
+            raise InconsistencyError(
+                f"ramification indices {self.exponents} of {self.primes} are not "
+                f"e_2 in (2, 4) followed by 2s")
+        n = len(self.primes)
+        high, low = (self.exponents[0] - 1) << (n - 1), (1 << (n - 1)) - 1
+        # the group law of G on packed vectors
+        self.add = lambda a, b: ((a ^ b) & low) | (((a & high) + (b & high)) & high)
         self._radicals: dict[int, IdealLattice] = {}
+
+    def pack(self, vec) -> int:
+        """The exponent vector vec, reduced mod e_p, as one integer."""
+        x = 0
+        for v, e in zip(vec, self.exponents):
+            x = x * e + v % e
+        return x
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        vec = []
+        for e in reversed(self.exponents):
+            x, v = divmod(x, e)
+            vec.append(v)
+        return tuple(reversed(vec))
 
     @cached_property
     def _subfield_books(self) -> list[AmbiguousClassesQuad]:
         return [AmbiguousClassesQuad(k, self.budget) for k in self.K.subfields]
 
+    def _prime_image(self, p: int) -> int:
+        """Packed exponent vector of P*O_K for the prime P above p of a
+        subfield in which p ramifies: rad(p) when e_p = 2 and rad(2)^2 when
+        2 is totally ramified."""
+        return self.pack([e // 2 * (q == p) for q, e in zip(self.primes, self.exponents)])
+
+    @cached_property
+    def _subfield_images(self) -> list[list[int]]:
+        """For each subfield, the packed exponent vector of the extension of
+        the product of its ramified primes selected by each mask, built by
+        doubling over the bits of the mask."""
+        tables = []
+        for k in self.K.subfields:
+            table = [0]
+            for p in k.ramified_primes:
+                g = self._prime_image(p)
+                table += [self.add(x, g) for x in table]
+            tables.append(table)
+        return tables
+
     @cached_property
     def _book(self) -> PrincipalCosets:
-        book = PrincipalCosets(
-            (0,) * len(self.primes),
-            lambda a, b: self.reduce_vector([x + y for x, y in zip(a, b)]),
-            self._descend)
-        for i, sub in enumerate(self._subfield_books):
-            for mask in range(1 << len(sub.primes)):
+        book = PrincipalCosets(0, self.add, lambda x: self._descend(self.unpack(x)))
+        for sub, table in zip(self._subfield_books, self._subfield_images):
+            for mask, image in enumerate(table):
                 if sub.is_principal_subset(mask):
-                    book.add_principal(self.reduce_vector(self._subfield_vector(i, mask)))
+                    book.add_principal(image)
         return book
 
     def radical(self, p: int) -> IdealLattice:
         if p not in self._radicals:
             self._radicals[p] = prime_radical(self.K, p)
         return self._radicals[p]
-
-    def reduce_vector(self, vec) -> tuple[int, ...]:
-        return tuple(v % e for v, e in zip(vec, self.exponents))
 
     def _relative_norms(self, vec: tuple[int, ...]):
         """N_{K/k_i} of the radical product of vec, in closed form (see the
@@ -305,12 +352,11 @@ class AmbiguousIdealOracle:
             lambda xi: all(rad.contains(xi) for rad, _ in rads), self.budget) is not None
 
     def is_principal_vector(self, vec) -> bool:
-        return self._book.is_principal(self.reduce_vector(vec))
+        return self._book.is_principal(self.pack(vec))
 
     @cached_property
     def _classes(self) -> list[tuple[int, ...]]:
-        return self._book.classes(
-            list(itertools.product(*[range(e) for e in self.exponents])))
+        return [self.unpack(x) for x in self._book.classes(range(prod(self.exponents)))]
 
     def class_representatives(self) -> list[tuple[int, ...]]:
         """The lexicographically first vector of each coset of P."""
@@ -319,17 +365,6 @@ class AmbiguousIdealOracle:
     def polya_order_oracle(self) -> int:
         """Number of strongly ambiguous classes, counted directly."""
         return len(self.class_representatives())
-
-    def _subfield_vector(self, i: int, mask: int) -> list[int]:
-        """Exponent vector of the extension to O_K of a product of ramified
-        primes of k_i: the extended prime ideal is rad(p) when e_p = 2 and
-        rad(p)^2 when p is totally ramified."""
-        vec = [0] * len(self.primes)
-        for bit, p in enumerate(self.K.subfields[i].ramified_primes):
-            if mask >> bit & 1:
-                j = self.primes.index(p)
-                vec[j] += 2 if self.exponents[j] == 4 else 1
-        return vec
 
     def kernel_order_oracle(self) -> int:
         """Order of the kernel of the extension map on ambiguous classes,
@@ -342,9 +377,9 @@ class AmbiguousIdealOracle:
         principal = self._book.principal
         n = len(self.primes)
         rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(self.exponents)]
-        rows += [list(v) for v in principal]
-        rows += [self._subfield_vector(i, 1 << bit) for i, k in enumerate(self.K.subfields)
-                 for bit in range(len(k.ramified_primes))]
+        rows += [self.unpack(v) for v in principal]
+        rows += [self.unpack(self._prime_image(p)) for k in self.K.subfields
+                 for p in k.ramified_primes]
         span = prod(self.exponents) // prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
         domain = prod(len(sub.class_representatives())
                       for sub in self._subfield_books) * len(principal)

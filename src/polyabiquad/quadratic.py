@@ -401,7 +401,8 @@ class AmbiguousClassesQuad:
     product over a mask is written down in closed form by ramified_product,
     [m, b + omega] with m the product of the primes and b = -r_p mod each p,
     and certified by _ideal_form: it is an ideal of squarefree norm m, so it
-    is the product.
+    is the product.  Before any descent the book holds the mask of
+    (sqrt(d)), the product of the primes dividing d.
     """
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
@@ -409,6 +410,13 @@ class AmbiguousClassesQuad:
         self.budget = budget
         self.primes = k.ramified_primes
         self._book = PrincipalCosets(0, int.__xor__, self._descend)
+        mask = sum(1 << i for i, p in enumerate(self.primes) if k.d % p == 0)
+        ideal = self.subset_ideal(mask)
+        root = (-1, 2) if k.d % 4 == 1 else (0, 1)  # sqrt(d) = 2*omega - 1 or omega
+        # an element of the ideal whose norm is +-N(ideal) generates it
+        if not ideal.contains(root) or abs(omega_norm(k.d, *root)) != ideal.norm:
+            raise InconsistencyError(f"sqrt({k.d}) does not generate {ideal}")
+        self._book.add_principal(mask)
 
     def subset_ideal(self, mask: int) -> QuadIdeal:
         return ramified_product(

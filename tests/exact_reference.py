@@ -26,7 +26,8 @@
   product of ramified primes as a chain of ideal products, each one the
   Hermite form of the four products of the basis elements.
 - The earlier kernel count kernel_order_by_triples, which walks every
-  triple of subfield class representatives of an ambiguous-ideal oracle.
+  triple of subfield class representatives of an ambiguous-ideal oracle,
+  and reduce_vector, an oracle's exponent vector reduced mod e_p.
 - The earlier lattice route of a descent: vector_lattice, the product
   lattice of an oracle's radicals for an exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
@@ -614,23 +615,27 @@ def subset_ideal_chain(k, mask) -> QuadIdeal:
     return ideal
 
 
+def reduce_vector(orc, vec) -> tuple[int, ...]:
+    """The exponent vector vec of an ambiguous-ideal oracle reduced mod e_p."""
+    return tuple(v % e for v, e in zip(vec, orc.exponents))
+
+
 def kernel_order_by_triples(orc) -> int:
     """Order of the kernel of the extension map, counted on every triple of
     subfield class representatives whose extended product is principal; the
     kernel size times the number of classes hit must be the triple count."""
-    index = {orc._book.add(r, p): i for i, r in enumerate(orc.class_representatives())
+    index = {orc.add(orc.pack(r), p): i for i, r in enumerate(orc.class_representatives())
              for p in orc._book.principal}
     rep_masks = [sub.class_representatives() for sub in orc._subfield_books]
     kernel = 0
     images = set()
     for masks in itertools.product(*rep_masks):
-        vec = [0] * len(orc.primes)
-        for i, m in enumerate(masks):
-            for j, v in enumerate(orc._subfield_vector(i, m)):
-                vec[j] += v
-        if orc.is_principal_vector(vec):
+        x = 0
+        for table, m in zip(orc._subfield_images, masks):
+            x = orc.add(x, table[m])
+        if orc._book.is_principal(x):
             kernel += 1
-        images.add(index[orc.reduce_vector(vec)])
+        images.add(index[x])
     if kernel * len(images) != prod(len(masks) for masks in rep_masks):
         raise InconsistencyError("kernel size times image size must equal the triple count")
     return kernel

@@ -12,7 +12,7 @@ from exact_reference import (BiquadElement, element_from_coords, embed_quad,
                              is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, lattice_generator,
                              quad_ideal_from_elements, quad_ideal_multiply,
-                             relative_norm_fraction, vector_lattice)
+                             reduce_vector, relative_norm_fraction, vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
@@ -187,7 +187,7 @@ def test_oracle_kernel_counts():
     assert orc.kernel_order_oracle() == 2
     i5 = K.d.index(-5)
     mask = 1 << K.subfields[i5].ramified_primes.index(2)
-    vec = orc._subfield_vector(i5, mask)
+    vec = orc.unpack(orc._subfield_images[i5][mask])
     assert orc.is_principal_vector(vec)  # the capitulation witness
 
 
@@ -208,8 +208,26 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
         for v in vectors:
             assert lex.is_principal_vector(v) == direct[v], (K.d, v)
             # the representatives partition G: v lies in the class of exactly one
-            assert sum(direct[lex.reduce_vector([x - y for x, y in zip(v, r)])]
+            assert sum(direct[reduce_vector(lex, [x - y for x, y in zip(v, r)])]
                        for r in reps) == 1, (K.d, v)
+
+
+def test_packed_vectors_follow_the_group_law():
+    # the coset book holds exponent vectors packed into one integer: pack and
+    # unpack are inverse on G, range(|G|) lists G in the order of
+    # itertools.product, and the packed add is addition mod e_p, with 2
+    # unramified, ramified and totally ramified
+    e2s = set()
+    for a, b in _scan_tasks(12, False, False):
+        orc = AmbiguousIdealOracle(biquadratic_field(a, b))
+        e2s.add(orc.K.profile.e2)
+        vectors = list(itertools.product(*[range(e) for e in orc.exponents]))
+        assert [orc.unpack(x) for x in range(len(vectors))] == vectors, orc.K.d
+        assert [orc.pack(v) for v in vectors] == list(range(len(vectors))), orc.K.d
+        for v, w in itertools.product(vectors, repeat=2):
+            assert orc.unpack(orc.add(orc.pack(v), orc.pack(w))) \
+                == reduce_vector(orc, [x + y for x, y in zip(v, w)]), (orc.K.d, v, w)
+    assert e2s == {1, 2, 4}
 
 
 # the five fields of the benchmark's many-prime workload (s_K >= 5)
@@ -231,8 +249,8 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
                 rows = [[p * x for x in u] for u in eye] + [K.mul_basis_coords(gen, u)
                                                            for u in eye]
                 extended = IdealLattice(K, hnf_rows(rows, 4))
-                assert extended == vector_lattice(orc, orc._subfield_vector(i, 1 << bit)), \
-                    (K.d, i, p)
+                image = orc.unpack(orc._subfield_images[i][1 << bit])
+                assert extended == vector_lattice(orc, image), (K.d, i, p)
                 cases += 1
     assert cases == 3477
 
@@ -366,9 +384,9 @@ def test_extended_subfield_products_are_galois_stable():
             trip = [rng.choice(list(m)) for m in masks]
             vec = [0] * len(orc.primes)
             for i, m in enumerate(trip):
-                for j, v in enumerate(orc._subfield_vector(i, m)):
+                for j, v in enumerate(orc.unpack(orc._subfield_images[i][m])):
                     vec[j] += v
-            lat = vector_lattice(orc, orc.reduce_vector(vec))
+            lat = vector_lattice(orc, reduce_vector(orc, vec))
             assert is_galois_stable(lat)
 
 

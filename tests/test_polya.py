@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import os
 from math import prod
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.cli import main
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.lattice import AmbiguousIdealOracle
 from polyabiquad.polya import (j2_value, kernel_order, polya_report, verify_biquad,
@@ -136,6 +139,24 @@ def test_formula_matches_oracle_on_random_fields(d1, d2):
     assert status == "ok", (K.d, details)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_SQUAREFREE, _SQUAREFREE)
+def test_the_field_does_not_depend_on_the_generating_pair(d1, d2):
+    # any two of d1, d2, d3 = sf(d1*d2) generate K: the canonical triple and
+    # the printed row are the same for all three pairs
+    assume(1 not in (d1, d2) and d1 != d2)
+    d3 = squarefree_part(d1 * d2)
+    pairs = ((d1, d2), (d2, d3), (d1, d3))
+    assert len({biquadratic_field(*pair).d for pair in pairs}) == 1
+    rows = set()
+    for pair in pairs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["biquad", *map(str, pair), "--json"]) == 0
+        rows.add(out.getvalue())
+    assert len(rows) == 1, pairs
+
+
 def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
     # Zantema: 0 -> H^1(G, O_K^x) -> sum_p Z/e_p -> Po(K) -> 0, checked against
     # the direct class count on fields with and without a totally ramified 2
@@ -156,6 +177,7 @@ def test_a_corrupt_relative_norm_sign_raises_under_python_O():
     script = """
 import polyabiquad.units as units
 from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.cli import main
 from polyabiquad.errors import InconsistencyError
 from polyabiquad.polya import polya_report
 norm = units._relative_norm

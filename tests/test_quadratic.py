@@ -205,6 +205,53 @@ def test_coset_verdicts_agree_with_a_descent_on_every_subset():
             assert lex.is_principal_subset(m) == direct[m], (d, m)
 
 
+def _count_descents(monkeypatch) -> list:
+    calls = []
+    descend = AmbiguousClassesQuad._descend
+
+    def recording(book, mask):
+        calls.append(mask)
+        return descend(book, mask)
+
+    monkeypatch.setattr(AmbiguousClassesQuad, "_descend", recording)
+    return calls
+
+
+def test_sqrt_d_is_principal_before_any_descent(monkeypatch):
+    # the book starts with the mask of (sqrt(d)), the product of the primes
+    # dividing d, certified by sqrt(d) itself
+    calls = _count_descents(monkeypatch)
+    fields = 0
+    for d in range(-1000, 1001):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        book = AmbiguousClassesQuad(quadratic_field(d))
+        mask = sum(1 << i for i, p in enumerate(book.primes) if d % p == 0)
+        assert book.is_principal_subset(mask), d
+        fields += 1
+    assert fields == 1215 and calls == []
+
+
+def test_a_sqrt_d_that_does_not_generate_the_seeded_ideal_raises(monkeypatch):
+    # the seed is certified, not assumed: (sqrt(-5)) is the prime above 5,
+    # and sqrt(-5) does not lie in the prime above 2
+    k = quadratic_field(-5)
+    monkeypatch.setattr(AmbiguousClassesQuad, "subset_ideal", lambda book, mask: prime_above(k, 2))
+    with pytest.raises(InconsistencyError):
+        AmbiguousClassesQuad(k)
+
+
+def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
+    # s = 13 and |P| = 2: with (sqrt(d)) in P from the start, every
+    # nonprincipal verdict settles a coset of two masks, so 4,095 descents
+    # decide the 8,191 nontrivial masks
+    calls = _count_descents(monkeypatch)
+    k = quadratic_field(-304250263527210)
+    assert k.s == 13
+    assert ambiguous_oracle_quad(k) == polya_order_quad(k) == 4096
+    assert len(calls) == 4095
+
+
 def test_coset_book_rejects_verdicts_that_break_the_group_law():
     # in Z/4: 2 nonprincipal and then 1 principal cannot both hold
     tested = []
