@@ -1,8 +1,10 @@
 """Bicyclic biquadratic fields K = Q(sqrt(d1), sqrt(d2)).
 
 A field is keyed by the canonical ascending triple (d1, d2, d3) of squarefree
-integers, d3 the squarefree part of d1*d2, so any generating pair of the same
-field produces the same object.
+integers, d3 = d1*d2/gcd(d1, d2)^2, so any generating pair of the same field
+produces the same object.  sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z) with
+m_xy = +-gcd(d_x, d_y), negative exactly when d_x, d_y < 0 (the principal
+branch), and the construction checks d_x*d_y = m_xy^2*d_z.
 
 Every element the program builds is an algebraic integer, so an element is a
 vector of integer coordinates over the integral basis (H. Cohen, A Course in
@@ -10,23 +12,24 @@ Computational Algebraic Number Theory, GTM 138, 4.2): mul_basis_coords
 multiplies through the structure constants of the basis, sigma applies the
 integer matrix of a Galois element and norm(x) is x*sigma_1(x) times its
 sigma_2-conjugate.  Radical coordinates over (1, sqrt(d1), sqrt(d2),
-sqrt(d3)), with the principal-branch sign convention sqrt(a)*sqrt(b) =
--sqrt(ab) exactly when a, b < 0, only build these tables and carry the
-denesting square root in units.py.
+sqrt(d3)) only carry the denesting square root in units.py, which converts
+back through _integer_coords.
 
 The integral basis is written down in closed form (K. S. Williams, "Integers
 of biquadratic fields", Canad. Math. Bull. 13, 1970) from the residues of
 (d1, d2, d3) mod 4, which are {1, 1, 1}, one 1 with {2, 2} or {3, 3}, or
-{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1, so the
-4x4 matrix is block triangular, [[4, 0], [b, C]]; every change of
-coordinates goes through its integer adjugate [[det C, 0], [-adj(C)*b,
-4*adj(C)]] and determinant 4*det C, with adj(C) from 3x3 cofactors.
-Construction certifies the basis twice, and both checks raise
-InconsistencyError.  The lattice discriminant must equal the product of the
-three quadratic discriminants, and the products and Galois images of the
-basis elements must have integer coordinates.  The discriminant alone cannot
-tell O_K from a lattice of the same index that is not a ring: in
-Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
+{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1.  So are
+its tables: in each pattern, _integral_basis writes the structure constants,
+the Galois matrices, the rows of the subfield generators omega_i and the
+adjugate columns of the coordinate map down from the d_i and the m_xy.  The
+structure constants are the coordinates of the products e_i*e_j of basis
+elements, so they are integers exactly when the lattice is a ring; every
+division in them must be exact, or construction raises InconsistencyError.
+Two more checks raise it: the lattice discriminant must equal the product of
+the three quadratic discriminants, and the coordinate map must send each
+basis row to its unit vector.  The discriminant alone cannot tell O_K from a
+lattice of the same index that is not a ring: in Q(sqrt(-23), sqrt(-19)),
+(1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
 (1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
 contains 1, is closed under multiplication and has the discriminant of O_K
 is O_K.
@@ -42,14 +45,12 @@ inertia-complement subfield.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd
 
 from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker, squarefree_part
 from .quadratic import QuadraticField
 
-# coordinate signs of sigma_1 and sigma_2: sigma_t fixes sqrt(d_t), negates the rest
-_SIGMA_SIGNS = ((1, 1, -1, -1), (1, -1, 1, -1))
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -80,8 +81,8 @@ class BiquadField:
             raise InvalidInputError("a perfect-square generator degenerates to Q")
         if a == b:
             raise InvalidInputError("generators span the same quadratic field")
-        c = squarefree_part(a * b)
-        self.d: tuple[int, int, int] = tuple(sorted((a, b, c)))
+        g = gcd(a, b)
+        self.d: tuple[int, int, int] = tuple(sorted((a, b, a * b // (g * g))))
         self.subfields = tuple(QuadraticField(x) for x in self.d)
         self.is_real = all(x > 0 for x in self.d)
         self.mul_table = self._build_mul_table()
@@ -91,26 +92,23 @@ class BiquadField:
         self.disc = 1
         for k in self.subfields:
             self.disc *= k.delta
-        self._set_basis(self._integral_basis_rows())
+        self._set_basis(*self._integral_basis())
         self.profile = self._ramification_profile()
         self._units = None
 
     # -- construction helpers ----------------------------------------------
 
     def _build_mul_table(self):
+        """sqrt(d_i)*sqrt(d_j) = m_ij*sqrt(d_l) as {(i, j): (l, m_ij)}, with
+        |m_ij| = gcd(d_i, d_j) and m_ij < 0 exactly when d_i, d_j < 0."""
         table = {}
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if i == j:
-                    continue
-                l = 6 - i - j
-                di, dj, dl = self.d[i - 1], self.d[j - 1], self.d[l - 1]
-                f2, r = divmod(di * dj, dl)
-                f = isqrt(max(f2, 0))
-                if r or f * f != f2:
-                    raise InconsistencyError(f"{self.d} is not multiplicatively closed")
-                sign = -1 if (di < 0 and dj < 0) else 1
-                table[(i, j)] = (l, sign * f)
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            l = 6 - i - j
+            di, dj, dl = self.d[i - 1], self.d[j - 1], self.d[l - 1]
+            m = -gcd(di, dj) if di < 0 and dj < 0 else gcd(di, dj)
+            if di * dj != m * m * dl:
+                raise InconsistencyError(f"{self.d} is not multiplicatively closed")
+            table[(i, j)] = table[(j, i)] = (l, m)
         return table
 
     def from_quad(self, i: int, el: tuple[int, int]) -> list[int]:
@@ -121,66 +119,109 @@ class BiquadField:
         x[0] += u  # the first basis element is 1
         return x
 
-    def radical_product(self, a, b) -> list[int]:
-        """Product of two integer vectors over (1, sqrt(d1), sqrt(d2), sqrt(d3))."""
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                bj = b[j]
-                if not bj:
-                    continue
-                p = ai * bj
-                if i == 0:
-                    out[j] += p
-                elif j == 0:
-                    out[i] += p
-                elif i == j:
-                    out[0] += p * self.d[i - 1]
-                else:
-                    l, coef = self.mul_table[(i, j)]
-                    out[l] += p * coef
-        return out
+    def _integral_basis(self) -> tuple:
+        """The closed-form integral basis and its tables, as the arguments of
+        _set_basis: the rows in units of 1/4, the determinant and adjugate
+        columns of the coordinate map, the structure constants, the matrices
+        of sigma_0..sigma_3 and the rows of omega_1..omega_3.  e_i is basis
+        element i, e_0 = 1, and m_xy is the cofactor in sqrt(d_x)*sqrt(d_y) =
+        m_xy*sqrt(d_z); every entry is written down from the d_i and m_xy."""
+        d = self.d
+        table = self.mul_table
 
-    def _integral_basis_rows(self) -> list[list[int]]:
-        """The closed-form integral basis as integer rows in units of 1/4.
-        Row 0 is 1; outside the case {1, 1, 1}, row i > 0 is the element
-        whose first nonzero radical coordinate is at sqrt(d_i)."""
-        res = [x % 4 for x in self.d]
+        def exact(n: int, q: int) -> int:
+            x, r = divmod(n, q)
+            if r:
+                raise InconsistencyError(
+                    f"products of basis elements are not integral in the basis of {d}")
+            return x
+
+        res = [x % 4 for x in d]
         if res == [1, 1, 1]:
-            # (sqrt(d1) + sqrt(d3))/2, (sqrt(d2) + sqrt(d3))/2 and
-            # (1 + sqrt(d1))(1 + sqrt(d2))/4 = (1 + sqrt(d1) + sqrt(d2) + c*sqrt(d3))/4
-            c = self.mul_table[(1, 2)][1]
-            return [[4, 0, 0, 0], [0, 2, 0, 2], [0, 0, 2, 2], [1, 1, 1, c % 4]]
+            d1, d2, d3 = d
+            m12, m13, m23 = table[(1, 2)][1], table[(1, 3)][1], table[(2, 3)][1]
+            # e1 = (sqrt(d1) + sqrt(d3))/2, e2 = (sqrt(d2) + sqrt(d3))/2 and
+            # e3 = (1 + sqrt(d1))(1 + sqrt(d2))/4 - (m12 // 4)*sqrt(d3)
+            #    = (1 + sqrt(d1) + sqrt(d2) + c*sqrt(d3))/4 with c = m12 mod 4,
+            # so sqrt(d3) = s*(4*e3 - 1 - 2*e1 - 2*e2) with s = c - 2 = +-1
+            c = m12 % 4
+            s, h = c - 2, c >> 1  # h = (1 + s)/2
+            rows = [[4, 0, 0, 0], [0, 2, 0, 2], [0, 0, 2, 2], [1, 1, 1, c]]
+            # the coordinates of x_0 + x_1*sqrt(d1) + x_2*sqrt(d2) + x_3*sqrt(d3)
+            # are (x_0 - u, 2*x_1 - 2*u, 2*x_2 - 2*u, 4*u) with
+            # u = s*(x_3 - x_1 - x_2), and det = 16*s
+            adj_cols = [(4 * s, 4, 4, -4), (0, 8 * s + 8, 8, -8), (0, 8, 8 * s + 8, -8),
+                        (0, -16, -16, 16)]
+            # e_i*e_j in radical coordinates, through the map above
+            a1, a2, a3 = s * m13, s * m23, s * m12
+            t = a1 + a2 - a3
+            g1, g2, w = t + 2 * a1 + m13, t + 2 * a2 + m23, t + a1 + a2 + m13 + m23
+            c11 = (exact(d1 + d3 + 2 * a1, 4), a1, a1 + m13, -2 * a1)
+            c22 = (exact(d2 + d3 + 2 * a2, 4), a2 + m23, a2, -2 * a2)
+            c12 = (exact(d3 + t, 4), exact(t + m23, 2), exact(t + m13, 2), -t)
+            c13 = (exact(d1 + c * d3 + g1, 8), exact(g1 + m23 + 1, 4),
+                   exact(g1 + a1 + 3 * m13, 4), -exact(g1, 2))
+            c23 = (exact(d2 + c * d3 + g2, 8), exact(g2 + a2 + 3 * m23, 4),
+                   exact(g2 + m13 + 1, 4), -exact(g2, 2))
+            c33 = (exact(d1 + d2 + c * c * d3 + 2 * w - 1, 16), exact(w + a2 + 2 * m23, 4),
+                   exact(w + a1 + 2 * m13, 4), exact(1 - w, 2))
+            consts = [list(_IDENTITY), [_IDENTITY[1], c11, c12, c13],
+                      [_IDENTITY[2], c12, c22, c23], [_IDENTITY[3], c13, c23, c33]]
+            # sigma_t(e_i), and omega_i = (1 + sqrt(d_i))/2, through the same map
+            n1, n4 = 2 * s + 1, 4 * s
+            sigmas = [_IDENTITY,
+                      [[1, 0, 0, 0], [s, n1, 2 * s, -n4], [0, 0, -1, 0], [h, 2 * h, s, -n1]],
+                      [[1, 0, 0, 0], [0, -1, 0, 0], [s, 2 * s, n1, -n4], [h, s, 2 * h, -n1]],
+                      [[1, 0, 0, 0], [-s, -n1, -2 * s, n4], [-s, -2 * s, -n1, n4],
+                       [-s, -n1, -n1, n4 + 1]]]
+            omegas = [(h, 2 * h, s, -2 * s), (h, s, 2 * h, -2 * s), (1 - h, -s, -s, 2 * s)]
+            return rows, 16 * s, adj_cols, consts, sigmas, omegas
         # d_a has the residue that occurs once: 1 against {2, 2} or {3, 3},
-        # or 3 against {2, 2}
+        # or 3 against {2, 2}.  e_a = omega_a = (h + sqrt(d_a))/q, with h = 1,
+        # q = 2 when d_a = 1 mod 4 and h = 0, q = 1 when d_a = 3 mod 4;
+        # e_b = (sqrt(d_b) + sqrt(d_c))/2 and e_c = sqrt(d_c)
         a = next(i for i in (1, 2, 3) if res.count(res[i - 1]) == 1)
         b, c = (i for i in (1, 2, 3) if i != a)
-        rows = [[4, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        if res[a - 1] == 1:
-            rows[a][0] = rows[a][a] = 2  # (1 + sqrt(d_a))/2
-        else:
-            rows[a][a] = 4  # sqrt(d_a)
-        rows[b][b] = rows[b][c] = 2  # (sqrt(d_b) + sqrt(d_c))/2
-        rows[c][c] = 4  # sqrt(d_c)
-        return rows
 
-    def _set_basis(self, rows: list[list[int]]) -> None:
-        """Install rows (integers in units of 1/4) as the integral basis,
-        after the discriminant certificate and the closure checks."""
-        if rows[0] != [4, 0, 0, 0]:
-            raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
-        # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C) and
-        # adj(rows) = [[det(C), 0], [-adj(C)*b, 4*adj(C)]]; adj(C)[i][j] is
-        # the cofactor of C[j][i], written cyclically with indices mod 3
-        C = [r[1:] for r in rows[1:]]
-        adj_c = [[C[(j + 1) % 3][(i + 1) % 3] * C[(j + 2) % 3][(i + 2) % 3]
-                  - C[(j + 1) % 3][(i + 2) % 3] * C[(j + 2) % 3][(i + 1) % 3]
-                  for j in range(3)] for i in range(3)]
-        det_c = C[0][0] * adj_c[0][0] + C[0][1] * adj_c[1][0] + C[0][2] * adj_c[2][0]
-        det = 4 * det_c
+        def at(x0, xa, xb, xc):
+            """(x_0, x_a, x_b, x_c) in basis order."""
+            x = [x0, 0, 0, 0]
+            x[a], x[b], x[c] = xa, xb, xc
+            return x
+
+        da, db, dc = d[a - 1], d[b - 1], d[c - 1]
+        mab, mac, mbc = table[(a, b)][1], table[(a, c)][1], table[(b, c)][1]
+        h = 1 if res[a - 1] == 1 else 0
+        q = 1 + h
+        rows = at([4, 0, 0, 0], at(2 * h, 4 // q, 0, 0), at(0, 0, 2, 2), at(0, 0, 0, 4))
+        # the coordinates of x_0 + x_a*sqrt(d_a) + x_b*sqrt(d_b) + x_c*sqrt(d_c)
+        # are (x_0 - h*x_a, q*x_a, 2*x_b, x_c - x_b), and det = 128/q
+        k = 32 // q
+        adj_cols = at(at(k, -h * k, 0, 0), at(0, 32, 0, 0), at(0, 0, 2 * k, 0), at(0, 0, -k, k))
+        x, y = exact(h + mac, q), exact(q * mbc, 2)
+        caa = at(exact(da - h, q * q), h, 0, 0)
+        cab = at(0, 0, x, exact(mab - mac, 2 * q))
+        cac = at(0, 0, 2 // q * mac, h - x)
+        cbb = at(exact(db + dc - 2 * h * mbc, 4), y, 0, 0)
+        cbc = at(exact(dc - h * mbc, 2), y, 0, 0)
+        ccc = at(dc, 0, 0, 0)
+        consts = at(list(_IDENTITY), at(_IDENTITY[a], caa, cab, cac),
+                    at(_IDENTITY[b], cab, cbb, cbc), at(_IDENTITY[c], cac, cbc, ccc))
+        # sigma_a(e_a, e_b, e_c) = (e_a, -e_b, -e_c), sigma_b(...) =
+        # (h - e_a, e_b - e_c, -e_c) and sigma_c(...) = (h - e_a, e_c - e_b, e_c)
+        one = [1, 0, 0, 0]
+        sigmas = at(_IDENTITY,
+                    at(one, at(0, 1, 0, 0), at(0, 0, -1, 0), at(0, 0, 0, -1)),
+                    at(one, at(h, -1, 0, 0), at(0, 0, 1, -1), at(0, 0, 0, -1)),
+                    at(one, at(h, -1, 0, 0), at(0, 0, -1, 1), at(0, 0, 0, 1)))
+        # omega_a = e_a, omega_b = sqrt(d_b) = 2*e_b - e_c and omega_c = e_c
+        omegas = at(None, at(0, 1, 0, 0), at(0, 0, 2, -1), at(0, 0, 0, 1))[1:]
+        return rows, 128 // q, adj_cols, consts, sigmas, omegas
+
+    def _set_basis(self, rows, det, adj_cols, consts, sigmas, omegas) -> None:
+        """Install the integral basis given by rows (integers in units of 1/4)
+        with its tables, after the discriminant certificate and the check that
+        the coordinate map sends each row to its unit vector."""
         # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
         # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
         d1, d2, d3 = self.d
@@ -188,38 +229,17 @@ class BiquadField:
             raise InconsistencyError(
                 f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
-        self.basis_rows, self._det = rows, det
-        # column j of adj(rows), for the coordinates x = 4 * vec * adj / det
-        self._adj_cols = [(det_c, *(-sum(a * r[0] for a, r in zip(adj_c[i], rows[1:]))
-                                    for i in range(3)))]
-        self._adj_cols += [(0, *(4 * adj_c[i][j] for i in range(3))) for j in range(3)]
-        self.structure_constants = consts = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                consts[i][j] = consts[j][i] = tuple(self._integer_coords(
-                    self.radical_product(rows[i], rows[j]), 16, "products of basis elements"))
-        # row 0 is 1, so this checks that the adjugate inverts the rows
-        if tuple(consts[0]) != _IDENTITY:
-            raise InconsistencyError(f"1 times the basis of {self.d} is not the basis")
-        self.sigma_matrices = [_IDENTITY] + [
-            [self._integer_coords([v * s for v, s in zip(r, signs)], 4, "Galois images")
-             for r in rows]
-            for signs in _SIGMA_SIGNS]
-        # sigma_3 = sigma_1 o sigma_2, so its rows are those of sigma_1 mapped by sigma_2
-        self.sigma_matrices.append([self.sigma(r, 2) for r in self.sigma_matrices[1]])
-        # omega_i = sqrt(d_i), or (1 + sqrt(d_i))/2 when d_i = 1 mod 4: the
-        # ring of integers of k_i is Z + Z*omega_i
-        self.omega_rows = []
-        for i, d in enumerate(self.d):
-            vec, scale = [0, 0, 0, 0], 1
-            vec[i + 1] = 1
-            if d % 4 == 1:
-                vec[0], scale = 1, 2
-            self.omega_rows.append(self._integer_coords(vec, scale, "subfield integers"))
+        self.basis_rows, self._det, self._adj_cols = rows, det, adj_cols
+        for r, unit in zip(rows, _IDENTITY):
+            if tuple(self._integer_coords(r, 4, "basis elements")) != unit:
+                raise InconsistencyError(
+                    f"the coordinate map of {self.d} does not invert its basis")
+        self.structure_constants, self.sigma_matrices, self.omega_rows = consts, sigmas, omegas
 
     def _integer_coords(self, vec, scale: int, what: str) -> list[int]:
         """Basis coordinates of the element vec/scale, vec an integer vector
-        over the radicals; raises unless they are integers."""
+        over the radicals, through the adjugate columns: x = 4*vec*adj/det;
+        raises unless they are integers."""
         den = scale * self._det
         v0, v1, v2, v3 = vec
         out = []

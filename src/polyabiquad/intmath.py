@@ -42,7 +42,7 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1 and n <= SMALL_PRIMES[-1] ** 2:
         out[n] = out.get(n, 0) + 1
         return out
-    p = SMALL_PRIMES[-1] + 1 if n > 1 else 3
+    p = SMALL_PRIMES[-1] + 2 if n > 1 else 3
     while n > 1:
         if p * p > n:
             out[n] = out.get(n, 0) + 1
@@ -52,10 +52,6 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
         p += 2
     return out
-
-
-def prime_divisors(n: int) -> list[int]:
-    return sorted(factorize(n))
 
 
 @dataclass(frozen=True)

@@ -21,26 +21,27 @@ verdicts are complete, never heuristic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
-from .intmath import prime_divisors, squarefree_decompose
+from .intmath import factorize
 
 
 class QuadraticField:
     """Q(sqrt(d)) for squarefree d not in {0, 1}."""
 
     def __init__(self, d: int):
-        sf = squarefree_decompose(d)
-        if sf.squarefree_part in (0, 1):
+        # the squarefree part of d is the product of its primes of odd
+        # exponent; they ramify, and so does 2 when it is 3 mod 4
+        primes = [p for p, e in factorize(d).items() if e % 2]
+        self.d = prod(primes, start=1 if d > 0 else -1)
+        if self.d == 1:
             raise InvalidInputError(f"d={d} gives a degenerate quadratic field")
-        self.d = sf.squarefree_part
         self.delta = self.d if self.d % 4 == 1 else 4 * self.d
         self.is_real = self.d > 0
-        self.ramified_primes = prime_divisors(self.delta)
+        self.ramified_primes = sorted(primes + [2] if self.d % 4 == 3 else primes)
         self.s = len(self.ramified_primes)
         self._fu: tuple[int, int] | None = None
 
@@ -430,8 +431,11 @@ class AmbiguousClassesQuad:
 
     def class_representatives(self) -> list[int]:
         """First-seen representatives in lexicographic exponent order."""
-        masks = [sum(bit << i for i, bit in enumerate(exps))
-                 for exps in itertools.product((0, 1), repeat=len(self.primes))]
+        # the first prime is the most significant digit, as in
+        # itertools.product((0, 1), repeat=s) with bit i from digit i
+        masks = [0]
+        for i in reversed(range(len(self.primes))):
+            masks += [m | 1 << i for m in masks]
         return self._book.classes(masks)
 
 

@@ -20,6 +20,10 @@
   under multiplication, in K and in a quadratic subfield.
 - The integral basis as elements, read off BiquadField.basis_rows, and
   basis coordinates as Fractions by Cramer's rule.
+- generic_basis_tables, the earlier route to the tables of an integral
+  basis: a block adjugate of its rows, then every radical product, Galois
+  image and subfield integer converted through it.  The program writes the
+  same tables down per residue pattern.
 - The earlier square root integral_square_root_fraction, which runs the
   denesting over k1 in Fraction radical coordinates.
 - The earlier sort-based Euclidean Hermite form, and the earlier quadratic
@@ -289,6 +293,50 @@ def char_poly(x) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     n = p1 * p1.sigma(2)
     assert all(c == 0 for c in n.coords[1:])
     return s1, s2, s3, n.coords[0]
+
+
+def generic_basis_tables(K, rows) -> tuple:
+    """The tables of the integral basis given by rows (integers in units of
+    1/4, row 0 equal to 1), by the earlier adjugate route: the block adjugate
+    of the rows, then the radical products, Galois images and subfield
+    integers converted through it.  Returns (rows, det, adj_cols, consts,
+    sigmas, omegas) in the layout of BiquadField._set_basis; raises
+    InconsistencyError when a conversion is not integral.  No discriminant
+    check: that one is BiquadField._set_basis's."""
+    if rows[0] != [4, 0, 0, 0]:
+        raise InconsistencyError(f"the integral basis of {K.d} must start with 1")
+    # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C) and
+    # adj(rows) = [[det(C), 0], [-adj(C)*b, 4*adj(C)]]
+    C = [r[1:] for r in rows[1:]]
+    adj_c = [[C[(j + 1) % 3][(i + 1) % 3] * C[(j + 2) % 3][(i + 2) % 3]
+              - C[(j + 1) % 3][(i + 2) % 3] * C[(j + 2) % 3][(i + 1) % 3]
+              for j in range(3)] for i in range(3)]
+    det_c = C[0][0] * adj_c[0][0] + C[0][1] * adj_c[1][0] + C[0][2] * adj_c[2][0]
+    det = 4 * det_c
+    adj_cols = [(det_c, *(-sum(a * r[0] for a, r in zip(adj_c[i], rows[1:])) for i in range(3)))]
+    adj_cols += [(0, *(4 * adj_c[i][j] for i in range(3))) for j in range(3)]
+
+    def coords(vec, scale, what):
+        out = []
+        for col in adj_cols:
+            q, r = divmod(4 * sum(int(v) * c for v, c in zip(vec, col)), scale * det)
+            if r:
+                raise InconsistencyError(f"{what} are not integral in the basis of {K.d}")
+            out.append(q)
+        return out
+
+    consts = [[coords(radical_product(K.d, rows[i], rows[j]), 16, "products of basis elements")
+               for j in range(4)] for i in range(4)]
+    sigmas = [[coords([v * s for v, s in zip(r, signs)], 4, "Galois images") for r in rows]
+              for signs in _SIGMA_SIGNS]
+    omegas = []
+    for i, d in enumerate(K.d):
+        vec, scale = [0, 0, 0, 0], 1
+        vec[i + 1] = 1
+        if d % 4 == 1:
+            vec[0], scale = 1, 2
+        omegas.append(coords(vec, scale, "subfield integers"))
+    return rows, det, adj_cols, consts, sigmas, omegas
 
 
 def basis_elements(K) -> tuple:

@@ -6,13 +6,13 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
-                             embed_quad, gram_determinant, integral_coords,
-                             integral_square_root_fraction, mat_det_fraction)
-from polyabiquad.biquadratic import biquadratic_field
+                             embed_quad, generic_basis_tables, gram_determinant,
+                             integral_coords, integral_square_root_fraction, mat_det_fraction)
+from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
@@ -120,21 +120,36 @@ def test_integral_basis_matches_frozen_saturation_search():
     assert checked == 534
 
 
+def _tables(tables):
+    """(rows, det, adj_cols, consts, sigmas, omegas) with every vector a tuple."""
+    rows, det, adj_cols, consts, sigmas, omegas = tables
+    return ([tuple(r) for r in rows], det, [tuple(c) for c in adj_cols],
+            [[tuple(c) for c in r] for r in consts], [[tuple(r) for r in S] for S in sigmas],
+            [tuple(w) for w in omegas])
+
+
+def _written_tables(K):
+    return _tables((K.basis_rows, K._det, K._adj_cols, K.structure_constants,
+                    K.sigma_matrices, K.omega_rows))
+
+
 def test_integral_basis_certificate_up_to_60():
-    # construction runs the closure checks; the discriminant is checked again
-    # by a rational determinant the program does not use
+    # construction runs the discriminant certificate and the inversion check;
+    # the discriminant is checked again by a rational determinant the program
+    # does not use, and every written-down table against the adjugate route
     patterns = set()
     for K in small_corpus(60):
         d1, d2, d3 = K.d
         det = mat_det_fraction(K.basis_rows)
         assert det * det * d1 * d2 * d3 == 256 * K.disc, K.d
         assert K.basis_rows[0] == [4, 0, 0, 0]
-        # the block adjugate and its determinant invert the rows
+        # the adjugate columns and the determinant invert the rows
         assert K._det == det, K.d
         adj = list(zip(*K._adj_cols))
         assert [[sum(r[k] * adj[k][j] for k in range(4)) for j in range(4)]
                 for r in K.basis_rows] == [[K._det * (i == j) for j in range(4)]
                                            for i in range(4)], K.d
+        assert _written_tables(K) == _tables(generic_basis_tables(K, K.basis_rows)), K.d
         patterns.add((tuple(x % 4 for x in K.d), K.is_real, abs(gcd(d1, d2)) > 1))
     # the 10 placements of the residues mod 4 in the sorted triple, real and
     # imaginary, with and without gcd(d1, d2) > 1, less the 4 where d1 and d2
@@ -142,7 +157,52 @@ def test_integral_basis_certificate_up_to_60():
     assert len(patterns) == 10 * 2 * 2 - 4
 
 
-def test_certificate_rejects_a_lattice_that_is_not_a_ring():
+def _squarefree(residue):
+    return st.integers(-25_000, 25_000).map(lambda n: 4 * n + residue).filter(
+        lambda d: d != 1 and squarefree_part(d) == d)
+
+
+# generating pairs by residues mod 4: (1, 1) gives the pattern {1, 1, 1},
+# (1, 3) and (3, 3) give 1 against {3, 3}, (1, 2) gives 1 against {2, 2},
+# and (3, 2) and (2, 2) give 3 against {2, 2} or 1 against {2, 2}
+_RESIDUE_PAIRS = ((1, 1), (1, 3), (3, 3), (1, 2), (3, 2), (2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_RESIDUE_PAIRS).flatmap(
+    lambda r: st.tuples(_squarefree(r[0]), _squarefree(r[1]))))
+@example((-23, -19))        # {1, 1, 1}
+@example((5, 3))            # 1 against {3, 3}
+@example((5, 2))            # 1 against {2, 2}
+@example((3, 2))            # 3 against {2, 2}
+@example((99_997, -99_998))
+def test_written_tables_match_the_adjugate_route_on_random_fields(pair):
+    assume(pair[0] != pair[1])
+    K = biquadratic_field(*pair)
+    assert _written_tables(K) == _tables(generic_basis_tables(K, K.basis_rows)), K.d
+
+
+def test_construction_builds_no_radical_product(monkeypatch):
+    # the tables are written down: no radical product exists to call, and the
+    # coordinate map runs only on the four basis rows, for the inversion check
+    assert not hasattr(BiquadField, "radical_product")
+    calls = []
+    integer_coords = BiquadField._integer_coords
+
+    def recording(self, vec, scale, what):
+        calls.append((list(vec), scale))
+        return integer_coords(self, vec, scale, what)
+
+    monkeypatch.setattr(BiquadField, "_integer_coords", recording)
+    pairs = _scan_tasks(30, False, False)
+    assert len(pairs) == 534
+    for pair in pairs:
+        calls.clear()
+        K = biquadratic_field(*pair)
+        assert calls == [(list(r), 4) for r in K.basis_rows], K.d
+
+
+def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
     # (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
     # (1 + sqrt(d1))(1 + sqrt(d2))/4: sqrt(-23)*sqrt(-19) = -sqrt(437), so the
     # sign of the last coordinate is wrong, yet the discriminant is the same
@@ -153,10 +213,26 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring():
     flipped = good[:3] + [[1, 1, 1, 1]]
     assert mat_det_fraction(flipped) == -mat_det_fraction(good)
     with pytest.raises(InconsistencyError, match="products of basis elements"):
-        biquadratic_field(-23, -19)._set_basis(flipped)
+        generic_basis_tables(K, flipped)
+    # Z[sqrt2, sqrt3, sqrt6] is a ring with integral subfield integers and
+    # tables, of index 2 in O_K; only the discriminant certificate rejects it
+    K23 = biquadratic_field(2, 3)
+    identity = [[4 if i == j else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(InconsistencyError, match="lattice discriminant"):
-        biquadratic_field(-23, -19)._set_basis(
-            [[4 if i == j else 0 for j in range(4)] for i in range(4)])
+        K23._set_basis(*generic_basis_tables(K23, identity))
+    # a wrong sign of m_ab in Q(sqrt3, sqrt5), d_a = 5 against {3, 15}: the
+    # e_c-coordinate of e_a*e_b, (m_ab - m_ac)/4, becomes (-1 - 5)/4
+    build = BiquadField._build_mul_table
+
+    def corrupted(self):
+        table = build(self)
+        l, m = table[(1, 2)]
+        table[(1, 2)] = table[(2, 1)] = (l, -m)
+        return table
+
+    monkeypatch.setattr(BiquadField, "_build_mul_table", corrupted)
+    with pytest.raises(InconsistencyError, match="products of basis elements"):
+        biquadratic_field(3, 5)
 
 
 def test_profile_examples():
@@ -205,12 +281,13 @@ def test_galois_action_composition_and_norm():
 
 
 def test_sigma_3_is_the_product_of_sigma_1_and_sigma_2_up_to_60():
-    # sigma_3 is built as sigma_1 o sigma_2; it must equal the Galois images
-    # sigma_3(basis) converted from radical coordinates
+    # sigma_3 is written down; it must equal the Galois images sigma_3(basis)
+    # converted from radical coordinates, and sigma_1 o sigma_2
     for K in small_corpus(60):
         direct = [K._integer_coords([v * s for v, s in zip(r, (1, -1, -1, 1))], 4, "images")
                   for r in K.basis_rows]
         assert K.sigma_matrices[3] == direct, K.d
+        assert [K.sigma(K.sigma(e, 1), 2) for e in K.sigma_matrices[0]] == direct, K.d
 
 
 _INTS = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))

@@ -41,6 +41,19 @@ def test_squarefree_recompose_random_to_1e6():
         assert squarefree_part(sf.squarefree_part) == sf.squarefree_part
 
 
+def test_factorize_past_the_sieve():
+    # the cofactor left after the sieved primes is above their largest square
+    # and has two prime factors above the sieve, one of them odd
+    for n in (2 * 38833 * 36313, 20011 * 20021, 3 * 20011 ** 2 * 20023, 20011 ** 3):
+        fac = factorize(n)
+        assert all(factorize(p) == {p: 1} for p in fac)
+        prod = 1
+        for p, e in fac.items():
+            prod *= p ** e
+        assert prod == n and max(fac) > SMALL_PRIMES[-1], n
+    assert factorize(-2 * 38833 * 36313) == {2: 1, 36313: 1, 38833: 1}
+
+
 def test_kronecker_examples():
     assert kronecker(2, 7) == 1      # 2 = 3^2 mod 7
     assert kronecker(3, 5) == -1

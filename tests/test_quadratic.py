@@ -1,3 +1,4 @@
+import itertools
 from math import isqrt
 
 import pytest
@@ -9,7 +10,7 @@ from exact_reference import (QuadElement, quad_ideal_closed_under_multiplication
                              quad_ideal_multiply, subset_ideal_chain)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
-from polyabiquad.intmath import squarefree_part
+from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
                                    ambiguous_oracle_quad, omega_norm, polya_order_quad,
                                    prime_above, principal_generator_quad, quadratic_field,
@@ -187,6 +188,34 @@ def test_oracle_representatives_deterministic():
     reps2 = AmbiguousClassesQuad(k).class_representatives()
     assert reps1 == reps2
     assert reps1[0] == 0  # the principal class is represented by the empty product
+
+
+def test_class_representatives_list_masks_in_product_order():
+    # with every mask its own class, the representatives are the masks in the
+    # order they are offered: that of itertools.product, bit i from digit i
+    class EveryMaskItsOwnClass:
+        def classes(self, masks):
+            return masks
+
+    for s in range(13):
+        orc = AmbiguousClassesQuad.__new__(AmbiguousClassesQuad)
+        orc.primes, orc._book = list(range(s)), EveryMaskItsOwnClass()
+        assert orc.class_representatives() == [
+            sum(bit << i for i, bit in enumerate(exps))
+            for exps in itertools.product((0, 1), repeat=s)], s
+
+
+def test_ramified_primes_and_discriminant_from_one_factorisation():
+    # the primes of odd exponent in d, and 2 when d is 2 or 3 mod 4, against
+    # the primes dividing the discriminant; d need not be squarefree
+    for n in range(-300, 301):
+        if n == 0 or n > 0 and isqrt(n) ** 2 == n:
+            continue
+        k = quadratic_field(n)
+        assert k.d == squarefree_part(n), n
+        assert k.ramified_primes == sorted(factorize(k.delta)), n
+    with pytest.raises(InvalidInputError):
+        quadratic_field(0)
 
 
 def test_coset_verdicts_agree_with_a_descent_on_every_subset():
