@@ -158,13 +158,13 @@ def test_integral_basis_certificate_up_to_60():
 
 
 def _squarefree(residue):
-    return st.integers(-25_000, 25_000).map(lambda n: 4 * n + residue).filter(
+    return st.integers(-24_999, 24_999).map(lambda n: 4 * n + residue).filter(
         lambda d: d != 1 and squarefree_part(d) == d)
 
 
 # generating pairs by residues mod 4: (1, 1) gives the pattern {1, 1, 1},
 # (1, 3) and (3, 3) give 1 against {3, 3}, (1, 2) gives 1 against {2, 2},
-# and (3, 2) and (2, 2) give 3 against {2, 2} or 1 against {2, 2}
+# (3, 2) gives 3 against {2, 2}, and (2, 2) either pattern with {2, 2}
 _RESIDUE_PAIRS = ((1, 1), (1, 3), (3, 3), (1, 2), (3, 2), (2, 2))
 
 
@@ -175,7 +175,7 @@ _RESIDUE_PAIRS = ((1, 1), (1, 3), (3, 3), (1, 2), (3, 2), (2, 2))
 @example((5, 3))            # 1 against {3, 3}
 @example((5, 2))            # 1 against {2, 2}
 @example((3, 2))            # 3 against {2, 2}
-@example((99_997, -99_998))
+@example((99_991, -99_989))  # two primes: d3 = -9998000099
 def test_written_tables_match_the_adjugate_route_on_random_fields(pair):
     assume(pair[0] != pair[1])
     K = biquadratic_field(*pair)
