@@ -17,12 +17,11 @@ from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyErro
 from .intmath import SquarefreeDecomposition, kronecker, squarefree_decompose
 from .lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                       principal_ideal_generator, rational_ideal, relative_norm_ideal)
-from .polya import (PolyaReport, j2_value, kernel_order, polya_report, verify_biquad,
-                    verify_quad)
+from .polya import j2_value, kernel_order, polya_report, verify_biquad, verify_quad
 from .quadratic import (QuadIdeal, QuadraticField, ambiguous_oracle_quad,
                         polya_order_quad, prime_above, principal_generator_quad,
                         quadratic_field)
-from .report import OutputRecord, QuadRecord, biquad_record, quad_record, render_records
+from .report import OutputRecord, QuadRecord, quad_record, render_records
 from .units import UnitStructure, integral_square_root, unit_structure
 
 __version__ = "0.1.0"
@@ -30,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousIdealOracle", "BiquadField", "Budget",
     "BudgetExceededError", "DomainError", "IdealLattice", "InconsistencyError",
-    "InvalidInputError", "OutputRecord", "PolyaReport", "QuadIdeal",
+    "InvalidInputError", "OutputRecord", "QuadIdeal",
     "QuadRecord", "QuadraticField", "RamificationProfile",
     "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
-    "biquad_record", "biquadratic_field", "integral_square_root", "j2_value",
+    "biquadratic_field", "integral_square_root", "j2_value",
     "kernel_order", "kronecker", "polya_order_quad",
     "polya_report", "prime_above", "prime_radical", "principal_generator_quad",
     "principal_ideal_generator", "quad_record",

@@ -45,6 +45,7 @@ inertia-complement subfield.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import InconsistencyError, InvalidInputError
@@ -94,7 +95,6 @@ class BiquadField:
             self.disc *= k.delta
         self._set_basis(*self._integral_basis())
         self.profile = self._ramification_profile()
-        self._units = None
 
     # -- construction helpers ----------------------------------------------
 
@@ -320,12 +320,10 @@ class BiquadField:
 
     # -- lazily computed unit and ideal data ---------------------------------
 
-    @property
+    @cached_property
     def units(self):
-        if self._units is None:
-            from .units import unit_structure
-            self._units = unit_structure(self)
-        return self._units
+        from .units import unit_structure
+        return unit_structure(self)
 
     def __repr__(self):
         return f"BiquadField{self.d}"

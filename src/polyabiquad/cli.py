@@ -14,6 +14,7 @@ default; each field gets its own budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import multiprocessing
@@ -26,7 +27,7 @@ from .intmath import squarefree_part
 from .lattice import AmbiguousIdealOracle
 from .polya import polya_order_quad, polya_report, verify_biquad, verify_quad
 from .quadratic import quadratic_field
-from .report import biquad_record, quad_record, render_records
+from .report import quad_record, render_records
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -36,10 +37,8 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_format(args) -> str:
-    chosen = [f for f in ("json", "csv", "text") if getattr(args, f, False)]
-    if getattr(args, "format", None):
-        chosen.append(args.format)
-    if len(set(chosen)) > 1:
+    chosen = [f for f in ("json", "csv", "text") if getattr(args, f)]
+    if len(chosen) > 1:
         raise InvalidInputError("choose at most one output format")
     return chosen[0] if chosen else "text"
 
@@ -69,21 +68,19 @@ def _mismatch_note(K, details: dict) -> str:
 
 def _cmd_biquad(args) -> int:
     K = biquadratic_field(args.d1, args.d2)
-    rep = polya_report(K)
-    status = "unchecked"
+    rec = polya_report(K)
     if args.verify:
-        status, details = verify_biquad(K, rep, AmbiguousIdealOracle(K, _budget_units(args)))
-    rec = biquad_record(K, rep, status)
+        status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, _budget_units(args)))
+        rec = dataclasses.replace(rec, verify_status=status)
     fmt = _resolve_format(args)
     sys.stdout.write(render_records([rec], fmt))
-    if status == "mismatch":
+    if rec.verify_status == "mismatch":
         print(_mismatch_note(K, details), file=sys.stderr)
     if args.chain and fmt == "text":
-        h30, h21, h10, h32 = rep.chain
         sys.stdout.write(
-            f"chain: (H3:H2)={h32}  (H2:H1)={h21}  (H1:H0)={h10}  "
-            f"product={h32 * h21 * h10} = 2^s_K = (H3:H0)={h30}\n")
-    return 2 if status == "mismatch" else 0
+            f"chain: (H3:H2)={rec.h3_h2}  (H2:H1)={rec.h2_h1}  (H1:H0)={rec.h1_h0}  "
+            f"product={rec.h3_h2 * rec.h2_h1 * rec.h1_h0} = 2^s_K = (H3:H0)={rec.h3_h0}\n")
+    return 2 if rec.verify_status == "mismatch" else 0
 
 
 def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
@@ -106,16 +103,16 @@ def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
 def _scan_worker(task):
     a, b, verify, units = task
     K = biquadratic_field(a, b)
-    rep = polya_report(K)
-    status, note = "unchecked", None
+    rec, note = polya_report(K), None
     if verify:
         try:
-            status, details = verify_biquad(K, rep, AmbiguousIdealOracle(K, units))
+            status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
         except BudgetExceededError:
             status = "budget_exceeded"
         if status == "mismatch":
             note = _mismatch_note(K, details)
-    return biquad_record(K, rep, status), note
+        rec = dataclasses.replace(rec, verify_status=status)
+    return rec, note
 
 
 def _cmd_scan(args) -> int:
@@ -193,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--imag-only", action="store_true")
     s.add_argument("--verify", action="store_true")
     s.add_argument("--out", type=str, default=None)
-    s.add_argument("--format", choices=("text", "json", "csv"), default=None)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--budget", type=int, default=None)
     _add_format_flags(s)

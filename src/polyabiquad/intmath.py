@@ -1,5 +1,5 @@
 """Exact integer primitives: trial-division factoring at desk scale,
-squarefree decomposition, and the Kronecker symbol.
+squarefree decomposition, powers of two and the Kronecker symbol.
 
 Inputs throughout the package are small (|d| in the hundreds, discriminants
 in the thousands), so factoring is plain trial division against a sieve,
@@ -82,6 +82,10 @@ def squarefree_decompose(n: int) -> SquarefreeDecomposition:
 
 def squarefree_part(n: int) -> int:
     return squarefree_decompose(n).squarefree_part
+
+
+def is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
 
 
 def kronecker(a: int, n: int) -> int:

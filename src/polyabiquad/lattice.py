@@ -257,9 +257,11 @@ class AmbiguousIdealOracle:
     A descent builds no lattice for a radical product a: N(a) comes from the
     certified radical norms, the relative norms in closed form, and a root
     is tested for membership in a radical by radical.
-    The classes are counted as the cosets of P; the kernel is counted by
-    subgroup orders, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, with
-    im phi spanned by the extended ramified primes of the subfields.
+    The classes are counted as the cosets of P; the cokernel is
+    G / <im phi, P>, with im phi spanned by the extended ramified primes of
+    the subfields, and the kernel is counted by subgroup orders,
+    |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|; one Hermite form gives
+    both.
     """
 
     def __init__(self, K: BiquadField, budget_units: int | None = None):
@@ -366,23 +368,31 @@ class AmbiguousIdealOracle:
         """Number of strongly ambiguous classes, counted directly."""
         return len(self.class_representatives())
 
-    def kernel_order_oracle(self) -> int:
-        """Order of the kernel of the extension map on ambiguous classes,
-        prod_i |Po(k_i)| * |P| / |<im phi, P>|, with im phi spanned by the
-        extended ramified primes of the three subfields.  <im phi, P> / P is
-        the image in G / P; its order is prod e_p over the determinant of the
-        Hermite form of its generators stacked on diag(e_p) (H. Cohen,
-        GTM 138, 2.4)."""
+    @cached_property
+    def _cokernel(self) -> int:
+        """|G / <im phi, P>|, with im phi spanned by the extended ramified
+        primes of the three subfields: the product of the pivots of the
+        Hermite form of diag(e_p), P and im phi stacked (H. Cohen, GTM 138,
+        2.4).  As G / P = Po(K), this is the cokernel of the extension map."""
         self._classes  # decide every vector of G, so that P is final
-        principal = self._book.principal
         n = len(self.primes)
         rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(self.exponents)]
-        rows += [self.unpack(v) for v in principal]
+        rows += [self.unpack(v) for v in self._book.principal]
         rows += [self.unpack(self._prime_image(p)) for k in self.K.subfields
                  for p in k.ramified_primes]
-        span = prod(self.exponents) // prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
+        return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
+
+    def cokernel_order_oracle(self) -> int:
+        """Order of the cokernel of the extension map on ambiguous classes."""
+        return self._cokernel
+
+    def kernel_order_oracle(self) -> int:
+        """Order of the kernel of the extension map on ambiguous classes,
+        prod_i |Po(k_i)| * |P| / |<im phi, P>|, where <im phi, P> has order
+        prod e_p over the cokernel order."""
+        span = prod(self.exponents) // self._cokernel
         domain = prod(len(sub.class_representatives())
-                      for sub in self._subfield_books) * len(principal)
+                      for sub in self._subfield_books) * len(self._book.principal)
         if domain % span:
             raise InconsistencyError(
                 f"|<im phi, P>| = {span} does not divide prod |Po(k_i)| * |P| = {domain}")

@@ -21,27 +21,22 @@ sequence 0 -> H^1(G, O_K^x) -> sum_p Z/e_p -> Po(K) -> 0 (H. Zantema,
 j2 = i2 + 2 + drop - log2(q) - log2|H^1(G, O_K^x)|, drop = max(1, nu_K)
 (real) or nu_K (imaginary); units.unit_cohomology_order computes |H^1|.
 
-The two routes |Po(K)| and prod|Po(k_i)| * |cokernel| / |kernel| must agree,
-and the chain of subgroups between the rational principal ideals and the
-ambiguous ideals telescopes to 2**s_K; both identities are checked on every
-call, so a silent inconsistency upstream (a wrong q, a wrong profile, a wrong
-|H^1|) cannot produce a report.
+polya_report returns the printed row, an OutputRecord, which checks on
+construction that |Po(K)| and prod|Po(k_i)| * |cokernel| / |kernel| agree
+and that the chain of subgroups between the rational principal ideals and
+the ambiguous ideals telescopes to 2**s_K, so a silent inconsistency
+upstream (a wrong q, a wrong profile, a wrong |H^1|) cannot produce a row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
-
 from .biquadratic import BiquadField
 from .errors import InconsistencyError
+from .intmath import is_power_of_two
 from .lattice import AmbiguousIdealOracle
 from .quadratic import ambiguous_oracle_quad, polya_order_quad
+from .report import OutputRecord
 from .units import unit_cohomology_order
-
-
-def _power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _times_power_of_two(n: int, e: int, what: str) -> int:
@@ -65,7 +60,7 @@ def j2_value(K: BiquadField) -> int:
     h1 = unit_cohomology_order(K)
     log_h1, log_q = h1.bit_length() - 1, K.units.q_k.bit_length() - 1
     j2 = K.profile.i2 + 2 + _drop(K) - log_q - log_h1
-    if not _power_of_two(h1) or j2 not in (0, 1):
+    if not is_power_of_two(h1) or j2 not in (0, 1):
         raise InconsistencyError(f"|H^1(G, O_K^x)| = {h1} gives j2 = {j2} for {K.d}")
     return j2
 
@@ -82,17 +77,17 @@ def kernel_order(K: BiquadField) -> int:
 
 
 def _polya_order(K: BiquadField, j2: int) -> int:
-    """|Po(K)| by the closed formula; PolyaReport checks it against the
+    """|Po(K)| by the closed formula; OutputRecord checks it against the
     kernel / cokernel decomposition."""
     return _times_power_of_two(K.units.q_k, K.profile.s_k + j2 - 2 - _drop(K),
                                f"the Polya order formula for {K.d}")
 
 
-def _chain_indices(K: BiquadField, ker: int, po_sub) -> tuple[int, int, int, int]:
+def _chain_indices(K: BiquadField, ker: int, po_sub_prod: int) -> tuple[int, int, int, int]:
     """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
     between extended rational principal ideals H0 and ambiguous products H3,
     with H1 the ideals generated by square roots of rationals and H2 the
-    principal ambiguous products.  PolyaReport checks that the product
+    principal ambiguous products.  OutputRecord checks that the product
     telescopes to 2**s_K."""
     us, prof = K.units, K.profile
     h30 = 2 ** prof.s_k
@@ -101,78 +96,45 @@ def _chain_indices(K: BiquadField, ker: int, po_sub) -> tuple[int, int, int, int
     shift = 5 if K.is_real else 3
     h32 = _times_power_of_two(us.index_units_over_star, prof.s_k - shift,
                               f"(H3:H2) for {K.d}")
-    po_sub_prod = prod(po_sub)
     if po_sub_prod % h32 or po_sub_prod // h32 != ker:
         raise InconsistencyError(
             f"kernel order via the chain disagrees with the closed formula for {K.d}")
     return h30, h21, h10, h32
 
 
-@dataclass(frozen=True)
-class PolyaReport:
-    """All computed orders and indices for one biquadratic field."""
-
-    d: tuple[int, int, int]
-    po_sub: tuple[int, int, int]
-    ker: int
-    coker: int
-    po_k: int
-    chain: tuple[int, int, int, int]  # (H3:H0), (H2:H1), (H1:H0), (H3:H2)
-    s_k: int
-    i2: int
-    j2: int
-    q_k: int
-    nu_k: int
-    product_e: int
-
-    def __post_init__(self):
-        if self.po_k * self.ker != self.po_sub[0] * self.po_sub[1] * self.po_sub[2] * self.coker:
-            raise InconsistencyError("report violates the decomposition identity")
-        h30, h21, h10, h32 = self.chain
-        if h32 * h21 * h10 != h30 or h30 != 2 ** self.s_k:
-            raise InconsistencyError("report chain does not telescope to 2^s_K")
-        for v in (*self.po_sub, self.ker, self.coker, self.po_k, *self.chain):
-            if not _power_of_two(v):
-                raise InconsistencyError("all report entries must be powers of two")
-
-
-def polya_report(K: BiquadField) -> PolyaReport:
-    """Every order and index of the field, each computed once and passed on
-    to the identity checks that use it; no ideal is built."""
+def polya_report(K: BiquadField) -> OutputRecord:
+    """The field's output row, status "unchecked": every order and index
+    computed once and written once; no ideal is built."""
     us, prof = K.units, K.profile
+    k1, k2, k3 = K.subfields
     j2 = j2_value(K)
     ker = kernel_order(K)
-    po_sub = tuple(polya_order_quad(k) for k in K.subfields)
-    return PolyaReport(
-        d=K.d,
-        po_sub=po_sub,
-        ker=ker,
-        coker=2 ** j2,
-        po_k=_polya_order(K, j2),
-        chain=_chain_indices(K, ker, po_sub),
-        s_k=prof.s_k,
-        i2=prof.i2,
-        j2=j2,
-        q_k=us.q_k,
-        nu_k=us.nu_k,
-        product_e=prof.product_e,
-    )
+    po1, po2, po3 = (polya_order_quad(k) for k in K.subfields)
+    h30, h21, h10, h32 = _chain_indices(K, ker, po1 * po2 * po3)
+    return OutputRecord(
+        d1=k1.d, d2=k2.d, d3=k3.d, delta1=k1.delta, delta2=k2.delta, delta3=k3.delta,
+        s1=k1.s, s2=k2.s, s3=k3.s, s_k=prof.s_k, i2=prof.i2, e2=prof.e2, j2=j2,
+        q_k=us.q_k, mu_order=us.mu_order,
+        lambda1=us.lam[0], lambda2=us.lam[1], lambda3=us.lam[2], nu_k=us.nu_k,
+        po1=po1, po2=po2, po3=po3, ker=ker, coker=2 ** j2, po_k=_polya_order(K, j2),
+        h3_h0=h30, h2_h1=h21, h1_h0=h10, h3_h2=h32, verify_status="unchecked")
 
 
-def verify_biquad(K: BiquadField, rep: PolyaReport,
+def verify_biquad(K: BiquadField, rep: OutputRecord,
                   oracle: AmbiguousIdealOracle | None = None) -> tuple[str, dict]:
-    """Compare the formula path, as computed in rep = polya_report(K),
-    against the brute-force oracle (a fresh one when none is given).
+    """Compare |Po(K)|, the kernel and the cokernel of the row
+    rep = polya_report(K) against the brute-force oracle (a fresh one when
+    none is given).
 
     Returns ("ok" | "mismatch", details); budget exhaustion propagates as
     BudgetExceededError rather than being folded into a verdict.
     """
     orc = oracle if oracle is not None else AmbiguousIdealOracle(K)
-    po_oracle = orc.polya_order_oracle()
-    ker_oracle = orc.kernel_order_oracle()
-    details = {"po_oracle": po_oracle, "ker_oracle": ker_oracle,
-               "po_formula": rep.po_k, "ker_formula": rep.ker}
-    ok = po_oracle == rep.po_k and ker_oracle == rep.ker
+    po, ker, coker = (orc.polya_order_oracle(), orc.kernel_order_oracle(),
+                      orc.cokernel_order_oracle())
+    details = {"po_oracle": po, "ker_oracle": ker, "coker_oracle": coker,
+               "po_formula": rep.po_k, "ker_formula": rep.ker, "coker_formula": rep.coker}
+    ok = (po, ker, coker) == (rep.po_k, rep.ker, rep.coker)
     return ("ok" if ok else "mismatch"), details
 
 

@@ -22,7 +22,7 @@ verdicts are complete, never heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
@@ -43,24 +43,21 @@ class QuadraticField:
         self.is_real = self.d > 0
         self.ramified_primes = sorted(primes + [2] if self.d % 4 == 3 else primes)
         self.s = len(self.ramified_primes)
-        self._fu: tuple[int, int] | None = None
 
-    @property
+    @cached_property
     def fundamental_unit(self) -> tuple[int, int]:
         """The unit > 1, as (u, v), generating the units modulo +-1 (real fields
         only)."""
         if not self.is_real:
             raise DomainError("imaginary quadratic fields have no fundamental unit")
-        if self._fu is None:
-            self._fu = _cf_fundamental_unit(self)
-        return self._fu
+        return _cf_fundamental_unit(self)
 
-    @property
+    @cached_property
     def lam(self) -> int:
         """Norm of the fundamental unit for real fields, else 0."""
         return omega_norm(self.d, *self.fundamental_unit) if self.is_real else 0
 
-    @property
+    @cached_property
     def nu(self) -> int:
         return 1 if self.is_real and self.lam == 1 else 0
 

@@ -1,6 +1,10 @@
 """Flat output records for the CLI and their three serializations.
 
-One record per field, all values integers except verify_status.  JSON output
+One record per field, all values integers except verify_status.  A
+biquadratic record checks its own identities when it is built, by
+polya.polya_report or by dataclasses.replace: |Po(K)| * |kernel| =
+prod |Po(k_i)| * |cokernel|, the chain indices telescoping to 2**s_K, and
+every order and index a power of two.  JSON output
 is newline-delimited with a fixed key order, CSV has a header row and plain
 comma-separated values (nothing needs quoting), and text is a fixed-width
 table.  All three renderings parse back to the exact record list, which the
@@ -13,9 +17,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .biquadratic import BiquadField
-from .errors import InvalidInputError
-from .polya import PolyaReport
+from .errors import InconsistencyError, InvalidInputError
+from .intmath import is_power_of_two
 from .quadratic import QuadraticField, radical_coords
 
 VERIFY_STATUSES = ("unchecked", "ok", "mismatch", "budget_exceeded")
@@ -56,6 +59,17 @@ class OutputRecord:
     h3_h2: int
     verify_status: str
 
+    def __post_init__(self):
+        _check_status(self.verify_status)
+        if self.po_k * self.ker != self.po1 * self.po2 * self.po3 * self.coker:
+            raise InconsistencyError("report violates the decomposition identity")
+        if self.h3_h2 * self.h2_h1 * self.h1_h0 != self.h3_h0 or self.h3_h0 != 2 ** self.s_k:
+            raise InconsistencyError("report chain does not telescope to 2^s_K")
+        for v in (self.po1, self.po2, self.po3, self.ker, self.coker, self.po_k,
+                  self.h3_h0, self.h2_h1, self.h1_h0, self.h3_h2):
+            if not is_power_of_two(v):
+                raise InconsistencyError("all report entries must be powers of two")
+
 
 @dataclass(frozen=True)
 class QuadRecord:
@@ -72,36 +86,17 @@ class QuadRecord:
     po: int
     verify_status: str
 
+    def __post_init__(self):
+        _check_status(self.verify_status)
+
 
 def _check_status(verify_status: str) -> None:
     if verify_status not in VERIFY_STATUSES:
         raise InvalidInputError(f"unknown verify status {verify_status!r}")
 
 
-def biquad_record(K: BiquadField, rep: PolyaReport,
-                  verify_status: str = "unchecked") -> OutputRecord:
-    _check_status(verify_status)
-    us = K.units
-    return OutputRecord(
-        d1=K.d[0], d2=K.d[1], d3=K.d[2],
-        delta1=K.subfields[0].delta, delta2=K.subfields[1].delta,
-        delta3=K.subfields[2].delta,
-        s1=K.subfields[0].s, s2=K.subfields[1].s, s3=K.subfields[2].s,
-        s_k=rep.s_k, i2=rep.i2, e2=K.profile.e2, j2=rep.j2,
-        q_k=rep.q_k, mu_order=us.mu_order,
-        lambda1=us.lam[0], lambda2=us.lam[1], lambda3=us.lam[2],
-        nu_k=rep.nu_k,
-        po1=rep.po_sub[0], po2=rep.po_sub[1], po3=rep.po_sub[2],
-        ker=rep.ker, coker=rep.coker, po_k=rep.po_k,
-        h3_h0=rep.chain[0], h2_h1=rep.chain[1], h1_h0=rep.chain[2],
-        h3_h2=rep.chain[3],
-        verify_status=verify_status,
-    )
-
-
 def quad_record(k: QuadraticField, po: int,
                 verify_status: str = "unchecked") -> QuadRecord:
-    _check_status(verify_status)
     ex, ey, eden = radical_coords(k.d, *k.fundamental_unit) if k.is_real else (0, 0, 1)
     return QuadRecord(d=k.d, delta=k.delta, s=k.s,
                       eps_x=ex, eps_y=ey, eps_den=eden,

@@ -155,7 +155,6 @@ class UnitStructure:
     q_k: int
     lam: tuple[int, int, int]
     nu_k: int
-    star_case: str  # "real_all_minus" | "product"
     index_sub_units_over_star: int   # (O_k1^x O_k2^x O_k3^x : O*_K)
     index_units_over_star: int       # (O_K^x : O*_K)
     index_pm_squares: int            # (O_K^x : +-(O_K^x)^2)
@@ -329,11 +328,9 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         q = len(roots) + 1
         if q not in (1, 2, 4):
             raise InconsistencyError(f"unit index {q} outside 1|2|4 for real {K.d}")
-        star_all_minus = lam == (-1, -1, -1)
         prod_sub = 2 ** sum(1 for l in lam if l == -1)
-        index_sub_over_star = prod_sub // 2 if star_all_minus else prod_sub
+        index_sub_over_star = prod_sub // 2 if lam == (-1, -1, -1) else prod_sub
         index_pm_squares = 8
-        star_case = "real_all_minus" if star_all_minus else "product"
     else:
         zeta, zorder = _torsion_generator(K)
         r = K.real_radical_index - 1
@@ -348,7 +345,6 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             raise InconsistencyError(f"unit index {q} outside 1|2 for imaginary {K.d}")
         index_sub_over_star = 2 if lam[r] == -1 else 1
         index_pm_squares = 4 if has_i else 2
-        star_case = "product"
 
     index_units_over_star = q * index_sub_over_star
     if index_pm_squares % index_units_over_star:
@@ -364,7 +360,6 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         q_k=q,
         lam=lam,
         nu_k=nu_k,
-        star_case=star_case,
         index_sub_units_over_star=index_sub_over_star,
         index_units_over_star=index_units_over_star,
         index_pm_squares=index_pm_squares,

@@ -106,8 +106,7 @@ def test_criterion_polya_order_formula_vs_oracle(oracle_results_15):
     results, _ = oracle_results_15
     for triple, (rep, po_o, _ker_o) in results.items():
         assert rep.po_k == po_o, (triple, rep.po_k, po_o)
-        assert rep.po_k * rep.ker == \
-            rep.po_sub[0] * rep.po_sub[1] * rep.po_sub[2] * rep.coker, triple
+        assert rep.po_k * rep.ker == rep.po1 * rep.po2 * rep.po3 * rep.coker, triple
     print(f"\nPASS polya-order-vs-oracle: {len(results)} fields, "
           f"decomposition identity holds on every row")
 
@@ -115,9 +114,9 @@ def test_criterion_polya_order_formula_vs_oracle(oracle_results_15):
 def test_criterion_chain_telescope(corpus_20):
     """(H3:H2)(H2:H1)(H1:H0) = 2^s_K; (H1:H0) = 2 iff sqrt(-1) in K, else 4."""
     for K in corpus_20:
-        h30, h21, h10, h32 = polya_report(K).chain
-        assert h32 * h21 * h10 == h30 == 2 ** K.profile.s_k, K.d
-        assert h10 == (2 if -1 in K.d else 4), K.d
+        rec = polya_report(K)
+        assert rec.h3_h2 * rec.h2_h1 * rec.h1_h0 == rec.h3_h0 == 2 ** K.profile.s_k, K.d
+        assert rec.h1_h0 == (2 if -1 in K.d else 4), K.d
     print(f"\nPASS chain-telescope: {len(corpus_20)} fields")
 
 

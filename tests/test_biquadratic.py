@@ -388,10 +388,7 @@ def test_unit_structure_real_all_minus_index():
     # all three lambda = -1: (O_k1 O_k2 O_k3 : O*_K) = (1/2) * 2^3 = 4
     us = unit_structure(biquadratic_field(2, 5))
     assert us.lam == (-1, -1, -1)
-    assert us.star_case == "real_all_minus"
     assert us.index_sub_units_over_star == 4
-    us2 = unit_structure(biquadratic_field(2, 3))
-    assert us2.star_case == "product"
 
 
 def test_unit_structure_pm_square_indices():

@@ -224,6 +224,14 @@ def test_mismatch_numbers_go_to_stderr(capsys, monkeypatch):
     assert err == "mismatch for (2, 3, 6): po_oracle=2 ker_oracle=1 po_formula=1 ker_formula=2\n"
 
 
+def test_cokernel_mismatch_exit_2(capsys, monkeypatch):
+    from polyabiquad.lattice import AmbiguousIdealOracle
+    monkeypatch.setattr(AmbiguousIdealOracle, "cokernel_order_oracle", lambda self: 2)
+    code, out, err = run(capsys, "biquad", "2", "3", "--verify", "--json")
+    assert code == 2 and json.loads(out)["verify_status"] == "mismatch"
+    assert "coker_oracle=2" in err and "coker_formula=1" in err
+
+
 def test_scan_jobs_below_one_is_exit_1(capsys):
     code, out, err = run(capsys, "scan", "--bound", "3", "--jobs", "0")
     assert code == 1 and out == "" and "--jobs" in err

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import main
+from polyabiquad.errors import InconsistencyError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.lattice import AmbiguousIdealOracle
 from polyabiquad.polya import (j2_value, kernel_order, polya_report, verify_biquad,
@@ -42,7 +44,7 @@ def test_cokernel_examples():
     # subfield ambiguous classes: j2 = 1
     K = biquadratic_field(-5, -10)
     assert K.profile.i2 == 1 and j2_value(K) == 1
-    assert polya_report(K).coker == 2
+    assert polya_report(K).coker == AmbiguousIdealOracle(K).cokernel_order_oracle() == 2
 
 
 def test_kernel_order_branches():
@@ -67,33 +69,45 @@ def test_polya_order_named_fields():
 
 
 def test_chain_examples():
-    assert polya_report(biquadratic_field(-1, 2)).chain[2] == 2   # sqrt(-1) in K
-    assert polya_report(biquadratic_field(2, 3)).chain[2] == 4    # sqrt(-1) not in K
+    assert polya_report(biquadratic_field(-1, 2)).h1_h0 == 2   # sqrt(-1) in K
+    assert polya_report(biquadratic_field(2, 3)).h1_h0 == 4    # sqrt(-1) not in K
     for K in (biquadratic_field(-1, -3), biquadratic_field(2, 3),
               biquadratic_field(-1, -5)):
         if K.profile.s_k == 2:
-            assert polya_report(K).chain[0] == 4  # (H3:H0) = 2^s_K
+            assert polya_report(K).h3_h0 == 4  # (H3:H0) = 2^s_K
 
 
 def test_chain_telescopes_on_corpus():
     for K in small_corpus(8):
-        h30, h21, h10, h32 = polya_report(K).chain
-        assert h32 * h21 * h10 == h30 == 2 ** K.profile.s_k
-        assert h10 == (2 if K.units.has_sqrt_minus1 else 4)
+        rec = polya_report(K)
+        assert rec.h3_h2 * rec.h2_h1 * rec.h1_h0 == rec.h3_h0 == 2 ** K.profile.s_k
+        assert rec.h1_h0 == (2 if K.units.has_sqrt_minus1 else 4)
 
 
 def test_report_assembles_and_decomposition_identity():
     for K in small_corpus(7):
         rep = polya_report(K)
-        assert rep.po_k * rep.ker == rep.po_sub[0] * rep.po_sub[1] * rep.po_sub[2] * rep.coker
-        assert rep.product_e == 2 ** (rep.s_k + rep.i2)
-        for v in (*rep.po_sub, rep.ker, rep.coker, rep.po_k, *rep.chain):
+        assert rep.po_k * rep.ker == rep.po1 * rep.po2 * rep.po3 * rep.coker
+        assert K.profile.product_e == 2 ** (rep.s_k + rep.i2)
+        for v in (rep.po1, rep.po2, rep.po3, rep.ker, rep.coker, rep.po_k,
+                  rep.h3_h0, rep.h2_h1, rep.h1_h0, rep.h3_h2):
             assert v & (v - 1) == 0
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: {"po_k": 2 * r.po_k}, "decomposition identity"),
+    (lambda r: {"h3_h2": 2 * r.h3_h2}, "telescope"),
+    (lambda r: {"po1": 3 * r.po1, "ker": 3 * r.ker}, "powers of two"),
+])
+def test_record_that_breaks_an_identity_raises(change, message):
+    rec = polya_report(biquadratic_field(-5, -10))
+    with pytest.raises(InconsistencyError, match=message):
+        dataclasses.replace(rec, **change(rec))
 
 
 def test_report_example_zeta8():
     rep = polya_report(biquadratic_field(-1, 2))
-    assert rep.po_sub == (1, 1, 1)
+    assert (rep.po1, rep.po2, rep.po3) == (1, 1, 1)
     assert (rep.ker, rep.coker, rep.po_k) == (1, 1, 1)
     assert (rep.q_k, rep.j2, rep.nu_k) == (2, 0, 0)
 
@@ -105,6 +119,7 @@ def test_verify_biquad_ok_and_oracle_reuse():
     assert status == "ok"
     assert details["po_oracle"] == details["po_formula"] == 1
     assert details["ker_oracle"] == details["ker_formula"] == 2
+    assert details["coker_oracle"] == details["coker_formula"] == 1
 
 
 def test_verify_quad():
