@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import InconsistencyError, InvalidInputError
-from .intmath import kronecker, squarefree_part
+from .intmath import kronecker
 from .quadratic import QuadraticField
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -77,14 +77,15 @@ class BiquadField:
     def __init__(self, d1_raw: int, d2_raw: int):
         if d1_raw == 0 or d2_raw == 0:
             raise InvalidInputError("field generators must be nonzero")
-        a, b = squarefree_part(d1_raw), squarefree_part(d2_raw)
-        if a == 1 or b == 1:
-            raise InvalidInputError("a perfect-square generator degenerates to Q")
-        if a == b:
+        k1, k2 = QuadraticField(d1_raw), QuadraticField(d2_raw)
+        if k1.d == k2.d:
             raise InvalidInputError("generators span the same quadratic field")
-        g = gcd(a, b)
-        self.d: tuple[int, int, int] = tuple(sorted((a, b, a * b // (g * g))))
-        self.subfields = tuple(QuadraticField(x) for x in self.d)
+        g = gcd(k1.d, k2.d)
+        # the primes of d3 = d1*d2/g^2 are those dividing exactly one of d1, d2
+        k3 = QuadraticField(k1.d * k2.d // (g * g), _primes=sorted(
+            {p for k in (k1, k2) for p in k.ramified_primes if k.d % p == 0 and g % p}))
+        self.subfields = tuple(sorted((k1, k2, k3), key=lambda k: k.d))
+        self.d: tuple[int, int, int] = tuple(k.d for k in self.subfields)
         self.is_real = all(x > 0 for x in self.d)
         self.mul_table = self._build_mul_table()
         # the product of two d_i is the third times a square, so an imaginary
@@ -286,32 +287,31 @@ class BiquadField:
         return n[0]
 
     def _ramification_profile(self) -> RamificationProfile:
-        deltas = [k.delta for k in self.subfields]
-        primes = sorted({p for k in self.subfields for p in k.ramified_primes})
+        where: dict[int, set[int]] = {}  # the subfields each prime ramifies in
+        for i, k in enumerate(self.subfields):
+            for p in k.ramified_primes:
+                where.setdefault(p, set()).add(i)
         efg = {}
-        for p in primes:
-            where = [i for i in range(3) if p in self.subfields[i].ramified_primes]
-            if len(where) == 3:
+        for p in sorted(where):
+            if len(where[p]) == 3:
                 if p != 2:
                     raise InconsistencyError(f"odd {p} ramifies in every subfield of {self.d}")
                 efg[p] = (4, 1, 1)
             else:
-                if len(where) != 2:
+                if len(where[p]) != 2:
                     raise InconsistencyError(
-                        f"prime {p} ramifies in {len(where)} subfields of {self.d}")
-                j = ({0, 1, 2} - set(where)).pop()
-                sym = kronecker(deltas[j], p)
+                        f"prime {p} ramifies in {len(where[p])} subfields of {self.d}")
+                j = ({0, 1, 2} - where[p]).pop()
+                sym = kronecker(self.subfields[j].delta, p)
                 if sym == 0:
                     raise InconsistencyError(
                         f"{p} ramifies in the inertia-complement subfield of {self.d}")
                 f = 1 if sym == 1 else 2
                 efg[p] = (2, f, 2 // f)
-        s_k = len(primes)
+        s_k = len(efg)
         i2 = 1 if efg.get(2, (0, 0, 0))[0] == 4 else 0
         e2 = efg.get(2, (1, 1, 1))[0]
-        product_e = 1
-        for p in primes:
-            product_e *= efg[p][0]
+        product_e = prod(e for e, _, _ in efg.values())
         if sum(k.s for k in self.subfields) != 2 * s_k + i2:
             raise InconsistencyError(f"s1+s2+s3 != 2*s_K + i2 for {self.d}")
         if product_e != 2 ** (s_k + i2):

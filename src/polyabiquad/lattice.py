@@ -38,7 +38,9 @@ e_2 = 4, for every k_i in which p ramifies (prime_radical certifies it for
 the first such k_i, the tests for every k_i of every field with |d_i| <= 30).
 So every verdict is a completed descent, in K or in a subfield, or follows
 from such verdicts by the group law; each subfield book starts with the
-mask of (sqrt(d)).  The oracle builds no lattice for the
+mask of (sqrt(d)).  It also puts (e_p/2)*u_p in the image of every p, so
+the kernel and cokernel of the extension map are group orders read off the
+principal sets, with no Hermite form.  The oracle builds no lattice for the
 radical product of an exponent vector: its descents read the norm, the
 three relative norms and membership off the radicals alone.  Its coset book
 holds exponent vectors packed into integers (see AmbiguousIdealOracle).
@@ -252,16 +254,13 @@ class AmbiguousIdealOracle:
     G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
     mod e_2, and add is one integer expression.  The image of each subfield
     product of ramified primes is read from a table built once per subfield.
-    A vector is unpacked only for a descent, for the kernel's Hermite rows
-    and for class_representatives.
+    A vector is unpacked only for a descent and for class_representatives.
     A descent builds no lattice for a radical product a: N(a) comes from the
     certified radical norms, the relative norms in closed form, and a root
     is tested for membership in a radical by radical.
-    The classes are counted as the cosets of P; the cokernel is
-    G / <im phi, P>, with im phi spanned by the extended ramified primes of
-    the subfields, and the kernel is counted by subgroup orders,
-    |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|; one Hermite form gives
-    both.
+    The classes are counted as the cosets of P.  The cokernel G / <im phi, P>
+    and the kernel, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, are
+    group orders read off P and the subfield books, with no Hermite form.
     """
 
     def __init__(self, K: BiquadField, budget_units: int | None = None):
@@ -370,17 +369,14 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _cokernel(self) -> int:
-        """|G / <im phi, P>|, with im phi spanned by the extended ramified
-        primes of the three subfields: the product of the pivots of the
-        Hermite form of diag(e_p), P and im phi stacked (H. Cohen, GTM 138,
-        2.4).  As G / P = Po(K), this is the cokernel of the extension map."""
+        """|G / <im phi, P>| = |Po(K) / im phi|, the cokernel of the extension
+        map.  im phi holds (e_p/2)*u_p for every p, so the quotient is Z/2 when
+        e_2 = 4 and no vector of P has odd v_2, i.e. bit s_K - 1 set, else 1."""
         self._classes  # decide every vector of G, so that P is final
-        n = len(self.primes)
-        rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(self.exponents)]
-        rows += [self.unpack(v) for v in self._book.principal]
-        rows += [self.unpack(self._prime_image(p)) for k in self.K.subfields
-                 for p in k.ramified_primes]
-        return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
+        odd = 1 << (len(self.primes) - 1)
+        if self.exponents[0] == 4 and not any(x & odd for x in self._book.principal):
+            return 2
+        return 1
 
     def cokernel_order_oracle(self) -> int:
         """Order of the cokernel of the extension map on ambiguous classes."""
@@ -388,10 +384,11 @@ class AmbiguousIdealOracle:
 
     def kernel_order_oracle(self) -> int:
         """Order of the kernel of the extension map on ambiguous classes,
-        prod_i |Po(k_i)| * |P| / |<im phi, P>|, where <im phi, P> has order
-        prod e_p over the cokernel order."""
+        prod_i |Po(k_i)| * |P| / |<im phi, P>|, with |Po(k_i)| = 2^s_i / |P_i|
+        from each subfield book (_book decides every mask) and
+        |<im phi, P>| = prod e_p / |coker|."""
         span = prod(self.exponents) // self._cokernel
-        domain = prod(len(sub.class_representatives())
+        domain = prod((1 << sub.k.s) // len(sub._book.principal)
                       for sub in self._subfield_books) * len(self._book.principal)
         if domain % span:
             raise InconsistencyError(

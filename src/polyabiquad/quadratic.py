@@ -32,10 +32,11 @@ from .intmath import factorize
 class QuadraticField:
     """Q(sqrt(d)) for squarefree d not in {0, 1}."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, _primes: list[int] | None = None):
         # the squarefree part of d is the product of its primes of odd
-        # exponent; they ramify, and so does 2 when it is 3 mod 4
-        primes = [p for p, e in factorize(d).items() if e % 2]
+        # exponent, passed as _primes by a caller that knows them; they
+        # ramify, and so does 2 when it is 3 mod 4
+        primes = [p for p, e in factorize(d).items() if e % 2] if _primes is None else _primes
         self.d = prod(primes, start=1 if d > 0 else -1)
         if self.d == 1:
             raise InvalidInputError(f"d={d} gives a degenerate quadratic field")

@@ -31,7 +31,9 @@
   Hermite form of the four products of the basis elements.
 - The earlier kernel count kernel_order_by_triples, which walks every
   triple of subfield class representatives of an ambiguous-ideal oracle,
-  and reduce_vector, an oracle's exponent vector reduced mod e_p.
+  the earlier cokernel count cokernel_by_hermite_form, the pivots of one
+  stacked Hermite form, and reduce_vector, an oracle's exponent vector
+  reduced mod e_p.
 - The earlier lattice route of a descent: vector_lattice, the product
   lattice of an oracle's radicals for an exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
@@ -687,6 +689,19 @@ def kernel_order_by_triples(orc) -> int:
     if kernel * len(images) != prod(len(masks) for masks in rep_masks):
         raise InconsistencyError("kernel size times image size must equal the triple count")
     return kernel
+
+
+def cokernel_by_hermite_form(orc) -> int:
+    """|G / <im phi, P>| for an ambiguous-ideal oracle whose classes are
+    decided: the product of the pivots of the Hermite form of diag(e_p),
+    every vector of P and the extended ramified primes of the subfields
+    stacked (H. Cohen, GTM 138, 2.4)."""
+    n = len(orc.primes)
+    rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(orc.exponents)]
+    rows += [orc.unpack(v) for v in orc._book.principal]
+    rows += [orc.unpack(orc._prime_image(p)) for k in orc.K.subfields
+             for p in k.ramified_primes]
+    return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
 
 
 def vector_lattice(orc, vec) -> IdealLattice:

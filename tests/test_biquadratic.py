@@ -17,6 +17,7 @@ from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.linalg import hnf_rows
+from polyabiquad.quadratic import QuadraticField
 from polyabiquad.units import integral_square_root, unit_structure
 
 
@@ -200,6 +201,32 @@ def test_construction_builds_no_radical_product(monkeypatch):
         calls.clear()
         K = biquadratic_field(*pair)
         assert calls == [(list(r), 4) for r in K.basis_rows], K.d
+
+
+def test_construction_factors_each_generator_once(monkeypatch):
+    # the primes of d3 are those dividing exactly one of d1, d2, so building
+    # Q(sqrt(99991), sqrt(99989)) factors the two generators and not d3
+    from polyabiquad import intmath, quadratic
+    args = []
+    factorize = intmath.factorize
+
+    def recording(n):
+        args.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(intmath, "factorize", recording)
+    monkeypatch.setattr(quadratic, "factorize", recording)
+    K = biquadratic_field(99991, 99989)
+    assert K.d == (99989, 99991, 99989 * 99991)
+    assert sorted(args) == [99989, 99991]
+    monkeypatch.undo()
+    # the subfields match fields built from scratch, with non-squarefree
+    # generators too
+    for pair in _scan_tasks(30, False, False) + [(12, -50), (-8, 45), (18, 75)]:
+        K = biquadratic_field(*pair)
+        for k in K.subfields:
+            fresh = QuadraticField(k.d)
+            assert (k.d, k.ramified_primes) == (fresh.d, fresh.ramified_primes), pair
 
 
 def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):

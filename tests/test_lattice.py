@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from exact_reference import (BiquadElement, element_from_coords, embed_quad,
-                             ideal_from_elements, integral_coords,
+from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
+                             embed_quad, ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, lattice_generator,
                              quad_ideal_from_elements, quad_ideal_multiply,
@@ -337,6 +337,42 @@ def test_kernel_order_matches_the_triple_count():
         orc = AmbiguousIdealOracle(biquadratic_field(a, b))
         assert orc.kernel_order_oracle() == kernel_order_by_triples(orc), (a, b)
     assert len(pairs) == 540
+
+
+def test_cokernel_matches_the_hermite_form():
+    # the cokernel read off the parity of v_2 in P against the pivots of the
+    # stacked Hermite form, on bound 30, the many-prime fields, (7429, 30030)
+    # and the three s_K >= 12 fields of test_cli
+    pairs = (_scan_tasks(30, False, False) + list(MANYPRIME_PAIRS) + [(7429, 30030)]
+             + [(-9699690, 765049), (9699690, -765049), (-9699690, 31367009)])
+    twos = 0
+    for a, b in pairs:
+        orc = AmbiguousIdealOracle(biquadratic_field(a, b))
+        coker = orc.cokernel_order_oracle()
+        assert coker == cokernel_by_hermite_form(orc), (a, b)
+        twos += coker == 2
+    assert len(pairs) == 543 and twos > 0
+
+
+def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):
+    # once the classes are counted, the kernel and cokernel are group orders:
+    # neither calls hnf_rows
+    from polyabiquad import lattice
+    calls = [0]
+    hnf = lattice.hnf_rows
+
+    def counting(rows, dim):
+        calls[0] += 1
+        return hnf(rows, dim)
+
+    monkeypatch.setattr(lattice, "hnf_rows", counting)
+    for pair in MANYPRIME_PAIRS:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        orc.polya_order_oracle()
+        before = calls[0]
+        orc.cokernel_order_oracle()
+        orc.kernel_order_oracle()
+        assert calls[0] == before > 0, pair
 
 
 def test_oracle_kernel_is_power_of_two_dividing_domain():

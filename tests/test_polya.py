@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import os
+import random
 from math import prod
 
 import pytest
@@ -152,6 +153,22 @@ def test_formula_matches_oracle_on_random_fields(d1, d2):
     assert len(K.profile.primes) <= 10
     status, details = verify_biquad(K, polya_report(K))
     assert status == "ok", (K.d, details)
+
+
+def test_formula_matches_oracle_on_wide_random_fields():
+    # eight fixed fields, each d_i a signed product of four to seven primes
+    # <= 53: s_K runs from 7 to 12
+    rng = random.Random(12345)
+    s_ks = []
+    for _ in range(8):
+        d1, d2 = (rng.choice((1, -1)) * prod(rng.sample(_PRIMES, rng.randint(4, 7)))
+                  for _ in range(2))
+        K = biquadratic_field(d1, d2)
+        assert K.profile.s_k <= 12, K.d
+        s_ks.append(K.profile.s_k)
+        status, details = verify_biquad(K, polya_report(K))
+        assert status == "ok", (K.d, details)
+    assert max(s_ks) == 12 and s_ks.count(11) == 2
 
 
 @settings(max_examples=40, deadline=None)
