@@ -2,8 +2,8 @@
 squarefree decomposition, powers of two and the Kronecker symbol.
 
 Inputs throughout the package are small (|d| in the hundreds, discriminants
-in the thousands), so factoring is plain trial division against a sieve,
-extended by odd steps for the occasional larger argument.
+in the thousands, and only the two generators of a field are factored), so
+factoring is one loop of trial division by 2 and the odd numbers.
 """
 
 from __future__ import annotations
@@ -13,44 +13,20 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, InvalidInputError
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray(limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if not flags[p]:
-            out.append(p)
-            for k in range(p * p, limit + 1, p):
-                flags[k] = 1
-    return out
-
-
-SMALL_PRIMES = _sieve(20_000)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: exponent}; factorize(+-1) == {}."""
     if n == 0:
         raise InvalidInputError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in SMALL_PRIMES:
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1 and n <= SMALL_PRIMES[-1] ** 2:
-        out[n] = out.get(n, 0) + 1
-        return out
-    p = SMALL_PRIMES[-1] + 2 if n > 1 else 3
-    while n > 1:
-        if p * p > n:
-            out[n] = out.get(n, 0) + 1
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 

@@ -87,19 +87,27 @@ def _chain_indices(K: BiquadField, ker: int, po_sub_prod: int) -> tuple[int, int
     """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
     between extended rational principal ideals H0 and ambiguous products H3,
     with H1 the ideals generated by square roots of rationals and H2 the
-    principal ambiguous products.  OutputRecord checks that the product
-    telescopes to 2**s_K."""
+    principal ambiguous products, from q, lambda and mu_K.  OutputRecord
+    checks that the product telescopes to 2**s_K."""
     us, prof = K.units, K.profile
-    h30 = 2 ** prof.s_k
-    h21 = us.index_star_over_pm_squares
-    h10 = 2 if us.has_sqrt_minus1 else 4
+    has_i = us.mu_order % 4 == 0
+    # (O_k1^x O_k2^x O_k3^x : O*_K) = 2**#{lambda_i = -1}, halved when all
+    # three are -1; O*_K is the norm-one / totally-signed unit subgroup
+    sub_over_star = 2 ** min(2, us.lam.count(-1))
+    units_over_star = us.q_k * sub_over_star                  # (O_K^x : O*_K)
+    pm_squares = 8 if K.is_real else (4 if has_i else 2)     # (O_K^x : +-(O_K^x)^2)
+    if pm_squares % units_over_star:
+        raise InconsistencyError(
+            f"(O*:+-squares) is not integral for {K.d}: {pm_squares}/{units_over_star}")
+    h21 = pm_squares // units_over_star                       # (O*_K : +-(O_K^x)^2)
+    if h21 not in (1, 2, 4, 8):
+        raise InconsistencyError(f"(O*:+-squares) = {h21} for {K.d}")
     shift = 5 if K.is_real else 3
-    h32 = _times_power_of_two(us.index_units_over_star, prof.s_k - shift,
-                              f"(H3:H2) for {K.d}")
+    h32 = _times_power_of_two(units_over_star, prof.s_k - shift, f"(H3:H2) for {K.d}")
     if po_sub_prod % h32 or po_sub_prod // h32 != ker:
         raise InconsistencyError(
             f"kernel order via the chain disagrees with the closed formula for {K.d}")
-    return h30, h21, h10, h32
+    return 2 ** prof.s_k, h21, 2 if has_i else 4, h32
 
 
 def polya_report(K: BiquadField) -> OutputRecord:

@@ -22,7 +22,7 @@ verdicts are complete, never heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
@@ -182,17 +182,13 @@ class QuadIdeal:
                                  (self.b // self.c) % (self.a // self.c), 1)
 
 
-@lru_cache(maxsize=None)
 def _minpoly_double_root(d: int, p: int) -> int:
-    """Root of the minimal polynomial of omega mod ramified p."""
-    for r in range(p):
-        if d % 4 == 1:
-            val = r * r - r - (d - 1) // 4
-        else:
-            val = r * r - d
-        if val % p == 0:
-            return r
-    raise InconsistencyError  # pragma: no cover
+    """The double root mod ramified p of the minimal polynomial of omega:
+    (p + 1)/2, which is 1/2, for x^2 - x - (d - 1)/4; for x^2 - d, 0 at
+    p | d and 1 at p = 2 with d odd."""
+    if d % 4 == 1:
+        return (p + 1) // 2
+    return d & 1 if p == 2 else 0
 
 
 def ramified_product(k: QuadraticField, primes) -> QuadIdeal:

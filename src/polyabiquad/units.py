@@ -1,6 +1,7 @@
-"""Unit structure of a biquadratic field: roots of unity, the unit index
-q = (O_K^x : O_k1^x O_k2^x O_k3^x), and the indices tied to the norm-one /
-totally-signed unit subgroup.
+"""Unit structure of a biquadratic field: the roots of unity and the unit
+index q = (O_K^x : O_k1^x O_k2^x O_k3^x), both decided by one search for
+square roots of subfield units.  The chain indices tied to the norm-one /
+totally-signed unit subgroup follow from q, lambda and mu_K in polya.
 
 The computational heart is an exact squareness test, integral_square_root.
 The two routes to |Po(K)| both use it: the formula route decides the unit
@@ -25,7 +26,9 @@ units (twisted by subfield roots of unity) become squares in K: squaring
 embeds O_K^x / E_0 into E_0 / E_0^2 for E_0 the subgroup generated by the
 subfield units, so q equals the number of square classes found.  For real
 fields a sign character on the lambda_i prunes candidates that are not
-totally positive.
+totally positive, and mu_K = {+-1}.  For imaginary fields the candidates
+include the generator of the subfield roots of unity, and mu_K is twice its
+order when it is a square in K.
 
 The same data give |H^1(G, O_K^x)| for G = Gal(K/Q) = {1, s1, s2, s3}
 (unit_cohomology_order), which the formula route needs for j2.  Write F =
@@ -148,34 +151,17 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
 
 @dataclass
 class UnitStructure:
-    """Roots of unity, unit index, and the derived subgroup indices."""
+    """What the unit search finds: the unit index q_K, the order of mu_K,
+    the subfield norm signs and the number of norm +1 real subfield units."""
 
-    mu_order: int
-    has_sqrt_minus1: bool
     q_k: int
+    mu_order: int
     lam: tuple[int, int, int]
     nu_k: int
-    index_sub_units_over_star: int   # (O_k1^x O_k2^x O_k3^x : O*_K)
-    index_units_over_star: int       # (O_K^x : O*_K)
-    index_pm_squares: int            # (O_K^x : +-(O_K^x)^2)
-    index_star_over_pm_squares: int  # (O*_K : +-(O_K^x)^2)
     # exact roots of the subfield-unit products that are squares in K, keyed
     # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
     # pairs (imaginary K)
     square_class_roots: dict = field(default_factory=dict, repr=False)
-
-
-def _mu_data(K: BiquadField) -> tuple[int, bool]:
-    ds = set(K.d)
-    if ds == {-1, 2, -2}:
-        return 8, True
-    if ds == {-1, 3, -3}:
-        return 12, True
-    if -1 in ds:
-        return 4, True
-    if -3 in ds:
-        return 6, False
-    return 2, False
 
 
 def _conj_sign_character(lam: tuple[int, int, int], a: tuple[int, int, int], t: int) -> int:
@@ -274,12 +260,12 @@ def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
 
 
 def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    zeta, order = _torsion_generator(K)
+    zeta = _torsion_generator(K)[0]
     r = K.real_radical_index - 1
     eta = K.from_quad(r, K.subfields[r].fundamental_unit)
     for key, xi in us.square_class_roots.items():
         if key == (1, 0):
-            zeta, order = xi, 2 * order
+            zeta = xi
         else:
             eta = xi
     w = us.mu_order
@@ -287,7 +273,7 @@ def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
     for _ in range(w):
         powers.append(K.mul_basis_coords(powers[-1], zeta))
     log = {tuple(p): e for e, p in enumerate(powers[:w])}
-    if order != w or len(log) != w or powers[w] != powers[0]:
+    if len(log) != w or powers[w] != powers[0]:
         raise InconsistencyError(f"{zeta} does not generate the {w} roots of unity of {K.d}")
     k1, k2, c1, c2 = (log.get(tuple(x)) for x in (
         K.sigma(zeta, 1), K.sigma(zeta, 2),
@@ -308,10 +294,7 @@ def unit_cohomology_order(K: BiquadField) -> int:
 
 def unit_structure(K: BiquadField) -> UnitStructure:
     lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
-    nu_k = sum(k.nu for k in K.subfields)
-    mu_order, has_i = _mu_data(K)
     roots: dict = {}
-
     if K.is_real:
         eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in range(3)]
         for mask in range(1, 8):
@@ -325,12 +308,7 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[a] = xi
-        q = len(roots) + 1
-        if q not in (1, 2, 4):
-            raise InconsistencyError(f"unit index {q} outside 1|2|4 for real {K.d}")
-        prod_sub = 2 ** sum(1 for l in lam if l == -1)
-        index_sub_over_star = prod_sub // 2 if lam == (-1, -1, -1) else prod_sub
-        index_pm_squares = 8
+        mu_order, q_range = 2, (1, 2, 4)
     else:
         zeta, zorder = _torsion_generator(K)
         r = K.real_radical_index - 1
@@ -340,29 +318,10 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[key] = xi
-        q = len(roots) + 1
-        if q not in (1, 2):
-            raise InconsistencyError(f"unit index {q} outside 1|2 for imaginary {K.d}")
-        index_sub_over_star = 2 if lam[r] == -1 else 1
-        index_pm_squares = 4 if has_i else 2
-
-    index_units_over_star = q * index_sub_over_star
-    if index_pm_squares % index_units_over_star:
-        raise InconsistencyError(
-            f"(O*:+-squares) is not integral for {K.d}: "
-            f"{index_pm_squares}/{index_units_over_star}")
-    index_star_over_pm = index_pm_squares // index_units_over_star
-    if index_star_over_pm not in (1, 2, 4, 8):
-        raise InconsistencyError(f"(O*:+-squares) = {index_star_over_pm} for {K.d}")
-    return UnitStructure(
-        mu_order=mu_order,
-        has_sqrt_minus1=has_i,
-        q_k=q,
-        lam=lam,
-        nu_k=nu_k,
-        index_sub_units_over_star=index_sub_over_star,
-        index_units_over_star=index_units_over_star,
-        index_pm_squares=index_pm_squares,
-        index_star_over_pm_squares=index_star_over_pm,
-        square_class_roots=roots,
-    )
+        # a root of the subfield torsion generator doubles the roots of unity
+        mu_order, q_range = (2 * zorder if (1, 0) in roots else zorder), (1, 2)
+    q = len(roots) + 1
+    if q not in q_range:
+        raise InconsistencyError(f"unit index {q} outside {q_range} for {K.d}")
+    return UnitStructure(q_k=q, mu_order=mu_order, lam=lam,
+                         nu_k=sum(k.nu for k in K.subfields), square_class_roots=roots)

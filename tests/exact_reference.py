@@ -39,6 +39,9 @@
   lattice_generator, a descent on any ideal lattice through its lattice
   relative norms and lattice membership.
 - parse_records, the inverse of report.render_records.
+- The earlier table of the order of mu_K by the d_i, mu_order_table, and
+  the earlier scan over range(p) for the double root of the minimal
+  polynomial of omega at a ramified prime, minpoly_double_root_scan.
 """
 
 import dataclasses
@@ -53,7 +56,7 @@ from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputErro
 from polyabiquad.lattice import (IdealLattice, principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import QuadIdeal, _minpoly_double_root
+from polyabiquad.quadratic import QuadIdeal
 from polyabiquad.report import OutputRecord
 
 _F0 = Fraction(0)
@@ -658,7 +661,7 @@ def subset_ideal_chain(k, mask) -> QuadIdeal:
     ideal = quad_ideal_from_elements(k, [(1, 0)])
     for i, p in enumerate(k.ramified_primes):
         if mask >> i & 1:
-            r = _minpoly_double_root(k.d, p)
+            r = minpoly_double_root_scan(k.d, p)
             prime = quad_ideal_from_elements(k, [(p, 0), (-r, 1)])
             assert prime.norm == p
             ideal = quad_ideal_multiply(ideal, prime)
@@ -742,3 +745,28 @@ def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
         assert len(cells) == len(header), "malformed row"
         out.append(build(dict(zip(header, cells))))
     return out
+
+
+def mu_order_table(K) -> int:
+    """|mu_K| read off the d_i: Q(zeta_8) = Q(sqrt-1, sqrt2), Q(zeta_12) =
+    Q(sqrt-1, sqrt-3), then 4 with sqrt(-1), 6 with sqrt(-3), else 2."""
+    ds = set(K.d)
+    if ds == {-1, 2, -2}:
+        return 8
+    if ds == {-1, 3, -3}:
+        return 12
+    if -1 in ds:
+        return 4
+    if -3 in ds:
+        return 6
+    return 2
+
+
+def minpoly_double_root_scan(d: int, p: int) -> int:
+    """The least r in range(p) that is a root mod p of the minimal
+    polynomial of omega in Q(sqrt(d))."""
+    for r in range(p):
+        val = r * r - r - (d - 1) // 4 if d % 4 == 1 else r * r - d
+        if val % p == 0:
+            return r
+    raise InconsistencyError(f"x^2 - d has no root mod {p} in Q(sqrt({d}))")

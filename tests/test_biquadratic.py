@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
                              embed_quad, generic_basis_tables, gram_determinant,
-                             integral_coords, integral_square_root_fraction, mat_det_fraction)
+                             integral_coords, integral_square_root_fraction, mat_det_fraction,
+                             mu_order_table)
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
 from polyabiquad.intmath import squarefree_part
 from polyabiquad.linalg import hnf_rows
+from polyabiquad.polya import polya_report
 from polyabiquad.quadratic import QuadraticField
 from polyabiquad.units import integral_square_root, unit_structure
 
@@ -411,22 +413,56 @@ def test_unit_structure_named_fields():
     assert unit_structure(biquadratic_field(-1, 5)).q_k == 1
 
 
+def units_over_star(rec) -> int:
+    """(O_K^x : O*_K), read off the chain column (H3:H2) = (O_K^x : O*_K) *
+    2**(s_K - shift), shift 5 for real K and 3 for imaginary K."""
+    shift = 5 if rec.d1 > 0 and rec.d2 > 0 else 3
+    index, rest = divmod(rec.h3_h2 << shift, 1 << rec.s_k)
+    assert rest == 0, rec
+    return index
+
+
 def test_unit_structure_real_all_minus_index():
     # all three lambda = -1: (O_k1 O_k2 O_k3 : O*_K) = (1/2) * 2^3 = 4
-    us = unit_structure(biquadratic_field(2, 5))
-    assert us.lam == (-1, -1, -1)
-    assert us.index_sub_units_over_star == 4
+    rec = polya_report(biquadratic_field(2, 5))
+    assert (rec.lambda1, rec.lambda2, rec.lambda3) == (-1, -1, -1)
+    assert units_over_star(rec) == 4 * rec.q_k
 
 
 def test_unit_structure_pm_square_indices():
-    assert unit_structure(biquadratic_field(2, 3)).index_pm_squares == 8
-    assert unit_structure(biquadratic_field(-1, 2)).index_pm_squares == 4
-    assert unit_structure(biquadratic_field(-2, -5)).index_pm_squares == 2
+    # (O_K^x : +-(O_K^x)^2) = (O_K^x : O*_K) * (O*_K : +-(O_K^x)^2)
+    def pm_squares(rec):
+        return units_over_star(rec) * rec.h2_h1
+
+    assert pm_squares(polya_report(biquadratic_field(2, 3))) == 8
+    assert pm_squares(polya_report(biquadratic_field(-1, 2))) == 4
+    assert pm_squares(polya_report(biquadratic_field(-2, -5))) == 2
     for K in small_corpus(6):
-        us = K.units
-        assert us.index_star_over_pm_squares in (1, 2, 4, 8)
-        assert us.index_units_over_star * us.index_star_over_pm_squares \
-            == us.index_pm_squares
+        rec = polya_report(K)
+        assert rec.h2_h1 in (1, 2, 4, 8)
+        assert pm_squares(rec) == (8 if K.is_real else 4 if rec.mu_order % 4 == 0 else 2)
+
+
+def test_mu_order_matches_the_table_up_to_60():
+    fields = list(small_corpus(60))
+    assert len(fields) == 2284
+    for K in fields:
+        assert K.units.mu_order == mu_order_table(K), K.d
+
+
+def test_mu_order_matches_the_table_over_sqrt_minus_1_and_sqrt_minus_3():
+    seen, counts = set(), {}
+    for d in range(-1500, 1501):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        for a in (-1, -3):
+            if d != a:
+                K = biquadratic_field(a, d)
+                if K.d not in seen:
+                    seen.add(K.d)
+                    assert K.units.mu_order == mu_order_table(K), K.d
+                    counts[K.units.mu_order] = counts.get(K.units.mu_order, 0) + 1
+    assert counts == {4: 912, 6: 1370, 8: 1, 12: 1}
 
 
 def test_unit_index_divides_corpus():

@@ -1,10 +1,22 @@
 import random
+from math import isqrt
 
 import pytest
 
 from polyabiquad.errors import InvalidInputError
-from polyabiquad.intmath import (SMALL_PRIMES, factorize, kronecker,
-                                 squarefree_decompose, squarefree_part)
+from polyabiquad.intmath import factorize, kronecker, squarefree_decompose, squarefree_part
+
+
+def _primes_below(n: int) -> list[int]:
+    """The sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\1" * len(range(p * p, n, p))
+    return [p for p in range(2, n) if not composite[p]]
+
+
+PRIMES = _primes_below(20_000)
 
 
 def test_squarefree_examples():
@@ -41,16 +53,21 @@ def test_squarefree_recompose_random_to_1e6():
         assert squarefree_part(sf.squarefree_part) == sf.squarefree_part
 
 
+def test_factorize_matches_the_sieve():
+    assert len(PRIMES) == 2262 and PRIMES[-1] == 19997
+    assert [p for p in range(1, 20_000) if factorize(p) == {p: 1}] == PRIMES
+
+
 def test_factorize_past_the_sieve():
-    # the cofactor left after the sieved primes is above their largest square
-    # and has two prime factors above the sieve, one of them odd
+    # numbers with prime factors above 20,000, and cofactors above 20,000**2
+    # after the primes below it are divided out, one of them odd
     for n in (2 * 38833 * 36313, 20011 * 20021, 3 * 20011 ** 2 * 20023, 20011 ** 3):
         fac = factorize(n)
         assert all(factorize(p) == {p: 1} for p in fac)
         prod = 1
         for p, e in fac.items():
             prod *= p ** e
-        assert prod == n and max(fac) > SMALL_PRIMES[-1], n
+        assert prod == n and max(fac) > PRIMES[-1], n
     assert factorize(-2 * 38833 * 36313) == {2: 1, 36313: 1, 38833: 1}
 
 
@@ -68,7 +85,7 @@ def test_kronecker_invalid():
 def test_kronecker_matches_euler_criterion():
     # For odd prime p the symbol is the Legendre symbol.
     rng = random.Random(1)
-    odd_primes = [p for p in SMALL_PRIMES if p > 2][:200]
+    odd_primes = PRIMES[1:201]
     for _ in range(2000):
         p = rng.choice(odd_primes)
         a = rng.randint(-3 * p, 3 * p)

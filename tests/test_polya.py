@@ -82,7 +82,9 @@ def test_chain_telescopes_on_corpus():
     for K in small_corpus(8):
         rec = polya_report(K)
         assert rec.h3_h2 * rec.h2_h1 * rec.h1_h0 == rec.h3_h0 == 2 ** K.profile.s_k
-        assert rec.h1_h0 == (2 if K.units.has_sqrt_minus1 else 4)
+        # sqrt(-1) lies in K exactly when -1 is one of the d_i
+        assert (rec.mu_order % 4 == 0) == (-1 in K.d)
+        assert rec.h1_h0 == (2 if -1 in K.d else 4)
 
 
 def test_report_assembles_and_decomposition_identity():

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from exact_reference import (QuadElement, quad_ideal_closed_under_multiplication,
                              quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_from_elements,
-                             quad_ideal_multiply, subset_ideal_chain)
+                             quad_ideal_multiply, minpoly_double_root_scan,
+                             subset_ideal_chain)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
-                                   ambiguous_oracle_quad, omega_norm, polya_order_quad,
+                                   _minpoly_double_root, ambiguous_oracle_quad, omega_norm, polya_order_quad,
                                    prime_above, principal_generator_quad, quadratic_field,
                                    radical_coords)
 
@@ -203,6 +204,15 @@ def test_class_representatives_list_masks_in_product_order():
         assert orc.class_representatives() == [
             sum(bit << i for i, bit in enumerate(exps))
             for exps in itertools.product((0, 1), repeat=s)], s
+
+
+def test_minpoly_double_root_closed_form_matches_the_scan():
+    # every ramified p of every Q(sqrt(d)) with squarefree |d| <= 3000
+    pairs = [(d, p) for d in range(-3000, 3001) if d not in (0, 1) and squarefree_part(d) == d
+             for p in factorize(d if d % 4 == 1 else 4 * d)]
+    assert len(pairs) == 8956
+    for d, p in pairs:
+        assert _minpoly_double_root(d, p) == minpoly_double_root_scan(d, p), (d, p)
 
 
 def test_ramified_primes_and_discriminant_from_one_factorisation():
