@@ -19,6 +19,7 @@ import functools
 import itertools
 import multiprocessing
 import sys
+from math import gcd
 
 from .biquadratic import biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InvalidInputError,
@@ -84,12 +85,13 @@ def _cmd_biquad(args) -> int:
 
 
 def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
-    """Each field exactly once, keyed and ordered by its canonical triple."""
+    """Each field exactly once, keyed and ordered by its canonical triple;
+    a, b squarefree make a*b/gcd(a, b)^2 the squarefree third generator."""
     vals = [v for v in range(-bound, bound + 1)
             if v not in (0, 1) and squarefree_part(v) == v]
     generators: dict[tuple[int, int, int], tuple[int, int]] = {}
     for a, b in itertools.combinations(vals, 2):
-        triple = tuple(sorted((a, b, squarefree_part(a * b))))
+        triple = tuple(sorted((a, b, a * b // gcd(a, b) ** 2)))
         generators.setdefault(triple, (a, b))
     out = []
     for triple in sorted(generators):

@@ -1,9 +1,11 @@
 """Exact integer primitives: trial-division factoring at desk scale,
 squarefree decomposition, powers of two and the Kronecker symbol.
 
-Inputs throughout the package are small (|d| in the hundreds, discriminants
-in the thousands, and only the two generators of a field are factored), so
-factoring is one loop of trial division by 2 and the odd numbers.
+Inputs throughout the package are small: `QuadraticField` factors the
+generator it is given (the two generators of a biquadratic field; the third
+comes from them by a gcd), and `scan` factors each integer up to its bound
+once to keep the squarefree ones.  So factoring is one loop of trial division
+by 2 and the odd numbers.
 """
 
 from __future__ import annotations

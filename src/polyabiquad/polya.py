@@ -90,6 +90,7 @@ def _chain_indices(K: BiquadField, ker: int, po_sub_prod: int) -> tuple[int, int
     principal ambiguous products, from q, lambda and mu_K.  OutputRecord
     checks that the product telescopes to 2**s_K."""
     us, prof = K.units, K.profile
+    h30 = 2 ** prof.s_k
     has_i = us.mu_order % 4 == 0
     # (O_k1^x O_k2^x O_k3^x : O*_K) = 2**#{lambda_i = -1}, halved when all
     # three are -1; O*_K is the norm-one / totally-signed unit subgroup
@@ -98,16 +99,19 @@ def _chain_indices(K: BiquadField, ker: int, po_sub_prod: int) -> tuple[int, int
     pm_squares = 8 if K.is_real else (4 if has_i else 2)     # (O_K^x : +-(O_K^x)^2)
     if pm_squares % units_over_star:
         raise InconsistencyError(
-            f"(O*:+-squares) is not integral for {K.d}: {pm_squares}/{units_over_star}")
+            f"(O*:+-squares) is not integral for {K.d}: "
+            f"{pm_squares}/{units_over_star}")
     h21 = pm_squares // units_over_star                       # (O*_K : +-(O_K^x)^2)
     if h21 not in (1, 2, 4, 8):
         raise InconsistencyError(f"(O*:+-squares) = {h21} for {K.d}")
+    h10 = 2 if has_i else 4
     shift = 5 if K.is_real else 3
-    h32 = _times_power_of_two(units_over_star, prof.s_k - shift, f"(H3:H2) for {K.d}")
+    h32 = _times_power_of_two(units_over_star, prof.s_k - shift,
+                              f"(H3:H2) for {K.d}")
     if po_sub_prod % h32 or po_sub_prod // h32 != ker:
         raise InconsistencyError(
             f"kernel order via the chain disagrees with the closed formula for {K.d}")
-    return 2 ** prof.s_k, h21, 2 if has_i else 4, h32
+    return h30, h21, h10, h32
 
 
 def polya_report(K: BiquadField) -> OutputRecord:

@@ -294,7 +294,9 @@ def unit_cohomology_order(K: BiquadField) -> int:
 
 def unit_structure(K: BiquadField) -> UnitStructure:
     lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
+    nu_k = sum(k.nu for k in K.subfields)
     roots: dict = {}
+
     if K.is_real:
         eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in range(3)]
         for mask in range(1, 8):
@@ -308,7 +310,8 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             xi = integral_square_root(K, eta)
             if xi is not None:
                 roots[a] = xi
-        mu_order, q_range = 2, (1, 2, 4)
+        mu_order = 2
+        q_range = (1, 2, 4)
     else:
         zeta, zorder = _torsion_generator(K)
         r = K.real_radical_index - 1
@@ -319,9 +322,16 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             if xi is not None:
                 roots[key] = xi
         # a root of the subfield torsion generator doubles the roots of unity
-        mu_order, q_range = (2 * zorder if (1, 0) in roots else zorder), (1, 2)
+        mu_order = 2 * zorder if (1, 0) in roots else zorder
+        q_range = (1, 2)
+
     q = len(roots) + 1
     if q not in q_range:
         raise InconsistencyError(f"unit index {q} outside {q_range} for {K.d}")
-    return UnitStructure(q_k=q, mu_order=mu_order, lam=lam,
-                         nu_k=sum(k.nu for k in K.subfields), square_class_roots=roots)
+    return UnitStructure(
+        q_k=q,
+        mu_order=mu_order,
+        lam=lam,
+        nu_k=nu_k,
+        square_class_roots=roots,
+    )

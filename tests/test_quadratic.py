@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (QuadElement, quad_ideal_closed_under_multiplication,
-                             quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_from_elements,
-                             quad_ideal_multiply, minpoly_double_root_scan,
+from exact_reference import (QuadElement, minpoly_double_root_scan,
+                             quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
+                             quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
                              subset_ideal_chain)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
-                                   _minpoly_double_root, ambiguous_oracle_quad, omega_norm, polya_order_quad,
-                                   prime_above, principal_generator_quad, quadratic_field,
-                                   radical_coords)
+                                   ambiguous_oracle_quad, _minpoly_double_root, omega_norm,
+                                   polya_order_quad, prime_above, principal_generator_quad,
+                                   quadratic_field, radical_coords)
 
 
 def brute_fundamental_unit(d: int, cap: int = 10**7) -> QuadElement:
