@@ -3,8 +3,10 @@
 Exact-arithmetic computation of the order of the group of strongly ambiguous
 ideal classes of K = Q(sqrt(d1), sqrt(d2)) and its three quadratic subfields,
 via closed unit-index formulas, together with a brute-force ambiguous-ideal
-oracle (ideal lattices, radicals, principality search) that verifies every
-formula.  The two routes share only the exact square root
+oracle (exponent vectors of radical products, membership in rad(p) by
+xi^e_p in p*O_K, principality search) that verifies every formula; it
+builds no ideal lattice, and certifies the extension of the prime above p
+of every subfield by one square.  The two routes share only the exact square root
 integral_square_root and the continued-fraction fundamental unit of each
 quadratic subfield: the formula route solves j2 (the class of the prime
 above 2 lies outside the image of the subfield ambiguous classes) from

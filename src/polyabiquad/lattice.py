@@ -29,39 +29,44 @@ coordinates over the integral basis, so tau_1 tau_2 tau_3 / n is integral
 exactly when n divides each coordinate.  Both directions are complete: the
 search never reports "nonprincipal" heuristically.
 
-The oracle descends only on radical products that earlier verdicts leave
-undecided.  Before any descent it marks principal the extension of every
-principal product of ramified primes of a quadratic subfield: A = (alpha)
-gives A*O_K = alpha*O_K.  Both oracle counts rest on one fact: the prime
-P_i of k_i above p extends to rad(p) when e_p = 2 and to rad(2)^2 when
-e_2 = 4, for every k_i in which p ramifies (prime_radical certifies it for
-the first such k_i, the tests for every k_i of every field with |d_i| <= 30).
+The oracle builds none of these lattices.  It descends only on radical
+products that earlier verdicts leave undecided.  Before any descent it
+marks principal the extension of every principal product of ramified primes
+of a quadratic subfield: A = (alpha) gives A*O_K = alpha*O_K.  Both oracle
+counts rest on one fact: the prime P_i = [p, b + omega_i] of k_i above p
+extends to rad(p)^(e_p/2), i.e. to rad(p) when e_p = 2 and to rad(2)^2 when
+e_2 = 4.  The oracle certifies it for every subfield k_i in which p
+ramifies, before its first verdict.  Every prime P above p has
+v_P(p) = e_p, so g = b + omega_i lies in rad(p)^(e_p/2) iff
+v_P(g^2) >= e_p for every such P, i.e. iff g^2 is in p*O_K.  Then
+P_i*O_K lies in rad(p)^(e_p/2), both have norm p^2, and so they are equal.
 So every verdict is a completed descent, in K or in a subfield, or follows
 from such verdicts by the group law; each subfield book starts with the
-mask of (sqrt(d)).  It also puts (e_p/2)*u_p in the image of every p, so
+mask of (sqrt(d)).  The same fact puts (e_p/2)*u_p in the image of every p, so
 the kernel and cokernel of the extension map are group orders read off the
-principal sets, with no Hermite form.  The oracle builds no lattice for the
-radical product of an exponent vector: its descents read the norm, the
-three relative norms and membership off the radicals alone.  Its coset book
-holds exponent vectors packed into integers (see AmbiguousIdealOracle).
+principal sets, with no Hermite form.  Its coset book holds exponent
+vectors packed into integers (see AmbiguousIdealOracle).
 
-The oracle's relative norms are written down in closed form and need no
-lattice product, conjugate or intersection; relative_norm_ideal takes the
-lattice intersection above for any ideal lattice.  prime_radical
-raises unless one lattice product holds: rad(p)^2 = p*O_K when e_p = 2,
-and rad(2)^2 = P*O_K for the prime P above 2 of the first subfield when
-e_2 = 4.  As P^2 = 2*O_{k_1}, both give rad(p)^e_p = p*O_K, so by unique
-factorisation rad(p) is the product of all primes above p, hence
-Galois-stable, and so is every radical product a = prod_p rad(p)^v_p with
-0 <= v_p < e_p.  Then a * s_i(a) = a^2 = r * rad(2)^(2*eps) with
-r = prod_p p^floor(2*v_p/e_p) and eps = 1 exactly when e_2 = 4 and v_2 is
-odd (e_p = 4 only for p = 2).
+A descent reads everything off the exponent vector of
+a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As efg = 4,
+N(a) = prod_p p^((4/e_p)*v_p).  Membership needs no lattice either: by the
+same valuations xi is in rad(p) iff xi^e_p is in p*O_K, i.e. iff p divides
+every basis coordinate of xi^e_p, and xi is in a iff xi is in rad(p) for
+every p with v_p > 0 (see AmbiguousIdealOracle._descend).  The relative
+norms are written down in closed form.  rad(p) is the product of all
+primes above p, hence Galois-stable, and so is a.  Then
+a * s_i(a) = a^2 = r * rad(2)^(2*eps) with r = prod_p p^floor(2*v_p/e_p)
+and eps = 1 exactly when e_2 = 4 and v_2 is odd (e_p = 4 only for p = 2).
 Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
 prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  The
-closed form is not trusted alone: every norm must still equal N(a), and a
-"principal" verdict still needs xi in a with |N(xi)| = N(a), and xi in a is
-checked radical by radical: it holds iff xi lies in rad(p) for every p
-with v_p > 0 (see AmbiguousIdealOracle._descend).
+closed form is not trusted alone: every relative norm must still have norm
+N(a), and a "principal" verdict still needs xi in a with |N(xi)| = N(a).
+
+prime_radical, relative_norm_ideal and the lattice products they take are
+the reference the tests check the oracle's membership test, relative norms
+and certificate against.  prime_radical raises unless one lattice product
+holds: rad(p)^2 = p*O_K when e_p = 2, and rad(2)^2 = P*O_K for the prime P
+above 2 of the first subfield when e_2 = 4.
 """
 
 from __future__ import annotations
@@ -247,7 +252,8 @@ class AmbiguousIdealOracle:
     the classes are the cosets of the principal subgroup P, which a
     PrincipalCosets book builds from as few descents as it can, seeded with
     the extended principal classes of the subfields (both counts rest on
-    P_i*O_K = rad(p), or rad(2)^2 when e_2 = 4; see the module docstring).
+    P_i*O_K = rad(p)^(e_p/2), which _subfield_images certifies for every
+    subfield; see the module docstring).
     The book holds each vector packed into one integer, mixed radix with the
     first prime most significant, so range(|G|) lists G in the order of
     itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
@@ -255,9 +261,9 @@ class AmbiguousIdealOracle:
     mod e_2, and add is one integer expression.  The image of each subfield
     product of ramified primes is read from a table built once per subfield.
     A vector is unpacked only for a descent and for class_representatives.
-    A descent builds no lattice for a radical product a: N(a) comes from the
-    certified radical norms, the relative norms in closed form, and a root
-    is tested for membership in a radical by radical.
+    A descent builds no lattice: N(a) = prod_p p^((4/e_p)*v_p), the
+    relative norms are in closed form, and a root xi is in rad(p) iff p
+    divides every coordinate of xi^e_p (see _membership).
     The classes are counted as the cosets of P.  The cokernel G / <im phi, P>
     and the kernel, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, are
     group orders read off P and the subfield books, with no Hermite form.
@@ -276,7 +282,6 @@ class AmbiguousIdealOracle:
         high, low = (self.exponents[0] - 1) << (n - 1), (1 << (n - 1)) - 1
         # the group law of G on packed vectors
         self.add = lambda a, b: ((a ^ b) & low) | (((a & high) + (b & high)) & high)
-        self._radicals: dict[int, IdealLattice] = {}
 
     def pack(self, vec) -> int:
         """The exponent vector vec, reduced mod e_p, as one integer."""
@@ -306,11 +311,19 @@ class AmbiguousIdealOracle:
     def _subfield_images(self) -> list[list[int]]:
         """For each subfield, the packed exponent vector of the extension of
         the product of its ramified primes selected by each mask, built by
-        doubling over the bits of the mask."""
+        doubling over the bits of the mask.  Each prime P_i = [p, b + omega_i]
+        is certified first: (b + omega_i)^2 in p*O_K gives
+        P_i*O_K = rad(p)^(e_p/2) (see the module docstring)."""
+        K = self.K
         tables = []
-        for k in self.K.subfields:
+        for i, k in enumerate(K.subfields):
             table = [0]
             for p in k.ramified_primes:
+                gen = K.from_quad(i, prime_above(k, p).basis_elements()[1])
+                if any(c % p for c in K.mul_basis_coords(gen, gen)):
+                    raise InconsistencyError(
+                        f"the prime of Q(sqrt({k.d})) above {p} does not extend to "
+                        f"rad({p})^(e_p/2) in the field {K.d}")
                 g = self._prime_image(p)
                 table += [self.add(x, g) for x in table]
             tables.append(table)
@@ -325,11 +338,6 @@ class AmbiguousIdealOracle:
                     book.add_principal(image)
         return book
 
-    def radical(self, p: int) -> IdealLattice:
-        if p not in self._radicals:
-            self._radicals[p] = prime_radical(self.K, p)
-        return self._radicals[p]
-
     def _relative_norms(self, vec: tuple[int, ...]):
         """N_{K/k_i} of the radical product of vec, in closed form (see the
         module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over."""
@@ -338,19 +346,36 @@ class AmbiguousIdealOracle:
         for k in self.K.subfields:
             yield prime_above(k, 2).scale(r) if eps else QuadIdeal(k, r, 0, r)
 
-    def _descend(self, vec: tuple[int, ...]) -> bool:
-        """Principality of a = prod_p rad(p)^v_p from its radicals alone.
+    def _membership(self, vec: tuple[int, ...]):
+        """The test xi in rad(p) for every p with v_p > 0, on basis
+        coordinates.  Every prime P above p has v_P(p) = e_p, so xi is in
+        every P iff xi^e_p is in p*O_K: one square decides every p with
+        e_p = 2 at once, by their product, and its square decides a totally
+        ramified 2."""
+        mul = self.K.mul_basis_coords
+        m = prod(p for p, e, v in zip(self.primes, self.exponents, vec) if v and e == 2)
+        fourth = self.exponents[0] == 4 and vec[0]
 
+        def contains(xi) -> bool:
+            sq = mul(xi, xi)
+            if any(c % m for c in sq):
+                return False
+            return not fourth or not any(c % 2 for c in mul(sq, sq))
+        return contains
+
+    def _descend(self, vec: tuple[int, ...]) -> bool:
+        """Principality of a = prod_p rad(p)^v_p from its exponent vector.
+
+        N(a) = prod_p p^((4/e_p)*v_p), as rad(p) has norm p^(f*g) and efg = 4.
         For a root xi with |N(xi)| = N(a), xi is in a iff xi is in rad(p) for
         every p with v_p > 0, i.e. iff v_P(xi) >= v_P(a) for every prime P
         above such a p.  When e_2 = 4 the one P above 2 has f = 1, so
         v_P(xi) = v_2(N(xi)) = v_2(N(a)) = v_P(a).  When e_p = 2, v_p = 1 and
         f*g = 2: xi in rad(p) gives v_P(xi) >= 1 = v_P(a) at each P above p.
         """
-        rads = [(self.radical(p), v) for p, v in zip(self.primes, vec) if v]
-        return principal_ideal_generator(
-            self.K, prod(rad.norm ** v for rad, v in rads), self._relative_norms(vec),
-            lambda xi: all(rad.contains(xi) for rad, _ in rads), self.budget) is not None
+        n = prod(p ** (4 // e * v) for p, e, v in zip(self.primes, self.exponents, vec))
+        return principal_ideal_generator(self.K, n, self._relative_norms(vec),
+                                         self._membership(vec), self.budget) is not None
 
     def is_principal_vector(self, vec) -> bool:
         return self._book.is_principal(self.pack(vec))

@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cache
+from operator import attrgetter
 
 from .errors import InconsistencyError, InvalidInputError
 from .intmath import is_power_of_two
@@ -103,28 +105,26 @@ def quad_record(k: QuadraticField, po: int,
                       lam=k.lam, nu=k.nu, po=po, verify_status=verify_status)
 
 
-def _columns(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
-
-
-def _row_values(rec) -> list:
-    return [getattr(rec, name) for name in _columns(type(rec))]
+@cache
+def _columns(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def render_records(records, fmt: str) -> str:
     """Render a nonempty list of records (all of one type) as json | csv | text."""
     cols = _columns(type(records[0]))
+    values = attrgetter(*cols)
     if fmt == "json":
-        lines = [json.dumps({c: getattr(r, c) for c in cols}, separators=(", ", ": "))
+        lines = [json.dumps(dict(zip(cols, values(r))), separators=(", ", ": "))
                  for r in records]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         lines = [",".join(cols)]
-        lines += [",".join(str(v) for v in _row_values(r)) for r in records]
+        lines += [",".join(map(str, values(r))) for r in records]
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise InvalidInputError(f"unknown output format {fmt!r}")
-    table = [cols] + [[str(v) for v in _row_values(r)] for r in records]
+    table = [cols] + [list(map(str, values(r))) for r in records]
     widths = [max(len(row[j]) for row in table) for j in range(len(cols))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@
   stacked Hermite form, and reduce_vector, an oracle's exponent vector
   reduced mod e_p.
 - The earlier lattice route of a descent: vector_lattice, the product
-  lattice of an oracle's radicals for an exponent vector, and
+  lattice of the prime_radical lattices for an oracle's exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
   relative norms and lattice membership.
 - parse_records, the inverse of report.render_records.
@@ -53,8 +53,8 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
-from polyabiquad.lattice import (IdealLattice, principal_ideal_generator, rational_ideal,
-                                 relative_norm_ideal)
+from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
+                                 rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import QuadIdeal
 from polyabiquad.report import OutputRecord
@@ -708,11 +708,13 @@ def cokernel_by_hermite_form(orc) -> int:
 
 
 def vector_lattice(orc, vec) -> IdealLattice:
-    """prod_p rad(p)^v_p as a lattice, multiplied out from orc.radical(p)."""
+    """prod_p rad(p)^v_p as a lattice, multiplied out from prime_radical."""
     lat = rational_ideal(orc.K, 1)
     for p, v in zip(orc.primes, vec):
-        for _ in range(v):
-            lat = lat.multiply(orc.radical(p))
+        if v:
+            rad = prime_radical(orc.K, p)
+            for _ in range(v):
+                lat = lat.multiply(rad)
     return lat
 
 

@@ -278,6 +278,26 @@ def test_formula_scan_builds_no_ideal(capsys, monkeypatch):
         "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870"
 
 
+def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
+    # the oracle tests membership in rad(p) by xi^e_p in p*O_K and certifies
+    # the extended subfield primes by one square each: with the radicals,
+    # the Hermite form and lattice products made to raise, scan --bound 20
+    # --verify keeps its digest
+    import hashlib
+    import polyabiquad.lattice as lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifying oracle built a lattice")
+
+    monkeypatch.setattr(lattice, "prime_radical", refuse)
+    monkeypatch.setattr(lattice, "hnf_rows", refuse)
+    monkeypatch.setattr(lattice.IdealLattice, "multiply", refuse)
+    code, out, _ = run(capsys, "scan", "--bound", "20", "--verify", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
+
+
 def _src_nodes():
     """(location, node) for every ast node of every module of the package."""
     import polyabiquad

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import os
 import random
@@ -6,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
                              embed_quad, ideal_from_elements, integral_coords,
@@ -236,8 +240,8 @@ MANYPRIME_PAIRS = ((-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77))
 
 def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
     # both oracle counts rest on P_i*O_K = rad(p) when e_p = 2 and rad(2)^2
-    # when e_2 = 4, for every subfield k_i in which p ramifies, not only the
-    # first one, whose extension prime_radical certifies
+    # when e_2 = 4, for every subfield k_i in which p ramifies: the oracle's
+    # seed vectors against the lattices of prime_radical
     cases = 0
     for a, b in _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS):
         K = biquadratic_field(a, b)
@@ -253,6 +257,80 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
                 assert extended == vector_lattice(orc, image), (K.d, i, p)
                 cases += 1
     assert cases == 3477
+
+
+def test_oracle_certifies_every_extended_subfield_prime(monkeypatch):
+    # a wrong generator b + 1 + omega_i of the prime above p in any one
+    # subfield, not only the first in which p ramifies, makes the oracle
+    # raise before its first verdict
+    from polyabiquad import lattice
+    right = lattice.prime_above
+    cases = 0
+    for pair in _scan_tasks(12, False, False) + list(MANYPRIME_PAIRS):
+        K = biquadratic_field(*pair)
+        for k in K.subfields:
+            for p in k.ramified_primes:
+                def wrong(field, q, target=(k, p)):
+                    P = right(field, q)
+                    if (field, q) == target:
+                        return dataclasses.replace(P, b=P.b + 1)
+                    return P
+
+                monkeypatch.setattr(lattice, "prime_above", wrong)
+                with pytest.raises(InconsistencyError, match="does not extend"):
+                    AmbiguousIdealOracle(K).polya_order_oracle()
+                cases += 1
+        monkeypatch.setattr(lattice, "prime_above", right)
+        AmbiguousIdealOracle(K).polya_order_oracle()
+    assert cases == 475
+
+
+MEMBERSHIP_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS) + [(7429, 30030)]
+
+
+@functools.cache
+def oracle_and_radicals(pair):
+    """An oracle of the field and the lattice prime_radical(K, p) of each
+    of its ramified p."""
+    orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+    return orc, {p: prime_radical(orc.K, p) for p in orc.primes}
+
+
+def test_membership_by_power_agrees_with_the_radical_lattice():
+    # xi in rad(p) iff p divides every coordinate of xi^e_p, against the
+    # Hermite form of prime_radical for every ramified p of every field with
+    # |d_i| <= 30, the many-prime fields and (7429, 30030): on the rows of
+    # rad(p) and of rad(p)^2, on p*e_j and on the unit vectors e_j
+    eye = [[int(r == c) for c in range(4)] for r in range(4)]
+    cases = 0
+    for pair in MEMBERSHIP_PAIRS:
+        orc, rads = oracle_and_radicals(pair)
+        for p, rad in rads.items():
+            contains = orc._membership([int(q == p) for q in orc.primes])
+            xis = [*rad.rows, *rad.multiply(rad).rows, *([p * x for x in u] for u in eye), *eye]
+            for xi in xis:
+                assert contains(xi) == rad.contains(xi), (pair, p, xi)
+            assert not contains(eye[0]) and all(contains(r) for r in rad.rows), (pair, p)
+            cases += 1
+    assert cases == 1665
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(MEMBERSHIP_PAIRS), st.data())
+def test_membership_agrees_with_the_radical_lattices_on_drawn_vectors(pair, data):
+    # for a drawn exponent vector, the oracle's test of xi in rad(p) for
+    # every p with v_p > 0 against the lattices of prime_radical, on drawn
+    # coordinates and on drawn members of the intersection of those radicals
+    orc, rads = oracle_and_radicals(pair)
+    vec = data.draw(st.tuples(*(st.integers(0, e - 1) for e in orc.exponents)))
+    coeffs = data.draw(st.lists(st.integers(-60, 60), min_size=4, max_size=4))
+    support = [rads[p] for p, v in zip(orc.primes, vec) if v]
+    if data.draw(st.booleans()):
+        rows = vector_lattice(orc, [int(v > 0) for v in vec]).rows
+        xi = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(4)]
+    else:
+        xi = coeffs
+    assert orc._membership(vec)(xi) == all(rad.contains(xi) for rad in support)
 
 
 def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
@@ -310,9 +388,10 @@ def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
     assert len(calls) == len(vectors) and roots > 0
 
 
-def test_oracle_multiplies_lattices_only_to_certify_radicals(monkeypatch):
-    # a descent builds no product lattice: the only lattice products are the
-    # one certificate rad * rad of each radical
+def test_oracle_multiplies_no_lattice(monkeypatch):
+    # the descents test membership by xi^e_p in p*O_K and the seed
+    # certificate squares one element per subfield prime: the oracle takes
+    # no lattice product
     count = [0]
     multiply = IdealLattice.multiply
 
@@ -323,10 +402,9 @@ def test_oracle_multiplies_lattices_only_to_certify_radicals(monkeypatch):
     monkeypatch.setattr(IdealLattice, "multiply", counting)
     for pair in MANYPRIME_PAIRS:
         orc = AmbiguousIdealOracle(biquadratic_field(*pair))
-        count[0] = 0
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
-        assert count[0] == len(orc._radicals) > 0, pair
+        assert count[0] == 0, pair
 
 
 def test_kernel_order_matches_the_triple_count():
@@ -355,8 +433,8 @@ def test_cokernel_matches_the_hermite_form():
 
 
 def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):
-    # once the classes are counted, the kernel and cokernel are group orders:
-    # neither calls hnf_rows
+    # the kernel and cokernel are group orders, and the class count builds
+    # no radical: the whole count calls hnf_rows zero times
     from polyabiquad import lattice
     calls = [0]
     hnf = lattice.hnf_rows
@@ -369,10 +447,9 @@ def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):
     for pair in MANYPRIME_PAIRS:
         orc = AmbiguousIdealOracle(biquadratic_field(*pair))
         orc.polya_order_oracle()
-        before = calls[0]
         orc.cokernel_order_oracle()
         orc.kernel_order_oracle()
-        assert calls[0] == before > 0, pair
+        assert calls[0] == 0, pair
 
 
 def test_oracle_kernel_is_power_of_two_dividing_domain():
