@@ -231,6 +231,7 @@ class BiquadField:
                 f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
         self.basis_rows, self._det, self._adj_cols = rows, det, adj_cols
+        self.basis_columns = tuple(zip(*rows))
         for r, unit in zip(rows, _IDENTITY):
             if tuple(self._integer_coords(r, 4, "basis elements")) != unit:
                 raise InconsistencyError(
@@ -324,6 +325,26 @@ class BiquadField:
     def units(self):
         from .units import unit_structure
         return unit_structure(self)
+
+    @cached_property
+    def unit_twists(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct products u_1*u_2*u_3 of subfield twist units, in
+        the order they first appear with u_3 varying fastest: u_i is +-1 or
+        +-eps_i in a real k_i, and 1 or the generator of its roots of unity
+        (i, zeta_6 or -1) in an imaginary k_i.  The twists cover each subfield's units modulo
+        squares, so the descent in lattice.principal_ideal_generator tries
+        g*u for each u.  16 entries for real K; for imaginary K 4, or 8
+        with Q(i) or Q(sqrt(-3)), or 16 for Q(zeta_12)."""
+        table = [_IDENTITY[0]]
+        for i, k in enumerate(self.subfields):
+            u = self.from_quad(i, k.fundamental_unit if k.is_real else k.torsion_generator())
+            products = []
+            for t in table:
+                tu = tuple(self.mul_basis_coords(t, u))
+                products += ([t, tuple(-c for c in t), tu, tuple(-c for c in tu)]
+                             if k.is_real else [t, tu])
+            table = list(dict.fromkeys(products))
+        return tuple(table)
 
     def __repr__(self):
         return f"BiquadField{self.d}"

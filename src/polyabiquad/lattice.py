@@ -20,14 +20,18 @@ tau_i of b_i; for any generator alpha of a, N_{K/k_i}(alpha) is also a
 generator of b_i, and the three relative norms multiply to
 tau_1 tau_2 tau_3 = N(alpha) * alpha^2 = +-n * alpha^2.  Unit ambiguity in
 each tau_i is a full unit of k_i and contributes a unit square to the
-product after adjusting by the finite twist sets {+-1, +-eps_i} (real) or
-the subfield roots of unity (imaginary), which cover the unit classes modulo
-squares.  So a is principal iff some twisted product tau_1 tau_2 tau_3 / n
-is a square of an element of a with the right norm, and every candidate is
-settled by the exact square-root test.  The products are taken on integer
-coordinates over the integral basis, so tau_1 tau_2 tau_3 / n is integral
-exactly when n divides each coordinate.  Both directions are complete: the
-search never reports "nonprincipal" heuristically.
+product after adjusting by a twist unit u_i: +-1 or +-eps_i (real k_i), 1
+or the subfield root of unity (imaginary k_i), which cover the unit classes
+modulo squares.  So a is principal iff g*u / n is the square of an element
+of a with the right norm for g = tau_1 tau_2 tau_3 and some product
+u = u_1 u_2 u_3.  The distinct products u depend only on K, so
+BiquadField.unit_twists builds them once per field, 16 for real K and 4 to
+16 for imaginary K.  A descent multiplies g once and settles each candidate
+g*u by the exact square-root test, charging the budget one unit per
+candidate.  The products are taken on integer coordinates over the
+integral basis, so g*u / n is integral exactly when n divides each
+coordinate.  Both directions are complete: the search never reports
+"nonprincipal" heuristically.
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
@@ -71,7 +75,6 @@ above 2 of the first subfield when e_2 = 4.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from math import prod
 
@@ -189,44 +192,31 @@ def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
     return QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
 
 
-def _unit_twists(K: BiquadField, i: int, g: tuple[int, int]) -> list[list[int]]:
-    """Generators of b_i modulo squares of subfield units, as integer
-    coordinates over the integral basis of K: g, -g, g*eps, -g*eps (real)
-    or g, g*zeta (imaginary)."""
-    k = K.subfields[i]
-    unit = k.fundamental_unit if k.is_real else k.torsion_generator()
-    g = K.from_quad(i, g)
-    gu = K.mul_basis_coords(g, K.from_quad(i, unit))
-    if k.is_real:
-        return [g, [-c for c in g], gu, [-c for c in gu]]
-    return [g, gu]
-
-
 def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
                               budget: Budget | None = None) -> tuple[int, ...] | None:
     """Basis coordinates of a generator of an ideal a of norm n, or None when
     provably nonprincipal.  norms yields the three relative norms
     N_{K/k_i}(a) in order; contains(xi) decides xi in a for an xi with
-    |N(xi)| = n."""
+    |N(xi)| = n.
+
+    The generators of the relative norms multiply into g once.  The
+    candidates are g*u for u in K.unit_twists, the distinct products of the
+    subfield twist units, tried in table order, and the budget is charged
+    one unit per candidate formed (see the module docstring)."""
     if n == 1:
         return (1, 0, 0, 0)
-    twist_sets = []
+    g = (1, 0, 0, 0)
     for i, b in enumerate(norms):
         if b.norm != n:
             raise InconsistencyError(f"relative norm ideal has norm {b.norm}, expected {n}")
-        g = principal_generator_quad(b, budget)
-        if g is None:
+        gi = principal_generator_quad(b, budget)
+        if gi is None:
             return None  # a principal ideal has principal relative norms
-        twist_sets.append(_unit_twists(K, i, g))
-    seen: set = set()
-    pairs = [K.mul_basis_coords(t1, t2) for t1, t2 in itertools.product(*twist_sets[:2])]
-    for t12, t3 in itertools.product(pairs, twist_sets[2]):
+        g = K.mul_basis_coords(g, K.from_quad(i, gi))
+    for u in K.unit_twists:
         if budget is not None:
             budget.charge()
-        s = tuple(K.mul_basis_coords(t12, t3))
-        if s in seen:
-            continue
-        seen.add(s)
+        s = K.mul_basis_coords(g, u)
         if any(c % n for c in s):
             continue
         # the square root the formula route also uses, for the unit index
@@ -308,22 +298,33 @@ class AmbiguousIdealOracle:
         return self.pack([e // 2 * (q == p) for q, e in zip(self.primes, self.exponents)])
 
     @cached_property
-    def _subfield_images(self) -> list[list[int]]:
-        """For each subfield, the packed exponent vector of the extension of
-        the product of its ramified primes selected by each mask, built by
-        doubling over the bits of the mask.  Each prime P_i = [p, b + omega_i]
-        is certified first: (b + omega_i)^2 in p*O_K gives
+    def _subfield_primes(self) -> list[dict[int, QuadIdeal]]:
+        """For each subfield, its prime P_i = [p, b + omega_i] above each
+        ramified p, certified: (b + omega_i)^2 in p*O_K gives
         P_i*O_K = rad(p)^(e_p/2) (see the module docstring)."""
         K = self.K
-        tables = []
+        primes = []
         for i, k in enumerate(K.subfields):
-            table = [0]
+            primes.append({})
             for p in k.ramified_primes:
-                gen = K.from_quad(i, prime_above(k, p).basis_elements()[1])
+                P = prime_above(k, p)
+                gen = K.from_quad(i, P.basis_elements()[1])
                 if any(c % p for c in K.mul_basis_coords(gen, gen)):
                     raise InconsistencyError(
                         f"the prime of Q(sqrt({k.d})) above {p} does not extend to "
                         f"rad({p})^(e_p/2) in the field {K.d}")
+                primes[-1][p] = P
+        return primes
+
+    @cached_property
+    def _subfield_images(self) -> list[list[int]]:
+        """For each subfield, the packed exponent vector of the extension of
+        the product of its certified ramified primes selected by each mask,
+        built by doubling over the bits of the mask."""
+        tables = []
+        for primes in self._subfield_primes:
+            table = [0]
+            for p in primes:
                 g = self._prime_image(p)
                 table += [self.add(x, g) for x in table]
             tables.append(table)
@@ -340,11 +341,12 @@ class AmbiguousIdealOracle:
 
     def _relative_norms(self, vec: tuple[int, ...]):
         """N_{K/k_i} of the radical product of vec, in closed form (see the
-        module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over."""
+        module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over, with
+        P_2 the certified prime of k_i above 2."""
         r = prod(p ** (2 * v // e) for p, e, v in zip(self.primes, self.exponents, vec))
         eps = any(2 * v % e for e, v in zip(self.exponents, vec))
-        for k in self.K.subfields:
-            yield prime_above(k, 2).scale(r) if eps else QuadIdeal(k, r, 0, r)
+        for k, primes in zip(self.K.subfields, self._subfield_primes):
+            yield primes[2].scale(r) if eps else QuadIdeal(k, r, 0, r)
 
     def _membership(self, vec: tuple[int, ...]):
         """The test xi in rad(p) for every p with v_p > 0, on basis

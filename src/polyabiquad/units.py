@@ -136,7 +136,7 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
     """
     d1, d2 = K.d[0], K.d[1]
     m = K.mul_table[(1, 2)][1]
-    c0, c1, c2, c3 = (sum(map(mul, eta, col)) for col in zip(*K.basis_rows))
+    c0, c1, c2, c3 = (sum(map(mul, eta, col)) for col in K.basis_columns)
     f = 4 * m * m
     root = _relative_sqrt(f * c0, f * c1, f * c2, 4 * m * c3, d1, d2)
     if root is None:

@@ -38,6 +38,10 @@
   lattice of the prime_radical lattices for an oracle's exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
   relative norms and lattice membership.
+- The earlier candidates of a descent, twisted_products: every product of
+  the twisted relative-norm generators, |T_1|*|T_2|*|T_3| of them, with
+  the repeats dropped; the program multiplies the generators once and
+  twists the product by the table BiquadField.unit_twists.
 - parse_records, the inverse of report.render_records.
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
@@ -724,6 +728,25 @@ def lattice_generator(lat, budget=None) -> tuple[int, ...] | None:
     K = lat.field
     norms = (relative_norm_ideal(K, lat, i) for i in range(3))
     return principal_ideal_generator(K, lat.norm, norms, lat.contains, budget)
+
+
+def twisted_products(K, gens) -> list[tuple[int, ...]]:
+    """The earlier candidates of a descent: with twist sets g_i, -g_i,
+    g_i*eps_i, -g_i*eps_i (real k_i) or g_i, g_i*zeta_i (imaginary k_i) of
+    the generators gens = (g_1, g_2, g_3), pairs (u, v) over (1, omega_i),
+    every product t_1*t_2*t_3, with t_3 varying fastest, distinct in the
+    order first seen."""
+    twist_sets = []
+    for i, (k, g) in enumerate(zip(K.subfields, gens)):
+        unit = k.fundamental_unit if k.is_real else k.torsion_generator()
+        g = K.from_quad(i, g)
+        gu = K.mul_basis_coords(g, K.from_quad(i, unit))
+        twist_sets.append([g, [-c for c in g], gu, [-c for c in gu]] if k.is_real
+                          else [g, gu])
+    pairs = [K.mul_basis_coords(t1, t2) for t1, t2 in itertools.product(*twist_sets[:2])]
+    products = (tuple(K.mul_basis_coords(t12, t3))
+                for t12, t3 in itertools.product(pairs, twist_sets[2]))
+    return list(dict.fromkeys(products))
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

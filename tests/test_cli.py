@@ -298,6 +298,35 @@ def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
         "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
 
 
+def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
+    # the formula route never builds BiquadField.unit_twists, and a verified
+    # scan builds it at most once per field
+    import hashlib
+    from collections import Counter
+    from functools import cached_property
+    from polyabiquad.biquadratic import BiquadField
+
+    built = Counter()
+    table = BiquadField.unit_twists.func
+
+    def counting(K):
+        built[K.d] += 1
+        return table(K)
+
+    prop = cached_property(counting)
+    prop.__set_name__(BiquadField, "unit_twists")
+    monkeypatch.setattr(BiquadField, "unit_twists", prop)
+    for d1, d2 in (("2", "3"), ("-1", "3"), ("-1", "2"), ("11", "14"), ("-210", "143"),
+                   ("-9699690", "31367009")):
+        code, _, _ = run(capsys, "biquad", d1, d2, "--json")
+        assert code == 0
+    assert not built
+    code, out, _ = run(capsys, "scan", "--bound", "20", "--verify", "--json")
+    assert code == 0 and built and max(built.values()) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
+
+
 def _src_nodes():
     """(location, node) for every ast node of every module of the package."""
     import polyabiquad

@@ -16,7 +16,8 @@ from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_fr
                              is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, lattice_generator,
                              quad_ideal_from_elements, quad_ideal_multiply,
-                             reduce_vector, relative_norm_fraction, vector_lattice)
+                             reduce_vector, relative_norm_fraction, twisted_products,
+                             vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
@@ -283,6 +284,34 @@ def test_oracle_certifies_every_extended_subfield_prime(monkeypatch):
         monkeypatch.setattr(lattice, "prime_above", right)
         AmbiguousIdealOracle(K).polya_order_oracle()
     assert cases == 475
+
+
+# Q(zeta_12), Q(zeta_8) and the three s_K >= 12 rows of test_cli
+TWIST_PAIRS = (_scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
+               + [(-1, 3), (-1, 2), (-9699690, 765049), (9699690, -765049),
+                  (-9699690, 31367009)])
+
+
+def test_unit_twist_table_gives_the_earlier_candidates():
+    # a descent multiplies its relative-norm generators into g once and tries
+    # g*u for u in K.unit_twists: the same distinct candidates, in the same
+    # order, as every twisted product of the generators; 16 entries for real
+    # K, and 4 for imaginary K times 2 for each of Q(i), Q(sqrt(-3)) in it
+    sizes = set()
+    for pair in TWIST_PAIRS:
+        K = biquadratic_field(*pair)
+        table = K.unit_twists
+        assert twisted_products(K, [(1, 0)] * 3) == list(table), K.d
+        gens = [(i + 1, 1) for i in range(3)]
+        g = K.mul_basis_coords(K.mul_basis_coords(K.from_quad(0, gens[0]),
+                                                  K.from_quad(1, gens[1])),
+                               K.from_quad(2, gens[2]))
+        assert [tuple(K.mul_basis_coords(g, u)) for u in table] \
+            == twisted_products(K, gens), K.d
+        roots = {-1, -3} & set(K.d)
+        assert len(table) == (16 if K.is_real else 4 << len(roots)), K.d
+        sizes.add(len(table))
+    assert sizes == {4, 8, 16}
 
 
 MEMBERSHIP_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS) + [(7429, 30030)]
