@@ -6,9 +6,10 @@ Subcommands:
   scan --bound N          every biquadratic field generated by |d1|,|d2| <= N
 
 Exit codes: 0 success, 1 invalid input / IO error, 2 formula-vs-oracle
-mismatch, 3 search budget exhausted.  The enumeration budget comes from
---budget, else the POLYA_ORACLE_BUDGET environment variable, else a generous
-default; each field gets its own budget.
+mismatch, 3 search budget exhausted.  Under --verify the enumeration budget
+comes from --budget, else the POLYA_ORACLE_BUDGET environment variable, else
+a generous default; each field gets its own budget.  Without --verify
+neither is read.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _cmd_scan(args) -> int:
     if args.jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
     fmt = _resolve_format(args)
-    units = _budget_units(args)
+    units = _budget_units(args) if args.verify else None
     tasks = [(a, b, args.verify, units)
              for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
     if args.jobs > 1:

@@ -62,15 +62,19 @@ primes above p, hence Galois-stable, and so is a.  Then
 a * s_i(a) = a^2 = r * rad(2)^(2*eps) with r = prod_p p^floor(2*v_p/e_p)
 and eps = 1 exactly when e_2 = 4 and v_2 is odd (e_p = 4 only for p = 2).
 Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
-prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  The
-closed form is not trusted alone: every relative norm must still have norm
-N(a), and a "principal" verdict still needs xi in a with |N(xi)| = N(a).
+prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  So
+the descent is handed the generators of the b_i in closed form too: (r, 0),
+or r*gamma_i for a generator gamma_i of P_2, which one search per subfield
+decides once per oracle, when a descent first needs it (None when P_2 is
+nonprincipal).  The closed form
+is not trusted alone: every generator must still have norm +-N(a), and a
+"principal" verdict still needs xi in a with |N(xi)| = N(a).
 
 prime_radical, relative_norm_ideal and the lattice products they take are
-the reference the tests check the oracle's membership test, relative norms
-and certificate against.  prime_radical raises unless one lattice product
-holds: rad(p)^2 = p*O_K when e_p = 2, and rad(2)^2 = P*O_K for the prime P
-above 2 of the first subfield when e_2 = 4.
+the reference the tests check the oracle's membership test, relative-norm
+generators and certificate against.  prime_radical raises unless one
+lattice product holds: rad(p)^2 = p*O_K when e_p = 2, and rad(2)^2 = P*O_K
+for the prime P above 2 of the first subfield when e_2 = 4.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ from math import prod
 from .biquadratic import BiquadField
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal, prime_above,
-                        principal_generator_quad)
+from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal, omega_norm,
+                        prime_above, principal_generator_quad)
 from .units import integral_square_root
 
 
@@ -195,23 +199,26 @@ def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
 def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
                               budget: Budget | None = None) -> tuple[int, ...] | None:
     """Basis coordinates of a generator of an ideal a of norm n, or None when
-    provably nonprincipal.  norms yields the three relative norms
-    N_{K/k_i}(a) in order; contains(xi) decides xi in a for an xi with
-    |N(xi)| = n.
+    provably nonprincipal.  norms yields, for each subfield k_i in order, a
+    generator (u, v) of N_{K/k_i}(a), or None when that relative norm is
+    nonprincipal; contains(xi) decides xi in a for an xi with |N(xi)| = n.
 
-    The generators of the relative norms multiply into g once.  The
-    candidates are g*u for u in K.unit_twists, the distinct products of the
-    subfield twist units, tried in table order, and the budget is charged
-    one unit per candidate formed (see the module docstring)."""
+    Every generator must have |N_{k_i}(gen_i)| = n.  They multiply into g
+    once.  The candidates are g*u for u in K.unit_twists, the distinct
+    products of the subfield twist units, tried in table order, and the
+    budget is charged one unit per candidate formed (see the module
+    docstring)."""
     if n == 1:
         return (1, 0, 0, 0)
     g = (1, 0, 0, 0)
-    for i, b in enumerate(norms):
-        if b.norm != n:
-            raise InconsistencyError(f"relative norm ideal has norm {b.norm}, expected {n}")
-        gi = principal_generator_quad(b, budget)
+    for i, gi in enumerate(norms):
         if gi is None:
             return None  # a principal ideal has principal relative norms
+        d = K.subfields[i].d
+        norm = omega_norm(d, *gi)
+        if abs(norm) != n:
+            raise InconsistencyError(
+                f"relative norm generator {gi} of Q(sqrt({d})) has norm {norm}, expected +-{n}")
         g = K.mul_basis_coords(g, K.from_quad(i, gi))
     for u in K.unit_twists:
         if budget is not None:
@@ -252,8 +259,8 @@ class AmbiguousIdealOracle:
     product of ramified primes is read from a table built once per subfield.
     A vector is unpacked only for a descent and for class_representatives.
     A descent builds no lattice: N(a) = prod_p p^((4/e_p)*v_p), the
-    relative norms are in closed form, and a root xi is in rad(p) iff p
-    divides every coordinate of xi^e_p (see _membership).
+    relative-norm generators are in closed form, and a root xi is in rad(p)
+    iff p divides every coordinate of xi^e_p (see _membership).
     The classes are counted as the cosets of P.  The cokernel G / <im phi, P>
     and the kernel, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, are
     group orders read off P and the subfield books, with no Hermite form.
@@ -272,6 +279,7 @@ class AmbiguousIdealOracle:
         high, low = (self.exponents[0] - 1) << (n - 1), (1 << (n - 1)) - 1
         # the group law of G on packed vectors
         self.add = lambda a, b: ((a ^ b) & low) | (((a & high) + (b & high)) & high)
+        self._generators_above_2: dict[int, tuple[int, int] | None] = {}
 
     def pack(self, vec) -> int:
         """The exponent vector vec, reduced mod e_p, as one integer."""
@@ -339,14 +347,26 @@ class AmbiguousIdealOracle:
                     book.add_principal(image)
         return book
 
-    def _relative_norms(self, vec: tuple[int, ...]):
-        """N_{K/k_i} of the radical product of vec, in closed form (see the
-        module docstring): r*O_{k_i}, or r*P_2 when rad(2) is left over, with
-        P_2 the certified prime of k_i above 2."""
+    def _generator_above_2(self, i: int) -> tuple[int, int] | None:
+        """A generator of the certified prime P_2 of the subfield k_i above a
+        totally ramified 2, or None when P_2 is nonprincipal; searched for
+        once per oracle, when a descent first needs it."""
+        if i not in self._generators_above_2:
+            self._generators_above_2[i] = principal_generator_quad(
+                self._subfield_primes[i][2], self.budget)
+        return self._generators_above_2[i]
+
+    def _relative_norm_generators(self, vec: tuple[int, ...]):
+        """Generators of N_{K/k_i} of the radical product of vec, in closed
+        form (see the module docstring), in subfield order: (r, 0) for
+        r*O_{k_i}, and r*gamma_i for r*P_2 when rad(2) is left over (None
+        when P_2 is nonprincipal).  Lazy, so a descent that stops at a None
+        searches no further subfield."""
         r = prod(p ** (2 * v // e) for p, e, v in zip(self.primes, self.exponents, vec))
-        eps = any(2 * v % e for e, v in zip(self.exponents, vec))
-        for k, primes in zip(self.K.subfields, self._subfield_primes):
-            yield primes[2].scale(r) if eps else QuadIdeal(k, r, 0, r)
+        if not any(2 * v % e for e, v in zip(self.exponents, vec)):
+            return [(r, 0)] * 3
+        return (None if gamma is None else (r * gamma[0], r * gamma[1])
+                for gamma in map(self._generator_above_2, range(3)))
 
     def _membership(self, vec: tuple[int, ...]):
         """The test xi in rad(p) for every p with v_p > 0, on basis
@@ -376,7 +396,7 @@ class AmbiguousIdealOracle:
         f*g = 2: xi in rad(p) gives v_P(xi) >= 1 = v_P(a) at each P above p.
         """
         n = prod(p ** (4 // e * v) for p, e, v in zip(self.primes, self.exponents, vec))
-        return principal_ideal_generator(self.K, n, self._relative_norms(vec),
+        return principal_ideal_generator(self.K, n, self._relative_norm_generators(vec),
                                          self._membership(vec), self.budget) is not None
 
     def is_principal_vector(self, vec) -> bool:

@@ -171,10 +171,6 @@ class QuadIdeal:
         u -= (v // self.c) * self.b
         return u % self.a == 0
 
-    def scale(self, n: int) -> "QuadIdeal":
-        n = abs(n)
-        return QuadIdeal(self.field, self.a * n, self.b * n, self.c * n)
-
     def content_and_primitive(self) -> tuple[int, "QuadIdeal"]:
         if gcd(gcd(self.a, self.b), self.c) != self.c:
             raise InconsistencyError(f"ideal HNF {self} must have c | a and c | b")

@@ -37,7 +37,8 @@
 - The earlier lattice route of a descent: vector_lattice, the product
   lattice of the prime_radical lattices for an oracle's exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
-  relative norms and lattice membership.
+  relative norms, the generators principal_generator_quad finds for them,
+  and lattice membership.
 - The earlier candidates of a descent, twisted_products: every product of
   the twisted relative-norm generators, |T_1|*|T_2|*|T_3| of them, with
   the repeats dropped; the program multiplies the generators once and
@@ -60,7 +61,7 @@ from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputErro
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import QuadIdeal
+from polyabiquad.quadratic import QuadIdeal, principal_generator_quad
 from polyabiquad.report import OutputRecord
 
 _F0 = Fraction(0)
@@ -724,9 +725,11 @@ def vector_lattice(orc, vec) -> IdealLattice:
 
 def lattice_generator(lat, budget=None) -> tuple[int, ...] | None:
     """principal_ideal_generator on the lattice lat: relative norms by the
-    lattice intersection and membership by the Hermite form."""
+    lattice intersection, their generators by principal_generator_quad, and
+    membership by the Hermite form."""
     K = lat.field
-    norms = (relative_norm_ideal(K, lat, i) for i in range(3))
+    norms = (principal_generator_quad(relative_norm_ideal(K, lat, i), budget)
+             for i in range(3))
     return principal_ideal_generator(K, lat.norm, norms, lat.contains, budget)
 
 

@@ -151,6 +151,22 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+def test_scan_reads_the_budget_only_under_verify(capsys, monkeypatch):
+    # like biquad and quad, scan reads --budget and POLYA_ORACLE_BUDGET only
+    # when it runs the oracle
+    _, plain, _ = run(capsys, "scan", "--bound", "3", "--json")
+    assert plain
+    code, out, _ = run(capsys, "scan", "--bound", "3", "--json", "--budget", "0")
+    assert (code, out) == (0, plain)
+    code, _, err = run(capsys, "scan", "--bound", "3", "--json", "--budget", "0", "--verify")
+    assert code == 1 and "--budget" in err
+    monkeypatch.setenv("POLYA_ORACLE_BUDGET", "abc")
+    code, out, _ = run(capsys, "scan", "--bound", "3", "--json")
+    assert (code, out) == (0, plain)
+    code, _, err = run(capsys, "scan", "--bound", "3", "--json", "--verify")
+    assert code == 1 and "POLYA_ORACLE_BUDGET" in err
+
+
 def test_round_trip_all_formats(capsys):
     _, out, _ = run(capsys, "scan", "--bound", "4", "--verify")
     records = parse_records(out, "text", OutputRecord)
@@ -359,8 +375,12 @@ def test_src_imports_no_fractions():
 
 def test_module_entry_point():
     import subprocess, sys
+    import polyabiquad
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "polyabiquad", "quad", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and "po" in proc.stdout
 
 

@@ -23,9 +23,10 @@ from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
                                 InvalidInputError)
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
-                                 rational_ideal, relative_norm_ideal)
+                                 principal_ideal_generator, rational_ideal,
+                                 relative_norm_ideal)
 from polyabiquad.linalg import hnf_rows
-from polyabiquad.quadratic import prime_above
+from polyabiquad.quadratic import omega_norm, prime_above, principal_generator_quad
 
 
 def radical_index(K, d):
@@ -362,9 +363,36 @@ def test_membership_agrees_with_the_radical_lattices_on_drawn_vectors(pair, data
     assert orc._membership(vec)(xi) == all(rad.contains(xi) for rad in support)
 
 
+def recording_subfield_searches(monkeypatch) -> list:
+    """Record the ideal of every principal_generator_quad call the oracle
+    makes: the name as bound in lattice, so the subfield books' own descents
+    are not counted."""
+    from polyabiquad import lattice
+    searched, search = [], lattice.principal_generator_quad
+
+    def recording(ideal, budget=None):
+        searched.append(ideal)
+        return search(ideal, budget)
+
+    monkeypatch.setattr(lattice, "principal_generator_quad", recording)
+    return searched
+
+
+def check_subfield_searches(orc, searched) -> None:
+    """The oracle of a counted field searched at most once per subfield, for
+    its prime above a totally ramified 2, and never when e_2 = 2."""
+    primes_above_2 = [primes.get(2) for primes in orc._subfield_primes]
+    fields = [ideal.field for ideal in searched]
+    assert len(set(fields)) == len(fields), orc.K.d
+    assert all(ideal in primes_above_2 for ideal in searched), orc.K.d
+    assert orc.exponents[0] == 4 or not searched, orc.K.d
+
+
 def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
     # on the many-prime fields every principal verdict comes from an extended
-    # principal subfield product, so every K-level descent finds no generator
+    # principal subfield product, so every K-level descent finds no generator;
+    # the relative-norm generators are in closed form, so the oracle searches
+    # a subfield only for its prime above a totally ramified 2, once
     from polyabiquad import lattice
     found = []
     descend = lattice.principal_ideal_generator
@@ -374,11 +402,17 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
         return found[-1]
 
     monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
+    searched = recording_subfield_searches(monkeypatch)
+    searches = 0
     for pair in MANYPRIME_PAIRS:
         orc = AmbiguousIdealOracle(biquadratic_field(*pair))
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
+        check_subfield_searches(orc, searched)
+        searches += len(searched)
+        searched.clear()
     assert found and all(xi is None for xi in found)
+    assert searches > 0
 
 
 def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
@@ -402,10 +436,16 @@ def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
 
     monkeypatch.setattr(AmbiguousIdealOracle, "_descend", recording_descend)
     monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
+    searched = recording_subfield_searches(monkeypatch)
+    searches = 0
     for a, b in _scan_tasks(20, False, False):
         orc = AmbiguousIdealOracle(biquadratic_field(a, b))
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
+        check_subfield_searches(orc, searched)
+        searches += len(searched)
+        searched.clear()
+    assert searches > 0
     roots = 0
     for (orc, vec), K, n, norms, contains, xi in calls:
         assert not contains((1, 0, 0, 0)), (K.d, vec)
@@ -628,22 +668,47 @@ def test_relative_norm_matches_the_fraction_route():
     assert cases == 1908
 
 
-def test_closed_form_relative_norms_match_the_lattice_intersection():
-    # every radical product of every field with |d_i| <= 20, each subfield;
-    # with e_2 = 4 the odd powers of rad(2) leave the prime above 2 over
+def test_closed_form_relative_norm_generators_match_the_lattice_intersection():
+    # every radical product of every field with |d_i| <= 20, each subfield:
+    # the oracle's generator lies in the lattice relative norm and has norm
+    # N(a), so it generates it, and it is None exactly when that ideal is
+    # nonprincipal; with e_2 = 4 the odd powers of rad(2) leave the prime
+    # above 2 over
     cases, parities = 0, set()
     for a, b in _scan_tasks(20, False, False):
         K = biquadratic_field(a, b)
         orc = AmbiguousIdealOracle(K)
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
             lat = vector_lattice(orc, vec)
-            for i, closed in enumerate(orc._relative_norms(vec)):
-                assert closed == relative_norm_ideal(K, lat, i), (K.d, vec, i)
+            for i, gen in enumerate(orc._relative_norm_generators(vec)):
+                ideal = relative_norm_ideal(K, lat, i)
+                assert (gen is None) == (principal_generator_quad(ideal) is None), \
+                    (K.d, vec, i)
+                if gen is not None:
+                    assert ideal.contains(gen), (K.d, vec, i, gen)
+                    assert abs(omega_norm(K.subfields[i].d, *gen)) == lat.norm, \
+                        (K.d, vec, i, gen)
                 cases += 1
             if 4 in orc.exponents:
                 parities.add((K.d, vec[orc.exponents.index(4)] % 2))
     assert cases == 6756
     assert len(parities) == 2 * 64
+
+
+def test_relative_norm_generators_of_the_wrong_norm_raise():
+    # the norm check guards every generator a descent is handed; (2, 0) in
+    # each subfield of Q(sqrt(2), sqrt(3)) gives the root sqrt(2) of (2)
+    K = biquadratic_field(2, 3)
+    assert principal_ideal_generator(K, 4, [(2, 0)] * 3, lambda _: True) is not None
+    with pytest.raises(InconsistencyError):
+        principal_ideal_generator(K, 4, [(2, 0), (2, 0), (1, 1)], lambda _: True)
+
+    def stopping():
+        yield (2, 0)
+        yield None
+        raise AssertionError("read past the first nonprincipal relative norm")
+
+    assert principal_ideal_generator(K, 4, stopping(), lambda _: True) is None
 
 
 def test_malformed_lattices_raise():
