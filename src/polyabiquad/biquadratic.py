@@ -46,13 +46,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError
-from .intmath import kronecker
+from .intmath import kronecker, sqrt_mod
 from .quadratic import QuadraticField
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# the odd primes below 300, in order: residue_maps takes its split primes
+# from them
+_SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
+                      if all(p % q for q in range(3, isqrt(p) + 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -327,22 +331,77 @@ class BiquadField:
         return unit_structure(self)
 
     @cached_property
-    def unit_twists(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct products u_1*u_2*u_3 of subfield twist units, in
-        the order they first appear with u_3 varying fastest: u_i is +-1 or
-        +-eps_i in a real k_i, and 1 or the generator of its roots of unity
-        (i, zeta_6 or -1) in an imaginary k_i.  The twists cover each subfield's units modulo
-        squares, so the descent in lattice.principal_ideal_generator tries
-        g*u for each u.  16 entries for real K; for imaginary K 4, or 8
-        with Q(i) or Q(sqrt(-3)), or 16 for Q(zeta_12)."""
-        table = [_IDENTITY[0]]
+    def residue_maps(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+        """Ring maps O_K -> F_l for the first two primes l of _SIEVE_PRIMES
+        that divide neither d1 nor d2 and split completely in K (fewer when
+        the table has fewer), as (l, the images of omega_1, omega_2,
+        omega_3).  l splits completely exactly when d1 and d2 are squares
+        mod l.  With s_i^2 = d_i (mod l), the four maps sqrt(d1) -> +-s1,
+        sqrt(d2) -> +-s2, sqrt(d3) -> s1*s2/m12 are the reductions modulo
+        the four primes above l; each s_i^2 = d_i is certified, or
+        InconsistencyError is raised.  A ring map sends squares to
+        squares, so an element with a non-residue image is not a square
+        in K (see character_mask)."""
+        d, m12 = self.d, self.mul_table[(1, 2)][1]
+        maps = []
+        for l in _SIEVE_PRIMES:
+            if len(maps) == 8:
+                break
+            if pow(d[0], l >> 1, l) != 1 or pow(d[1], l >> 1, l) != 1:
+                continue  # l divides d_i, or d_i is a non-residue (Euler)
+            r1, r2 = sqrt_mod(d[0], l), sqrt_mod(d[1], l)
+            roots = (r1, r2, r1 * r2 * pow(m12, -1, l))
+            if any((x * x - di) % l for x, di in zip(roots, d)):
+                raise InconsistencyError(f"the roots {roots} of {d} mod {l} do not square back")
+            half = (l + 1) // 2
+            # the images of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
+            # else sqrt(d_i), as sqrt(d_i) goes to +root and to -root
+            (a1, b1), (a2, b2), (a3, b3) = (
+                ((1 + x) * half % l, (1 - x) * half % l) if di % 4 == 1 else (x % l, -x % l)
+                for x, di in zip(roots, d))
+            maps += [(l, (a1, a2, a3)), (l, (b1, a2, b3)), (l, (a1, b2, b3)), (l, (b1, b2, a3))]
+        return tuple(maps)
+
+    def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:
+        """The quadratic characters of x = scale * prod(u + v*omega_i) over
+        the factors (i, (u, v)), integers of the subfields k_i, under
+        residue_maps: (the bits k whose map sends x to a non-residue, the
+        bits k whose map sends x to 0)."""
+        nonresidue = zero = 0
+        for k, (l, omegas) in enumerate(self.residue_maps):
+            x = scale
+            for i, (u, v) in factors:
+                x = x * (u + v * omegas[i]) % l
+            if not x:
+                zero |= 1 << k
+            elif pow(x, l >> 1, l) != 1:
+                nonresidue |= 1 << k
+        return nonresidue, zero
+
+    @cached_property
+    def unit_twists(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The distinct products u = u_1*u_2*u_3 of subfield twist units, in
+        the order they first appear with u_3 varying fastest, each with its
+        character mask (the non-residue bits of character_mask): u_i is
+        +-1 or +-eps_i in a real k_i, and 1 or the generator of its roots
+        of unity (i, zeta_6 or -1) in an imaginary k_i.  A unit is never 0
+        mod a prime and the characters are multiplicative, so each mask is
+        the XOR of the masks of -1 and of the subfield generators.  The
+        twists cover each subfield's units modulo squares, so the descent
+        in lattice.principal_ideal_generator tries g*u for each u.  16
+        entries for real K; for imaginary K 4, or 8 with Q(i) or
+        Q(sqrt(-3)), or 16 for Q(zeta_12)."""
+        minus = self.character_mask((), -1)[0]
+        table = [(_IDENTITY[0], 0)]
         for i, k in enumerate(self.subfields):
-            u = self.from_quad(i, k.fundamental_unit if k.is_real else k.torsion_generator())
+            gen = k.fundamental_unit if k.is_real else k.torsion_generator()
+            u, um = self.from_quad(i, gen), self.character_mask([(i, gen)])[0]
             products = []
-            for t in table:
+            for t, tm in table:
                 tu = tuple(self.mul_basis_coords(t, u))
-                products += ([t, tuple(-c for c in t), tu, tuple(-c for c in tu)]
-                             if k.is_real else [t, tu])
+                products += ([(t, tm), (tuple(-c for c in t), tm ^ minus),
+                              (tu, tm ^ um), (tuple(-c for c in tu), tm ^ um ^ minus)]
+                             if k.is_real else [(t, tm), (tu, tm ^ um)])
             table = list(dict.fromkeys(products))
         return tuple(table)
 

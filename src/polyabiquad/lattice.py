@@ -26,12 +26,24 @@ modulo squares.  So a is principal iff g*u / n is the square of an element
 of a with the right norm for g = tau_1 tau_2 tau_3 and some product
 u = u_1 u_2 u_3.  The distinct products u depend only on K, so
 BiquadField.unit_twists builds them once per field, 16 for real K and 4 to
-16 for imaginary K.  A descent multiplies g once and settles each candidate
-g*u by the exact square-root test, charging the budget one unit per
-candidate.  The products are taken on integer coordinates over the
-integral basis, so g*u / n is integral exactly when n divides each
-coordinate.  Both directions are complete: the search never reports
-"nonprincipal" heuristically.
+16 for imaginary K.  The budget is charged one unit per candidate.
+
+Most candidates are refuted before they are formed, by a sieve of
+quadratic characters.  BiquadField.residue_maps holds the reductions
+O_K -> F_l modulo the four primes above each of two small primes l that
+split completely in K and divide none of 2, d1, d2.  A reduction is a ring
+map, so it sends squares to squares: a candidate whose image under one of
+them is a non-residue is not a square in K.  That is a proof, not a
+heuristic.  Each twist u carries the bitmask of its characters, and the
+characters of g / n are those of n * tau_1 tau_2 tau_3, read off the
+subfield generators mod l, so a refuted candidate costs no big-integer
+product.  A map that sends n * g to 0 refutes nothing.  Each surviving
+candidate is settled by the exact square-root test, and g is formed once,
+at the first of them.  So every twist is either refuted by a ring map or
+settled by the root, and "nonprincipal" stays a completed finite search;
+the principal direction is complete too.  g / n is integral, as
+b_1 b_2 b_3 = N(a) * a^2, so an n that does not divide every coordinate
+of g means inconsistent generators and raises InconsistencyError.
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
@@ -203,14 +215,23 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
     generator (u, v) of N_{K/k_i}(a), or None when that relative norm is
     nonprincipal; contains(xi) decides xi in a for an xi with |N(xi)| = n.
 
-    Every generator must have |N_{k_i}(gen_i)| = n.  They multiply into g
-    once.  The candidates are g*u for u in K.unit_twists, the distinct
-    products of the subfield twist units, tried in table order, and the
-    budget is charged one unit per candidate formed (see the module
-    docstring)."""
+    Every generator must have |N_{k_i}(gen_i)| = n.  The candidates are
+    g*u / n for g the product of the generators and u in K.unit_twists,
+    tried in table order, and the budget is charged one unit per candidate,
+    rejected or not.  A candidate is rejected, unformed, when its quadratic
+    character under some map of K.residue_maps is -1: the character of
+    g / n, which is that of n * g and is taken on the subfield generators,
+    times that of u, which is a bit of u's mask.  A map that sends n * g to
+    0 (l | n, or g in the prime above l) rejects nothing.  A ring map sends
+    squares to squares, so a rejected candidate is not a square in K, and
+    every other one is settled by the exact square root: "nonprincipal"
+    stays a completed finite search.  g is formed only at the first
+    candidate that survives.  g / n must be integral, as
+    b_1 b_2 b_3 = N(a) * a^2; otherwise the generators are inconsistent and
+    InconsistencyError is raised (see the module docstring)."""
     if n == 1:
         return (1, 0, 0, 0)
-    g = (1, 0, 0, 0)
+    gens = []
     for i, gi in enumerate(norms):
         if gi is None:
             return None  # a principal ideal has principal relative norms
@@ -219,15 +240,24 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
         if abs(norm) != n:
             raise InconsistencyError(
                 f"relative norm generator {gi} of Q(sqrt({d})) has norm {norm}, expected +-{n}")
-        g = K.mul_basis_coords(g, K.from_quad(i, gi))
-    for u in K.unit_twists:
+        gens.append(gi)
+    nonresidue, zero = K.character_mask(list(enumerate(gens)), n)
+    h = None  # g / n
+    for u, mask in K.unit_twists:
         if budget is not None:
             budget.charge()
-        s = K.mul_basis_coords(g, u)
-        if any(c % n for c in s):
-            continue
+        if (mask ^ nonresidue) & ~zero:
+            continue  # g*u / n is a non-residue under some ring map
+        if h is None:
+            g = (1, 0, 0, 0)
+            for i, gi in enumerate(gens):
+                g = K.mul_basis_coords(g, K.from_quad(i, gi))
+            if any(c % n for c in g):
+                raise InconsistencyError(
+                    f"the relative norm generators {gens} multiply to {g}, not in {n}*O_K")
+            h = [c // n for c in g]
         # the square root the formula route also uses, for the unit index
-        xi = integral_square_root(K, [c // n for c in s])
+        xi = integral_square_root(K, K.mul_basis_coords(h, u))
         if xi is not None and abs(K.norm(xi)) == n and contains(xi):
             return xi
     return None

@@ -8,13 +8,17 @@ every order and index a power of two.  JSON output
 is newline-delimited with a fixed key order, CSV has a header row and plain
 comma-separated values (nothing needs quoting), and text is a fixed-width
 table.  All three renderings parse back to the exact record list, which the
-tests assert; scan output is therefore trivially diffable.
+tests assert; scan output is therefore trivially diffable.  A quadratic
+unit can have more digits than CPython's default limit on int -> str
+conversion (that of Q(sqrt(999999937)) has 13,329 digits), so rendering
+lifts that limit and restores it afterwards.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
@@ -111,7 +115,20 @@ def _columns(cls) -> tuple[str, ...]:
 
 
 def render_records(records, fmt: str) -> str:
-    """Render a nonempty list of records (all of one type) as json | csv | text."""
+    """Render a nonempty list of records (all of one type) as json | csv | text,
+    with the interpreter's limit on the digits of an int -> str conversion
+    (Python 3.10.7 and later) lifted for the call and then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _render(records, fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _render(records, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _render(records, fmt: str) -> str:
     cols = _columns(type(records[0]))
     values = attrgetter(*cols)
     if fmt == "json":

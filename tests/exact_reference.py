@@ -43,6 +43,9 @@
   the twisted relative-norm generators, |T_1|*|T_2|*|T_3| of them, with
   the repeats dropped; the program multiplies the generators once and
   twists the product by the table BiquadField.unit_twists.
+- The descent before the quadratic-character sieve, unsieved_generator:
+  it forms g*u / n for every twist of BiquadField.unit_twists and settles
+  each by the exact square root, with the same budget and the same order.
 - parse_records, the inverse of report.render_records.
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
@@ -61,8 +64,9 @@ from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputErro
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import QuadIdeal, principal_generator_quad
+from polyabiquad.quadratic import QuadIdeal, omega_norm, principal_generator_quad
 from polyabiquad.report import OutputRecord
+from polyabiquad.units import integral_square_root
 
 _F0 = Fraction(0)
 # coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
@@ -750,6 +754,31 @@ def twisted_products(K, gens) -> list[tuple[int, ...]]:
     products = (tuple(K.mul_basis_coords(t12, t3))
                 for t12, t3 in itertools.product(pairs, twist_sets[2]))
     return list(dict.fromkeys(products))
+
+
+def unsieved_generator(K, n, norms, contains, budget=None) -> tuple[int, ...] | None:
+    """principal_ideal_generator without the quadratic-character sieve:
+    every candidate g*u / n is formed and settled by the exact square root,
+    in the order of K.unit_twists, one budget unit each."""
+    if n == 1:
+        return (1, 0, 0, 0)
+    g = (1, 0, 0, 0)
+    for i, gi in enumerate(norms):
+        if gi is None:
+            return None
+        if abs(omega_norm(K.subfields[i].d, *gi)) != n:
+            raise InconsistencyError(f"relative norm generator {gi} has the wrong norm")
+        g = K.mul_basis_coords(g, K.from_quad(i, gi))
+    for u, _ in K.unit_twists:
+        if budget is not None:
+            budget.charge()
+        s = K.mul_basis_coords(g, u)
+        if any(c % n for c in s):
+            raise InconsistencyError(f"{s} is not in {n}*O_K")
+        xi = integral_square_root(K, [c // n for c in s])
+        if xi is not None and abs(K.norm(xi)) == n and contains(xi):
+            return xi
+    return None
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

@@ -30,6 +30,27 @@ def test_quad_real_field_unit(capsys):
     assert (data["eps_x"], data["eps_y"], data["eps_den"]) == (2, 1, 1)
 
 
+def test_quad_prints_units_past_the_int_string_limit(capsys):
+    # the unit of Q(sqrt(999999937)) has 13,329 digits, past CPython's
+    # default limit of 4,300 on int -> str: every format prints it exactly
+    # and leaves the limit as it was
+    import sys
+    from polyabiquad.quadratic import quadratic_field, radical_coords
+    k = quadratic_field(999999937)
+    unit = radical_coords(k.d, *k.fundamental_unit)
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, "quad", "999999937", f"--{fmt}")
+        assert code == 0 and sys.get_int_max_str_digits() == limit, fmt
+        sys.set_int_max_str_digits(0)
+        try:
+            rec = parse_records(out, fmt, QuadRecord)[0]
+            assert len(str(rec.eps_x)) == 13329, fmt
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (rec.eps_x, rec.eps_y, rec.eps_den) == unit, fmt
+
+
 def test_quad_square_input_is_exit_1(capsys):
     code, _, err = run(capsys, "quad", "4")
     assert code == 1 and "error" in err
@@ -315,30 +336,32 @@ def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
 
 
 def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
-    # the formula route never builds BiquadField.unit_twists, and a verified
-    # scan builds it at most once per field
+    # the formula route never builds BiquadField.unit_twists or the residue
+    # maps of its sieve, and a verified scan builds each at most once per
+    # field
     import hashlib
     from collections import Counter
     from functools import cached_property
     from polyabiquad.biquadratic import BiquadField
 
-    built = Counter()
-    table = BiquadField.unit_twists.func
+    built = {name: Counter() for name in ("unit_twists", "residue_maps")}
+    for name, counter in built.items():
+        def counting(K, table=getattr(BiquadField, name).func, counter=counter):
+            counter[K.d] += 1
+            return table(K)
 
-    def counting(K):
-        built[K.d] += 1
-        return table(K)
-
-    prop = cached_property(counting)
-    prop.__set_name__(BiquadField, "unit_twists")
-    monkeypatch.setattr(BiquadField, "unit_twists", prop)
+        prop = cached_property(counting)
+        prop.__set_name__(BiquadField, name)
+        monkeypatch.setattr(BiquadField, name, prop)
     for d1, d2 in (("2", "3"), ("-1", "3"), ("-1", "2"), ("11", "14"), ("-210", "143"),
                    ("-9699690", "31367009")):
         code, _, _ = run(capsys, "biquad", d1, d2, "--json")
         assert code == 0
-    assert not built
+    assert not any(built.values())
     code, out, _ = run(capsys, "scan", "--bound", "20", "--verify", "--json")
-    assert code == 0 and built and max(built.values()) == 1
+    assert code == 0
+    assert all(counter and max(counter.values()) == 1 for counter in built.values())
+    assert built["residue_maps"] == built["unit_twists"]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
 

@@ -17,11 +17,11 @@ from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_fr
                              kernel_order_by_triples, lattice_generator,
                              quad_ideal_from_elements, quad_ideal_multiply,
                              reduce_vector, relative_norm_fraction, twisted_products,
-                             vector_lattice)
+                             unsieved_generator, vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
-from polyabiquad.errors import (BudgetExceededError, DomainError, InconsistencyError,
-                                InvalidInputError)
+from polyabiquad.errors import (Budget, BudgetExceededError, DomainError,
+                                InconsistencyError, InvalidInputError)
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
@@ -301,7 +301,7 @@ def test_unit_twist_table_gives_the_earlier_candidates():
     sizes = set()
     for pair in TWIST_PAIRS:
         K = biquadratic_field(*pair)
-        table = K.unit_twists
+        table = [u for u, _ in K.unit_twists]
         assert twisted_products(K, [(1, 0)] * 3) == list(table), K.d
         gens = [(i + 1, 1) for i in range(3)]
         g = K.mul_basis_coords(K.mul_basis_coords(K.from_quad(0, gens[0]),
@@ -313,6 +313,131 @@ def test_unit_twist_table_gives_the_earlier_candidates():
         assert len(table) == (16 if K.is_real else 4 << len(roots)), K.d
         sizes.add(len(table))
     assert sizes == {4, 8, 16}
+
+
+def basis_images(K, l, omegas) -> list[int]:
+    """The images mod l of the basis elements e_0..e_3 under the map of
+    K.residue_maps with the omega images omegas: sqrt(d_i) goes to 2*w_i - 1
+    when d_i = 1 mod 4, else to w_i, and e_j is row j of the basis over 4."""
+    roots = [2 * w - 1 if d % 4 == 1 else w for w, d in zip(omegas, K.d)]
+    return [(r[0] + r[1] * roots[0] + r[2] * roots[1] + r[3] * roots[2]) * pow(4, -1, l) % l
+            for r in K.basis_rows]
+
+
+def test_residue_maps_are_ring_homomorphisms():
+    # each map of K.residue_maps, read on the basis, sends 1 to 1 and
+    # e_i*e_j to the product of the images, agrees with its images of the
+    # omega_i, and the four maps above each l are distinct; each twist mask
+    # holds the quadratic characters of the twist's image under every map
+    for pair in TWIST_PAIRS:
+        K = biquadratic_field(*pair)
+        maps = K.residue_maps
+        assert len(set(maps)) == len(maps) == 8, K.d
+        images = []
+        for l, omegas in maps:
+            assert 2 * K.d[0] * K.d[1] % l, (K.d, l)
+            img = basis_images(K, l, omegas)
+            assert img[0] == 1, (K.d, l)
+            for i, j in itertools.product(range(4), repeat=2):
+                product = sum(c * x for c, x in zip(K.structure_constants[i][j], img))
+                assert img[i] * img[j] % l == product % l, (K.d, l, i, j)
+            assert [sum(c * x for c, x in zip(row, img)) % l for row in K.omega_rows] \
+                == list(omegas), (K.d, l)
+            images.append((l, img))
+        for u, mask in K.unit_twists:
+            chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, img in images]
+            assert all(c in (1, l - 1) for c, (l, _) in zip(chars, images)), (K.d, u)
+            assert mask == sum(1 << k for k, c in enumerate(chars) if c != 1), (K.d, u)
+
+
+SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
+
+
+def descents_against_the_unsieved_reference(fields):
+    """Count the ambiguous classes and the kernel of each field, repeating
+    every K-level descent on the same relative-norm generators with the
+    unsieved reference: the (field, n) of each descent whose root or
+    budget spent differs, with the numbers of square roots the sieved
+    descents took and of candidates the reference formed."""
+    from polyabiquad import lattice
+    descend, square_root = lattice.principal_ideal_generator, lattice.integral_square_root
+    differ, counts = [], {"roots": 0, "candidates": 0}
+
+    def counting(K, eta):
+        counts["roots"] += 1
+        return square_root(K, eta)
+
+    def comparing(K, n, norms, contains, budget):
+        norms = list(norms)
+        before, reference = budget.spent, Budget()
+        xi = descend(K, n, norms, contains, budget)
+        if (xi, budget.spent - before) != (
+                unsieved_generator(K, n, norms, contains, reference), reference.spent):
+            differ.append((K.d, n))
+        counts["candidates"] += reference.spent
+        return xi
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "integral_square_root", counting)
+        patch.setattr(lattice, "principal_ideal_generator", comparing)
+        for K in fields:
+            orc = AmbiguousIdealOracle(K)
+            orc.polya_order_oracle()
+            orc.kernel_order_oracle()
+    return differ, counts
+
+
+def test_sieved_descents_match_the_unsieved_reference():
+    # the sieve only drops candidates a ring map proves nonsquare: on every
+    # field with |d_i| <= 30 and the many-prime fields, each descent returns
+    # the unsieved reference's root or None and spends the same budget,
+    # while it takes a square root for about one candidate in nine
+    differ, counts = descents_against_the_unsieved_reference(
+        [biquadratic_field(*pair) for pair in SIEVE_PAIRS])
+    assert not differ
+    assert counts["candidates"] > 1000 and 5 * counts["roots"] < counts["candidates"]
+
+
+def test_a_flipped_twist_mask_fails_the_comparison():
+    # the comparison above catches a sieve that rejects a true square: on
+    # Q(sqrt(14), sqrt(23)) a descent finds its root at the first twist,
+    # u = 1, and flipping any one bit of that twist's mask loses it
+    for bit in range(8):
+        K = biquadratic_field(14, 23)
+        twists = list(K.unit_twists)
+        u, mask = twists[0]
+        assert u == (1, 0, 0, 0)
+        twists[0] = (u, mask ^ 1 << bit)
+        K.__dict__["unit_twists"] = tuple(twists)
+        differ, _ = descents_against_the_unsieved_reference([K])
+        assert differ, bit
+
+
+def test_generators_of_another_ideal_raise():
+    # g / n is integral for consistent relative-norm generators, as
+    # b_1 b_2 b_3 = N(a)*a^2.  In Q(zeta_8) take rho_i of norm 17 in each
+    # subfield, or its conjugate, and hand a descent the squares rho_i^2,
+    # of norm 17^2: g / n = (rho_1 rho_2 rho_3 / 17)^2 is a square under
+    # every map, so the first twist survives the sieve, and the descent
+    # raises exactly when rho_1 rho_2 rho_3 is not in 17*O_K
+    K = biquadratic_field(-1, 2)
+    assert K.d == (-2, -1, 2)
+    rhos = [(3, 2), (4, 1), (5, 2)]  # 3 + 2*sqrt(-2), 4 + i, 5 + 2*sqrt(2)
+    verdicts = set()
+    for signs in itertools.product((1, -1), repeat=3):
+        chosen = [(u, e * v) for (u, v), e in zip(rhos, signs)]
+        assert [omega_norm(d, *rho) for d, rho in zip(K.d, chosen)] == [17] * 3
+        squares = [(u * u + d * v * v, 2 * u * v) for d, (u, v) in zip(K.d, chosen)]
+        rho = functools.reduce(K.mul_basis_coords, (K.from_quad(i, r) for i, r in enumerate(chosen)))
+        inconsistent = any(c % 17 for c in rho)
+        verdicts.add(inconsistent)
+        if inconsistent:
+            with pytest.raises(InconsistencyError, match="not in 289"):
+                principal_ideal_generator(K, 289, squares, lambda xi: True)
+        else:
+            xi = principal_ideal_generator(K, 289, squares, lambda xi: True)
+            assert abs(K.norm(xi)) == 289
+    assert verdicts == {True, False}
 
 
 MEMBERSHIP_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS) + [(7429, 30030)]
