@@ -54,12 +54,14 @@ def _budget_units(args) -> int:
 
 
 def _cmd_quad(args) -> int:
+    fmt = _resolve_format(args)
+    units = _budget_units(args) if args.verify else None
     k = quadratic_field(args.d)
     status = "unchecked"
     if args.verify:
-        status, _ = verify_quad(k, Budget(_budget_units(args)))
+        status, _ = verify_quad(k, Budget(units))
     rec = quad_record(k, polya_order_quad(k), status)
-    sys.stdout.write(render_records([rec], _resolve_format(args)))
+    sys.stdout.write(render_records([rec], fmt))
     return 2 if status == "mismatch" else 0
 
 
@@ -69,12 +71,13 @@ def _mismatch_note(K, details: dict) -> str:
 
 
 def _cmd_biquad(args) -> int:
+    fmt = _resolve_format(args)
+    units = _budget_units(args) if args.verify else None
     K = biquadratic_field(args.d1, args.d2)
     rec = polya_report(K)
     if args.verify:
-        status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, _budget_units(args)))
+        status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
         rec = dataclasses.replace(rec, verify_status=status)
-    fmt = _resolve_format(args)
     sys.stdout.write(render_records([rec], fmt))
     if rec.verify_status == "mismatch":
         print(_mismatch_note(K, details), file=sys.stderr)

@@ -17,6 +17,19 @@ reduced indefinite forms, where a unit value is represented primitively
 iff it occurs as a leading coefficient of the cycle (any |m| < sqrt(Delta)/2
 does).  Both routes return an exact generator and both "nonprincipal"
 verdicts are complete, never heuristic.
+
+The strongly ambiguous classes are counted by AmbiguousClassesQuad, which
+first sieves each product of ramified primes by Gauss's genus characters.
+For an odd prime q dividing Delta, 4a*f(x, y) = (2ax + bb*y)^2 - Delta*y^2
+is a square mod q, so every value of a form f = (a, bb, c) prime to q has
+the same Legendre symbol chi_q(f); a primitive form has such a value among
+a, c and a + bb + c.  The values of the norm form of an ideal are the
+N(alpha)/N(ideal) for alpha in it, so chi_q is multiplicative on ideals,
+and the form of a principal ideal represents +1, or -1 in a real field.
+An ideal whose characters are neither those of +1 nor, for a real field,
+those of -1 is therefore nonprincipal: the rejection is a proof from a few
+exact Legendre symbols, and every other ideal is decided by the complete
+search above.
 """
 
 from __future__ import annotations
@@ -223,6 +236,21 @@ def _ideal_form(k: QuadraticField, a: int, b: int) -> tuple[int, int, int]:
     return a, bb, num // (4 * a)
 
 
+def _form_characters(form: tuple[int, int, int], odd_primes: list[int]) -> int:
+    """Genus characters of a primitive form of discriminant Delta, for odd
+    primes q dividing Delta: bit j is set when chi_q, the Legendre symbol of
+    a value prime to q (a, else c, else a + bb + c), is -1."""
+    a, bb, c = form
+    bits = 0
+    for j, q in enumerate(odd_primes):
+        m = a if a % q else c if c % q else a + bb + c
+        if m % q == 0:
+            raise InconsistencyError(f"the form {form} is not primitive at {q}")
+        if pow(m, q >> 1, q) != 1:
+            bits |= 1 << j
+    return bits
+
+
 def _definite_unit_representation(form: tuple[int, int, int]) -> tuple[int, int] | None:
     """Solve a x^2 + b x y + c y^2 = 1 for a positive definite form."""
     a, b, c = form
@@ -394,12 +422,20 @@ class AmbiguousClassesQuad:
     and certified by _ideal_form: it is an ideal of squarefree norm m, so it
     is the product.  Before any descent the book holds the mask of
     (sqrt(d)), the product of the primes dividing d.
+
+    The book's test sieves a mask by its genus characters (see the module
+    docstring) before it builds the ideal: the mask's character vector is
+    the XOR of the vectors of its primes, and unless it is that of +1, or
+    of -1 in a real field, the mask is nonprincipal.  The rejection builds
+    no ideal, runs no search and charges no budget unit; every other mask
+    is decided by principal_generator_quad.
     """
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
         self.k = k
         self.budget = budget
         self.primes = k.ramified_primes
+        self._genus: tuple[list[int], set[int]] | None = None
         self._book = PrincipalCosets(0, int.__xor__, self._descend)
         mask = sum(1 << i for i, p in enumerate(self.primes) if k.d % p == 0)
         ideal = self.subset_ideal(mask)
@@ -413,7 +449,27 @@ class AmbiguousClassesQuad:
         return ramified_product(
             self.k, [p for i, p in enumerate(self.primes) if mask >> i & 1])
 
+    def _genus_table(self) -> tuple[list[int], set[int]]:
+        """The character vector of each ramified prime, from the form of
+        [p, b + omega], and the vectors a principal ideal can have: that of
+        +1, and that of -1 in a real field (bit j set when q_j = 3 mod 4)."""
+        k = self.k
+        odd = [q for q in self.primes if q != 2]
+        vectors = [_form_characters(_ideal_form(k, p, -_minpoly_double_root(k.d, p) % p), odd)
+                   for p in self.primes]
+        minus_one = sum(1 << j for j, q in enumerate(odd) if q % 4 == 3)
+        return vectors, {0, minus_one} if k.is_real else {0}
+
     def _descend(self, mask: int) -> bool:
+        if self._genus is None:  # built on the first descent; many books make none
+            self._genus = self._genus_table()
+        vectors, allowed = self._genus
+        chars = 0
+        for i, v in enumerate(vectors):
+            if mask >> i & 1:
+                chars ^= v
+        if chars not in allowed:
+            return False
         return principal_generator_quad(self.subset_ideal(mask), self.budget) is not None
 
     def is_principal_subset(self, mask: int) -> bool:

@@ -163,6 +163,26 @@ def test_format_flags_conflict(capsys):
     assert code == 1
 
 
+def test_flags_are_checked_before_any_field_is_built(capsys, monkeypatch):
+    import polyabiquad.cli as cli_mod
+
+    def unreachable(*args):
+        raise AssertionError("a field was built before the flags were read")
+
+    monkeypatch.setattr(cli_mod, "biquadratic_field", unreachable)
+    monkeypatch.setattr(cli_mod, "quadratic_field", unreachable)
+    formats = "error: choose at most one output format\n"
+    budget = "error: --budget must be positive\n"
+    for argv, message in (
+            (("biquad", "-6469693230", "5037203051", "--verify", "--json", "--csv"), formats),
+            (("biquad", "2", "3", "--csv", "--text"), formats),
+            (("quad", "-5", "--verify", "--json", "--text"), formats),
+            (("biquad", "-6469693230", "5037203051", "--verify", "--budget", "0"), budget),
+            (("quad", "-5", "--verify", "--budget", "-1"), budget)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message), argv
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("POLYA_ORACLE_BUDGET", "15")
     code, _, err = run(capsys, "biquad", "11", "14", "--verify")

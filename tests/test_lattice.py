@@ -540,6 +540,24 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
     assert searches > 0
 
 
+def test_subfield_books_search_only_past_the_genus_sieve(monkeypatch):
+    # the subfield books of the many-prime fields ran 174 form searches
+    # before genus characters sieved their masks
+    from polyabiquad import quadratic
+    searched, search = [], quadratic.principal_generator_quad
+
+    def recording(ideal, budget=None):
+        searched.append(ideal)
+        return search(ideal, budget)
+
+    monkeypatch.setattr(quadratic, "principal_generator_quad", recording)
+    for pair in MANYPRIME_PAIRS:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        orc.polya_order_oracle()
+        orc.kernel_order_oracle()
+    assert 0 < len(searched) <= 11
+
+
 def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
     # the oracle tests a root for membership radical by radical: every root
     # its descents find lies in the product lattice of the radicals, the

@@ -1,5 +1,7 @@
+import functools
 import itertools
 from math import isqrt
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
-                                   ambiguous_oracle_quad, _minpoly_double_root, omega_norm,
-                                   polya_order_quad, prime_above, principal_generator_quad,
-                                   quadratic_field, radical_coords)
+                                   _form_characters, _ideal_form, _minpoly_double_root,
+                                   ambiguous_oracle_quad, omega_norm, polya_order_quad,
+                                   prime_above, principal_generator_quad, quadratic_field,
+                                   radical_coords)
 
 
 def brute_fundamental_unit(d: int, cap: int = 10**7) -> QuadElement:
@@ -289,6 +292,48 @@ def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
     assert k.s == 13
     assert ambiguous_oracle_quad(k) == polya_order_quad(k) == 4096
     assert len(calls) == 4095
+
+
+def test_the_genus_sieve_leaves_one_search_in_a_large_subfield(monkeypatch):
+    # of the 4,095 descents above, genus characters prove all but one
+    # nonprincipal, so the book runs one form search where it ran 4,095
+    import polyabiquad.quadratic as quadratic
+    searched, search = [], quadratic.principal_generator_quad
+
+    def recording(ideal, budget=None):
+        searched.append(ideal)
+        return search(ideal, budget)
+
+    monkeypatch.setattr(quadratic, "principal_generator_quad", recording)
+    assert ambiguous_oracle_quad(quadratic_field(-304250263527210)) == 4096
+    assert len(searched) <= 1
+
+
+def test_genus_sieve_agrees_with_the_search_on_every_mask():
+    # on every mask of every squarefree |d| <= 1000: the book's test (the
+    # sieve, then the search) answers as the search alone does, the XOR of
+    # the prime vectors is the character vector read off the mask's own
+    # form, and the book's verdicts are those of a book with no sieve
+    masks = 0
+    for d in range(-1000, 1001):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        k = quadratic_field(d)
+        book, plain = AmbiguousClassesQuad(k), AmbiguousClassesQuad(k)
+        plain._genus = ([0] * k.s, {0})  # every mask passes to the search
+        vectors, allowed = book._genus_table()
+        odd = [q for q in k.ramified_primes if q != 2]
+        for mask in range(2 ** k.s):
+            ideal = book.subset_ideal(mask)
+            chars = functools.reduce(xor, (v for i, v in enumerate(vectors) if mask >> i & 1), 0)
+            assert chars == _form_characters(_ideal_form(k, ideal.a, ideal.b), odd), (d, mask)
+            principal = principal_generator_quad(ideal) is not None
+            assert book._descend(mask) == principal, (d, mask)
+            assert chars in allowed or not principal, (d, mask)
+            masks += 1
+        assert book.class_representatives() == plain.class_representatives(), d
+        assert book._book.principal == plain._book.principal, d
+    assert masks == 7096
 
 
 def test_coset_book_rejects_verdicts_that_break_the_group_law():
