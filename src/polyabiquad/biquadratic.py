@@ -49,14 +49,16 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError
-from .intmath import kronecker, sqrt_mod
+from .intmath import kronecker
 from .quadratic import QuadraticField
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 # the odd primes below 300, in order: residue_maps takes its split primes
-# from them
+# from them, and their roots from _SQUARE_ROOTS, a root of each nonzero
+# square mod each l
 _SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
                       if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+_SQUARE_ROOTS = tuple((l, {x * x % l: x for x in range(1, l // 2 + 1)}) for l in _SIEVE_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -332,34 +334,35 @@ class BiquadField:
 
     @cached_property
     def residue_maps(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-        """Ring maps O_K -> F_l for the first two primes l of _SIEVE_PRIMES
-        that divide neither d1 nor d2 and split completely in K (fewer when
-        the table has fewer), as (l, the images of omega_1, omega_2,
-        omega_3).  l splits completely exactly when d1 and d2 are squares
-        mod l.  With s_i^2 = d_i (mod l), the four maps sqrt(d1) -> +-s1,
-        sqrt(d2) -> +-s2, sqrt(d3) -> s1*s2/m12 are the reductions modulo
-        the four primes above l; each s_i^2 = d_i is certified, or
-        InconsistencyError is raised.  A ring map sends squares to
-        squares, so an element with a non-residue image is not a square
-        in K (see character_mask)."""
+        """Ring maps O_K -> F_l, one for each of the first eight primes l of
+        _SIEVE_PRIMES that divide neither d1 nor d2 and split completely in
+        K (fewer when the table has fewer), as (l, the images of omega_1,
+        omega_2, omega_3).  l splits completely exactly when d1 and d2 are
+        nonzero squares mod l, and their roots s1, s2 are read off
+        _SQUARE_ROOTS.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
+        sqrt(d3) -> s1*s2/m12 is the reduction modulo one prime above l;
+        each s_i^2 = d_i is certified, or InconsistencyError is raised.  A
+        ring map sends squares to squares, so an element with a non-residue
+        image is not a square in K (see character_mask).  One map per l:
+        the other three above l are its compositions with sigma_1..sigma_3,
+        which give a rational integer the same character, so on the
+        oracle's candidates r*u (r rational, u a unit twist) they add no
+        bit that the twists do not already carry."""
         d, m12 = self.d, self.mul_table[(1, 2)][1]
         maps = []
-        for l in _SIEVE_PRIMES:
+        for l, roots in _SQUARE_ROOTS:
+            r1, r2 = roots.get(d[0] % l), roots.get(d[1] % l)
+            if r1 is None or r2 is None:
+                continue  # l divides d_i, or d_i is a non-residue
+            s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)
+            if any((x * x - di) % l for x, di in zip(s, d)):
+                raise InconsistencyError(f"the roots {s} of {d} mod {l} do not square back")
+            # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
+            # else of sqrt(d_i)
+            maps.append((l, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
+                                  for x, di in zip(s, d))))
             if len(maps) == 8:
                 break
-            if pow(d[0], l >> 1, l) != 1 or pow(d[1], l >> 1, l) != 1:
-                continue  # l divides d_i, or d_i is a non-residue (Euler)
-            r1, r2 = sqrt_mod(d[0], l), sqrt_mod(d[1], l)
-            roots = (r1, r2, r1 * r2 * pow(m12, -1, l))
-            if any((x * x - di) % l for x, di in zip(roots, d)):
-                raise InconsistencyError(f"the roots {roots} of {d} mod {l} do not square back")
-            half = (l + 1) // 2
-            # the images of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
-            # else sqrt(d_i), as sqrt(d_i) goes to +root and to -root
-            (a1, b1), (a2, b2), (a3, b3) = (
-                ((1 + x) * half % l, (1 - x) * half % l) if di % 4 == 1 else (x % l, -x % l)
-                for x, di in zip(roots, d))
-            maps += [(l, (a1, a2, a3)), (l, (b1, a2, b3)), (l, (a1, b2, b3)), (l, (b1, b2, a3))]
         return tuple(maps)
 
     def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:
@@ -378,23 +381,47 @@ class BiquadField:
                 nonresidue |= 1 << k
         return nonresidue, zero
 
+    def _twist_unit(self, i: int) -> tuple[int, int]:
+        """The twist generator of the subfield k_i: eps_i when k_i is real,
+        else the generator of its roots of unity (i, zeta_6 or -1)."""
+        k = self.subfields[i]
+        return k.fundamental_unit if k.is_real else k.torsion_generator()
+
+    @cached_property
+    def twist_masks(self) -> frozenset[int]:
+        """The character masks of the entries of unit_twists, without forming
+        them: the XOR combinations of the masks of -1 and of the three
+        subfield twist generators, as a unit is never 0 mod a prime and the
+        characters are multiplicative."""
+        masks = {0}
+        for m in [self.character_mask((), -1)[0]] + [
+                self.character_mask([(i, self._twist_unit(i))])[0] for i in range(3)]:
+            masks |= {x ^ m for x in masks}
+        return frozenset(masks)
+
+    @property
+    def twist_count(self) -> int:
+        """The number of entries of unit_twists: 16 for real K; for imaginary
+        K 4, or 8 with Q(i) or Q(sqrt(-3)), or 16 for Q(zeta_12)."""
+        return 16 if self.is_real else 4 << len({-1, -3} & set(self.d))
+
     @cached_property
     def unit_twists(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The distinct products u = u_1*u_2*u_3 of subfield twist units, in
         the order they first appear with u_3 varying fastest, each with its
         character mask (the non-residue bits of character_mask): u_i is
-        +-1 or +-eps_i in a real k_i, and 1 or the generator of its roots
-        of unity (i, zeta_6 or -1) in an imaginary k_i.  A unit is never 0
-        mod a prime and the characters are multiplicative, so each mask is
-        the XOR of the masks of -1 and of the subfield generators.  The
+        +-1 or +-eps_i in a real k_i, and 1 or _twist_unit(i) in an
+        imaginary k_i.  Each mask is the XOR of the masks of -1 and of the
+        subfield generators, so the masks cost no big-integer product.  The
         twists cover each subfield's units modulo squares, so the descent
-        in lattice.principal_ideal_generator tries g*u for each u.  16
-        entries for real K; for imaginary K 4, or 8 with Q(i) or
-        Q(sqrt(-3)), or 16 for Q(zeta_12)."""
+        in lattice.principal_ideal_generator tries g*u for each u; it forms
+        this table only when some candidate's mask lies in twist_masks.
+        There must be twist_count entries, or InconsistencyError is
+        raised."""
         minus = self.character_mask((), -1)[0]
         table = [(_IDENTITY[0], 0)]
         for i, k in enumerate(self.subfields):
-            gen = k.fundamental_unit if k.is_real else k.torsion_generator()
+            gen = self._twist_unit(i)
             u, um = self.from_quad(i, gen), self.character_mask([(i, gen)])[0]
             products = []
             for t, tm in table:
@@ -403,6 +430,9 @@ class BiquadField:
                               (tu, tm ^ um), (tuple(-c for c in tu), tm ^ um ^ minus)]
                              if k.is_real else [(t, tm), (tu, tm ^ um)])
             table = list(dict.fromkeys(products))
+        if len(table) != self.twist_count:
+            raise InconsistencyError(
+                f"{len(table)} distinct unit twists in {self.d}, expected {self.twist_count}")
         return tuple(table)
 
     def __repr__(self):

@@ -6,16 +6,16 @@ Subcommands:
   scan --bound N          every biquadratic field generated by |d1|,|d2| <= N
 
 Exit codes: 0 success, 1 invalid input / IO error, 2 formula-vs-oracle
-mismatch, 3 search budget exhausted.  Under --verify the enumeration budget
-comes from --budget, else the POLYA_ORACLE_BUDGET environment variable, else
-a generous default; each field gets its own budget.  Without --verify
-neither is read.
+mismatch, 3 search budget exhausted, 4 internal inconsistency (a check
+inside the program raised InconsistencyError: a bug, not a verdict).
+Under --verify the enumeration budget comes from --budget, else the
+POLYA_ORACLE_BUDGET environment variable, else a generous default; each
+field gets its own budget.  Without --verify neither is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import multiprocessing
@@ -23,8 +23,8 @@ import sys
 from math import gcd
 
 from .biquadratic import biquadratic_field
-from .errors import (Budget, BudgetExceededError, DomainError, InvalidInputError,
-                     default_budget_units)
+from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
+                     InvalidInputError, default_budget_units)
 from .intmath import squarefree_part
 from .lattice import AmbiguousIdealOracle
 from .polya import polya_order_quad, polya_report, verify_biquad, verify_quad
@@ -70,17 +70,24 @@ def _mismatch_note(K, details: dict) -> str:
     return f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
 
 
+def _verified(K, rec, units: int):
+    """The row rec of K with the oracle's verify status, and the stderr
+    line of a mismatch or None; budget exhaustion propagates."""
+    status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
+    note = _mismatch_note(K, details) if status == "mismatch" else None
+    return rec.with_status(status), note
+
+
 def _cmd_biquad(args) -> int:
     fmt = _resolve_format(args)
     units = _budget_units(args) if args.verify else None
     K = biquadratic_field(args.d1, args.d2)
-    rec = polya_report(K)
+    rec, note = polya_report(K), None
     if args.verify:
-        status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
-        rec = dataclasses.replace(rec, verify_status=status)
+        rec, note = _verified(K, rec, units)
     sys.stdout.write(render_records([rec], fmt))
-    if rec.verify_status == "mismatch":
-        print(_mismatch_note(K, details), file=sys.stderr)
+    if note is not None:
+        print(note, file=sys.stderr)
     if args.chain and fmt == "text":
         sys.stdout.write(
             f"chain: (H3:H2)={rec.h3_h2}  (H2:H1)={rec.h2_h1}  (H1:H0)={rec.h1_h0}  "
@@ -112,12 +119,9 @@ def _scan_worker(task):
     rec, note = polya_report(K), None
     if verify:
         try:
-            status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
+            rec, note = _verified(K, rec, units)
         except BudgetExceededError:
-            status = "budget_exceeded"
-        if status == "mismatch":
-            note = _mismatch_note(K, details)
-        rec = dataclasses.replace(rec, verify_status=status)
+            rec = rec.with_status("budget_exceeded")
     return rec, note
 
 
@@ -213,6 +217,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InconsistencyError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

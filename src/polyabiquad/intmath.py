@@ -1,6 +1,5 @@
 """Exact integer primitives: trial-division factoring at desk scale,
-squarefree decomposition, powers of two, the Kronecker symbol and square
-roots modulo an odd prime.
+squarefree decomposition, powers of two and the Kronecker symbol.
 
 Inputs throughout the package are small: `QuadraticField` factors the
 generator it is given (the two generators of a biquadratic field; the third
@@ -98,30 +97,3 @@ def kronecker(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A root r of r*r = a (mod p) for an odd prime p, or None when a is a
-    non-residue mod p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    half = p >> 1
-    if pow(a, half, p) != 1:
-        return None
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
-    q = (p - 1) >> s
-    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
-    if t == 1:  # always when p = 3 mod 4
-        return r
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1
-        i, t2 = 1, t * t % p
-        while t2 != 1:
-            i, t2 = i + 1, t2 * t2 % p
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r

@@ -29,21 +29,37 @@ BiquadField.unit_twists builds them once per field, 16 for real K and 4 to
 16 for imaginary K.  The budget is charged one unit per candidate.
 
 Most candidates are refuted before they are formed, by a sieve of
-quadratic characters.  BiquadField.residue_maps holds the reductions
-O_K -> F_l modulo the four primes above each of two small primes l that
-split completely in K and divide none of 2, d1, d2.  A reduction is a ring
-map, so it sends squares to squares: a candidate whose image under one of
-them is a non-residue is not a square in K.  That is a proof, not a
-heuristic.  Each twist u carries the bitmask of its characters, and the
-characters of g / n are those of n * tau_1 tau_2 tau_3, read off the
-subfield generators mod l, so a refuted candidate costs no big-integer
-product.  A map that sends n * g to 0 refutes nothing.  Each surviving
-candidate is settled by the exact square-root test, and g is formed once,
-at the first of them.  So every twist is either refuted by a ring map or
-settled by the root, and "nonprincipal" stays a completed finite search;
-the principal direction is complete too.  g / n is integral, as
-b_1 b_2 b_3 = N(a) * a^2, so an n that does not divide every coordinate
-of g means inconsistent generators and raises InconsistencyError.
+quadratic characters.  BiquadField.residue_maps holds reductions
+O_K -> F_l, one modulo a prime above each of the first eight small primes l
+that split completely in K and divide none of 2, d1, d2.  A reduction is a
+ring map, so it sends squares to squares: a candidate whose image under one
+of them is a non-residue is not a square in K.  That is a proof, not a
+heuristic.  Each twist u carries the bitmask of its characters, and
+BiquadField.twist_masks gives the set of those masks without forming a
+twist.  The characters of g / n are those of n * tau_1 tau_2 tau_3, read
+off the subfield generators mod l, so a refuted candidate costs no
+big-integer product.  A map that sends n * g to 0 refutes nothing.  A
+descent whose mask matches no twist mask returns None before it forms the
+twist table; each surviving candidate is settled by the exact square-root
+test, and g is formed once, at the first of them.  So every twist is either
+refuted by a ring map or settled by the root, and "nonprincipal" stays a
+completed finite computation; the principal direction is complete too.
+g / n is integral, as b_1 b_2 b_3 = N(a) * a^2, so an n that does not
+divide every coordinate of g means inconsistent generators and raises
+InconsistencyError.
+
+The oracle reads the same sieve from a table before any descent.  For a
+vector with even v_2 the generators are (r, 0) (see below), so
+g / n = r^3 / r^2 = r, a rational integer, and the candidates are r*u.  A
+ring map sends r*u to r mod l times the image of u, so its character is the
+Legendre symbol (r/l) times u's bit, and l divides no prime of r, so no map
+sends r to 0.  The oracle reads the bits of each ramified p once, through
+BiquadField.character_mask; a vector whose XOR of the bits of the primes of
+r matches no twist mask has no square candidate, and is nonprincipal
+without a descent, charged the budget units its descent would have
+charged, one per twist.  That is the per-candidate sieve read from a table,
+so the verdict is the same completed finite computation.  Vectors with odd
+v_2 and vectors whose bits match a twist mask descend.
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
@@ -222,13 +238,16 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
     character under some map of K.residue_maps is -1: the character of
     g / n, which is that of n * g and is taken on the subfield generators,
     times that of u, which is a bit of u's mask.  A map that sends n * g to
-    0 (l | n, or g in the prime above l) rejects nothing.  A ring map sends
-    squares to squares, so a rejected candidate is not a square in K, and
-    every other one is settled by the exact square root: "nonprincipal"
-    stays a completed finite search.  g is formed only at the first
-    candidate that survives.  g / n must be integral, as
-    b_1 b_2 b_3 = N(a) * a^2; otherwise the generators are inconsistent and
-    InconsistencyError is raised (see the module docstring)."""
+    0 (l | n, or g in the prime above l) rejects nothing.  When the mask of
+    g / n matches no mask of K.twist_masks every candidate is rejected, and
+    the descent charges K.twist_count units and returns None before it
+    touches the twist table.  A ring map sends squares to squares, so a
+    rejected candidate is not a square in K, and every other one is settled
+    by the exact square root: "nonprincipal" stays a completed finite
+    search.  g is formed only at the first candidate that survives.  g / n
+    must be integral, as b_1 b_2 b_3 = N(a) * a^2; otherwise the generators
+    are inconsistent and InconsistencyError is raised (see the module
+    docstring)."""
     if n == 1:
         return (1, 0, 0, 0)
     gens = []
@@ -242,6 +261,10 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
                 f"relative norm generator {gi} of Q(sqrt({d})) has norm {norm}, expected +-{n}")
         gens.append(gi)
     nonresidue, zero = K.character_mask(list(enumerate(gens)), n)
+    if all((m ^ nonresidue) & ~zero for m in K.twist_masks):
+        if budget is not None:
+            budget.charge(K.twist_count)
+        return None  # every g*u / n is a non-residue under some ring map
     h = None  # g / n
     for u, mask in K.unit_twists:
         if budget is not None:
@@ -287,7 +310,8 @@ class AmbiguousIdealOracle:
     G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
     mod e_2, and add is one integer expression.  The image of each subfield
     product of ramified primes is read from a table built once per subfield.
-    A vector is unpacked only for a descent and for class_representatives.
+    A vector is unpacked only for a verdict and for class_representatives;
+    a verdict reads the character table first (see _refute).
     A descent builds no lattice: N(a) = prod_p p^((4/e_p)*v_p), the
     relative-norm generators are in closed form, and a root xi is in rad(p)
     iff p divides every coordinate of xi^e_p (see _membership).
@@ -370,7 +394,7 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _book(self) -> PrincipalCosets:
-        book = PrincipalCosets(0, self.add, lambda x: self._descend(self.unpack(x)))
+        book = PrincipalCosets(0, self.add, self._decide)
         for sub, table in zip(self._subfield_books, self._subfield_images):
             for mask, image in enumerate(table):
                 if sub.is_principal_subset(mask):
@@ -415,6 +439,42 @@ class AmbiguousIdealOracle:
             return not fourth or not any(c % 2 for c in mul(sq, sq))
         return contains
 
+    @cached_property
+    def _characters(self) -> list[int]:
+        """The character bits of each ramified p under K.residue_maps, read
+        once per oracle through K.character_mask.  No map sends p to 0, as
+        l divides none of 2, d1, d2, or InconsistencyError is raised."""
+        table = [self.K.character_mask((), p) for p in self.primes]
+        if any(zero for _, zero in table):
+            raise InconsistencyError(f"a residue map of {self.K.d} sends a ramified prime to 0")
+        return [bits for bits, _ in table]
+
+    def _decide(self, x: int) -> bool:
+        """The book's test of the packed vector x: refuted by the character
+        table, or decided by a descent."""
+        vec = self.unpack(x)
+        return not self._refute(vec) and self._descend(vec)
+
+    def _refute(self, vec: tuple[int, ...]) -> bool:
+        """True when the character table proves a = prod_p rad(p)^v_p
+        nonprincipal, charging one budget unit per twist, as its descent
+        would.  A vector with even v_2 has the relative-norm generators
+        (r, 0), so its candidates are r*u for the twists u of K, and the
+        characters of r*u are the XOR of the bits of the primes of r and the
+        mask of u (see the module docstring).  So a vector whose bits match
+        no mask of K.twist_masks is nonprincipal.  A vector with odd v_2 is
+        never refuted here."""
+        if any(2 * v % e for e, v in zip(self.exponents, vec)):
+            return False
+        bits = 0
+        for c, e, v in zip(self._characters, self.exponents, vec):
+            if 2 * v // e:  # p divides r
+                bits ^= c
+        if bits in self.K.twist_masks:
+            return False
+        self.budget.charge(self.K.twist_count)
+        return True
+
     def _descend(self, vec: tuple[int, ...]) -> bool:
         """Principality of a = prod_p rad(p)^v_p from its exponent vector.
 
@@ -428,9 +488,6 @@ class AmbiguousIdealOracle:
         n = prod(p ** (4 // e * v) for p, e, v in zip(self.primes, self.exponents, vec))
         return principal_ideal_generator(self.K, n, self._relative_norm_generators(vec),
                                          self._membership(vec), self.budget) is not None
-
-    def is_principal_vector(self, vec) -> bool:
-        return self._book.is_principal(self.pack(vec))
 
     @cached_property
     def _classes(self) -> list[tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Flat output records for the CLI and their three serializations.
 
 One record per field, all values integers except verify_status.  A
-biquadratic record checks its own identities when it is built, by
-polya.polya_report or by dataclasses.replace: |Po(K)| * |kernel| =
+biquadratic record checks its own identities when polya.polya_report
+builds it (OutputRecord.with_status copies it with a checked status):
+|Po(K)| * |kernel| =
 prod |Po(k_i)| * |cokernel|, the chain indices telescoping to 2**s_K, and
 every order and index a power of two.  JSON output
 is newline-delimited with a fixed key order, CSV has a header row and plain
@@ -75,6 +76,15 @@ class OutputRecord:
                   self.h3_h0, self.h2_h1, self.h1_h0, self.h3_h2):
             if not is_power_of_two(v):
                 raise InconsistencyError("all report entries must be powers of two")
+
+    def with_status(self, verify_status: str) -> "OutputRecord":
+        """A copy with verify_status set.  Only the status is checked: the
+        identities, which no status changes, were checked when self was
+        built, and dataclasses.replace would check them again."""
+        _check_status(verify_status)
+        rec = object.__new__(OutputRecord)
+        rec.__dict__.update(self.__dict__, verify_status=verify_status)
+        return rec
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from exact_reference import parse_records
 from polyabiquad.cli import main
+from polyabiquad.errors import InvalidInputError
 from polyabiquad.report import OutputRecord, QuadRecord, render_records
 
 
@@ -289,6 +290,43 @@ def test_cokernel_mismatch_exit_2(capsys, monkeypatch):
     assert "coker_oracle=2" in err and "coker_formula=1" in err
 
 
+def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
+    # an InconsistencyError is a failed internal check, not invalid input:
+    # biquad and scan print no row, one error line and exit 4
+    import polyabiquad.cli as cli_mod
+    from polyabiquad.errors import InconsistencyError
+
+    def inconsistent(K):
+        raise InconsistencyError(f"planted for {K.d}")
+
+    monkeypatch.setattr(cli_mod, "polya_report", inconsistent)
+    for argv in (("biquad", "2", "3", "--json"), ("scan", "--bound", "3", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and "planted" in err, argv
+
+
+def test_a_verified_row_is_checked_once(capsys, monkeypatch):
+    # setting the verify status checks the status, not the identities
+    # polya_report already checked: one __post_init__ per verified row
+    import dataclasses
+    calls = []
+    check = OutputRecord.__post_init__
+
+    def counting(rec):
+        calls.append(rec.d3)
+        check(rec)
+
+    monkeypatch.setattr(OutputRecord, "__post_init__", counting)
+    code, out, _ = run(capsys, "scan", "--bound", "5", "--verify", "--json")
+    assert code == 0 and len(calls) == len(out.splitlines()) > 0
+    rec = parse_records(out, "json", OutputRecord)[0]
+    assert rec.with_status("budget_exceeded") == \
+        dataclasses.replace(rec, verify_status="budget_exceeded")
+    with pytest.raises(InvalidInputError, match="unknown verify status"):
+        rec.with_status("fine")
+
+
 def test_scan_jobs_below_one_is_exit_1(capsys):
     code, out, err = run(capsys, "scan", "--bound", "3", "--jobs", "0")
     assert code == 1 and out == "" and "--jobs" in err
@@ -357,11 +395,13 @@ def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
 
 def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
     # the formula route never builds BiquadField.unit_twists or the residue
-    # maps of its sieve, and a verified scan builds each at most once per
-    # field
+    # maps of its sieve; a verified scan builds the maps at most once per
+    # field, and the twist coordinates, once, only on the fields where some
+    # candidate survives the sieve and reaches a square root
     import hashlib
     from collections import Counter
     from functools import cached_property
+    from polyabiquad import lattice
     from polyabiquad.biquadratic import BiquadField
 
     built = {name: Counter() for name in ("unit_twists", "residue_maps")}
@@ -373,15 +413,22 @@ def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
         prop = cached_property(counting)
         prop.__set_name__(BiquadField, name)
         monkeypatch.setattr(BiquadField, name, prop)
+    rooted = set()
+
+    def square_root(K, eta, root=lattice.integral_square_root):
+        rooted.add(K.d)
+        return root(K, eta)
+
+    monkeypatch.setattr(lattice, "integral_square_root", square_root)
     for d1, d2 in (("2", "3"), ("-1", "3"), ("-1", "2"), ("11", "14"), ("-210", "143"),
                    ("-9699690", "31367009")):
         code, _, _ = run(capsys, "biquad", d1, d2, "--json")
         assert code == 0
-    assert not any(built.values())
+    assert not any(built.values()) and not rooted
     code, out, _ = run(capsys, "scan", "--bound", "20", "--verify", "--json")
     assert code == 0
     assert all(counter and max(counter.values()) == 1 for counter in built.values())
-    assert built["residue_maps"] == built["unit_twists"]
+    assert set(built["unit_twists"]) == rooted < set(built["residue_maps"])
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
 

@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from polyabiquad.errors import InvalidInputError
-from polyabiquad.intmath import (factorize, kronecker, sqrt_mod, squarefree_decompose,
+from polyabiquad.intmath import (factorize, kronecker, squarefree_decompose,
                                  squarefree_part)
 
 
@@ -126,20 +126,3 @@ def test_kronecker_conventions_at_2_and_minus_one():
     assert kronecker(4, 2) == 0
     assert kronecker(5, -1) == 1 and kronecker(-5, -1) == -1
 
-
-def test_sqrt_mod_against_the_squares():
-    # every residue gets a root and every non-residue None, for the odd
-    # primes below 400 (p - 1 = 2^8 for p = 257) and on draws mod 65537 and
-    # 998244353 = 119 * 2^23 + 1
-    for p in PRIMES[1:78]:
-        squares = {x * x % p for x in range(p)}
-        for a in range(-p, p):
-            r = sqrt_mod(a, p)
-            assert (r is not None) == (a % p in squares), (a, p)
-            assert r is None or (r * r - a) % p == 0, (a, p, r)
-    rng = random.Random(5)
-    for p in (65537, 998244353):
-        for a in rng.sample(range(p), 300):
-            r = sqrt_mod(a, p)
-            assert (r is None) == (kronecker(a, p) == -1), (a, p)
-            assert r is None or (r * r - a) % p == 0, (a, p, r)

@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import (Budget, BudgetExceededError, DomainError,
                                 InconsistencyError, InvalidInputError)
+from polyabiquad.intmath import kronecker
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
@@ -194,7 +197,7 @@ def test_oracle_kernel_counts():
     i5 = K.d.index(-5)
     mask = 1 << K.subfields[i5].ramified_primes.index(2)
     vec = orc.unpack(orc._subfield_images[i5][mask])
-    assert orc.is_principal_vector(vec)  # the capitulation witness
+    assert orc._book.is_principal(orc.pack(vec))  # the capitulation witness
 
 
 def test_coset_verdicts_agree_with_a_descent_on_every_vector():
@@ -210,9 +213,9 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
                   for v in vectors}
         reps = lex.class_representatives()
         for v in reversed(vectors):
-            assert rev.is_principal_vector(v) == direct[v], (K.d, v)
+            assert rev._book.is_principal(rev.pack(v)) == direct[v], (K.d, v)
         for v in vectors:
-            assert lex.is_principal_vector(v) == direct[v], (K.d, v)
+            assert lex._book.is_principal(lex.pack(v)) == direct[v], (K.d, v)
             # the representatives partition G: v lies in the class of exactly one
             assert sum(direct[reduce_vector(lex, [x - y for x, y in zip(v, r)])]
                        for r in reps) == 1, (K.d, v)
@@ -325,14 +328,20 @@ def basis_images(K, l, omegas) -> list[int]:
 
 
 def test_residue_maps_are_ring_homomorphisms():
-    # each map of K.residue_maps, read on the basis, sends 1 to 1 and
-    # e_i*e_j to the product of the images, agrees with its images of the
-    # omega_i, and the four maps above each l are distinct; each twist mask
-    # holds the quadratic characters of the twist's image under every map
+    # K.residue_maps holds one map above each of the first eight odd primes
+    # l < 300 at which d1 and d2 are nonzero squares (fewer only when fewer
+    # split: 2 of these 544 fields); each map, read on the basis, sends 1 to
+    # 1 and e_i*e_j to the product of the images and agrees with its images
+    # of the omega_i; each twist mask holds the quadratic characters of the
+    # twist's image under every map
+    sizes = Counter()
     for pair in TWIST_PAIRS:
         K = biquadratic_field(*pair)
         maps = K.residue_maps
-        assert len(set(maps)) == len(maps) == 8, K.d
+        split = [l for l in range(3, 300, 2) if all(l % q for q in range(3, l, 2))
+                 and kronecker(K.d[0], l) == kronecker(K.d[1], l) == 1]
+        assert [l for l, _ in maps] == split[:8], K.d
+        sizes[len(maps)] += 1
         images = []
         for l, omegas in maps:
             assert 2 * K.d[0] * K.d[1] % l, (K.d, l)
@@ -348,40 +357,59 @@ def test_residue_maps_are_ring_homomorphisms():
             chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, img in images]
             assert all(c in (1, l - 1) for c, (l, _) in zip(chars, images)), (K.d, u)
             assert mask == sum(1 << k for k, c in enumerate(chars) if c != 1), (K.d, u)
+    assert sizes[8] == len(TWIST_PAIRS) - 2
 
 
 SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
 
 
-def descents_against_the_unsieved_reference(fields):
+def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
     """Count the ambiguous classes and the kernel of each field, repeating
-    every K-level descent on the same relative-norm generators with the
-    unsieved reference: the (field, n) of each descent whose root or
-    budget spent differs, with the numbers of square roots the sieved
-    descents took and of candidates the reference formed."""
+    every K-level descent, and every vector the oracle's character table
+    refutes, with the unsieved reference on the same relative-norm
+    generators: the (field, n) of each verdict whose root or budget spent
+    differs, with the numbers of square roots the sieved descents took and
+    of candidates the reference formed.  prepare(orc) runs on each oracle
+    before its first verdict."""
     from polyabiquad import lattice
     descend, square_root = lattice.principal_ideal_generator, lattice.integral_square_root
+    refute = AmbiguousIdealOracle._refute
     differ, counts = [], {"roots": 0, "candidates": 0}
 
     def counting(K, eta):
         counts["roots"] += 1
         return square_root(K, eta)
 
-    def comparing(K, n, norms, contains, budget):
-        norms = list(norms)
-        before, reference = budget.spent, Budget()
-        xi = descend(K, n, norms, contains, budget)
-        if (xi, budget.spent - before) != (
-                unsieved_generator(K, n, norms, contains, reference), reference.spent):
+    def compare(K, n, norms, contains, xi, spent):
+        reference = Budget()
+        if (xi, spent) != (unsieved_generator(K, n, norms, contains, reference),
+                           reference.spent):
             differ.append((K.d, n))
         counts["candidates"] += reference.spent
+
+    def comparing(K, n, norms, contains, budget):
+        norms = list(norms)
+        before = budget.spent
+        xi = descend(K, n, norms, contains, budget)
+        compare(K, n, norms, contains, xi, budget.spent - before)
         return xi
+
+    def refuting(orc, vec):
+        before = orc.budget.spent
+        if not refute(orc, vec):
+            return False
+        n = prod(p ** (4 // e * v) for p, e, v in zip(orc.primes, orc.exponents, vec))
+        compare(orc.K, n, list(orc._relative_norm_generators(vec)), orc._membership(vec),
+                None, orc.budget.spent - before)
+        return True
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "integral_square_root", counting)
         patch.setattr(lattice, "principal_ideal_generator", comparing)
+        patch.setattr(AmbiguousIdealOracle, "_refute", refuting)
         for K in fields:
             orc = AmbiguousIdealOracle(K)
+            prepare(orc)
             orc.polya_order_oracle()
             orc.kernel_order_oracle()
     return differ, counts
@@ -389,13 +417,36 @@ def descents_against_the_unsieved_reference(fields):
 
 def test_sieved_descents_match_the_unsieved_reference():
     # the sieve only drops candidates a ring map proves nonsquare: on every
-    # field with |d_i| <= 30 and the many-prime fields, each descent returns
-    # the unsieved reference's root or None and spends the same budget,
-    # while it takes a square root for about one candidate in nine
+    # field with |d_i| <= 30 and the many-prime fields, each descent, and
+    # each vector the oracle's character table refutes before any descent,
+    # gets the unsieved reference's root or None and spends the same
+    # budget, while the descents take 16 square roots for the 1,277
+    # candidates of both kinds
     differ, counts = descents_against_the_unsieved_reference(
         [biquadratic_field(*pair) for pair in SIEVE_PAIRS])
     assert not differ
     assert counts["candidates"] > 1000 and 5 * counts["roots"] < counts["candidates"]
+
+
+def test_the_character_table_refutes_by_legendre_symbols_of_r():
+    # for every vector with even v_2 of every field with |d_i| <= 30 and the
+    # many-prime fields, the oracle refutes it from its table exactly when
+    # the Legendre symbols of r = prod_p p^(2*v_p/e_p) at the primes of
+    # K.residue_maps match the mask of no formed twist
+    verdicts = Counter()
+    for pair in SIEVE_PAIRS:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        K = orc.K
+        masks = {mask for _, mask in K.unit_twists}
+        for vec in itertools.product(*[range(e) for e in orc.exponents]):
+            if any(2 * v % e for e, v in zip(orc.exponents, vec)):
+                continue
+            r = prod(p ** (2 * v // e) for p, e, v in zip(orc.primes, orc.exponents, vec))
+            bits = sum(1 << k for k, (l, _) in enumerate(K.residue_maps) if kronecker(r, l) == -1)
+            refuted = orc._refute(vec)
+            assert refuted == (bits not in masks), (K.d, vec)
+            verdicts[refuted] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
 def test_a_flipped_twist_mask_fails_the_comparison():
@@ -410,6 +461,23 @@ def test_a_flipped_twist_mask_fails_the_comparison():
         twists[0] = (u, mask ^ 1 << bit)
         K.__dict__["unit_twists"] = tuple(twists)
         differ, _ = descents_against_the_unsieved_reference([K])
+        assert differ, bit
+
+
+def test_a_flipped_prime_character_fails_the_comparison():
+    # and it catches a character table that refutes a principal vector: in
+    # Q(sqrt(10), sqrt(17)) rad(5) is principal, found by a descent past the
+    # table, and flipping any one bit of the characters of 5 refutes it
+    def flip(bit):
+        def prepare(orc):
+            assert orc.primes == [2, 5, 17]
+            orc.__dict__["_characters"] = [c ^ (p == 5) << bit
+                                           for c, p in zip(orc._characters, orc.primes)]
+        return prepare
+
+    for bit in range(8):
+        differ, _ = descents_against_the_unsieved_reference([biquadratic_field(10, 17)],
+                                                             flip(bit))
         assert differ, bit
 
 
