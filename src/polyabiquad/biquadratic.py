@@ -59,6 +59,15 @@ _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
                       if all(p % q for q in range(3, isqrt(p) + 1, 2)))
 _SQUARE_ROOTS = tuple((l, {x * x % l: x for x in range(1, l // 2 + 1)}) for l in _SIEVE_PRIMES)
+# past them, residue_maps goes on to the primes l = 3 mod 4 below this cap,
+# where a nonzero square d has the root d^((l+1)/4) mod l
+_ROOT_CAP = 2000
+
+
+def _root_mod(d: int, l: int) -> int | None:
+    """A nonzero root of d mod a prime l = 3 mod 4, or None."""
+    r = pow(d, (l + 1) // 4, l)
+    return r if r and (r * r - d) % l == 0 else None
 
 
 @dataclass(frozen=True)
@@ -334,12 +343,15 @@ class BiquadField:
 
     @cached_property
     def residue_maps(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-        """Ring maps O_K -> F_l, one for each of the first eight primes l of
-        _SIEVE_PRIMES that divide neither d1 nor d2 and split completely in
-        K (fewer when the table has fewer), as (l, the images of omega_1,
-        omega_2, omega_3).  l splits completely exactly when d1 and d2 are
-        nonzero squares mod l, and their roots s1, s2 are read off
-        _SQUARE_ROOTS.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
+        """Ring maps O_K -> F_l, one for each of the first eight primes l
+        that divide neither d1 nor d2 and split completely in K, as (l, the
+        images of omega_1, omega_2, omega_3): first the primes of
+        _SIEVE_PRIMES, then, when fewer than eight of them split, the primes
+        l = 3 mod 4 below _ROOT_CAP (fewer when those run out too).  l
+        splits completely exactly when d1 and d2 are nonzero squares mod l;
+        their roots s1, s2 are read off _SQUARE_ROOTS, or taken as
+        d^((l+1)/4) mod l past it, which squares to d exactly when d is a
+        square.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
         sqrt(d3) -> s1*s2/m12 is the reduction modulo one prime above l;
         each s_i^2 = d_i is certified, or InconsistencyError is raised.  A
         ring map sends squares to squares, so an element with a non-residue
@@ -349,11 +361,23 @@ class BiquadField:
         oracle's candidates r*u (r rational, u a unit twist) they add no
         bit that the twists do not already carry."""
         d, m12 = self.d, self.mul_table[(1, 2)][1]
+        roots = []  # (l, s1, s2)
+        for l, table in _SQUARE_ROOTS:
+            r1, r2 = table.get(d[0] % l), table.get(d[1] % l)
+            if r1 and r2:  # else l divides d_i, or d_i is a non-residue
+                roots.append((l, r1, r2))
+                if len(roots) == 8:
+                    break
+        else:
+            for l in range(303, _ROOT_CAP, 4):
+                if len(roots) == 8:
+                    break
+                if all(l % q for q in range(3, isqrt(l) + 1, 2)):
+                    r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
+                    if r1 and r2:
+                        roots.append((l, r1, r2))
         maps = []
-        for l, roots in _SQUARE_ROOTS:
-            r1, r2 = roots.get(d[0] % l), roots.get(d[1] % l)
-            if r1 is None or r2 is None:
-                continue  # l divides d_i, or d_i is a non-residue
+        for l, r1, r2 in roots:
             s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)
             if any((x * x - di) % l for x, di in zip(s, d)):
                 raise InconsistencyError(f"the roots {s} of {d} mod {l} do not square back")
@@ -361,8 +385,6 @@ class BiquadField:
             # else of sqrt(d_i)
             maps.append((l, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
                                   for x, di in zip(s, d))))
-            if len(maps) == 8:
-                break
         return tuple(maps)
 
     def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:

@@ -1,0 +1,140 @@
+"""The coset book: principality verdicts on a finite abelian group
+G = Z/e + (Z/2)^m, e in (2, 4), that maps onto ideal classes, kept as the
+principal subgroup P in echelon form and the known-nonprincipal cosets by
+their reduced vectors.  The subfield books (G = (Z/2)^s) and the oracle in
+a biquadratic field (G = Z/e_2 + (Z/2)^(s_K - 1)) both keep one, and both
+find the subgroup they leave to it, the kernel of a map of characters
+into F_2^k, by f2_kernel.
+"""
+
+from __future__ import annotations
+
+from .errors import InconsistencyError
+
+
+def f2_kernel(pairs) -> list[int]:
+    """A basis of the kernel of an F_2-linear map, by Gaussian elimination:
+    pairs holds (x, image of x) over a basis of its domain, both packed
+    into integers under XOR.  A pair (0, c) puts c in the subgroup divided
+    out of the target, so the kernel is then the preimage of that subgroup."""
+    pivots: dict[int, tuple[int, int]] = {}  # highest bit of an image -> (image, x)
+    kernel = []
+    for x, c in pairs:
+        while c:
+            row = pivots.get(c.bit_length())
+            if row is None:
+                pivots[c.bit_length()] = c, x
+                break
+            c, x = c ^ row[0], x ^ row[1]
+        else:
+            if x:
+                kernel.append(x)
+    return kernel
+
+
+def f2_span(basis) -> list[int]:
+    """Every XOR combination of the vectors of basis."""
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
+    return span
+
+
+class CosetBook:
+    """Principality verdicts on G = Z/e + (Z/2)^m, e in (2, 4), for a group
+    G mapping onto ideal classes.  An element is packed into one integer
+    t*2^m + w: the digit t mod e is the most significant, and the m low
+    bits w add by XOR, so the integer order is the lexicographic order of
+    the digits.  The principal subgroup P is held as a basis in echelon
+    form, pivots on the most significant digit: at most one vector, top,
+    whose top digit, 1 or 2, generates the top digits of P, and rows,
+    vectors with top digit 0 and distinct highest bits.  Reducing x
+    by the pivots from the most significant down gives the least element
+    of x + P, so a coset is named by its reduced vector, |P| is the product
+    of the orders of the pivots, and the reduced vectors, listed in
+    increasing order, are the first element of each coset.
+
+    The known-nonprincipal cosets are held by their reduced vectors.  Only
+    a vector in neither P nor one of them is tested, so each coset at most
+    once: a principal verdict grows P, and re-reduces the nonprincipal
+    cosets, raising InconsistencyError if one of them falls into P; a
+    nonprincipal verdict records the coset."""
+
+    def __init__(self, m: int, e: int, test):
+        self.m, self.e, self.test = m, e, test
+        self.low = (1 << m) - 1
+        self.top = 0
+        self.rows: list[tuple[int, int]] = []  # (highest bit, vector), highest first
+        self.nonprincipal: set[int] = set()
+
+    @property
+    def order(self) -> int:
+        """|P|: e, or e/2, for the top pivot times 2 for each row."""
+        q = self.top >> self.m
+        return (self.e // q if q else 1) << len(self.rows)
+
+    def basis(self) -> list[int]:
+        return ([self.top] if self.top else []) + [v for _, v in self.rows]
+
+    def reduce(self, x: int) -> int:
+        """The least element of x + P."""
+        t, q = x >> self.m, self.top >> self.m
+        if q == 1 and t:  # add (e - t)*top: the low bits change when t is odd
+            x = x & self.low ^ (self.top & self.low if t & 1 else 0)
+        elif q == 2 and t & 2:
+            x = (x - (2 << self.m)) ^ self.top & self.low
+        for bit, v in self.rows:
+            if x & bit:
+                x ^= v
+        return x
+
+    def add_principal(self, x: int) -> None:
+        """Grow P to <P, x> for an x known to be principal, tested or not."""
+        y = self.reduce(x)
+        t = y >> self.m
+        if t:  # no top pivot yet, or one with digit 2 and t = 1
+            old = self.top
+            self.top = y - (2 << self.m) if t == 3 else y  # -y has digit 1
+            # old - 2*top, with 2*top = 2*2^m, is a row
+            y = old and self.reduce(old & self.low)
+        if y:
+            self.rows.append((1 << y.bit_length() - 1, y))
+            self.rows.sort(reverse=True)
+        if self.nonprincipal:
+            spread = {self.reduce(n) for n in self.nonprincipal}
+            if 0 in spread:
+                raise InconsistencyError(
+                    f"{x} is principal, yet <P, {x}> meets a nonprincipal coset")
+            self.nonprincipal = spread
+
+    def is_principal(self, x: int) -> bool:
+        r = self.reduce(x)
+        if not r:
+            return True
+        if r in self.nonprincipal:
+            return False
+        if self.test(x):
+            self.add_principal(x)
+            return True
+        self.nonprincipal.add(r)
+        return False
+
+    def decide(self, subgroup: list[int]) -> None:
+        """Decide every element of subgroup, in the order listed.  P must
+        lie in the subgroup, or InconsistencyError is raised."""
+        for x in subgroup:
+            self.is_principal(x)
+        if not set(subgroup).issuperset(self.basis()):
+            raise InconsistencyError("a principal vector lies outside the subgroup left to decide")
+
+    def representatives(self):
+        """The reduced vectors, i.e. the first element of each coset of P,
+        in increasing order."""
+        pivots = 0
+        for bit, _ in self.rows:
+            pivots |= bit
+        low = [0]
+        for j in range(self.m):
+            if not pivots >> j & 1:
+                low += [w | 1 << j for w in low]
+        return (t << self.m | w for t in range(self.top >> self.m or self.e) for w in low)

@@ -54,17 +54,21 @@ g / n = r^3 / r^2 = r, a rational integer, and the candidates are r*u.  A
 ring map sends r*u to r mod l times the image of u, so its character is the
 Legendre symbol (r/l) times u's bit, and l divides no prime of r, so no map
 sends r to 0.  The oracle reads the bits of each ramified p once, through
-BiquadField.character_mask; a vector whose XOR of the bits of the primes of
-r matches no twist mask has no square candidate, and is nonprincipal
-without a descent, charged the budget units its descent would have
-charged, one per twist.  That is the per-candidate sieve read from a table,
-so the verdict is the same completed finite computation.  Vectors with odd
-v_2 and vectors whose bits match a twist mask descend.
+BiquadField.character_mask.  The even vectors form (Z/2)^s_K and their bits
+are the XOR of the bits of the primes of r, a linear map to F_2^8, so the
+vectors whose bits match some twist mask form a subgroup T, the preimage of
+the subgroup K.twist_masks, found by one elimination over F_2.  A vector
+outside T has no square candidate and is nonprincipal without a descent;
+each coset of P that the table settles is charged the budget units its
+descent would have charged, one per twist.  That is the per-candidate sieve
+read from a table, so the verdict is the same completed finite computation,
+made once for the whole coset.  Only T and the odd vectors are left to
+descents.
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
-marks principal the extension of every principal product of ramified primes
-of a quadratic subfield: A = (alpha) gives A*O_K = alpha*O_K.  Both oracle
+marks principal the extension of a basis of the principal subgroup of each
+quadratic subfield: A = (alpha) gives A*O_K = alpha*O_K.  Both oracle
 counts rest on one fact: the prime P_i = [p, b + omega_i] of k_i above p
 extends to rad(p)^(e_p/2), i.e. to rad(p) when e_p = 2 and to rad(2)^2 when
 e_2 = 4.  The oracle certifies it for every subfield k_i in which p
@@ -72,12 +76,14 @@ ramifies, before its first verdict.  Every prime P above p has
 v_P(p) = e_p, so g = b + omega_i lies in rad(p)^(e_p/2) iff
 v_P(g^2) >= e_p for every such P, i.e. iff g^2 is in p*O_K.  Then
 P_i*O_K lies in rad(p)^(e_p/2), both have norm p^2, and so they are equal.
-So every verdict is a completed descent, in K or in a subfield, or follows
-from such verdicts by the group law; each subfield book starts with the
-mask of (sqrt(d)).  The same fact puts (e_p/2)*u_p in the image of every p, so
-the kernel and cokernel of the extension map are group orders read off the
-principal sets, with no Hermite form.  Its coset book holds exponent
-vectors packed into integers (see AmbiguousIdealOracle).
+So every verdict is a completed descent, in K or in a subfield, a table of
+characters read for a whole coset, or follows from such verdicts by the
+group law; each subfield book starts with the mask of (sqrt(d)).  The same
+fact puts (e_p/2)*u_p in the image of every p, so the kernel and cokernel of
+the extension map are group orders read off the pivots of the books, with
+no Hermite form.  The books hold exponent vectors packed into integers, and
+P as a basis in echelon form (see AmbiguousIdealOracle and
+cosets.CosetBook).
 
 A descent reads everything off the exponent vector of
 a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As efg = 4,
@@ -93,8 +99,9 @@ Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
 prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  So
 the descent is handed the generators of the b_i in closed form too: (r, 0),
 or r*gamma_i for a generator gamma_i of P_2, which one search per subfield
-decides once per oracle, when a descent first needs it (None when P_2 is
-nonprincipal).  The closed form
+decides once per oracle (None when P_2 is nonprincipal).  So when some
+gamma_i is None no vector with odd v_2 is principal, and the oracle records
+that once instead of descending on each.  The closed form
 is not trusted alone: every generator must still have norm +-N(a), and a
 "principal" verdict still needs xi in a with |N(xi)| = N(a).
 
@@ -111,10 +118,11 @@ from functools import cached_property
 from math import prod
 
 from .biquadratic import BiquadField
+from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal, omega_norm,
-                        prime_above, principal_generator_quad)
+from .quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm, prime_above,
+                        principal_generator_quad)
 from .units import integral_square_root
 
 
@@ -300,24 +308,28 @@ class AmbiguousIdealOracle:
     principal and rational, so reducing exponents mod e_p never changes an
     ideal class.  Via the conjugate-product trick a * b~ ~ a * b^-1 * N(b),
     the classes are the cosets of the principal subgroup P, which a
-    PrincipalCosets book builds from as few descents as it can, seeded with
-    the extended principal classes of the subfields (both counts rest on
-    P_i*O_K = rad(p)^(e_p/2), which _subfield_images certifies for every
-    subfield; see the module docstring).
+    CosetBook builds from as few descents as it can, seeded with the
+    extension of a basis of each subfield's principal subgroup (both counts
+    rest on P_i*O_K = rad(p)^(e_p/2), which _subfield_primes certifies for
+    every subfield; see the module docstring).
     The book holds each vector packed into one integer, mixed radix with the
     first prime most significant, so range(|G|) lists G in the order of
     itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
     G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
-    mod e_2, and add is one integer expression.  The image of each subfield
-    product of ramified primes is read from a table built once per subfield.
-    A vector is unpacked only for a verdict and for class_representatives;
-    a verdict reads the character table first (see _refute).
+    mod e_2.  The book holds P as a basis in echelon form, so the first
+    vector of each class is its reduced vector, and the book lists them
+    without visiting G.  It decides only what the tables leave (see _book):
+    the vectors of T, and the odd vectors when every gamma_i exists.  A
+    coset settled otherwise is still a completed finite computation: the
+    ring maps of the descent's sieve, read once from the table for every
+    candidate of every vector of the coset, or the search that found no
+    gamma_i.
     A descent builds no lattice: N(a) = prod_p p^((4/e_p)*v_p), the
     relative-norm generators are in closed form, and a root xi is in rad(p)
     iff p divides every coordinate of xi^e_p (see _membership).
-    The classes are counted as the cosets of P.  The cokernel G / <im phi, P>
-    and the kernel, |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, are
-    group orders read off P and the subfield books, with no Hermite form.
+    The cokernel G / <im phi, P> and the kernel,
+    |ker| = prod_i |Po(k_i)| * |P| / |<im phi, P>|, are group orders read
+    off the pivots of P and of the subfield books, with no Hermite form.
     """
 
     def __init__(self, K: BiquadField, budget_units: int | None = None):
@@ -329,10 +341,6 @@ class AmbiguousIdealOracle:
             raise InconsistencyError(
                 f"ramification indices {self.exponents} of {self.primes} are not "
                 f"e_2 in (2, 4) followed by 2s")
-        n = len(self.primes)
-        high, low = (self.exponents[0] - 1) << (n - 1), (1 << (n - 1)) - 1
-        # the group law of G on packed vectors
-        self.add = lambda a, b: ((a ^ b) & low) | (((a & high) + (b & high)) & high)
         self._generators_above_2: dict[int, tuple[int, int] | None] = {}
 
     def pack(self, vec) -> int:
@@ -357,7 +365,8 @@ class AmbiguousIdealOracle:
         """Packed exponent vector of P*O_K for the prime P above p of a
         subfield in which p ramifies: rad(p) when e_p = 2 and rad(2)^2 when
         2 is totally ramified."""
-        return self.pack([e // 2 * (q == p) for q, e in zip(self.primes, self.exponents)])
+        j = self.primes.index(p)
+        return self.exponents[j] // 2 << len(self.primes) - 1 - j
 
     @cached_property
     def _subfield_primes(self) -> list[dict[int, QuadIdeal]]:
@@ -379,32 +388,46 @@ class AmbiguousIdealOracle:
         return primes
 
     @cached_property
-    def _subfield_images(self) -> list[list[int]]:
-        """For each subfield, the packed exponent vector of the extension of
-        the product of its certified ramified primes selected by each mask,
-        built by doubling over the bits of the mask."""
-        tables = []
-        for primes in self._subfield_primes:
-            table = [0]
-            for p in primes:
-                g = self._prime_image(p)
-                table += [self.add(x, g) for x in table]
-            tables.append(table)
-        return tables
-
-    @cached_property
-    def _book(self) -> PrincipalCosets:
-        book = PrincipalCosets(0, self.add, self._decide)
-        for sub, table in zip(self._subfield_books, self._subfield_images):
-            for mask, image in enumerate(table):
-                if sub.is_principal_subset(mask):
-                    book.add_principal(image)
+    def _book(self) -> CosetBook:
+        """The book with every vector decided.  P is seeded with the
+        extension of a basis of each subfield's principal subgroup.  An
+        even vector whose character bits lie outside K.twist_masks is
+        nonprincipal by the table; the book decides only T, the even
+        vectors whose bits lie inside, and only when the seed leaves even
+        vectors undecided.  The cosets the table settles are charged
+        K.twist_count units each, as their descents would be.  Then the odd
+        vectors, when e_2 = 4: none is principal when some gamma_i is None,
+        as its relative norms are r*P_2; otherwise the book descends on
+        odd cosets until P holds an odd vector, and from then on every odd
+        coset reduces to an even one."""
+        primes = self._subfield_primes  # certify every extended prime first
+        n = len(self.primes)
+        book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
+        for sub, sub_primes in zip(self._subfield_books, primes):
+            s = sub.k.s
+            for x in sub.principal.basis():
+                image = 0  # prime images have order 2, so they add by XOR
+                for i, p in enumerate(sub_primes):
+                    if x >> s - 1 - i & 1:
+                        image ^= self._prime_image(p)
+                book.add_principal(image)
+        if book.order < 1 << n:  # the even vectors form (Z/2)^n
+            kernel = self._table_kernel
+            book.decide(sorted(f2_span(kernel)))
+            self.budget.charge(self.K.twist_count * (((1 << n) - (1 << len(kernel))) // book.order))
+        if self.exponents[0] == 4 and all(map(self._generator_above_2, range(3))):
+            if book.reduce(2 << n - 1):
+                raise InconsistencyError(
+                    f"P_2 is principal in every subfield of {self.K.d}, yet rad(2)^2 is not")
+            for x in book.representatives():
+                if x >> n - 1 & 1 and book.is_principal(x):
+                    break
         return book
 
     def _generator_above_2(self, i: int) -> tuple[int, int] | None:
         """A generator of the certified prime P_2 of the subfield k_i above a
         totally ramified 2, or None when P_2 is nonprincipal; searched for
-        once per oracle, when a descent first needs it."""
+        once per oracle, when the oracle first needs it."""
         if i not in self._generators_above_2:
             self._generators_above_2[i] = principal_generator_quad(
                 self._subfield_primes[i][2], self.budget)
@@ -449,31 +472,18 @@ class AmbiguousIdealOracle:
             raise InconsistencyError(f"a residue map of {self.K.d} sends a ramified prime to 0")
         return [bits for bits, _ in table]
 
-    def _decide(self, x: int) -> bool:
-        """The book's test of the packed vector x: refuted by the character
-        table, or decided by a descent."""
-        vec = self.unpack(x)
-        return not self._refute(vec) and self._descend(vec)
-
-    def _refute(self, vec: tuple[int, ...]) -> bool:
-        """True when the character table proves a = prod_p rad(p)^v_p
-        nonprincipal, charging one budget unit per twist, as its descent
-        would.  A vector with even v_2 has the relative-norm generators
-        (r, 0), so its candidates are r*u for the twists u of K, and the
-        characters of r*u are the XOR of the bits of the primes of r and the
-        mask of u (see the module docstring).  So a vector whose bits match
-        no mask of K.twist_masks is nonprincipal.  A vector with odd v_2 is
-        never refuted here."""
-        if any(2 * v % e for e, v in zip(self.exponents, vec)):
-            return False
-        bits = 0
-        for c, e, v in zip(self._characters, self.exponents, vec):
-            if 2 * v // e:  # p divides r
-                bits ^= c
-        if bits in self.K.twist_masks:
-            return False
-        self.budget.charge(self.K.twist_count)
-        return True
+    @cached_property
+    def _table_kernel(self) -> list[int]:
+        """A basis of T, the even vectors whose character bits lie in
+        K.twist_masks, by elimination over F_2: the packed image
+        (e_p/2)*u_p of each ramified p against its bits, modulo the masks.
+        A vector with even v_2 has the relative-norm generators (r, 0), so
+        its candidates are r*u for the twists u of K, and the characters of
+        r*u are the XOR of the bits of the primes of r and the mask of u
+        (see the module docstring): a vector outside T is nonprincipal."""
+        return f2_kernel([(0, mask) for mask in self.K.twist_masks]
+                         + [(self._prime_image(p), bits)
+                            for p, bits in zip(self.primes, self._characters)])
 
     def _descend(self, vec: tuple[int, ...]) -> bool:
         """Principality of a = prod_p rad(p)^v_p from its exponent vector.
@@ -491,7 +501,7 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _classes(self) -> list[tuple[int, ...]]:
-        return [self.unpack(x) for x in self._book.classes(range(prod(self.exponents)))]
+        return [self.unpack(x) for x in self._book.representatives()]
 
     def class_representatives(self) -> list[tuple[int, ...]]:
         """The lexicographically first vector of each coset of P."""
@@ -501,29 +511,22 @@ class AmbiguousIdealOracle:
         """Number of strongly ambiguous classes, counted directly."""
         return len(self.class_representatives())
 
-    @cached_property
-    def _cokernel(self) -> int:
-        """|G / <im phi, P>| = |Po(K) / im phi|, the cokernel of the extension
-        map.  im phi holds (e_p/2)*u_p for every p, so the quotient is Z/2 when
-        e_2 = 4 and no vector of P has odd v_2, i.e. bit s_K - 1 set, else 1."""
-        self._classes  # decide every vector of G, so that P is final
-        odd = 1 << (len(self.primes) - 1)
-        if self.exponents[0] == 4 and not any(x & odd for x in self._book.principal):
+    def cokernel_order_oracle(self) -> int:
+        """Order of the cokernel of the extension map on ambiguous classes,
+        |G / <im phi, P>| = |Po(K) / im phi|.  im phi holds (e_p/2)*u_p for
+        every p, so the quotient is Z/2 when e_2 = 4 and no basis vector of
+        P has odd v_2, i.e. the top pivot of the book is not 1, else 1."""
+        if self.exponents[0] == 4 and self._book.top >> len(self.primes) - 1 != 1:
             return 2
         return 1
-
-    def cokernel_order_oracle(self) -> int:
-        """Order of the cokernel of the extension map on ambiguous classes."""
-        return self._cokernel
 
     def kernel_order_oracle(self) -> int:
         """Order of the kernel of the extension map on ambiguous classes,
         prod_i |Po(k_i)| * |P| / |<im phi, P>|, with |Po(k_i)| = 2^s_i / |P_i|
-        from each subfield book (_book decides every mask) and
-        |<im phi, P>| = prod e_p / |coker|."""
-        span = prod(self.exponents) // self._cokernel
-        domain = prod((1 << sub.k.s) // len(sub._book.principal)
-                      for sub in self._subfield_books) * len(self._book.principal)
+        from each subfield book and |<im phi, P>| = prod e_p / |coker|."""
+        span = prod(self.exponents) // self.cokernel_order_oracle()
+        domain = prod((1 << sub.k.s) // sub.principal.order
+                      for sub in self._subfield_books) * self._book.order
         if domain % span:
             raise InconsistencyError(
                 f"|<im phi, P>| = {span} does not divide prod |Po(k_i)| * |P| = {domain}")

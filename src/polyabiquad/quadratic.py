@@ -28,8 +28,10 @@ N(alpha)/N(ideal) for alpha in it, so chi_q is multiplicative on ideals,
 and the form of a principal ideal represents +1, or -1 in a real field.
 An ideal whose characters are neither those of +1 nor, for a real field,
 those of -1 is therefore nonprincipal: the rejection is a proof from a few
-exact Legendre symbols, and every other ideal is decided by the complete
-search above.
+exact Legendre symbols.  The characters of a product are the XOR of those
+of its primes, so the products that pass form a subgroup, found by one
+elimination over F_2 (cosets.f2_kernel), and only its cosets are decided
+by the complete search above.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
 
+from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .intmath import factorize
 
@@ -356,94 +359,52 @@ def polya_order_quad(k: QuadraticField) -> int:
     return 2 ** (k.s - 1 - k.nu)
 
 
-class PrincipalCosets:
-    """Principality verdicts on a finite abelian group G mapping onto ideal
-    classes: the principal subgroup P found so far and the known-nonprincipal
-    set N, a union of cosets of P.  Only an element in neither is tested: a
-    principal v grows P to <P, v> and N to N + <P, v>, or raises
-    InconsistencyError if <P, v> meets N; a nonprincipal v adds v + P to N."""
-
-    def __init__(self, zero, add, test):
-        self.add = add
-        self.test = test
-        self.principal = {zero}
-        self.nonprincipal: set = set()
-
-    def is_principal(self, v) -> bool:
-        if v in self.principal:
-            return True
-        if v in self.nonprincipal:
-            return False
-        if not self.test(v):
-            self.nonprincipal.update(self.add(v, p) for p in self.principal)
-            return False
-        self.add_principal(v)
-        return True
-
-    def add_principal(self, v) -> None:
-        """Grow P to <P, v> for a v known to be principal, tested or not."""
-        if v in self.principal:
-            return
-        grown = set(self.principal)
-        coset = {self.add(v, p) for p in grown}
-        while coset.isdisjoint(grown):  # <P, v> is the union of the cosets k*v + P
-            grown |= coset
-            coset = {self.add(v, x) for x in coset}
-        if not grown.isdisjoint(self.nonprincipal):
-            raise InconsistencyError(f"{v} is principal, yet <P, v> meets N")
-        spread: set = set()
-        for n in self.nonprincipal:
-            if n not in spread:
-                spread.update(self.add(n, g) for g in grown)
-        self.principal, self.nonprincipal = grown, spread
-
-    def classes(self, elements: list) -> list:
-        """Decide every element of G, listed in order; return the first
-        element of each coset of P."""
-        for v in elements:
-            self.is_principal(v)
-        reps, seen = [], set()
-        for v in elements:
-            if v not in seen:
-                seen.update(self.add(v, p) for p in self.principal)
-                reps.append(v)
-        return reps
+def _reversed(x: int, s: int) -> int:
+    """The s low bits of x in reverse order."""
+    r = 0
+    for _ in range(s):
+        r, x = r << 1 | x & 1, x >> 1
+    return r
 
 
 class AmbiguousClassesQuad:
     """Enumeration of the classes of products of ramified primes.
 
     Squares of ramified primes are rational, so the 2**s products with
-    exponents 0/1 generate every strongly ambiguous class.  Their masks form
-    G = (Z/2)**s under XOR, and a PrincipalCosets book decides which masks,
-    i.e. which symmetric differences of two products, are principal.  The
-    product over a mask is written down in closed form by ramified_product,
-    [m, b + omega] with m the product of the primes and b = -r_p mod each p,
-    and certified by _ideal_form: it is an ideal of squarefree norm m, so it
-    is the product.  Before any descent the book holds the mask of
-    (sqrt(d)), the product of the primes dividing d.
+    exponents 0/1 generate every strongly ambiguous class.  A product is
+    named by its mask, bit i for the i-th prime; the masks form
+    G = (Z/2)**s under XOR, and a CosetBook decides which masks, i.e. which
+    symmetric differences of two products, are principal.  The book packs
+    a mask with its bits reversed, the first prime most significant, so its
+    reduced vectors are the first masks of their cosets in the order of
+    itertools.product.  The product over a mask is written down in closed
+    form by ramified_product, [m, b + omega] with m the product of the
+    primes and b = -r_p mod each p, and certified by _ideal_form: it is an
+    ideal of squarefree norm m, so it is the product.  The book starts with
+    the mask of (sqrt(d)), the product of the primes dividing d.
 
-    The book's test sieves a mask by its genus characters (see the module
-    docstring) before it builds the ideal: the mask's character vector is
-    the XOR of the vectors of its primes, and unless it is that of +1, or
-    of -1 in a real field, the mask is nonprincipal.  The rejection builds
-    no ideal, runs no search and charges no budget unit; every other mask
-    is decided by principal_generator_quad.
+    When that leaves masks undecided, the book decides only the kernel H
+    of the genus map (see the module docstring), the masks whose character
+    vector is that of +1, or of -1 in a real field: a subgroup, found by
+    elimination over F_2 on the vectors of the primes.  Every mask outside
+    H is nonprincipal by Gauss's genus characters, with no ideal, no search
+    and no budget unit; every coset of P in H is decided by
+    principal_generator_quad.  So each verdict is a finite computation
+    completed for its coset: a few Legendre symbols, or a complete search.
     """
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
         self.k = k
         self.budget = budget
         self.primes = k.ramified_primes
-        self._genus: tuple[list[int], set[int]] | None = None
-        self._book = PrincipalCosets(0, int.__xor__, self._descend)
+        self._book = CosetBook(k.s - 1, 2, lambda x: self._descend(_reversed(x, k.s)))
         mask = sum(1 << i for i, p in enumerate(self.primes) if k.d % p == 0)
         ideal = self.subset_ideal(mask)
         root = (-1, 2) if k.d % 4 == 1 else (0, 1)  # sqrt(d) = 2*omega - 1 or omega
         # an element of the ideal whose norm is +-N(ideal) generates it
         if not ideal.contains(root) or abs(omega_norm(k.d, *root)) != ideal.norm:
             raise InconsistencyError(f"sqrt({k.d}) does not generate {ideal}")
-        self._book.add_principal(mask)
+        self._book.add_principal(_reversed(mask, k.s))
 
     def subset_ideal(self, mask: int) -> QuadIdeal:
         return ramified_product(
@@ -460,29 +421,32 @@ class AmbiguousClassesQuad:
         minus_one = sum(1 << j for j, q in enumerate(odd) if q % 4 == 3)
         return vectors, {0, minus_one} if k.is_real else {0}
 
+    def _genus_kernel(self) -> list[int]:
+        """A basis of the masks of H: the kernel of the genus map onto the
+        character vectors modulo those a principal ideal can have."""
+        vectors, allowed = self._genus_table()
+        return f2_kernel([(0, a) for a in allowed] + [(1 << i, v) for i, v in enumerate(vectors)])
+
     def _descend(self, mask: int) -> bool:
-        if self._genus is None:  # built on the first descent; many books make none
-            self._genus = self._genus_table()
-        vectors, allowed = self._genus
-        chars = 0
-        for i, v in enumerate(vectors):
-            if mask >> i & 1:
-                chars ^= v
-        if chars not in allowed:
-            return False
         return principal_generator_quad(self.subset_ideal(mask), self.budget) is not None
 
+    @cached_property
+    def principal(self) -> CosetBook:
+        """The book with every mask decided: the genus table is built only
+        when the (sqrt(d)) seed leaves masks undecided, and the masks of H
+        are decided in increasing order of mask."""
+        s = self.k.s
+        if self._book.order < 1 << s:
+            self._book.decide([_reversed(m, s) for m in sorted(f2_span(self._genus_kernel()))])
+        return self._book
+
     def is_principal_subset(self, mask: int) -> bool:
-        return self._book.is_principal(mask)
+        return self._book.is_principal(_reversed(mask, self.k.s))
 
     def class_representatives(self) -> list[int]:
-        """First-seen representatives in lexicographic exponent order."""
-        # the first prime is the most significant digit, as in
-        # itertools.product((0, 1), repeat=s) with bit i from digit i
-        masks = [0]
-        for i in reversed(range(len(self.primes))):
-            masks += [m | 1 << i for m in masks]
-        return self._book.classes(masks)
+        """The first mask of each class in the order of
+        itertools.product((0, 1), repeat=s), bit i from digit i."""
+        return [_reversed(x, self.k.s) for x in self.principal.representatives()]
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:

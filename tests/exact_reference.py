@@ -32,8 +32,17 @@
 - The earlier kernel count kernel_order_by_triples, which walks every
   triple of subfield class representatives of an ambiguous-ideal oracle,
   the earlier cokernel count cokernel_by_hermite_form, the pivots of one
-  stacked Hermite form, and reduce_vector, an oracle's exponent vector
-  reduced mod e_p.
+  stacked Hermite form, reduce_vector, an oracle's exponent vector
+  reduced mod e_p, packed_add, the group law on an oracle's packed
+  vectors, and subfield_image, the packed extension of a product of
+  subfield primes.
+- The earlier set-based coset book PrincipalCosets, which holds P and the
+  known-nonprincipal cosets as explicit sets and visits every element of
+  its group, and reference_classes, the ambiguous classes of a field by
+  that book: every subfield mask in the order of itertools.product, each
+  decided by its genus characters and then a search, and every exponent
+  vector of K in increasing order, each decided by the oracle's character
+  table and then a descent.
 - The earlier lattice route of a descent: vector_lattice, the product
   lattice of the prime_radical lattices for an oracle's exponent vector, and
   lattice_generator, a descent on any ideal lattice through its lattice
@@ -64,7 +73,8 @@ from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputErro
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import QuadIdeal, omega_norm, principal_generator_quad
+from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
+                                   principal_generator_quad)
 from polyabiquad.report import OutputRecord
 from polyabiquad.units import integral_square_root
 
@@ -682,22 +692,42 @@ def reduce_vector(orc, vec) -> tuple[int, ...]:
     return tuple(v % e for v, e in zip(vec, orc.exponents))
 
 
+def packed_add(orc, a, b) -> int:
+    """The group law of G on an oracle's packed vectors: the low s_K - 1
+    bits add by XOR, and the top digit mod e_2."""
+    n = len(orc.primes)
+    high, low = (orc.exponents[0] - 1) << (n - 1), (1 << (n - 1)) - 1
+    return ((a ^ b) & low) | (((a & high) + (b & high)) & high)
+
+
+def subfield_image(orc, i, mask) -> int:
+    """The packed exponent vector of the extension to K of the product of
+    the primes of the subfield k_i selected by mask, bit j for its j-th
+    ramified prime: the sum of their images (e_p/2)*u_p."""
+    x = 0
+    for j, p in enumerate(orc.K.subfields[i].ramified_primes):
+        if mask >> j & 1:
+            x = packed_add(orc, x, orc._prime_image(p))
+    return x
+
+
 def kernel_order_by_triples(orc) -> int:
     """Order of the kernel of the extension map, counted on every triple of
     subfield class representatives whose extended product is principal; the
     kernel size times the number of classes hit must be the triple count."""
-    index = {orc.add(orc.pack(r), p): i for i, r in enumerate(orc.class_representatives())
-             for p in orc._book.principal}
+    reps = {orc.pack(r) for r in orc.class_representatives()}
     rep_masks = [sub.class_representatives() for sub in orc._subfield_books]
     kernel = 0
     images = set()
     for masks in itertools.product(*rep_masks):
         x = 0
-        for table, m in zip(orc._subfield_images, masks):
-            x = orc.add(x, table[m])
-        if orc._book.is_principal(x):
-            kernel += 1
-        images.add(index[x])
+        for i, m in enumerate(masks):
+            x = packed_add(orc, x, subfield_image(orc, i, m))
+        rep = orc._book.reduce(x)
+        if rep not in reps:
+            raise InconsistencyError(f"{x} reduces to {rep}, which represents no class")
+        kernel += rep == 0
+        images.add(rep)
     if kernel * len(images) != prod(len(masks) for masks in rep_masks):
         raise InconsistencyError("kernel size times image size must equal the triple count")
     return kernel
@@ -706,14 +736,126 @@ def kernel_order_by_triples(orc) -> int:
 def cokernel_by_hermite_form(orc) -> int:
     """|G / <im phi, P>| for an ambiguous-ideal oracle whose classes are
     decided: the product of the pivots of the Hermite form of diag(e_p),
-    every vector of P and the extended ramified primes of the subfields
+    a basis of P and the extended ramified primes of the subfields
     stacked (H. Cohen, GTM 138, 2.4)."""
     n = len(orc.primes)
     rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(orc.exponents)]
-    rows += [orc.unpack(v) for v in orc._book.principal]
+    rows += [orc.unpack(v) for v in orc._book.basis()]
     rows += [orc.unpack(orc._prime_image(p)) for k in orc.K.subfields
              for p in k.ramified_primes]
     return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
+
+
+class PrincipalCosets:
+    """Principality verdicts on a finite abelian group G mapping onto ideal
+    classes: the principal subgroup P found so far and the known-nonprincipal
+    set N, a union of cosets of P.  Only an element in neither is tested: a
+    principal v grows P to <P, v> and N to N + <P, v>, or raises
+    InconsistencyError if <P, v> meets N; a nonprincipal v adds v + P to N."""
+
+    def __init__(self, zero, add, test):
+        self.add = add
+        self.test = test
+        self.principal = {zero}
+        self.nonprincipal: set = set()
+
+    def is_principal(self, v) -> bool:
+        if v in self.principal:
+            return True
+        if v in self.nonprincipal:
+            return False
+        if not self.test(v):
+            self.nonprincipal.update(self.add(v, p) for p in self.principal)
+            return False
+        self.add_principal(v)
+        return True
+
+    def add_principal(self, v) -> None:
+        """Grow P to <P, v> for a v known to be principal, tested or not."""
+        if v in self.principal:
+            return
+        grown = set(self.principal)
+        coset = {self.add(v, p) for p in grown}
+        while coset.isdisjoint(grown):  # <P, v> is the union of the cosets k*v + P
+            grown |= coset
+            coset = {self.add(v, x) for x in coset}
+        if not grown.isdisjoint(self.nonprincipal):
+            raise InconsistencyError(f"{v} is principal, yet <P, v> meets N")
+        spread: set = set()
+        for n in self.nonprincipal:
+            if n not in spread:
+                spread.update(self.add(n, g) for g in grown)
+        self.principal, self.nonprincipal = grown, spread
+
+    def classes(self, elements: list) -> list:
+        """Decide every element of G, listed in order; return the first
+        element of each coset of P."""
+        for v in elements:
+            self.is_principal(v)
+        reps, seen = [], set()
+        for v in elements:
+            if v not in seen:
+                seen.update(self.add(v, p) for p in self.principal)
+                reps.append(v)
+        return reps
+
+
+def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
+    """The class representatives and the principal masks of Q(sqrt(d)) by
+    PrincipalCosets: the book starts with the mask of (sqrt(d)) and decides
+    every mask in the order of itertools.product, each by its genus
+    characters and then a search."""
+    sub = AmbiguousClassesQuad(k)
+    vectors, allowed = sub._genus_table()
+
+    def test(mask):
+        chars = 0
+        for i, v in enumerate(vectors):
+            if mask >> i & 1:
+                chars ^= v
+        return chars in allowed and principal_generator_quad(sub.subset_ideal(mask)) is not None
+
+    book = PrincipalCosets(0, int.__xor__, test)
+    book.add_principal(sum(1 << i for i, p in enumerate(sub.primes) if k.d % p == 0))
+    masks = [0]
+    for i in reversed(range(k.s)):
+        masks += [m | 1 << i for m in masks]
+    return book.classes(masks), book.principal
+
+
+def reference_classes(orc) -> dict:
+    """The ambiguous classes of the field of the oracle orc by
+    PrincipalCosets, for an oracle that has made no verdict: its class
+    representatives, principal set, kernel and cokernel, and the class
+    representatives and principal masks of each subfield.  P starts with the
+    extension of every principal subfield product; a vector with even v_2
+    whose character bits match no twist mask is nonprincipal, and every
+    other vector is decided by the oracle's descent."""
+    K = orc.K
+    subs = [reference_subfield_classes(k) for k in K.subfields]
+
+    def test(x):
+        vec = orc.unpack(x)
+        if not any(2 * v % e for e, v in zip(orc.exponents, vec)):
+            bits = 0
+            for c, e, v in zip(orc._characters, orc.exponents, vec):
+                if 2 * v // e:
+                    bits ^= c
+            if bits not in K.twist_masks:
+                return False
+        return orc._descend(vec)
+
+    book = PrincipalCosets(0, lambda a, b: packed_add(orc, a, b), test)
+    for i, (_, principal) in enumerate(subs):
+        for mask in principal:
+            book.add_principal(subfield_image(orc, i, mask))
+    reps = book.classes(range(prod(orc.exponents)))
+    odd = 1 << (len(orc.primes) - 1)
+    coker = 2 if orc.exponents[0] == 4 and not any(x & odd for x in book.principal) else 1
+    domain = prod((1 << k.s) // len(principal) for k, (_, principal) in zip(K.subfields, subs))
+    return {"reps": [orc.unpack(x) for x in reps], "principal": book.principal,
+            "kernel": domain * len(book.principal) * coker // prod(orc.exponents),
+            "cokernel": coker, "subfields": subs}
 
 
 def vector_lattice(orc, vec) -> IdealLattice:

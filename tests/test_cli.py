@@ -255,7 +255,7 @@ def test_scan_mismatch_exit_2(capsys, monkeypatch):
 
 
 def test_scan_budget_exceeded_rows_exit_3(capsys):
-    # the largest spend on a field of bound 3 is between 12 and 15 units
+    # the largest spend on a field of bound 3 is 11 units, on Q(sqrt(2), sqrt(3))
     code, out, err = run(capsys, "scan", "--bound", "3", "--verify",
                          "--budget", "10")
     assert code == 3

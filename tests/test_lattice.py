@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
                              embed_quad, ideal_from_elements, integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             kernel_order_by_triples, lattice_generator,
+                             kernel_order_by_triples, lattice_generator, packed_add,
                              quad_ideal_from_elements, quad_ideal_multiply,
-                             reduce_vector, relative_norm_fraction, twisted_products,
-                             unsieved_generator, vector_lattice)
+                             reduce_vector, reference_classes, relative_norm_fraction,
+                             subfield_image, twisted_products, unsieved_generator,
+                             vector_lattice)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
+from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import (Budget, BudgetExceededError, DomainError,
                                 InconsistencyError, InvalidInputError)
 from polyabiquad.intmath import kronecker
@@ -29,7 +31,7 @@ from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radic
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
 from polyabiquad.linalg import hnf_rows
-from polyabiquad.quadratic import omega_norm, prime_above, principal_generator_quad
+from polyabiquad.quadratic import _reversed, omega_norm, prime_above, principal_generator_quad
 
 
 def radical_index(K, d):
@@ -196,8 +198,7 @@ def test_oracle_kernel_counts():
     assert orc.kernel_order_oracle() == 2
     i5 = K.d.index(-5)
     mask = 1 << K.subfields[i5].ramified_primes.index(2)
-    vec = orc.unpack(orc._subfield_images[i5][mask])
-    assert orc._book.is_principal(orc.pack(vec))  # the capitulation witness
+    assert orc._book.is_principal(subfield_image(orc, i5, mask))  # the capitulation witness
 
 
 def test_coset_verdicts_agree_with_a_descent_on_every_vector():
@@ -224,7 +225,8 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
 def test_packed_vectors_follow_the_group_law():
     # the coset book holds exponent vectors packed into one integer: pack and
     # unpack are inverse on G, range(|G|) lists G in the order of
-    # itertools.product, and the packed add is addition mod e_p, with 2
+    # itertools.product, the packed add is addition mod e_p, and a book of
+    # the oracle's shape with P = <w> reduces x and x + w alike, with 2
     # unramified, ramified and totally ramified
     e2s = set()
     for a, b in _scan_tasks(12, False, False):
@@ -234,8 +236,13 @@ def test_packed_vectors_follow_the_group_law():
         assert [orc.unpack(x) for x in range(len(vectors))] == vectors, orc.K.d
         assert [orc.pack(v) for v in vectors] == list(range(len(vectors))), orc.K.d
         for v, w in itertools.product(vectors, repeat=2):
-            assert orc.unpack(orc.add(orc.pack(v), orc.pack(w))) \
+            assert orc.unpack(packed_add(orc, orc.pack(v), orc.pack(w))) \
                 == reduce_vector(orc, [x + y for x, y in zip(v, w)]), (orc.K.d, v, w)
+        for w in range(len(vectors)):
+            book = CosetBook(len(orc.primes) - 1, orc.exponents[0], None)
+            book.add_principal(w)
+            assert all(book.reduce(packed_add(orc, x, w)) == book.reduce(x)
+                       for x in range(len(vectors))), (orc.K.d, w)
     assert e2s == {1, 2, 4}
 
 
@@ -258,7 +265,7 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
                 rows = [[p * x for x in u] for u in eye] + [K.mul_basis_coords(gen, u)
                                                            for u in eye]
                 extended = IdealLattice(K, hnf_rows(rows, 4))
-                image = orc.unpack(orc._subfield_images[i][1 << bit])
+                image = orc.unpack(orc._prime_image(p))
                 assert extended == vector_lattice(orc, image), (K.d, i, p)
                 cases += 1
     assert cases == 3477
@@ -329,18 +336,26 @@ def basis_images(K, l, omegas) -> list[int]:
 
 def test_residue_maps_are_ring_homomorphisms():
     # K.residue_maps holds one map above each of the first eight odd primes
-    # l < 300 at which d1 and d2 are nonzero squares (fewer only when fewer
-    # split: 2 of these 544 fields); each map, read on the basis, sends 1 to
-    # 1 and e_i*e_j to the product of the images and agrees with its images
-    # of the omega_i; each twist mask holds the quadratic characters of the
-    # twist's image under every map
-    sizes = Counter()
-    for pair in TWIST_PAIRS:
+    # l < 300 at which d1 and d2 are nonzero squares, and when fewer split,
+    # above the next primes l = 3 mod 4 below 2000 that split (2 of these
+    # 544 fields, and the s_K = 17 field); each map, read on the basis,
+    # sends 1 to 1 and e_i*e_j to the product of the images and agrees with
+    # its images of the omega_i; each twist mask holds the quadratic
+    # characters of the twist's image under every map
+    sizes, past_300 = Counter(), set()
+    for pair in TWIST_PAIRS + [(-6469693230, 297194980009)]:
         K = biquadratic_field(*pair)
         maps = K.residue_maps
-        split = [l for l in range(3, 300, 2) if all(l % q for q in range(3, l, 2))
-                 and kronecker(K.d[0], l) == kronecker(K.d[1], l) == 1]
-        assert [l for l, _ in maps] == split[:8], K.d
+
+        def split(ls):
+            return [l for l in ls if all(l % q for q in range(3, l, 2))
+                    and kronecker(K.d[0], l) == kronecker(K.d[1], l) == 1]
+
+        primes = split(range(3, 300, 2))
+        if len(primes) < 8:
+            primes += split(range(303, 2000, 4))
+            past_300.add(pair)
+        assert [l for l, _ in maps] == primes[:8], K.d
         sizes[len(maps)] += 1
         images = []
         for l, omegas in maps:
@@ -357,24 +372,38 @@ def test_residue_maps_are_ring_homomorphisms():
             chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, img in images]
             assert all(c in (1, l - 1) for c, (l, _) in zip(chars, images)), (K.d, u)
             assert mask == sum(1 << k for k, c in enumerate(chars) if c != 1), (K.d, u)
-    assert sizes[8] == len(TWIST_PAIRS) - 2
+    assert sizes[8] == len(TWIST_PAIRS) + 1
+    assert past_300 == {(-23, 26), (-11, 23), (-6469693230, 297194980009)}
 
 
 SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
 
 
+def table_bits(orc, vec) -> int:
+    """The character bits of an even vector by the oracle's table: the XOR
+    of the bits of the primes of r = prod_p p^(2*v_p/e_p)."""
+    bits = 0
+    for c, e, v in zip(orc._characters, orc.exponents, vec):
+        if 2 * v // e:
+            bits ^= c
+    return bits
+
+
 def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
     """Count the ambiguous classes and the kernel of each field, repeating
-    every K-level descent, and every vector the oracle's character table
-    refutes, with the unsieved reference on the same relative-norm
-    generators: the (field, n) of each verdict whose root or budget spent
-    differs, with the numbers of square roots the sieved descents took and
-    of candidates the reference formed.  prepare(orc) runs on each oracle
-    before its first verdict."""
-    from polyabiquad import lattice
+    every K-level descent with the unsieved reference on the same
+    relative-norm generators, and repeating with it one vector of every
+    coset that the oracle's character table settles: the (field, n) of
+    each descent whose root or budget spent differs, and of each settled
+    coset the reference finds a generator for; the field, when the table
+    charged other than the reference spends on those cosets, or when the
+    oracle raises InconsistencyError; with the numbers of square roots the
+    sieved descents took and of candidates the reference formed.
+    prepare(orc) runs on each oracle before its first verdict."""
+    from polyabiquad import lattice, quadratic
     descend, square_root = lattice.principal_ideal_generator, lattice.integral_square_root
-    refute = AmbiguousIdealOracle._refute
     differ, counts = [], {"roots": 0, "candidates": 0}
+    searched = [0]  # the budget units of the descents and the subfield searches
 
     def counting(K, eta):
         counts["roots"] += 1
@@ -391,37 +420,55 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
         norms = list(norms)
         before = budget.spent
         xi = descend(K, n, norms, contains, budget)
+        searched[0] += budget.spent - before
         compare(K, n, norms, contains, xi, budget.spent - before)
         return xi
 
-    def refuting(orc, vec):
-        before = orc.budget.spent
-        if not refute(orc, vec):
-            return False
-        n = prod(p ** (4 // e * v) for p, e, v in zip(orc.primes, orc.exponents, vec))
-        compare(orc.K, n, list(orc._relative_norm_generators(vec)), orc._membership(vec),
-                None, orc.budget.spent - before)
-        return True
+    def searching(ideal, budget, search=quadratic.principal_generator_quad):
+        before = budget.spent
+        gen = search(ideal, budget)
+        searched[0] += budget.spent - before
+        return gen
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "integral_square_root", counting)
         patch.setattr(lattice, "principal_ideal_generator", comparing)
-        patch.setattr(AmbiguousIdealOracle, "_refute", refuting)
+        patch.setattr(lattice, "principal_generator_quad", searching)
+        patch.setattr(quadratic, "principal_generator_quad", searching)
         for K in fields:
             orc = AmbiguousIdealOracle(K)
             prepare(orc)
-            orc.polya_order_oracle()
-            orc.kernel_order_oracle()
+            searched[0] = 0
+            try:
+                orc.polya_order_oracle()
+                orc.kernel_order_oracle()
+            except InconsistencyError:
+                differ.append(K.d)
+                continue
+            # each class holds one coset of the even vectors of P with even
+            # v_2, and its representative is even when the class has one
+            reference = Budget()
+            for vec in orc.class_representatives():
+                if any(2 * v % e for e, v in zip(orc.exponents, vec)) \
+                        or table_bits(orc, vec) in K.twist_masks:
+                    continue
+                n = prod(p ** (4 // e * v) for p, e, v in zip(orc.primes, orc.exponents, vec))
+                if unsieved_generator(K, n, list(orc._relative_norm_generators(vec)),
+                                      orc._membership(vec), reference) is not None:
+                    differ.append((K.d, n))
+            if reference.spent != orc.budget.spent - searched[0]:
+                differ.append(K.d)
+            counts["candidates"] += reference.spent
     return differ, counts
 
 
 def test_sieved_descents_match_the_unsieved_reference():
     # the sieve only drops candidates a ring map proves nonsquare: on every
     # field with |d_i| <= 30 and the many-prime fields, each descent, and
-    # each vector the oracle's character table refutes before any descent,
-    # gets the unsieved reference's root or None and spends the same
-    # budget, while the descents take 16 square roots for the 1,277
-    # candidates of both kinds
+    # one vector of each coset the oracle's character table settles before
+    # any descent, gets the unsieved reference's root or None and spends
+    # the same budget, while the descents take 16 square roots for the
+    # 1,277 candidates of both kinds
     differ, counts = descents_against_the_unsieved_reference(
         [biquadratic_field(*pair) for pair in SIEVE_PAIRS])
     assert not differ
@@ -430,20 +477,24 @@ def test_sieved_descents_match_the_unsieved_reference():
 
 def test_the_character_table_refutes_by_legendre_symbols_of_r():
     # for every vector with even v_2 of every field with |d_i| <= 30 and the
-    # many-prime fields, the oracle refutes it from its table exactly when
-    # the Legendre symbols of r = prod_p p^(2*v_p/e_p) at the primes of
-    # K.residue_maps match the mask of no formed twist
+    # many-prime fields, the vector lies outside the span of the oracle's
+    # eliminated table kernel T exactly when the Legendre symbols of
+    # r = prod_p p^(2*v_p/e_p) at the primes of K.residue_maps match the
+    # mask of no formed twist
     verdicts = Counter()
     for pair in SIEVE_PAIRS:
         orc = AmbiguousIdealOracle(biquadratic_field(*pair))
         K = orc.K
         masks = {mask for _, mask in K.unit_twists}
+        span = {0}
+        for x in orc._table_kernel:
+            span |= {y ^ x for y in span}
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
             if any(2 * v % e for e, v in zip(orc.exponents, vec)):
                 continue
             r = prod(p ** (2 * v // e) for p, e, v in zip(orc.primes, orc.exponents, vec))
             bits = sum(1 << k for k, (l, _) in enumerate(K.residue_maps) if kronecker(r, l) == -1)
-            refuted = orc._refute(vec)
+            refuted = orc.pack(vec) not in span
             assert refuted == (bits not in masks), (K.d, vec)
             verdicts[refuted] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000
@@ -467,18 +518,25 @@ def test_a_flipped_twist_mask_fails_the_comparison():
 def test_a_flipped_prime_character_fails_the_comparison():
     # and it catches a character table that refutes a principal vector: in
     # Q(sqrt(10), sqrt(17)) rad(5) is principal, found by a descent past the
-    # table, and flipping any one bit of the characters of 5 refutes it
-    def flip(bit):
+    # table.  Flipping any one bit of the characters of 5 also moves the
+    # seeded rad(2)*rad(5) out of the table kernel, and the oracle raises;
+    # flipping it for 2 as well keeps the seed inside, and the table
+    # settles the class of rad(5), which the reference finds principal
+    def flip(bit, flipped):
         def prepare(orc):
             assert orc.primes == [2, 5, 17]
-            orc.__dict__["_characters"] = [c ^ (p == 5) << bit
+            orc.__dict__["_characters"] = [c ^ (p in flipped) << bit
                                            for c, p in zip(orc._characters, orc.primes)]
         return prepare
 
+    K = (10, 17, 170)
     for bit in range(8):
         differ, _ = descents_against_the_unsieved_reference([biquadratic_field(10, 17)],
-                                                             flip(bit))
-        assert differ, bit
+                                                             flip(bit, {5}))
+        assert differ == [K], bit
+        differ, _ = descents_against_the_unsieved_reference([biquadratic_field(10, 17)],
+                                                             flip(bit, {2, 5}))
+        assert (K, 25) in differ, bit
 
 
 def test_generators_of_another_ideal_raise():
@@ -712,6 +770,52 @@ def test_cokernel_matches_the_hermite_form():
     assert len(pairs) == 543 and twos > 0
 
 
+def test_the_echelon_book_matches_the_set_based_reference():
+    # on every field with |d_i| <= 30, the many-prime fields and the s_K = 13
+    # field: the oracle's book gives the class representatives, principal
+    # set, kernel and cokernel of PrincipalCosets, which visits every vector,
+    # and each subfield book its class representatives and principal masks
+    for pair in SIEVE_PAIRS + [(-9699690, 31367009)]:
+        K = biquadratic_field(*pair)
+        orc = AmbiguousIdealOracle(K)
+        ref = reference_classes(AmbiguousIdealOracle(K))
+        assert orc.class_representatives() == ref["reps"], K.d
+        assert {x for x in range(prod(orc.exponents)) if not orc._book.reduce(x)} \
+            == ref["principal"], K.d
+        assert orc._book.order == len(ref["principal"]), K.d
+        assert (orc.kernel_order_oracle(), orc.cokernel_order_oracle()) \
+            == (ref["kernel"], ref["cokernel"]), K.d
+        for sub, (reps, principal) in zip(orc._subfield_books, ref["subfields"]):
+            s = sub.k.s
+            assert sub.class_representatives() == reps, (K.d, sub.k.d)
+            assert {m for m in range(1 << s) if not sub.principal.reduce(_reversed(m, s))} \
+                == principal, (K.d, sub.k.d)
+
+
+def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):
+    # Q(sqrt(-9699690), sqrt(31367009)) has |G| = 8,192; its book decides
+    # the 128 vectors of the table kernel and reduces a vector 133 times in
+    # all, where the set-based book visited every vector of G, and the
+    # verified row keeps its digest
+    import hashlib
+    from polyabiquad.cli import main
+    reduced = Counter()
+    reduce = CosetBook.reduce
+
+    def counting(book, x):
+        reduced[id(book)] += 1
+        return reduce(book, x)
+
+    monkeypatch.setattr(CosetBook, "reduce", counting)
+    orc = AmbiguousIdealOracle(biquadratic_field(-9699690, 31367009))
+    assert prod(orc.exponents) == 8192
+    assert orc.polya_order_oracle() == 1024
+    assert len(orc._table_kernel) == 7 and reduced[id(orc._book)] < 8192 // 32
+    assert main(["biquad", "-9699690", "31367009", "--verify", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "ce8c6ef961962c2e31428b38749f39917bbda2c33acbbec6c508acf990ec5c32"
+
+
 def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):
     # the kernel and cokernel are group orders, and the class count builds
     # no radical: the whole count calls hnf_rows zero times
@@ -777,7 +881,7 @@ def test_extended_subfield_products_are_galois_stable():
             trip = [rng.choice(list(m)) for m in masks]
             vec = [0] * len(orc.primes)
             for i, m in enumerate(trip):
-                for j, v in enumerate(orc.unpack(orc._subfield_images[i][m])):
+                for j, v in enumerate(orc.unpack(subfield_image(orc, i, m))):
                     vec[j] += v
             lat = vector_lattice(orc, reduce_vector(orc, vec))
             assert is_galois_stable(lat)

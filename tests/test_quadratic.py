@@ -2,6 +2,7 @@ import functools
 import itertools
 from math import isqrt
 from operator import xor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from exact_reference import (QuadElement, minpoly_double_root_scan,
                              quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
                              quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
-                             subset_ideal_chain)
+                             reference_subfield_classes, subset_ideal_chain)
 from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
-from polyabiquad.quadratic import (AmbiguousClassesQuad, PrincipalCosets, QuadIdeal,
+from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal,
                                    _form_characters, _ideal_form, _minpoly_double_root,
-                                   ambiguous_oracle_quad, omega_norm, polya_order_quad,
+                                   _reversed, ambiguous_oracle_quad, omega_norm, polya_order_quad,
                                    prime_above, principal_generator_quad, quadratic_field,
                                    radical_coords)
 
@@ -196,14 +198,11 @@ def test_oracle_representatives_deterministic():
 
 def test_class_representatives_list_masks_in_product_order():
     # with every mask its own class, the representatives are the masks in the
-    # order they are offered: that of itertools.product, bit i from digit i
-    class EveryMaskItsOwnClass:
-        def classes(self, masks):
-            return masks
-
-    for s in range(13):
+    # order of itertools.product, bit i from digit i
+    for s in range(1, 13):
         orc = AmbiguousClassesQuad.__new__(AmbiguousClassesQuad)
-        orc.primes, orc._book = list(range(s)), EveryMaskItsOwnClass()
+        orc.k = SimpleNamespace(s=s)
+        orc.__dict__["principal"] = CosetBook(s - 1, 2, None)
         assert orc.class_representatives() == [
             sum(bit << i for i, bit in enumerate(exps))
             for exps in itertools.product((0, 1), repeat=s)], s
@@ -283,15 +282,36 @@ def test_a_sqrt_d_that_does_not_generate_the_seeded_ideal_raises(monkeypatch):
         AmbiguousClassesQuad(k)
 
 
+def unseeded(book: AmbiguousClassesQuad) -> AmbiguousClassesQuad:
+    """book with its coset book emptied of the (sqrt(d)) seed."""
+    s = book.k.s
+    book._book = CosetBook(s - 1, 2, lambda x: book._descend(_reversed(x, s)))
+    return book
+
+
 def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
-    # s = 13 and |P| = 2: with (sqrt(d)) in P from the start, every
-    # nonprincipal verdict settles a coset of two masks, so 4,095 descents
-    # decide the 8,191 nontrivial masks
+    # s = 13 and |P| = 2.  Without the genus kernel, every mask is left to
+    # decide: with (sqrt(d)) in P from the start, every nonprincipal verdict
+    # settles a coset of two masks, so 4,095 descents decide the 8,191
+    # nontrivial masks; without it, the seed's mask, the last in product
+    # order, is the last descent of 8,191.  The genus kernel has order 4
+    # and holds one nonprincipal coset of P: the seeded book descends once,
+    # on it, and a book without the seed three times
     calls = _count_descents(monkeypatch)
     k = quadratic_field(-304250263527210)
     assert k.s == 13
-    assert ambiguous_oracle_quad(k) == polya_order_quad(k) == 4096
-    assert len(calls) == 4095
+    counts = []
+    for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
+        book._genus_kernel = lambda s=k.s: [1 << i for i in range(s)]
+        assert len(book.class_representatives()) == polya_order_quad(k) == 4096
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [4095, 8191]
+    for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
+        assert len(book.class_representatives()) == 4096
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[2:] == [1, 3]
 
 
 def test_the_genus_sieve_leaves_one_search_in_a_large_subfield(monkeypatch):
@@ -310,30 +330,53 @@ def test_the_genus_sieve_leaves_one_search_in_a_large_subfield(monkeypatch):
 
 
 def test_genus_sieve_agrees_with_the_search_on_every_mask():
-    # on every mask of every squarefree |d| <= 1000: the book's test (the
-    # sieve, then the search) answers as the search alone does, the XOR of
-    # the prime vectors is the character vector read off the mask's own
-    # form, and the book's verdicts are those of a book with no sieve
+    # on every mask of every squarefree |d| <= 1000: the XOR of the prime
+    # vectors is the character vector read off the mask's own form, a
+    # principal mask has the characters of +1 or -1, the span of the
+    # eliminated kernel holds exactly the masks with those characters, and
+    # the book's verdicts are those of a book with no sieve
     masks = 0
     for d in range(-1000, 1001):
         if d in (0, 1) or squarefree_part(d) != d:
             continue
         k = quadratic_field(d)
         book, plain = AmbiguousClassesQuad(k), AmbiguousClassesQuad(k)
-        plain._genus = ([0] * k.s, {0})  # every mask passes to the search
+        plain._genus_kernel = lambda s=k.s: [1 << i for i in range(s)]  # every mask
         vectors, allowed = book._genus_table()
         odd = [q for q in k.ramified_primes if q != 2]
+        span = {0}
+        for x in book._genus_kernel():
+            span |= {y ^ x for y in span}
         for mask in range(2 ** k.s):
             ideal = book.subset_ideal(mask)
             chars = functools.reduce(xor, (v for i, v in enumerate(vectors) if mask >> i & 1), 0)
             assert chars == _form_characters(_ideal_form(k, ideal.a, ideal.b), odd), (d, mask)
             principal = principal_generator_quad(ideal) is not None
-            assert book._descend(mask) == principal, (d, mask)
             assert chars in allowed or not principal, (d, mask)
+            assert (mask in span) == (chars in allowed), (d, mask)
             masks += 1
         assert book.class_representatives() == plain.class_representatives(), d
-        assert book._book.principal == plain._book.principal, d
+        assert [book.principal.reduce(x) for x in range(2 ** k.s)] \
+            == [plain.principal.reduce(x) for x in range(2 ** k.s)], d
     assert masks == 7096
+
+
+def test_subfield_books_match_the_set_based_reference():
+    # every squarefree |d| <= 1000: the echelon book gives the class
+    # representatives and the principal masks of PrincipalCosets
+    fields = 0
+    for d in range(-1000, 1001):
+        if d in (0, 1) or squarefree_part(d) != d:
+            continue
+        k = quadratic_field(d)
+        book = AmbiguousClassesQuad(k)
+        reps, principal = reference_subfield_classes(k)
+        assert book.class_representatives() == reps, d
+        assert {m for m in range(2 ** k.s)
+                if not book.principal.reduce(_reversed(m, k.s))} == principal, d
+        assert book.principal.order == len(principal), d
+        fields += 1
+    assert fields == 1215
 
 
 def test_coset_book_rejects_verdicts_that_break_the_group_law():
@@ -344,7 +387,7 @@ def test_coset_book_rejects_verdicts_that_break_the_group_law():
         tested.append(v)
         return {1: True, 2: False}[v]
 
-    book = PrincipalCosets(0, lambda a, b: (a + b) % 4, test)
+    book = CosetBook(0, 4, test)
     assert not book.is_principal(2) and not book.is_principal(2)
     assert tested == [2]  # the second verdict is a lookup
     with pytest.raises(InconsistencyError):
@@ -352,20 +395,58 @@ def test_coset_book_rejects_verdicts_that_break_the_group_law():
 
 
 def test_coset_book_grows_by_a_known_principal_element_without_a_test():
-    # in Z/6: 3 known principal gives P = {0, 3}; 1 tested nonprincipal then
-    # puts its coset {1, 4} in N, and seeding 4 must raise
+    # in Z/4 + Z/2, packed 2t + w: (1, 1) known principal gives
+    # P = <(1, 1)> = {0, 3, 4, 7}, of order 4; (0, 1) tested nonprincipal
+    # then puts its coset {1, 2, 5, 6} in N, (1, 0) = 2 is a lookup, and
+    # seeding (3, 0) = 6 must raise
     tested = []
 
     def test(v):
         tested.append(v)
         return False
 
-    book = PrincipalCosets(0, lambda a, b: (a + b) % 6, test)
+    book = CosetBook(1, 4, test)
     book.add_principal(3)
-    assert book.is_principal(3) and not book.is_principal(1) and not book.is_principal(4)
+    assert book.order == 4 and [x for x in range(8) if not book.reduce(x)] == [0, 3, 4, 7]
+    assert book.is_principal(7) and not book.is_principal(1) and not book.is_principal(2)
     assert tested == [1]
     with pytest.raises(InconsistencyError):
-        book.add_principal(4)
+        book.add_principal(6)
+
+
+def test_coset_book_reduces_to_the_least_element_of_each_coset():
+    # on Z/e + (Z/2)^m for e in (2, 4) and m <= 3, every subgroup generated
+    # by one to three drawn elements: the reduced vector is the least
+    # element of x + P against the subgroup closed under the group law, the
+    # order is |P| and the representatives are the least element of each
+    # coset in increasing order
+    import random
+    rng = random.Random(29)
+    cases = 0
+    for e, m in itertools.product((2, 4), range(4)):
+        size, low = e << m, (1 << m) - 1
+
+        def add(a, b):
+            return (a ^ b) & low | ((a >> m) + (b >> m)) % e << m
+
+        for _ in range(40):
+            gens = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+            group = {0}
+            while True:
+                grown = group | {add(x, g) for x in group for g in gens}
+                if grown == group:
+                    break
+                group = grown
+            book = CosetBook(m, e, None)
+            for g in gens:
+                book.add_principal(g)
+            assert book.order == len(group), (e, m, gens)
+            for x in range(size):
+                assert book.reduce(x) == min(add(x, p) for p in group), (e, m, gens, x)
+            assert list(book.representatives()) == sorted(
+                {min(add(x, p) for p in group) for x in range(size)}), (e, m, gens)
+            cases += 1
+    assert cases == 320
 
 
 def test_oracle_runs_on_a_large_discriminant():
