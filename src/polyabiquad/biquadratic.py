@@ -50,7 +50,7 @@ from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError
 from .intmath import kronecker
-from .quadratic import QuadraticField
+from .quadratic import quadratic_field
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 # the odd primes below 300, in order: residue_maps takes its split primes
@@ -92,12 +92,12 @@ class BiquadField:
     def __init__(self, d1_raw: int, d2_raw: int):
         if d1_raw == 0 or d2_raw == 0:
             raise InvalidInputError("field generators must be nonzero")
-        k1, k2 = QuadraticField(d1_raw), QuadraticField(d2_raw)
+        k1, k2 = quadratic_field(d1_raw), quadratic_field(d2_raw)
         if k1.d == k2.d:
             raise InvalidInputError("generators span the same quadratic field")
         g = gcd(k1.d, k2.d)
         # the primes of d3 = d1*d2/g^2 are those dividing exactly one of d1, d2
-        k3 = QuadraticField(k1.d * k2.d // (g * g), _primes=sorted(
+        k3 = quadratic_field(k1.d * k2.d // (g * g), _primes=sorted(
             {p for k in (k1, k2) for p in k.ramified_primes if k.d % p == 0 and g % p}))
         self.subfields = tuple(sorted((k1, k2, k3), key=lambda k: k.d))
         self.d: tuple[int, int, int] = tuple(k.d for k in self.subfields)

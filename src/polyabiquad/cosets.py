@@ -58,7 +58,10 @@ class CosetBook:
     a vector in neither P nor one of them is tested, so each coset at most
     once: a principal verdict grows P, and re-reduces the nonprincipal
     cosets, raising InconsistencyError if one of them falls into P; a
-    nonprincipal verdict records the coset."""
+    nonprincipal verdict records the coset.  Once its owner has decided
+    every coset it sets complete, and the book answers from P alone: x is
+    principal iff it reduces to 0, with no test, so a completed book,
+    shared or not, never descends or charges a budget again."""
 
     def __init__(self, m: int, e: int, test):
         self.m, self.e, self.test = m, e, test
@@ -66,6 +69,7 @@ class CosetBook:
         self.top = 0
         self.rows: list[tuple[int, int]] = []  # (highest bit, vector), highest first
         self.nonprincipal: set[int] = set()
+        self.complete = False
 
     @property
     def order(self) -> int:
@@ -111,7 +115,7 @@ class CosetBook:
         r = self.reduce(x)
         if not r:
             return True
-        if r in self.nonprincipal:
+        if self.complete or r in self.nonprincipal:
             return False
         if self.test(x):
             self.add_principal(x)

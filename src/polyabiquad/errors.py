@@ -57,3 +57,20 @@ class Budget:
             raise BudgetExceededError(
                 f"work budget exhausted ({self.spent} > {self.limit} units)"
             )
+
+    def cached(self, cache: dict, key, build):
+        """cache[key], charged to this budget at the units its build spent.
+        On a miss build(sub) runs under a Budget capped at what is left
+        here, and the value is stored with sub.spent only when build
+        returns, so a build cut short caches nothing.  A hit searches
+        nothing, and every budget is charged the same, hit or miss."""
+        if key not in cache:
+            sub = Budget(self.limit - self.spent)
+            try:
+                cache[key] = build(sub), sub.spent
+            except BudgetExceededError:
+                self.charge(sub.spent)  # past the cap is past this limit
+                raise
+        value, units = cache[key]
+        self.charge(units)
+        return value

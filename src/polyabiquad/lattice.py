@@ -83,7 +83,10 @@ fact puts (e_p/2)*u_p in the image of every p, so the kernel and cokernel of
 the extension map are group orders read off the pivots of the books, with
 no Hermite form.  The books hold exponent vectors packed into integers, and
 P as a basis in echelon form (see AmbiguousIdealOracle and
-cosets.CosetBook).
+cosets.CosetBook).  A subfield's book and gamma_i (below) depend on its d
+alone, so each is computed once per process, and every field that reads
+one is charged the units its computation recorded (errors.Budget.cached):
+a field's budget spent does not depend on what ran before it.
 
 A descent reads everything off the exponent vector of
 a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As efg = 4,
@@ -99,7 +102,7 @@ Since (r*L) cap O_{k_i} = r*(L cap O_{k_i}), and rad(2)^2 = P_2*O_K for the
 prime P_2 of k_i above a totally ramified 2, b_i is r*O_{k_i} or r*P_2.  So
 the descent is handed the generators of the b_i in closed form too: (r, 0),
 or r*gamma_i for a generator gamma_i of P_2, which one search per subfield
-decides once per oracle (None when P_2 is nonprincipal).  So when some
+decides (None when P_2 is nonprincipal).  So when some
 gamma_i is None no vector with odd v_2 is principal, and the oracle records
 that once instead of descending on each.  The closed form
 is not trusted alone: every generator must still have norm +-N(a), and a
@@ -121,9 +124,13 @@ from .biquadratic import BiquadField
 from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm, prime_above,
-                        principal_generator_quad)
+from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, omega_norm,
+                        prime_above, principal_generator_quad)
 from .units import integral_square_root
+
+# d -> (gamma, units): the generator of the prime above a totally ramified 2
+# of Q(sqrt(d)), or None, with the units its search spent
+_GENERATORS_ABOVE_2: dict[int, tuple[tuple[int, int] | None, int]] = {}
 
 
 class IdealLattice:
@@ -359,7 +366,8 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _subfield_books(self) -> list[AmbiguousClassesQuad]:
-        return [AmbiguousClassesQuad(k, self.budget) for k in self.K.subfields]
+        """The completed book of each subfield, from quadratic.ambiguous_classes."""
+        return [ambiguous_classes(k, self.budget) for k in self.K.subfields]
 
     def _prime_image(self, p: int) -> int:
         """Packed exponent vector of P*O_K for the prime P above p of a
@@ -389,17 +397,17 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _book(self) -> CosetBook:
-        """The book with every vector decided.  P is seeded with the
-        extension of a basis of each subfield's principal subgroup.  An
-        even vector whose character bits lie outside K.twist_masks is
-        nonprincipal by the table; the book decides only T, the even
-        vectors whose bits lie inside, and only when the seed leaves even
-        vectors undecided.  The cosets the table settles are charged
-        K.twist_count units each, as their descents would be.  Then the odd
-        vectors, when e_2 = 4: none is principal when some gamma_i is None,
-        as its relative norms are r*P_2; otherwise the book descends on
-        odd cosets until P holds an odd vector, and from then on every odd
-        coset reduces to an even one."""
+        """The book with every vector decided, and so complete.  P is
+        seeded with the extension of a basis of each subfield's principal
+        subgroup.  An even vector whose character bits lie outside
+        K.twist_masks is nonprincipal by the table; the book decides only
+        T, the even vectors whose bits lie inside, and only when the seed
+        leaves even vectors undecided.  The cosets the table settles are
+        charged K.twist_count units each, as their descents would be.  Then
+        the odd vectors, when e_2 = 4: none is principal when some gamma_i
+        is None, as its relative norms are r*P_2; otherwise the book
+        descends on odd cosets until P holds an odd vector, and from then
+        on every odd coset reduces to an even one."""
         primes = self._subfield_primes  # certify every extended prime first
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
@@ -422,15 +430,18 @@ class AmbiguousIdealOracle:
             for x in book.representatives():
                 if x >> n - 1 & 1 and book.is_principal(x):
                     break
+        book.complete = True
         return book
 
     def _generator_above_2(self, i: int) -> tuple[int, int] | None:
         """A generator of the certified prime P_2 of the subfield k_i above a
-        totally ramified 2, or None when P_2 is nonprincipal; searched for
-        once per oracle, when the oracle first needs it."""
+        totally ramified 2, or None when P_2 is nonprincipal; taken once per
+        oracle, when the oracle first needs it, from a search made once per
+        process and charged at its units (errors.Budget.cached)."""
         if i not in self._generators_above_2:
-            self._generators_above_2[i] = principal_generator_quad(
-                self._subfield_primes[i][2], self.budget)
+            P = self._subfield_primes[i][2]
+            self._generators_above_2[i] = self.budget.cached(
+                _GENERATORS_ABOVE_2, P.field.d, lambda sub: principal_generator_quad(P, sub))
         return self._generators_above_2[i]
 
     def _relative_norm_generators(self, vec: tuple[int, ...]):

@@ -32,10 +32,17 @@ exact Legendre symbols.  The characters of a product are the XOR of those
 of its primes, so the products that pass form a subgroup, found by one
 elimination over F_2 (cosets.f2_kernel), and only its cosets are decided
 by the complete search above.
+
+Subfield data is computed once per process.  quadratic_field interns each
+field by its squarefree d, so its fundamental unit is found once on both
+routes, and ambiguous_classes keeps each field's completed book: built once,
+and charged to every budget that asks for it at the units that build spent
+(errors.Budget.cached).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
@@ -46,7 +53,8 @@ from .intmath import factorize
 
 
 class QuadraticField:
-    """Q(sqrt(d)) for squarefree d not in {0, 1}."""
+    """Q(sqrt(d)) for squarefree d not in {0, 1}; quadratic_field keeps one
+    per field and process."""
 
     def __init__(self, d: int, _primes: list[int] | None = None):
         # the squarefree part of d is the product of its primes of odd
@@ -95,10 +103,20 @@ class QuadraticField:
         return hash(("quad", self.d))
 
 
-def quadratic_field(d_raw: int) -> QuadraticField:
+_FIELDS: dict[int, QuadraticField] = {}  # squarefree d -> its one field
+
+
+def quadratic_field(d_raw: int, _primes: list[int] | None = None) -> QuadraticField:
+    """Q(sqrt(d_raw)), one object per field and process; _primes as for
+    QuadraticField.  A key of the table is squarefree, so a d_raw found
+    there is the field's own d and is not factored."""
     if d_raw == 0:
         raise InvalidInputError("d must be nonzero")
-    return QuadraticField(d_raw)
+    k = _FIELDS.get(d_raw)
+    if k is None:
+        k = QuadraticField(d_raw, _primes)
+        k = _FIELDS.setdefault(k.d, k)
+    return k
 
 
 def omega_norm(d: int, u: int, v: int) -> int:
@@ -432,12 +450,13 @@ class AmbiguousClassesQuad:
 
     @cached_property
     def principal(self) -> CosetBook:
-        """The book with every mask decided: the genus table is built only
-        when the (sqrt(d)) seed leaves masks undecided, and the masks of H
-        are decided in increasing order of mask."""
+        """The book with every mask decided, and so complete: the genus
+        table is built only when the (sqrt(d)) seed leaves masks undecided,
+        and the masks of H are decided in increasing order of mask."""
         s = self.k.s
         if self._book.order < 1 << s:
             self._book.decide([_reversed(m, s) for m in sorted(f2_span(self._genus_kernel()))])
+        self._book.complete = True
         return self._book
 
     def is_principal_subset(self, mask: int) -> bool:
@@ -449,7 +468,22 @@ class AmbiguousClassesQuad:
         return [_reversed(x, self.k.s) for x in self.principal.representatives()]
 
 
+_BOOKS: dict[int, tuple[AmbiguousClassesQuad, int]] = {}  # d -> (book, units)
+
+
+def ambiguous_classes(k: QuadraticField, budget: Budget | None = None) -> AmbiguousClassesQuad:
+    """The completed book of k, built once per process and charged to
+    budget at the units its build spent (errors.Budget.cached); no budget
+    means no limit."""
+    def build(sub: Budget) -> AmbiguousClassesQuad:
+        book = AmbiguousClassesQuad(k, sub)
+        book.principal  # decides every mask
+        return book
+
+    return (Budget(sys.maxsize) if budget is None else budget).cached(_BOOKS, k.d, build)
+
+
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:
     """Number of strongly ambiguous classes by direct enumeration; uses no
     closed formula, so it independently checks polya_order_quad."""
-    return len(AmbiguousClassesQuad(k, budget).class_representatives())
+    return len(ambiguous_classes(k, budget).class_representatives())

@@ -1,0 +1,14 @@
+"""Every test starts with the per-process subfield caches empty and leaves
+them empty: a monkeypatched build cannot leak into a later test, and a test
+that counts searches counts them from a cold start."""
+
+import pytest
+
+from exact_reference import clear_subfield_caches
+
+
+@pytest.fixture(autouse=True)
+def cold_subfield_caches():
+    clear_subfield_caches()
+    yield
+    clear_subfield_caches()

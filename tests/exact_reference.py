@@ -56,6 +56,9 @@
   it forms g*u / n for every twist of BiquadField.unit_twists and settles
   each by the exact square root, with the same budget and the same order.
 - parse_records, the inverse of report.render_records.
+- clear_subfield_caches, which empties the per-process tables of quadratic
+  fields, completed subfield books and generators above 2, so that a test
+  starts cold and leaks no monkeypatched result into another.
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
   polynomial of omega at a ramified prime, minpoly_double_root_scan.
@@ -921,6 +924,13 @@ def unsieved_generator(K, n, norms, contains, budget=None) -> tuple[int, ...] | 
         if xi is not None and abs(K.norm(xi)) == n and contains(xi):
             return xi
     return None
+
+
+def clear_subfield_caches() -> None:
+    from polyabiquad import lattice, quadratic
+    quadratic._FIELDS.clear()
+    quadratic._BOOKS.clear()
+    lattice._GENERATORS_ABOVE_2.clear()
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

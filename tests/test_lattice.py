@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
-                             embed_quad, ideal_from_elements, integral_coords,
+from exact_reference import (BiquadElement, clear_subfield_caches, cokernel_by_hermite_form,
+                             element_from_coords, embed_quad, ideal_from_elements,
+                             integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, lattice_generator, packed_add,
                              quad_ideal_from_elements, quad_ideal_multiply,
@@ -222,6 +223,31 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
                        for r in reps) == 1, (K.d, v)
 
 
+def test_a_completed_book_answers_from_its_principal_subgroup_alone():
+    # once the classes are counted, the K book and every subfield book, the
+    # latter shared by every field that reads it, answer each query from P:
+    # a test that raises is never called, no budget is charged, and every
+    # verdict matches a descent of its own, lattice_generator in K and the
+    # form search in a subfield
+    def refuse(x):
+        raise AssertionError(f"a completed book tested {x}")
+
+    for a, b in _scan_tasks(12, False, False) + [(30, 77)]:
+        orc = AmbiguousIdealOracle(biquadratic_field(a, b))
+        orc.class_representatives()
+        spent = orc.budget.spent
+        for book in [orc._book] + [sub.principal for sub in orc._subfield_books]:
+            book.test = refuse
+        for v in itertools.product(*[range(e) for e in orc.exponents]):
+            assert orc._book.is_principal(orc.pack(v)) \
+                == (lattice_generator(vector_lattice(orc, v)) is not None), (orc.K.d, v)
+        for sub in orc._subfield_books:
+            for m in range(2 ** sub.k.s):
+                assert sub.is_principal_subset(m) \
+                    == (principal_generator_quad(sub.subset_ideal(m)) is not None), (sub.k, m)
+        assert orc.budget.spent == spent, orc.K.d
+
+
 def test_packed_vectors_follow_the_group_law():
     # the coset book holds exponent vectors packed into one integer: pack and
     # unpack are inverse on G, range(|G|) lists G in the order of
@@ -399,7 +425,9 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
     charged other than the reference spends on those cosets, or when the
     oracle raises InconsistencyError; with the numbers of square roots the
     sieved descents took and of candidates the reference formed.
-    prepare(orc) runs on each oracle before its first verdict."""
+    prepare(orc) runs on each oracle before its first verdict.  The
+    subfield caches are cleared for each field, so that every unit the
+    subfield searches charge is a search call counted here."""
     from polyabiquad import lattice, quadratic
     descend, square_root = lattice.principal_ideal_generator, lattice.integral_square_root
     differ, counts = [], {"roots": 0, "candidates": 0}
@@ -436,6 +464,7 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
         patch.setattr(lattice, "principal_generator_quad", searching)
         patch.setattr(quadratic, "principal_generator_quad", searching)
         for K in fields:
+            clear_subfield_caches()
             orc = AmbiguousIdealOracle(K)
             prepare(orc)
             searched[0] = 0

@@ -193,10 +193,12 @@ def test_the_field_does_not_depend_on_the_generating_pair(d1, d2):
 
 def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
     # Zantema: 0 -> H^1(G, O_K^x) -> sum_p Z/e_p -> Po(K) -> 0, checked against
-    # the direct class count on fields with and without a totally ramified 2
-    fields = [*small_corpus(30),
+    # the direct class count on every field with |d_i| <= 60, with and
+    # without a totally ramified 2, and on fields past it; Q(sqrt2, sqrt51)
+    # lies in both
+    fields = [*small_corpus(60),
               *(biquadratic_field(*p) for p in Q_SQRT2_FAMILY + MANY_PRIME_PAIRS)]
-    assert len({K.d for K in fields}) == 534 + 4 + 5
+    assert len({K.d for K in fields}) == 2284 + 3 + 5
     for K in fields:
         h1 = unit_cohomology_order(K)
         po = AmbiguousIdealOracle(K).polya_order_oracle()
