@@ -16,9 +16,8 @@ above 2 lies outside the image of the subfield ambiguous classes) from
 from .biquadratic import BiquadField, RamificationProfile, biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
-from .intmath import SquarefreeDecomposition, kronecker, squarefree_decompose
-from .lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
-                      principal_ideal_generator, rational_ideal, relative_norm_ideal)
+from .intmath import kronecker
+from .lattice import AmbiguousIdealOracle, principal_ideal_generator
 from .polya import j2_value, kernel_order, polya_report, verify_biquad, verify_quad
 from .quadratic import (QuadIdeal, QuadraticField, ambiguous_oracle_quad,
                         polya_order_quad, prime_above, principal_generator_quad,
@@ -29,15 +28,12 @@ from .units import UnitStructure, integral_square_root, unit_structure
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousIdealOracle", "BiquadField", "Budget",
-    "BudgetExceededError", "DomainError", "IdealLattice", "InconsistencyError",
-    "InvalidInputError", "OutputRecord", "QuadIdeal",
-    "QuadRecord", "QuadraticField", "RamificationProfile",
-    "SquarefreeDecomposition", "UnitStructure", "ambiguous_oracle_quad",
-    "biquadratic_field", "integral_square_root", "j2_value",
-    "kernel_order", "kronecker", "polya_order_quad",
-    "polya_report", "prime_above", "prime_radical", "principal_generator_quad",
-    "principal_ideal_generator", "quad_record",
-    "quadratic_field", "rational_ideal", "relative_norm_ideal", "render_records",
-    "squarefree_decompose", "unit_structure", "verify_biquad", "verify_quad",
+    "AmbiguousIdealOracle", "BiquadField", "Budget", "BudgetExceededError",
+    "DomainError", "InconsistencyError", "InvalidInputError", "OutputRecord",
+    "QuadIdeal", "QuadRecord", "QuadraticField", "RamificationProfile",
+    "UnitStructure", "ambiguous_oracle_quad", "biquadratic_field",
+    "integral_square_root", "j2_value", "kernel_order", "kronecker",
+    "polya_order_quad", "polya_report", "prime_above", "principal_generator_quad",
+    "principal_ideal_generator", "quad_record", "quadratic_field", "render_records",
+    "unit_structure", "verify_biquad", "verify_quad",
 ]

@@ -5,7 +5,7 @@ Subcommands:
   biquad D1 D2            one biquadratic field: the full report
   scan --bound N          every biquadratic field generated by |d1|,|d2| <= N
 
-Exit codes: 0 success, 1 invalid input / IO error, 2 formula-vs-oracle
+Exit codes: 0 success, 1 invalid input, usage or IO error, 2 formula-vs-oracle
 mismatch, 3 search budget exhausted, 4 internal inconsistency (a check
 inside the program raised InconsistencyError: a bug, not a verdict).
 Under --verify the enumeration budget comes from --budget, else the
@@ -163,12 +163,20 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 through main: exit 2 means a mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls, and building the tree costs more than a formula
     request."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyabiquad",
         description="Orders of Polya groups (strongly ambiguous ideal classes) "
                     "of quadratic and bicyclic biquadratic number fields, with "
@@ -208,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidInputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

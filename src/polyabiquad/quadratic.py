@@ -135,38 +135,33 @@ def radical_coords(d: int, u: int, v: int) -> tuple[int, int, int]:
     return u + v // 2, v // 2, 1
 
 
-def _floor_surd(P: int, Q: int, s: int) -> int:
-    """floor((P + sqrt(D)) / Q) for nonsquare D with s = isqrt(D)."""
-    if Q > 0:
-        return (P + s) // Q
-    return -((P + s) // (-Q)) - 1
-
-
 def _cf_fundamental_unit(k: QuadraticField) -> tuple[int, int]:
-    """Fundamental unit (u, v), u + v*omega, via the continued fraction of
-    (D mod 2 + sqrt(D))/2, D = Delta.  When the surd state (P, Q) first
-    repeats, the product M of the digit matrices over the periodic block
-    fixes the surd x, and M10*x + M11 is the smallest unit > 1 of the order
-    of discriminant D.
+    """Fundamental unit (u, v), u + v*omega, in one pass over one period of
+    the continued fraction of omega = (D mod 2 + sqrt(D))/2, D = Delta.  The
+    state x1 = (P + sqrt(D))/Q after the first digit is reduced, so its
+    expansion is purely periodic, with every Q > 0 and finitely many states.
+    The product M of the digit matrices, multiplied up until the state
+    returns to x1, fixes x1, and M10*x1 + M11 is the smallest unit > 1 of
+    the order of discriminant D; its bottom row is all the walk keeps.
     """
     D = k.delta
     s = isqrt(D)
     if s * s == D:
         raise InconsistencyError(f"the discriminant {D} of Q(sqrt({k.d})) is a square")
-    P, Q = D & 1, 2
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(digits)
-        a = _floor_surd(P, Q, s)
-        digits.append(a)
+    a = ((D & 1) + s) // 2  # the first digit of omega, not part of the period
+    P = 2 * a - (D & 1)
+    Q = (D - P * P) // 2  # exact, as P = D mod 2, and positive, as P <= s
+    x1 = P, Q
+    m10, m11 = 0, 1
+    while True:
+        a = (P + s) // Q
+        m10, m11 = m10 * a + m11, m10
         P = a * Q - P
         Q, r = divmod(D - P * P, Q)
-        if r or not Q or len(digits) >= 100_000:
+        if r or Q <= 0:
             raise InconsistencyError(f"the continued fraction of Q(sqrt({k.d})) broke down")
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in digits[seen[(P, Q)]:]:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+        if (P, Q) == x1:
+            break
     # unit = m10 * (P + sqrt(D))/Q + m11, with sqrt(D) = 2*omega - D mod 2
     u, ru = divmod(m10 * (P - (D & 1)) + m11 * Q, Q)
     v, rv = divmod(2 * m10, Q)

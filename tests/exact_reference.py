@@ -62,6 +62,9 @@
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
   polynomial of omega at a ramified prime, minpoly_double_root_scan.
+- The earlier two-pass continued-fraction unit two_pass_fundamental_unit:
+  it records every surd state and every digit from omega on, with a cap
+  of 100,000 digits, and multiplies up the periodic block afterwards.
 """
 
 import dataclasses
@@ -77,7 +80,7 @@ from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_ge
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
-                                   principal_generator_quad)
+                                   principal_generator_quad, radical_coords)
 from polyabiquad.report import OutputRecord
 from polyabiquad.units import integral_square_root
 
@@ -979,3 +982,45 @@ def minpoly_double_root_scan(d: int, p: int) -> int:
         if val % p == 0:
             return r
     raise InconsistencyError(f"x^2 - d has no root mod {p} in Q(sqrt({d}))")
+
+
+def floor_surd(P: int, Q: int, s: int) -> int:
+    """floor((P + sqrt(D)) / Q) for nonsquare D with s = isqrt(D)."""
+    if Q > 0:
+        return (P + s) // Q
+    return -((P + s) // (-Q)) - 1
+
+
+def two_pass_fundamental_unit(k) -> tuple[int, int]:
+    """Fundamental unit (u, v), u + v*omega, via the continued fraction of
+    (D mod 2 + sqrt(D))/2, D = Delta.  When the surd state (P, Q) first
+    repeats, the product M of the digit matrices over the periodic block
+    fixes the surd x, and M10*x + M11 is the smallest unit > 1 of the order
+    of discriminant D.
+    """
+    D = k.delta
+    s = isqrt(D)
+    if s * s == D:
+        raise InconsistencyError(f"the discriminant {D} of Q(sqrt({k.d})) is a square")
+    P, Q = D & 1, 2
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(digits)
+        a = floor_surd(P, Q, s)
+        digits.append(a)
+        P = a * Q - P
+        Q, r = divmod(D - P * P, Q)
+        if r or not Q or len(digits) >= 100_000:
+            raise InconsistencyError(f"the continued fraction of Q(sqrt({k.d})) broke down")
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in digits[seen[(P, Q)]:]:
+        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    # unit = m10 * (P + sqrt(D))/Q + m11, with sqrt(D) = 2*omega - D mod 2
+    u, ru = divmod(m10 * (P - (D & 1)) + m11 * Q, Q)
+    v, rv = divmod(2 * m10, Q)
+    x, y, _ = radical_coords(k.d, u, v)
+    if ru or rv or abs(omega_norm(k.d, u, v)) != 1 or x <= 0 or y <= 0:
+        raise InconsistencyError(
+            f"{u} + {v}*omega is not a unit > 1 of Q(sqrt({k.d}))")
+    return u, v

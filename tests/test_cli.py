@@ -52,6 +52,29 @@ def test_quad_prints_units_past_the_int_string_limit(capsys):
         assert (rec.eps_x, rec.eps_y, rec.eps_den) == unit, fmt
 
 
+def test_units_past_the_former_period_cap(capsys):
+    # the continued fraction of 4 * 10000000019 has a period of 124,134
+    # digits, past the 100,000 the expansion once stopped at with exit 4;
+    # the unit has about 64,000 digits and is found once for both rows
+    import sys
+    code, out, _ = run(capsys, "quad", "10000000019", "--json")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        row = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    x, y, den = row["eps_x"], row["eps_y"], row["eps_den"]
+    norm = x * x - row["d"] * y * y
+    assert abs(norm) == den * den and row["lam"] == norm // (den * den)
+    code, out, _ = run(capsys, "biquad", "-10000000019", "-1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    lams = {data[f"d{i}"]: data[f"lambda{i}"] for i in (1, 2, 3)}
+    assert lams[10000000019] == row["lam"]
+
+
 def test_quad_square_input_is_exit_1(capsys):
     code, _, err = run(capsys, "quad", "4")
     assert code == 1 and "error" in err
@@ -490,6 +513,18 @@ def test_scan_output_survives_python_O():
     assert plain.stdout and plain.stdout == optimized.stdout
 
 
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # exit 2 is a formula-vs-oracle mismatch, so argparse's own code 2 for
+    # a usage error would read as a verdict
+    for argv, text in ((["biquad", "x", "2"], "invalid int value"),
+                       (["biquad", "2"], "required"), ([], "required")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "usage:" in err and text in err, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["quad", "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 def test_main_runs_repeatedly_in_one_process(capsys):
     # the parser is built once per process; no call may leave an option or
     # an argparse error behind for the next one
@@ -497,10 +532,8 @@ def test_main_runs_repeatedly_in_one_process(capsys):
     assert code == 0 and json.loads(out)["verify_status"] == "ok"
     code, out, _ = run(capsys, "biquad", "2", "3", "--json")
     assert code == 0 and json.loads(out)["verify_status"] == "unchecked"
-    with pytest.raises(SystemExit) as exc:
-        main(["biquad", "2", "--bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, _, err = run(capsys, "biquad", "2", "--bogus")
+    assert code == 1 and "error:" in err
     code, out, _ = run(capsys, "biquad", "-1", "2", "--json")
     data = json.loads(out)
     assert code == 0 and (data["po_k"], data["verify_status"]) == (1, "unchecked")

@@ -1068,7 +1068,8 @@ def test_non_hnf_rows_raise_under_python_O():
     # shared by both routes and the norm form guards every subfield ideal
     # the descent takes a generator of, so -O must strip none of the three checks
     import polyabiquad
-    code = ("from polyabiquad import biquadratic_field, IdealLattice, InconsistencyError\n"
+    code = ("from polyabiquad import biquadratic_field, InconsistencyError\n"
+            "from polyabiquad.lattice import IdealLattice\n"
             "from polyabiquad.quadratic import (QuadIdeal, QuadraticField,\n"
             "                                   _cf_fundamental_unit,\n"
             "                                   principal_generator_quad)\n"

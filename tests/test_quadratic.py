@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from exact_reference import (QuadElement, minpoly_double_root_scan,
                              quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
                              quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
-                             reference_subfield_classes, subset_ideal_chain)
+                             reference_subfield_classes, subset_ideal_chain,
+                             two_pass_fundamental_unit)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
-from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal,
+from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, QuadraticField,
                                    _form_characters, _ideal_form, _minpoly_double_root,
                                    _reversed, ambiguous_oracle_quad, omega_norm, polya_order_quad,
                                    prime_above, principal_generator_quad, quadratic_field,
@@ -80,6 +81,15 @@ def test_fundamental_unit_large_case():
     # big continued-fraction period; value cross-checked by the Pell oracle
     assert unit_element(94) == QuadElement(94, 2143295, 221064, 1)
     assert unit_element(94).norm() == 1
+
+
+def test_one_pass_unit_matches_the_two_pass_reference():
+    # the walk from the state after the first digit ends on the same unit
+    # as the earlier expansion that records every state and digit from omega
+    for d in range(2, 10_001):
+        if squarefree_part(d) == d:
+            k = QuadraticField(d)
+            assert k.fundamental_unit == two_pass_fundamental_unit(k), d
 
 
 def test_fundamental_unit_imaginary_rejected():
