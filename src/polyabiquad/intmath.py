@@ -1,5 +1,5 @@
-"""Exact integer primitives: trial-division factoring at desk scale,
-squarefree decomposition, powers of two and the Kronecker symbol.
+"""Exact integer primitives: trial-division factoring at desk scale, the
+squarefree part, powers of two and the Kronecker symbol.
 
 Inputs throughout the package are small: `QuadraticField` factors the
 generator it is given (the two generators of a biquadratic field; the third
@@ -10,9 +10,9 @@ by 2 and the odd numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import prod
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InvalidInputError
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -32,34 +32,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    """n = squarefree_part * square_part**2 with sign carried by the
-    squarefree part."""
-
-    input: int
-    squarefree_part: int
-    square_part: int
-
-    def __post_init__(self):
-        if self.input != self.squarefree_part * self.square_part**2:
-            raise InconsistencyError(f"{self} does not multiply back to its input")
-
-
-def squarefree_decompose(n: int) -> SquarefreeDecomposition:
-    """Split nonzero n as d*f**2 with d squarefree, sign(d) = sign(n)."""
-    if n == 0:
-        raise InvalidInputError("0 has no squarefree decomposition")
-    d, f = 1 if n > 0 else -1, 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            d *= p
-        f *= p ** (e // 2)
-    return SquarefreeDecomposition(n, d, f)
-
-
 def squarefree_part(n: int) -> int:
-    return squarefree_decompose(n).squarefree_part
+    """The squarefree d with n = d*f**2 and sign(d) = sign(n): the signed
+    product of the primes of odd exponent in n.  0 raises InvalidInputError."""
+    return prod((p for p, e in factorize(n).items() if e % 2), start=1 if n > 0 else -1)
 
 
 def is_power_of_two(n: int) -> bool:

@@ -117,6 +117,7 @@ for the prime P above 2 of the first subfield when e_2 = 4.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from math import prod
 
@@ -239,12 +240,12 @@ def relative_norm_ideal(K: BiquadField, lat: IdealLattice, i: int) -> QuadIdeal:
     return QuadIdeal(K.subfields[i], H[5][5], H[4][5], H[4][4])
 
 
-def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
+def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
                               budget: Budget | None = None) -> tuple[int, ...] | None:
-    """Basis coordinates of a generator of an ideal a of norm n, or None when
-    provably nonprincipal.  norms yields, for each subfield k_i in order, a
-    generator (u, v) of N_{K/k_i}(a), or None when that relative norm is
-    nonprincipal; contains(xi) decides xi in a for an xi with |N(xi)| = n.
+    """Basis coordinates of a generator of an ideal a of norm n > 1, or None
+    when provably nonprincipal.  gens holds, for each subfield k_i in order,
+    a generator (u, v) of N_{K/k_i}(a); contains(xi) decides xi in a for an
+    xi with |N(xi)| = n.  No budget means no limit.
 
     Every generator must have |N_{k_i}(gen_i)| = n.  The candidates are
     g*u / n for g the product of the generators and u in K.unit_twists,
@@ -263,27 +264,20 @@ def principal_ideal_generator(K: BiquadField, n: int, norms, contains,
     must be integral, as b_1 b_2 b_3 = N(a) * a^2; otherwise the generators
     are inconsistent and InconsistencyError is raised (see the module
     docstring)."""
-    if n == 1:
-        return (1, 0, 0, 0)
-    gens = []
-    for i, gi in enumerate(norms):
-        if gi is None:
-            return None  # a principal ideal has principal relative norms
-        d = K.subfields[i].d
-        norm = omega_norm(d, *gi)
+    if budget is None:
+        budget = Budget(sys.maxsize)
+    for k, gi in zip(K.subfields, gens):
+        norm = omega_norm(k.d, *gi)
         if abs(norm) != n:
             raise InconsistencyError(
-                f"relative norm generator {gi} of Q(sqrt({d})) has norm {norm}, expected +-{n}")
-        gens.append(gi)
+                f"relative norm generator {gi} of Q(sqrt({k.d})) has norm {norm}, expected +-{n}")
     nonresidue, zero = K.character_mask(list(enumerate(gens)), n)
     if all((m ^ nonresidue) & ~zero for m in K.twist_masks):
-        if budget is not None:
-            budget.charge(K.twist_count)
+        budget.charge(K.twist_count)
         return None  # every g*u / n is a non-residue under some ring map
     h = None  # g / n
     for u, mask in K.unit_twists:
-        if budget is not None:
-            budget.charge()
+        budget.charge()
         if (mask ^ nonresidue) & ~zero:
             continue  # g*u / n is a non-residue under some ring map
         if h is None:
@@ -348,14 +342,6 @@ class AmbiguousIdealOracle:
             raise InconsistencyError(
                 f"ramification indices {self.exponents} of {self.primes} are not "
                 f"e_2 in (2, 4) followed by 2s")
-        self._generators_above_2: dict[int, tuple[int, int] | None] = {}
-
-    def pack(self, vec) -> int:
-        """The exponent vector vec, reduced mod e_p, as one integer."""
-        x = 0
-        for v, e in zip(vec, self.exponents):
-            x = x * e + v % e
-        return x
 
     def unpack(self, x: int) -> tuple[int, ...]:
         vec = []
@@ -412,18 +398,17 @@ class AmbiguousIdealOracle:
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
         for sub, sub_primes in zip(self._subfield_books, primes):
-            s = sub.k.s
             for x in sub.principal.basis():
                 image = 0  # prime images have order 2, so they add by XOR
                 for i, p in enumerate(sub_primes):
-                    if x >> s - 1 - i & 1:
+                    if x >> i & 1:
                         image ^= self._prime_image(p)
                 book.add_principal(image)
         if book.order < 1 << n:  # the even vectors form (Z/2)^n
             kernel = self._table_kernel
             book.decide(sorted(f2_span(kernel)))
             self.budget.charge(self.K.twist_count * (((1 << n) - (1 << len(kernel))) // book.order))
-        if self.exponents[0] == 4 and all(map(self._generator_above_2, range(3))):
+        if self.exponents[0] == 4 and self._gammas is not None:
             if book.reduce(2 << n - 1):
                 raise InconsistencyError(
                     f"P_2 is principal in every subfield of {self.K.d}, yet rad(2)^2 is not")
@@ -433,28 +418,31 @@ class AmbiguousIdealOracle:
         book.complete = True
         return book
 
-    def _generator_above_2(self, i: int) -> tuple[int, int] | None:
-        """A generator of the certified prime P_2 of the subfield k_i above a
-        totally ramified 2, or None when P_2 is nonprincipal; taken once per
-        oracle, when the oracle first needs it, from a search made once per
+    @cached_property
+    def _gammas(self) -> list[tuple[int, int]] | None:
+        """A generator gamma_i of the certified prime P_2 of each subfield
+        k_i above a totally ramified 2, or None at the first P_2 that is
+        nonprincipal, with no search past it.  Each search is made once per
         process and charged at its units (errors.Budget.cached)."""
-        if i not in self._generators_above_2:
-            P = self._subfield_primes[i][2]
-            self._generators_above_2[i] = self.budget.cached(
-                _GENERATORS_ABOVE_2, P.field.d, lambda sub: principal_generator_quad(P, sub))
-        return self._generators_above_2[i]
+        gammas = []
+        for primes in self._subfield_primes:
+            P = primes[2]
+            gamma = self.budget.cached(_GENERATORS_ABOVE_2, P.field.d,
+                                       lambda sub: principal_generator_quad(P, sub))
+            if gamma is None:
+                return None
+            gammas.append(gamma)
+        return gammas
 
-    def _relative_norm_generators(self, vec: tuple[int, ...]):
+    def _relative_norm_generators(self, vec: tuple[int, ...]) -> list[tuple[int, int]]:
         """Generators of N_{K/k_i} of the radical product of vec, in closed
         form (see the module docstring), in subfield order: (r, 0) for
-        r*O_{k_i}, and r*gamma_i for r*P_2 when rad(2) is left over (None
-        when P_2 is nonprincipal).  Lazy, so a descent that stops at a None
-        searches no further subfield."""
+        r*O_{k_i}, and r*gamma_i for r*P_2 when rad(2) is left over, which
+        needs every gamma_i."""
         r = prod(p ** (2 * v // e) for p, e, v in zip(self.primes, self.exponents, vec))
         if not any(2 * v % e for e, v in zip(self.exponents, vec)):
             return [(r, 0)] * 3
-        return (None if gamma is None else (r * gamma[0], r * gamma[1])
-                for gamma in map(self._generator_above_2, range(3)))
+        return [(r * u, r * v) for u, v in self._gammas]
 
     def _membership(self, vec: tuple[int, ...]):
         """The test xi in rad(p) for every p with v_p > 0, on basis

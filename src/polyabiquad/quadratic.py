@@ -313,7 +313,7 @@ def _rho_step(a: int, b: int, c: int, delta: int, s: int) -> tuple[tuple[int, in
 
 
 def _indefinite_unit_representation(
-    form: tuple[int, int, int], delta: int, budget: Budget | None
+    form: tuple[int, int, int], delta: int, budget: Budget
 ) -> tuple[int, int] | None:
     """Solve a x^2 + b x y + c y^2 = +-1 for an indefinite form, by walking
     the cycle of reduced forms with the change of basis tracked."""
@@ -325,8 +325,7 @@ def _indefinite_unit_representation(
         (a, b, c), m = _rho_step(a, b, c, delta, s)
         u00, u01, u10, u11 = u01, -u00 + m * u01, u11, -u10 + m * u11
         steps += 1
-        if budget is not None:
-            budget.charge()
+        budget.charge()
         if steps >= 10_000:
             raise InconsistencyError(f"reduction of the form {form} did not terminate")
 
@@ -336,16 +335,18 @@ def _indefinite_unit_representation(
             return u00, u10
         (a, b, c), m = _rho_step(a, b, c, delta, s)
         u00, u01, u10, u11 = u01, -u00 + m * u01, u11, -u10 + m * u11
-        if budget is not None:
-            budget.charge()
+        budget.charge()
         if (a, b, c) == start:
             return None
 
 
 def principal_generator_quad(ideal: QuadIdeal,
                              budget: Budget | None = None) -> tuple[int, int] | None:
-    """Exact generator (u, v) of the ideal, or None when provably nonprincipal.
-    A lattice that is not an ideal fails content_and_primitive or _ideal_form."""
+    """Exact generator (u, v) of the ideal, or None when provably nonprincipal;
+    no budget means no limit.  A lattice that is not an ideal fails
+    content_and_primitive or _ideal_form."""
+    if budget is None:
+        budget = Budget(sys.maxsize)
     k = ideal.field
     content, prim = ideal.content_and_primitive()
     form = _ideal_form(k, prim.a, prim.b)
@@ -372,14 +373,6 @@ def polya_order_quad(k: QuadraticField) -> int:
     return 2 ** (k.s - 1 - k.nu)
 
 
-def _reversed(x: int, s: int) -> int:
-    """The s low bits of x in reverse order."""
-    r = 0
-    for _ in range(s):
-        r, x = r << 1 | x & 1, x >> 1
-    return r
-
-
 class AmbiguousClassesQuad:
     """Enumeration of the classes of products of ramified primes.
 
@@ -388,9 +381,8 @@ class AmbiguousClassesQuad:
     named by its mask, bit i for the i-th prime; the masks form
     G = (Z/2)**s under XOR, and a CosetBook decides which masks, i.e. which
     symmetric differences of two products, are principal.  The book packs
-    a mask with its bits reversed, the first prime most significant, so its
-    reduced vectors are the first masks of their cosets in the order of
-    itertools.product.  The product over a mask is written down in closed
+    a mask as it is, so its reduced vectors are the least masks of their
+    cosets.  The product over a mask is written down in closed
     form by ramified_product, [m, b + omega] with m the product of the
     primes and b = -r_p mod each p, and certified by _ideal_form: it is an
     ideal of squarefree norm m, so it is the product.  The book starts with
@@ -408,16 +400,16 @@ class AmbiguousClassesQuad:
 
     def __init__(self, k: QuadraticField, budget: Budget | None = None):
         self.k = k
-        self.budget = budget
+        self.budget = Budget(sys.maxsize) if budget is None else budget  # no limit
         self.primes = k.ramified_primes
-        self._book = CosetBook(k.s - 1, 2, lambda x: self._descend(_reversed(x, k.s)))
+        self._book = CosetBook(k.s - 1, 2, self._descend)
         mask = sum(1 << i for i, p in enumerate(self.primes) if k.d % p == 0)
         ideal = self.subset_ideal(mask)
         root = (-1, 2) if k.d % 4 == 1 else (0, 1)  # sqrt(d) = 2*omega - 1 or omega
         # an element of the ideal whose norm is +-N(ideal) generates it
         if not ideal.contains(root) or abs(omega_norm(k.d, *root)) != ideal.norm:
             raise InconsistencyError(f"sqrt({k.d}) does not generate {ideal}")
-        self._book.add_principal(_reversed(mask, k.s))
+        self._book.add_principal(mask)
 
     def subset_ideal(self, mask: int) -> QuadIdeal:
         return ramified_product(
@@ -448,37 +440,33 @@ class AmbiguousClassesQuad:
         """The book with every mask decided, and so complete: the genus
         table is built only when the (sqrt(d)) seed leaves masks undecided,
         and the masks of H are decided in increasing order of mask."""
-        s = self.k.s
-        if self._book.order < 1 << s:
-            self._book.decide([_reversed(m, s) for m in sorted(f2_span(self._genus_kernel()))])
+        if self._book.order < 1 << self.k.s:
+            self._book.decide(sorted(f2_span(self._genus_kernel())))
         self._book.complete = True
         return self._book
 
-    def is_principal_subset(self, mask: int) -> bool:
-        return self._book.is_principal(_reversed(mask, self.k.s))
-
     def class_representatives(self) -> list[int]:
-        """The first mask of each class in the order of
-        itertools.product((0, 1), repeat=s), bit i from digit i."""
-        return [_reversed(x, self.k.s) for x in self.principal.representatives()]
+        """The least mask of each class, in increasing order."""
+        return list(self.principal.representatives())
 
 
 _BOOKS: dict[int, tuple[AmbiguousClassesQuad, int]] = {}  # d -> (book, units)
 
 
-def ambiguous_classes(k: QuadraticField, budget: Budget | None = None) -> AmbiguousClassesQuad:
+def ambiguous_classes(k: QuadraticField, budget: Budget) -> AmbiguousClassesQuad:
     """The completed book of k, built once per process and charged to
-    budget at the units its build spent (errors.Budget.cached); no budget
-    means no limit."""
+    budget at the units its build spent (errors.Budget.cached)."""
     def build(sub: Budget) -> AmbiguousClassesQuad:
         book = AmbiguousClassesQuad(k, sub)
         book.principal  # decides every mask
         return book
 
-    return (Budget(sys.maxsize) if budget is None else budget).cached(_BOOKS, k.d, build)
+    return budget.cached(_BOOKS, k.d, build)
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:
     """Number of strongly ambiguous classes by direct enumeration; uses no
-    closed formula, so it independently checks polya_order_quad."""
+    closed formula, so it independently checks polya_order_quad.  No budget
+    means no limit."""
+    budget = Budget(sys.maxsize) if budget is None else budget
     return len(ambiguous_classes(k, budget).class_representatives())

@@ -33,13 +33,13 @@
   triple of subfield class representatives of an ambiguous-ideal oracle,
   the earlier cokernel count cokernel_by_hermite_form, the pivots of one
   stacked Hermite form, reduce_vector, an oracle's exponent vector
-  reduced mod e_p, packed_add, the group law on an oracle's packed
-  vectors, and subfield_image, the packed extension of a product of
-  subfield primes.
+  reduced mod e_p, pack_vector, the packing of an oracle's coset book,
+  packed_add, the group law on its packed vectors, and subfield_image,
+  the packed extension of a product of subfield primes.
 - The earlier set-based coset book PrincipalCosets, which holds P and the
   known-nonprincipal cosets as explicit sets and visits every element of
   its group, and reference_classes, the ambiguous classes of a field by
-  that book: every subfield mask in the order of itertools.product, each
+  that book: every subfield mask in increasing order, each
   decided by its genus characters and then a search, and every exponent
   vector of K in increasing order, each decided by the oracle's character
   table and then a descent.
@@ -698,6 +698,16 @@ def reduce_vector(orc, vec) -> tuple[int, ...]:
     return tuple(v % e for v, e in zip(vec, orc.exponents))
 
 
+def pack_vector(orc, vec) -> int:
+    """The exponent vector vec of an ambiguous-ideal oracle, reduced mod e_p,
+    packed as its coset book holds it: mixed radix, first prime most
+    significant; orc.unpack is its inverse."""
+    x = 0
+    for v, e in zip(vec, orc.exponents):
+        x = x * e + v % e
+    return x
+
+
 def packed_add(orc, a, b) -> int:
     """The group law of G on an oracle's packed vectors: the low s_K - 1
     bits add by XOR, and the top digit mod e_2."""
@@ -721,7 +731,7 @@ def kernel_order_by_triples(orc) -> int:
     """Order of the kernel of the extension map, counted on every triple of
     subfield class representatives whose extended product is principal; the
     kernel size times the number of classes hit must be the triple count."""
-    reps = {orc.pack(r) for r in orc.class_representatives()}
+    reps = {pack_vector(orc, r) for r in orc.class_representatives()}
     rep_masks = [sub.class_representatives() for sub in orc._subfield_books]
     kernel = 0
     images = set()
@@ -809,8 +819,8 @@ class PrincipalCosets:
 def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
     """The class representatives and the principal masks of Q(sqrt(d)) by
     PrincipalCosets: the book starts with the mask of (sqrt(d)) and decides
-    every mask in the order of itertools.product, each by its genus
-    characters and then a search."""
+    every mask in increasing order, each by its genus characters and then a
+    search."""
     sub = AmbiguousClassesQuad(k)
     vectors, allowed = sub._genus_table()
 
@@ -823,10 +833,7 @@ def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
 
     book = PrincipalCosets(0, int.__xor__, test)
     book.add_principal(sum(1 << i for i, p in enumerate(sub.primes) if k.d % p == 0))
-    masks = [0]
-    for i in reversed(range(k.s)):
-        masks += [m | 1 << i for m in masks]
-    return book.classes(masks), book.principal
+    return book.classes(range(1 << k.s)), book.principal
 
 
 def reference_classes(orc) -> dict:
@@ -835,14 +842,18 @@ def reference_classes(orc) -> dict:
     representatives, principal set, kernel and cokernel, and the class
     representatives and principal masks of each subfield.  P starts with the
     extension of every principal subfield product; a vector with even v_2
-    whose character bits match no twist mask is nonprincipal, and every
-    other vector is decided by the oracle's descent."""
+    whose character bits match no twist mask is nonprincipal, and so is a
+    vector with odd v_2 when some gamma_i is missing, as its relative norms
+    are r*P_2; every other vector is decided by the oracle's descent."""
     K = orc.K
     subs = [reference_subfield_classes(k) for k in K.subfields]
 
     def test(x):
         vec = orc.unpack(x)
-        if not any(2 * v % e for e, v in zip(orc.exponents, vec)):
+        if any(2 * v % e for e, v in zip(orc.exponents, vec)):
+            if orc._gammas is None:
+                return False
+        else:
             bits = 0
             for c, e, v in zip(orc._characters, orc.exponents, vec):
                 if 2 * v // e:
@@ -878,11 +889,19 @@ def vector_lattice(orc, vec) -> IdealLattice:
 def lattice_generator(lat, budget=None) -> tuple[int, ...] | None:
     """principal_ideal_generator on the lattice lat: relative norms by the
     lattice intersection, their generators by principal_generator_quad, and
-    membership by the Hermite form."""
+    membership by the Hermite form.  1 generates the unit ideal, and a
+    nonprincipal relative norm makes lat nonprincipal, with no search past
+    it."""
     K = lat.field
-    norms = (principal_generator_quad(relative_norm_ideal(K, lat, i), budget)
-             for i in range(3))
-    return principal_ideal_generator(K, lat.norm, norms, lat.contains, budget)
+    if lat.norm == 1:
+        return (1, 0, 0, 0)
+    gens = []
+    for i in range(3):
+        gen = principal_generator_quad(relative_norm_ideal(K, lat, i), budget)
+        if gen is None:
+            return None  # a principal ideal has principal relative norms
+        gens.append(gen)
+    return principal_ideal_generator(K, lat.norm, gens, lat.contains, budget)
 
 
 def twisted_products(K, gens) -> list[tuple[int, ...]]:
@@ -904,22 +923,17 @@ def twisted_products(K, gens) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(products))
 
 
-def unsieved_generator(K, n, norms, contains, budget=None) -> tuple[int, ...] | None:
+def unsieved_generator(K, n, gens, contains, budget) -> tuple[int, ...] | None:
     """principal_ideal_generator without the quadratic-character sieve:
     every candidate g*u / n is formed and settled by the exact square root,
     in the order of K.unit_twists, one budget unit each."""
-    if n == 1:
-        return (1, 0, 0, 0)
     g = (1, 0, 0, 0)
-    for i, gi in enumerate(norms):
-        if gi is None:
-            return None
+    for i, gi in enumerate(gens):
         if abs(omega_norm(K.subfields[i].d, *gi)) != n:
             raise InconsistencyError(f"relative norm generator {gi} has the wrong norm")
         g = K.mul_basis_coords(g, K.from_quad(i, gi))
     for u, _ in K.unit_twists:
-        if budget is not None:
-            budget.charge()
+        budget.charge()
         s = K.mul_basis_coords(g, u)
         if any(c % n for c in s):
             raise InconsistencyError(f"{s} is not in {n}*O_K")

@@ -4,8 +4,7 @@ from math import isqrt
 import pytest
 
 from polyabiquad.errors import InvalidInputError
-from polyabiquad.intmath import (factorize, kronecker, squarefree_decompose,
-                                 squarefree_part)
+from polyabiquad.intmath import factorize, kronecker, squarefree_part
 
 
 def _primes_below(n: int) -> list[int]:
@@ -20,38 +19,38 @@ def _primes_below(n: int) -> list[int]:
 PRIMES = _primes_below(20_000)
 
 
+def is_squarefree_part(d: int, n: int) -> bool:
+    """d divides n, n/d is a perfect square, d has the sign of n and no
+    prime square divides d."""
+    return (n % d == 0 and n // d >= 0 and isqrt(n // d) ** 2 == n // d
+            and (d > 0) == (n > 0) and all(e == 1 for e in factorize(d).values()))
+
+
 def test_squarefree_examples():
-    assert (squarefree_decompose(18).squarefree_part,
-            squarefree_decompose(18).square_part) == (2, 3)
-    assert (squarefree_decompose(-4).squarefree_part,
-            squarefree_decompose(-4).square_part) == (-1, 2)
-    assert (squarefree_decompose(6).squarefree_part,
-            squarefree_decompose(6).square_part) == (6, 1)
+    assert squarefree_part(18) == 2
+    assert squarefree_part(-4) == -1
+    assert squarefree_part(6) == 6
+    assert squarefree_part(-1) == -1 and squarefree_part(1) == 1
 
 
 def test_squarefree_zero_rejected():
     with pytest.raises(InvalidInputError):
-        squarefree_decompose(0)
+        squarefree_part(0)
 
 
 def test_squarefree_recompose_exhaustive_small():
     for n in range(1, 20_000):
         for m in (n, -n):
-            sf = squarefree_decompose(m)
-            assert sf.squarefree_part * sf.square_part**2 == m
-            assert (sf.squarefree_part > 0) == (m > 0)
-            # squarefree: no prime square divides it
-            assert all(e == 1 for e in factorize(sf.squarefree_part).values()) \
-                or abs(sf.squarefree_part) == 1
+            assert is_squarefree_part(squarefree_part(m), m), m
 
 
 def test_squarefree_recompose_random_to_1e6():
     rng = random.Random(7)
     for _ in range(500):
         n = rng.randint(2, 10**6) * rng.choice((1, -1))
-        sf = squarefree_decompose(n)
-        assert sf.squarefree_part * sf.square_part**2 == n
-        assert squarefree_part(sf.squarefree_part) == sf.squarefree_part
+        d = squarefree_part(n)
+        assert is_squarefree_part(d, n), n
+        assert squarefree_part(d) == d
 
 
 def test_factorize_matches_the_sieve():

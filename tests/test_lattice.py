@@ -17,8 +17,8 @@ from exact_reference import (BiquadElement, clear_subfield_caches, cokernel_by_h
                              element_from_coords, embed_quad, ideal_from_elements,
                              integral_coords,
                              is_closed_under_multiplication, is_galois_stable,
-                             kernel_order_by_triples, lattice_generator, packed_add,
-                             quad_ideal_from_elements, quad_ideal_multiply,
+                             kernel_order_by_triples, lattice_generator, pack_vector,
+                             packed_add, quad_ideal_from_elements, quad_ideal_multiply,
                              reduce_vector, reference_classes, relative_norm_fraction,
                              subfield_image, twisted_products, unsieved_generator,
                              vector_lattice)
@@ -32,7 +32,7 @@ from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radic
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
 from polyabiquad.linalg import hnf_rows
-from polyabiquad.quadratic import _reversed, omega_norm, prime_above, principal_generator_quad
+from polyabiquad.quadratic import omega_norm, prime_above, principal_generator_quad
 
 
 def radical_index(K, d):
@@ -215,9 +215,9 @@ def test_coset_verdicts_agree_with_a_descent_on_every_vector():
                   for v in vectors}
         reps = lex.class_representatives()
         for v in reversed(vectors):
-            assert rev._book.is_principal(rev.pack(v)) == direct[v], (K.d, v)
+            assert rev._book.is_principal(pack_vector(rev, v)) == direct[v], (K.d, v)
         for v in vectors:
-            assert lex._book.is_principal(lex.pack(v)) == direct[v], (K.d, v)
+            assert lex._book.is_principal(pack_vector(lex, v)) == direct[v], (K.d, v)
             # the representatives partition G: v lies in the class of exactly one
             assert sum(direct[reduce_vector(lex, [x - y for x, y in zip(v, r)])]
                        for r in reps) == 1, (K.d, v)
@@ -239,30 +239,30 @@ def test_a_completed_book_answers_from_its_principal_subgroup_alone():
         for book in [orc._book] + [sub.principal for sub in orc._subfield_books]:
             book.test = refuse
         for v in itertools.product(*[range(e) for e in orc.exponents]):
-            assert orc._book.is_principal(orc.pack(v)) \
+            assert orc._book.is_principal(pack_vector(orc, v)) \
                 == (lattice_generator(vector_lattice(orc, v)) is not None), (orc.K.d, v)
         for sub in orc._subfield_books:
             for m in range(2 ** sub.k.s):
-                assert sub.is_principal_subset(m) \
+                assert sub.principal.is_principal(m) \
                     == (principal_generator_quad(sub.subset_ideal(m)) is not None), (sub.k, m)
         assert orc.budget.spent == spent, orc.K.d
 
 
 def test_packed_vectors_follow_the_group_law():
-    # the coset book holds exponent vectors packed into one integer: pack and
-    # unpack are inverse on G, range(|G|) lists G in the order of
-    # itertools.product, the packed add is addition mod e_p, and a book of
-    # the oracle's shape with P = <w> reduces x and x + w alike, with 2
-    # unramified, ramified and totally ramified
+    # the coset book holds exponent vectors packed into one integer:
+    # pack_vector and unpack are inverse on G, range(|G|) lists G in the
+    # order of itertools.product, the packed add is addition mod e_p, and a
+    # book of the oracle's shape with P = <w> reduces x and x + w alike,
+    # with 2 unramified, ramified and totally ramified
     e2s = set()
     for a, b in _scan_tasks(12, False, False):
         orc = AmbiguousIdealOracle(biquadratic_field(a, b))
         e2s.add(orc.K.profile.e2)
         vectors = list(itertools.product(*[range(e) for e in orc.exponents]))
         assert [orc.unpack(x) for x in range(len(vectors))] == vectors, orc.K.d
-        assert [orc.pack(v) for v in vectors] == list(range(len(vectors))), orc.K.d
+        assert [pack_vector(orc, v) for v in vectors] == list(range(len(vectors))), orc.K.d
         for v, w in itertools.product(vectors, repeat=2):
-            assert orc.unpack(packed_add(orc, orc.pack(v), orc.pack(w))) \
+            assert orc.unpack(packed_add(orc, pack_vector(orc, v), pack_vector(orc, w))) \
                 == reduce_vector(orc, [x + y for x, y in zip(v, w)]), (orc.K.d, v, w)
         for w in range(len(vectors)):
             book = CosetBook(len(orc.primes) - 1, orc.exponents[0], None)
@@ -482,7 +482,7 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
                         or table_bits(orc, vec) in K.twist_masks:
                     continue
                 n = prod(p ** (4 // e * v) for p, e, v in zip(orc.primes, orc.exponents, vec))
-                if unsieved_generator(K, n, list(orc._relative_norm_generators(vec)),
+                if unsieved_generator(K, n, orc._relative_norm_generators(vec),
                                       orc._membership(vec), reference) is not None:
                     differ.append((K.d, n))
             if reference.spent != orc.budget.spent - searched[0]:
@@ -523,7 +523,7 @@ def test_the_character_table_refutes_by_legendre_symbols_of_r():
                 continue
             r = prod(p ** (2 * v // e) for p, e, v in zip(orc.primes, orc.exponents, vec))
             bits = sum(1 << k for k, (l, _) in enumerate(K.residue_maps) if kronecker(r, l) == -1)
-            refuted = orc.pack(vec) not in span
+            refuted = pack_vector(orc, vec) not in span
             assert refuted == (bits not in masks), (K.d, vec)
             verdicts[refuted] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000
@@ -695,6 +695,44 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
     assert searches > 0
 
 
+def test_every_descent_gets_three_generators_of_its_norm(monkeypatch):
+    # on the verified oracles of bound 20 and the many-prime fields, every
+    # K-level descent is handed an ideal of norm n > 1 and a list of three
+    # generators of norm +-n, none missing, and a vector with odd v_2
+    # reaches a descent only when every gamma_i exists
+    from polyabiquad import lattice
+    descend, generator = AmbiguousIdealOracle._descend, lattice.principal_ideal_generator
+    vectors, calls = [], []
+
+    def recording_descend(orc, vec):
+        vectors.append((orc, vec))
+        return descend(orc, vec)
+
+    def recording(K, n, gens, contains, budget=None):
+        calls.append((vectors[-1], n, gens))
+        return generator(K, n, gens, contains, budget)
+
+    monkeypatch.setattr(AmbiguousIdealOracle, "_descend", recording_descend)
+    monkeypatch.setattr(lattice, "principal_ideal_generator", recording)
+    without_gammas = 0
+    for pair in _scan_tasks(20, False, False) + list(MANYPRIME_PAIRS):
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        orc.polya_order_oracle()
+        orc.kernel_order_oracle()
+        orc.cokernel_order_oracle()
+        without_gammas += orc.exponents[0] == 4 and orc._gammas is None
+    odd = 0
+    for (orc, vec), n, gens in calls:
+        assert n > 1, (orc.K.d, vec)
+        assert type(gens) is list and len(gens) == 3 and None not in gens, (orc.K.d, vec)
+        assert all(abs(omega_norm(k.d, *g)) == n for k, g in zip(orc.K.subfields, gens)), \
+            (orc.K.d, vec)
+        if any(2 * v % e for e, v in zip(orc.exponents, vec)):
+            assert orc._gammas is not None, (orc.K.d, vec)
+            odd += 1
+    assert len(calls) == len(vectors) and odd > 0 and without_gammas > 0
+
+
 def test_subfield_books_search_only_past_the_genus_sieve(monkeypatch):
     # the subfield books of the many-prime fields ran 174 form searches
     # before genus characters sieved their masks
@@ -815,9 +853,8 @@ def test_the_echelon_book_matches_the_set_based_reference():
         assert (orc.kernel_order_oracle(), orc.cokernel_order_oracle()) \
             == (ref["kernel"], ref["cokernel"]), K.d
         for sub, (reps, principal) in zip(orc._subfield_books, ref["subfields"]):
-            s = sub.k.s
             assert sub.class_representatives() == reps, (K.d, sub.k.d)
-            assert {m for m in range(1 << s) if not sub.principal.reduce(_reversed(m, s))} \
+            assert {m for m in range(1 << sub.k.s) if not sub.principal.reduce(m)} \
                 == principal, (K.d, sub.k.d)
 
 
@@ -1014,20 +1051,25 @@ def test_relative_norm_matches_the_fraction_route():
 
 def test_closed_form_relative_norm_generators_match_the_lattice_intersection():
     # every radical product of every field with |d_i| <= 20, each subfield:
-    # the oracle's generator lies in the lattice relative norm and has norm
-    # N(a), so it generates it, and it is None exactly when that ideal is
-    # nonprincipal; with e_2 = 4 the odd powers of rad(2) leave the prime
-    # above 2 over
+    # with e_2 = 4 the odd powers of rad(2) leave the prime P_2 above 2
+    # over, and the search for gamma_i finds no generator of P_2 exactly
+    # when the lattice relative norm is nonprincipal; the oracle's
+    # generators, which it gives when every gamma_i exists, lie in the
+    # lattice relative norms and have norm N(a), so they generate them
     cases, parities = 0, set()
     for a, b in _scan_tasks(20, False, False):
         K = biquadratic_field(a, b)
         orc = AmbiguousIdealOracle(K)
         for vec in itertools.product(*[range(e) for e in orc.exponents]):
             lat = vector_lattice(orc, vec)
-            for i, gen in enumerate(orc._relative_norm_generators(vec)):
+            odd = any(2 * v % e for e, v in zip(orc.exponents, vec))
+            gens = orc._relative_norm_generators(vec) if not odd or orc._gammas else [None] * 3
+            for i, gen in enumerate(gens):
                 ideal = relative_norm_ideal(K, lat, i)
-                assert (gen is None) == (principal_generator_quad(ideal) is None), \
-                    (K.d, vec, i)
+                principal = principal_generator_quad(ideal) is not None
+                if odd:
+                    gamma = principal_generator_quad(orc._subfield_primes[i][2])
+                    assert (gamma is not None) == principal, (K.d, vec, i)
                 if gen is not None:
                     assert ideal.contains(gen), (K.d, vec, i, gen)
                     assert abs(omega_norm(K.subfields[i].d, *gen)) == lat.norm, \
@@ -1046,13 +1088,6 @@ def test_relative_norm_generators_of_the_wrong_norm_raise():
     assert principal_ideal_generator(K, 4, [(2, 0)] * 3, lambda _: True) is not None
     with pytest.raises(InconsistencyError):
         principal_ideal_generator(K, 4, [(2, 0), (2, 0), (1, 1)], lambda _: True)
-
-    def stopping():
-        yield (2, 0)
-        yield None
-        raise AssertionError("read past the first nonprincipal relative norm")
-
-    assert principal_ideal_generator(K, 4, stopping(), lambda _: True) is None
 
 
 def test_malformed_lattices_raise():
