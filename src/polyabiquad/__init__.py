@@ -16,7 +16,6 @@ above 2 lies outside the image of the subfield ambiguous classes) from
 from .biquadratic import BiquadField, RamificationProfile, biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
-from .intmath import kronecker
 from .lattice import AmbiguousIdealOracle, principal_ideal_generator
 from .polya import j2_value, kernel_order, polya_report, verify_biquad, verify_quad
 from .quadratic import (QuadIdeal, QuadraticField, ambiguous_oracle_quad,
@@ -32,7 +31,7 @@ __all__ = [
     "DomainError", "InconsistencyError", "InvalidInputError", "OutputRecord",
     "QuadIdeal", "QuadRecord", "QuadraticField", "RamificationProfile",
     "UnitStructure", "ambiguous_oracle_quad", "biquadratic_field",
-    "integral_square_root", "j2_value", "kernel_order", "kronecker",
+    "integral_square_root", "j2_value", "kernel_order",
     "polya_order_quad", "polya_report", "prime_above", "principal_generator_quad",
     "principal_ideal_generator", "quad_record", "quadratic_field", "render_records",
     "unit_structure", "verify_biquad", "verify_quad",

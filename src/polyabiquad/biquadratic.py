@@ -49,7 +49,6 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError
-from .intmath import kronecker
 from .quadratic import quadratic_field
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -317,12 +316,14 @@ class BiquadField:
                 if len(where[p]) != 2:
                     raise InconsistencyError(
                         f"prime {p} ramifies in {len(where[p])} subfields of {self.d}")
-                j = ({0, 1, 2} - where[p]).pop()
-                sym = kronecker(self.subfields[j].delta, p)
-                if sym == 0:
+                delta = self.subfields[({0, 1, 2} - where[p]).pop()].delta
+                if delta % p == 0:
                     raise InconsistencyError(
                         f"{p} ramifies in the inertia-complement subfield of {self.d}")
-                f = 1 if sym == 1 else 2
+                # p splits there iff Delta = 1 mod 8 at p = 2, else iff Delta
+                # is a square mod p (Euler's criterion)
+                splits = delta % 8 == 1 if p == 2 else pow(delta, p >> 1, p) == 1
+                f = 1 if splits else 2
                 efg[p] = (2, f, 2 // f)
         s_k = len(efg)
         i2 = 1 if efg.get(2, (0, 0, 0))[0] == 4 else 0

@@ -60,17 +60,15 @@ class Budget:
 
     def cached(self, cache: dict, key, build):
         """cache[key], charged to this budget at the units its build spent.
-        On a miss build(sub) runs under a Budget capped at what is left
-        here, and the value is stored with sub.spent only when build
-        returns, so a build cut short caches nothing.  A hit searches
-        nothing, and every budget is charged the same, hit or miss."""
-        if key not in cache:
-            sub = Budget(self.limit - self.spent)
-            try:
-                cache[key] = build(sub), sub.spent
-            except BudgetExceededError:
-                self.charge(sub.spent)  # past the cap is past this limit
-                raise
-        value, units = cache[key]
-        self.charge(units)
+        On a miss build() charges this budget as it runs, and the value is
+        stored with the units it charged only when build returns, so a build
+        cut short caches nothing.  A hit searches nothing and is charged
+        those units at once: every budget is charged the same, hit or miss."""
+        if key in cache:
+            value, units = cache[key]
+            self.charge(units)
+            return value
+        before = self.spent
+        value = build()
+        cache[key] = value, self.spent - before
         return value

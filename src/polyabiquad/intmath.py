@@ -1,5 +1,5 @@
 """Exact integer primitives: trial-division factoring at desk scale, the
-squarefree part, powers of two and the Kronecker symbol.
+squarefree part and powers of two.
 
 Inputs throughout the package are small: `QuadraticField` factors the
 generator it is given (the two generators of a biquadratic field; the third
@@ -40,36 +40,4 @@ def squarefree_part(n: int) -> int:
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), fully multiplicative in n, with the standard
-    conventions (a|2) = 0, +-1 by a mod 8 and (a|-1) = sign of a."""
-    if a == 0 and n == 0:
-        raise InvalidInputError("kronecker(0, 0) is undefined")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # n is now odd and positive: the Jacobi symbol by reciprocity.
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 

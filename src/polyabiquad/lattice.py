@@ -84,9 +84,11 @@ the extension map are group orders read off the pivots of the books, with
 no Hermite form.  The books hold exponent vectors packed into integers, and
 P as a basis in echelon form (see AmbiguousIdealOracle and
 cosets.CosetBook).  A subfield's book and gamma_i (below) depend on its d
-alone, so each is computed once per process, and every field that reads
-one is charged the units its computation recorded (errors.Budget.cached):
-a field's budget spent does not depend on what ran before it.
+alone, so each is computed once per process and kept on the interned
+subfield (quadratic.ambiguous_classes, quadratic.generator_above_2), and
+every field that reads one is charged the units its computation recorded
+(errors.Budget.cached): a field's budget spent does not depend on what ran
+before it.
 
 A descent reads everything off the exponent vector of
 a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As efg = 4,
@@ -125,13 +127,9 @@ from .biquadratic import BiquadField
 from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, omega_norm,
-                        prime_above, principal_generator_quad)
+from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, generator_above_2,
+                        omega_norm, prime_above)
 from .units import integral_square_root
-
-# d -> (gamma, units): the generator of the prime above a totally ramified 2
-# of Q(sqrt(d)), or None, with the units its search spent
-_GENERATORS_ABOVE_2: dict[int, tuple[tuple[int, int] | None, int]] = {}
 
 
 class IdealLattice:
@@ -311,8 +309,8 @@ class AmbiguousIdealOracle:
     the classes are the cosets of the principal subgroup P, which a
     CosetBook builds from as few descents as it can, seeded with the
     extension of a basis of each subfield's principal subgroup (both counts
-    rest on P_i*O_K = rad(p)^(e_p/2), which _subfield_primes certifies for
-    every subfield; see the module docstring).
+    rest on P_i*O_K = rad(p)^(e_p/2), which _certify_subfield_primes
+    checks for every subfield; see the module docstring).
     The book holds each vector packed into one integer, mixed radix with the
     first prime most significant, so range(|G|) lists G in the order of
     itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
@@ -362,24 +360,18 @@ class AmbiguousIdealOracle:
         j = self.primes.index(p)
         return self.exponents[j] // 2 << len(self.primes) - 1 - j
 
-    @cached_property
-    def _subfield_primes(self) -> list[dict[int, QuadIdeal]]:
-        """For each subfield, its prime P_i = [p, b + omega_i] above each
-        ramified p, certified: (b + omega_i)^2 in p*O_K gives
-        P_i*O_K = rad(p)^(e_p/2) (see the module docstring)."""
+    def _certify_subfield_primes(self) -> None:
+        """Certify, for each subfield and each ramified p, that its prime
+        P_i = [p, b + omega_i] extends to rad(p)^(e_p/2): (b + omega_i)^2 in
+        p*O_K gives P_i*O_K = rad(p)^(e_p/2) (see the module docstring)."""
         K = self.K
-        primes = []
         for i, k in enumerate(K.subfields):
-            primes.append({})
             for p in k.ramified_primes:
-                P = prime_above(k, p)
-                gen = K.from_quad(i, P.basis_elements()[1])
+                gen = K.from_quad(i, prime_above(k, p).basis_elements()[1])
                 if any(c % p for c in K.mul_basis_coords(gen, gen)):
                     raise InconsistencyError(
                         f"the prime of Q(sqrt({k.d})) above {p} does not extend to "
                         f"rad({p})^(e_p/2) in the field {K.d}")
-                primes[-1][p] = P
-        return primes
 
     @cached_property
     def _book(self) -> CosetBook:
@@ -394,13 +386,13 @@ class AmbiguousIdealOracle:
         is None, as its relative norms are r*P_2; otherwise the book
         descends on odd cosets until P holds an odd vector, and from then
         on every odd coset reduces to an even one."""
-        primes = self._subfield_primes  # certify every extended prime first
+        self._certify_subfield_primes()
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
-        for sub, sub_primes in zip(self._subfield_books, primes):
+        for sub in self._subfield_books:
             for x in sub.principal.basis():
                 image = 0  # prime images have order 2, so they add by XOR
-                for i, p in enumerate(sub_primes):
+                for i, p in enumerate(sub.primes):
                     if x >> i & 1:
                         image ^= self._prime_image(p)
                 book.add_principal(image)
@@ -423,12 +415,10 @@ class AmbiguousIdealOracle:
         """A generator gamma_i of the certified prime P_2 of each subfield
         k_i above a totally ramified 2, or None at the first P_2 that is
         nonprincipal, with no search past it.  Each search is made once per
-        process and charged at its units (errors.Budget.cached)."""
+        process and kept on k_i (quadratic.generator_above_2)."""
         gammas = []
-        for primes in self._subfield_primes:
-            P = primes[2]
-            gamma = self.budget.cached(_GENERATORS_ABOVE_2, P.field.d,
-                                       lambda sub: principal_generator_quad(P, sub))
+        for k in self.K.subfields:
+            gamma = generator_above_2(k, self.budget)
             if gamma is None:
                 return None
             gammas.append(gamma)

@@ -35,9 +35,10 @@ by the complete search above.
 
 Subfield data is computed once per process.  quadratic_field interns each
 field by its squarefree d, so its fundamental unit is found once on both
-routes, and ambiguous_classes keeps each field's completed book: built once,
-and charged to every budget that asks for it at the units that build spent
-(errors.Budget.cached).
+routes, and the field keeps the results of its searches in k.searched: the
+completed book of ambiguous_classes and the generator_above_2.  Each is
+found once, and charged to every budget that asks for it at the units that
+search spent (errors.Budget.cached).  Emptying _FIELDS empties them all.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .intmath import factorize
 
 class QuadraticField:
     """Q(sqrt(d)) for squarefree d not in {0, 1}; quadratic_field keeps one
-    per field and process."""
+    per field and process, and with it the results of its searches."""
 
     def __init__(self, d: int, _primes: list[int] | None = None):
         # the squarefree part of d is the product of its primes of odd
@@ -68,6 +69,8 @@ class QuadraticField:
         self.is_real = self.d > 0
         self.ramified_primes = sorted(primes + [2] if self.d % 4 == 3 else primes)
         self.s = len(self.ramified_primes)
+        # "book" and "gamma" -> (result, units), filled by errors.Budget.cached
+        self.searched: dict[str, tuple] = {}
 
     @cached_property
     def fundamental_unit(self) -> tuple[int, int]:
@@ -450,18 +453,23 @@ class AmbiguousClassesQuad:
         return list(self.principal.representatives())
 
 
-_BOOKS: dict[int, tuple[AmbiguousClassesQuad, int]] = {}  # d -> (book, units)
-
-
 def ambiguous_classes(k: QuadraticField, budget: Budget) -> AmbiguousClassesQuad:
     """The completed book of k, built once per process and charged to
     budget at the units its build spent (errors.Budget.cached)."""
-    def build(sub: Budget) -> AmbiguousClassesQuad:
-        book = AmbiguousClassesQuad(k, sub)
+    def build() -> AmbiguousClassesQuad:
+        book = AmbiguousClassesQuad(k, budget)
         book.principal  # decides every mask
         return book
 
-    return budget.cached(_BOOKS, k.d, build)
+    return budget.cached(k.searched, "book", build)
+
+
+def generator_above_2(k: QuadraticField, budget: Budget) -> tuple[int, int] | None:
+    """A generator of the prime of k above a ramified 2, or None when it is
+    nonprincipal: one search per process, charged to budget at its units
+    (errors.Budget.cached)."""
+    return budget.cached(k.searched, "gamma",
+                         lambda: principal_generator_quad(prime_above(k, 2), budget))
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:

@@ -56,9 +56,12 @@
   it forms g*u / n for every twist of BiquadField.unit_twists and settles
   each by the exact square root, with the same budget and the same order.
 - parse_records, the inverse of report.render_records.
-- clear_subfield_caches, which empties the per-process tables of quadratic
-  fields, completed subfield books and generators above 2, so that a test
-  starts cold and leaks no monkeypatched result into another.
+- clear_subfield_caches, which empties the per-process table of quadratic
+  fields, and with it each field's completed book and generator above 2,
+  so that a test starts cold and leaks no monkeypatched result into another.
+- The general Kronecker symbol kronecker; the program reads the splitting
+  of a prime in a quadratic field by Euler's criterion, and at 2 from
+  Delta mod 8.
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
   polynomial of omega at a ramified prime, minpoly_double_root_scan.
@@ -944,10 +947,40 @@ def unsieved_generator(K, n, gens, contains, budget) -> tuple[int, ...] | None:
 
 
 def clear_subfield_caches() -> None:
-    from polyabiquad import lattice, quadratic
+    from polyabiquad import quadratic
     quadratic._FIELDS.clear()
-    quadratic._BOOKS.clear()
-    lattice._GENERATORS_ABOVE_2.clear()
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), fully multiplicative in n, with the standard
+    conventions (a|2) = 0, +-1 by a mod 8 and (a|-1) = sign of a."""
+    if a == 0 and n == 0:
+        raise InvalidInputError("kronecker(0, 0) is undefined")
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            result = -result
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+    # n is now odd and positive: the Jacobi symbol by reciprocity.
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:

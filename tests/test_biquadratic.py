@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
                              embed_quad, generic_basis_tables, gram_determinant,
-                             integral_coords, integral_square_root_fraction, mat_det_fraction,
-                             mu_order_table)
+                             integral_coords, integral_square_root_fraction, kronecker,
+                             mat_det_fraction, mu_order_table)
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
@@ -281,6 +282,29 @@ def test_profile_efg_product_is_degree():
     for K in small_corpus(8):
         for e, f, g in K.profile.efg.values():
             assert e * f * g == 4
+
+
+def test_profiles_of_bound_60_match_the_kronecker_symbol():
+    # every profile of |d_i| <= 60 against one built with the reference
+    # Kronecker symbol: p ramified in two subfields has f = 1 exactly when
+    # (Delta_j | p) = 1 for the third, in which p is unramified; each of
+    # p = 2 and odd p is seen both split and inert there
+    seen = Counter()
+    fields = _scan_tasks(60, False, False)
+    for pair in fields:
+        K = biquadratic_field(*pair)
+        reference = {}
+        for p in sorted({p for k in K.subfields for p in k.ramified_primes}):
+            unramified = [k for k in K.subfields if p not in k.ramified_primes]
+            if not unramified:
+                reference[p] = (4, 1, 1)
+                continue
+            symbol = kronecker(unramified[0].delta, p)
+            assert len(unramified) == 1 and symbol != 0, (K.d, p)
+            reference[p] = (2, 1, 2) if symbol == 1 else (2, 2, 1)
+            seen[p == 2, symbol] += 1
+        assert K.profile.efg == reference, K.d
+    assert len(fields) == 2284 and len(seen) == 4
 
 
 def test_multiplication_sign_convention():

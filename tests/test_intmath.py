@@ -3,8 +3,9 @@ from math import isqrt
 
 import pytest
 
+from exact_reference import kronecker
 from polyabiquad.errors import InvalidInputError
-from polyabiquad.intmath import factorize, kronecker, squarefree_part
+from polyabiquad.intmath import factorize, squarefree_part
 
 
 def _primes_below(n: int) -> list[int]:
@@ -71,6 +72,8 @@ def test_factorize_past_the_sieve():
     assert factorize(-2 * 38833 * 36313) == {2: 1, 36313: 1, 38833: 1}
 
 
+# the Kronecker symbol is a test reference (exact_reference.kronecker): the
+# ramification profiles of test_biquadratic are checked against it
 def test_kronecker_examples():
     assert kronecker(2, 7) == 1      # 2 = 3^2 mod 7
     assert kronecker(3, 5) == -1

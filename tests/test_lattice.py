@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (BiquadElement, clear_subfield_caches, cokernel_by_hermite_form,
+from exact_reference import (BiquadElement, cokernel_by_hermite_form,
                              element_from_coords, embed_quad, ideal_from_elements,
-                             integral_coords,
-                             is_closed_under_multiplication, is_galois_stable,
-                             kernel_order_by_triples, lattice_generator, pack_vector,
+                             integral_coords, is_closed_under_multiplication, is_galois_stable,
+                             kernel_order_by_triples, kronecker, lattice_generator, pack_vector,
                              packed_add, quad_ideal_from_elements, quad_ideal_multiply,
                              reduce_vector, reference_classes, relative_norm_fraction,
                              subfield_image, twisted_products, unsieved_generator,
@@ -27,7 +26,6 @@ from polyabiquad.cli import _scan_tasks
 from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import (Budget, BudgetExceededError, DomainError,
                                 InconsistencyError, InvalidInputError)
-from polyabiquad.intmath import kronecker
 from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radical,
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
@@ -426,8 +424,10 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
     oracle raises InconsistencyError; with the numbers of square roots the
     sieved descents took and of candidates the reference formed.
     prepare(orc) runs on each oracle before its first verdict.  The
-    subfield caches are cleared for each field, so that every unit the
-    subfield searches charge is a search call counted here."""
+    searches kept on each field's subfields are cleared before its oracle,
+    so that every unit the subfield searches charge is a search call
+    counted here: the fields may be built, and their subfields interned,
+    before any of them is counted."""
     from polyabiquad import lattice, quadratic
     descend, square_root = lattice.principal_ideal_generator, lattice.integral_square_root
     differ, counts = [], {"roots": 0, "candidates": 0}
@@ -461,10 +461,10 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "integral_square_root", counting)
         patch.setattr(lattice, "principal_ideal_generator", comparing)
-        patch.setattr(lattice, "principal_generator_quad", searching)
         patch.setattr(quadratic, "principal_generator_quad", searching)
         for K in fields:
-            clear_subfield_caches()
+            for k in K.subfields:
+                k.searched.clear()
             orc = AmbiguousIdealOracle(K)
             prepare(orc)
             searched[0] = 0
@@ -644,24 +644,32 @@ def test_membership_agrees_with_the_radical_lattices_on_drawn_vectors(pair, data
 
 
 def recording_subfield_searches(monkeypatch) -> list:
-    """Record the ideal of every principal_generator_quad call the oracle
-    makes: the name as bound in lattice, so the subfield books' own descents
-    are not counted."""
-    from polyabiquad import lattice
-    searched, search = [], lattice.principal_generator_quad
+    """Record the ideal of every quadratic.principal_generator_quad call the
+    oracle makes inside generator_above_2, so the subfield books' own
+    descents are not counted."""
+    from polyabiquad import lattice, quadratic
+    calls, searched = [], []
+    search, above_2 = quadratic.principal_generator_quad, quadratic.generator_above_2
 
     def recording(ideal, budget=None):
-        searched.append(ideal)
+        calls.append(ideal)
         return search(ideal, budget)
 
-    monkeypatch.setattr(lattice, "principal_generator_quad", recording)
+    def generator(k, budget):
+        start = len(calls)
+        gamma = above_2(k, budget)
+        searched.extend(calls[start:])
+        return gamma
+
+    monkeypatch.setattr(quadratic, "principal_generator_quad", recording)
+    monkeypatch.setattr(lattice, "generator_above_2", generator)
     return searched
 
 
 def check_subfield_searches(orc, searched) -> None:
     """The oracle of a counted field searched at most once per subfield, for
     its prime above a totally ramified 2, and never when e_2 = 2."""
-    primes_above_2 = [primes.get(2) for primes in orc._subfield_primes]
+    primes_above_2 = [prime_above(k, 2) for k in orc.K.subfields if 2 in k.ramified_primes]
     fields = [ideal.field for ideal in searched]
     assert len(set(fields)) == len(fields), orc.K.d
     assert all(ideal in primes_above_2 for ideal in searched), orc.K.d
@@ -1068,7 +1076,7 @@ def test_closed_form_relative_norm_generators_match_the_lattice_intersection():
                 ideal = relative_norm_ideal(K, lat, i)
                 principal = principal_generator_quad(ideal) is not None
                 if odd:
-                    gamma = principal_generator_quad(orc._subfield_primes[i][2])
+                    gamma = principal_generator_quad(prime_above(K.subfields[i], 2))
                     assert (gamma is not None) == principal, (K.d, vec, i)
                 if gen is not None:
                     assert ideal.contains(gen), (K.d, vec, i, gen)

@@ -1,15 +1,16 @@
-"""The per-process subfield caches: each quadratic field, its completed book
-of ambiguous classes and its generator above 2 are computed once, and every
-field that reads them is charged the units they cost, so no answer and no
-budget depends on what ran before in the process."""
+"""The per-process subfield cache: each quadratic field, its completed book
+of ambiguous classes and its generator above 2 are computed once, the last
+two kept on the interned field, and every field that reads them is charged
+the units they cost, so no answer and no budget depends on what ran before
+in the process."""
 
 import pytest
 
 from exact_reference import clear_subfield_caches
-from polyabiquad import lattice, quadratic
+from polyabiquad import quadratic
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks, main
-from polyabiquad.errors import BudgetExceededError
+from polyabiquad.errors import Budget, BudgetExceededError
 from polyabiquad.lattice import AmbiguousIdealOracle
 
 # the five fields of the benchmark's many-prime workload (s_K >= 5)
@@ -36,12 +37,10 @@ def test_every_field_gets_the_same_answers_and_budget_cold_and_warm(monkeypatch)
     # caches, then twice in one process: the second pass searches no
     # subfield, and all three give the same classes, kernel, cokernel and
     # budget spent, 3,594 units per pass
-    searched = []
-    for module in (quadratic, lattice):
-        search = module.principal_generator_quad
-        monkeypatch.setattr(module, "principal_generator_quad",
-                            lambda ideal, budget=None, search=search:
-                            searched.append(ideal) or search(ideal, budget))
+    searched, search = [], quadratic.principal_generator_quad
+    monkeypatch.setattr(quadratic, "principal_generator_quad",
+                        lambda ideal, budget=None:
+                        searched.append(ideal) or search(ideal, budget))
     cold = oracle_pass(cold=True)
     assert searched
     clear_subfield_caches()
@@ -77,6 +76,11 @@ def test_a_budgeted_scan_does_not_depend_on_its_workers(capsys):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def searched_above_2() -> set:
+    """The d of each interned field that keeps its generator above 2."""
+    return {d for d, k in quadratic._FIELDS.items() if "gamma" in k.searched}
+
+
 def test_a_search_cut_short_caches_nothing():
     # Q(sqrt11, sqrt14) spends 31 units: 14 on its three books, then 3, 4
     # and 10 on the generators above 2 of Q(sqrt11), Q(sqrt14) and
@@ -85,10 +89,26 @@ def test_a_search_cut_short_caches_nothing():
     # to spare then makes it and is charged in full
     with pytest.raises(BudgetExceededError, match=r"\(21 > 20 units\)"):
         AmbiguousIdealOracle(biquadratic_field(11, 14), 20).polya_order_oracle()
-    assert set(lattice._GENERATORS_ABOVE_2) == {11}
+    assert searched_above_2() == {11}
     orc = AmbiguousIdealOracle(biquadratic_field(11, 14))
     orc.polya_order_oracle()
-    assert orc.budget.spent == 31 and set(lattice._GENERATORS_ABOVE_2) == {11, 14, 154}
+    assert orc.budget.spent == 31 and searched_above_2() == {11, 14, 154}
+
+
+def test_a_cold_search_charges_no_budget_of_its_own(monkeypatch):
+    # a subfield search that misses the cache charges the asking budget
+    # directly, so the units of every Budget made during a cold run of
+    # Q(sqrt11, sqrt14) add up to the 31 of the field, not to twice that
+    budgets, init = [], Budget.__init__
+
+    def recording(budget, *args, **kwargs):
+        init(budget, *args, **kwargs)
+        budgets.append(budget)
+
+    monkeypatch.setattr(Budget, "__init__", recording)
+    orc = AmbiguousIdealOracle(biquadratic_field(11, 14))
+    orc.polya_order_oracle()
+    assert sum(b.spent for b in budgets) == orc.budget.spent == 31
 
 
 def test_the_formula_route_reads_no_cached_book(capsys):
@@ -96,4 +116,4 @@ def test_the_formula_route_reads_no_cached_book(capsys):
     # fundamental unit, but a scan without --verify builds no book and
     # searches for no generator above 2
     assert main(["scan", "--bound", "30", "--json"]) == 0
-    assert quadratic._FIELDS and not quadratic._BOOKS and not lattice._GENERATORS_ABOVE_2
+    assert quadratic._FIELDS and not any(k.searched for k in quadratic._FIELDS.values())
