@@ -286,7 +286,7 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
                 raise InconsistencyError(
                     f"the relative norm generators {gens} multiply to {g}, not in {n}*O_K")
             h = [c // n for c in g]
-        # the square root the formula route also uses, for the unit index
+        # the denesting square root, which only the oracle takes
         xi = integral_square_root(K, K.mul_basis_coords(h, u))
         if xi is not None and abs(K.norm(xi)) == n and contains(xi):
             return xi

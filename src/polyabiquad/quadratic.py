@@ -38,7 +38,10 @@ field by its squarefree d, so its fundamental unit is found once on both
 routes, and the field keeps the results of its searches in k.searched: the
 completed book of ambiguous_classes and the generator_above_2.  Each is
 found once, and charged to every budget that asks for it at the units that
-search spent (errors.Budget.cached).  Emptying _FIELDS empties them all.
+search spent (errors.Budget.cached).  Emptying _FIELDS drops the table's
+hold on them, but a BiquadField built before keeps its three subfields, and
+with them their fundamental units and k.searched: only a field built after
+the clear starts cold.
 """
 
 from __future__ import annotations
@@ -79,6 +82,14 @@ class QuadraticField:
         if not self.is_real:
             raise DomainError("imaginary quadratic fields have no fundamental unit")
         return _cf_fundamental_unit(self)
+
+    @cached_property
+    def trace_plus_2(self) -> int:
+        """Tr(eps) + 2 for the fundamental unit eps (real fields only).  When
+        N(eps) = +1, (1 + eps)**2 = eps*(Tr(eps) + 2), so eps is this
+        rational integer times a square (units.unit_structure)."""
+        u, v = self.fundamental_unit
+        return 2 * u + (v if self.d % 4 == 1 else 0) + 2
 
     @cached_property
     def lam(self) -> int:

@@ -1,14 +1,16 @@
 """Unit structure of a biquadratic field: the roots of unity and the unit
-index q = (O_K^x : O_k1^x O_k2^x O_k3^x), both decided by one search for
-square roots of subfield units.  The chain indices tied to the norm-one /
-totally-signed unit subgroup follow from q, lambda and mu_K in polya.
+index q = (O_K^x : O_k1^x O_k2^x O_k3^x), both decided by tests on rational
+integers that say which products of subfield units are squares in K.  The
+chain indices tied to the norm-one / totally-signed unit subgroup follow
+from q, lambda and mu_K in polya.
 
-The computational heart is an exact squareness test, integral_square_root.
-The two routes to |Po(K)| both use it: the formula route decides the unit
-index q_K with it, and the oracle's principality test
-(lattice.principal_ideal_generator) ends in it.
+The oracle's principality test (lattice.principal_ideal_generator) ends in
+the exact squareness test integral_square_root; the formula route takes no
+square root in K.  The two routes share the subfield fundamental units and
+_k1_sqrt, the square test in one quadratic subfield, which the formula
+route runs only on eps1*eps2*eps3 in a real K with every lambda_i = -1.
 
-The test denests over k1 = Q(sqrt(d1)) in integers.  With sqrt(d1)*sqrt(d2)
+integral_square_root denests over k1 = Q(sqrt(d1)) in integers.  With sqrt(d1)*sqrt(d2)
 = m*sqrt(d3) and C the radical coordinates of 4*eta, (4|m|)**2 * eta =
 alpha + beta*sqrt(d2) with alpha = 4m^2 (C0 + C1 sqrt(d1)), beta = 4m^2 C2 +
 4m C3 sqrt(d1), and its roots +-4|m|*xi (xi is integral) are a + b*sqrt(d2)
@@ -16,7 +18,7 @@ with a, b in Z[sqrt(d1)].  If beta != 0, then alpha**2 - beta**2*d2 = nu**2,
 nu = +-(a**2 - b**2*d2), and (alpha +- nu)/2 = a**2 != 0 for one sign, and
 any such a gives the root a + (beta/(2a))*sqrt(d2); if beta = 0, alpha or
 alpha/d2 is a square in k1.  Squares in k1 are settled the same way with
-isqrt; a root in k1 of an element of Z[sqrt(d1)] lies in Z[sqrt(d1)], since
+isqrt (_k1_sqrt); a root in k1 of an element of Z[sqrt(d1)] lies in Z[sqrt(d1)], since
 ((u + v*sqrt(d1))/2)**2 with u, v odd has a half-odd sqrt(d1) coefficient.  So
 an odd sum or an inexact division ends a branch with no root, "not a square"
 is a completed finite test, and a root is returned only after squaring back.
@@ -24,11 +26,37 @@ is a completed finite test, and a root is returned only after squaring back.
 The unit index follows by testing which products of subfield fundamental
 units (twisted by subfield roots of unity) become squares in K: squaring
 embeds O_K^x / E_0 into E_0 / E_0^2 for E_0 the subgroup generated by the
-subfield units, so q equals the number of square classes found.  For real
-fields a sign character on the lambda_i prunes candidates that are not
-totally positive, and mu_K = {+-1}.  For imaginary fields the candidates
-include the generator of the subfield roots of unity, and mu_K is twice its
-order when it is a square in K.
+subfield units, so q equals the number of square classes found.  Each test
+is a proof, and each root is written down and squared back:
+
+- A nonzero rational integer r is a square in K exactly when r*d_j = s**2
+  for some d_j in (1, d1, d2, d3): a root x of r spans Q or some
+  Q(sqrt(d_j)), so x = c*sqrt(d_j) with c rational.  For
+  eta = x**2/(n**2*r), with x != 0 in K, eta is then a square exactly when r
+  is, with the root x*sqrt(d_j)/(n*s).
+- If N(eps) = +1, then (1 + eps)**2 = eps*(Tr(eps) + 2), with 1 + eps != 0
+  (QuadraticField.trace_plus_2).  So a product of norm +1 units is a square
+  exactly when the product T of their Tr(eps_i) + 2 is, and
+  prod(1 + eps_i)*sqrt(d_j)/s is its root.
+- Real K.  A square is totally positive, and s_t changes the sign of eps_i,
+  i != t, by lambda_i; so every product with a unit of norm -1 is pruned,
+  except eps1*eps2*eps3 when every lambda_i = -1.  There theta = eps2*eps3
+  has N_{K/k1}(theta) = 1, so (1 + theta)**2 = theta*(2 + Tr_{K/k1} theta),
+  and eta = eps1*theta = (eta + eps1)**2/beta for beta = eps1*(2 + Tr_{K/k1}
+  theta) in k1, where Tr_{K/k1} theta = eps2*eps3 + eps2'*eps3' is written
+  down from the radical coordinates.  beta is a square in K = k1(sqrt(d2))
+  exactly when beta or beta*d2 is a square in k1, since (a + b*sqrt(d2))**2
+  lies in k1 only when ab = 0; _k1_sqrt decides that on 4*beta, and a root
+  gamma of 4*f*beta gives xi = 2*sqrt(f)*(eta + eps1)*gamma'/N(gamma).
+  mu_K = {+-1}.
+- Imaginary K.  The generator zeta of the subfield roots of unity is
+  c*(rho/n)**2 with c rational (_torsion_generator), so zeta is a square
+  exactly when c is, and mu_K is then twice its order.  If the unit eps_r of
+  the real subfield has norm -1, neither eps_r nor zeta*eps_r is a square:
+  some imaginary subfield k_t is neither Q(i) nor Q(sqrt(-3)) (with both,
+  eps_r = 2 + sqrt(3)), s_t sends zeta to zeta**-1, and so
+  N_{K/k_t}(zeta**a * eps_r) = -1, which is not a square in k_t.  Otherwise
+  eps_r and zeta*eps_r are tested by Tr(eps_r) + 2 and c*(Tr(eps_r) + 2).
 
 The same data give |H^1(G, O_K^x)| for G = Gal(K/Q) = {1, s1, s2, s3}
 (unit_cohomology_order), which the formula route needs for j2.  Write F =
@@ -67,7 +95,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import reduce
+from math import isqrt, prod
 from operator import mul
 
 from .biquadratic import BiquadField
@@ -82,7 +111,9 @@ def _int_sqrt(n: int) -> int | None:
 
 def _k1_sqrt(x: int, y: int, d1: int) -> tuple[int, int] | None:
     """Integers (r0, r1) with (r0 + r1*sqrt(d1))**2 == x + y*sqrt(d1), or None
-    when x + y*sqrt(d1) is not a square in k1."""
+    when x + y*sqrt(d1) is not a square in k1.  Shared by both routes: the
+    denesting of integral_square_root and the eps1*eps2*eps3 test of
+    unit_structure."""
     if y == 0:
         r = _int_sqrt(x)
         if r is not None:
@@ -164,38 +195,98 @@ class UnitStructure:
     square_class_roots: dict = field(default_factory=dict, repr=False)
 
 
-def _conj_sign_character(lam: tuple[int, int, int], a: tuple[int, int, int], t: int) -> int:
-    """Sign of sigma_t(eps_1^a1 eps_2^a2 eps_3^a3) for a real field."""
-    s = 1
-    for i in range(3):
-        if a[i] and i != t - 1:
-            s *= lam[i]
-    return s
+def _divide(K: BiquadField, x, n: int) -> list[int]:
+    """The basis coordinates of x/n; raises unless they are integers."""
+    out = []
+    for c in x:
+        q, r = divmod(c, n)
+        if r:
+            raise InconsistencyError(f"{x}/{n} is not integral in {K.d}")
+        out.append(q)
+    return out
 
 
-def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
-    """Generator of the subgroup of roots of unity generated by the
-    subfield torsion units, with its order."""
-    gens = []
-    for i, k in enumerate(K.subfields):
-        if k.torsion_order() > 2:
-            gens.append((K.from_quad(i, k.torsion_generator()), k.torsion_order()))
-    if not gens:
-        return [-1, 0, 0, 0], 2
-    if len(gens) == 1:
-        return gens[0]
-    # i and zeta_6 together generate a cyclic group of order 12, with
-    # generator i * conj(zeta_6) = zeta_12; complex conjugation is the Galois
-    # element fixing the real subfield
-    (g4, o4), (g6, o6) = sorted(gens, key=lambda t: t[1])
-    if (o4, o6) != (4, 6):
-        raise InconsistencyError(f"subfield roots of unity of orders {o4}, {o6} in {K.d}")
-    z12 = K.mul_basis_coords(g4, K.sigma(g6, K.real_radical_index))
-    z2 = K.mul_basis_coords(z12, z12)
-    z6 = K.mul_basis_coords(z2, K.mul_basis_coords(z2, z2))
-    if z6 != [-1, 0, 0, 0] or z2 == [-1, 0, 0, 0]:
-        raise InconsistencyError(f"{z12} fails z**6 = -1 and z**2 != -1")
-    return z12, 12
+def _radical(K: BiquadField, i: int, x: int, y: int) -> list[int]:
+    """Basis coordinates of x + y*sqrt(d_i) in the subfield k_i (0-based),
+    through sqrt(d_i) = 2*omega_i - 1 or omega_i."""
+    return K.from_quad(i, (x - y, 2 * y) if K.d[i] % 4 == 1 else (x, y))
+
+
+def _checked_root(K: BiquadField, x, n: int, eta) -> tuple[int, ...]:
+    """xi = x/n, which must be integral and square back to eta."""
+    xi = _divide(K, x, n)
+    if K.mul_basis_coords(xi, xi) != eta:
+        raise InconsistencyError(f"the closed-form square root of {eta} does not square back")
+    return tuple(xi)
+
+
+def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors):
+    """The root of eta = prod(eta_factors) = x**2/(n**2*r), for
+    x = prod(x_factors) and r a nonzero rational integer, or None when r,
+    and so eta, is not a square in K.  r is a square in K exactly when
+    r*d_j = s**2 for some d_j of (1, d1, d2, d3), and then
+    xi = x*sqrt(d_j)/(n*s) (module docstring)."""
+    for j, d in enumerate((1, *K.d)):
+        m = r * d
+        if m > 0:
+            s = isqrt(m)
+            if s * s == m:
+                break
+    else:
+        return None
+    x = reduce(K.mul_basis_coords, [*x_factors, _radical(K, j - 1, 0, 1)] if j else x_factors)
+    return _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
+
+
+def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
+    """The root of eta = eps1*eps2*eps3 in a real field with every
+    lambda_i = -1, or None (module docstring): eta = (eta + eps1)**2/beta
+    with beta = eps1*(2 + Tr_{K/k1}(eps2*eps3)) in k1, and beta is a square
+    in K = k1(sqrt(d2)) exactly when beta or beta*d2 is a square in k1."""
+    halves = []  # 2*eps_i = x_i + y_i*sqrt(d_i)
+    for k in K.subfields:
+        u, v = k.fundamental_unit
+        halves.append((2 * u + v, v) if k.d % 4 == 1 else (2 * u, 2 * v))
+    (x1, y1), (x2, y2), (x3, y3) = halves
+    d1, d2 = K.d[0], K.d[1]
+    # sqrt(d2)*sqrt(d3) = m*sqrt(d1), so 2*(2 + Tr_{K/k1} eps2*eps3) = p + q*sqrt(d1)
+    p, q = 4 + x2 * x3, K.mul_table[(2, 3)][1] * y2 * y3
+    bx, by = x1 * p + d1 * y1 * q, x1 * q + y1 * p  # 4*beta
+    for f in (1, d2):
+        g = _k1_sqrt(f * bx, f * by, d1)
+        if g is not None:
+            break
+    else:
+        return None
+    # gamma = g0 + g1*sqrt(d1) squares to 4*f*beta, and 1/gamma = gamma'/N(gamma),
+    # so xi = 2*sqrt(f)*(eta + eps1)*gamma'/N(gamma)
+    g0, g1 = g
+    eta = reduce(K.mul_basis_coords, eps)
+    factors = [[a + b for a, b in zip(eta, eps[0])], _radical(K, 0, 2 * g0, -2 * g1)]
+    if f != 1:
+        factors.append(_radical(K, 1, 0, 1))
+    return _checked_root(K, reduce(K.mul_basis_coords, factors), g0 * g0 - d1 * g1 * g1, eta)
+
+
+def _torsion_generator(K: BiquadField) -> tuple[list[int], int, int, list[int], int]:
+    """Generator zeta of the subgroup of roots of unity generated by the
+    subfield torsion units, with its order w, written as zeta = c*(rho/n)**2
+    with c rational and rho integral: (zeta, w, c, rho, n).  -1 = -1*1**2,
+    i = 2*((1 + i)/2)**2, zeta_6 = -zeta_3**2 and zeta_12 = i*conj(zeta_6) =
+    -2*((1 + i)*zeta_3**2/2)**2, with zeta_6 = omega = (1 + sqrt(-3))/2,
+    zeta_3 = omega - 1 and zeta_3**2 = -omega."""
+    at = {d: i for i, d in enumerate(K.d)}
+    if -1 in at and -3 in at:
+        w, c, n = 12, -2, 2
+        rho = K.mul_basis_coords(K.from_quad(at[-1], (1, 1)), K.from_quad(at[-3], (0, -1)))
+    elif -1 in at:
+        w, c, n, rho = 4, 2, 2, K.from_quad(at[-1], (1, 1))
+    elif -3 in at:
+        w, c, n, rho = 6, -1, 1, K.from_quad(at[-3], (-1, 1))
+    else:
+        return [-1, 0, 0, 0], 2, -1, [1, 0, 0, 0], 1
+    zeta = _divide(K, [c * x for x in K.mul_basis_coords(rho, rho)], n * n)
+    return zeta, w, c, rho, n
 
 
 def _relative_norm(K: BiquadField, x, t: int) -> list[int]:
@@ -292,33 +383,51 @@ def unit_cohomology_order(K: BiquadField) -> int:
     return _imaginary_h1_order(K, K.units)
 
 
+# each nonempty subset of the three subfield units: its exponent triple
+# (a1, a2, a3) and its indices
+_SUBSETS = tuple(((m & 1, m >> 1 & 1, m >> 2), tuple(i for i in range(3) if m >> i & 1))
+                 for m in range(1, 8))
+
+
 def unit_structure(K: BiquadField) -> UnitStructure:
+    """q_K, mu_K and the roots of the subfield-unit products that are
+    squares in K, each decided by tests on rational integers, or for
+    eps1*eps2*eps3 on an integer of one real subfield (module docstring)."""
     lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
     nu_k = sum(k.nu for k in K.subfields)
     roots: dict = {}
 
     if K.is_real:
-        eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in range(3)]
-        for mask in range(1, 8):
-            a = (mask & 1, (mask >> 1) & 1, (mask >> 2) & 1)
-            if any(_conj_sign_character(lam, a, t) < 0 for t in (1, 2, 3)):
-                continue
-            eta = [1, 0, 0, 0]
-            for i in range(3):
-                if a[i]:
-                    eta = K.mul_basis_coords(eta, eps[i])
-            xi = integral_square_root(K, eta)
+        eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
+        plus = {i for i in range(3) if lam[i] == 1}
+        for a, units in _SUBSETS:
+            if plus.issuperset(units):
+                # (1 + eps_i)**2 = eps_i*(Tr eps_i + 2), and 1 is the first basis element
+                xi = _rational_class_root(
+                    K, prod(K.subfields[i].trace_plus_2 for i in units),
+                    [[eps[i][0] + 1, *eps[i][1:]] for i in units], 1, [eps[i] for i in units])
+            elif lam == (-1, -1, -1) and len(units) == 3:
+                xi = _all_minus_root(K, eps)
+            else:
+                continue  # not totally positive: a conjugate is negative
             if xi is not None:
                 roots[a] = xi
         mu_order = 2
         q_range = (1, 2, 4)
     else:
-        zeta, zorder = _torsion_generator(K)
+        zeta, zorder, c, rho, n = _torsion_generator(K)
+        c_rho = [c * x for x in rho]
+        candidates = [((1, 0), c, [c_rho], n, [zeta])]
         r = K.real_radical_index - 1
-        eps_r = K.from_quad(r, K.subfields[r].fundamental_unit)
-        candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): K.mul_basis_coords(zeta, eps_r)}
-        for key, eta in candidates.items():
-            xi = integral_square_root(K, eta)
+        k = K.subfields[r]
+        # with N(eps_r) = -1 neither eps_r nor zeta*eps_r is a square
+        if k.lam == 1:
+            eps_r = K.from_quad(r, k.fundamental_unit)
+            one_eps, t = [eps_r[0] + 1, *eps_r[1:]], k.trace_plus_2
+            candidates += [((0, 1), t, [one_eps], 1, [eps_r]),
+                           ((1, 1), c * t, [c_rho, one_eps], n, [zeta, eps_r])]
+        for key, *args in candidates:
+            xi = _rational_class_root(K, *args)
             if xi is not None:
                 roots[key] = xi
         # a root of the subfield torsion generator doubles the roots of unity

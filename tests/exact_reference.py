@@ -56,9 +56,15 @@
   it forms g*u / n for every twist of BiquadField.unit_twists and settles
   each by the exact square root, with the same budget and the same order.
 - parse_records, the inverse of report.render_records.
+- The earlier unit search denesting_unit_structure: it forms each product
+  of subfield units that the sign character does not prune (real K), or
+  zeta, eps_r and zeta*eps_r (imaginary K), in K and settles each by
+  integral_square_root; the program decides the same candidates by tests
+  on rational integers and writes each root down.
 - clear_subfield_caches, which empties the per-process table of quadratic
-  fields, and with it each field's completed book and generator above 2,
-  so that a test starts cold and leaks no monkeypatched result into another.
+  fields, so that a field built after it starts cold and no monkeypatched
+  result leaks into another test; a field built before it keeps its
+  subfields, with their units, books and generators above 2.
 - The general Kronecker symbol kronecker; the program reads the splitting
   of a prime in a quadratic field by Euler's criterion, and at 2 from
   Delta mod 8.
@@ -78,6 +84,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
+from polyabiquad.biquadratic import BiquadField
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
@@ -85,7 +92,7 @@ from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
                                    principal_generator_quad, radical_coords)
 from polyabiquad.report import OutputRecord
-from polyabiquad.units import integral_square_root
+from polyabiquad.units import UnitStructure, integral_square_root
 
 _F0 = Fraction(0)
 # coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
@@ -946,7 +953,89 @@ def unsieved_generator(K, n, gens, contains, budget) -> tuple[int, ...] | None:
     return None
 
 
+def _conj_sign_character(lam: tuple[int, int, int], a: tuple[int, int, int], t: int) -> int:
+    """Sign of sigma_t(eps_1^a1 eps_2^a2 eps_3^a3) for a real field."""
+    s = 1
+    for i in range(3):
+        if a[i] and i != t - 1:
+            s *= lam[i]
+    return s
+
+
+def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
+    """Generator of the subgroup of roots of unity generated by the
+    subfield torsion units, with its order."""
+    gens = []
+    for i, k in enumerate(K.subfields):
+        if k.torsion_order() > 2:
+            gens.append((K.from_quad(i, k.torsion_generator()), k.torsion_order()))
+    if not gens:
+        return [-1, 0, 0, 0], 2
+    if len(gens) == 1:
+        return gens[0]
+    # i and zeta_6 together generate a cyclic group of order 12, with
+    # generator i * conj(zeta_6) = zeta_12; complex conjugation is the Galois
+    # element fixing the real subfield
+    (g4, o4), (g6, o6) = sorted(gens, key=lambda t: t[1])
+    if (o4, o6) != (4, 6):
+        raise InconsistencyError(f"subfield roots of unity of orders {o4}, {o6} in {K.d}")
+    z12 = K.mul_basis_coords(g4, K.sigma(g6, K.real_radical_index))
+    z2 = K.mul_basis_coords(z12, z12)
+    z6 = K.mul_basis_coords(z2, K.mul_basis_coords(z2, z2))
+    if z6 != [-1, 0, 0, 0] or z2 == [-1, 0, 0, 0]:
+        raise InconsistencyError(f"{z12} fails z**6 = -1 and z**2 != -1")
+    return z12, 12
+
+
+def denesting_unit_structure(K: BiquadField) -> UnitStructure:
+    lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
+    nu_k = sum(k.nu for k in K.subfields)
+    roots: dict = {}
+
+    if K.is_real:
+        eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in range(3)]
+        for mask in range(1, 8):
+            a = (mask & 1, (mask >> 1) & 1, (mask >> 2) & 1)
+            if any(_conj_sign_character(lam, a, t) < 0 for t in (1, 2, 3)):
+                continue
+            eta = [1, 0, 0, 0]
+            for i in range(3):
+                if a[i]:
+                    eta = K.mul_basis_coords(eta, eps[i])
+            xi = integral_square_root(K, eta)
+            if xi is not None:
+                roots[a] = xi
+        mu_order = 2
+        q_range = (1, 2, 4)
+    else:
+        zeta, zorder = _torsion_generator(K)
+        r = K.real_radical_index - 1
+        eps_r = K.from_quad(r, K.subfields[r].fundamental_unit)
+        candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): K.mul_basis_coords(zeta, eps_r)}
+        for key, eta in candidates.items():
+            xi = integral_square_root(K, eta)
+            if xi is not None:
+                roots[key] = xi
+        # a root of the subfield torsion generator doubles the roots of unity
+        mu_order = 2 * zorder if (1, 0) in roots else zorder
+        q_range = (1, 2)
+
+    q = len(roots) + 1
+    if q not in q_range:
+        raise InconsistencyError(f"unit index {q} outside {q_range} for {K.d}")
+    return UnitStructure(
+        q_k=q,
+        mu_order=mu_order,
+        lam=lam,
+        nu_k=nu_k,
+        square_class_roots=roots,
+    )
+
+
 def clear_subfield_caches() -> None:
+    """Empty the per-process table of quadratic fields.  A BiquadField built
+    before the clear keeps its subfields, their units and k.searched, so a
+    test that wants a cold field builds it after the clear."""
     from polyabiquad import quadratic
     quadratic._FIELDS.clear()
 

@@ -396,6 +396,32 @@ def test_formula_scan_builds_no_ideal(capsys, monkeypatch):
         "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870"
 
 
+def test_formula_route_takes_no_square_root_in_k(capsys, monkeypatch):
+    # the unit index, mu_K and the roots of the square classes come from
+    # tests on rational integers and closed forms: with the denesting square
+    # root made to raise, scan --bound 30 keeps its digest, and biquad keeps
+    # its row on Q(i, sqrt2) (mu_K = 8), Q(i, sqrt3) (mu_K = 12), Q(sqrt2,
+    # sqrt5) (every lambda_i = -1) and the many-prime fields
+    import hashlib
+    import polyabiquad.units as units
+
+    pairs = (("-1", "2"), ("-1", "3"), ("2", "5"), ("-210", "143"), ("210", "143"),
+             ("-2310", "13"), ("-1155", "26"), ("30", "77"))
+    rows = [run(capsys, "biquad", d1, d2, "--json") for d1, d2 in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula route took a square root in K")
+
+    monkeypatch.setattr(units, "integral_square_root", refuse)
+    code, out, _ = run(capsys, "scan", "--bound", "30", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "55b7e9e0638e2c99a6811cbbd2d9aa718abf9381498bf2521615b9872f719870"
+    assert [run(capsys, "biquad", d1, d2, "--json") for d1, d2 in pairs] == rows
+    assert all(row[0] == 0 for row in rows)
+    assert [json.loads(row[1])["mu_order"] for row in rows[:3]] == [8, 12, 2]
+
+
 def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
     # the oracle tests membership in rad(p) by xi^e_p in p*O_K and certifies
     # the extended subfield primes by one square each: with the radicals,

@@ -1,0 +1,37 @@
+"""The unit index q_K, mu_K and the square-class roots, decided by tests on
+rational integers (units.unit_structure), against the earlier search that
+forms each candidate product in K and denests it (denesting_unit_structure)."""
+
+from exact_reference import denesting_unit_structure
+from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.cli import _scan_tasks
+from polyabiquad.polya import j2_value
+from polyabiquad.quadratic import quadratic_field
+from polyabiquad.units import unit_cohomology_order
+
+# the five fields of the benchmark's many-prime workload (s_K >= 5), the
+# s_K = 13 and s_K = 17 fields, and a real subfield unit of about 64,000
+# digits
+LARGE_PAIRS = [(-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77),
+               (-9699690, 31367009), (-6469693230, 297194980009), (-10000000019, -1)]
+
+
+def test_unit_structure_matches_the_denesting_reference():
+    pairs = _scan_tasks(60, False, False)
+    assert len(pairs) == 2284
+    for pair in pairs + LARGE_PAIRS:
+        K, ref_K = biquadratic_field(*pair), biquadratic_field(*pair)
+        us = K.units
+        ref = ref_K.__dict__["units"] = denesting_unit_structure(ref_K)
+        assert (us.q_k, us.mu_order, us.lam, us.nu_k) == \
+            (ref.q_k, ref.mu_order, ref.lam, ref.nu_k), pair
+        assert list(us.square_class_roots) == list(ref.square_class_roots), pair
+        for key, root in ref.square_class_roots.items():
+            assert us.square_class_roots[key] in (root, tuple(-c for c in root)), (pair, key)
+        assert unit_cohomology_order(K) == unit_cohomology_order(ref_K), pair
+        assert j2_value(K) == j2_value(ref_K), pair
+
+
+def test_trace_plus_2_of_named_units():
+    # 1 + sqrt2, 2 + sqrt3, (1 + sqrt5)/2, 5 + 2*sqrt6 and (3 + sqrt13)/2
+    assert [quadratic_field(d).trace_plus_2 for d in (2, 3, 5, 6, 13)] == [4, 6, 3, 12, 5]
