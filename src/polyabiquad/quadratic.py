@@ -104,9 +104,6 @@ class QuadraticField:
         """Generator of the roots of unity: omega, which is i or zeta_6, or -1."""
         return (0, 1) if self.d in (-1, -3) else (-1, 0)
 
-    def torsion_order(self) -> int:
-        return {-1: 4, -3: 6}.get(self.d, 2)
-
     def __repr__(self):
         return f"QuadraticField({self.d})"
 

@@ -78,8 +78,13 @@ delta(f)(s, t) = chi_s(f(t)), where chi_t(a) is the sign in N_{K/k_t}(xi_a)
 = s_t(xi_a) * xi_a = +-eps_t^a_t and chi_t(2e_i) = lambda_i for i != t, 1
 for i = t.  H^2(G, {+-1}) is F_2^3, read off a normalised cocycle c as
 c(s1, s1), c(s2, s2) and c(s1, s2) + c(s2, s1), so |ker delta| = [Z : B] /
-|delta(Z)|.  The product of the three signs of xi_a is N(xi_a) = prod
-lambda_i^a_i, and a relative norm off that raises InconsistencyError.
+|delta(Z)|.  delta reads chi only on x and y, whose a1 or a2 is 0, so never
+on eps1*eps2*eps3; each class read has the root xi_a = prod(1 + eps_i)*
+sqrt(d_j)/s above, with j unique, as the d_j are distinct modulo squares.  As
+(1 + eps_i)*s_t(1 + eps_i) = eps_i^[i = t]*(Tr(eps_i) + 2) and
+sqrt(d_j)*s_t(sqrt(d_j)) = +-d_j, the sign is - exactly when s_t moves
+sqrt(d_j): chi_t(a) = [j not in (0, t)], with no arithmetic in K and resting
+only on xi_a**2 = eta_a, which _checked_root raises on.
 
 Imaginary K.  k_3 is the real subfield, s_3 is complex conjugation, and
 F = Z, generated by eta, with s_1 = s_2 = -1; so H^1(G, F) = Z/2, from
@@ -220,20 +225,20 @@ def _checked_root(K: BiquadField, x, n: int, eta) -> tuple[int, ...]:
     return tuple(xi)
 
 
-def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors):
-    """The root of eta = prod(eta_factors) = x**2/(n**2*r), for
-    x = prod(x_factors) and r a nonzero rational integer, or None when r,
-    and so eta, is not a square in K.  r is a square in K exactly when
-    r*d_j = s**2 for some d_j of (1, d1, d2, d3), and then
-    xi = x*sqrt(d_j)/(n*s) (module docstring)."""
+def _square_witness(K: BiquadField, r: int) -> tuple[int, int] | None:
+    """The one (j, s) with r*d_j == s**2 for d_j in (1, d1, d2, d3), None if r is no square in K."""
     for j, d in enumerate((1, *K.d)):
-        m = r * d
-        if m > 0:
-            s = isqrt(m)
-            if s * s == m:
-                break
-    else:
+        if s := _int_sqrt(r * d):
+            return j, s
+    return None
+
+
+def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors):
+    """The root x*sqrt(d_j)/(n*s) of eta = prod(eta_factors) = x**2/(n**2*r), x = prod(x_factors),
+    for (j, s) the square witness of r, or None when r, and so eta, is not a square in K."""
+    if (witness := _square_witness(K, r)) is None:
         return None
+    j, s = witness
     x = reduce(K.mul_basis_coords, [*x_factors, _radical(K, j - 1, 0, 1)] if j else x_factors)
     return _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
 
@@ -308,23 +313,21 @@ def _h1_roots_of_unity(w: int, k1: int, k2: int) -> int:
     return _cocycle_count(w, k1, k2) // len(coboundaries)
 
 
-def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    one = [1, 0, 0, 0]
-    eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
-    # chi[a] = (chi_1(a), chi_2(a)) on the square classes a, 1 meaning -1
+def _real_characters(K: BiquadField, us: UnitStructure) -> dict:
+    """chi[a] = (chi_1(a), chi_2(a)), 1 meaning -1, on the square classes read,
+    a1*a2 = 0: [j not in (0, t)] for j the radical index of the class's root."""
     chi = {(0, 0, 0): (0, 0)}
-    for a, xi in us.square_class_roots.items():
-        signs = []
-        for t in (1, 2, 3):
-            n, target = _relative_norm(K, xi, t), eps[t - 1] if a[t - 1] else one
-            if n != target and n != [-c for c in target]:
-                raise InconsistencyError(
-                    f"N_(K/k_{t}) of the root {xi} is not +-eps_{t}^{a[t - 1]} in {K.d}")
-            signs.append(int(n != target))
-        if sum(signs) % 2 != sum(a[i] for i in range(3) if us.lam[i] == -1) % 2:
-            raise InconsistencyError(
-                f"the relative norm signs {signs} of {xi} disagree with N(xi) in {K.d}")
-        chi[a] = signs[0], signs[1]
+    for a in filter(lambda a: 0 in a[:2], us.square_class_roots):
+        witness = _square_witness(K, prod(k.trace_plus_2 for k, e in zip(K.subfields, a) if e))
+        if witness is None:
+            raise InconsistencyError(f"the square class {a} of {K.d} has no radical index")
+        chi[a] = int(witness[0] not in (0, 1)), int(witness[0] not in (0, 2))
+    return chi
+
+
+def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
+    chi = _real_characters(K, us)
+    found = {(0, 0, 0), *us.square_class_roots}
 
     def char(t: int, v) -> int:
         """chi_t (t = 1, 2) on the half-exponent vector v in L."""
@@ -337,7 +340,7 @@ def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
         return char(1, x) | char(2, y) << 1 | (char(1, y) ^ char(2, x)) << 2
 
     cocycles_mod_2 = [z for z in itertools.product((0, 1), repeat=3)
-                      if (0, z[0], z[2]) in chi and (z[1], 0, z[2]) in chi]
+                      if (0, z[0], z[2]) in found and (z[1], 0, z[2]) in found]
     image = {0}
     for z in [(2, 0, 0), (0, 2, 0), (0, 0, 2), *cocycles_mod_2]:
         d = delta(*z)

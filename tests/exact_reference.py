@@ -60,7 +60,12 @@
   of subfield units that the sign character does not prune (real K), or
   zeta, eps_r and zeta*eps_r (imaginary K), in K and settles each by
   integral_square_root; the program decides the same candidates by tests
-  on rational integers and writes each root down.
+  on rational integers and writes each root down.  It reads the roots of
+  unity of a subfield off torsion_order.
+- The earlier character table of a real field relative_norm_characters: it
+  forms N_{K/k_t}(xi_a) = xi_a * s_t(xi_a) in K for every square class and
+  t = 1, 2, 3 and reads each sign off it; the program reads the signs off
+  the radical index of each class.
 - clear_subfield_caches, which empties the per-process table of quadratic
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
@@ -92,7 +97,7 @@ from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
                                    principal_generator_quad, radical_coords)
 from polyabiquad.report import OutputRecord
-from polyabiquad.units import UnitStructure, integral_square_root
+from polyabiquad.units import UnitStructure, _relative_norm, integral_square_root
 
 _F0 = Fraction(0)
 # coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
@@ -962,13 +967,18 @@ def _conj_sign_character(lam: tuple[int, int, int], a: tuple[int, int, int], t: 
     return s
 
 
+def torsion_order(k) -> int:
+    """The number of roots of unity of the quadratic field k."""
+    return {-1: 4, -3: 6}.get(k.d, 2)
+
+
 def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
     """Generator of the subgroup of roots of unity generated by the
     subfield torsion units, with its order."""
     gens = []
     for i, k in enumerate(K.subfields):
-        if k.torsion_order() > 2:
-            gens.append((K.from_quad(i, k.torsion_generator()), k.torsion_order()))
+        if torsion_order(k) > 2:
+            gens.append((K.from_quad(i, k.torsion_generator()), torsion_order(k)))
     if not gens:
         return [-1, 0, 0, 0], 2
     if len(gens) == 1:
@@ -1030,6 +1040,30 @@ def denesting_unit_structure(K: BiquadField) -> UnitStructure:
         nu_k=nu_k,
         square_class_roots=roots,
     )
+
+
+def relative_norm_characters(K: BiquadField, us: UnitStructure) -> dict:
+    """The earlier character table of a real field: chi[a] = (chi_1(a),
+    chi_2(a)), 1 meaning -1, on every square class a, each the sign of
+    N_{K/k_t}(xi_a) = xi_a * s_t(xi_a) formed in K, which must be
+    +-eps_t^a_t, and the three signs checked against N(xi_a)."""
+    one = [1, 0, 0, 0]
+    eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
+    # chi[a] = (chi_1(a), chi_2(a)) on the square classes a, 1 meaning -1
+    chi = {(0, 0, 0): (0, 0)}
+    for a, xi in us.square_class_roots.items():
+        signs = []
+        for t in (1, 2, 3):
+            n, target = _relative_norm(K, xi, t), eps[t - 1] if a[t - 1] else one
+            if n != target and n != [-c for c in target]:
+                raise InconsistencyError(
+                    f"N_(K/k_{t}) of the root {xi} is not +-eps_{t}^{a[t - 1]} in {K.d}")
+            signs.append(int(n != target))
+        if sum(signs) % 2 != sum(a[i] for i in range(3) if us.lam[i] == -1) % 2:
+            raise InconsistencyError(
+                f"the relative norm signs {signs} of {xi} disagree with N(xi) in {K.d}")
+        chi[a] = signs[0], signs[1]
+    return chi
 
 
 def clear_subfield_caches() -> None:

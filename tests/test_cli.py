@@ -422,6 +422,29 @@ def test_formula_route_takes_no_square_root_in_k(capsys, monkeypatch):
     assert [json.loads(row[1])["mu_order"] for row in rows[:3]] == [8, 12, 2]
 
 
+def test_real_unit_cohomology_takes_no_arithmetic_in_k(monkeypatch):
+    # a real field's characters are read off the radical indices of its square
+    # classes: once the units are built, with products and conjugations in K
+    # made to raise, |H^1(G, O_K^x)| is unchanged on every real field of bound
+    # 30 with i2 = 1 and on Q(sqrt210, sqrt143)
+    from polyabiquad.biquadratic import BiquadField, biquadratic_field
+    from polyabiquad.cli import _scan_tasks
+    from polyabiquad.units import unit_cohomology_order
+
+    fields = [K for K in (biquadratic_field(*p) for p in _scan_tasks(30, True, False))
+              if K.profile.i2 == 1]
+    assert len(fields) == 42
+    fields.append(biquadratic_field(210, 143))
+    orders = [unit_cohomology_order(K) for K in fields]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the real unit cohomology did arithmetic in K")
+
+    monkeypatch.setattr(BiquadField, "mul_basis_coords", refuse)
+    monkeypatch.setattr(BiquadField, "sigma", refuse)
+    assert [unit_cohomology_order(K) for K in fields] == orders
+
+
 def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
     # the oracle tests membership in rad(p) by xi^e_p in p*O_K and certifies
     # the extended subfield primes by one square each: with the radicals,

@@ -206,34 +206,52 @@ def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
 
 
 def test_a_corrupt_relative_norm_sign_raises_under_python_O():
-    # every relative norm sign the H^1 computation reads is guarded by a raise,
-    # not an assert: flip each one in turn, in a real and an imaginary field
+    # every input the H^1 computation reads a sign from is guarded by a raise,
+    # not an assert: in a real field, perturb in turn each Tr(eps) + 2 it reads
+    # its characters off once the units are built; in an imaginary field, flip
+    # each relative norm in turn
     import subprocess, sys
     import polyabiquad
     script = """
 import polyabiquad.units as units
 from polyabiquad.biquadratic import biquadratic_field
-from polyabiquad.cli import main
 from polyabiquad.errors import InconsistencyError
 from polyabiquad.polya import polya_report
+from polyabiquad.quadratic import QuadraticField
+
+K = biquadratic_field(2, 51)
+K.units
+true = {k.d: k.trace_plus_2 for k in K.subfields}
+cached, read = QuadraticField.trace_plus_2, []
+QuadraticField.trace_plus_2 = property(lambda k: read.append(k.d) or true[k.d])
+polya_report(K)
+for d in sorted(set(read)):
+    QuadraticField.trace_plus_2 = property(lambda k: true[k.d] + (k.d == d))
+    try:
+        polya_report(K)
+    except InconsistencyError:
+        print("raised", d)
+    else:
+        print("passed", d)
+QuadraticField.trace_plus_2 = cached
+
 norm = units._relative_norm
-for pair in ((2, 51), (-1, 2)):
-    calls = []
-    units._relative_norm = lambda K, x, t: calls.append(t) or norm(K, x, t)
-    polya_report(biquadratic_field(*pair))
-    for bad in range(len(calls)):
-        seen = []
-        def corrupt(K, x, t):
-            seen.append(t)
-            n = norm(K, x, t)
-            return [-c for c in n] if len(seen) == bad + 1 else n
-        units._relative_norm = corrupt
-        try:
-            polya_report(biquadratic_field(*pair))
-        except InconsistencyError:
-            print("raised", pair, bad)
-        else:
-            print("passed", pair, bad)
+calls = []
+units._relative_norm = lambda K, x, t: calls.append(t) or norm(K, x, t)
+polya_report(biquadratic_field(-1, 2))
+for bad in range(len(calls)):
+    seen = []
+    def corrupt(K, x, t):
+        seen.append(t)
+        n = norm(K, x, t)
+        return [-c for c in n] if len(seen) == bad + 1 else n
+    units._relative_norm = corrupt
+    try:
+        polya_report(biquadratic_field(-1, 2))
+    except InconsistencyError:
+        print("raised", bad)
+    else:
+        print("passed", bad)
 """
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
@@ -242,5 +260,7 @@ for pair in ((2, 51), (-1, 2)):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # nine norms for the three square classes of Q(sqrt2, sqrt51), three for Q(zeta_8)
-    assert len(lines) == 9 + 3 and all(ln.startswith("raised") for ln in lines), lines
+    # Tr(eps) + 2 of Q(sqrt51) and Q(sqrt102), whose products give the three
+    # square classes of Q(sqrt2, sqrt51), and three norms for Q(zeta_8)
+    assert lines[:2] == ["raised 51", "raised 102"], lines
+    assert len(lines) == 2 + 3 and all(ln.startswith("raised") for ln in lines), lines

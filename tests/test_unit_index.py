@@ -1,13 +1,15 @@
 """The unit index q_K, mu_K and the square-class roots, decided by tests on
 rational integers (units.unit_structure), against the earlier search that
-forms each candidate product in K and denests it (denesting_unit_structure)."""
+forms each candidate product in K and denests it (denesting_unit_structure),
+and the real fields' cohomology characters, read off the radical indices,
+against the signs of the relative norms (relative_norm_characters)."""
 
-from exact_reference import denesting_unit_structure
+from exact_reference import denesting_unit_structure, relative_norm_characters
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.polya import j2_value
 from polyabiquad.quadratic import quadratic_field
-from polyabiquad.units import unit_cohomology_order
+from polyabiquad.units import _real_characters, unit_cohomology_order
 
 # the five fields of the benchmark's many-prime workload (s_K >= 5), the
 # s_K = 13 and s_K = 17 fields, and a real subfield unit of about 64,000
@@ -28,6 +30,12 @@ def test_unit_structure_matches_the_denesting_reference():
         assert list(us.square_class_roots) == list(ref.square_class_roots), pair
         for key, root in ref.square_class_roots.items():
             assert us.square_class_roots[key] in (root, tuple(-c for c in root)), (pair, key)
+        if K.is_real:
+            # the characters read off the radical indices, on the classes read
+            # (a1*a2 = 0), against the signs of the relative norms in K
+            ref_chi = relative_norm_characters(K, us)
+            assert _real_characters(K, us) == \
+                {a: c for a, c in ref_chi.items() if 0 in a[:2]}, pair
         assert unit_cohomology_order(K) == unit_cohomology_order(ref_K), pair
         assert j2_value(K) == j2_value(ref_K), pair
 
