@@ -4,13 +4,12 @@ Exact-arithmetic computation of the order of the group of strongly ambiguous
 ideal classes of K = Q(sqrt(d1), sqrt(d2)) and its three quadratic subfields,
 via closed unit-index formulas, together with a brute-force ambiguous-ideal
 oracle (exponent vectors of radical products, membership in rad(p) by
-xi^e_p in p*O_K, principality search) that verifies every formula; it
-builds no ideal lattice, and certifies the extension of the prime above p
-of every subfield by one square.  The two routes share only the
-continued-fraction fundamental unit of each quadratic subfield and the
-square test in one quadratic subfield: the formula route decides the unit
-index from Tr(eps) + 2 by tests on rational integers, takes no square root
-in K, solves j2 (the class of the prime above 2 lies outside the image of
+xi^e_p in p*O_K, principality search) that verifies every formula and
+builds no ideal lattice.  The two routes share only the continued-fraction
+fundamental unit of each quadratic subfield and the square test in one
+quadratic subfield: the formula route decides the unit index from
+Tr(eps) + 2 by tests on rational integers, takes no square root in K,
+solves j2 (the class of the prime above 2 lies outside the image of
 the subfield ambiguous classes) from |H^1(G, O_K^x)| and builds no ideal.
 """
 

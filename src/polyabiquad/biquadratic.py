@@ -25,11 +25,13 @@ adjugate columns of the coordinate map down from the d_i and the m_xy.  The
 structure constants are the coordinates of the products e_i*e_j of basis
 elements, so they are integers exactly when the lattice is a ring; every
 division in them must be exact, or construction raises InconsistencyError.
-Two more checks raise it: the lattice discriminant must equal the product of
-the three quadratic discriminants, and the coordinate map must send each
-basis row to its unit vector.  The discriminant alone cannot tell O_K from a
-lattice of the same index that is not a ring: in Q(sqrt(-23), sqrt(-19)),
-(1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
+Three more checks raise it: the lattice discriminant must equal the product
+of the three quadratic discriminants, the coordinate map must send each
+basis row to its unit vector, and each omega_i row must satisfy
+omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else omega^2 = d_i, which
+certifies the embedding from_quad.  The discriminant alone cannot tell O_K
+from a lattice of the same index that is not a ring: in Q(sqrt(-23),
+sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
 (1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
 contains 1, is closed under multiplication and has the discriminant of O_K
 is O_K.
@@ -235,8 +237,8 @@ class BiquadField:
 
     def _set_basis(self, rows, det, adj_cols, consts, sigmas, omegas) -> None:
         """Install the integral basis given by rows (integers in units of 1/4)
-        with its tables, after the discriminant certificate and the check that
-        the coordinate map sends each row to its unit vector."""
+        with its tables after the discriminant and inverse-map checks, then
+        check each omega row against the minimal polynomial of omega_i."""
         # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
         # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
         d1, d2, d3 = self.d
@@ -251,6 +253,11 @@ class BiquadField:
                 raise InconsistencyError(
                     f"the coordinate map of {self.d} does not invert its basis")
         self.structure_constants, self.sigma_matrices, self.omega_rows = consts, sigmas, omegas
+        # omega_i is a root of x^2 - x - (d_i - 1)/4 when d_i = 1 mod 4, else of x^2 - d_i
+        for di, w in zip(self.d, omegas):
+            t, n = (1, (di - 1) // 4) if di % 4 == 1 else (0, di)
+            if self.mul_basis_coords(w, w) != [t * w[0] + n, t * w[1], t * w[2], t * w[3]]:
+                raise InconsistencyError(f"omega row {w} of {self.d} fails its polynomial")
 
     def _integer_coords(self, vec, scale: int, what: str) -> list[int]:
         """Basis coordinates of the element vec/scale, vec an integer vector

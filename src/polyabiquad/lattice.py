@@ -69,13 +69,16 @@ The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
 marks principal the extension of a basis of the principal subgroup of each
 quadratic subfield: A = (alpha) gives A*O_K = alpha*O_K.  Both oracle
-counts rest on one fact: the prime P_i = [p, b + omega_i] of k_i above p
-extends to rad(p)^(e_p/2), i.e. to rad(p) when e_p = 2 and to rad(2)^2 when
-e_2 = 4.  The oracle certifies it for every subfield k_i in which p
-ramifies, before its first verdict.  Every prime P above p has
-v_P(p) = e_p, so g = b + omega_i lies in rad(p)^(e_p/2) iff
-v_P(g^2) >= e_p for every such P, i.e. iff g^2 is in p*O_K.  Then
-P_i*O_K lies in rad(p)^(e_p/2), both have norm p^2, and so they are equal.
+counts rest on one fact: the prime P_i of k_i above a p that ramifies in
+k_i extends to rad(p)^(e_p/2), i.e. to rad(p) when e_p = 2 and to rad(2)^2
+when e_2 = 4.  That is ramification theory: P_i^2 = p*O_{k_i} and
+ramification indices multiply, so when e_p = 2, K/k_i is unramified above
+P_i and P_i*O_K is the product of the primes above p, and when e_2 = 4 it
+is P^2 for the one prime P above 2.  The seeding reads only masks and these
+images, no generator of P_i and no product in K.  quadratic._ideal_form
+certifies that each [p, b + omega_i] of a subfield book is an ideal of
+norm p, so it is P_i, and BiquadField construction certifies the embedding
+of each k_i in K through the minimal polynomials of the omega rows.
 So every verdict is a completed descent, in K or in a subfield, a table of
 characters read for a whole coset, or follows from such verdicts by the
 group law; each subfield book starts with the mask of (sqrt(d)).  The same
@@ -112,7 +115,7 @@ is not trusted alone: every generator must still have norm +-N(a), and a
 
 prime_radical, relative_norm_ideal and the lattice products they take are
 the reference the tests check the oracle's membership test, relative-norm
-generators and certificate against.  prime_radical raises unless one
+generators and seed images against.  prime_radical raises unless one
 lattice product holds: rad(p)^2 = p*O_K when e_p = 2, and rad(2)^2 = P*O_K
 for the prime P above 2 of the first subfield when e_2 = 4.
 """
@@ -309,8 +312,8 @@ class AmbiguousIdealOracle:
     the classes are the cosets of the principal subgroup P, which a
     CosetBook builds from as few descents as it can, seeded with the
     extension of a basis of each subfield's principal subgroup (both counts
-    rest on P_i*O_K = rad(p)^(e_p/2), which _certify_subfield_primes
-    checks for every subfield; see the module docstring).
+    rest on P_i*O_K = rad(p)^(e_p/2), by ramification theory; see the
+    module docstring).
     The book holds each vector packed into one integer, mixed radix with the
     first prime most significant, so range(|G|) lists G in the order of
     itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
@@ -360,19 +363,6 @@ class AmbiguousIdealOracle:
         j = self.primes.index(p)
         return self.exponents[j] // 2 << len(self.primes) - 1 - j
 
-    def _certify_subfield_primes(self) -> None:
-        """Certify, for each subfield and each ramified p, that its prime
-        P_i = [p, b + omega_i] extends to rad(p)^(e_p/2): (b + omega_i)^2 in
-        p*O_K gives P_i*O_K = rad(p)^(e_p/2) (see the module docstring)."""
-        K = self.K
-        for i, k in enumerate(K.subfields):
-            for p in k.ramified_primes:
-                gen = K.from_quad(i, prime_above(k, p).basis_elements()[1])
-                if any(c % p for c in K.mul_basis_coords(gen, gen)):
-                    raise InconsistencyError(
-                        f"the prime of Q(sqrt({k.d})) above {p} does not extend to "
-                        f"rad({p})^(e_p/2) in the field {K.d}")
-
     @cached_property
     def _book(self) -> CosetBook:
         """The book with every vector decided, and so complete.  P is
@@ -386,7 +376,6 @@ class AmbiguousIdealOracle:
         is None, as its relative norms are r*P_2; otherwise the book
         descends on odd cosets until P holds an odd vector, and from then
         on every odd coset reduces to an even one."""
-        self._certify_subfield_primes()
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
         for sub in self._subfield_books:

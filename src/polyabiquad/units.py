@@ -83,8 +83,8 @@ on eps1*eps2*eps3; each class read has the root xi_a = prod(1 + eps_i)*
 sqrt(d_j)/s above, with j unique, as the d_j are distinct modulo squares.  As
 (1 + eps_i)*s_t(1 + eps_i) = eps_i^[i = t]*(Tr(eps_i) + 2) and
 sqrt(d_j)*s_t(sqrt(d_j)) = +-d_j, the sign is - exactly when s_t moves
-sqrt(d_j): chi_t(a) = [j not in (0, t)], with no arithmetic in K and resting
-only on xi_a**2 = eta_a, which _checked_root raises on.
+sqrt(d_j): chi_t(a) = [j not in (0, t)], for the j kept in radical_index, with
+no arithmetic in K and resting only on xi_a**2 = eta_a (_checked_root).
 
 Imaginary K.  k_3 is the real subfield, s_3 is complex conjugation, and
 F = Z, generated by eta, with s_1 = s_2 = -1; so H^1(G, F) = Z/2, from
@@ -198,6 +198,8 @@ class UnitStructure:
     # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
     # pairs (imaginary K)
     square_class_roots: dict = field(default_factory=dict, repr=False)
+    # real K: the radical index j of each root _rational_class_root wrote down
+    radical_index: dict = field(default_factory=dict, repr=False)
 
 
 def _divide(K: BiquadField, x, n: int) -> list[int]:
@@ -234,13 +236,14 @@ def _square_witness(K: BiquadField, r: int) -> tuple[int, int] | None:
 
 
 def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors):
-    """The root x*sqrt(d_j)/(n*s) of eta = prod(eta_factors) = x**2/(n**2*r), x = prod(x_factors),
-    for (j, s) the square witness of r, or None when r, and so eta, is not a square in K."""
+    """(j, the root x*sqrt(d_j)/(n*s)) of eta = prod(eta_factors) = x**2/(n**2*r),
+    x = prod(x_factors), for (j, s) the square witness of r, or None when r, and so eta, is
+    not a square in K."""
     if (witness := _square_witness(K, r)) is None:
         return None
     j, s = witness
     x = reduce(K.mul_basis_coords, [*x_factors, _radical(K, j - 1, 0, 1)] if j else x_factors)
-    return _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
+    return j, _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
 
 
 def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
@@ -318,10 +321,9 @@ def _real_characters(K: BiquadField, us: UnitStructure) -> dict:
     a1*a2 = 0: [j not in (0, t)] for j the radical index of the class's root."""
     chi = {(0, 0, 0): (0, 0)}
     for a in filter(lambda a: 0 in a[:2], us.square_class_roots):
-        witness = _square_witness(K, prod(k.trace_plus_2 for k, e in zip(K.subfields, a) if e))
-        if witness is None:
+        if (j := us.radical_index.get(a)) is None:
             raise InconsistencyError(f"the square class {a} of {K.d} has no radical index")
-        chi[a] = int(witness[0] not in (0, 1)), int(witness[0] not in (0, 2))
+        chi[a] = int(j not in (0, 1)), int(j not in (0, 2))
     return chi
 
 
@@ -398,7 +400,7 @@ def unit_structure(K: BiquadField) -> UnitStructure:
     eps1*eps2*eps3 on an integer of one real subfield (module docstring)."""
     lam = tuple(k.lam if k.is_real else 0 for k in K.subfields)
     nu_k = sum(k.nu for k in K.subfields)
-    roots: dict = {}
+    roots, radical_index = {}, {}
 
     if K.is_real:
         eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
@@ -406,15 +408,15 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         for a, units in _SUBSETS:
             if plus.issuperset(units):
                 # (1 + eps_i)**2 = eps_i*(Tr eps_i + 2), and 1 is the first basis element
-                xi = _rational_class_root(
+                found = _rational_class_root(
                     K, prod(K.subfields[i].trace_plus_2 for i in units),
                     [[eps[i][0] + 1, *eps[i][1:]] for i in units], 1, [eps[i] for i in units])
+                if found is not None:
+                    radical_index[a], roots[a] = found
             elif lam == (-1, -1, -1) and len(units) == 3:
-                xi = _all_minus_root(K, eps)
-            else:
-                continue  # not totally positive: a conjugate is negative
-            if xi is not None:
-                roots[a] = xi
+                if (xi := _all_minus_root(K, eps)) is not None:
+                    roots[a] = xi
+            # any other product is not totally positive: a conjugate is negative
         mu_order = 2
         q_range = (1, 2, 4)
     else:
@@ -430,9 +432,9 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             candidates += [((0, 1), t, [one_eps], 1, [eps_r]),
                            ((1, 1), c * t, [c_rho, one_eps], n, [zeta, eps_r])]
         for key, *args in candidates:
-            xi = _rational_class_root(K, *args)
-            if xi is not None:
-                roots[key] = xi
+            found = _rational_class_root(K, *args)
+            if found is not None:
+                roots[key] = found[1]
         # a root of the subfield torsion generator doubles the roots of unity
         mu_order = 2 * zorder if (1, 0) in roots else zorder
         q_range = (1, 2)
@@ -446,4 +448,5 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         lam=lam,
         nu_k=nu_k,
         square_class_roots=roots,
+        radical_index=radical_index,
     )

@@ -61,7 +61,8 @@
   zeta, eps_r and zeta*eps_r (imaginary K), in K and settles each by
   integral_square_root; the program decides the same candidates by tests
   on rational integers and writes each root down.  It reads the roots of
-  unity of a subfield off torsion_order.
+  unity of a subfield off torsion_order, and the radical index of each
+  real square class off relative_norm_characters.
 - The earlier character table of a real field relative_norm_characters: it
   forms N_{K/k_t}(xi_a) = xi_a * s_t(xi_a) in K for every square class and
   t = 1, 2, 3 and reads each sign off it; the program reads the signs off
@@ -1033,13 +1034,19 @@ def denesting_unit_structure(K: BiquadField) -> UnitStructure:
     q = len(roots) + 1
     if q not in q_range:
         raise InconsistencyError(f"unit index {q} outside {q_range} for {K.d}")
-    return UnitStructure(
+    us = UnitStructure(
         q_k=q,
         mu_order=mu_order,
         lam=lam,
         nu_k=nu_k,
         square_class_roots=roots,
     )
+    if K.is_real:
+        # the radical index of each class read, from its relative-norm signs
+        # chi_t(a) = [j not in (0, t)]: j = 2*chi_1(a) + chi_2(a)
+        us.radical_index = {a: 2 * c1 + c2 for a, (c1, c2) in
+                            relative_norm_characters(K, us).items() if a in roots}
+    return us
 
 
 def relative_norm_characters(K: BiquadField, us: UnitStructure) -> dict:

@@ -265,6 +265,26 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
         biquadratic_field(3, 5)
 
 
+def test_every_omega_row_mutant_raises_at_construction(monkeypatch):
+    # each omega_i row must satisfy omega^2 = omega + (d_i - 1)/4 or
+    # omega^2 = d_i: a change of +-1 in any one entry of the three rows raises
+    # at construction on every field of bound 12, 1,800 mutant fields
+    pairs = _scan_tasks(12, False, False)
+    assert len(pairs) == 75
+    written = BiquadField._integral_basis
+    for i, j, step in itertools.product(range(3), range(4), (1, -1)):
+        def mutant(self, i=i, j=j, step=step):
+            *tables, omegas = written(self)
+            omegas = [list(w) for w in omegas]
+            omegas[i][j] += step
+            return (*tables, omegas)
+
+        monkeypatch.setattr(BiquadField, "_integral_basis", mutant)
+        for pair in pairs:
+            with pytest.raises(InconsistencyError, match="fails its polynomial"):
+                biquadratic_field(*pair)
+
+
 def test_profile_examples():
     K = biquadratic_field(-1, 2)
     assert K.profile.efg == {2: (4, 1, 1)}

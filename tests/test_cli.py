@@ -423,10 +423,12 @@ def test_formula_route_takes_no_square_root_in_k(capsys, monkeypatch):
 
 
 def test_real_unit_cohomology_takes_no_arithmetic_in_k(monkeypatch):
-    # a real field's characters are read off the radical indices of its square
-    # classes: once the units are built, with products and conjugations in K
-    # made to raise, |H^1(G, O_K^x)| is unchanged on every real field of bound
-    # 30 with i2 = 1 and on Q(sqrt210, sqrt143)
+    # a real field's characters are read off the radical indices its unit
+    # search kept: once the units are built, with products and conjugations
+    # in K and the rational square test made to raise, |H^1(G, O_K^x)| is
+    # unchanged on every real field of bound 30 with i2 = 1 and on
+    # Q(sqrt210, sqrt143)
+    from polyabiquad import units
     from polyabiquad.biquadratic import BiquadField, biquadratic_field
     from polyabiquad.cli import _scan_tasks
     from polyabiquad.units import unit_cohomology_order
@@ -442,13 +444,14 @@ def test_real_unit_cohomology_takes_no_arithmetic_in_k(monkeypatch):
 
     monkeypatch.setattr(BiquadField, "mul_basis_coords", refuse)
     monkeypatch.setattr(BiquadField, "sigma", refuse)
+    monkeypatch.setattr(units, "_square_witness", refuse)
     assert [unit_cohomology_order(K) for K in fields] == orders
 
 
 def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
-    # the oracle tests membership in rad(p) by xi^e_p in p*O_K and certifies
-    # the extended subfield primes by one square each: with the radicals,
-    # the Hermite form and lattice products made to raise, scan --bound 20
+    # the oracle tests membership in rad(p) by xi^e_p in p*O_K and seeds its
+    # principal subgroup from the subfield books: with the radicals, the
+    # Hermite form and lattice products made to raise, scan --bound 20
     # --verify keeps its digest
     import hashlib
     import polyabiquad.lattice as lattice

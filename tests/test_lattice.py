@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import os
@@ -21,7 +20,7 @@ from exact_reference import (BiquadElement, cokernel_by_hermite_form,
                              reduce_vector, reference_classes, relative_norm_fraction,
                              subfield_image, twisted_products, unsieved_generator,
                              vector_lattice)
-from polyabiquad.biquadratic import biquadratic_field
+from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import (Budget, BudgetExceededError, DomainError,
@@ -295,28 +294,22 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
     assert cases == 3477
 
 
-def test_oracle_certifies_every_extended_subfield_prime(monkeypatch):
-    # a wrong generator b + 1 + omega_i of the prime above p in any one
-    # subfield, not only the first in which p ramifies, makes the oracle
-    # raise before its first verdict
-    from polyabiquad import lattice
-    right = lattice.prime_above
+def test_a_shifted_subfield_prime_generator_fails_its_ideal_form():
+    # the oracle's seed rests on P_i*O_K = rad(p)^(e_p/2), ramification
+    # theory once [p, b + omega_i] is the prime P_i above p, and every
+    # ramified_product certifies that by quadratic._ideal_form: the wrong
+    # generator b + 1 + omega_i raises there in any subfield in which p
+    # ramifies, as N(b + 1 + omega_i) = Tr(b + omega_i) + 1 = 1 mod p
+    from polyabiquad.quadratic import _ideal_form
     cases = 0
     for pair in _scan_tasks(12, False, False) + list(MANYPRIME_PAIRS):
         K = biquadratic_field(*pair)
         for k in K.subfields:
             for p in k.ramified_primes:
-                def wrong(field, q, target=(k, p)):
-                    P = right(field, q)
-                    if (field, q) == target:
-                        return dataclasses.replace(P, b=P.b + 1)
-                    return P
-
-                monkeypatch.setattr(lattice, "prime_above", wrong)
-                with pytest.raises(InconsistencyError, match="does not extend"):
-                    AmbiguousIdealOracle(K).polya_order_oracle()
+                P = prime_above(k, p)
+                with pytest.raises(InconsistencyError, match="is not an ideal"):
+                    _ideal_form(k, P.a, P.b + 1)
                 cases += 1
-        monkeypatch.setattr(lattice, "prime_above", right)
         AmbiguousIdealOracle(K).polya_order_oracle()
     assert cases == 475
 
@@ -802,22 +795,37 @@ def test_descent_roots_lie_in_the_product_lattice(monkeypatch):
 
 
 def test_oracle_multiplies_no_lattice(monkeypatch):
-    # the descents test membership by xi^e_p in p*O_K and the seed
-    # certificate squares one element per subfield prime: the oracle takes
-    # no lattice product
-    count = [0]
-    multiply = IdealLattice.multiply
+    # the descents test membership by xi^e_p in p*O_K and the seed reads
+    # P_i*O_K = rad(p)^(e_p/2) off ramification theory: the oracle takes no
+    # lattice product, and on a field it makes no descent in K for, once K
+    # and its units are built, no product in K either
+    from polyabiquad import lattice
+    count = Counter()
 
-    def counting(self, other):
-        count[0] += 1
-        return multiply(self, other)
+    def counting(name, f):
+        def counted(*args):
+            count[name] += 1
+            return f(*args)
+        return counted
 
-    monkeypatch.setattr(IdealLattice, "multiply", counting)
-    for pair in MANYPRIME_PAIRS:
-        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+    monkeypatch.setattr(IdealLattice, "multiply", counting("lattice", IdealLattice.multiply))
+    monkeypatch.setattr(BiquadField, "mul_basis_coords",
+                        counting("product", BiquadField.mul_basis_coords))
+    monkeypatch.setattr(lattice, "principal_ideal_generator",
+                        counting("descent", lattice.principal_ideal_generator))
+    undescended = 0
+    for pair in _scan_tasks(20, False, False) + list(MANYPRIME_PAIRS):
+        K = biquadratic_field(*pair)
+        K.units
+        count.clear()
+        orc = AmbiguousIdealOracle(K)
         orc.polya_order_oracle()
         orc.kernel_order_oracle()
-        assert count[0] == 0, pair
+        assert count["lattice"] == 0, pair
+        if not count["descent"]:
+            assert count["product"] == 0, pair
+            undescended += 1
+    assert undescended > 0
 
 
 def test_kernel_order_matches_the_triple_count():

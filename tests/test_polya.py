@@ -207,9 +207,10 @@ def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
 
 def test_a_corrupt_relative_norm_sign_raises_under_python_O():
     # every input the H^1 computation reads a sign from is guarded by a raise,
-    # not an assert: in a real field, perturb in turn each Tr(eps) + 2 it reads
-    # its characters off once the units are built; in an imaginary field, flip
-    # each relative norm in turn
+    # not an assert: in a real field, drop in turn the radical index of each
+    # square class it reads its characters off (each index is the one its
+    # root was built and squared back with); in an imaginary field, flip each
+    # relative norm in turn
     import subprocess, sys
     import polyabiquad
     script = """
@@ -217,23 +218,18 @@ import polyabiquad.units as units
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import InconsistencyError
 from polyabiquad.polya import polya_report
-from polyabiquad.quadratic import QuadraticField
 
 K = biquadratic_field(2, 51)
-K.units
-true = {k.d: k.trace_plus_2 for k in K.subfields}
-cached, read = QuadraticField.trace_plus_2, []
-QuadraticField.trace_plus_2 = property(lambda k: read.append(k.d) or true[k.d])
-polya_report(K)
-for d in sorted(set(read)):
-    QuadraticField.trace_plus_2 = property(lambda k: true[k.d] + (k.d == d))
+index = K.units.radical_index
+for a in sorted(index):
+    j = index.pop(a)
     try:
         polya_report(K)
     except InconsistencyError:
-        print("raised", d)
+        print("raised", a)
     else:
-        print("passed", d)
-QuadraticField.trace_plus_2 = cached
+        print("passed", a)
+    index[a] = j
 
 norm = units._relative_norm
 calls = []
@@ -260,7 +256,7 @@ for bad in range(len(calls)):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # Tr(eps) + 2 of Q(sqrt51) and Q(sqrt102), whose products give the three
-    # square classes of Q(sqrt2, sqrt51), and three norms for Q(zeta_8)
-    assert lines[:2] == ["raised 51", "raised 102"], lines
-    assert len(lines) == 2 + 3 and all(ln.startswith("raised") for ln in lines), lines
+    # the three square classes of Q(sqrt2, sqrt51), all with a1 = 0, and
+    # three norms for Q(zeta_8)
+    assert lines[:3] == ["raised (0, 0, 1)", "raised (0, 1, 0)", "raised (0, 1, 1)"], lines
+    assert len(lines) == 3 + 3 and all(ln.startswith("raised") for ln in lines), lines
