@@ -15,12 +15,10 @@ field gets its own budget.  Without --verify neither is read.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
-import multiprocessing
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from .biquadratic import biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
@@ -31,18 +29,12 @@ from .polya import polya_order_quad, polya_report, verify_biquad, verify_quad
 from .quadratic import quadratic_field
 from .report import quad_record, render_records
 
-
-def _add_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="newline-delimited JSON")
-    p.add_argument("--csv", action="store_true", help="CSV with a header row")
-    p.add_argument("--text", action="store_true", help="fixed-width table (default)")
-
-
-def _resolve_format(args) -> str:
-    chosen = [f for f in ("json", "csv", "text") if getattr(args, f)]
-    if len(chosen) > 1:
-        raise InvalidInputError("choose at most one output format")
-    return chosen[0] if chosen else "text"
+USAGE = """\
+usage: polyabiquad quad D [--verify] [--json|--csv|--text] [--budget N]
+       polyabiquad biquad D1 D2 [--verify] [--chain] [--json|--csv|--text] [--budget N]
+       polyabiquad scan --bound N [--real-only|--imag-only] [--verify]
+                        [--json|--csv|--text] [--out FILE] [--jobs J] [--budget N]
+"""
 
 
 def _budget_units(args) -> int:
@@ -54,14 +46,13 @@ def _budget_units(args) -> int:
 
 
 def _cmd_quad(args) -> int:
-    fmt = _resolve_format(args)
     units = _budget_units(args) if args.verify else None
     k = quadratic_field(args.d)
     status = "unchecked"
     if args.verify:
         status, _ = verify_quad(k, Budget(units))
     rec = quad_record(k, polya_order_quad(k), status)
-    sys.stdout.write(render_records([rec], fmt))
+    sys.stdout.write(render_records([rec], args.format))
     return 2 if status == "mismatch" else 0
 
 
@@ -79,16 +70,15 @@ def _verified(K, rec, units: int):
 
 
 def _cmd_biquad(args) -> int:
-    fmt = _resolve_format(args)
     units = _budget_units(args) if args.verify else None
     K = biquadratic_field(args.d1, args.d2)
     rec, note = polya_report(K), None
     if args.verify:
         rec, note = _verified(K, rec, units)
-    sys.stdout.write(render_records([rec], fmt))
+    sys.stdout.write(render_records([rec], args.format))
     if note is not None:
         print(note, file=sys.stderr)
-    if args.chain and fmt == "text":
+    if args.chain and args.format == "text":
         sys.stdout.write(
             f"chain: (H3:H2)={rec.h3_h2}  (H2:H1)={rec.h2_h1}  (H1:H0)={rec.h1_h0}  "
             f"product={rec.h3_h2 * rec.h2_h1 * rec.h1_h0} = 2^s_K = (H3:H0)={rec.h3_h0}\n")
@@ -132,11 +122,11 @@ def _cmd_scan(args) -> int:
         raise InvalidInputError("--real-only and --imag-only are exclusive")
     if args.jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
-    fmt = _resolve_format(args)
     units = _budget_units(args) if args.verify else None
     tasks = [(a, b, args.verify, units)
              for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
     if args.jobs > 1:
+        import multiprocessing  # only here: it costs more to import than a request
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_scan_worker, tasks)
     else:
@@ -146,7 +136,7 @@ def _cmd_scan(args) -> int:
         records.append(rec)
         if note is not None:
             print(note, file=sys.stderr)
-    rendered = render_records(records, fmt) if records else ""
+    rendered = render_records(records, args.format) if records else ""
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -163,61 +153,89 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
+# subcommand -> (handler, positionals, flags, valued options: name -> (type,
+# default)), each named as its handler reads it; a default of ... marks a
+# required option.  Every subcommand also takes one of the _FORMATS flags.
+_COMMANDS = {
+    "quad": (_cmd_quad, ("d",), ("verify",), {"budget": (int, None)}),
+    "biquad": (_cmd_biquad, ("d1", "d2"), ("verify", "chain"), {"budget": (int, None)}),
+    "scan": (_cmd_scan, (), ("real_only", "imag_only", "verify"),
+             {"bound": (int, ...), "out": (str, None), "jobs": (int, 1),
+              "budget": (int, None)}),
+}
+_FORMATS = ("json", "csv", "text")
+
+
+def _usage_error(message: str):
     """Usage errors exit 1 through main: exit 2 means a mismatch."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise InvalidInputError(message)
+    sys.stderr.write(USAGE)
+    raise InvalidInputError(message)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls, and building the tree costs more than a formula
-    request."""
-    parser = _Parser(
-        prog="polyabiquad",
-        description="Orders of Polya groups (strongly ambiguous ideal classes) "
-                    "of quadratic and bicyclic biquadratic number fields, with "
-                    "an independent brute-force verifier.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_option(token: str) -> bool:
+    """A lone minus sign, or one followed by digits, is a positional."""
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdecimal()
 
-    q = sub.add_parser("quad", help="one quadratic field Q(sqrt(d))")
-    q.add_argument("d", type=int)
-    q.add_argument("--verify", action="store_true",
-                   help="check the formula against direct class enumeration")
-    q.add_argument("--budget", type=int, default=None)
-    _add_format_flags(q)
-    q.set_defaults(func=_cmd_quad)
 
-    b = sub.add_parser("biquad", help="one biquadratic field Q(sqrt(d1),sqrt(d2))")
-    b.add_argument("d1", type=int)
-    b.add_argument("d2", type=int)
-    b.add_argument("--verify", action="store_true",
-                   help="run the ambiguous-ideal oracle against the formulas")
-    b.add_argument("--chain", action="store_true",
-                   help="also spell out the subgroup chain indices")
-    b.add_argument("--budget", type=int, default=None)
-    _add_format_flags(b)
-    b.set_defaults(func=_cmd_biquad)
+def _convert(name: str, kind, value: str):
+    try:
+        return kind(value)
+    except ValueError:
+        _usage_error(f"argument {name}: invalid {kind.__name__} value: {value!r}")
 
-    s = sub.add_parser("scan", help="all fields with |d1|,|d2| <= bound")
-    s.add_argument("--bound", type=int, required=True)
-    s.add_argument("--real-only", action="store_true")
-    s.add_argument("--imag-only", action="store_true")
-    s.add_argument("--verify", action="store_true")
-    s.add_argument("--out", type=str, default=None)
-    s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--budget", type=int, default=None)
-    _add_format_flags(s)
-    s.set_defaults(func=_cmd_scan)
-    return parser
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line argv read in one pass against _COMMANDS: func, the
+    positionals, flags and options by name, and the output format.  Options
+    may come anywhere, as --opt value or --opt=value, spelled in full.  -h
+    or --help anywhere prints USAGE and the module docstring and raises
+    SystemExit(0)."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE + "\n" + (__doc__ or ""))
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        _usage_error(f"argument command: invalid choice: {argv[0]!r}")
+    func, positionals, flags, options = _COMMANDS[argv[0]]
+    args = dict.fromkeys(flags, False)
+    args.update((name, default) for name, (_, default) in options.items())
+    formats, values = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            values.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        # the table names --real-only real_only, as the handler reads it
+        name = option[2:].replace("-", "_") if option[:2] == "--" and "_" not in option else ""
+        if not eq and name in _FORMATS:
+            formats.add(name)
+        elif not eq and name in flags:
+            args[name] = True
+        elif name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    _usage_error(f"argument {option}: expected one argument")
+            args[name] = _convert(option, options[name][0], value)
+        else:
+            _usage_error(f"unrecognized arguments: {token}")
+    if len(values) > len(positionals):
+        _usage_error("unrecognized arguments: " + " ".join(values[len(positionals):]))
+    missing = positionals[len(values):] + tuple(
+        "--" + name.replace("_", "-") for name, value in args.items() if value is ...)
+    if missing:
+        _usage_error("the following arguments are required: " + ", ".join(missing))
+    args.update((name, _convert(name, int, value)) for name, value in zip(positionals, values))
+    if len(formats) > 1:
+        raise InvalidInputError("choose at most one output format")
+    return SimpleNamespace(func=func, format=formats.pop() if formats else "text", **args)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (InvalidInputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,9 +87,15 @@ class QuadraticField:
     def trace_plus_2(self) -> int:
         """Tr(eps) + 2 for the fundamental unit eps (real fields only).  When
         N(eps) = +1, (1 + eps)**2 = eps*(Tr(eps) + 2), so eps is this
-        rational integer times a square (units.unit_structure)."""
+        rational integer times a square (units.unit_structure).  Certified
+        here, once per field, by (Tr eps)**2 - 4*N(eps) = (eps - eps')**2
+        = v**2*Delta for eps = u + v*omega: nothing downstream can tell a
+        wrong trace from one that is no square."""
         u, v = self.fundamental_unit
-        return 2 * u + (v if self.d % 4 == 1 else 0) + 2
+        t = 2 * u + (v if self.d % 4 == 1 else 0) + 2
+        if (t - 2) ** 2 - 4 * self.lam != v * v * self.delta:
+            raise InconsistencyError(f"{t} is not Tr(eps) + 2 in Q(sqrt({self.d}))")
+        return t
 
     @cached_property
     def lam(self) -> int:

@@ -80,11 +80,18 @@
 - The earlier two-pass continued-fraction unit two_pass_fundamental_unit:
   it records every surd state and every digit from omega on, with a cap
   of 100,000 digits, and multiplies up the periodic block afterwards.
+- The earlier argparse front end build_parser, kept verbatim, and
+  reference_parse, which reads a command line through it into the
+  namespace cli.parse_args returns: the handler, its attributes and the
+  resolved output format.
 """
 
+import argparse
 import dataclasses
+import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -1201,3 +1208,80 @@ def two_pass_fundamental_unit(k) -> tuple[int, int]:
         raise InconsistencyError(
             f"{u} + {v}*omega is not a unit > 1 of Q(sqrt({k.d}))")
     return u, v
+
+
+def _add_format_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="newline-delimited JSON")
+    p.add_argument("--csv", action="store_true", help="CSV with a header row")
+    p.add_argument("--text", action="store_true", help="fixed-width table (default)")
+
+
+def _resolve_format(args) -> str:
+    chosen = [f for f in ("json", "csv", "text") if getattr(args, f)]
+    if len(chosen) > 1:
+        raise InvalidInputError("choose at most one output format")
+    return chosen[0] if chosen else "text"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 through main: exit 2 means a mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building the tree costs more than a formula
+    request."""
+    from polyabiquad.cli import _cmd_biquad, _cmd_quad, _cmd_scan
+    parser = _Parser(
+        prog="polyabiquad",
+        description="Orders of Polya groups (strongly ambiguous ideal classes) "
+                    "of quadratic and bicyclic biquadratic number fields, with "
+                    "an independent brute-force verifier.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    q = sub.add_parser("quad", help="one quadratic field Q(sqrt(d))")
+    q.add_argument("d", type=int)
+    q.add_argument("--verify", action="store_true",
+                   help="check the formula against direct class enumeration")
+    q.add_argument("--budget", type=int, default=None)
+    _add_format_flags(q)
+    q.set_defaults(func=_cmd_quad)
+
+    b = sub.add_parser("biquad", help="one biquadratic field Q(sqrt(d1),sqrt(d2))")
+    b.add_argument("d1", type=int)
+    b.add_argument("d2", type=int)
+    b.add_argument("--verify", action="store_true",
+                   help="run the ambiguous-ideal oracle against the formulas")
+    b.add_argument("--chain", action="store_true",
+                   help="also spell out the subgroup chain indices")
+    b.add_argument("--budget", type=int, default=None)
+    _add_format_flags(b)
+    b.set_defaults(func=_cmd_biquad)
+
+    s = sub.add_parser("scan", help="all fields with |d1|,|d2| <= bound")
+    s.add_argument("--bound", type=int, required=True)
+    s.add_argument("--real-only", action="store_true")
+    s.add_argument("--imag-only", action="store_true")
+    s.add_argument("--verify", action="store_true")
+    s.add_argument("--out", type=str, default=None)
+    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--budget", type=int, default=None)
+    _add_format_flags(s)
+    s.set_defaults(func=_cmd_scan)
+    return parser
+
+
+def reference_parse(argv) -> dict:
+    """argv read by build_parser, as the attributes cli.parse_args sets:
+    the format flags resolved to format, the subcommand name dropped.
+    Raises InvalidInputError where the earlier front end exited 1."""
+    args = vars(build_parser().parse_args(argv))
+    args["format"] = _resolve_format(argparse.Namespace(**args))
+    for name in ("command", "json", "csv", "text"):
+        del args[name]
+    return args

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from exact_reference import parse_records
-from polyabiquad.cli import main
+from exact_reference import parse_records, reference_parse
+from polyabiquad import cli
+from polyabiquad.cli import main, parse_args
 from polyabiquad.errors import InvalidInputError
 from polyabiquad.report import OutputRecord, QuadRecord, render_records
 
@@ -538,12 +539,18 @@ def test_src_imports_no_fractions():
     assert not found, found
 
 
-def test_module_entry_point():
-    import subprocess, sys
+def _package_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     import polyabiquad
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point():
+    import subprocess, sys
+    env = _package_env()
     proc = subprocess.run([sys.executable, "-m", "polyabiquad", "quad", "2"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and "po" in proc.stdout
@@ -553,10 +560,7 @@ def test_scan_output_survives_python_O():
     # verdict guards must raise, not assert: -O strips asserts and must not
     # change a single byte of a verified scan
     import subprocess, sys
-    import polyabiquad
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _package_env()
     argv = ["-m", "polyabiquad", "scan", "--bound", "5", "--verify", "--json"]
     plain, optimized = (
         subprocess.run([sys.executable, *flags, *argv], capture_output=True, env=env)
@@ -566,20 +570,137 @@ def test_scan_output_survives_python_O():
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
-    # exit 2 is a formula-vs-oracle mismatch, so argparse's own code 2 for
-    # a usage error would read as a verdict
+    # exit 2 is a formula-vs-oracle mismatch, so a usage error exits 1
     for argv, text in ((["biquad", "x", "2"], "invalid int value"),
-                       (["biquad", "2"], "required"), ([], "required")):
+                       (["biquad", "2"], "required"), ([], "required"),
+                       (["scan", "--json"], "required"),
+                       (["biquad", "2", "3", "--bogus"], "unrecognized arguments"),
+                       (["quad", "2", "3"], "unrecognized arguments")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out and "usage:" in err and text in err, argv
-    with pytest.raises(SystemExit) as exc:
-        main(["quad", "--help"])
-    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+    for argv in (["quad", "--help"], ["-h"], ["scan", "--bound", "x", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith(cli.USAGE) and "Exit codes" in out
+
+
+def test_options_must_be_spelled_in_full(capsys):
+    # the earlier argparse front end took any unambiguous prefix, --verif
+    # for --verify; the table parser takes only the full spelling
+    assert reference_parse(["biquad", "2", "3", "--verif"])["verify"]
+    for argv in (["biquad", "2", "3", "--verif"], ["scan", "--bound", "3", "--real"],
+                 ["scan", "--bou", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "unrecognized arguments" in err, argv
+
+
+# every subcommand with every option, in every position and both spellings,
+# negative positionals and option values, and each kind of usage error
+PARSER_CORPUS = [
+    ["quad", "-5"],
+    ["quad", "-5", "--verify", "--budget", "7", "--csv"],
+    ["quad", "--budget=7", "3", "--text"],
+    ["quad", "--json", "-10000000019"],
+    ["quad", "-1", "--verify", "--budget", "-1"],
+    ["quad", "2", "--json", "--json"],
+    ["quad"],
+    ["quad", "x"],
+    ["quad", "-"],
+    ["quad", "2", "3"],
+    ["quad", "2", "--chain"],
+    ["quad", "2", "--budget"],
+    ["quad", "2", "--json", "--csv"],
+    ["quad", "5", "--verify=yes"],
+    ["biquad", "-1", "2"],
+    ["biquad", "-1", "2", "--json", "--verify"],
+    ["biquad", "-1", "2", "--verify", "--chain", "--budget", "7", "--json"],
+    ["biquad", "--verify", "-1", "--chain", "2", "--budget=7"],
+    ["biquad", "--budget", "7", "-10000000019", "-1", "--csv"],
+    ["biquad", "--budget", "-1", "2", "3"],
+    ["biquad", "2", "3", "--text", "--text"],
+    ["biquad", "2", "3", "--csv", "--text"],
+    ["biquad", "2"],
+    ["biquad", "2", "x"],
+    ["biquad", "2", "3", "4"],
+    ["biquad", "2", "3", "--bogus"],
+    ["biquad", "2", "3", "-x"],
+    ["biquad", "2", "3", "--budget", "--json"],
+    ["biquad", "2", "3", "--budget=x"],
+    ["biquad", "-1", "2", "--chain=1"],
+    ["scan", "--bound", "20"],
+    ["scan", "--bound=20", "--verify", "--json"],
+    ["scan", "--real-only", "--bound", "7", "--out", "rows.csv", "--csv", "--jobs", "2",
+     "--budget", "7"],
+    ["scan", "--imag-only", "--verify", "--bound", "5", "--out=x.txt", "--jobs=3",
+     "--budget=7", "--text"],
+    ["scan", "--bound", "-3", "--jobs", "-2"],
+    ["scan", "--bound", "3", "--real-only", "--imag-only"],
+    ["scan", "--bound", "3", "--out", "-"],
+    ["scan", "--bound", "3", "--out="],
+    ["scan"],
+    ["scan", "--verify"],
+    ["scan", "--bound"],
+    ["scan", "--bound", "x"],
+    ["scan", "--bound", "3", "7"],
+    ["scan", "--bound", "3", "--chain"],
+    ["scan", "--bound", "3", "--real_only"],
+    ["scan", "--bound", "3", "--jobs", "two"],
+    ["scan", "--bound", "3", "--json", "--csv", "--text"],
+    ["scan", "--bound", "3", "--out"],
+    [],
+    ["cube", "2"],
+    ["--json", "biquad", "2", "3"],
+]
+
+
+def _parse_outcome(parse, argv):
+    try:
+        return "parsed", parse(argv)
+    except InvalidInputError:
+        return "exit 1", None
+
+
+def test_table_parser_agrees_with_the_argparse_reference(capsys):
+    # outcomes, not messages: argparse words its errors differently across
+    # Python versions
+    kinds = set()
+    for argv in PARSER_CORPUS:
+        new = _parse_outcome(lambda a: vars(parse_args(a)), argv)
+        assert new == _parse_outcome(reference_parse, argv), argv
+        kinds.add(new[0])
+        if new[0] == "exit 1":
+            assert main(argv) == 1, argv
+    capsys.readouterr()
+    assert kinds == {"parsed", "exit 1"} and len(PARSER_CORPUS) >= 40
+
+
+def test_the_readme_synopsis_is_the_usage_text():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block == cli.USAGE
+
+
+def test_a_request_imports_neither_argparse_nor_multiprocessing():
+    # both cost more to import than a formula request takes; only scan
+    # --jobs J > 1 starts a pool
+    import subprocess, sys
+    env = _package_env()
+    script = ("import sys\n"
+              "from polyabiquad import cli\n"
+              "assert cli.main(['biquad', '-1', '2', '--json']) == 0\n"
+              "print(sorted({'argparse', 'multiprocessing'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_main_runs_repeatedly_in_one_process(capsys):
-    # the parser is built once per process; no call may leave an option or
-    # an argparse error behind for the next one
+    # parse_args keeps no state between calls; no call may leave an option
+    # or a usage error behind for the next one
     code, out, _ = run(capsys, "biquad", "2", "3", "--verify", "--json")
     assert code == 0 and json.loads(out)["verify_status"] == "ok"
     code, out, _ = run(capsys, "biquad", "2", "3", "--json")

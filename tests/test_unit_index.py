@@ -4,6 +4,8 @@ forms each candidate product in K and denests it (denesting_unit_structure),
 and the real fields' cohomology characters, read off the radical indices,
 against the signs of the relative norms (relative_norm_characters)."""
 
+import pytest
+
 from exact_reference import denesting_unit_structure, relative_norm_characters
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
@@ -43,3 +45,35 @@ def test_unit_structure_matches_the_denesting_reference():
 def test_trace_plus_2_of_named_units():
     # 1 + sqrt2, 2 + sqrt3, (1 + sqrt5)/2, 5 + 2*sqrt6 and (3 + sqrt13)/2
     assert [quadratic_field(d).trace_plus_2 for d in (2, 3, 5, 6, 13)] == [4, 6, 3, 12, 5]
+
+
+def test_a_wrong_trace_plus_2_raises_where_it_is_written(capsys, monkeypatch):
+    # Tr(eps) + 2 one too large on Q(sqrt51) and Q(sqrt102) once turned
+    # q_K = 4 of Q(sqrt2, sqrt51) into 2 without a sound, since "r is no
+    # square" has no certificate of its own; the property now checks
+    # (Tr eps)**2 - 4*N(eps) = v**2*Delta and raises, and biquad exits 4
+    import inspect
+    import textwrap
+    from polyabiquad import quadratic
+    from polyabiquad.cli import main
+    from polyabiquad.errors import InconsistencyError
+    from polyabiquad.quadratic import QuadraticField
+
+    source = textwrap.dedent(inspect.getsource(QuadraticField.trace_plus_2.func))
+    mutated = source.replace("t = ", "t = (self.d in (51, 102)) + ", 1)
+    assert mutated != source
+    namespace = dict(vars(quadratic))
+    exec(mutated, namespace)
+
+    class Mutant(QuadraticField):
+        trace_plus_2 = namespace["trace_plus_2"]
+
+    assert [Mutant(d).trace_plus_2 for d in (2, 3, 5, 6, 13)] == [4, 6, 3, 12, 5]
+    for d in (51, 102):
+        with pytest.raises(InconsistencyError, match=f"Q\\(sqrt\\({d}\\)\\)"):
+            Mutant(d).trace_plus_2
+    monkeypatch.setattr(quadratic, "QuadraticField", Mutant)
+    monkeypatch.setattr(quadratic, "_FIELDS", {})
+    assert main(["biquad", "2", "51", "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: internal inconsistency: ")
