@@ -9,25 +9,24 @@ branch), and the construction checks d_x*d_y = m_xy^2*d_z.
 Every element the program builds is an algebraic integer, so an element is a
 vector of integer coordinates over the integral basis (H. Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, 4.2): mul_basis_coords
-multiplies through the structure constants of the basis, sigma applies the
-integer matrix of a Galois element and norm(x) is x*sigma_1(x) times its
-sigma_2-conjugate.  Radical coordinates over (1, sqrt(d1), sqrt(d2),
-sqrt(d3)) only carry the denesting square root in units.py, which converts
-back through _integer_coords.
+multiplies through the structure constants of the basis and norm(x) is
+x*sigma_1(x) times its sigma_2-conjugate.  One map goes each way between
+them and radical coordinates over (1, sqrt(d1), sqrt(d2), sqrt(d3)): the
+basis rows, and from_radicals through the omega rows.  sigma and the
+denesting square root in units.py run on these two maps.
 
 The integral basis is written down in closed form (K. S. Williams, "Integers
 of biquadratic fields", Canad. Math. Bull. 13, 1970) from the residues of
 (d1, d2, d3) mod 4, which are {1, 1, 1}, one 1 with {2, 2} or {3, 3}, or
-{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1.  So are
-its tables: in each pattern, _integral_basis writes the structure constants,
-the Galois matrices, the rows of the subfield generators omega_i and the
-adjugate columns of the coordinate map down from the d_i and the m_xy.  The
-structure constants are the coordinates of the products e_i*e_j of basis
-elements, so they are integers exactly when the lattice is a ring; every
-division in them must be exact, or construction raises InconsistencyError.
-Three more checks raise it: the lattice discriminant must equal the product
-of the three quadratic discriminants, the coordinate map must send each
-basis row to its unit vector, and each omega_i row must satisfy
+{3, 2, 2}.  Its rows are integers in units of 1/4 and start with 1.  In each
+pattern, _integral_basis writes three tables down from the d_i and the m_xy:
+the rows, the structure constants and the rows of the subfield generators
+omega_i.  The structure constants are the coordinates of the products e_i*e_j
+of basis elements, so they are integers exactly when the lattice is a ring;
+every division in them must be exact, or construction raises
+InconsistencyError.  Three more checks raise it: the discriminant of the rows
+must equal the product of the three quadratic discriminants, from_radicals
+must send each row to its unit vector, and each omega_i row must satisfy
 omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else omega^2 = d_i, which
 certifies the embedding from_quad.  The discriminant alone cannot tell O_K
 from a lattice of the same index that is not a ring: in Q(sqrt(-23),
@@ -138,11 +137,10 @@ class BiquadField:
 
     def _integral_basis(self) -> tuple:
         """The closed-form integral basis and its tables, as the arguments of
-        _set_basis: the rows in units of 1/4, the determinant and adjugate
-        columns of the coordinate map, the structure constants, the matrices
-        of sigma_0..sigma_3 and the rows of omega_1..omega_3.  e_i is basis
-        element i, e_0 = 1, and m_xy is the cofactor in sqrt(d_x)*sqrt(d_y) =
-        m_xy*sqrt(d_z); every entry is written down from the d_i and m_xy."""
+        _set_basis: the rows in units of 1/4, the structure constants and the
+        rows of omega_1..omega_3.  e_i is basis element i, e_0 = 1, and m_xy
+        is the cofactor in sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z); every entry
+        is written down from the d_i and m_xy."""
         d = self.d
         table = self.mul_table
 
@@ -164,12 +162,10 @@ class BiquadField:
             c = m12 % 4
             s, h = c - 2, c >> 1  # h = (1 + s)/2
             rows = [[4, 0, 0, 0], [0, 2, 0, 2], [0, 0, 2, 2], [1, 1, 1, c]]
-            # the coordinates of x_0 + x_1*sqrt(d1) + x_2*sqrt(d2) + x_3*sqrt(d3)
-            # are (x_0 - u, 2*x_1 - 2*u, 2*x_2 - 2*u, 4*u) with
-            # u = s*(x_3 - x_1 - x_2), and det = 16*s
-            adj_cols = [(4 * s, 4, 4, -4), (0, 8 * s + 8, 8, -8), (0, 8, 8 * s + 8, -8),
-                        (0, -16, -16, 16)]
-            # e_i*e_j in radical coordinates, through the map above
+            # e_i*e_j in radical coordinates, converted through the inverse of
+            # the rows: x_0 + x_1*sqrt(d1) + x_2*sqrt(d2) + x_3*sqrt(d3) has
+            # the coordinates (x_0 - u, 2*x_1 - 2*u, 2*x_2 - 2*u, 4*u) with
+            # u = s*(x_3 - x_1 - x_2)
             a1, a2, a3 = s * m13, s * m23, s * m12
             t = a1 + a2 - a3
             g1, g2, w = t + 2 * a1 + m13, t + 2 * a2 + m23, t + a1 + a2 + m13 + m23
@@ -184,15 +180,9 @@ class BiquadField:
                    exact(w + a1 + 2 * m13, 4), exact(1 - w, 2))
             consts = [list(_IDENTITY), [_IDENTITY[1], c11, c12, c13],
                       [_IDENTITY[2], c12, c22, c23], [_IDENTITY[3], c13, c23, c33]]
-            # sigma_t(e_i), and omega_i = (1 + sqrt(d_i))/2, through the same map
-            n1, n4 = 2 * s + 1, 4 * s
-            sigmas = [_IDENTITY,
-                      [[1, 0, 0, 0], [s, n1, 2 * s, -n4], [0, 0, -1, 0], [h, 2 * h, s, -n1]],
-                      [[1, 0, 0, 0], [0, -1, 0, 0], [s, 2 * s, n1, -n4], [h, s, 2 * h, -n1]],
-                      [[1, 0, 0, 0], [-s, -n1, -2 * s, n4], [-s, -2 * s, -n1, n4],
-                       [-s, -n1, -n1, n4 + 1]]]
+            # omega_i = (1 + sqrt(d_i))/2, through the same map
             omegas = [(h, 2 * h, s, -2 * s), (h, s, 2 * h, -2 * s), (1 - h, -s, -s, 2 * s)]
-            return rows, 16 * s, adj_cols, consts, sigmas, omegas
+            return rows, consts, omegas
         # d_a has the residue that occurs once: 1 against {2, 2} or {3, 3},
         # or 3 against {2, 2}.  e_a = omega_a = (h + sqrt(d_a))/q, with h = 1,
         # q = 2 when d_a = 1 mod 4 and h = 0, q = 1 when d_a = 3 mod 4;
@@ -211,10 +201,6 @@ class BiquadField:
         h = 1 if res[a - 1] == 1 else 0
         q = 1 + h
         rows = at([4, 0, 0, 0], at(2 * h, 4 // q, 0, 0), at(0, 0, 2, 2), at(0, 0, 0, 4))
-        # the coordinates of x_0 + x_a*sqrt(d_a) + x_b*sqrt(d_b) + x_c*sqrt(d_c)
-        # are (x_0 - h*x_a, q*x_a, 2*x_b, x_c - x_b), and det = 128/q
-        k = 32 // q
-        adj_cols = at(at(k, -h * k, 0, 0), at(0, 32, 0, 0), at(0, 0, 2 * k, 0), at(0, 0, -k, k))
         x, y = exact(h + mac, q), exact(q * mbc, 2)
         caa = at(exact(da - h, q * q), h, 0, 0)
         cab = at(0, 0, x, exact(mab - mac, 2 * q))
@@ -224,52 +210,66 @@ class BiquadField:
         ccc = at(dc, 0, 0, 0)
         consts = at(list(_IDENTITY), at(_IDENTITY[a], caa, cab, cac),
                     at(_IDENTITY[b], cab, cbb, cbc), at(_IDENTITY[c], cac, cbc, ccc))
-        # sigma_a(e_a, e_b, e_c) = (e_a, -e_b, -e_c), sigma_b(...) =
-        # (h - e_a, e_b - e_c, -e_c) and sigma_c(...) = (h - e_a, e_c - e_b, e_c)
-        one = [1, 0, 0, 0]
-        sigmas = at(_IDENTITY,
-                    at(one, at(0, 1, 0, 0), at(0, 0, -1, 0), at(0, 0, 0, -1)),
-                    at(one, at(h, -1, 0, 0), at(0, 0, 1, -1), at(0, 0, 0, -1)),
-                    at(one, at(h, -1, 0, 0), at(0, 0, -1, 1), at(0, 0, 0, 1)))
         # omega_a = e_a, omega_b = sqrt(d_b) = 2*e_b - e_c and omega_c = e_c
         omegas = at(None, at(0, 1, 0, 0), at(0, 0, 2, -1), at(0, 0, 0, 1))[1:]
-        return rows, 128 // q, adj_cols, consts, sigmas, omegas
+        return rows, consts, omegas
 
-    def _set_basis(self, rows, det, adj_cols, consts, sigmas, omegas) -> None:
+    def _set_basis(self, rows, consts, omegas) -> None:
         """Install the integral basis given by rows (integers in units of 1/4)
-        with its tables after the discriminant and inverse-map checks, then
-        check each omega row against the minimal polynomial of omega_i."""
+        with its structure constants and omega rows, after three checks: the
+        discriminant of the rows, that from_radicals sends each row back to
+        its unit vector, and that each omega row satisfies the minimal
+        polynomial of omega_i."""
+        if rows[0] != [4, 0, 0, 0]:
+            raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
+        # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C);
         # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
         # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
+        (_, a1, a2, a3), (_, b1, b2, b3), (_, c1, c2, c3) = rows[1:]
+        det = 4 * (a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1)
+                   + a3 * (b1 * c2 - b2 * c1))
         d1, d2, d3 = self.d
         if det * det * d1 * d2 * d3 != 256 * self.disc:
             raise InconsistencyError(
                 f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
-        self.basis_rows, self._det, self._adj_cols = rows, det, adj_cols
+        self.basis_rows, self.structure_constants, self.omega_rows = rows, consts, omegas
         self.basis_columns = tuple(zip(*rows))
-        for r, unit in zip(rows, _IDENTITY):
-            if tuple(self._integer_coords(r, 4, "basis elements")) != unit:
-                raise InconsistencyError(
-                    f"the coordinate map of {self.d} does not invert its basis")
-        self.structure_constants, self.sigma_matrices, self.omega_rows = consts, sigmas, omegas
+        # the one map from radicals to the basis must invert the rows; it
+        # sends the first row, 4, to 1 whatever the omega rows are
+        for r, unit in zip(rows[1:], _IDENTITY[1:]):
+            if tuple(self.from_radicals(r, 4)) != unit:
+                raise InconsistencyError(f"the omega rows of {self.d} do not invert its basis")
         # omega_i is a root of x^2 - x - (d_i - 1)/4 when d_i = 1 mod 4, else of x^2 - d_i
         for di, w in zip(self.d, omegas):
             t, n = (1, (di - 1) // 4) if di % 4 == 1 else (0, di)
             if self.mul_basis_coords(w, w) != [t * w[0] + n, t * w[1], t * w[2], t * w[3]]:
                 raise InconsistencyError(f"omega row {w} of {self.d} fails its polynomial")
 
-    def _integer_coords(self, vec, scale: int, what: str) -> list[int]:
-        """Basis coordinates of the element vec/scale, vec an integer vector
-        over the radicals, through the adjugate columns: x = 4*vec*adj/det;
-        raises unless they are integers."""
-        den = scale * self._det
-        v0, v1, v2, v3 = vec
+    def from_radicals(self, v, scale: int = 1) -> list[int]:
+        """Basis coordinates of (v0 + v1*sqrt(d1) + v2*sqrt(d2) + v3*sqrt(d3))/scale,
+        through sqrt(d_i) = 2*omega_i - 1 when d_i = 1 mod 4, else omega_i;
+        raises InconsistencyError unless they are integers."""
+        v0, v1, v2, v3 = v
+        d1, d2, d3 = self.d
+        if d1 % 4 == 1:
+            v0, v1 = v0 - v1, 2 * v1
+        if d2 % 4 == 1:
+            v0, v2 = v0 - v2, 2 * v2
+        if d3 % 4 == 1:
+            v0, v3 = v0 - v3, 2 * v3
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = self.omega_rows
+        x = [v0 + v1 * a0 + v2 * b0 + v3 * c0, v1 * a1 + v2 * b1 + v3 * c1,
+             v1 * a2 + v2 * b2 + v3 * c2, v1 * a3 + v2 * b3 + v3 * c3]
+        return x if scale == 1 else self.divide(x, scale)
+
+    def divide(self, x, n: int) -> list[int]:
+        """The coordinates x/n; raises InconsistencyError unless they are integers."""
         out = []
-        for c0, c1, c2, c3 in self._adj_cols:
-            q, r = divmod(4 * (v0 * c0 + v1 * c1 + v2 * c2 + v3 * c3), den)
+        for c in x:
+            q, r = divmod(c, n)
             if r:
-                raise InconsistencyError(f"{what} are not integral in the basis of {self.d}")
+                raise InconsistencyError(f"a quotient by {n} is not integral in {self.d}")
             out.append(q)
         return out
 
@@ -295,10 +295,17 @@ class BiquadField:
         return out
 
     def sigma(self, x, t: int) -> list[int]:
-        """Coordinates of sigma_t(x): sigma_0 = identity, sigma_t fixes sqrt(d_t)."""
-        S = self.sigma_matrices[t]
-        return [x[0] * S[0][j] + x[1] * S[1][j] + x[2] * S[2][j] + x[3] * S[3][j]
-                for j in range(4)]
+        """Coordinates of sigma_t(x): sigma_0 = identity, sigma_t fixes sqrt(d_t).
+        4*x goes to radical coordinates through the basis columns, the two
+        radicals sigma_t moves change sign, and from_radicals brings it back."""
+        if not t:
+            return list(x)
+        x0, x1, x2, x3 = x
+        v = [x0 * c[0] + x1 * c[1] + x2 * c[2] + x3 * c[3] for c in self.basis_columns]
+        for k in (1, 2, 3):
+            if k != t:
+                v[k] = -v[k]
+        return self.from_radicals(v, 4)
 
     def norm(self, x) -> int:
         """N_{K/Q}(x) = x * sigma_1(x) * sigma_2(x * sigma_1(x))."""

@@ -125,9 +125,10 @@ def _cmd_scan(args) -> int:
     units = _budget_units(args) if args.verify else None
     tasks = [(a, b, args.verify, units)
              for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         import multiprocessing  # only here: it costs more to import than a request
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_scan_worker, tasks)
     else:
         results = [_scan_worker(t) for t in tasks]
@@ -138,12 +139,8 @@ def _cmd_scan(args) -> int:
             print(note, file=sys.stderr)
     rendered = render_records(records, args.format) if records else ""
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
+        with open(args.out, "w") as fh:
+            fh.write(rendered)
     else:
         sys.stdout.write(rendered)
     if any(r.verify_status == "mismatch" for r in records):
@@ -192,6 +189,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     SystemExit(0)."""
     if "-h" in argv or "--help" in argv:
         sys.stdout.write(USAGE + "\n" + (__doc__ or ""))
+        sys.stdout.flush()  # a failed write is an IO error, for main to report
         raise SystemExit(0)
     if not argv:
         _usage_error("the following arguments are required: command")
@@ -236,8 +234,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
-    except (InvalidInputError, DomainError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write raises here, not in the flush at exit
+        return code
+    except (InvalidInputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

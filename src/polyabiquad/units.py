@@ -179,7 +179,7 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
         return None
     a0, a1, b0, b1 = root
     # the scale must be positive: 4*m would return -xi when m < 0
-    xi = tuple(K._integer_coords([a0, a1, b0, b1 * m], 4 * abs(m), "square roots"))
+    xi = tuple(K.from_radicals((a0, a1, b0, b1 * m), 4 * abs(m)))
     if K.mul_basis_coords(xi, xi) != list(eta):
         raise InconsistencyError(f"denested square root of {eta} does not square back")
     return xi
@@ -202,29 +202,16 @@ class UnitStructure:
     radical_index: dict = field(default_factory=dict, repr=False)
 
 
-def _divide(K: BiquadField, x, n: int) -> list[int]:
-    """The basis coordinates of x/n; raises unless they are integers."""
-    out = []
-    for c in x:
-        q, r = divmod(c, n)
-        if r:
-            raise InconsistencyError(f"{x}/{n} is not integral in {K.d}")
-        out.append(q)
-    return out
-
-
-def _radical(K: BiquadField, i: int, x: int, y: int) -> list[int]:
-    """Basis coordinates of x + y*sqrt(d_i) in the subfield k_i (0-based),
-    through sqrt(d_i) = 2*omega_i - 1 or omega_i."""
-    return K.from_quad(i, (x - y, 2 * y) if K.d[i] % 4 == 1 else (x, y))
-
-
 def _checked_root(K: BiquadField, x, n: int, eta) -> tuple[int, ...]:
     """xi = x/n, which must be integral and square back to eta."""
-    xi = _divide(K, x, n)
+    xi = K.divide(x, n)
     if K.mul_basis_coords(xi, xi) != eta:
         raise InconsistencyError(f"the closed-form square root of {eta} does not square back")
     return tuple(xi)
+
+
+# sqrt(d_j) in radical coordinates over (1, sqrt(d1), sqrt(d2), sqrt(d3)), d_0 = 1
+_SQRT_D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _square_witness(K: BiquadField, r: int) -> tuple[int, int] | None:
@@ -242,7 +229,7 @@ def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors)
     if (witness := _square_witness(K, r)) is None:
         return None
     j, s = witness
-    x = reduce(K.mul_basis_coords, [*x_factors, _radical(K, j - 1, 0, 1)] if j else x_factors)
+    x = reduce(K.mul_basis_coords, [*x_factors, K.from_radicals(_SQRT_D[j])] if j else x_factors)
     return j, _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
 
 
@@ -270,9 +257,9 @@ def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
     # so xi = 2*sqrt(f)*(eta + eps1)*gamma'/N(gamma)
     g0, g1 = g
     eta = reduce(K.mul_basis_coords, eps)
-    factors = [[a + b for a, b in zip(eta, eps[0])], _radical(K, 0, 2 * g0, -2 * g1)]
+    factors = [[a + b for a, b in zip(eta, eps[0])], K.from_radicals((2 * g0, -2 * g1, 0, 0))]
     if f != 1:
-        factors.append(_radical(K, 1, 0, 1))
+        factors.append(K.from_radicals(_SQRT_D[2]))
     return _checked_root(K, reduce(K.mul_basis_coords, factors), g0 * g0 - d1 * g1 * g1, eta)
 
 
@@ -293,7 +280,7 @@ def _torsion_generator(K: BiquadField) -> tuple[list[int], int, int, list[int], 
         w, c, n, rho = 6, -1, 1, K.from_quad(at[-3], (-1, 1))
     else:
         return [-1, 0, 0, 0], 2, -1, [1, 0, 0, 0], 1
-    zeta = _divide(K, [c * x for x in K.mul_basis_coords(rho, rho)], n * n)
+    zeta = K.divide([c * x for x in K.mul_basis_coords(rho, rho)], n * n)
     return zeta, w, c, rho, n
 
 

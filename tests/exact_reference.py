@@ -23,7 +23,8 @@
 - generic_basis_tables, the earlier route to the tables of an integral
   basis: a block adjugate of its rows, then every radical product, Galois
   image and subfield integer converted through it.  The program writes the
-  same tables down per residue pattern.
+  rows, structure constants and subfield integers down per residue pattern
+  and derives the Galois images from them.
 - The earlier square root integral_square_root_fraction, which runs the
   denesting over k1 in Fraction radical coordinates.
 - The earlier sort-based Euclidean Hermite form, and the earlier quadratic
@@ -352,10 +353,10 @@ def generic_basis_tables(K, rows) -> tuple:
     """The tables of the integral basis given by rows (integers in units of
     1/4, row 0 equal to 1), by the earlier adjugate route: the block adjugate
     of the rows, then the radical products, Galois images and subfield
-    integers converted through it.  Returns (rows, det, adj_cols, consts,
-    sigmas, omegas) in the layout of BiquadField._set_basis; raises
-    InconsistencyError when a conversion is not integral.  No discriminant
-    check: that one is BiquadField._set_basis's."""
+    integers converted through it.  Returns (rows, consts, omegas), the
+    layout of BiquadField._set_basis, and the matrices of sigma_0..sigma_3,
+    which K derives; raises InconsistencyError when a conversion is not
+    integral.  No discriminant check: that one is BiquadField._set_basis's."""
     if rows[0] != [4, 0, 0, 0]:
         raise InconsistencyError(f"the integral basis of {K.d} must start with 1")
     # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C) and
@@ -389,7 +390,7 @@ def generic_basis_tables(K, rows) -> tuple:
         if d % 4 == 1:
             vec[0], scale = 1, 2
         omegas.append(coords(vec, scale, "subfield integers"))
-    return rows, det, adj_cols, consts, sigmas, omegas
+    return rows, consts, omegas, sigmas
 
 
 def basis_elements(K) -> tuple:
@@ -503,8 +504,7 @@ def integral_square_root_fraction(K, eta) -> tuple[int, ...] | None:
     (a0, a1), (b0, b1) = root
     rad = (a0, a1, b0, b1 * m)
     den = lcm(*(c.denominator for c in rad))
-    xi = tuple(K._integer_coords([c.numerator * (den // c.denominator) for c in rad],
-                                 den, "square roots"))
+    xi = tuple(K.from_radicals([c.numerator * (den // c.denominator) for c in rad], den))
     if K.mul_basis_coords(xi, xi) != list(eta):
         raise InconsistencyError(f"denested square root of {eta} does not square back")
     return xi

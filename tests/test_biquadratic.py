@@ -125,35 +125,39 @@ def test_integral_basis_matches_frozen_saturation_search():
 
 
 def _tables(tables):
-    """(rows, det, adj_cols, consts, sigmas, omegas) with every vector a tuple."""
-    rows, det, adj_cols, consts, sigmas, omegas = tables
-    return ([tuple(r) for r in rows], det, [tuple(c) for c in adj_cols],
-            [[tuple(c) for c in r] for r in consts], [[tuple(r) for r in S] for S in sigmas],
+    """(rows, consts, omegas) with every vector a tuple."""
+    rows, consts, omegas = tables
+    return ([tuple(r) for r in rows], [[tuple(c) for c in r] for r in consts],
             [tuple(w) for w in omegas])
 
 
 def _written_tables(K):
-    return _tables((K.basis_rows, K._det, K._adj_cols, K.structure_constants,
-                    K.sigma_matrices, K.omega_rows))
+    return _tables((K.basis_rows, K.structure_constants, K.omega_rows))
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _check_against_the_adjugate_route(K):
+    """The three written tables and the derived Galois action of K against
+    the tables of generic_basis_tables."""
+    *tables, sigmas = generic_basis_tables(K, K.basis_rows)
+    assert _written_tables(K) == _tables(tables), K.d
+    assert [[K.sigma(e, t) for e in _UNITS] for t in range(4)] == sigmas, K.d
 
 
 def test_integral_basis_certificate_up_to_60():
     # construction runs the discriminant certificate and the inversion check;
     # the discriminant is checked again by a rational determinant the program
-    # does not use, and every written-down table against the adjugate route
+    # does not use, the written-down tables and the derived Galois action
+    # against the adjugate route
     patterns = set()
     for K in small_corpus(60):
         d1, d2, d3 = K.d
         det = mat_det_fraction(K.basis_rows)
         assert det * det * d1 * d2 * d3 == 256 * K.disc, K.d
         assert K.basis_rows[0] == [4, 0, 0, 0]
-        # the adjugate columns and the determinant invert the rows
-        assert K._det == det, K.d
-        adj = list(zip(*K._adj_cols))
-        assert [[sum(r[k] * adj[k][j] for k in range(4)) for j in range(4)]
-                for r in K.basis_rows] == [[K._det * (i == j) for j in range(4)]
-                                           for i in range(4)], K.d
-        assert _written_tables(K) == _tables(generic_basis_tables(K, K.basis_rows)), K.d
+        _check_against_the_adjugate_route(K)
         patterns.add((tuple(x % 4 for x in K.d), K.is_real, abs(gcd(d1, d2)) > 1))
     # the 10 placements of the residues mod 4 in the sorted triple, real and
     # imaginary, with and without gcd(d1, d2) > 1, less the 4 where d1 and d2
@@ -182,28 +186,28 @@ _RESIDUE_PAIRS = ((1, 1), (1, 3), (3, 3), (1, 2), (3, 2), (2, 2))
 @example((99_991, -99_989))  # two primes: d3 = -9998000099
 def test_written_tables_match_the_adjugate_route_on_random_fields(pair):
     assume(pair[0] != pair[1])
-    K = biquadratic_field(*pair)
-    assert _written_tables(K) == _tables(generic_basis_tables(K, K.basis_rows)), K.d
+    _check_against_the_adjugate_route(biquadratic_field(*pair))
 
 
 def test_construction_builds_no_radical_product(monkeypatch):
-    # the tables are written down: no radical product exists to call, and the
-    # coordinate map runs only on the four basis rows, for the inversion check
+    # the tables are written down: no radical product exists to call, and
+    # construction converts only the basis rows past the first, 1, for the
+    # inversion check
     assert not hasattr(BiquadField, "radical_product")
     calls = []
-    integer_coords = BiquadField._integer_coords
+    from_radicals = BiquadField.from_radicals
 
-    def recording(self, vec, scale, what):
+    def recording(self, vec, scale=1):
         calls.append((list(vec), scale))
-        return integer_coords(self, vec, scale, what)
+        return from_radicals(self, vec, scale)
 
-    monkeypatch.setattr(BiquadField, "_integer_coords", recording)
+    monkeypatch.setattr(BiquadField, "from_radicals", recording)
     pairs = _scan_tasks(30, False, False)
     assert len(pairs) == 534
     for pair in pairs:
         calls.clear()
         K = biquadratic_field(*pair)
-        assert calls == [(list(r), 4) for r in K.basis_rows], K.d
+        assert calls == [(list(r), 4) for r in K.basis_rows[1:]], K.d
 
 
 def test_construction_factors_each_generator_once(monkeypatch):
@@ -249,7 +253,7 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
     K23 = biquadratic_field(2, 3)
     identity = [[4 if i == j else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(InconsistencyError, match="lattice discriminant"):
-        K23._set_basis(*generic_basis_tables(K23, identity))
+        K23._set_basis(*generic_basis_tables(K23, identity)[:3])
     # a wrong sign of m_ab in Q(sqrt3, sqrt5), d_a = 5 against {3, 15}: the
     # e_c-coordinate of e_a*e_b, (m_ab - m_ac)/4, becomes (-1 - 5)/4
     build = BiquadField._build_mul_table
@@ -266,6 +270,7 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
 
 
 def test_every_omega_row_mutant_raises_at_construction(monkeypatch):
+    # the omega rows must carry the radical map back to the basis rows, and
     # each omega_i row must satisfy omega^2 = omega + (d_i - 1)/4 or
     # omega^2 = d_i: a change of +-1 in any one entry of the three rows raises
     # at construction on every field of bound 12, 1,800 mutant fields
@@ -281,8 +286,42 @@ def test_every_omega_row_mutant_raises_at_construction(monkeypatch):
 
         monkeypatch.setattr(BiquadField, "_integral_basis", mutant)
         for pair in pairs:
-            with pytest.raises(InconsistencyError, match="fails its polynomial"):
+            with pytest.raises(InconsistencyError,
+                               match="fails its polynomial|do not invert|not integral"):
                 biquadratic_field(*pair)
+
+
+def test_every_basis_row_mutant_raises_at_construction(monkeypatch):
+    # the first row must be 1, the discriminant is read off the rows, and the
+    # radical map of the omega rows must send each row to its unit vector: a
+    # change of +-1 in any one entry of the four rows raises at construction
+    # on every field of bound 12, 2,400 mutant fields
+    pairs = _scan_tasks(12, False, False)
+    assert len(pairs) == 75
+    written = BiquadField._integral_basis
+    for i, j, step in itertools.product(range(4), range(4), (1, -1)):
+        def mutant(self, i=i, j=j, step=step):
+            rows, *tables = written(self)
+            rows = [list(r) for r in rows]
+            rows[i][j] += step
+            return (rows, *tables)
+
+        monkeypatch.setattr(BiquadField, "_integral_basis", mutant)
+        for pair in pairs:
+            with pytest.raises(InconsistencyError):
+                biquadratic_field(*pair)
+
+
+def test_the_radical_map_raises_on_a_non_integral_element():
+    # sqrt(2)/2 is no algebraic integer; sqrt(2) and (sqrt(2) + sqrt(6))/2 are
+    K = biquadratic_field(2, 3)
+    assert K.d == (2, 3, 6)
+    with pytest.raises(InconsistencyError, match="not integral"):
+        K.from_radicals((0, 1, 0, 0), 2)
+    for vec, scale in (((0, 1, 0, 0), 1), ((0, 1, 0, 1), 2), ((0, 2, 0, 0), 2)):
+        x = K.from_radicals(vec, scale)
+        assert element_from_coords(K, x) == BiquadElement(
+            K, [Fraction(v, scale) for v in vec]), vec
 
 
 def test_profile_examples():
@@ -354,13 +393,14 @@ def test_galois_action_composition_and_norm():
 
 
 def test_sigma_3_is_the_product_of_sigma_1_and_sigma_2_up_to_60():
-    # sigma_3 is written down; it must equal the Galois images sigma_3(basis)
-    # converted from radical coordinates, and sigma_1 o sigma_2
+    # sigma_3 is derived through the radicals; it must equal sigma_1 o sigma_2
+    # and, up to 12, the Galois images sigma_3(basis) converted by Cramer's rule
+    up_to_12 = {K.d for K in small_corpus(12)}
     for K in small_corpus(60):
-        direct = [K._integer_coords([v * s for v, s in zip(r, (1, -1, -1, 1))], 4, "images")
-                  for r in K.basis_rows]
-        assert K.sigma_matrices[3] == direct, K.d
-        assert [K.sigma(K.sigma(e, 1), 2) for e in K.sigma_matrices[0]] == direct, K.d
+        derived = [K.sigma(e, 3) for e in _UNITS]
+        assert [K.sigma(K.sigma(e, 1), 2) for e in _UNITS] == derived, K.d
+        if K.d in up_to_12:
+            assert derived == [integral_coords(K, e.sigma(3)) for e in basis_elements(K)], K.d
 
 
 _INTS = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))

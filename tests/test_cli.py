@@ -170,7 +170,7 @@ def test_scan_out_file(tmp_path, capsys):
 def test_scan_unwritable_out_is_exit_1(capsys):
     code, _, err = run(capsys, "scan", "--bound", "3", "--out",
                        "/nonexistent-dir/rows.txt")
-    assert code == 1 and "error" in err
+    assert code == 1 and err.startswith("error: ") and "/nonexistent-dir/rows.txt" in err
 
 
 def test_scan_bad_bound(capsys):
@@ -554,6 +554,68 @@ def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "polyabiquad", "quad", "2"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and "po" in proc.stdout
+
+
+_FULL_DEVICE = "/dev/full"
+
+
+@pytest.mark.skipif(not os.path.exists(_FULL_DEVICE), reason="needs a full device")
+@pytest.mark.parametrize("argv", [["quad", "2"], ["biquad", "2", "3", "--json"],
+                                  ["scan", "--bound", "40", "--json"], ["quad", "--help"]])
+def test_a_failed_write_to_stdout_is_one_error_line_and_exit_1(argv):
+    # each write fails with ENOSPC: main reports it as an IO error, and the
+    # flush at exit finds nothing left to write (no exit 120)
+    import subprocess, sys
+    with open(_FULL_DEVICE, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "polyabiquad", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_package_env())
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "No space left" in proc.stderr and "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_a_closed_pipe_is_one_error_line_and_exit_1():
+    # the reader is gone before the first write, as when head has exited
+    import subprocess, sys
+    proc = subprocess.Popen([sys.executable, "-m", "polyabiquad", "scan", "--bound", "20",
+                             "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=_package_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Broken pipe" in err
+
+
+def test_scan_starts_no_more_workers_than_fields(capsys, monkeypatch):
+    # a recording stand-in for the pool: --jobs J starts min(J, fields)
+    # workers, and none for one field
+    import multiprocessing
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    code, one, _ = run(capsys, "scan", "--bound", "2", "--jobs", "3", "--json")
+    assert code == 0 and len(one.splitlines()) == 1 and started == []
+    _, serial, _ = run(capsys, "scan", "--bound", "3", "--json")
+    assert len(serial.splitlines()) == 6
+    for jobs, workers in (("2", 2), ("6", 6), ("9", 6)):
+        started.clear()
+        code, out, _ = run(capsys, "scan", "--bound", "3", "--json", "--jobs", jobs)
+        assert code == 0 and out == serial and started == [workers], jobs
 
 
 def test_scan_output_survives_python_O():
