@@ -23,15 +23,18 @@ pattern, _integral_basis writes three tables down from the d_i and the m_xy:
 the rows, the structure constants and the rows of the subfield generators
 omega_i.  The structure constants are the coordinates of the products e_i*e_j
 of basis elements, so they are integers exactly when the lattice is a ring;
-every division in them must be exact, or construction raises
-InconsistencyError.  Three more checks raise it: the discriminant of the rows
-must equal the product of the three quadratic discriminants, from_radicals
-must send each row to its unit vector, and each omega_i row must satisfy
-omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else omega^2 = d_i, which
-certifies the embedding from_quad.  The discriminant alone cannot tell O_K
-from a lattice of the same index that is not a ring: in Q(sqrt(-23),
-sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
-(1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
+every division in them must be exact, or InconsistencyError is raised.  The
+tables are written on the first read of any of them, not at construction,
+and certified when first written: three more checks raise
+InconsistencyError before any table is installed, so a table that fails
+cannot be read.  The discriminant of the rows must equal the product of the
+three quadratic discriminants, the radical map of the omega rows
+(from_radicals) must send each row to its unit vector, and each omega_i row
+must satisfy omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else
+omega^2 = d_i, which certifies the embedding from_quad.  The discriminant
+alone cannot tell O_K from a lattice of the same index that is not a ring:
+in Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place
+of (1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
 contains 1, is closed under multiplication and has the discriminant of O_K
 is O_K.
 
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, bit_lengths
 from .quadratic import quadratic_field
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -62,12 +65,52 @@ _SQUARE_ROOTS = tuple((l, {x * x % l: x for x in range(1, l // 2 + 1)}) for l in
 # past them, residue_maps goes on to the primes l = 3 mod 4 below this cap,
 # where a nonzero square d has the root d^((l+1)/4) mod l
 _ROOT_CAP = 2000
+# the tables BiquadField._set_basis installs, on the first read of any of them
+_BASIS_TABLES = ("basis_rows", "structure_constants", "omega_rows", "basis_columns")
 
 
 def _root_mod(d: int, l: int) -> int | None:
     """A nonzero root of d mod a prime l = 3 mod 4, or None."""
     r = pow(d, (l + 1) // 4, l)
     return r if r and (r * r - d) % l == 0 else None
+
+
+def _from_radicals(d, omegas, v) -> list[int]:
+    """Basis coordinates of v0 + v1*sqrt(d1) + v2*sqrt(d2) + v3*sqrt(d3)
+    under the omega rows omegas of the field with d = (d1, d2, d3), through
+    sqrt(d_i) = 2*omega_i - 1 when d_i = 1 mod 4, else omega_i."""
+    v0, v1, v2, v3 = v
+    d1, d2, d3 = d
+    if d1 % 4 == 1:
+        v0, v1 = v0 - v1, 2 * v1
+    if d2 % 4 == 1:
+        v0, v2 = v0 - v2, 2 * v2
+    if d3 % 4 == 1:
+        v0, v3 = v0 - v3, 2 * v3
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = omegas
+    return [v0 + v1 * a0 + v2 * b0 + v3 * c0, v1 * a1 + v2 * b1 + v3 * c1,
+            v1 * a2 + v2 * b2 + v3 * c2, v1 * a3 + v2 * b3 + v3 * c3]
+
+
+def _mul(consts, x, y) -> list[int]:
+    """Product of two integer coordinate vectors under the structure constants consts."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        xi = x[i]
+        if not xi:
+            continue
+        ci = consts[i]
+        for j in range(4):
+            yj = y[j]
+            if not yj:
+                continue
+            c = ci[j]
+            p = xi * yj
+            out[0] += p * c[0]
+            out[1] += p * c[1]
+            out[2] += p * c[2]
+            out[3] += p * c[3]
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,10 +152,17 @@ class BiquadField:
         self.disc = 1
         for k in self.subfields:
             self.disc *= k.delta
-        self._set_basis(*self._integral_basis())
         self.profile = self._ramification_profile()
 
-    # -- construction helpers ----------------------------------------------
+    def __getattr__(self, name):
+        # the basis tables are missing only until the first read of any of
+        # them, which writes, certifies and installs all of them
+        if name not in _BASIS_TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._set_basis(*self._integral_basis())
+        return self.__dict__[name]
+
+    # -- construction helpers; the basis is written on its first read ------
 
     def _build_mul_table(self):
         """sqrt(d_i)*sqrt(d_j) = m_ij*sqrt(d_l) as {(i, j): (l, m_ij)}, with
@@ -215,11 +265,14 @@ class BiquadField:
         return rows, consts, omegas
 
     def _set_basis(self, rows, consts, omegas) -> None:
-        """Install the integral basis given by rows (integers in units of 1/4)
-        with its structure constants and omega rows, after three checks: the
-        discriminant of the rows, that from_radicals sends each row back to
-        its unit vector, and that each omega row satisfies the minimal
-        polynomial of omega_i."""
+        """Certify the integral basis given by rows (integers in units of 1/4)
+        with its structure constants and omega rows, then install the three
+        tables and the columns of the rows.  Three checks run on the tables
+        as given, before any is installed: the discriminant of the rows, that
+        the radical map of the omega rows sends each row back to its unit
+        vector, and that each omega row satisfies the minimal polynomial of
+        omega_i.  So the basis is certified when first written, and a table
+        that fails is never readable."""
         if rows[0] != [4, 0, 0, 0]:
             raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
         # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C);
@@ -233,34 +286,22 @@ class BiquadField:
             raise InconsistencyError(
                 f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
                 f"!= {self.disc} for {self.d}")
-        self.basis_rows, self.structure_constants, self.omega_rows = rows, consts, omegas
-        self.basis_columns = tuple(zip(*rows))
         # the one map from radicals to the basis must invert the rows; it
         # sends the first row, 4, to 1 whatever the omega rows are
         for r, unit in zip(rows[1:], _IDENTITY[1:]):
-            if tuple(self.from_radicals(r, 4)) != unit:
+            if tuple(self.divide(_from_radicals(self.d, omegas, r), 4)) != unit:
                 raise InconsistencyError(f"the omega rows of {self.d} do not invert its basis")
         # omega_i is a root of x^2 - x - (d_i - 1)/4 when d_i = 1 mod 4, else of x^2 - d_i
         for di, w in zip(self.d, omegas):
             t, n = (1, (di - 1) // 4) if di % 4 == 1 else (0, di)
-            if self.mul_basis_coords(w, w) != [t * w[0] + n, t * w[1], t * w[2], t * w[3]]:
+            if _mul(consts, w, w) != [t * w[0] + n, t * w[1], t * w[2], t * w[3]]:
                 raise InconsistencyError(f"omega row {w} of {self.d} fails its polynomial")
+        self.__dict__.update(zip(_BASIS_TABLES, (rows, consts, omegas, tuple(zip(*rows)))))
 
     def from_radicals(self, v, scale: int = 1) -> list[int]:
-        """Basis coordinates of (v0 + v1*sqrt(d1) + v2*sqrt(d2) + v3*sqrt(d3))/scale,
-        through sqrt(d_i) = 2*omega_i - 1 when d_i = 1 mod 4, else omega_i;
+        """Basis coordinates of (v0 + v1*sqrt(d1) + v2*sqrt(d2) + v3*sqrt(d3))/scale;
         raises InconsistencyError unless they are integers."""
-        v0, v1, v2, v3 = v
-        d1, d2, d3 = self.d
-        if d1 % 4 == 1:
-            v0, v1 = v0 - v1, 2 * v1
-        if d2 % 4 == 1:
-            v0, v2 = v0 - v2, 2 * v2
-        if d3 % 4 == 1:
-            v0, v3 = v0 - v3, 2 * v3
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = self.omega_rows
-        x = [v0 + v1 * a0 + v2 * b0 + v3 * c0, v1 * a1 + v2 * b1 + v3 * c1,
-             v1 * a2 + v2 * b2 + v3 * c2, v1 * a3 + v2 * b3 + v3 * c3]
+        x = _from_radicals(self.d, self.omega_rows, v)
         return x if scale == 1 else self.divide(x, scale)
 
     def divide(self, x, n: int) -> list[int]:
@@ -275,24 +316,7 @@ class BiquadField:
 
     def mul_basis_coords(self, x, y) -> list[int]:
         """Product of two integer coordinate vectors over the integral basis."""
-        out = [0, 0, 0, 0]
-        consts = self.structure_constants
-        for i in range(4):
-            xi = x[i]
-            if not xi:
-                continue
-            ci = consts[i]
-            for j in range(4):
-                yj = y[j]
-                if not yj:
-                    continue
-                c = ci[j]
-                p = xi * yj
-                out[0] += p * c[0]
-                out[1] += p * c[1]
-                out[2] += p * c[2]
-                out[3] += p * c[3]
-        return out
+        return _mul(self.structure_constants, x, y)
 
     def sigma(self, x, t: int) -> list[int]:
         """Coordinates of sigma_t(x): sigma_0 = identity, sigma_t fixes sqrt(d_t).
@@ -312,7 +336,8 @@ class BiquadField:
         p = self.mul_basis_coords(x, self.sigma(x, 1))
         n = self.mul_basis_coords(p, self.sigma(p, 2))
         if any(n[1:]):
-            raise InconsistencyError(f"the norm {n} of {x} must be rational")
+            raise InconsistencyError(f"the norm of an element of {self.d} with "
+                                     f"{bit_lengths(x)}-bit coordinates is not rational")
         return n[0]
 
     def _ramification_profile(self) -> RamificationProfile:

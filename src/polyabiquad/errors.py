@@ -30,6 +30,13 @@ class InconsistencyError(RuntimeError):
     formula produced a non-integer.  Always indicates an internal bug."""
 
 
+def bit_lengths(x) -> str:
+    """The bit lengths of the integers x, as "a/b/...": a message names
+    these, not the integers, as str() of an int past 4,300 digits raises
+    ValueError in CPython 3.10.7 and later."""
+    return "/".join(str(c.bit_length()) for c in x)
+
+
 def default_budget_units() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:

@@ -77,8 +77,9 @@ P_i and P_i*O_K is the product of the primes above p, and when e_2 = 4 it
 is P^2 for the one prime P above 2.  The seeding reads only masks and these
 images, no generator of P_i and no product in K.  quadratic._ideal_form
 certifies that each [p, b + omega_i] of a subfield book is an ideal of
-norm p, so it is P_i, and BiquadField construction certifies the embedding
-of each k_i in K through the minimal polynomials of the omega rows.
+norm p, so it is P_i, and BiquadField certifies the embedding of each k_i
+in K through the minimal polynomials of the omega rows, when the rows are
+first written.
 So every verdict is a completed descent, in K or in a subfield, a table of
 characters read for a whole coset, or follows from such verdicts by the
 group law; each subfield book starts with the mask of (sqrt(d)).  The same
@@ -128,7 +129,7 @@ from math import prod
 
 from .biquadratic import BiquadField
 from .cosets import CosetBook, f2_kernel, f2_span
-from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
+from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .linalg import hnf_contains, hnf_rows
 from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, generator_above_2,
                         omega_norm, prime_above)
@@ -271,7 +272,8 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
         norm = omega_norm(k.d, *gi)
         if abs(norm) != n:
             raise InconsistencyError(
-                f"relative norm generator {gi} of Q(sqrt({k.d})) has norm {norm}, expected +-{n}")
+                f"the relative norm generator of Q(sqrt({k.d})) with {bit_lengths(gi)}-bit "
+                f"coordinates has a norm of {norm.bit_length()} bits, expected +-{n}")
     nonresidue, zero = K.character_mask(list(enumerate(gens)), n)
     if all((m ^ nonresidue) & ~zero for m in K.twist_masks):
         budget.charge(K.twist_count)
@@ -287,7 +289,8 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
                 g = K.mul_basis_coords(g, K.from_quad(i, gi))
             if any(c % n for c in g):
                 raise InconsistencyError(
-                    f"the relative norm generators {gens} multiply to {g}, not in {n}*O_K")
+                    f"the relative norm generators of {K.d} multiply to an element with "
+                    f"{bit_lengths(g)}-bit coordinates, not in {n}*O_K")
             h = [c // n for c in g]
         # the denesting square root, which only the oracle takes
         xi = integral_square_root(K, K.mul_basis_coords(h, u))

@@ -52,7 +52,7 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .cosets import CosetBook, f2_kernel, f2_span
-from .errors import Budget, DomainError, InconsistencyError, InvalidInputError
+from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .intmath import factorize
 
 
@@ -185,7 +185,7 @@ def _cf_fundamental_unit(k: QuadraticField) -> tuple[int, int]:
     x, y, _ = radical_coords(k.d, u, v)
     if ru or rv or abs(omega_norm(k.d, u, v)) != 1 or x <= 0 or y <= 0:
         raise InconsistencyError(
-            f"{u} + {v}*omega is not a unit > 1 of Q(sqrt({k.d}))")
+            f"u + v*omega with {bit_lengths((u, v))}-bit u/v is not a unit > 1 of Q(sqrt({k.d}))")
     return u, v
 
 
@@ -376,7 +376,8 @@ def principal_generator_quad(ideal: QuadIdeal,
     x, y = xy
     gen = content * (x * prim.a + y * prim.b), content * y
     if abs(omega_norm(k.d, *gen)) != ideal.norm or not ideal.contains(gen):
-        raise InconsistencyError(f"{gen} does not generate the ideal {ideal}")
+        raise InconsistencyError(
+            f"the element with {bit_lengths(gen)}-bit coordinates does not generate the ideal {ideal}")
     return gen
 
 

@@ -6,10 +6,11 @@ builds it (OutputRecord.with_status copies it with a checked status):
 |Po(K)| * |kernel| =
 prod |Po(k_i)| * |cokernel|, the chain indices telescoping to 2**s_K, and
 every order and index a power of two.  JSON output
-is newline-delimited with a fixed key order, CSV has a header row and plain
-comma-separated values (nothing needs quoting), and text is a fixed-width
-table.  All three renderings parse back to the exact record list, which the
-tests assert; scan output is therefore trivially diffable.  A quadratic
+is newline-delimited with a fixed key order, printed through one
+%-template per record class, CSV has a header row and plain comma-separated
+values (nothing needs quoting), and text is a fixed-width table.  All three
+renderings parse back to the exact record list, which the tests assert;
+scan output is therefore trivially diffable.  A quadratic
 unit can have more digits than CPython's default limit on int -> str
 conversion (that of Q(sqrt(999999937)) has 13,329 digits), so rendering
 lifts that limit and restores it afterwards.
@@ -18,7 +19,6 @@ lifts that limit and restores it afterwards.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -124,6 +124,20 @@ def _columns(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
+@cache
+def _json_template(cls) -> str:
+    """The JSON row of a record class as one %-template over its columns:
+    %d for every column but the last, which must be verify_status, quoted as
+    %s.  _check_status confines that one to VERIFY_STATUSES, which need no
+    escaping, and an int prints under %d exactly as json.dumps prints it;
+    a column of any other type raises InconsistencyError."""
+    fields = dataclasses.fields(cls)
+    if fields[-1].name != "verify_status" or any(f.type not in (int, "int") for f in fields[:-1]):
+        raise InconsistencyError(f"{cls.__name__} has a column the JSON template cannot print")
+    cells = [f'"{c}": %d' for c in _columns(cls)[:-1]] + ['"verify_status": "%s"']
+    return "{" + ", ".join(cells) + "}"
+
+
 def render_records(records, fmt: str) -> str:
     """Render a nonempty list of records (all of one type) as json | csv | text,
     with the interpreter's limit on the digits of an int -> str conversion
@@ -142,9 +156,8 @@ def _render(records, fmt: str) -> str:
     cols = _columns(type(records[0]))
     values = attrgetter(*cols)
     if fmt == "json":
-        lines = [json.dumps(dict(zip(cols, values(r))), separators=(", ", ": "))
-                 for r in records]
-        return "\n".join(lines) + "\n"
+        template = _json_template(type(records[0]))
+        return "".join([template % values(r) + "\n" for r in records])
     if fmt == "csv":
         lines = [",".join(cols)]
         lines += [",".join(map(str, values(r))) for r in records]

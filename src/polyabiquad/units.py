@@ -27,7 +27,10 @@ The unit index follows by testing which products of subfield fundamental
 units (twisted by subfield roots of unity) become squares in K: squaring
 embeds O_K^x / E_0 into E_0 / E_0^2 for E_0 the subgroup generated by the
 subfield units, so q equals the number of square classes found.  Each test
-is a proof, and each root is written down and squared back:
+is a proof, and each root is written down and squared back.  The units are
+formed in K only for a class whose test finds a square, so a field with no
+such class (and no imaginary |H^1| to compute) never reads the integral
+basis of K:
 
 - A nonzero rational integer r is a square in K exactly when r*d_j = s**2
   for some d_j in (1, d1, d2, d3): a root x of r spans Q or some
@@ -105,7 +108,7 @@ from math import isqrt, prod
 from operator import mul
 
 from .biquadratic import BiquadField
-from .errors import InconsistencyError
+from .errors import InconsistencyError, bit_lengths
 
 
 def _int_sqrt(n: int) -> int | None:
@@ -181,7 +184,8 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
     # the scale must be positive: 4*m would return -xi when m < 0
     xi = tuple(K.from_radicals((a0, a1, b0, b1 * m), 4 * abs(m)))
     if K.mul_basis_coords(xi, xi) != list(eta):
-        raise InconsistencyError(f"denested square root of {eta} does not square back")
+        raise InconsistencyError(f"the denested square root of an element of {K.d} with "
+                                 f"{bit_lengths(eta)}-bit coordinates does not square back")
     return xi
 
 
@@ -198,7 +202,7 @@ class UnitStructure:
     # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
     # pairs (imaginary K)
     square_class_roots: dict = field(default_factory=dict, repr=False)
-    # real K: the radical index j of each root _rational_class_root wrote down
+    # real K: the radical index j of each root the unit search wrote down
     radical_index: dict = field(default_factory=dict, repr=False)
 
 
@@ -206,7 +210,8 @@ def _checked_root(K: BiquadField, x, n: int, eta) -> tuple[int, ...]:
     """xi = x/n, which must be integral and square back to eta."""
     xi = K.divide(x, n)
     if K.mul_basis_coords(xi, xi) != eta:
-        raise InconsistencyError(f"the closed-form square root of {eta} does not square back")
+        raise InconsistencyError(f"the closed-form square root of an element of {K.d} with "
+                                 f"{bit_lengths(eta)}-bit coordinates does not square back")
     return tuple(xi)
 
 
@@ -222,18 +227,16 @@ def _square_witness(K: BiquadField, r: int) -> tuple[int, int] | None:
     return None
 
 
-def _rational_class_root(K: BiquadField, r: int, x_factors, n: int, eta_factors):
-    """(j, the root x*sqrt(d_j)/(n*s)) of eta = prod(eta_factors) = x**2/(n**2*r),
-    x = prod(x_factors), for (j, s) the square witness of r, or None when r, and so eta, is
-    not a square in K."""
-    if (witness := _square_witness(K, r)) is None:
-        return None
+def _witness_root(K: BiquadField, witness, x_factors, n: int, eta_factors) -> tuple[int, ...]:
+    """The root x*sqrt(d_j)/(n*s) of eta = prod(eta_factors) = x**2/(n**2*r),
+    x = prod(x_factors), for (j, s) the square witness of r.  The callers form
+    the factors in K only once r has a witness."""
     j, s = witness
     x = reduce(K.mul_basis_coords, [*x_factors, K.from_radicals(_SQRT_D[j])] if j else x_factors)
-    return j, _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
+    return _checked_root(K, x, n * s, reduce(K.mul_basis_coords, eta_factors))
 
 
-def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
+def _all_minus_root(K: BiquadField) -> tuple[int, ...] | None:
     """The root of eta = eps1*eps2*eps3 in a real field with every
     lambda_i = -1, or None (module docstring): eta = (eta + eps1)**2/beta
     with beta = eps1*(2 + Tr_{K/k1}(eps2*eps3)) in k1, and beta is a square
@@ -256,6 +259,7 @@ def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
     # gamma = g0 + g1*sqrt(d1) squares to 4*f*beta, and 1/gamma = gamma'/N(gamma),
     # so xi = 2*sqrt(f)*(eta + eps1)*gamma'/N(gamma)
     g0, g1 = g
+    eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
     eta = reduce(K.mul_basis_coords, eps)
     factors = [[a + b for a, b in zip(eta, eps[0])], K.from_radicals((2 * g0, -2 * g1, 0, 0))]
     if f != 1:
@@ -263,25 +267,30 @@ def _all_minus_root(K: BiquadField, eps) -> tuple[int, ...] | None:
     return _checked_root(K, reduce(K.mul_basis_coords, factors), g0 * g0 - d1 * g1 * g1, eta)
 
 
-def _torsion_generator(K: BiquadField) -> tuple[list[int], int, int, list[int], int]:
+def _torsion_generator(K: BiquadField) -> tuple[int, int, int, tuple]:
     """Generator zeta of the subgroup of roots of unity generated by the
     subfield torsion units, with its order w, written as zeta = c*(rho/n)**2
-    with c rational and rho integral: (zeta, w, c, rho, n).  -1 = -1*1**2,
-    i = 2*((1 + i)/2)**2, zeta_6 = -zeta_3**2 and zeta_12 = i*conj(zeta_6) =
-    -2*((1 + i)*zeta_3**2/2)**2, with zeta_6 = omega = (1 + sqrt(-3))/2,
-    zeta_3 = omega - 1 and zeta_3**2 = -omega."""
+    with c rational and rho integral: (w, c, n, rho), with rho given by its
+    factors (i, (u, v)), integers u + v*omega_i of the subfields k_i, for
+    _torsion_elements to form in K.  -1 = -1*1**2, i = 2*((1 + i)/2)**2,
+    zeta_6 = -zeta_3**2 and zeta_12 = i*conj(zeta_6) = -2*((1 + i)*zeta_3**2/2)**2,
+    with zeta_6 = omega = (1 + sqrt(-3))/2, zeta_3 = omega - 1 and
+    zeta_3**2 = -omega."""
     at = {d: i for i, d in enumerate(K.d)}
     if -1 in at and -3 in at:
-        w, c, n = 12, -2, 2
-        rho = K.mul_basis_coords(K.from_quad(at[-1], (1, 1)), K.from_quad(at[-3], (0, -1)))
-    elif -1 in at:
-        w, c, n, rho = 4, 2, 2, K.from_quad(at[-1], (1, 1))
-    elif -3 in at:
-        w, c, n, rho = 6, -1, 1, K.from_quad(at[-3], (-1, 1))
-    else:
-        return [-1, 0, 0, 0], 2, -1, [1, 0, 0, 0], 1
-    zeta = K.divide([c * x for x in K.mul_basis_coords(rho, rho)], n * n)
-    return zeta, w, c, rho, n
+        return 12, -2, 2, ((at[-1], (1, 1)), (at[-3], (0, -1)))
+    if -1 in at:
+        return 4, 2, 2, ((at[-1], (1, 1)),)
+    if -3 in at:
+        return 6, -1, 1, ((at[-3], (-1, 1)),)
+    return 2, -1, 1, ()
+
+
+def _torsion_elements(K: BiquadField, c: int, n: int, rho) -> tuple[list[int], list[int]]:
+    """(c*rho, zeta = c*(rho/n)**2) in K for the factors rho of _torsion_generator."""
+    rho = reduce(K.mul_basis_coords, [K.from_quad(i, el) for i, el in rho], [1, 0, 0, 0])
+    c_rho = [c * x for x in rho]
+    return c_rho, K.divide(K.mul_basis_coords(c_rho, rho), n * n)
 
 
 def _relative_norm(K: BiquadField, x, t: int) -> list[int]:
@@ -343,7 +352,8 @@ def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
 
 
 def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    zeta = _torsion_generator(K)[0]
+    _, c, n, rho = _torsion_generator(K)
+    zeta = _torsion_elements(K, c, n, rho)[1]
     r = K.real_radical_index - 1
     eta = K.from_quad(r, K.subfields[r].fundamental_unit)
     for key, xi in us.square_class_roots.items():
@@ -357,13 +367,15 @@ def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
         powers.append(K.mul_basis_coords(powers[-1], zeta))
     log = {tuple(p): e for e, p in enumerate(powers[:w])}
     if len(log) != w or powers[w] != powers[0]:
-        raise InconsistencyError(f"{zeta} does not generate the {w} roots of unity of {K.d}")
+        raise InconsistencyError(f"the torsion generator does not generate the {w} roots "
+                                 f"of unity of {K.d}")
     k1, k2, c1, c2 = (log.get(tuple(x)) for x in (
         K.sigma(zeta, 1), K.sigma(zeta, 2),
         _relative_norm(K, eta, 1), _relative_norm(K, eta, 2)))
     if None in (k1, k2, c1, c2) or K.mul_basis_coords(
             _relative_norm(K, eta, 3), powers[(c1 + c2) % w]) != K.mul_basis_coords(eta, eta):
-        raise InconsistencyError(f"the relative norms of {eta} disagree with N(eta) = 1 in {K.d}")
+        raise InconsistencyError(f"the relative norms of the unit with {bit_lengths(eta)}-bit "
+                                 f"coordinates disagree with N(eta) = 1 in {K.d}")
     lifts = _cocycle_count(w, k1, k2, c1, c2) > 0
     return _h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
 
@@ -390,40 +402,43 @@ def unit_structure(K: BiquadField) -> UnitStructure:
     roots, radical_index = {}, {}
 
     if K.is_real:
-        eps = [K.from_quad(i, k.fundamental_unit) for i, k in enumerate(K.subfields)]
         plus = {i for i in range(3) if lam[i] == 1}
         for a, units in _SUBSETS:
             if plus.issuperset(units):
                 # (1 + eps_i)**2 = eps_i*(Tr eps_i + 2), and 1 is the first basis element
-                found = _rational_class_root(
-                    K, prod(K.subfields[i].trace_plus_2 for i in units),
-                    [[eps[i][0] + 1, *eps[i][1:]] for i in units], 1, [eps[i] for i in units])
-                if found is not None:
-                    radical_index[a], roots[a] = found
+                witness = _square_witness(K, prod(K.subfields[i].trace_plus_2 for i in units))
+                if witness is not None:
+                    eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in units]
+                    radical_index[a] = witness[0]
+                    roots[a] = _witness_root(K, witness, [[e[0] + 1, *e[1:]] for e in eps],
+                                             1, eps)
             elif lam == (-1, -1, -1) and len(units) == 3:
-                if (xi := _all_minus_root(K, eps)) is not None:
+                if (xi := _all_minus_root(K)) is not None:
                     roots[a] = xi
             # any other product is not totally positive: a conjugate is negative
         mu_order = 2
         q_range = (1, 2, 4)
     else:
-        zeta, zorder, c, rho, n = _torsion_generator(K)
-        c_rho = [c * x for x in rho]
-        candidates = [((1, 0), c, [c_rho], n, [zeta])]
+        w, c, n, rho = _torsion_generator(K)
         r = K.real_radical_index - 1
         k = K.subfields[r]
-        # with N(eps_r) = -1 neither eps_r nor zeta*eps_r is a square
+        # (a, b) stands for zeta**a * eps_r**b, a square exactly when its
+        # rational c**a * (Tr eps_r + 2)**b is; with N(eps_r) = -1 neither
+        # eps_r nor zeta*eps_r is a square
+        candidates = [((1, 0), c)]
         if k.lam == 1:
-            eps_r = K.from_quad(r, k.fundamental_unit)
-            one_eps, t = [eps_r[0] + 1, *eps_r[1:]], k.trace_plus_2
-            candidates += [((0, 1), t, [one_eps], 1, [eps_r]),
-                           ((1, 1), c * t, [c_rho, one_eps], n, [zeta, eps_r])]
-        for key, *args in candidates:
-            found = _rational_class_root(K, *args)
-            if found is not None:
-                roots[key] = found[1]
+            candidates += [((0, 1), k.trace_plus_2), ((1, 1), c * k.trace_plus_2)]
+        for key, rational in candidates:
+            if (witness := _square_witness(K, rational)) is None:
+                continue
+            factors = [_torsion_elements(K, c, n, rho)] if key[0] else []  # (x, eta) pairs
+            if key[1]:
+                eps_r = K.from_quad(r, k.fundamental_unit)
+                factors.append(([eps_r[0] + 1, *eps_r[1:]], eps_r))
+            x_factors, eta_factors = zip(*factors)
+            roots[key] = _witness_root(K, witness, x_factors, n ** key[0], eta_factors)
         # a root of the subfield torsion generator doubles the roots of unity
-        mu_order = 2 * zorder if (1, 0) in roots else zorder
+        mu_order = 2 * w if (1, 0) in roots else w
         q_range = (1, 2)
 
     q = len(roots) + 1

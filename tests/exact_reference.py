@@ -56,7 +56,8 @@
 - The descent before the quadratic-character sieve, unsieved_generator:
   it forms g*u / n for every twist of BiquadField.unit_twists and settles
   each by the exact square root, with the same budget and the same order.
-- parse_records, the inverse of report.render_records.
+- parse_records, the inverse of report.render_records, and
+  render_json_by_dumps, its earlier JSON renderer, one json.dumps per row.
 - The earlier unit search denesting_unit_structure: it forms each product
   of subfield units that the sign character does not prune (real K), or
   zeta, eps_r and zeta*eps_r (imaginary K), in K and settles each by
@@ -96,7 +97,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 
 from polyabiquad.biquadratic import BiquadField
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
@@ -105,7 +106,7 @@ from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_ge
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
                                    principal_generator_quad, radical_coords)
-from polyabiquad.report import OutputRecord
+from polyabiquad.report import OutputRecord, _columns
 from polyabiquad.units import UnitStructure, _relative_norm, integral_square_root
 
 _F0 = Fraction(0)
@@ -1141,6 +1142,16 @@ def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
         assert len(cells) == len(header), "malformed row"
         out.append(build(dict(zip(header, cells))))
     return out
+
+
+def render_json_by_dumps(records) -> str:
+    """The JSON rows of report._render before its %-template, with the same
+    json.dumps call per row; the caller lifts the int -> str limit."""
+    cols = _columns(type(records[0]))
+    values = attrgetter(*cols)
+    lines = [json.dumps(dict(zip(cols, values(r))), separators=(", ", ": "))
+             for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def mu_order_table(K) -> int:

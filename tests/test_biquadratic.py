@@ -14,6 +14,7 @@ from exact_reference import (BiquadElement, basis_elements, char_poly, element_f
                              embed_quad, generic_basis_tables, gram_determinant,
                              integral_coords, integral_square_root_fraction, kronecker,
                              mat_det_fraction, mu_order_table)
+from polyabiquad import biquadratic
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
@@ -190,24 +191,34 @@ def test_written_tables_match_the_adjugate_route_on_random_fields(pair):
 
 
 def test_construction_builds_no_radical_product(monkeypatch):
-    # the tables are written down: no radical product exists to call, and
-    # construction converts only the basis rows past the first, 1, for the
-    # inversion check
+    # the tables are written down: no radical product exists to call,
+    # construction converts nothing, and the first read of a table converts
+    # only the basis rows past the first, 1, for the inversion check, and
+    # divides each by 4; a second read converts nothing
     assert not hasattr(BiquadField, "radical_product")
     calls = []
-    from_radicals = BiquadField.from_radicals
+    from_radicals, divide = biquadratic._from_radicals, BiquadField.divide
 
-    def recording(self, vec, scale=1):
-        calls.append((list(vec), scale))
-        return from_radicals(self, vec, scale)
+    def recording(d, omegas, vec):
+        calls.append(list(vec))
+        return from_radicals(d, omegas, vec)
 
-    monkeypatch.setattr(BiquadField, "from_radicals", recording)
+    def recording_divide(self, x, n):
+        calls.append(n)
+        return divide(self, x, n)
+
+    monkeypatch.setattr(biquadratic, "_from_radicals", recording)
+    monkeypatch.setattr(BiquadField, "divide", recording_divide)
     pairs = _scan_tasks(30, False, False)
     assert len(pairs) == 534
     for pair in pairs:
         calls.clear()
         K = biquadratic_field(*pair)
-        assert calls == [(list(r), 4) for r in K.basis_rows[1:]], K.d
+        assert calls == [], K.d
+        rows = K.structure_constants and K.basis_rows
+        assert calls == [x for r in rows[1:] for x in (list(r), 4)], K.d
+        calls.clear()
+        assert K.omega_rows and K.basis_columns and calls == [], K.d
 
 
 def test_construction_factors_each_generator_once(monkeypatch):
@@ -254,6 +265,8 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
     identity = [[4 if i == j else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(InconsistencyError, match="lattice discriminant"):
         K23._set_basis(*generic_basis_tables(K23, identity)[:3])
+    # the rejected tables were not installed: the first read writes O_K's
+    assert K23.basis_rows == K23._integral_basis()[0] != identity
     # a wrong sign of m_ab in Q(sqrt3, sqrt5), d_a = 5 against {3, 15}: the
     # e_c-coordinate of e_a*e_b, (m_ab - m_ac)/4, becomes (-1 - 5)/4
     build = BiquadField._build_mul_table
@@ -265,15 +278,27 @@ def test_certificate_rejects_a_lattice_that_is_not_a_ring(monkeypatch):
         return table
 
     monkeypatch.setattr(BiquadField, "_build_mul_table", corrupted)
-    with pytest.raises(InconsistencyError, match="products of basis elements"):
-        biquadratic_field(3, 5)
+    K = biquadratic_field(3, 5)
+    for _ in range(2):  # the failed certificate installs nothing to read
+        with pytest.raises(InconsistencyError, match="products of basis elements"):
+            K.structure_constants
 
 
-def test_every_omega_row_mutant_raises_at_construction(monkeypatch):
+def _raises_on_every_read(K, **kwargs):
+    """The first read of a table raises, and so does a second, of another
+    table: a failed certificate installs none."""
+    with pytest.raises(InconsistencyError, **kwargs):
+        K.structure_constants
+    with pytest.raises(InconsistencyError, **kwargs):
+        K.omega_rows
+
+
+def test_every_omega_row_mutant_raises_when_the_tables_are_first_read(monkeypatch):
     # the omega rows must carry the radical map back to the basis rows, and
     # each omega_i row must satisfy omega^2 = omega + (d_i - 1)/4 or
     # omega^2 = d_i: a change of +-1 in any one entry of the three rows raises
-    # at construction on every field of bound 12, 1,800 mutant fields
+    # when the tables are first read, on every field of bound 12, 1,800
+    # mutant fields
     pairs = _scan_tasks(12, False, False)
     assert len(pairs) == 75
     written = BiquadField._integral_basis
@@ -286,16 +311,15 @@ def test_every_omega_row_mutant_raises_at_construction(monkeypatch):
 
         monkeypatch.setattr(BiquadField, "_integral_basis", mutant)
         for pair in pairs:
-            with pytest.raises(InconsistencyError,
-                               match="fails its polynomial|do not invert|not integral"):
-                biquadratic_field(*pair)
+            _raises_on_every_read(biquadratic_field(*pair),
+                                  match="fails its polynomial|do not invert|not integral")
 
 
-def test_every_basis_row_mutant_raises_at_construction(monkeypatch):
+def test_every_basis_row_mutant_raises_when_the_tables_are_first_read(monkeypatch):
     # the first row must be 1, the discriminant is read off the rows, and the
     # radical map of the omega rows must send each row to its unit vector: a
-    # change of +-1 in any one entry of the four rows raises at construction
-    # on every field of bound 12, 2,400 mutant fields
+    # change of +-1 in any one entry of the four rows raises when the tables
+    # are first read, on every field of bound 12, 2,400 mutant fields
     pairs = _scan_tasks(12, False, False)
     assert len(pairs) == 75
     written = BiquadField._integral_basis
@@ -308,8 +332,7 @@ def test_every_basis_row_mutant_raises_at_construction(monkeypatch):
 
         monkeypatch.setattr(BiquadField, "_integral_basis", mutant)
         for pair in pairs:
-            with pytest.raises(InconsistencyError):
-                biquadratic_field(*pair)
+            _raises_on_every_read(biquadratic_field(*pair))
 
 
 def test_the_radical_map_raises_on_a_non_integral_element():

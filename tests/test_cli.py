@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ from exact_reference import parse_records, reference_parse
 from polyabiquad import cli
 from polyabiquad.cli import main, parse_args
 from polyabiquad.errors import InvalidInputError
+from polyabiquad.intmath import squarefree_part
 from polyabiquad.report import OutputRecord, QuadRecord, render_records
 
 
@@ -421,6 +423,81 @@ def test_formula_route_takes_no_square_root_in_k(capsys, monkeypatch):
     assert [run(capsys, "biquad", d1, d2, "--json") for d1, d2 in pairs] == rows
     assert all(row[0] == 0 for row in rows)
     assert [json.loads(row[1])["mu_order"] for row in rows[:3]] == [8, 12, 2]
+
+
+def test_formula_route_builds_no_table_it_does_not_read(capsys, monkeypatch):
+    # the integral basis is written on its first read, and the formula route
+    # forms elements of K only for a square class its rational tests find
+    # (each one raises q_K), or for an imaginary |H^1| (i2 = 1): with the
+    # basis made to raise, biquad keeps its row on exactly the bound-30
+    # fields with q_K = 1 whose row needs no imaginary |H^1|, and every other
+    # field exits 4 on the first read
+    from polyabiquad.biquadratic import BiquadField
+    from polyabiquad.errors import InconsistencyError
+
+    pairs = [tuple(map(str, p)) for p in cli._scan_tasks(30, False, False)]
+    rows = [run(capsys, "biquad", d1, d2, "--json") for d1, d2 in pairs]
+
+    def refuse(self):
+        raise InconsistencyError("the formula route read the integral basis")
+
+    monkeypatch.setattr(BiquadField, "_integral_basis", refuse)
+    kept = 0
+    for (d1, d2), row in zip(pairs, rows):
+        rec = json.loads(row[1])
+        reads = rec["q_k"] > 1 or rec["d1"] < 0 and rec["i2"]
+        code, out, err = run(capsys, "biquad", d1, d2, "--json")
+        if reads:
+            assert (code, out) == (4, ""), (d1, d2)
+            assert "read the integral basis" in err
+        else:
+            assert (code, out, err) == row, (d1, d2)
+            kept += 1
+    assert len(pairs) == 534 and kept == 252
+
+
+def test_json_template_prints_what_json_dumps_printed(capsys):
+    # the %-template of each record class against the json.dumps renderer it
+    # replaced, under each of the four statuses: on the 534 rows of bound 30,
+    # and on the quad rows of the 1,215 squarefree 2 <= |d| <= 1000 and of
+    # Q(sqrt(999999937)), whose unit has 13,329 digits
+    import sys
+    from exact_reference import render_json_by_dumps
+    from polyabiquad.quadratic import polya_order_quad, quadratic_field
+    from polyabiquad.report import VERIFY_STATUSES, quad_record
+
+    code, out, _ = run(capsys, "scan", "--bound", "30", "--json")
+    assert code == 0
+    records = parse_records(out, "json", OutputRecord)
+    assert len(records) == 534
+    fields = [quadratic_field(d) for d in [*range(-1000, 1001), 999999937]
+              if d not in (0, 1) and squarefree_part(d) == d]
+    quads = [quad_record(k, polya_order_quad(k)) for k in fields]
+    assert len(quads) == 1216
+    limit = sys.get_int_max_str_digits()
+    for status in VERIFY_STATUSES:
+        for rows in ([r.with_status(status) for r in records],
+                     [dataclasses.replace(r, verify_status=status) for r in quads]):
+            text = render_records(rows, "json")
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+            try:
+                # as lists of lines, which pytest compares without a full text diff
+                assert text.split("\n") == render_json_by_dumps(rows).split("\n"), status
+            finally:
+                sys.set_int_max_str_digits(limit)
+    assert 10 ** 13328 <= quads[-1].eps_x < 10 ** 13329
+
+
+def test_the_json_template_takes_only_int_columns():
+    from polyabiquad.errors import InconsistencyError
+    from polyabiquad.report import _json_template
+
+    assert _json_template(QuadRecord).startswith('{"d": %d, "delta": %d, ')
+    for fields in ([("d", int), ("name", str), ("verify_status", str)],
+                   [("d", int), ("verify_status", str), ("po", int)]):
+        with pytest.raises(InconsistencyError, match="cannot print"):
+            _json_template(dataclasses.make_dataclass("Row", fields))
 
 
 def test_real_unit_cohomology_takes_no_arithmetic_in_k(monkeypatch):

@@ -77,3 +77,22 @@ def test_a_wrong_trace_plus_2_raises_where_it_is_written(capsys, monkeypatch):
     assert main(["biquad", "2", "51", "--json"]) == 4
     out, err = capsys.readouterr()
     assert not out and err.startswith("error: internal inconsistency: ")
+
+
+def test_a_failed_root_on_a_long_unit_raises_inconsistency():
+    # the unit of Q(sqrt(297194980009)) has coordinates of about 40,000 bits,
+    # past the 4,300 digits str(int) converts: a closed-form root that does
+    # not square back names K.d and the bit lengths, not the coordinates, so
+    # it raises InconsistencyError (exit 4) rather than ValueError
+    from polyabiquad.errors import InconsistencyError
+    from polyabiquad.units import _checked_root
+
+    K = biquadratic_field(2, 297194980009)
+    k = K.subfields[1]
+    assert k.d == 297194980009
+    eps = K.from_quad(1, k.fundamental_unit)
+    assert max(c.bit_length() for c in eps) > 39_000
+    with pytest.raises(ValueError):
+        str(max(eps))
+    with pytest.raises(InconsistencyError, match=r"\(2, 297194980009, 594389960018\) with \d+/"):
+        _checked_root(K, eps, 1, [eps[0] + 1, *eps[1:]])
