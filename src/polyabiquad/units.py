@@ -29,8 +29,7 @@ embeds O_K^x / E_0 into E_0 / E_0^2 for E_0 the subgroup generated by the
 subfield units, so q equals the number of square classes found.  Each test
 is a proof, and each root is written down and squared back.  The units are
 formed in K only for a class whose test finds a square, so a field with no
-such class (and no imaginary |H^1| to compute) never reads the integral
-basis of K:
+such class never reads the integral basis of K:
 
 - A nonzero rational integer r is a square in K exactly when r*d_j = s**2
   for some d_j in (1, d1, d2, d3): a root x of r spans Q or some
@@ -60,6 +59,13 @@ basis of K:
   eps_r = 2 + sqrt(3)), s_t sends zeta to zeta**-1, and so
   N_{K/k_t}(zeta**a * eps_r) = -1, which is not a square in k_t.  Otherwise
   eps_r and zeta*eps_r are tested by Tr(eps_r) + 2 and c*(Tr(eps_r) + 2).
+- A subfield unit is no square in its own subfield.  A witness d_j in
+  (1, d_i) for Tr(eps_i) + 2 alone puts the root (1 + eps_i)*sqrt(d_j)/s of
+  eps_i in k_i, so unit_structure raises on it: in a real K on a one-unit
+  class, in an imaginary K on any witness of eps_r, since Tr(eps_r) + 2 > 0
+  leaves d_j only 1 or d3.  So the class (0, 1) never occurs.  A unit search
+  that returned eps**2 for eps would hit this, as Tr(eps**2) + 2 is
+  (Tr eps)**2 or d*v**2.
 
 The same data give |H^1(G, O_K^x)| for G = Gal(K/Q) = {1, s1, s2, s3}
 (unit_cohomology_order), which the formula route needs for j2.  Write F =
@@ -94,9 +100,33 @@ F = Z, generated by eta, with s_1 = s_2 = -1; so H^1(G, F) = Z/2, from
 x = y = 1.  With s_t(zeta) = zeta^k_t for a generator zeta of mu_K of order
 w, and N_{K/k_t}(eta) = zeta^c_t (t = 1, 2), that class lifts to a cocycle
 zeta^x eta, zeta^y eta exactly when x(1 + k1) + c1 = y(1 + k2) + c2 =
-x + k1 y + c1 - y - k2 x - c2 = 0 (mod w) has a solution.  Since N_{K/Q}
-(eta) = 1, N_{K/k_3}(eta) must equal eta^2 zeta^-(c1 + c2), or
-InconsistencyError is raised.
+x + k1 y + c1 - y - k2 x - c2 = 0 (mod w) has a solution.  The five numbers
+are read off K.d, lambda_3 and the radical index j of the square class, with
+no arithmetic in K (h = w/2):
+
+- k_t.  s_1 s_2 = s_3 inverts mu_K, so k1*k2 = -1 (mod w), or
+  InconsistencyError is raised.  zeta = -1, i or zeta_6 = (1 + sqrt(-3))/2
+  (w = 2, 4, 6) is fixed by s_t when it lies in k_t and inverted otherwise:
+  k_t = 1 or w - 1.  In Q(zeta_8), d = (-2, -1, 2), zeta is a root of i,
+  (1 + i)/sqrt(2) up to sign: s_1 negates i and sqrt(2), zeta -> -zeta^-1,
+  and s_2 negates sqrt(2), zeta -> -zeta, so k = (3, 5).  In Q(zeta_12),
+  d = (-3, -1, 3), zeta = i*zeta_6^-1: s_1 negates i and s_2 inverts zeta_6,
+  so k = (7, 5).
+- c_t when eta = eps_r (no class but (1, 0)).  s_t moves sqrt(d3), so
+  N_{K/k_t}(eps_r) = N(eps_r) = lambda_3 and c_t = h*[lambda_3 = -1].
+- c_t for the class (1, 1), which needs N(eps_r) = 1.  Its root is
+  xi = c*rho*(1 + eps_r)*sqrt(d_j)/(n*s) for zeta = c*(rho/n)**2 and
+  c*(Tr(eps_r) + 2)*d_j = s**2.  As (1 + eps_r)*s_t(1 + eps_r) =
+  Tr(eps_r) + 2 and sqrt(d_j)*s_t(sqrt(d_j)) = +-d_j, N_{K/k_t}(xi) =
+  +-c*N_{K/k_t}(rho)/n**2, with - exactly when s_t moves sqrt(d_j), the
+  real branch's rule.  So c_t = v_t + h*[j not in (0, t)] for
+  zeta^v_t = c*N_{K/k_t}(rho)/n**2.  When rho lies in k_t (1 + i with c = 2,
+  n = 2, or zeta_3 with c = -1, n = 1) that is c*rho**2/n**2 = zeta, v_t = 1;
+  otherwise it is c*N(rho)/n**2 = +-1 with the sign of c, since N(rho) > 0
+  in an imaginary field: v_t = h*[c < 0].  In Q(zeta_12), rho = (1 + i)*
+  zeta_3**2, c = -2, n = 2 and zeta = -i*zeta_3: N_{K/k_1}(rho) = 2*zeta_3
+  gives -zeta_3 = zeta^10 and N_{K/k_2}(rho) = 2i gives -i = zeta^9.
+- The class (0, 1) cannot occur (see the unit search above).
 """
 
 from __future__ import annotations
@@ -202,7 +232,7 @@ class UnitStructure:
     # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
     # pairs (imaginary K)
     square_class_roots: dict = field(default_factory=dict, repr=False)
-    # real K: the radical index j of each root the unit search wrote down
+    # the radical index j of each root that a square witness wrote down
     radical_index: dict = field(default_factory=dict, repr=False)
 
 
@@ -293,11 +323,6 @@ def _torsion_elements(K: BiquadField, c: int, n: int, rho) -> tuple[list[int], l
     return c_rho, K.divide(K.mul_basis_coords(c_rho, rho), n * n)
 
 
-def _relative_norm(K: BiquadField, x, t: int) -> list[int]:
-    """N_{K/k_t}(x) = x * sigma_t(x)."""
-    return K.mul_basis_coords(x, K.sigma(x, t))
-
-
 def _cocycle_count(w: int, k1: int, k2: int, c1: int = 0, c2: int = 0) -> int:
     """Number of (x, y) mod w with zeta^x * h, zeta^y * h a cocycle on (s1, s2),
     where s_t(zeta) = zeta^k_t and N_{K/k_t}(h) = zeta^c_t (h = 1 for c = 0)."""
@@ -351,31 +376,35 @@ def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
     return num // den
 
 
+def _imaginary_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, ...]:
+    """(w, k1, k2, c1, c2) with s_t(zeta) = zeta^k_t and N_{K/k_t}(eta) =
+    zeta^c_t (t = 1, 2) for the generators zeta of mu_K and eta of
+    O_K^x / mu_K, read off K.d, lambda_3 and the square class with its
+    radical index j (module docstring)."""
+    w, h = us.mu_order, us.mu_order // 2
+    # v_t: c*N_{K/k_t}(rho)/n**2 = zeta^v_t for zeta = c*(rho/n)**2
+    if w == 8:  # Q(zeta_8), d = (-2, -1, 2): (1, 1) is no class, so v is not read
+        k, v = (3, 5), None
+    elif w == 12:  # Q(zeta_12), d = (-3, -1, 3)
+        k, v = (7, 5), (10, 9)
+    else:  # zeta = -1, or zeta lies in the subfield Q(sqrt(-1)) or Q(sqrt(-3))
+        own = [d in (-1, -3) for d in K.d[:2]]
+        c = _torsion_generator(K)[1]
+        k = tuple(1 if o else w - 1 for o in own)
+        v = tuple(1 if o else h * (c < 0) for o in own)
+    if k[0] * k[1] % w != w - 1:
+        raise InconsistencyError(f"s_1 s_2 does not invert the {w} roots of unity of {K.d}")
+    if (1, 1) in us.square_class_roots:
+        if (j := us.radical_index.get((1, 1))) is None:
+            raise InconsistencyError(f"the square class (1, 1) of {K.d} has no radical index")
+        c1, c2 = ((v[t - 1] + h * (j not in (0, t))) % w for t in (1, 2))
+    else:  # eta = eps_r, which unit_structure certifies is no square in K
+        c1 = c2 = h * (us.lam[2] == -1)
+    return w, *k, c1, c2
+
+
 def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    _, c, n, rho = _torsion_generator(K)
-    zeta = _torsion_elements(K, c, n, rho)[1]
-    r = K.real_radical_index - 1
-    eta = K.from_quad(r, K.subfields[r].fundamental_unit)
-    for key, xi in us.square_class_roots.items():
-        if key == (1, 0):
-            zeta = xi
-        else:
-            eta = xi
-    w = us.mu_order
-    powers = [[1, 0, 0, 0]]
-    for _ in range(w):
-        powers.append(K.mul_basis_coords(powers[-1], zeta))
-    log = {tuple(p): e for e, p in enumerate(powers[:w])}
-    if len(log) != w or powers[w] != powers[0]:
-        raise InconsistencyError(f"the torsion generator does not generate the {w} roots "
-                                 f"of unity of {K.d}")
-    k1, k2, c1, c2 = (log.get(tuple(x)) for x in (
-        K.sigma(zeta, 1), K.sigma(zeta, 2),
-        _relative_norm(K, eta, 1), _relative_norm(K, eta, 2)))
-    if None in (k1, k2, c1, c2) or K.mul_basis_coords(
-            _relative_norm(K, eta, 3), powers[(c1 + c2) % w]) != K.mul_basis_coords(eta, eta):
-        raise InconsistencyError(f"the relative norms of the unit with {bit_lengths(eta)}-bit "
-                                 f"coordinates disagree with N(eta) = 1 in {K.d}")
+    w, k1, k2, c1, c2 = _imaginary_cocycle_data(K, us)
     lifts = _cocycle_count(w, k1, k2, c1, c2) > 0
     return _h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
 
@@ -408,6 +437,9 @@ def unit_structure(K: BiquadField) -> UnitStructure:
                 # (1 + eps_i)**2 = eps_i*(Tr eps_i + 2), and 1 is the first basis element
                 witness = _square_witness(K, prod(K.subfields[i].trace_plus_2 for i in units))
                 if witness is not None:
+                    if len(units) == 1 and witness[0] in (0, units[0] + 1):
+                        raise InconsistencyError(f"the unit of Q(sqrt({K.d[units[0]]})) "
+                                                 f"is a square in its own field")
                     eps = [K.from_quad(i, K.subfields[i].fundamental_unit) for i in units]
                     radical_index[a] = witness[0]
                     roots[a] = _witness_root(K, witness, [[e[0] + 1, *e[1:]] for e in eps],
@@ -424,19 +456,22 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         k = K.subfields[r]
         # (a, b) stands for zeta**a * eps_r**b, a square exactly when its
         # rational c**a * (Tr eps_r + 2)**b is; with N(eps_r) = -1 neither
-        # eps_r nor zeta*eps_r is a square
+        # eps_r nor zeta*eps_r is a square, and eps_r never is
         candidates = [((1, 0), c)]
         if k.lam == 1:
-            candidates += [((0, 1), k.trace_plus_2), ((1, 1), c * k.trace_plus_2)]
+            if _square_witness(K, k.trace_plus_2) is not None:
+                raise InconsistencyError(f"the unit of Q(sqrt({k.d})) is a square in its own field")
+            candidates.append(((1, 1), c * k.trace_plus_2))
         for key, rational in candidates:
             if (witness := _square_witness(K, rational)) is None:
                 continue
-            factors = [_torsion_elements(K, c, n, rho)] if key[0] else []  # (x, eta) pairs
+            radical_index[key] = witness[0]
+            factors = [_torsion_elements(K, c, n, rho)]  # (x, eta) pairs
             if key[1]:
                 eps_r = K.from_quad(r, k.fundamental_unit)
                 factors.append(([eps_r[0] + 1, *eps_r[1:]], eps_r))
             x_factors, eta_factors = zip(*factors)
-            roots[key] = _witness_root(K, witness, x_factors, n ** key[0], eta_factors)
+            roots[key] = _witness_root(K, witness, x_factors, n, eta_factors)
         # a root of the subfield torsion generator doubles the roots of unity
         mu_order = 2 * w if (1, 0) in roots else w
         q_range = (1, 2)

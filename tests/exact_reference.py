@@ -69,6 +69,11 @@
   forms N_{K/k_t}(xi_a) = xi_a * s_t(xi_a) in K for every square class and
   t = 1, 2, 3 and reads each sign off it; the program reads the signs off
   the radical index of each class.
+- The earlier cohomology data of an imaginary field
+  relative_norm_cocycle_data, with relative_norm_h1_order: it forms zeta,
+  its w powers, s_1(zeta), s_2(zeta) and the three relative norms of eta in
+  K and reads each off as a power of zeta; the program reads (w, k1, k2,
+  c1, c2) off K.d, lambda_3 and the radical index of the square class.
 - clear_subfield_caches, which empties the per-process table of quadratic
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
@@ -99,15 +104,16 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul
 
+from polyabiquad import units
 from polyabiquad.biquadratic import BiquadField
-from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
+from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
                                    principal_generator_quad, radical_coords)
 from polyabiquad.report import OutputRecord, _columns
-from polyabiquad.units import UnitStructure, _relative_norm, integral_square_root
+from polyabiquad.units import UnitStructure, integral_square_root
 
 _F0 = Fraction(0)
 # coordinate signs of sigma_0, ..., sigma_3: sigma_t fixes sqrt(d_t) and
@@ -1055,6 +1061,50 @@ def denesting_unit_structure(K: BiquadField) -> UnitStructure:
         us.radical_index = {a: 2 * c1 + c2 for a, (c1, c2) in
                             relative_norm_characters(K, us).items() if a in roots}
     return us
+
+
+def _relative_norm(K: BiquadField, x, t: int) -> list[int]:
+    """N_{K/k_t}(x) = x * sigma_t(x)."""
+    return K.mul_basis_coords(x, K.sigma(x, t))
+
+
+def relative_norm_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, ...]:
+    """The earlier (w, k1, k2, c1, c2) of an imaginary field, formed in K:
+    zeta and its w powers, s_1(zeta), s_2(zeta) and the three relative norms
+    of eta, each read off as a power of zeta."""
+    _, c, n, rho = units._torsion_generator(K)
+    zeta = units._torsion_elements(K, c, n, rho)[1]
+    r = K.real_radical_index - 1
+    eta = K.from_quad(r, K.subfields[r].fundamental_unit)
+    for key, xi in us.square_class_roots.items():
+        if key == (1, 0):
+            zeta = xi
+        else:
+            eta = xi
+    w = us.mu_order
+    powers = [[1, 0, 0, 0]]
+    for _ in range(w):
+        powers.append(K.mul_basis_coords(powers[-1], zeta))
+    log = {tuple(p): e for e, p in enumerate(powers[:w])}
+    if len(log) != w or powers[w] != powers[0]:
+        raise InconsistencyError(f"the torsion generator does not generate the {w} roots "
+                                 f"of unity of {K.d}")
+    k1, k2, c1, c2 = (log.get(tuple(x)) for x in (
+        K.sigma(zeta, 1), K.sigma(zeta, 2),
+        _relative_norm(K, eta, 1), _relative_norm(K, eta, 2)))
+    if None in (k1, k2, c1, c2) or K.mul_basis_coords(
+            _relative_norm(K, eta, 3), powers[(c1 + c2) % w]) != K.mul_basis_coords(eta, eta):
+        raise InconsistencyError(f"the relative norms of the unit with {bit_lengths(eta)}-bit "
+                                 f"coordinates disagree with N(eta) = 1 in {K.d}")
+    return w, k1, k2, c1, c2
+
+
+def relative_norm_h1_order(K: BiquadField, us: UnitStructure) -> int:
+    """The earlier |H^1(G, O_K^x)| of an imaginary field, from
+    relative_norm_cocycle_data."""
+    w, k1, k2, c1, c2 = relative_norm_cocycle_data(K, us)
+    lifts = units._cocycle_count(w, k1, k2, c1, c2) > 0
+    return units._h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
 
 
 def relative_norm_characters(K: BiquadField, us: UnitStructure) -> dict:

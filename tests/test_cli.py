@@ -427,11 +427,11 @@ def test_formula_route_takes_no_square_root_in_k(capsys, monkeypatch):
 
 def test_formula_route_builds_no_table_it_does_not_read(capsys, monkeypatch):
     # the integral basis is written on its first read, and the formula route
-    # forms elements of K only for a square class its rational tests find
-    # (each one raises q_K), or for an imaginary |H^1| (i2 = 1): with the
-    # basis made to raise, biquad keeps its row on exactly the bound-30
-    # fields with q_K = 1 whose row needs no imaginary |H^1|, and every other
-    # field exits 4 on the first read
+    # forms elements of K only for a square class its rational tests find,
+    # each one raising q_K; |H^1| is read off closed forms in real and
+    # imaginary K alike: with the basis made to raise, biquad keeps its row on
+    # exactly the bound-30 fields with q_K = 1, and every other field exits 4
+    # on the first read
     from polyabiquad.biquadratic import BiquadField
     from polyabiquad.errors import InconsistencyError
 
@@ -445,7 +445,7 @@ def test_formula_route_builds_no_table_it_does_not_read(capsys, monkeypatch):
     kept = 0
     for (d1, d2), row in zip(pairs, rows):
         rec = json.loads(row[1])
-        reads = rec["q_k"] > 1 or rec["d1"] < 0 and rec["i2"]
+        reads = rec["q_k"] > 1
         code, out, err = run(capsys, "biquad", d1, d2, "--json")
         if reads:
             assert (code, out) == (4, ""), (d1, d2)
@@ -453,7 +453,7 @@ def test_formula_route_builds_no_table_it_does_not_read(capsys, monkeypatch):
         else:
             assert (code, out, err) == row, (d1, d2)
             kept += 1
-    assert len(pairs) == 534 and kept == 252
+    assert len(pairs) == 534 and kept == 350
 
 
 def test_json_template_prints_what_json_dumps_printed(capsys):

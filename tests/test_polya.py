@@ -207,47 +207,29 @@ def test_unit_cohomology_times_oracle_polya_order_is_prod_e():
 
 def test_a_corrupt_relative_norm_sign_raises_under_python_O():
     # every input the H^1 computation reads a sign from is guarded by a raise,
-    # not an assert: in a real field, drop in turn the radical index of each
-    # square class it reads its characters off (each index is the one its
-    # root was built and squared back with); in an imaginary field, flip each
-    # relative norm in turn
+    # not an assert: drop in turn the radical index of each square class it
+    # reads its characters off (each index is the one its root was built and
+    # squared back with), in a real field and in two imaginary fields with
+    # the class (1, 1), where the index gives the sign of both relative norms
     import subprocess, sys
     import polyabiquad
     script = """
-import polyabiquad.units as units
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.errors import InconsistencyError
 from polyabiquad.polya import polya_report
 
-K = biquadratic_field(2, 51)
-index = K.units.radical_index
-for a in sorted(index):
-    j = index.pop(a)
-    try:
-        polya_report(K)
-    except InconsistencyError:
-        print("raised", a)
-    else:
-        print("passed", a)
-    index[a] = j
-
-norm = units._relative_norm
-calls = []
-units._relative_norm = lambda K, x, t: calls.append(t) or norm(K, x, t)
-polya_report(biquadratic_field(-1, 2))
-for bad in range(len(calls)):
-    seen = []
-    def corrupt(K, x, t):
-        seen.append(t)
-        n = norm(K, x, t)
-        return [-c for c in n] if len(seen) == bad + 1 else n
-    units._relative_norm = corrupt
-    try:
-        polya_report(biquadratic_field(-1, 2))
-    except InconsistencyError:
-        print("raised", bad)
-    else:
-        print("passed", bad)
+for pair in ((2, 51), (-2, 59), (-1, 46)):
+    K = biquadratic_field(*pair)
+    index = K.units.radical_index
+    for a in sorted(index):
+        j = index.pop(a)
+        try:
+            polya_report(K)
+        except InconsistencyError:
+            print("raised", pair, a)
+        else:
+            print("passed", pair, a)
+        index[a] = j
 """
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
@@ -256,7 +238,8 @@ for bad in range(len(calls)):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # the three square classes of Q(sqrt2, sqrt51), all with a1 = 0, and
-    # three norms for Q(zeta_8)
-    assert lines[:3] == ["raised (0, 0, 1)", "raised (0, 1, 0)", "raised (0, 1, 1)"], lines
-    assert len(lines) == 3 + 3 and all(ln.startswith("raised") for ln in lines), lines
+    # the three square classes of Q(sqrt2, sqrt51), all with a1 = 0, and the
+    # class (1, 1) of Q(sqrt-2, sqrt59) and of Q(sqrt-1, sqrt46)
+    assert lines == ["raised (2, 51) (0, 0, 1)", "raised (2, 51) (0, 1, 0)",
+                     "raised (2, 51) (0, 1, 1)", "raised (-2, 59) (1, 1)",
+                     "raised (-1, 46) (1, 1)"], lines

@@ -1,17 +1,20 @@
 """The unit index q_K, mu_K and the square-class roots, decided by tests on
 rational integers (units.unit_structure), against the earlier search that
-forms each candidate product in K and denests it (denesting_unit_structure),
-and the real fields' cohomology characters, read off the radical indices,
-against the signs of the relative norms (relative_norm_characters)."""
+forms each candidate product in K and denests it (denesting_unit_structure);
+the real fields' cohomology characters, read off the radical indices,
+against the signs of the relative norms (relative_norm_characters); and the
+imaginary fields' (w, k1, k2, c1, c2), read off closed forms, against the
+powers of zeta formed in K (relative_norm_cocycle_data)."""
 
 import pytest
 
-from exact_reference import denesting_unit_structure, relative_norm_characters
+from exact_reference import (denesting_unit_structure, relative_norm_characters,
+                             relative_norm_cocycle_data, relative_norm_h1_order)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.polya import j2_value
 from polyabiquad.quadratic import quadratic_field
-from polyabiquad.units import _real_characters, unit_cohomology_order
+from polyabiquad.units import _imaginary_cocycle_data, _real_characters, unit_cohomology_order
 
 # the five fields of the benchmark's many-prime workload (s_K >= 5), the
 # s_K = 13 and s_K = 17 fields, and a real subfield unit of about 64,000
@@ -23,6 +26,7 @@ LARGE_PAIRS = [(-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77),
 def test_unit_structure_matches_the_denesting_reference():
     pairs = _scan_tasks(60, False, False)
     assert len(pairs) == 2284
+    imaginary = 0
     for pair in pairs + LARGE_PAIRS:
         K, ref_K = biquadratic_field(*pair), biquadratic_field(*pair)
         us = K.units
@@ -38,8 +42,15 @@ def test_unit_structure_matches_the_denesting_reference():
             ref_chi = relative_norm_characters(K, us)
             assert _real_characters(K, us) == \
                 {a: c for a, c in ref_chi.items() if 0 in a[:2]}, pair
-        assert unit_cohomology_order(K) == unit_cohomology_order(ref_K), pair
-        assert j2_value(K) == j2_value(ref_K), pair
+            assert unit_cohomology_order(K) == unit_cohomology_order(ref_K), pair
+            assert j2_value(K) == j2_value(ref_K), pair
+        else:
+            # the closed forms against the powers of zeta formed in K on the
+            # reference's own roots; j2 follows from |H^1| and q_K
+            imaginary += 1
+            assert _imaginary_cocycle_data(K, us) == relative_norm_cocycle_data(ref_K, ref), pair
+            assert unit_cohomology_order(K) == relative_norm_h1_order(ref_K, ref), pair
+    assert imaginary == 1722 + 6
 
 
 def test_trace_plus_2_of_named_units():
@@ -96,3 +107,46 @@ def test_a_failed_root_on_a_long_unit_raises_inconsistency():
         str(max(eps))
     with pytest.raises(InconsistencyError, match=r"\(2, 297194980009, 594389960018\) with \d+/"):
         _checked_root(K, eps, 1, [eps[0] + 1, *eps[1:]])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_squared_subfield_unit_raises_without_verify(flags):
+    # a unit search that returned eps**2 in place of eps would pass its own
+    # checks (norm +-1, > 1, Tr + 2 certified); unit_structure catches it, as
+    # Tr(eps**2) + 2 is (Tr eps)**2 or d*v**2, whose witness puts a root of
+    # eps**2 in its own subfield: every field of bound 12 exits 4 with the
+    # formula route alone, under python -O too
+    import os
+    import subprocess
+    import sys
+    import polyabiquad
+    script = """
+import sys
+from polyabiquad import quadratic
+from polyabiquad.cli import _scan_tasks, main
+
+search = quadratic._cf_fundamental_unit
+
+def squared(k):
+    u, v = search(k)
+    if k.d % 4 == 1:
+        return u * u + v * v * (k.d - 1) // 4, 2 * u * v + v * v
+    return u * u + v * v * k.d, 2 * u * v
+
+quadratic._cf_fundamental_unit = squared
+quadratic._FIELDS.clear()
+pairs = _scan_tasks(12, False, False)
+print(len(pairs), sorted({main(["biquad", str(d1), str(d2), "--json"]) for d1, d2 in pairs}))
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    n, codes = proc.stdout.split(" ", 1)
+    assert int(n) > 0 and codes.strip() == "[4]", proc.stdout
+    errors = proc.stderr.splitlines()
+    assert len(errors) == int(n) and all(
+        "internal inconsistency: the unit of Q(sqrt(" in e and "is a square in" in e
+        for e in errors), errors[:3]
