@@ -25,16 +25,18 @@ omega_i.  The structure constants are the coordinates of the products e_i*e_j
 of basis elements, so they are integers exactly when the lattice is a ring;
 every division in them must be exact, or InconsistencyError is raised.  The
 tables are written on the first read of any of them, not at construction,
-and certified when first written: three more checks raise
+and certified when first written: four more checks raise
 InconsistencyError before any table is installed, so a table that fails
-cannot be read.  The discriminant of the rows must equal the product of the
-three quadratic discriminants, the radical map of the omega rows
-(from_radicals) must send each row to its unit vector, and each omega_i row
-must satisfy omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else
-omega^2 = d_i, which certifies the embedding from_quad.  The discriminant
-alone cannot tell O_K from a lattice of the same index that is not a ring:
-in Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place
-of (1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
+cannot be read.  The products with e_0 = 1 in the structure constants must
+be the unit vectors, which mul_basis_coords assumes without reading, the
+discriminant of the rows must equal the product of the three quadratic
+discriminants, the radical map of the omega rows (from_radicals) must send
+each row to its unit vector, and each omega_i row must satisfy
+omega^2 = omega + (d_i - 1)/4 when d_i = 1 mod 4, else omega^2 = d_i, which
+certifies the embedding from_quad.  The discriminant alone cannot tell O_K
+from a lattice of the same index that is not a ring: in
+Q(sqrt(-23), sqrt(-19)), (1 + sqrt(d1) + sqrt(d2) + sqrt(d3))/4 in place of
+(1 + sqrt(d1))(1 + sqrt(d2))/4 keeps the discriminant.  A lattice that
 contains 1, is closed under multiplication and has the discriminant of O_K
 is O_K.
 
@@ -53,17 +55,12 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
-from .quadratic import quadratic_field
+from .quadratic import _SIEVE_PRIMES, _SQUARE_ROOTS, quadratic_field
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-# the odd primes below 300, in order: residue_maps takes its split primes
-# from them, and their roots from _SQUARE_ROOTS, a root of each nonzero
-# square mod each l
-_SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
-                      if all(p % q for q in range(3, isqrt(p) + 1, 2)))
-_SQUARE_ROOTS = tuple((l, {x * x % l: x for x in range(1, l // 2 + 1)}) for l in _SIEVE_PRIMES)
-# past them, residue_maps goes on to the primes l = 3 mod 4 below this cap,
-# where a nonzero square d has the root d^((l+1)/4) mod l
+# past quadratic._SIEVE_PRIMES, residue_maps goes on to the primes
+# l = 3 mod 4 below this cap, where a nonzero square d has the root
+# d^((l+1)/4) mod l
 _ROOT_CAP = 2000
 # the tables BiquadField._set_basis installs, on the first read of any of them
 _BASIS_TABLES = ("basis_rows", "structure_constants", "omega_rows", "basis_columns")
@@ -93,24 +90,28 @@ def _from_radicals(d, omegas, v) -> list[int]:
 
 
 def _mul(consts, x, y) -> list[int]:
-    """Product of two integer coordinate vectors under the structure constants consts."""
-    out = [0, 0, 0, 0]
-    for i in range(4):
-        xi = x[i]
-        if not xi:
-            continue
-        ci = consts[i]
-        for j in range(4):
-            yj = y[j]
-            if not yj:
-                continue
-            c = ci[j]
-            p = xi * yj
-            out[0] += p * c[0]
-            out[1] += p * c[1]
-            out[2] += p * c[2]
-            out[3] += p * c[3]
-    return out
+    """Product of two integer coordinate vectors under the structure
+    constants consts, in straight lines.  e_0 = 1, so row 0 and column 0 of
+    consts are the unit vectors, which BiquadField._set_basis certifies, and
+    x*y is x0*y0 + sum_j (x0*y_j + x_j*y0)*e_j plus the nine products
+    x_i*y_j*e_i*e_j, all over i, j >= 1: those nine are the only constants
+    read."""
+    _, (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = consts[1]
+    _, (d0, d1, d2, d3), (e0, e1, e2, e3), (f0, f1, f2, f3) = consts[2]
+    _, (g0, g1, g2, g3), (h0, h1, h2, h3), (k0, k1, k2, k3) = consts[3]
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    p11, p12, p13 = x1 * y1, x1 * y2, x1 * y3
+    p21, p22, p23 = x2 * y1, x2 * y2, x2 * y3
+    p31, p32, p33 = x3 * y1, x3 * y2, x3 * y3
+    return [x0 * y0 + p11 * a0 + p12 * b0 + p13 * c0 + p21 * d0 + p22 * e0 + p23 * f0
+            + p31 * g0 + p32 * h0 + p33 * k0,
+            x0 * y1 + x1 * y0 + p11 * a1 + p12 * b1 + p13 * c1 + p21 * d1 + p22 * e1
+            + p23 * f1 + p31 * g1 + p32 * h1 + p33 * k1,
+            x0 * y2 + x2 * y0 + p11 * a2 + p12 * b2 + p13 * c2 + p21 * d2 + p22 * e2
+            + p23 * f2 + p31 * g2 + p32 * h2 + p33 * k2,
+            x0 * y3 + x3 * y0 + p11 * a3 + p12 * b3 + p13 * c3 + p21 * d3 + p22 * e3
+            + p23 * f3 + p31 * g3 + p32 * h3 + p33 * k3]
 
 
 @dataclass(frozen=True)
@@ -267,14 +268,20 @@ class BiquadField:
     def _set_basis(self, rows, consts, omegas) -> None:
         """Certify the integral basis given by rows (integers in units of 1/4)
         with its structure constants and omega rows, then install the three
-        tables and the columns of the rows.  Three checks run on the tables
-        as given, before any is installed: the discriminant of the rows, that
-        the radical map of the omega rows sends each row back to its unit
-        vector, and that each omega row satisfies the minimal polynomial of
-        omega_i.  So the basis is certified when first written, and a table
-        that fails is never readable."""
+        tables and the columns of the rows.  Four checks run on the tables
+        as given, before any is installed: that row 0 and column 0 of the
+        structure constants, e_0*e_j and e_i*e_0, are the unit vectors, which
+        _mul does not read, the discriminant of the rows, that the radical
+        map of the omega rows sends each row back to its unit vector, and
+        that each omega row satisfies the minimal polynomial of omega_i.  So
+        the basis is certified when first written, and a table that fails is
+        never readable."""
         if rows[0] != [4, 0, 0, 0]:
             raise InconsistencyError(f"the integral basis of {self.d} must start with 1")
+        if any(tuple(consts[0][i]) != unit or tuple(consts[i][0]) != unit
+               for i, unit in enumerate(_IDENTITY)):
+            raise InconsistencyError(f"the products with 1 in the basis of {self.d} are not "
+                                     f"the unit vectors")
         # rows = [[4, 0], [b, C]] in blocks, so det = 4*det(C);
         # disc(1, sqrt(d1), sqrt(d2), sqrt(d3)) = 256*d1*d2*d3 and the rows
         # carry a factor 4 each, so disc(basis) = det^2 * d1*d2*d3 / 256
@@ -388,60 +395,74 @@ class BiquadField:
         images of omega_1, omega_2, omega_3): first the primes of
         _SIEVE_PRIMES, then, when fewer than eight of them split, the primes
         l = 3 mod 4 below _ROOT_CAP (fewer when those run out too).  l
-        splits completely exactly when d1 and d2 are nonzero squares mod l;
-        their roots s1, s2 are read off _SQUARE_ROOTS, or taken as
-        d^((l+1)/4) mod l past it, which squares to d exactly when d is a
-        square.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
-        sqrt(d3) -> s1*s2/m12 is the reduction modulo one prime above l;
-        each s_i^2 = d_i is certified, or InconsistencyError is raised.  A
-        ring map sends squares to squares, so an element with a non-residue
-        image is not a square in K (see character_mask).  One map per l:
-        the other three above l are its compositions with sigma_1..sigma_3,
-        which give a rational integer the same character, so on the
-        oracle's candidates r*u (r rational, u a unit twist) they add no
-        bit that the twists do not already carry."""
+        splits completely exactly when d1 and d2 are nonzero squares mod l.
+        Below 300 those l are the lowest eight set bits of the AND of the
+        subfields' sieve_masks, each kept once per process on the interned
+        subfield, and only their roots s1, s2 are read off _SQUARE_ROOTS;
+        past 300 they are taken as d^((l+1)/4) mod l, which squares to d
+        exactly when d is a square.  The map sqrt(d1) -> s1,
+        sqrt(d2) -> s2, sqrt(d3) -> s1*s2/m12 is the reduction modulo one
+        prime above l; each s_i^2 = d_i is certified, or
+        InconsistencyError is raised.  A ring map sends squares to squares,
+        so an element with a non-residue image is not a square in K (see
+        character_masks).  One map per l: the other three above l are its
+        compositions with sigma_1..sigma_3, which give a rational integer
+        the same character, so on the oracle's candidates r*u (r rational,
+        u a unit twist) they add no bit that the twists do not already
+        carry."""
         d, m12 = self.d, self.mul_table[(1, 2)][1]
         roots = []  # (l, s1, s2)
-        for l, table in _SQUARE_ROOTS:
-            r1, r2 = table.get(d[0] % l), table.get(d[1] % l)
-            if r1 and r2:  # else l divides d_i, or d_i is a non-residue
-                roots.append((l, r1, r2))
-                if len(roots) == 8:
-                    break
-        else:
-            for l in range(303, _ROOT_CAP, 4):
-                if len(roots) == 8:
-                    break
-                if all(l % q for q in range(3, isqrt(l) + 1, 2)):
-                    r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
-                    if r1 and r2:
-                        roots.append((l, r1, r2))
+        split = self.subfields[0].sieve_mask & self.subfields[1].sieve_mask
+        while split and len(roots) < 8:
+            low = split & -split
+            split ^= low
+            l = _SIEVE_PRIMES[low.bit_length() - 1]
+            table = _SQUARE_ROOTS[l]
+            roots.append((l, table[d[0] % l], table[d[1] % l]))
+        for l in range(303, _ROOT_CAP, 4):
+            if len(roots) == 8:
+                break
+            if all(l % q for q in range(3, isqrt(l) + 1, 2)):
+                r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
+                if r1 and r2:
+                    roots.append((l, r1, r2))
+        # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4, else
+        # of sqrt(d_i)
+        halved = [i for i in range(3) if d[i] % 4 == 1]
         maps = []
-        for l, r1, r2 in roots:
-            s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)
-            if any((x * x - di) % l for x, di in zip(s, d)):
-                raise InconsistencyError(f"the roots {s} of {d} mod {l} do not square back")
-            # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
-            # else of sqrt(d_i)
-            maps.append((l, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
-                                  for x, di in zip(s, d))))
+        for l, s1, s2 in roots:
+            s = [s1, s2, s1 * s2 * pow(m12, -1, l) % l]
+            if (s1 * s1 - d[0]) % l or (s2 * s2 - d[1]) % l or (s[2] * s[2] - d[2]) % l:
+                raise InconsistencyError(f"the roots {tuple(s)} of {d} mod {l} do not square back")
+            for i in halved:
+                s[i] = (1 + s[i]) * (l + 1) // 2 % l
+            maps.append((l, tuple(s)))
         return tuple(maps)
 
-    def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:
-        """The quadratic characters of x = scale * prod(u + v*omega_i) over
-        the factors (i, (u, v)), integers of the subfields k_i, under
-        residue_maps: (the bits k whose map sends x to a non-residue, the
-        bits k whose map sends x to 0)."""
-        nonresidue = zero = 0
+    def character_masks(self, items) -> list[tuple[int, int]]:
+        """The quadratic characters under residue_maps of each item
+        (factors, scale) of items, x = scale * prod(u + v*omega_i) over the
+        factors (i, (u, v)), integers of the subfields k_i, in one pass
+        over the maps: (the bits k whose map sends x to a non-residue, the
+        bits k whose map sends x to 0).  Below 300 x is a nonzero square
+        mod l exactly when it is a key of the table _SQUARE_ROOTS[l]; past
+        300, where there is no table, by Euler's criterion."""
+        masks = [[0, 0] for _ in items]
         for k, (l, omegas) in enumerate(self.residue_maps):
-            x = scale
-            for i, (u, v) in factors:
-                x = x * (u + v * omegas[i]) % l
-            if not x:
-                zero |= 1 << k
-            elif pow(x, l >> 1, l) != 1:
-                nonresidue |= 1 << k
-        return nonresidue, zero
+            squares, bit = _SQUARE_ROOTS.get(l), 1 << k
+            for mask, (factors, scale) in zip(masks, items):
+                x = scale % l
+                for i, (u, v) in factors:
+                    x = x * (u + v * omegas[i]) % l
+                if not x:
+                    mask[1] |= bit
+                elif (x not in squares) if squares else pow(x, l >> 1, l) != 1:
+                    mask[0] |= bit
+        return [tuple(mask) for mask in masks]
+
+    def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:
+        """character_masks of the one item (factors, scale)."""
+        return self.character_masks([(factors, scale)])[0]
 
     def _twist_unit(self, i: int) -> tuple[int, int]:
         """The twist generator of the subfield k_i: eps_i when k_i is real,
@@ -450,14 +471,27 @@ class BiquadField:
         return k.fundamental_unit if k.is_real else k.torsion_generator()
 
     @cached_property
+    def generator_masks(self) -> tuple[int, ...]:
+        """The non-residue bits under residue_maps of -1, of the twist
+        generators of k_1, k_2, k_3 and of each ramified prime of
+        profile.primes, in that order, in one pass of character_masks.  No
+        map sends a ramified prime to 0, as l divides none of 2, d1, d2, or
+        InconsistencyError is raised; a unit is never 0 mod l."""
+        masks = self.character_masks(
+            [((), -1)] + [([(i, self._twist_unit(i))], 1) for i in range(3)]
+            + [((), p) for p in self.profile.primes])
+        if any(zero for _, zero in masks[4:]):
+            raise InconsistencyError(f"a residue map of {self.d} sends a ramified prime to 0")
+        return tuple(bits for bits, _ in masks)
+
+    @cached_property
     def twist_masks(self) -> frozenset[int]:
         """The character masks of the entries of unit_twists, without forming
         them: the XOR combinations of the masks of -1 and of the three
         subfield twist generators, as a unit is never 0 mod a prime and the
         characters are multiplicative."""
         masks = {0}
-        for m in [self.character_mask((), -1)[0]] + [
-                self.character_mask([(i, self._twist_unit(i))])[0] for i in range(3)]:
+        for m in self.generator_masks[:4]:
             masks |= {x ^ m for x in masks}
         return frozenset(masks)
 
@@ -471,7 +505,7 @@ class BiquadField:
     def unit_twists(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The distinct products u = u_1*u_2*u_3 of subfield twist units, in
         the order they first appear with u_3 varying fastest, each with its
-        character mask (the non-residue bits of character_mask): u_i is
+        character mask (its non-residue bits under residue_maps): u_i is
         +-1 or +-eps_i in a real k_i, and 1 or _twist_unit(i) in an
         imaginary k_i.  Each mask is the XOR of the masks of -1 and of the
         subfield generators, so the masks cost no big-integer product.  The
@@ -480,11 +514,10 @@ class BiquadField:
         this table only when some candidate's mask lies in twist_masks.
         There must be twist_count entries, or InconsistencyError is
         raised."""
-        minus = self.character_mask((), -1)[0]
+        minus = self.generator_masks[0]
         table = [(_IDENTITY[0], 0)]
         for i, k in enumerate(self.subfields):
-            gen = self._twist_unit(i)
-            u, um = self.from_quad(i, gen), self.character_mask([(i, gen)])[0]
+            u, um = self.from_quad(i, self._twist_unit(i)), self.generator_masks[1 + i]
             products = []
             for t, tm in table:
                 tu = tuple(self.mul_basis_coords(t, u))

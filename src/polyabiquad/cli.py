@@ -15,6 +15,7 @@ field gets its own budget.  Without --verify neither is read.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 from math import gcd
@@ -125,24 +126,21 @@ def _cmd_scan(args) -> int:
     units = _budget_units(args) if args.verify else None
     tasks = [(a, b, args.verify, units)
              for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        import multiprocessing  # only here: it costs more to import than a request
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_scan_worker, tasks)
-    else:
-        results = [_scan_worker(t) for t in tasks]
-    records = []
-    for rec, note in results:
-        records.append(rec)
-        if note is not None:
-            print(note, file=sys.stderr)
-    rendered = render_records(records, args.format) if records else ""
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    # FILE is created before the first field, so an unwritable one costs no scan
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        workers = min(args.jobs, len(tasks))
+        if workers > 1:
+            import multiprocessing  # only here: it costs more to import than a request
+            with multiprocessing.Pool(workers) as pool:
+                results = pool.map(_scan_worker, tasks)
+        else:
+            results = [_scan_worker(t) for t in tasks]
+        records = []
+        for rec, note in results:
+            records.append(rec)
+            if note is not None:
+                print(note, file=sys.stderr)
+        fh.write(render_records(records, args.format) if records else "")
     if any(r.verify_status == "mismatch" for r in records):
         return 2
     if any(r.verify_status == "budget_exceeded" for r in records):

@@ -53,9 +53,11 @@ vector with even v_2 the generators are (r, 0) (see below), so
 g / n = r^3 / r^2 = r, a rational integer, and the candidates are r*u.  A
 ring map sends r*u to r mod l times the image of u, so its character is the
 Legendre symbol (r/l) times u's bit, and l divides no prime of r, so no map
-sends r to 0.  The oracle reads the bits of each ramified p once, through
-BiquadField.character_mask.  The even vectors form (Z/2)^s_K and their bits
-are the XOR of the bits of the primes of r, a linear map to F_2^8, so the
+sends r to 0.  The oracle reads the bits of each ramified p off
+BiquadField.generator_masks, which takes them, the bits of -1 and those of
+the subfield twist generators in one pass over the maps, each Legendre
+symbol below 300 by a table lookup.  The even vectors form (Z/2)^s_K and
+their bits are the XOR of the bits of the primes of r, a linear map to F_2^8, so the
 vectors whose bits match some twist mask form a subgroup T, the preimage of
 the subgroup K.twist_masks, found by one elimination over F_2.  A vector
 outside T has no square candidate and is nonprincipal without a descent;
@@ -323,7 +325,8 @@ class AmbiguousIdealOracle:
     G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
     mod e_2.  The book holds P as a basis in echelon form, so the first
     vector of each class is its reduced vector, and the book lists them
-    without visiting G.  It decides only what the tables leave (see _book):
+    without visiting G; the classes are counted as |G : P| without
+    listing any.  It decides only what the tables leave (see _book):
     the vectors of T, and the odd vectors when every gamma_i exists.  A
     coset settled otherwise is still a completed finite computation: the
     ring maps of the descent's sieve, read once from the table for every
@@ -445,13 +448,12 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _characters(self) -> list[int]:
-        """The character bits of each ramified p under K.residue_maps, read
-        once per oracle through K.character_mask.  No map sends p to 0, as
-        l divides none of 2, d1, d2, or InconsistencyError is raised."""
-        table = [self.K.character_mask((), p) for p in self.primes]
-        if any(zero for _, zero in table):
-            raise InconsistencyError(f"a residue map of {self.K.d} sends a ramified prime to 0")
-        return [bits for bits, _ in table]
+        """The character bits of each ramified p under K.residue_maps, in
+        the order of self.primes, which is K.profile's: the tail of
+        K.generator_masks, read in the same pass over the maps as the bits
+        of -1 and of the twist generators that K.twist_masks combines.  No
+        map sends p to 0, or K.generator_masks raises InconsistencyError."""
+        return list(self.K.generator_masks[4:])
 
     @cached_property
     def _table_kernel(self) -> list[int]:
@@ -480,17 +482,17 @@ class AmbiguousIdealOracle:
         return principal_ideal_generator(self.K, n, self._relative_norm_generators(vec),
                                          self._membership(vec), self.budget) is not None
 
-    @cached_property
-    def _classes(self) -> list[tuple[int, ...]]:
-        return [self.unpack(x) for x in self._book.representatives()]
-
     def class_representatives(self) -> list[tuple[int, ...]]:
         """The lexicographically first vector of each coset of P."""
-        return list(self._classes)
+        return [self.unpack(x) for x in self._book.representatives()]
 
     def polya_order_oracle(self) -> int:
-        """Number of strongly ambiguous classes, counted directly."""
-        return len(self.class_representatives())
+        """Number of strongly ambiguous classes, the cosets of P in G:
+        |G : P| = prod e_p / |P|, read off the pivots of the completed book
+        like the kernel order, with no class listed.  _book decides every
+        coset, so this is the number of vectors class_representatives
+        lists."""
+        return prod(self.exponents) // self._book.order
 
     def cokernel_order_oracle(self) -> int:
         """Order of the cokernel of the extension map on ambiguous classes,

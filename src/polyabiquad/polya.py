@@ -151,7 +151,7 @@ def verify_biquad(K: BiquadField, rep: OutputRecord,
 
 
 def verify_quad(k, budget=None) -> tuple[str, dict]:
-    """Compare 2**(s-1-nu) against the direct ambiguous-class count; no
+    """Compare 2**(s-1-nu) against the oracle's ambiguous-class count; no
     budget means no limit."""
     formula = polya_order_quad(k)
     oracle = ambiguous_oracle_quad(k, budget)

@@ -1,7 +1,7 @@
 """Quadratic fields Q(sqrt(d)): fundamental units by continued fractions,
 ideal lattices in 2x2 Hermite form, principality testing, and the order of
 the group of strongly ambiguous ideal classes both by the closed formula
-2**(s-1-nu) and by direct enumeration.
+2**(s-1-nu) and as the index of the principal products of ramified primes.
 
 An integer of Q(sqrt(d)) is a pair (u, v) standing for u + v*omega, with
 omega = sqrt(d), or (1 + sqrt(d))/2 when d = 1 mod 4; this is the one
@@ -35,13 +35,15 @@ by the complete search above.
 
 Subfield data is computed once per process.  quadratic_field interns each
 field by its squarefree d, so its fundamental unit is found once on both
-routes, and the field keeps the results of its searches in k.searched: the
-completed book of ambiguous_classes and the generator_above_2.  Each is
-found once, and charged to every budget that asks for it at the units that
-search spent (errors.Budget.cached).  Emptying _FIELDS drops the table's
-hold on them, but a BiquadField built before keeps its three subfields, and
-with them their fundamental units and k.searched: only a field built after
-the clear starts cold.
+routes, and so is its sieve_mask, the odd primes below 300 at which d is a
+nonzero square, from which BiquadField.residue_maps takes its primes.  The
+field keeps the results of its searches in k.searched: the completed book
+of ambiguous_classes and the generator_above_2.  Each is found once, and
+charged to every budget that asks for it at the units that search spent
+(errors.Budget.cached).  Emptying _FIELDS drops the table's hold on them,
+but a BiquadField built before keeps its three subfields, and with them
+their fundamental units, sieve masks and k.searched: only a field built
+after the clear starts cold.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ from math import gcd, isqrt, prod
 from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .intmath import factorize
+
+# the odd primes below 300, in order: bit t of QuadraticField.sieve_mask
+# stands for _SIEVE_PRIMES[t], and _SQUARE_ROOTS maps each l to a table that
+# holds exactly the nonzero squares mod l, each with a root
+_SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
+                      if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+_SQUARE_ROOTS = {l: {x * x % l: x for x in range(1, l // 2 + 1)} for l in _SIEVE_PRIMES}
 
 
 class QuadraticField:
@@ -82,6 +91,11 @@ class QuadraticField:
         if not self.is_real:
             raise DomainError("imaginary quadratic fields have no fundamental unit")
         return _cf_fundamental_unit(self)
+
+    @cached_property
+    def sieve_mask(self) -> int:
+        """Bit t set exactly when d is a nonzero square mod _SIEVE_PRIMES[t]."""
+        return sum(1 << t for t, l in enumerate(_SIEVE_PRIMES) if self.d % l in _SQUARE_ROOTS[l])
 
     @cached_property
     def trace_plus_2(self) -> int:
@@ -463,10 +477,6 @@ class AmbiguousClassesQuad:
         self._book.complete = True
         return self._book
 
-    def class_representatives(self) -> list[int]:
-        """The least mask of each class, in increasing order."""
-        return list(self.principal.representatives())
-
 
 def ambiguous_classes(k: QuadraticField, budget: Budget) -> AmbiguousClassesQuad:
     """The completed book of k, built once per process and charged to
@@ -488,8 +498,9 @@ def generator_above_2(k: QuadraticField, budget: Budget) -> tuple[int, int] | No
 
 
 def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> int:
-    """Number of strongly ambiguous classes by direct enumeration; uses no
-    closed formula, so it independently checks polya_order_quad.  No budget
-    means no limit."""
+    """Number of strongly ambiguous classes, the cosets of the principal
+    masks P in G = (Z/2)**s: |G : P| = 2**s / |P| from the completed book.
+    Uses no closed formula, so it independently checks polya_order_quad.  No
+    budget means no limit."""
     budget = Budget(sys.maxsize) if budget is None else budget
-    return len(ambiguous_classes(k, budget).class_representatives())
+    return (1 << k.s) // ambiguous_classes(k, budget).principal.order

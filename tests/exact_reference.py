@@ -37,6 +37,9 @@
   reduced mod e_p, pack_vector, the packing of an oracle's coset book,
   packed_add, the group law on its packed vectors, and subfield_image,
   the packed extension of a product of subfield primes.
+- subfield_class_representatives, the least mask of each class of a
+  subfield book, in increasing order; the program counts the classes as
+  2**s / |P| and lists none.
 - The earlier set-based coset book PrincipalCosets, which holds P and the
   known-nonprincipal cosets as explicit sets and visits every element of
   its group, and reference_classes, the ambiguous classes of a field by
@@ -74,6 +77,14 @@
   its w powers, s_1(zeta), s_2(zeta) and the three relative norms of eta in
   K and reads each off as a power of zeta; the program reads (w, k1, k2,
   c1, c2) off K.d, lambda_3 and the radical index of the square class.
+- The earlier loop product loop_mul, which reads all 64 entries of the
+  structure constants, e_0 = 1 included; the program's _mul reads the nine
+  products e_i*e_j with i, j >= 1 in straight lines.
+- The earlier residue maps scanned_residue_maps, which scan the primes
+  below 300 afresh for every field, and the earlier character mask
+  euler_character_mask, every Legendre symbol by Euler's criterion; the
+  program takes its primes below 300 off the subfields' sieve masks and
+  reads the symbols there off a table of squares.
 - clear_subfield_caches, which empties the per-process table of quadratic
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
@@ -105,7 +116,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, mul
 
 from polyabiquad import units
-from polyabiquad.biquadratic import BiquadField
+from polyabiquad.biquadratic import _ROOT_CAP, BiquadField, _root_mod
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
@@ -762,7 +773,7 @@ def kernel_order_by_triples(orc) -> int:
     subfield class representatives whose extended product is principal; the
     kernel size times the number of classes hit must be the triple count."""
     reps = {pack_vector(orc, r) for r in orc.class_representatives()}
-    rep_masks = [sub.class_representatives() for sub in orc._subfield_books]
+    rep_masks = [subfield_class_representatives(sub) for sub in orc._subfield_books]
     kernel = 0
     images = set()
     for masks in itertools.product(*rep_masks):
@@ -844,6 +855,11 @@ class PrincipalCosets:
                 seen.update(self.add(v, p) for p in self.principal)
                 reps.append(v)
         return reps
+
+
+def subfield_class_representatives(sub) -> list[int]:
+    """The least mask of each class of the subfield book sub, in increasing order."""
+    return list(sub.principal.representatives())
 
 
 def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
@@ -1129,6 +1145,78 @@ def relative_norm_characters(K: BiquadField, us: UnitStructure) -> dict:
                 f"the relative norm signs {signs} of {xi} disagree with N(xi) in {K.d}")
         chi[a] = signs[0], signs[1]
     return chi
+
+
+def loop_mul(consts, x, y) -> list[int]:
+    """Product of two integer coordinate vectors under the structure constants consts."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        xi = x[i]
+        if not xi:
+            continue
+        ci = consts[i]
+        for j in range(4):
+            yj = y[j]
+            if not yj:
+                continue
+            c = ci[j]
+            p = xi * yj
+            out[0] += p * c[0]
+            out[1] += p * c[1]
+            out[2] += p * c[2]
+            out[3] += p * c[3]
+    return out
+
+
+# the odd primes below 300, in order, each with a root of each nonzero
+# square mod l
+_SCANNED_SQUARE_ROOTS = tuple(
+    (l, {x * x % l: x for x in range(1, l // 2 + 1)})
+    for l in range(3, 300, 2) if all(l % q for q in range(3, isqrt(l) + 1, 2)))
+
+
+def scanned_residue_maps(K) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """K.residue_maps by a scan of the primes below 300 for each field."""
+    d, m12 = K.d, K.mul_table[(1, 2)][1]
+    roots = []  # (l, s1, s2)
+    for l, table in _SCANNED_SQUARE_ROOTS:
+        r1, r2 = table.get(d[0] % l), table.get(d[1] % l)
+        if r1 and r2:  # else l divides d_i, or d_i is a non-residue
+            roots.append((l, r1, r2))
+            if len(roots) == 8:
+                break
+    else:
+        for l in range(303, _ROOT_CAP, 4):
+            if len(roots) == 8:
+                break
+            if all(l % q for q in range(3, isqrt(l) + 1, 2)):
+                r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
+                if r1 and r2:
+                    roots.append((l, r1, r2))
+    maps = []
+    for l, r1, r2 in roots:
+        s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)
+        if any((x * x - di) % l for x, di in zip(s, d)):
+            raise InconsistencyError(f"the roots {s} of {d} mod {l} do not square back")
+        # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
+        # else of sqrt(d_i)
+        maps.append((l, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
+                              for x, di in zip(s, d))))
+    return tuple(maps)
+
+
+def euler_character_mask(K, factors, scale: int = 1) -> tuple[int, int]:
+    """K.character_mask with every Legendre symbol by Euler's criterion."""
+    nonresidue = zero = 0
+    for k, (l, omegas) in enumerate(K.residue_maps):
+        x = scale
+        for i, (u, v) in factors:
+            x = x * (u + v * omegas[i]) % l
+        if not x:
+            zero |= 1 << k
+        elif pow(x, l >> 1, l) != 1:
+            nonresidue |= 1 << k
+    return nonresidue, zero
 
 
 def clear_subfield_caches() -> None:

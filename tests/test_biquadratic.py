@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
                              embed_quad, generic_basis_tables, gram_determinant,
                              integral_coords, integral_square_root_fraction, kronecker,
-                             mat_det_fraction, mu_order_table)
+                             loop_mul, mat_det_fraction, mu_order_table)
 from polyabiquad import biquadratic
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
@@ -335,6 +335,53 @@ def test_every_basis_row_mutant_raises_when_the_tables_are_first_read(monkeypatc
             _raises_on_every_read(biquadratic_field(*pair))
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_every_unit_product_mutant_raises_when_the_tables_are_first_read(flags):
+    # the product reads only the e_i*e_j with i, j >= 1 and takes those with
+    # e_0 = 1 as the unit vectors: a change of +-1 in any one of the 28
+    # integers of row 0 and column 0 of the structure constants raises when
+    # the tables are first read, and again on a second read, on every field
+    # of bound 12, 4,200 mutant fields, under python -O too
+    import subprocess
+    import sys
+    import polyabiquad
+    script = """
+import itertools
+from polyabiquad.biquadratic import BiquadField, biquadratic_field
+from polyabiquad.cli import _scan_tasks
+from polyabiquad.errors import InconsistencyError
+
+written = BiquadField._integral_basis
+entries = [(0, j, k) for j in range(4) for k in range(4)]
+entries += [(i, 0, k) for i in range(1, 4) for k in range(4)]
+pairs = _scan_tasks(12, False, False)
+raised = 0
+for (i, j, k), step in itertools.product(entries, (1, -1)):
+    def mutant(self, i=i, j=j, k=k, step=step):
+        rows, consts, omegas = written(self)
+        consts = [[list(c) for c in row] for row in consts]
+        consts[i][j][k] += step
+        return rows, consts, omegas
+
+    BiquadField._integral_basis = mutant
+    for pair in pairs:
+        K = biquadratic_field(*pair)
+        for table in ("structure_constants", "omega_rows"):
+            try:
+                getattr(K, table)
+            except InconsistencyError as exc:
+                raised += "products with 1" in str(exc)
+print(len(entries), len(pairs), raised)
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyabiquad.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["28", "75", str(28 * 2 * 75 * 2)], proc.stdout
+
+
 def test_the_radical_map_raises_on_a_non_integral_element():
     # sqrt(2)/2 is no algebraic integer; sqrt(2) and (sqrt(2) + sqrt(6))/2 are
     K = biquadratic_field(2, 3)
@@ -447,6 +494,19 @@ def test_element_operations_match_the_fraction_reference(pair, x, y, t, i, u, v)
     assert K.sigma(x, t) == integral_coords(K, x_el.sigma(t))
     assert K.norm(x) == x_el.norm()
     assert K.from_quad(i, (u, v)) == integral_coords(K, embed_quad(K, i, (u, v)))
+
+
+_BIG_COORDS = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(1 << 2000), 1 << 2000)),
+                       min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_scan_tasks(60, False, False)), _BIG_COORDS, _BIG_COORDS)
+def test_the_straight_line_product_matches_the_loop_reference(pair, x, y):
+    # the product over the tables of every field with |d_i| <= 60, on
+    # coordinates of up to 2,000 bits, against the loop over all 64 entries
+    consts = _field(pair).structure_constants
+    assert biquadratic._mul(consts, x, y) == loop_mul(consts, x, y)
 
 
 def test_trace_and_charpoly_are_rational_integers_on_basis():

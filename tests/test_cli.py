@@ -169,10 +169,20 @@ def test_scan_out_file(tmp_path, capsys):
     assert len(recs) == 6
 
 
-def test_scan_unwritable_out_is_exit_1(capsys):
-    code, _, err = run(capsys, "scan", "--bound", "3", "--out",
-                       "/nonexistent-dir/rows.txt")
-    assert code == 1 and err.startswith("error: ") and "/nonexistent-dir/rows.txt" in err
+def test_scan_unwritable_out_is_exit_1(capsys, monkeypatch):
+    # FILE is opened before the first field, so an unwritable one computes none
+    calls = []
+    worker = cli._scan_worker
+
+    def recording(task):
+        calls.append(task)
+        return worker(task)
+
+    monkeypatch.setattr(cli, "_scan_worker", recording)
+    code, out, err = run(capsys, "scan", "--bound", "5", "--csv", "--out",
+                         "/nonexistent-dir/rows.txt")
+    assert code == 1 and out == "" and calls == []
+    assert err.startswith("error: ") and "/nonexistent-dir/rows.txt" in err
 
 
 def test_scan_bad_bound(capsys):

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (BiquadElement, cokernel_by_hermite_form,
-                             element_from_coords, embed_quad, ideal_from_elements,
+from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
+                             embed_quad, euler_character_mask, ideal_from_elements,
                              integral_coords, is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, kronecker, lattice_generator, pack_vector,
                              packed_add, quad_ideal_from_elements, quad_ideal_multiply,
                              reduce_vector, reference_classes, relative_norm_fraction,
+                             scanned_residue_maps, subfield_class_representatives,
                              subfield_image, twisted_products, unsieved_generator,
                              vector_lattice)
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
@@ -394,6 +395,63 @@ def test_residue_maps_are_ring_homomorphisms():
 
 
 SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
+# fields with fewer than eight split primes below 300, whose maps go on past 300
+FALLBACK_PAIRS = [(-23, 26), (-11, 23), (-6469693230, 297194980009)]
+
+
+def test_residue_maps_match_the_per_field_scan():
+    # the split primes below 300 are the low bits of the AND of two subfield
+    # sieve masks: the maps equal those of a scan of the primes below 300 for
+    # each field, on every field with |d_i| <= 60, the many-prime and large
+    # fields of test_unit_index.LARGE_PAIRS and the three fallback fields
+    pairs = _scan_tasks(60, False, False)
+    assert len(pairs) == 2284
+    large = [(-9699690, 31367009), (-10000000019, -1)]
+    past_300 = set()
+    for pair in pairs + list(MANYPRIME_PAIRS) + large + FALLBACK_PAIRS:
+        K = biquadratic_field(*pair)
+        assert K.residue_maps == scanned_residue_maps(K), pair
+        if K.residue_maps[-1][0] > 300:
+            past_300.add(pair)
+    # nine fields of bound 60, two of them in FALLBACK_PAIRS, and the s_K = 17 field
+    assert len(past_300) == 10 and past_300 > set(FALLBACK_PAIRS)
+
+
+MASK_PAIRS = SIEVE_PAIRS + FALLBACK_PAIRS[:2]
+
+
+def test_generator_masks_match_euler_criterion():
+    # the characters of -1, of each twist generator and of each ramified p,
+    # read in one pass with the Legendre symbols below 300 off the tables of
+    # squares, against Euler's criterion at every prime
+    for pair in MASK_PAIRS:
+        K = biquadratic_field(*pair)
+        items = ([((), -1)] + [([(i, K._twist_unit(i))], 1) for i in range(3)]
+                 + [((), p) for p in K.profile.primes])
+        reference = [euler_character_mask(K, factors, scale) for factors, scale in items]
+        assert K.character_masks(items) == reference, K.d
+        assert list(K.generator_masks) == [bits for bits, _ in reference], K.d
+        assert AmbiguousIdealOracle(K)._characters == list(K.generator_masks[4:]), K.d
+        # a scale with no factor is reduced mod l too, so l goes to 0 under
+        # its own map (the reference tests pow(l, (l-1)/2, l) = 0 against 1)
+        for k, (l, _) in enumerate(K.residue_maps):
+            assert K.character_mask((), l)[1] == 1 << k, (K.d, l)
+
+
+_MASK_INTS = st.one_of(st.integers(-300, 300), st.integers(-(1 << 200), 1 << 200))
+# at least one factor: the reference reduces the scale only by multiplying
+# a factor into it
+_FACTORS = st.lists(st.tuples(st.integers(0, 2), st.tuples(_MASK_INTS, _MASK_INTS)),
+                    min_size=1, max_size=3)
+_ITEMS = st.lists(st.tuples(_FACTORS, _MASK_INTS), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MASK_PAIRS), _ITEMS)
+def test_character_masks_of_drawn_subfield_integers_match_euler_criterion(pair, items):
+    # items (factors, scale) of subfield integers, several to a pass
+    K = biquadratic_field(*pair)
+    assert K.character_masks(items) == [euler_character_mask(K, *item) for item in items], K.d
 
 
 def table_bits(orc, vec) -> int:
@@ -869,9 +927,21 @@ def test_the_echelon_book_matches_the_set_based_reference():
         assert (orc.kernel_order_oracle(), orc.cokernel_order_oracle()) \
             == (ref["kernel"], ref["cokernel"]), K.d
         for sub, (reps, principal) in zip(orc._subfield_books, ref["subfields"]):
-            assert sub.class_representatives() == reps, (K.d, sub.k.d)
+            assert subfield_class_representatives(sub) == reps, (K.d, sub.k.d)
             assert {m for m in range(1 << sub.k.s) if not sub.principal.reduce(m)} \
                 == principal, (K.d, sub.k.d)
+
+
+def test_the_class_count_is_the_number_of_representatives():
+    # |G : P| off the completed book against the representatives it lists,
+    # on every field with |d_i| <= 60 and the many-prime fields
+    pairs = _scan_tasks(60, False, False) + list(MANYPRIME_PAIRS)
+    tops = set()
+    for pair in pairs:
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        assert orc.polya_order_oracle() == len(orc.class_representatives()), pair
+        tops.add(orc._book.top >> len(orc.primes) - 1)
+    assert tops == {0, 1, 2}  # every top digit of a pivot occurs
 
 
 def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):

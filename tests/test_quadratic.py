@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from exact_reference import (QuadElement, minpoly_double_root_scan,
                              quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
                              quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
-                             reference_subfield_classes, subset_ideal_chain,
-                             two_pass_fundamental_unit)
+                             reference_subfield_classes, subfield_class_representatives,
+                             subset_ideal_chain, two_pass_fundamental_unit)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cosets import CosetBook
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
@@ -199,8 +199,8 @@ def test_oracle_matches_formula_small_sweep():
 
 def test_oracle_representatives_deterministic():
     k = quadratic_field(-21)  # s = 3
-    reps1 = AmbiguousClassesQuad(k).class_representatives()
-    reps2 = AmbiguousClassesQuad(k).class_representatives()
+    reps1 = subfield_class_representatives(AmbiguousClassesQuad(k))
+    reps2 = subfield_class_representatives(AmbiguousClassesQuad(k))
     assert reps1 == reps2
     assert reps1[0] == 0  # the principal class is represented by the empty product
 
@@ -211,7 +211,7 @@ def test_class_representatives_list_masks_in_increasing_order():
     for s in range(1, 13):
         orc = AmbiguousClassesQuad.__new__(AmbiguousClassesQuad)
         orc.__dict__["principal"] = CosetBook(s - 1, 2, None)
-        assert orc.class_representatives() == list(range(2 ** s)), s
+        assert subfield_class_representatives(orc) == list(range(2 ** s)), s
 
 
 def test_minpoly_double_root_closed_form_matches_the_scan():
@@ -245,7 +245,7 @@ def test_coset_verdicts_agree_with_a_descent_on_every_subset():
         masks = range(2 ** len(lex.primes))
         direct = [principal_generator_quad(lex.subset_ideal(m)) is not None
                   for m in masks]
-        lex.class_representatives()
+        lex.principal  # decides every mask
         for m in reversed(masks):
             assert rev._book.is_principal(m) == direct[m], (d, m)
         for m in masks:
@@ -308,12 +308,12 @@ def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
     counts = []
     for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
         book._genus_kernel = lambda s=k.s: [1 << i for i in range(s)]
-        assert len(book.class_representatives()) == polya_order_quad(k) == 4096
+        assert len(subfield_class_representatives(book)) == polya_order_quad(k) == 4096
         counts.append(len(calls))
         calls.clear()
     assert counts == [4095, 8191]
     for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
-        assert len(book.class_representatives()) == 4096
+        assert len(subfield_class_representatives(book)) == 4096
         counts.append(len(calls))
         calls.clear()
     assert counts[2:] == [1, 3]
@@ -360,7 +360,7 @@ def test_genus_sieve_agrees_with_the_search_on_every_mask():
             assert chars in allowed or not principal, (d, mask)
             assert (mask in span) == (chars in allowed), (d, mask)
             masks += 1
-        assert book.class_representatives() == plain.class_representatives(), d
+        assert subfield_class_representatives(book) == subfield_class_representatives(plain), d
         assert [book.principal.reduce(x) for x in range(2 ** k.s)] \
             == [plain.principal.reduce(x) for x in range(2 ** k.s)], d
     assert masks == 7096
@@ -368,7 +368,8 @@ def test_genus_sieve_agrees_with_the_search_on_every_mask():
 
 def test_subfield_books_match_the_set_based_reference():
     # every squarefree |d| <= 1000: the echelon book gives the class
-    # representatives and the principal masks of PrincipalCosets
+    # representatives and the principal masks of PrincipalCosets, and
+    # ambiguous_oracle_quad the number of those representatives
     fields = 0
     for d in range(-1000, 1001):
         if d in (0, 1) or squarefree_part(d) != d:
@@ -376,10 +377,12 @@ def test_subfield_books_match_the_set_based_reference():
         k = quadratic_field(d)
         book = AmbiguousClassesQuad(k)
         reps, principal = reference_subfield_classes(k)
-        assert book.class_representatives() == reps, d
+        assert subfield_class_representatives(book) == reps, d
         assert {m for m in range(2 ** k.s)
                 if not book.principal.reduce(m)} == principal, d
         assert book.principal.order == len(principal), d
+        # the oracle counts the classes as 2**s / |P|, listing none
+        assert ambiguous_oracle_quad(k) == len(reps), d
         fields += 1
     assert fields == 1215
 
