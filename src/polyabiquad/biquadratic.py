@@ -55,7 +55,8 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
-from .quadratic import _SIEVE_PRIMES, _SQUARE_ROOTS, quadratic_field
+from .quadratic import (_SIEVE_PRIMES, _SQUARE_ROOTS, MINUS_ONE_MASK, quadratic_field,
+                        sieve_bits)
 
 _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 # past quadratic._SIEVE_PRIMES, residue_maps goes on to the primes
@@ -389,67 +390,92 @@ class BiquadField:
         return unit_structure(self)
 
     @cached_property
-    def residue_maps(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    def split_mask(self) -> int:
+        """The bits of the maps below 300: the lowest eight set bits of
+        k1.sieve_mask & k2.sieve_mask, bit t for _SIEVE_PRIMES[t]."""
+        split = self.subfields[0].sieve_mask & self.subfields[1].sieve_mask
+        mask = 0
+        for _ in range(8):
+            if not split:
+                break
+            bit = split & -split
+            split ^= bit
+            mask |= bit
+        return mask
+
+    @cached_property
+    def residue_maps(self) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
         """Ring maps O_K -> F_l, one for each of the first eight primes l
         that divide neither d1 nor d2 and split completely in K, as (l, the
-        images of omega_1, omega_2, omega_3): first the primes of
-        _SIEVE_PRIMES, then, when fewer than eight of them split, the primes
-        l = 3 mod 4 below _ROOT_CAP (fewer when those run out too).  l
-        splits completely exactly when d1 and d2 are nonzero squares mod l.
-        Below 300 those l are the lowest eight set bits of the AND of the
-        subfields' sieve_masks, each kept once per process on the interned
-        subfield, and only their roots s1, s2 are read off _SQUARE_ROOTS;
-        past 300 they are taken as d^((l+1)/4) mod l, which squares to d
-        exactly when d is a square.  The map sqrt(d1) -> s1,
-        sqrt(d2) -> s2, sqrt(d3) -> s1*s2/m12 is the reduction modulo one
-        prime above l; each s_i^2 = d_i is certified, or
-        InconsistencyError is raised.  A ring map sends squares to squares,
-        so an element with a non-residue image is not a square in K (see
-        character_masks).  One map per l: the other three above l are its
-        compositions with sigma_1..sigma_3, which give a rational integer
-        the same character, so on the oracle's candidates r*u (r rational,
-        u a unit twist) they add no bit that the twists do not already
-        carry."""
-        d, m12 = self.d, self.mul_table[(1, 2)][1]
-        roots = []  # (l, s1, s2)
-        split = self.subfields[0].sieve_mask & self.subfields[1].sieve_mask
-        while split and len(roots) < 8:
-            low = split & -split
-            split ^= low
-            l = _SIEVE_PRIMES[low.bit_length() - 1]
+        bit of the map, the images of omega_1, omega_2, omega_3): first the
+        primes of split_mask, each with the bit that stands for it there,
+        then the maps past 300 of _far_maps.  l splits completely exactly
+        when d1 and d2 are nonzero squares mod l.  Below 300 the roots s1,
+        s2 are those of the tables _SQUARE_ROOTS, as in the subfields'
+        twist_mask.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
+        sqrt(d3) -> s1*s2/m12 is the reduction modulo one prime above l;
+        each s_i^2 = d_i is certified, or InconsistencyError is raised.  A
+        ring map sends squares to squares, so an element with a non-residue
+        image is not a square in K (see character_masks).  One map per l:
+        the other three above l are its compositions with sigma_1..sigma_3,
+        which give a rational integer the same character, so on the
+        oracle's candidates r*u (r rational, u a unit twist) they add no bit
+        that the twists do not already carry.  Only a descent reads these
+        maps (lattice.principal_ideal_generator); generator_masks reads the
+        subfields' tables below 300."""
+        d, roots = self.d, []
+        for bit, l in sieve_bits(self.split_mask):
             table = _SQUARE_ROOTS[l]
-            roots.append((l, table[d[0] % l], table[d[1] % l]))
+            roots.append((l, bit, table[d[0] % l], table[d[1] % l]))
+        maps = self._maps(roots)
+        return maps + self._far_maps if len(maps) < 8 else maps
+
+    @cached_property
+    def _far_maps(self) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
+        """The maps of residue_maps past 300, read only when split_mask has
+        fewer than eight bits: the primes l = 3 mod 4 below _ROOT_CAP that
+        split, with the roots d^((l+1)/4) mod l, which square to d exactly
+        when d is a square, until there are eight maps in all (fewer when
+        those run out too).  The j-th of them has bit len(_SIEVE_PRIMES) + j."""
+        d, roots, need = self.d, [], 8 - self.split_mask.bit_count()
         for l in range(303, _ROOT_CAP, 4):
-            if len(roots) == 8:
+            if len(roots) == need:
                 break
             if all(l % q for q in range(3, isqrt(l) + 1, 2)):
                 r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
                 if r1 and r2:
-                    roots.append((l, r1, r2))
+                    roots.append((l, 1 << len(_SIEVE_PRIMES) + len(roots), r1, r2))
+        return self._maps(roots)
+
+    def _maps(self, roots) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
+        """The maps of residue_maps for roots (l, bit, s1, s2), with each
+        s_i^2 = d_i certified."""
+        d, m12 = self.d, self.mul_table[(1, 2)][1]
         # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4, else
         # of sqrt(d_i)
         halved = [i for i in range(3) if d[i] % 4 == 1]
         maps = []
-        for l, s1, s2 in roots:
+        for l, bit, s1, s2 in roots:
             s = [s1, s2, s1 * s2 * pow(m12, -1, l) % l]
             if (s1 * s1 - d[0]) % l or (s2 * s2 - d[1]) % l or (s[2] * s[2] - d[2]) % l:
                 raise InconsistencyError(f"the roots {tuple(s)} of {d} mod {l} do not square back")
             for i in halved:
                 s[i] = (1 + s[i]) * (l + 1) // 2 % l
-            maps.append((l, tuple(s)))
+            maps.append((l, bit, tuple(s)))
         return tuple(maps)
 
-    def character_masks(self, items) -> list[tuple[int, int]]:
-        """The quadratic characters under residue_maps of each item
-        (factors, scale) of items, x = scale * prod(u + v*omega_i) over the
-        factors (i, (u, v)), integers of the subfields k_i, in one pass
-        over the maps: (the bits k whose map sends x to a non-residue, the
-        bits k whose map sends x to 0).  Below 300 x is a nonzero square
-        mod l exactly when it is a key of the table _SQUARE_ROOTS[l]; past
-        300, where there is no table, by Euler's criterion."""
+    def character_masks(self, items, maps=None) -> list[tuple[int, int]]:
+        """The quadratic characters under maps, by default residue_maps, of
+        each item (factors, scale) of items, x = scale * prod(u + v*omega_i)
+        over the factors (i, (u, v)), integers of the subfields k_i, in one
+        pass over the maps: (the bits of the maps that send x to a
+        non-residue, the bits of the maps that send x to 0), each map
+        setting its own bit.  Below 300 x is a nonzero square mod l exactly
+        when it is a key of the table _SQUARE_ROOTS[l]; past 300, where
+        there is no table, by Euler's criterion."""
         masks = [[0, 0] for _ in items]
-        for k, (l, omegas) in enumerate(self.residue_maps):
-            squares, bit = _SQUARE_ROOTS.get(l), 1 << k
+        for l, bit, omegas in self.residue_maps if maps is None else maps:
+            squares = _SQUARE_ROOTS.get(l)
             for mask, (factors, scale) in zip(masks, items):
                 x = scale % l
                 for i, (u, v) in factors:
@@ -464,32 +490,57 @@ class BiquadField:
         """character_masks of the one item (factors, scale)."""
         return self.character_masks([(factors, scale)])[0]
 
-    def _twist_unit(self, i: int) -> tuple[int, int]:
-        """The twist generator of the subfield k_i: eps_i when k_i is real,
-        else the generator of its roots of unity (i, zeta_6 or -1)."""
-        k = self.subfields[i]
-        return k.fundamental_unit if k.is_real else k.torsion_generator()
-
     @cached_property
     def generator_masks(self) -> tuple[int, ...]:
         """The non-residue bits under residue_maps of -1, of the twist
         generators of k_1, k_2, k_3 and of each ramified prime of
-        profile.primes, in that order, in one pass of character_masks.  No
-        map sends a ramified prime to 0, as l divides none of 2, d1, d2, or
+        profile.primes, in that order, with no map built below 300.  Every
+        item is rational or a subfield unit, so its bits there are the
+        subfields' tables, kept once per process (quadratic.MINUS_ONE_MASK,
+        QuadraticField.twist_mask and .ramified_masks), read at the bits of
+        split_mask.  k1 and k2 are mapped by their own table roots; k3 is
+        real, and its root s1*s2/m12 is -r3 for the table root r3 of d3 at
+        some l, where eps_3 changes character exactly when N(eps_3) = -1
+        and l = 3 mod 4, as eps_3' = -1/eps_3.  The bits of the maps past
+        300 come from character_masks over _far_maps alone.  No map sends a
+        ramified prime to 0, as l divides none of 2, d1, d2, or
         InconsistencyError is raised; a unit is never 0 mod l."""
-        masks = self.character_masks(
-            [((), -1)] + [([(i, self._twist_unit(i))], 1) for i in range(3)]
-            + [((), p) for p in self.profile.primes])
-        if any(zero for _, zero in masks[4:]):
+        k1, k2, k3 = self.subfields
+        split = self.split_mask
+        t3 = k3.twist_mask
+        if k3.lam == -1:
+            d, m12 = self.d, self.mul_table[(1, 2)][1]
+            for bit, l in sieve_bits(split & MINUS_ONE_MASK):
+                table = _SQUARE_ROOTS[l]
+                if (table[d[0] % l] * table[d[1] % l] - m12 * table[d[2] % l]) % l:
+                    t3 ^= bit
+        masks = [MINUS_ONE_MASK & split, k1.twist_mask & split, k2.twist_mask & split,
+                 t3 & split]
+        zero, ramified1, ramified2 = 0, k1.ramified_masks, k2.ramified_masks
+        for p in self.profile.primes:
+            bits, zeros = ramified1.get(p) or ramified2[p]
+            masks.append(bits & split)
+            zero |= zeros
+        zero &= split
+        if split.bit_count() < 8:
+            far = self.character_masks(
+                [((), -1)] + [([(i, k.twist_generator())], 1) for i, k in enumerate(self.subfields)]
+                + [((), p) for p in self.profile.primes], self._far_maps)
+            for j, (bits, zeros) in enumerate(far):
+                masks[j] |= bits
+                if j >= 4:
+                    zero |= zeros
+        if zero:
             raise InconsistencyError(f"a residue map of {self.d} sends a ramified prime to 0")
-        return tuple(bits for bits, _ in masks)
+        return tuple(masks)
 
     @cached_property
     def twist_masks(self) -> frozenset[int]:
         """The character masks of the entries of unit_twists, without forming
-        them: the XOR combinations of the masks of -1 and of the three
-        subfield twist generators, as a unit is never 0 mod a prime and the
-        characters are multiplicative."""
+        them or any residue map below 300: the XOR combinations of the
+        masks of -1 and of the three subfield twist generators in
+        generator_masks, each map at its own bit, as a unit is never 0 mod
+        a prime and the characters are multiplicative."""
         masks = {0}
         for m in self.generator_masks[:4]:
             masks |= {x ^ m for x in masks}
@@ -506,18 +557,19 @@ class BiquadField:
         """The distinct products u = u_1*u_2*u_3 of subfield twist units, in
         the order they first appear with u_3 varying fastest, each with its
         character mask (its non-residue bits under residue_maps): u_i is
-        +-1 or +-eps_i in a real k_i, and 1 or _twist_unit(i) in an
-        imaginary k_i.  Each mask is the XOR of the masks of -1 and of the
-        subfield generators, so the masks cost no big-integer product.  The
-        twists cover each subfield's units modulo squares, so the descent
-        in lattice.principal_ideal_generator tries g*u for each u; it forms
+        +-1 or +-eps_i in a real k_i, and 1 or the root of unity of
+        QuadraticField.twist_generator in an imaginary k_i.  Each mask is
+        the XOR of the masks of -1 and of the subfield generators, so the
+        masks cost no big-integer product.  The twists cover each
+        subfield's units modulo squares, so the descent in
+        lattice.principal_ideal_generator tries g*u for each u; it forms
         this table only when some candidate's mask lies in twist_masks.
         There must be twist_count entries, or InconsistencyError is
         raised."""
         minus = self.generator_masks[0]
         table = [(_IDENTITY[0], 0)]
         for i, k in enumerate(self.subfields):
-            u, um = self.from_quad(i, self._twist_unit(i)), self.generator_masks[1 + i]
+            u, um = self.from_quad(i, k.twist_generator()), self.generator_masks[1 + i]
             products = []
             for t, tm in table:
                 tu = tuple(self.mul_basis_coords(t, u))

@@ -34,7 +34,10 @@ O_K -> F_l, one modulo a prime above each of the first eight small primes l
 that split completely in K and divide none of 2, d1, d2.  A reduction is a
 ring map, so it sends squares to squares: a candidate whose image under one
 of them is a non-residue is not a square in K.  That is a proof, not a
-heuristic.  Each twist u carries the bitmask of its characters, and
+heuristic.  A character mask has one bit per map, the map's own: bit t for
+the t-th odd prime below 300 (quadratic._SIEVE_PRIMES), the layout of the
+subfields' sieve masks, and the bits after those for the maps past 300.
+Each twist u carries the mask of its characters, and
 BiquadField.twist_masks gives the set of those masks without forming a
 twist.  The characters of g / n are those of n * tau_1 tau_2 tau_3, read
 off the subfield generators mod l, so a refuted candidate costs no
@@ -54,18 +57,21 @@ g / n = r^3 / r^2 = r, a rational integer, and the candidates are r*u.  A
 ring map sends r*u to r mod l times the image of u, so its character is the
 Legendre symbol (r/l) times u's bit, and l divides no prime of r, so no map
 sends r to 0.  The oracle reads the bits of each ramified p off
-BiquadField.generator_masks, which takes them, the bits of -1 and those of
-the subfield twist generators in one pass over the maps, each Legendre
-symbol below 300 by a table lookup.  The even vectors form (Z/2)^s_K and
-their bits are the XOR of the bits of the primes of r, a linear map to F_2^8, so the
-vectors whose bits match some twist mask form a subgroup T, the preimage of
-the subgroup K.twist_masks, found by one elimination over F_2.  A vector
-outside T has no square candidate and is nonprincipal without a descent;
-each coset of P that the table settles is charged the budget units its
-descent would have charged, one per twist.  That is the per-candidate sieve
-read from a table, so the verdict is the same completed finite computation,
-made once for the whole coset.  Only T and the odd vectors are left to
-descents.
+BiquadField.generator_masks, with those of -1 and of the subfield twist
+generators.  Each of these is rational or a subfield unit, so below 300
+its Legendre symbols depend on the subfield alone: generator_masks reads
+them off tables each interned subfield keeps once per process, at the
+bits of the field's maps, and builds no map; only a descent builds
+residue_maps.  The even vectors form (Z/2)^s_K and their bits are the XOR
+of the bits of the primes of r, a linear map to F_2 at the eight bits of
+the maps, so the vectors whose bits match some twist mask form a subgroup
+T, the preimage of the subgroup K.twist_masks, found by one elimination
+over F_2.  A vector outside T has no square candidate and is nonprincipal
+without a descent; each coset of P that the table settles is charged the
+budget units its descent would have charged, one per twist.  That is the
+per-candidate sieve read from a table, so the verdict is the same
+completed finite computation, made once for the whole coset.  Only T and
+the odd vectors are left to descents.
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
@@ -349,6 +355,12 @@ class AmbiguousIdealOracle:
             raise InconsistencyError(
                 f"ramification indices {self.exponents} of {self.primes} are not "
                 f"e_2 in (2, 4) followed by 2s")
+        # the packed image (e_p/2)*u_p of P*O_K for the prime P above p of
+        # a subfield in which p ramifies: rad(p) when e_p = 2 and rad(2)^2
+        # when 2 is totally ramified
+        n = len(self.primes)
+        self._prime_images = {p: e // 2 << n - 1 - j
+                              for j, (p, e) in enumerate(zip(self.primes, self.exponents))}
 
     def unpack(self, x: int) -> tuple[int, ...]:
         vec = []
@@ -361,13 +373,6 @@ class AmbiguousIdealOracle:
     def _subfield_books(self) -> list[AmbiguousClassesQuad]:
         """The completed book of each subfield, from quadratic.ambiguous_classes."""
         return [ambiguous_classes(k, self.budget) for k in self.K.subfields]
-
-    def _prime_image(self, p: int) -> int:
-        """Packed exponent vector of P*O_K for the prime P above p of a
-        subfield in which p ramifies: rad(p) when e_p = 2 and rad(2)^2 when
-        2 is totally ramified."""
-        j = self.primes.index(p)
-        return self.exponents[j] // 2 << len(self.primes) - 1 - j
 
     @cached_property
     def _book(self) -> CosetBook:
@@ -384,12 +389,13 @@ class AmbiguousIdealOracle:
         on every odd coset reduces to an even one."""
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
+        images = self._prime_images
         for sub in self._subfield_books:
             for x in sub.principal.basis():
                 image = 0  # prime images have order 2, so they add by XOR
                 for i, p in enumerate(sub.primes):
                     if x >> i & 1:
-                        image ^= self._prime_image(p)
+                        image ^= images[p]
                 book.add_principal(image)
         if book.order < 1 << n:  # the even vectors form (Z/2)^n
             kernel = self._table_kernel
@@ -448,24 +454,28 @@ class AmbiguousIdealOracle:
 
     @cached_property
     def _characters(self) -> list[int]:
-        """The character bits of each ramified p under K.residue_maps, in
-        the order of self.primes, which is K.profile's: the tail of
-        K.generator_masks, read in the same pass over the maps as the bits
-        of -1 and of the twist generators that K.twist_masks combines.  No
-        map sends p to 0, or K.generator_masks raises InconsistencyError."""
+        """The character bits of each ramified p under K.residue_maps, each
+        map at its own bit, in the order of self.primes, which is
+        K.profile's: the tail of K.generator_masks, which reads them, with
+        the bits of -1 and of the twist generators that K.twist_masks
+        combines, off the subfields' tables and builds no map below 300.
+        No map sends p to 0, or K.generator_masks raises
+        InconsistencyError."""
         return list(self.K.generator_masks[4:])
 
     @cached_property
     def _table_kernel(self) -> list[int]:
         """A basis of T, the even vectors whose character bits lie in
         K.twist_masks, by elimination over F_2: the packed image
-        (e_p/2)*u_p of each ramified p against its bits, modulo the masks.
-        A vector with even v_2 has the relative-norm generators (r, 0), so
-        its candidates are r*u for the twists u of K, and the characters of
-        r*u are the XOR of the bits of the primes of r and the mask of u
-        (see the module docstring): a vector outside T is nonprincipal."""
+        (e_p/2)*u_p of each ramified p, read off _prime_images, against its
+        bits, modulo the masks.  Each bit is that of one map, the bit of its
+        prime l (see the module docstring).  A vector with even v_2 has the
+        relative-norm generators (r, 0), so its candidates are r*u for the
+        twists u of K, and the characters of r*u are the XOR of the bits of
+        the primes of r and the mask of u: a vector outside T is
+        nonprincipal."""
         return f2_kernel([(0, mask) for mask in self.K.twist_masks]
-                         + [(self._prime_image(p), bits)
+                         + [(self._prime_images[p], bits)
                             for p, bits in zip(self.primes, self._characters)])
 
     def _descend(self, vec: tuple[int, ...]) -> bool:

@@ -35,14 +35,20 @@ by the complete search above.
 
 Subfield data is computed once per process.  quadratic_field interns each
 field by its squarefree d, so its fundamental unit is found once on both
-routes, and so is its sieve_mask, the odd primes below 300 at which d is a
-nonzero square, from which BiquadField.residue_maps takes its primes.  The
+routes, and so are its sieve tables, each a mask with bit t for the t-th
+odd prime l below 300 (_SIEVE_PRIMES), at the l where d is a nonzero
+square: sieve_mask, those l, from which BiquadField.residue_maps takes its
+primes; twist_mask, the non-residue bits of the twist generator under the
+table root of d mod l; and ramified_masks, the non-residue and zero bits
+of each ramified prime.  The oracle's characters are those of -1, of
+subfield units and of rational primes, so BiquadField.generator_masks
+reads them off these tables for every field, with no residue map.  The
 field keeps the results of its searches in k.searched: the completed book
 of ambiguous_classes and the generator_above_2.  Each is found once, and
 charged to every budget that asks for it at the units that search spent
 (errors.Budget.cached).  Emptying _FIELDS drops the table's hold on them,
 but a BiquadField built before keeps its three subfields, and with them
-their fundamental units, sieve masks and k.searched: only a field built
+their fundamental units, sieve tables and k.searched: only a field built
 after the clear starts cold.
 """
 
@@ -57,12 +63,40 @@ from .cosets import CosetBook, f2_kernel, f2_span
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .intmath import factorize
 
-# the odd primes below 300, in order: bit t of QuadraticField.sieve_mask
-# stands for _SIEVE_PRIMES[t], and _SQUARE_ROOTS maps each l to a table that
-# holds exactly the nonzero squares mod l, each with a root
+# the odd primes below 300, in order: bit t of each sieve table of
+# QuadraticField and of each character mask below 300 stands for
+# _SIEVE_PRIMES[t], and _SQUARE_ROOTS maps each l to a table that holds
+# exactly the nonzero squares mod l, each with a root
 _SIEVE_PRIMES = tuple(p for p in range(3, 300, 2)
                       if all(p % q for q in range(3, isqrt(p) + 1, 2)))
 _SQUARE_ROOTS = {l: {x * x % l: x for x in range(1, l // 2 + 1)} for l in _SIEVE_PRIMES}
+
+
+def sieve_bits(mask: int):
+    """(1 << t, _SIEVE_PRIMES[t]) for each set bit t of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit, _SIEVE_PRIMES[bit.bit_length() - 1]
+
+
+def sieve_symbols(x: int, mask: int) -> tuple[int, int]:
+    """The Legendre symbols of the rational integer x at the primes of the
+    set bits of mask, as (the bits t at which x is a non-residue mod
+    _SIEVE_PRIMES[t], the bits t at which it is 0); each symbol is a lookup
+    in the table of nonzero squares."""
+    nonresidue = zero = 0
+    for bit, l in sieve_bits(mask):
+        r = x % l
+        if not r:
+            zero |= bit
+        elif r not in _SQUARE_ROOTS[l]:
+            nonresidue |= bit
+    return nonresidue, zero
+
+
+# the non-residue bits of -1: the sieve primes l = 3 mod 4
+MINUS_ONE_MASK = sieve_symbols(-1, (1 << len(_SIEVE_PRIMES)) - 1)[0]
 
 
 class QuadraticField:
@@ -123,6 +157,37 @@ class QuadraticField:
     def torsion_generator(self) -> tuple[int, int]:
         """Generator of the roots of unity: omega, which is i or zeta_6, or -1."""
         return (0, 1) if self.d in (-1, -3) else (-1, 0)
+
+    def twist_generator(self) -> tuple[int, int]:
+        """The twist generator: eps in a real field, else the generator of
+        the roots of unity (i, zeta_6 or -1)."""
+        return self.fundamental_unit if self.is_real else self.torsion_generator()
+
+    @cached_property
+    def twist_mask(self) -> int:
+        """The non-residue bits of the twist generator over the bits t of
+        sieve_mask, under the map omega -> r, or -> (1 + r)/2 when
+        d = 1 mod 4, mod l = _SIEVE_PRIMES[t], for the root r of d in the
+        table _SQUARE_ROOTS[l]; each r*r = d mod l is certified, or
+        InconsistencyError is raised.  With -r for r the mask of eps moves
+        only when N(eps) = -1, and then exactly at the l = 3 mod 4, as
+        eps' = -1/eps (BiquadField.generator_masks)."""
+        u, v = self.twist_generator()
+        d, half, bits = self.d, self.d % 4 == 1, 0
+        for bit, l in sieve_bits(self.sieve_mask):
+            squares = _SQUARE_ROOTS[l]
+            r = squares[d % l]
+            if (r * r - d) % l:
+                raise InconsistencyError(f"the root {r} of {d} mod {l} does not square back")
+            if (u + v * ((1 + r) * (l + 1) >> 1 if half else r)) % l not in squares:
+                bits |= bit
+        return bits
+
+    @cached_property
+    def ramified_masks(self) -> dict[int, tuple[int, int]]:
+        """sieve_symbols of each ramified p over the bits of sieve_mask:
+        (non-residue bits, zero bits)."""
+        return {p: sieve_symbols(p, self.sieve_mask) for p in self.ramified_primes}
 
     def __repr__(self):
         return f"QuadraticField({self.d})"

@@ -85,6 +85,10 @@
   euler_character_mask, every Legendre symbol by Euler's criterion; the
   program takes its primes below 300 off the subfields' sieve masks and
   reads the symbols there off a table of squares.
+- The earlier per-field generator masks mapped_generator_masks, with
+  generator_items: the characters of -1, the twist generators and the
+  ramified primes under every residue map of the field; the program reads
+  them below 300 off per-subfield tables, kept once per process.
 - clear_subfield_caches, which empties the per-process table of quadratic
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
@@ -764,7 +768,7 @@ def subfield_image(orc, i, mask) -> int:
     x = 0
     for j, p in enumerate(orc.K.subfields[i].ramified_primes):
         if mask >> j & 1:
-            x = packed_add(orc, x, orc._prime_image(p))
+            x = packed_add(orc, x, orc._prime_images[p])
     return x
 
 
@@ -798,7 +802,7 @@ def cokernel_by_hermite_form(orc) -> int:
     n = len(orc.primes)
     rows = [[e * (i == j) for j in range(n)] for i, e in enumerate(orc.exponents)]
     rows += [orc.unpack(v) for v in orc._book.basis()]
-    rows += [orc.unpack(orc._prime_image(p)) for k in orc.K.subfields
+    rows += [orc.unpack(orc._prime_images[p]) for k in orc.K.subfields
              for p in k.ramified_primes]
     return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
 
@@ -1175,48 +1179,71 @@ _SCANNED_SQUARE_ROOTS = tuple(
     for l in range(3, 300, 2) if all(l % q for q in range(3, isqrt(l) + 1, 2)))
 
 
-def scanned_residue_maps(K) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-    """K.residue_maps by a scan of the primes below 300 for each field."""
+def scanned_residue_maps(K) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
+    """K.residue_maps by a scan of the primes below 300 for each field: the
+    t-th odd prime has bit t, and the j-th map past 300 bit 61 + j."""
     d, m12 = K.d, K.mul_table[(1, 2)][1]
-    roots = []  # (l, s1, s2)
-    for l, table in _SCANNED_SQUARE_ROOTS:
+    roots = []  # (l, bit, s1, s2)
+    for t, (l, table) in enumerate(_SCANNED_SQUARE_ROOTS):
         r1, r2 = table.get(d[0] % l), table.get(d[1] % l)
         if r1 and r2:  # else l divides d_i, or d_i is a non-residue
-            roots.append((l, r1, r2))
+            roots.append((l, 1 << t, r1, r2))
             if len(roots) == 8:
                 break
     else:
+        far = 0
         for l in range(303, _ROOT_CAP, 4):
             if len(roots) == 8:
                 break
             if all(l % q for q in range(3, isqrt(l) + 1, 2)):
                 r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
                 if r1 and r2:
-                    roots.append((l, r1, r2))
+                    roots.append((l, 1 << len(_SCANNED_SQUARE_ROOTS) + far, r1, r2))
+                    far += 1
     maps = []
-    for l, r1, r2 in roots:
+    for l, bit, r1, r2 in roots:
         s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)
         if any((x * x - di) % l for x, di in zip(s, d)):
             raise InconsistencyError(f"the roots {s} of {d} mod {l} do not square back")
         # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4,
         # else of sqrt(d_i)
-        maps.append((l, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
-                              for x, di in zip(s, d))))
+        maps.append((l, bit, tuple((1 + x) * (l + 1) // 2 % l if di % 4 == 1 else x
+                                   for x, di in zip(s, d))))
     return tuple(maps)
 
 
 def euler_character_mask(K, factors, scale: int = 1) -> tuple[int, int]:
-    """K.character_mask with every Legendre symbol by Euler's criterion."""
+    """K.character_mask with every Legendre symbol by Euler's criterion,
+    each map of K.residue_maps setting its own bit."""
     nonresidue = zero = 0
-    for k, (l, omegas) in enumerate(K.residue_maps):
+    for l, bit, omegas in K.residue_maps:
         x = scale
         for i, (u, v) in factors:
             x = x * (u + v * omegas[i]) % l
         if not x:
-            zero |= 1 << k
+            zero |= bit
         elif pow(x, l >> 1, l) != 1:
-            nonresidue |= 1 << k
+            nonresidue |= bit
     return nonresidue, zero
+
+
+def generator_items(K) -> list:
+    """The items (factors, scale) of -1, of the twist generators of k_1,
+    k_2, k_3 and of each ramified prime of K, in the order of
+    K.generator_masks."""
+    return ([((), -1)] + [([(i, k.twist_generator())], 1) for i, k in enumerate(K.subfields)]
+            + [((), p) for p in K.profile.primes])
+
+
+def mapped_generator_masks(K) -> tuple[int, ...]:
+    """K.generator_masks by character_masks over every map of
+    K.residue_maps, each Legendre symbol taken per field under the map's
+    own roots; raises InconsistencyError when a map sends a ramified prime
+    to 0."""
+    masks = K.character_masks(generator_items(K))
+    if any(zero for _, zero in masks[4:]):
+        raise InconsistencyError(f"a residue map of {K.d} sends a ramified prime to 0")
+    return tuple(bits for bits, _ in masks)
 
 
 def clear_subfield_caches() -> None:

@@ -558,9 +558,11 @@ def test_verified_scan_builds_no_lattice(capsys, monkeypatch):
 
 def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
     # the formula route never builds BiquadField.unit_twists or the residue
-    # maps of its sieve; a verified scan builds the maps at most once per
-    # field, and the twist coordinates, once, only on the fields where some
-    # candidate survives the sieve and reaches a square root
+    # maps of its sieve; a verified scan reads the oracle's characters off
+    # the subfields' tables and builds the maps only for the descents, once
+    # per field that descends, and the twist coordinates, once, only on the
+    # fields where some candidate survives the sieve and reaches a square
+    # root
     import hashlib
     from collections import Counter
     from functools import cached_property
@@ -576,13 +578,18 @@ def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
         prop = cached_property(counting)
         prop.__set_name__(BiquadField, name)
         monkeypatch.setattr(BiquadField, name, prop)
-    rooted = set()
+    rooted, descended = set(), set()
 
     def square_root(K, eta, root=lattice.integral_square_root):
         rooted.add(K.d)
         return root(K, eta)
 
+    def descend(K, *args, generator=lattice.principal_ideal_generator):
+        descended.add(K.d)
+        return generator(K, *args)
+
     monkeypatch.setattr(lattice, "integral_square_root", square_root)
+    monkeypatch.setattr(lattice, "principal_ideal_generator", descend)
     for d1, d2 in (("2", "3"), ("-1", "3"), ("-1", "2"), ("11", "14"), ("-210", "143"),
                    ("-9699690", "31367009")):
         code, _, _ = run(capsys, "biquad", d1, d2, "--json")
@@ -591,7 +598,8 @@ def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
     code, out, _ = run(capsys, "scan", "--bound", "20", "--verify", "--json")
     assert code == 0
     assert all(counter and max(counter.values()) == 1 for counter in built.values())
-    assert set(built["unit_twists"]) == rooted < set(built["residue_maps"])
+    assert set(built["unit_twists"]) == rooted <= descended == set(built["residue_maps"])
+    assert len(out.splitlines()) == 236 > len(descended)
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "81bd07659265f564f868f48358756fb7c6dc9cdcde0a2e73c46aa3fa4182f6e1"
 

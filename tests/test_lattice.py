@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
-                             embed_quad, euler_character_mask, ideal_from_elements,
+                             embed_quad, euler_character_mask, generator_items,
+                             ideal_from_elements,
                              integral_coords, is_closed_under_multiplication, is_galois_stable,
-                             kernel_order_by_triples, kronecker, lattice_generator, pack_vector,
+                             kernel_order_by_triples, kronecker, lattice_generator,
+                             mapped_generator_masks, pack_vector,
                              packed_add, quad_ideal_from_elements, quad_ideal_multiply,
                              reduce_vector, reference_classes, relative_norm_fraction,
                              scanned_residue_maps, subfield_class_representatives,
@@ -30,7 +32,8 @@ from polyabiquad.lattice import (AmbiguousIdealOracle, IdealLattice, prime_radic
                                  principal_ideal_generator, rational_ideal,
                                  relative_norm_ideal)
 from polyabiquad.linalg import hnf_rows
-from polyabiquad.quadratic import omega_norm, prime_above, principal_generator_quad
+from polyabiquad.quadratic import (omega_norm, prime_above, principal_generator_quad,
+                                   sieve_symbols)
 
 
 def radical_index(K, d):
@@ -289,7 +292,7 @@ def test_extended_subfield_primes_are_the_radicals_the_oracle_seeds_with():
                 rows = [[p * x for x in u] for u in eye] + [K.mul_basis_coords(gen, u)
                                                            for u in eye]
                 extended = IdealLattice(K, hnf_rows(rows, 4))
-                image = orc.unpack(orc._prime_image(p))
+                image = orc.unpack(orc._prime_images[p])
                 assert extended == vector_lattice(orc, image), (K.d, i, p)
                 cases += 1
     assert cases == 3477
@@ -359,7 +362,7 @@ def test_residue_maps_are_ring_homomorphisms():
     # 544 fields, and the s_K = 17 field); each map, read on the basis,
     # sends 1 to 1 and e_i*e_j to the product of the images and agrees with
     # its images of the omega_i; each twist mask holds the quadratic
-    # characters of the twist's image under every map
+    # characters of the twist's image under every map, at the map's own bit
     sizes, past_300 = Counter(), set()
     for pair in TWIST_PAIRS + [(-6469693230, 297194980009)]:
         K = biquadratic_field(*pair)
@@ -373,10 +376,10 @@ def test_residue_maps_are_ring_homomorphisms():
         if len(primes) < 8:
             primes += split(range(303, 2000, 4))
             past_300.add(pair)
-        assert [l for l, _ in maps] == primes[:8], K.d
+        assert [l for l, _, _ in maps] == primes[:8], K.d
         sizes[len(maps)] += 1
         images = []
-        for l, omegas in maps:
+        for l, bit, omegas in maps:
             assert 2 * K.d[0] * K.d[1] % l, (K.d, l)
             img = basis_images(K, l, omegas)
             assert img[0] == 1, (K.d, l)
@@ -385,11 +388,11 @@ def test_residue_maps_are_ring_homomorphisms():
                 assert img[i] * img[j] % l == product % l, (K.d, l, i, j)
             assert [sum(c * x for c, x in zip(row, img)) % l for row in K.omega_rows] \
                 == list(omegas), (K.d, l)
-            images.append((l, img))
+            images.append((l, bit, img))
         for u, mask in K.unit_twists:
-            chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, img in images]
-            assert all(c in (1, l - 1) for c, (l, _) in zip(chars, images)), (K.d, u)
-            assert mask == sum(1 << k for k, c in enumerate(chars) if c != 1), (K.d, u)
+            chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, _, img in images]
+            assert all(c in (1, l - 1) for c, (l, _, _) in zip(chars, images)), (K.d, u)
+            assert mask == sum(bit for c, (_, bit, _) in zip(chars, images) if c != 1), (K.d, u)
     assert sizes[8] == len(TWIST_PAIRS) + 1
     assert past_300 == {(-23, 26), (-11, 23), (-6469693230, 297194980009)}
 
@@ -397,18 +400,21 @@ def test_residue_maps_are_ring_homomorphisms():
 SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
 # fields with fewer than eight split primes below 300, whose maps go on past 300
 FALLBACK_PAIRS = [(-23, 26), (-11, 23), (-6469693230, 297194980009)]
+# with MANYPRIME_PAIRS and the last of FALLBACK_PAIRS, test_unit_index.LARGE_PAIRS
+LARGE_PAIRS = [(-9699690, 31367009), (-10000000019, -1)]
 
 
 def test_residue_maps_match_the_per_field_scan():
     # the split primes below 300 are the low bits of the AND of two subfield
-    # sieve masks: the maps equal those of a scan of the primes below 300 for
+    # sieve masks: the maps, with their bits (bit t for the t-th odd prime
+    # below 300, bit 61 + j for the j-th map past 300), equal those of a
+    # scan of the primes below 300 for
     # each field, on every field with |d_i| <= 60, the many-prime and large
     # fields of test_unit_index.LARGE_PAIRS and the three fallback fields
     pairs = _scan_tasks(60, False, False)
     assert len(pairs) == 2284
-    large = [(-9699690, 31367009), (-10000000019, -1)]
     past_300 = set()
-    for pair in pairs + list(MANYPRIME_PAIRS) + large + FALLBACK_PAIRS:
+    for pair in pairs + list(MANYPRIME_PAIRS) + LARGE_PAIRS + FALLBACK_PAIRS:
         K = biquadratic_field(*pair)
         assert K.residue_maps == scanned_residue_maps(K), pair
         if K.residue_maps[-1][0] > 300:
@@ -426,16 +432,45 @@ def test_generator_masks_match_euler_criterion():
     # squares, against Euler's criterion at every prime
     for pair in MASK_PAIRS:
         K = biquadratic_field(*pair)
-        items = ([((), -1)] + [([(i, K._twist_unit(i))], 1) for i in range(3)]
-                 + [((), p) for p in K.profile.primes])
+        items = generator_items(K)
         reference = [euler_character_mask(K, factors, scale) for factors, scale in items]
         assert K.character_masks(items) == reference, K.d
         assert list(K.generator_masks) == [bits for bits, _ in reference], K.d
         assert AmbiguousIdealOracle(K)._characters == list(K.generator_masks[4:]), K.d
         # a scale with no factor is reduced mod l too, so l goes to 0 under
         # its own map (the reference tests pow(l, (l-1)/2, l) = 0 against 1)
-        for k, (l, _) in enumerate(K.residue_maps):
-            assert K.character_mask((), l)[1] == 1 << k, (K.d, l)
+        for l, bit, _ in K.residue_maps:
+            assert K.character_mask((), l)[1] == bit, (K.d, l)
+
+
+def test_generator_masks_match_the_mapped_reference(monkeypatch):
+    # generator_masks reads the subfields' tables at the bits of split_mask,
+    # with eps_3 flipped where N(eps_3) = -1, l = 3 mod 4 and the root of
+    # d3 is minus the table root, and the maps past 300 alone through
+    # character_masks: bit for bit the characters under every map of
+    # residue_maps, on every field with |d_i| <= 60, the many-prime, large
+    # and fallback fields
+    pairs = _scan_tasks(60, False, False)
+    assert len(pairs) == 2284
+    flipped = 0
+    for pair in pairs + list(MANYPRIME_PAIRS) + LARGE_PAIRS + FALLBACK_PAIRS:
+        K = biquadratic_field(*pair)
+        assert K.generator_masks == mapped_generator_masks(K), pair
+        k3 = K.subfields[2]
+        flipped += k3.lam == -1 and K.generator_masks[3] != k3.twist_mask & K.split_mask
+        # the tables record the zero bits: l goes to 0 at its own bit
+        for l, bit, _ in K.residue_maps:
+            if l < 300:
+                assert sieve_symbols(l, K.split_mask)[1] == bit, (pair, l)
+    assert flipped > 100
+    # and generator_masks raises when a table sends a ramified prime to 0
+    K = biquadratic_field(-210, 143)
+    k1, (l, bit, _) = K.subfields[0], K.residue_maps[0]
+    p = k1.ramified_primes[-1]
+    monkeypatch.setitem(k1.__dict__, "ramified_masks",
+                        {**k1.ramified_masks, p: sieve_symbols(l, k1.sieve_mask)})
+    with pytest.raises(InconsistencyError, match="sends a ramified prime to 0"):
+        biquadratic_field(-210, 143).generator_masks
 
 
 _MASK_INTS = st.one_of(st.integers(-300, 300), st.integers(-(1 << 200), 1 << 200))
@@ -573,7 +608,7 @@ def test_the_character_table_refutes_by_legendre_symbols_of_r():
             if any(2 * v % e for e, v in zip(orc.exponents, vec)):
                 continue
             r = prod(p ** (2 * v // e) for p, e, v in zip(orc.primes, orc.exponents, vec))
-            bits = sum(1 << k for k, (l, _) in enumerate(K.residue_maps) if kronecker(r, l) == -1)
+            bits = sum(bit for l, bit, _ in K.residue_maps if kronecker(r, l) == -1)
             refuted = pack_vector(orc, vec) not in span
             assert refuted == (bits not in masks), (K.d, vec)
             verdicts[refuted] += 1
