@@ -51,10 +51,10 @@ inertia-complement subfield.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt, prod
 
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
+from .lazy import cached_attribute
 from .quadratic import (_SIEVE_PRIMES, _SQUARE_ROOTS, MINUS_ONE_MASK, quadratic_field,
                         sieve_bits)
 
@@ -384,32 +384,26 @@ class BiquadField:
 
     # -- lazily computed unit and ideal data ---------------------------------
 
-    @cached_property
+    @cached_attribute
     def units(self):
         from .units import unit_structure
         return unit_structure(self)
 
-    @cached_property
+    @cached_attribute
     def split_mask(self) -> int:
-        """The bits of the maps below 300: the lowest eight set bits of
-        k1.sieve_mask & k2.sieve_mask, bit t for _SIEVE_PRIMES[t]."""
-        split = self.subfields[0].sieve_mask & self.subfields[1].sieve_mask
-        mask = 0
-        for _ in range(8):
-            if not split:
-                break
-            bit = split & -split
-            split ^= bit
-            mask |= bit
-        return mask
+        """The bits of the maps below 300, one for every odd prime l < 300
+        that splits completely in K: k1.sieve_mask & k2.sieve_mask, bit t
+        for _SIEVE_PRIMES[t]."""
+        return self.subfields[0].sieve_mask & self.subfields[1].sieve_mask
 
-    @cached_property
+    @cached_attribute
     def residue_maps(self) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
-        """Ring maps O_K -> F_l, one for each of the first eight primes l
-        that divide neither d1 nor d2 and split completely in K, as (l, the
-        bit of the map, the images of omega_1, omega_2, omega_3): first the
-        primes of split_mask, each with the bit that stands for it there,
-        then the maps past 300 of _far_maps.  l splits completely exactly
+        """Ring maps O_K -> F_l, one for each prime l that divides neither
+        d1 nor d2 and splits completely in K, as (l, the bit of the map,
+        the images of omega_1, omega_2, omega_3): first every such l below
+        300, the primes of split_mask, each with the bit that stands for it
+        there, then the maps past 300 of _far_maps, only as many as bring
+        the table up to max(8, s_K + 4) maps.  l splits completely exactly
         when d1 and d2 are nonzero squares mod l.  Below 300 the roots s1,
         s2 are those of the tables _SQUARE_ROOTS, as in the subfields'
         twist_mask.  The map sqrt(d1) -> s1, sqrt(d2) -> s2,
@@ -427,19 +421,22 @@ class BiquadField:
         for bit, l in sieve_bits(self.split_mask):
             table = _SQUARE_ROOTS[l]
             roots.append((l, bit, table[d[0] % l], table[d[1] % l]))
-        maps = self._maps(roots)
-        return maps + self._far_maps if len(maps) < 8 else maps
+        return self._maps(roots) + self._far_maps
 
-    @cached_property
+    @cached_attribute
     def _far_maps(self) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
-        """The maps of residue_maps past 300, read only when split_mask has
-        fewer than eight bits: the primes l = 3 mod 4 below _ROOT_CAP that
-        split, with the roots d^((l+1)/4) mod l, which square to d exactly
-        when d is a square, until there are eight maps in all (fewer when
-        those run out too).  The j-th of them has bit len(_SIEVE_PRIMES) + j."""
-        d, roots, need = self.d, [], 8 - self.split_mask.bit_count()
+        """The maps of residue_maps past 300, none unless split_mask has
+        fewer than max(8, s_K + 4) bits, one for each unknown of the
+        oracle's table (lattice.AmbiguousIdealOracle._table_kernel): the
+        s_K ramified primes and at most four twist generators.  They are
+        the primes l = 3 mod 4 below _ROOT_CAP that split, with the roots
+        d^((l+1)/4) mod l, which square to d exactly when d is a square,
+        until there are max(8, s_K + 4) maps in all (fewer when those run
+        out too).  The j-th of them has bit len(_SIEVE_PRIMES) + j."""
+        d, roots = self.d, []
+        need = max(8, self.profile.s_k + 4) - self.split_mask.bit_count()
         for l in range(303, _ROOT_CAP, 4):
-            if len(roots) == need:
+            if len(roots) >= need:
                 break
             if all(l % q for q in range(3, isqrt(l) + 1, 2)):
                 r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
@@ -490,7 +487,7 @@ class BiquadField:
         """character_masks of the one item (factors, scale)."""
         return self.character_masks([(factors, scale)])[0]
 
-    @cached_property
+    @cached_attribute
     def generator_masks(self) -> tuple[int, ...]:
         """The non-residue bits under residue_maps of -1, of the twist
         generators of k_1, k_2, k_3 and of each ramified prime of
@@ -522,7 +519,7 @@ class BiquadField:
             masks.append(bits & split)
             zero |= zeros
         zero &= split
-        if split.bit_count() < 8:
+        if self._far_maps:
             far = self.character_masks(
                 [((), -1)] + [([(i, k.twist_generator())], 1) for i, k in enumerate(self.subfields)]
                 + [((), p) for p in self.profile.primes], self._far_maps)
@@ -534,7 +531,7 @@ class BiquadField:
             raise InconsistencyError(f"a residue map of {self.d} sends a ramified prime to 0")
         return tuple(masks)
 
-    @cached_property
+    @cached_attribute
     def twist_masks(self) -> frozenset[int]:
         """The character masks of the entries of unit_twists, without forming
         them or any residue map below 300: the XOR combinations of the
@@ -552,7 +549,7 @@ class BiquadField:
         K 4, or 8 with Q(i) or Q(sqrt(-3)), or 16 for Q(zeta_12)."""
         return 16 if self.is_real else 4 << len({-1, -3} & set(self.d))
 
-    @cached_property
+    @cached_attribute
     def unit_twists(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The distinct products u = u_1*u_2*u_3 of subfield twist units, in
         the order they first appear with u_3 varying fastest, each with its

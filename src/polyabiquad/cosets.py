@@ -4,7 +4,7 @@ principal subgroup P in echelon form and the known-nonprincipal cosets by
 their reduced vectors.  The subfield books (G = (Z/2)^s) and the oracle in
 a biquadratic field (G = Z/e_2 + (Z/2)^(s_K - 1)) both keep one, and both
 find the subgroup they leave to it, the kernel of a map of characters
-into F_2^k, by f2_kernel.
+into F_2^k, by f2_kernel, which the book decides one vector per coset of P.
 """
 
 from __future__ import annotations
@@ -38,6 +38,23 @@ def f2_span(basis) -> list[int]:
     for b in basis:
         span += [x ^ b for x in span]
     return span
+
+
+def f2_echelon(vectors) -> list[int]:
+    """A basis of the span of vectors under XOR in reduced echelon form,
+    lowest first: the rows have distinct highest bits, each set in its own
+    row alone.  So x ^ r < x exactly when x holds the highest bit of r, and
+    f2_span lists the span in increasing order: the highest bit at which
+    two combinations differ is that of the highest row only one of them
+    takes."""
+    rows: list[int] = []
+    for v in vectors:
+        for r in rows:  # in any order: r clears its own highest bit alone
+            v = min(v, v ^ r)
+        if v:
+            rows = [min(r, r ^ v) for r in rows]
+            rows.append(v)
+    return sorted(rows)
 
 
 class CosetBook:
@@ -123,13 +140,24 @@ class CosetBook:
         self.nonprincipal.add(r)
         return False
 
-    def decide(self, subgroup: list[int]) -> None:
-        """Decide every element of subgroup, in the order listed.  P must
-        lie in the subgroup, or InconsistencyError is raised."""
-        for x in subgroup:
+    def decide(self, basis: list[int]) -> None:
+        """Decide every element of the span S of basis, a subgroup whose
+        top digits are 0 or e/2, so that it adds by XOR, by deciding one
+        element of each coset of P in S: the reduced vectors of S, the span
+        of the reduced basis, in increasing order.  A walk over all of S in
+        increasing order tests only these, and in this order: P only grows
+        inside S, so an element tested there is the least of its coset,
+        and one that is not reduced by the P it starts from reduces, by the
+        P of its turn, to a vector decided before it.  P must lie in S, or
+        InconsistencyError is raised before any test."""
+        span = f2_echelon(basis)
+        for v in self.basis():
+            for r in span:
+                v = min(v, v ^ r)
+            if v:
+                raise InconsistencyError("a principal vector lies outside the subgroup left to decide")
+        for x in f2_span(f2_echelon(self.reduce(b) for b in basis)):
             self.is_principal(x)
-        if not set(subgroup).issuperset(self.basis()):
-            raise InconsistencyError("a principal vector lies outside the subgroup left to decide")
 
     def representatives(self):
         """The reduced vectors, i.e. the first element of each coset of P,

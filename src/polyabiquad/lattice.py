@@ -30,8 +30,11 @@ BiquadField.unit_twists builds them once per field, 16 for real K and 4 to
 
 Most candidates are refuted before they are formed, by a sieve of
 quadratic characters.  BiquadField.residue_maps holds reductions
-O_K -> F_l, one modulo a prime above each of the first eight small primes l
-that split completely in K and divide none of 2, d1, d2.  A reduction is a
+O_K -> F_l, one modulo a prime above each odd prime l below 300 that
+splits completely in K and divides none of d1, d2, and when fewer than
+max(8, s_K + 4) split there, above primes l = 3 mod 4 past 300 up to that
+many: one bit for each unknown of the oracle's table below, the s_K
+ramified primes and at most four twist generators.  A reduction is a
 ring map, so it sends squares to squares: a candidate whose image under one
 of them is a non-residue is not a square in K.  That is a proof, not a
 heuristic.  A character mask has one bit per map, the map's own: bit t for
@@ -63,15 +66,17 @@ its Legendre symbols depend on the subfield alone: generator_masks reads
 them off tables each interned subfield keeps once per process, at the
 bits of the field's maps, and builds no map; only a descent builds
 residue_maps.  The even vectors form (Z/2)^s_K and their bits are the XOR
-of the bits of the primes of r, a linear map to F_2 at the eight bits of
-the maps, so the vectors whose bits match some twist mask form a subgroup
-T, the preimage of the subgroup K.twist_masks, found by one elimination
-over F_2.  A vector outside T has no square candidate and is nonprincipal
-without a descent; each coset of P that the table settles is charged the
-budget units its descent would have charged, one per twist.  That is the
-per-candidate sieve read from a table, so the verdict is the same
-completed finite computation, made once for the whole coset.  Only T and
-the odd vectors are left to descents.
+of the bits of the primes of r, a linear map to F_2 at the bits of the
+maps, so the vectors whose bits match some twist mask form a subgroup T,
+the preimage of the subgroup K.twist_masks, found by one elimination over
+F_2.  T holds the even vectors of P, and on every field of bound 60 that
+reads the table nothing else.  A vector outside T has no square
+candidate and is nonprincipal without a descent; each coset of P that the
+table settles is charged the budget units its descent would have
+charged, one per twist.  That is the per-candidate sieve read from a
+table, so the verdict is the same completed finite computation, made once
+for the whole coset.  Only T and the odd vectors are left to descents,
+and of T one vector per coset of P (cosets.CosetBook.decide).
 
 The oracle builds none of these lattices.  It descends only on radical
 products that earlier verdicts leave undecided.  Before any descent it
@@ -132,12 +137,12 @@ for the prime P above 2 of the first subfield when e_2 = 4.
 from __future__ import annotations
 
 import sys
-from functools import cached_property
 from math import prod
 
 from .biquadratic import BiquadField
-from .cosets import CosetBook, f2_kernel, f2_span
+from .cosets import CosetBook, f2_kernel
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
+from .lazy import cached_attribute
 from .linalg import hnf_contains, hnf_rows
 from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, generator_above_2,
                         omega_norm, prime_above)
@@ -369,24 +374,25 @@ class AmbiguousIdealOracle:
             vec.append(v)
         return tuple(reversed(vec))
 
-    @cached_property
+    @cached_attribute
     def _subfield_books(self) -> list[AmbiguousClassesQuad]:
         """The completed book of each subfield, from quadratic.ambiguous_classes."""
         return [ambiguous_classes(k, self.budget) for k in self.K.subfields]
 
-    @cached_property
+    @cached_attribute
     def _book(self) -> CosetBook:
         """The book with every vector decided, and so complete.  P is
         seeded with the extension of a basis of each subfield's principal
         subgroup.  An even vector whose character bits lie outside
         K.twist_masks is nonprincipal by the table; the book decides only
-        T, the even vectors whose bits lie inside, and only when the seed
-        leaves even vectors undecided.  The cosets the table settles are
-        charged K.twist_count units each, as their descents would be.  Then
-        the odd vectors, when e_2 = 4: none is principal when some gamma_i
-        is None, as its relative norms are r*P_2; otherwise the book
-        descends on odd cosets until P holds an odd vector, and from then
-        on every odd coset reduces to an even one."""
+        T, the even vectors whose bits lie inside, one vector per coset of
+        P, and only when the seed leaves even vectors undecided.  The
+        cosets the table settles are charged K.twist_count units each, as
+        their descents would be.  Then the odd vectors, when e_2 = 4: none
+        is principal when some gamma_i is None, as its relative norms are
+        r*P_2; otherwise the book descends on odd cosets until P holds an
+        odd vector, and from then on every odd coset reduces to an even
+        one."""
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
         images = self._prime_images
@@ -399,7 +405,7 @@ class AmbiguousIdealOracle:
                 book.add_principal(image)
         if book.order < 1 << n:  # the even vectors form (Z/2)^n
             kernel = self._table_kernel
-            book.decide(sorted(f2_span(kernel)))
+            book.decide(kernel)
             self.budget.charge(self.K.twist_count * (((1 << n) - (1 << len(kernel))) // book.order))
         if self.exponents[0] == 4 and self._gammas is not None:
             if book.reduce(2 << n - 1):
@@ -411,7 +417,7 @@ class AmbiguousIdealOracle:
         book.complete = True
         return book
 
-    @cached_property
+    @cached_attribute
     def _gammas(self) -> list[tuple[int, int]] | None:
         """A generator gamma_i of the certified prime P_2 of each subfield
         k_i above a totally ramified 2, or None at the first P_2 that is
@@ -452,7 +458,7 @@ class AmbiguousIdealOracle:
             return not fourth or not any(c % 2 for c in mul(sq, sq))
         return contains
 
-    @cached_property
+    @cached_attribute
     def _characters(self) -> list[int]:
         """The character bits of each ramified p under K.residue_maps, each
         map at its own bit, in the order of self.primes, which is
@@ -463,18 +469,20 @@ class AmbiguousIdealOracle:
         InconsistencyError."""
         return list(self.K.generator_masks[4:])
 
-    @cached_property
+    @cached_attribute
     def _table_kernel(self) -> list[int]:
         """A basis of T, the even vectors whose character bits lie in
         K.twist_masks, by elimination over F_2: the packed image
         (e_p/2)*u_p of each ramified p, read off _prime_images, against its
-        bits, modulo the masks.  Each bit is that of one map, the bit of its
-        prime l (see the module docstring).  A vector with even v_2 has the
+        bits, modulo K.twist_masks, the span of the masks of -1 and of the
+        three twist generators, the first four of K.generator_masks.  Each
+        bit is that of one map, the bit of its prime l (see the module
+        docstring).  A vector with even v_2 has the
         relative-norm generators (r, 0), so its candidates are r*u for the
         twists u of K, and the characters of r*u are the XOR of the bits of
         the primes of r and the mask of u: a vector outside T is
         nonprincipal."""
-        return f2_kernel([(0, mask) for mask in self.K.twist_masks]
+        return f2_kernel([(0, mask) for mask in self.K.generator_masks[:4]]
                          + [(self._prime_images[p], bits)
                             for p, bits in zip(self.primes, self._characters)])
 

@@ -56,12 +56,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt, prod
 
-from .cosets import CosetBook, f2_kernel, f2_span
+from .cosets import CosetBook, f2_kernel
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .intmath import factorize
+from .lazy import cached_attribute
 
 # the odd primes below 300, in order: bit t of each sieve table of
 # QuadraticField and of each character mask below 300 stands for
@@ -118,7 +118,7 @@ class QuadraticField:
         # "book" and "gamma" -> (result, units), filled by errors.Budget.cached
         self.searched: dict[str, tuple] = {}
 
-    @cached_property
+    @cached_attribute
     def fundamental_unit(self) -> tuple[int, int]:
         """The unit > 1, as (u, v), generating the units modulo +-1 (real fields
         only)."""
@@ -126,12 +126,12 @@ class QuadraticField:
             raise DomainError("imaginary quadratic fields have no fundamental unit")
         return _cf_fundamental_unit(self)
 
-    @cached_property
+    @cached_attribute
     def sieve_mask(self) -> int:
         """Bit t set exactly when d is a nonzero square mod _SIEVE_PRIMES[t]."""
         return sum(1 << t for t, l in enumerate(_SIEVE_PRIMES) if self.d % l in _SQUARE_ROOTS[l])
 
-    @cached_property
+    @cached_attribute
     def trace_plus_2(self) -> int:
         """Tr(eps) + 2 for the fundamental unit eps (real fields only).  When
         N(eps) = +1, (1 + eps)**2 = eps*(Tr(eps) + 2), so eps is this
@@ -145,12 +145,12 @@ class QuadraticField:
             raise InconsistencyError(f"{t} is not Tr(eps) + 2 in Q(sqrt({self.d}))")
         return t
 
-    @cached_property
+    @cached_attribute
     def lam(self) -> int:
         """Norm of the fundamental unit for real fields, else 0."""
         return omega_norm(self.d, *self.fundamental_unit) if self.is_real else 0
 
-    @cached_property
+    @cached_attribute
     def nu(self) -> int:
         return 1 if self.is_real and self.lam == 1 else 0
 
@@ -163,7 +163,7 @@ class QuadraticField:
         the roots of unity (i, zeta_6 or -1)."""
         return self.fundamental_unit if self.is_real else self.torsion_generator()
 
-    @cached_property
+    @cached_attribute
     def twist_mask(self) -> int:
         """The non-residue bits of the twist generator over the bits t of
         sieve_mask, under the map omega -> r, or -> (1 + r)/2 when
@@ -183,7 +183,7 @@ class QuadraticField:
                 bits |= bit
         return bits
 
-    @cached_property
+    @cached_attribute
     def ramified_masks(self) -> dict[int, tuple[int, int]]:
         """sieve_symbols of each ramified p over the bits of sieve_mask:
         (non-residue bits, zero bits)."""
@@ -532,13 +532,14 @@ class AmbiguousClassesQuad:
     def _descend(self, mask: int) -> bool:
         return principal_generator_quad(self.subset_ideal(mask), self.budget) is not None
 
-    @cached_property
+    @cached_attribute
     def principal(self) -> CosetBook:
         """The book with every mask decided, and so complete: the genus
         table is built only when the (sqrt(d)) seed leaves masks undecided,
-        and the masks of H are decided in increasing order of mask."""
+        and H is decided one mask per coset of P, in increasing order of
+        mask."""
         if self._book.order < 1 << self.k.s:
-            self._book.decide(sorted(f2_span(self._genus_kernel())))
+            self._book.decide(self._genus_kernel())
         self._book.complete = True
         return self._book
 

@@ -40,6 +40,10 @@
 - subfield_class_representatives, the least mask of each class of a
   subfield book, in increasing order; the program counts the classes as
   2**s / |P| and lists none.
+- The earlier element-wise CosetBook.decide, elementwise_decide: it
+  decides every element of a listed subgroup in the order listed, and
+  checks that P lies in it only afterwards; the book decides one element
+  of each coset of P in the span of a basis.
 - The earlier set-based coset book PrincipalCosets, which holds P and the
   known-nonprincipal cosets as explicit sets and visits every element of
   its group, and reference_classes, the ambiguous classes of a field by
@@ -81,7 +85,7 @@
   structure constants, e_0 = 1 included; the program's _mul reads the nine
   products e_i*e_j with i, j >= 1 in straight lines.
 - The earlier residue maps scanned_residue_maps, which scan the primes
-  below 300 afresh for every field, and the earlier character mask
+  below 300 afresh for every field, to the same number of maps, and the earlier character mask
   euler_character_mask, every Legendre symbol by Euler's criterion; the
   program takes its primes below 300 off the subfields' sieve masks and
   reads the symbols there off a table of squares.
@@ -807,6 +811,16 @@ def cokernel_by_hermite_form(orc) -> int:
     return prod(r[i] for i, r in enumerate(hnf_rows(rows, n)))
 
 
+def elementwise_decide(book, subgroup: list[int]) -> None:
+    """The earlier CosetBook.decide, called with the sorted span of a basis:
+    decide every element of subgroup, in the order listed.  P must lie in
+    the subgroup, or InconsistencyError is raised."""
+    for x in subgroup:
+        book.is_principal(x)
+    if not set(subgroup).issuperset(book.basis()):
+        raise InconsistencyError("a principal vector lies outside the subgroup left to decide")
+
+
 class PrincipalCosets:
     """Principality verdicts on a finite abelian group G mapping onto ideal
     classes: the principal subgroup P found so far and the known-nonprincipal
@@ -1180,26 +1194,27 @@ _SCANNED_SQUARE_ROOTS = tuple(
 
 
 def scanned_residue_maps(K) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
-    """K.residue_maps by a scan of the primes below 300 for each field: the
-    t-th odd prime has bit t, and the j-th map past 300 bit 61 + j."""
+    """K.residue_maps by a scan of the primes below 300 for each field, all
+    that split, then of the primes l = 3 mod 4 past 300 until there are
+    max(8, s_K + 4) maps, s_K the number of primes that ramify in some
+    subfield: the t-th odd prime has bit t, and the j-th map past 300 bit
+    61 + j."""
     d, m12 = K.d, K.mul_table[(1, 2)][1]
+    target = max(8, len({p for k in K.subfields for p in k.ramified_primes}) + 4)
     roots = []  # (l, bit, s1, s2)
     for t, (l, table) in enumerate(_SCANNED_SQUARE_ROOTS):
         r1, r2 = table.get(d[0] % l), table.get(d[1] % l)
         if r1 and r2:  # else l divides d_i, or d_i is a non-residue
             roots.append((l, 1 << t, r1, r2))
-            if len(roots) == 8:
-                break
-    else:
-        far = 0
-        for l in range(303, _ROOT_CAP, 4):
-            if len(roots) == 8:
-                break
-            if all(l % q for q in range(3, isqrt(l) + 1, 2)):
-                r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
-                if r1 and r2:
-                    roots.append((l, 1 << len(_SCANNED_SQUARE_ROOTS) + far, r1, r2))
-                    far += 1
+    far = 0
+    for l in range(303, _ROOT_CAP, 4):
+        if len(roots) >= target:
+            break
+        if all(l % q for q in range(3, isqrt(l) + 1, 2)):
+            r1, r2 = _root_mod(d[0], l), _root_mod(d[1], l)
+            if r1 and r2:
+                roots.append((l, 1 << len(_SCANNED_SQUARE_ROOTS) + far, r1, r2))
+                far += 1
     maps = []
     for l, bit, r1, r2 in roots:
         s = (r1, r2, r1 * r2 * pow(m12, -1, l) % l)

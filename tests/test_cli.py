@@ -565,9 +565,9 @@ def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
     # root
     import hashlib
     from collections import Counter
-    from functools import cached_property
     from polyabiquad import lattice
     from polyabiquad.biquadratic import BiquadField
+    from polyabiquad.lazy import cached_attribute
 
     built = {name: Counter() for name in ("unit_twists", "residue_maps")}
     for name, counter in built.items():
@@ -575,7 +575,7 @@ def test_twist_table_is_built_only_by_descents(capsys, monkeypatch):
             counter[K.d] += 1
             return table(K)
 
-        prop = cached_property(counting)
+        prop = cached_attribute(counting)
         prop.__set_name__(BiquadField, name)
         monkeypatch.setattr(BiquadField, name, prop)
     rooted, descended = set(), set()

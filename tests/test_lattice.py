@@ -356,13 +356,14 @@ def basis_images(K, l, omegas) -> list[int]:
 
 
 def test_residue_maps_are_ring_homomorphisms():
-    # K.residue_maps holds one map above each of the first eight odd primes
-    # l < 300 at which d1 and d2 are nonzero squares, and when fewer split,
-    # above the next primes l = 3 mod 4 below 2000 that split (2 of these
-    # 544 fields, and the s_K = 17 field); each map, read on the basis,
-    # sends 1 to 1 and e_i*e_j to the product of the images and agrees with
-    # its images of the omega_i; each twist mask holds the quadratic
-    # characters of the twist's image under every map, at the map's own bit
+    # K.residue_maps holds one map above each odd prime l < 300 at which d1
+    # and d2 are nonzero squares, and when fewer than max(8, s_K + 4) split,
+    # above the next primes l = 3 mod 4 below 2000 that split, up to that
+    # many (2 of these 544 fields, two s_K >= 12 fields and the s_K = 17
+    # field); each map, read on the basis, sends 1 to 1 and e_i*e_j to the
+    # product of the images and agrees with its images of the omega_i; each
+    # twist mask holds the quadratic characters of the twist's image under
+    # every map, at the map's own bit
     sizes, past_300 = Counter(), set()
     for pair in TWIST_PAIRS + [(-6469693230, 297194980009)]:
         K = biquadratic_field(*pair)
@@ -372,11 +373,11 @@ def test_residue_maps_are_ring_homomorphisms():
             return [l for l in ls if all(l % q for q in range(3, l, 2))
                     and kronecker(K.d[0], l) == kronecker(K.d[1], l) == 1]
 
-        primes = split(range(3, 300, 2))
-        if len(primes) < 8:
-            primes += split(range(303, 2000, 4))
+        primes, target = split(range(3, 300, 2)), max(8, K.profile.s_k + 4)
+        if len(primes) < target:
+            primes += split(range(303, 2000, 4))[:target - len(primes)]
             past_300.add(pair)
-        assert [l for l, _, _ in maps] == primes[:8], K.d
+        assert [l for l, _, _ in maps] == primes and len(maps) >= target, K.d
         sizes[len(maps)] += 1
         images = []
         for l, bit, omegas in maps:
@@ -393,8 +394,11 @@ def test_residue_maps_are_ring_homomorphisms():
             chars = [pow(sum(c * x for c, x in zip(u, img)), l >> 1, l) for l, _, img in images]
             assert all(c in (1, l - 1) for c, (l, _, _) in zip(chars, images)), (K.d, u)
             assert mask == sum(bit for c, (_, bit, _) in zip(chars, images) if c != 1), (K.d, u)
-    assert sizes[8] == len(TWIST_PAIRS) + 1
-    assert past_300 == {(-23, 26), (-11, 23), (-6469693230, 297194980009)}
+    # 8 to 21 maps: every split prime below 300, not the first eight
+    assert min(sizes) == 8 and max(sizes) == 21 and sum(sizes.values()) == len(TWIST_PAIRS) + 1
+    assert sum(n for size, n in sizes.items() if size > 8) > len(TWIST_PAIRS) // 2
+    assert past_300 == {(-23, 26), (-11, 23), (9699690, -765049), (-9699690, 31367009),
+                        (-6469693230, 297194980009)}
 
 
 SIEVE_PAIRS = _scan_tasks(30, False, False) + list(MANYPRIME_PAIRS)
@@ -405,22 +409,52 @@ LARGE_PAIRS = [(-9699690, 31367009), (-10000000019, -1)]
 
 
 def test_residue_maps_match_the_per_field_scan():
-    # the split primes below 300 are the low bits of the AND of two subfield
+    # the split primes below 300 are the set bits of the AND of two subfield
     # sieve masks: the maps, with their bits (bit t for the t-th odd prime
     # below 300, bit 61 + j for the j-th map past 300), equal those of a
-    # scan of the primes below 300 for
-    # each field, on every field with |d_i| <= 60, the many-prime and large
-    # fields of test_unit_index.LARGE_PAIRS and the three fallback fields
+    # scan of every prime below 300 for each field, and past 300 up to
+    # max(8, s_K + 4) maps, on every field with |d_i| <= 60, the many-prime
+    # and large fields of test_unit_index.LARGE_PAIRS and the three
+    # fallback fields
     pairs = _scan_tasks(60, False, False)
     assert len(pairs) == 2284
-    past_300 = set()
+    past_300, beyond_8 = set(), 0
     for pair in pairs + list(MANYPRIME_PAIRS) + LARGE_PAIRS + FALLBACK_PAIRS:
         K = biquadratic_field(*pair)
         assert K.residue_maps == scanned_residue_maps(K), pair
         if K.residue_maps[-1][0] > 300:
             past_300.add(pair)
-    # nine fields of bound 60, two of them in FALLBACK_PAIRS, and the s_K = 17 field
-    assert len(past_300) == 10 and past_300 > set(FALLBACK_PAIRS)
+        beyond_8 += len(K.residue_maps) > 8
+    # ten fields of bound 60, (-35, 39) with s_K = 5 among them and two in
+    # FALLBACK_PAIRS, and the s_K = 13 and s_K = 17 fields
+    assert len(past_300) == 12 and past_300 > set(FALLBACK_PAIRS)
+    assert (-35, 39) in past_300 and (-9699690, 31367009) in past_300
+    assert beyond_8 > len(pairs) // 2
+
+
+def test_every_root_certificate_raises(monkeypatch):
+    # the roots of d1, d2 under each map below 300 come from the tables of
+    # squares, those past 300 from d^((l+1)/4) mod l, and each s_i^2 = d_i
+    # is certified: a wrong root raises for the field's maps, below 300 and
+    # past it, and for a subfield's twist mask
+    from exact_reference import clear_subfield_caches
+    from polyabiquad import biquadratic, quadratic
+    l = 17  # splits in the field, and r + 1 is a root of neither d1 = -30030 nor d2 = -2310
+    table = quadratic._SQUARE_ROOTS
+    wrong = {**table, l: {x: r + 1 for x, r in table[l].items()}}
+    assert biquadratic_field(-2310, 13).split_mask >> quadratic._SIEVE_PRIMES.index(l) & 1
+    monkeypatch.setattr(biquadratic, "_SQUARE_ROOTS", wrong)
+    with pytest.raises(InconsistencyError, match="do not square back"):
+        biquadratic_field(-2310, 13).residue_maps
+    monkeypatch.setattr(biquadratic, "_SQUARE_ROOTS", table)
+    monkeypatch.setattr(biquadratic, "_root_mod", lambda d, l: 2)
+    with pytest.raises(InconsistencyError, match="do not square back"):
+        biquadratic_field(*FALLBACK_PAIRS[0]).residue_maps
+    monkeypatch.setattr(quadratic, "_SQUARE_ROOTS", wrong)
+    clear_subfield_caches()
+    with pytest.raises(InconsistencyError, match="does not square back"):
+        biquadratic_field(-2310, 13).subfields[0].twist_mask
+    clear_subfield_caches()
 
 
 MASK_PAIRS = SIEVE_PAIRS + FALLBACK_PAIRS[:2]
@@ -764,9 +798,10 @@ def check_subfield_searches(orc, searched) -> None:
 
 def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
     # on the many-prime fields every principal verdict comes from an extended
-    # principal subfield product, so every K-level descent finds no generator;
-    # the relative-norm generators are in closed form, so the oracle searches
-    # a subfield only for its prime above a totally ramified 2, once
+    # principal subfield product, and every other coset is settled by the
+    # character table of every split prime below 300, so no K-level descent
+    # runs; the relative-norm generators are in closed form, so the oracle
+    # searches a subfield only for its prime above a totally ramified 2, once
     from polyabiquad import lattice
     found = []
     descend = lattice.principal_ideal_generator
@@ -785,8 +820,43 @@ def test_oracle_descends_only_where_no_subfield_decides(monkeypatch):
         check_subfield_searches(orc, searched)
         searches += len(searched)
         searched.clear()
-    assert found and all(xi is None for xi in found)
+    assert found == []
     assert searches > 0
+    # the recorder sees a descent where one runs: Q(sqrt(2), sqrt(3))
+    AmbiguousIdealOracle(biquadratic_field(2, 3)).polya_order_oracle()
+    assert len(found) == 1
+
+
+# |Po(K)|, the kernel, the cokernel and the budget units spent by the
+# oracle of the many-prime fields, the three s_K = 12/13 rows of
+# test_cli.test_biquad_verify_wide_fields and the s_K = 17 field, as found
+# while the character table held only the first eight split primes
+ORACLE_FIGURES = {
+    (-210, 143): (16, 64, 2, 29),
+    (210, 143): (4, 64, 2, 26),
+    (-2310, 13): (16, 32, 1, 60),
+    (-1155, 26): (16, 32, 1, 60),
+    (30, 77): (2, 8, 1, 22),
+    (-9699690, 765049): (512, 2048, 1, 2196),
+    (9699690, -765049): (1024, 4096, 2, 2064),
+    (-9699690, 31367009): (1024, 4096, 1, 4437),
+    (-6469693230, 297194980009): (16384, 65536, 1, 77052),
+}
+
+
+def test_oracle_figures_are_frozen_and_take_no_descent(monkeypatch):
+    # a table that settles a coset charges the units its descents would
+    # have: every figure and budget holds, now that no K-level descent runs
+    # on these fields (the s_K = 17 field took 255)
+    from polyabiquad import lattice
+    descents = []
+    monkeypatch.setattr(lattice, "principal_ideal_generator",
+                        lambda K, *args: descents.append(K.d))
+    for pair, figures in ORACLE_FIGURES.items():
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        assert (orc.polya_order_oracle(), orc.kernel_order_oracle(),
+                orc.cokernel_order_oracle(), orc.budget.spent) == figures, pair
+    assert descents == []
 
 
 def test_every_descent_gets_three_generators_of_its_norm(monkeypatch):
@@ -980,10 +1050,12 @@ def test_the_class_count_is_the_number_of_representatives():
 
 
 def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):
-    # Q(sqrt(-9699690), sqrt(31367009)) has |G| = 8,192; its book decides
-    # the 128 vectors of the table kernel and reduces a vector 133 times in
-    # all, where the set-based book visited every vector of G, and the
-    # verified row keeps its digest
+    # Q(sqrt(-9699690), sqrt(31367009)) has |G| = 8,192 and the s_K = 17
+    # field |G| = 131,072; with every split prime below 300 in the table,
+    # each book is left a 3-dimensional table kernel, whose 8 vectors form
+    # one coset of P, and reduces a vector 8 times in all, where the
+    # set-based book visited every vector of G; the verified rows keep
+    # their digests
     import hashlib
     from polyabiquad.cli import main
     reduced = Counter()
@@ -994,13 +1066,18 @@ def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):
         return reduce(book, x)
 
     monkeypatch.setattr(CosetBook, "reduce", counting)
-    orc = AmbiguousIdealOracle(biquadratic_field(-9699690, 31367009))
-    assert prod(orc.exponents) == 8192
-    assert orc.polya_order_oracle() == 1024
-    assert len(orc._table_kernel) == 7 and reduced[id(orc._book)] < 8192 // 32
-    assert main(["biquad", "-9699690", "31367009", "--verify", "--json"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        "ce8c6ef961962c2e31428b38749f39917bbda2c33acbbec6c508acf990ec5c32"
+    for pair, size, classes, digest in (
+            ((-9699690, 31367009), 8192, 1024,
+             "ce8c6ef961962c2e31428b38749f39917bbda2c33acbbec6c508acf990ec5c32"),
+            ((-6469693230, 297194980009), 131072, 16384,
+             "c16aba58580cd99bad0a0ef18b581645ae01521f08f04004405486d169585310")):
+        orc = AmbiguousIdealOracle(biquadratic_field(*pair))
+        assert prod(orc.exponents) == size
+        assert orc.polya_order_oracle() == classes
+        assert len(orc._table_kernel) == 3 and orc._book.order == 8, pair
+        assert reduced[id(orc._book)] == 8, pair
+        assert main(["biquad", *map(str, pair), "--verify", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, pair
 
 
 def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):

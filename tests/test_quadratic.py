@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (QuadElement, minpoly_double_root_scan,
+from exact_reference import (QuadElement, elementwise_decide, minpoly_double_root_scan,
                              quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
                              quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
                              reference_subfield_classes, subfield_class_representatives,
                              subset_ideal_chain, two_pass_fundamental_unit)
 from polyabiquad.biquadratic import biquadratic_field
-from polyabiquad.cosets import CosetBook
+from polyabiquad.cosets import CosetBook, f2_span
 from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, QuadraticField,
@@ -455,6 +455,60 @@ def test_coset_book_reduces_to_the_least_element_of_each_coset():
                 {min(add(x, p) for p in group) for x in range(size)}), (e, m, gens)
             cases += 1
     assert cases == 320
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((2, 4)), st.integers(0, 8))
+def test_deciding_one_vector_per_coset_matches_the_elementwise_walk(data, e, m):
+    # a book on Z/e + (Z/2)^m with a hidden principal subgroup H inside the
+    # span S of a drawn basis of vectors with top digit 0 or e/2, P seeded
+    # inside H and some vectors of S decided beforehand: deciding S one
+    # vector per coset makes the same tests, in the same order, as deciding
+    # every element of S in increasing order, and ends with the same P and
+    # the same nonprincipal cosets; with a principal vector of order 2
+    # seeded outside S, both raise
+    def draw_vector():
+        w = data.draw(st.integers(0, (1 << m) - 1))
+        return w | data.draw(st.integers(0, 1)) * e // 2 << m
+
+    def draw_combination(vectors):
+        return data.draw(st.sampled_from(f2_span(vectors)))
+
+    basis = data.draw(st.lists(st.builds(draw_vector), max_size=m + 1))
+    hidden = [draw_combination(basis) for _ in range(data.draw(st.integers(0, len(basis))))]
+    principal = set(f2_span(hidden))
+    seeds = [draw_combination(hidden) for _ in range(data.draw(st.integers(0, 2)))]
+    span = set(f2_span(basis))
+    outside = [w | t << m for t in (0, e // 2) for w in range(1 << m) if w | t << m not in span]
+    stray = data.draw(st.sampled_from(outside)) if outside and data.draw(st.booleans()) else None
+    early = [draw_combination(basis) for _ in range(data.draw(st.integers(0, 2)))]
+
+    def make():
+        tested = []
+
+        def test(x):
+            tested.append(x)
+            return x in principal
+
+        book = CosetBook(m, e, test)
+        for x in seeds + ([stray] if stray is not None else []):
+            book.add_principal(x)
+        for x in early:
+            book.is_principal(x)
+        return book, tested
+
+    (old, old_tested), (new, new_tested) = make(), make()
+    if stray is not None:
+        with pytest.raises(InconsistencyError):
+            elementwise_decide(old, sorted(f2_span(basis)))
+        with pytest.raises(InconsistencyError):
+            new.decide(basis)
+        return
+    elementwise_decide(old, sorted(f2_span(basis)))
+    new.decide(basis)
+    assert new_tested == old_tested
+    assert (new.top, new.rows, new.nonprincipal) == (old.top, old.rows, old.nonprincipal)
+    assert new.order == len(principal)  # every coset of S is decided
 
 
 def test_oracle_runs_on_a_large_discriminant():

@@ -117,3 +117,49 @@ def test_the_formula_route_reads_no_cached_book(capsys):
     # searches for no generator above 2
     assert main(["scan", "--bound", "30", "--json"]) == 0
     assert quadratic._FIELDS and not any(k.searched for k in quadratic._FIELDS.values())
+
+
+def test_each_cached_attribute_is_computed_once_and_stored_under_its_name(monkeypatch):
+    # every lazily computed attribute of a field, a subfield, a subfield
+    # book and an oracle is computed on its first read, once, and stored in
+    # the instance __dict__ under its own name, where later reads find it;
+    # the first read of any basis table still writes and installs all four
+    # through BiquadField.__getattr__, once
+    from collections import Counter
+    from polyabiquad.biquadratic import _BASIS_TABLES, BiquadField
+    from polyabiquad.lazy import cached_attribute
+    from polyabiquad.quadratic import AmbiguousClassesQuad, QuadraticField
+    computed = Counter()
+    names = {}
+    for cls in (BiquadField, QuadraticField, AmbiguousClassesQuad, AmbiguousIdealOracle):
+        names[cls] = [name for name, attr in vars(cls).items()
+                      if isinstance(attr, cached_attribute)]
+        for name in names[cls]:
+            attr = vars(cls)[name]
+            assert attr.name == name and getattr(cls, name) is attr
+
+            def counting(obj, func=attr.func, name=name):
+                computed[id(obj), name] += 1
+                return func(obj)
+
+            monkeypatch.setattr(attr, "func", counting)
+    assert sum(map(len, names.values())) == 20
+    written, integral_basis = [], BiquadField._integral_basis
+    monkeypatch.setattr(BiquadField, "_integral_basis",
+                        lambda K: written.append(K.d) or integral_basis(K))
+    clear_subfield_caches()
+    K = biquadratic_field(210, 143)  # every subfield real, so every attribute has a value
+    assert not any(name in vars(K) for name in _BASIS_TABLES)
+    assert K.omega_rows is vars(K)["omega_rows"]
+    assert all(name in vars(K) for name in _BASIS_TABLES) and written == [K.d]
+    orc = AmbiguousIdealOracle(K)
+    orc.kernel_order_oracle()
+    objects = [(K, BiquadField), (orc, AmbiguousIdealOracle)]
+    objects += [(k, QuadraticField) for k in K.subfields]
+    objects += [(sub, AmbiguousClassesQuad) for sub in orc._subfield_books]
+    for obj, cls in objects:
+        for name in names[cls]:
+            value = getattr(obj, name)
+            assert vars(obj)[name] is value is getattr(obj, name), (obj, name)
+            assert computed[id(obj), name] == 1, (obj, name)
+    assert written == [K.d]
