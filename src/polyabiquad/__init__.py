@@ -13,7 +13,7 @@ solves j2 (the class of the prime above 2 lies outside the image of
 the subfield ambiguous classes) from |H^1(G, O_K^x)| and builds no ideal.
 """
 
-from .biquadratic import BiquadField, RamificationProfile, biquadratic_field
+from .biquadratic import BiquadField, biquadratic_field
 from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
                      InvalidInputError)
 from .lattice import AmbiguousIdealOracle, principal_ideal_generator
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousIdealOracle", "BiquadField", "Budget", "BudgetExceededError",
     "DomainError", "InconsistencyError", "InvalidInputError", "OutputRecord",
-    "QuadIdeal", "QuadRecord", "QuadraticField", "RamificationProfile",
-    "UnitStructure", "ambiguous_oracle_quad", "biquadratic_field",
+    "QuadIdeal", "QuadRecord", "QuadraticField", "UnitStructure",
+    "ambiguous_oracle_quad", "biquadratic_field",
     "integral_square_root", "j2_value", "kernel_order",
     "polya_order_quad", "polya_report", "prime_above", "principal_generator_quad",
     "principal_ideal_generator", "quad_record", "quadratic_field", "render_records",

@@ -41,17 +41,14 @@ contains 1, is closed under multiplication and has the discriminant of O_K
 is O_K.
 
 Galois action: sigma_i fixes sqrt(d_i) and negates the other two radicals;
-sigma_i o sigma_j = sigma_l.  The ramification profile of a rational prime
-follows from which quadratic subfields it ramifies in: a ramified prime
-ramifies in exactly two of them, except 2 which may ramify in all three
-(then e_2 = 4); the residue degree is read off the splitting of p in the
-inertia-complement subfield.
+sigma_i o sigma_j = sigma_l.  The ramification of K is read off which
+quadratic subfields each prime ramifies in (see _ramification_profile).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
+from types import SimpleNamespace
 
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
 from .lazy import cached_attribute
@@ -113,21 +110,6 @@ def _mul(consts, x, y) -> list[int]:
             + p23 * f2 + p31 * g2 + p32 * h2 + p33 * k2,
             x0 * y3 + x3 * y0 + p11 * a3 + p12 * b3 + p13 * c3 + p21 * d3 + p22 * e3
             + p23 * f3 + p31 * g3 + p32 * h3 + p33 * k3]
-
-
-@dataclass(frozen=True)
-class RamificationProfile:
-    """Per-prime (e, f, g) data with the global invariants."""
-
-    efg: dict
-    s_k: int
-    i2: int
-    e2: int
-    product_e: int
-
-    @property
-    def primes(self) -> list[int]:
-        return sorted(self.efg)
 
 
 class BiquadField:
@@ -348,39 +330,38 @@ class BiquadField:
                                      f"{bit_lengths(x)}-bit coordinates is not rational")
         return n[0]
 
-    def _ramification_profile(self) -> RamificationProfile:
-        where: dict[int, set[int]] = {}  # the subfields each prime ramifies in
+    def _ramification_profile(self) -> SimpleNamespace:
+        """The ramification of K, read off the subfields each prime ramifies
+        in: the ramified primes in increasing order as primes, their
+        ramification indices as exponents, s_K, i2, e2 (1 when 2 is
+        unramified) and product_e = 2^(s_K + i2).  An odd ramified p ramifies in exactly two
+        subfields and is unramified in the third, so e_p = 2.  2 ramifies in
+        two or in all three; in all three it is totally ramified, e_2 = 4 and
+        i2 = 1.  So the exponents are 4 for a totally ramified 2, else 2, and
+        their product is 2^(s_K + i2).  InconsistencyError is raised for an
+        odd prime in all three subfields, a prime in one, a prime that
+        divides the third subfield's discriminant, or
+        s1 + s2 + s3 != 2*s_K + i2."""
+        where: dict[int, list[int]] = {}  # the subfields each prime ramifies in
         for i, k in enumerate(self.subfields):
             for p in k.ramified_primes:
-                where.setdefault(p, set()).add(i)
-        efg = {}
-        for p in sorted(where):
-            if len(where[p]) == 3:
-                if p != 2:
-                    raise InconsistencyError(f"odd {p} ramifies in every subfield of {self.d}")
-                efg[p] = (4, 1, 1)
-            else:
-                if len(where[p]) != 2:
-                    raise InconsistencyError(
-                        f"prime {p} ramifies in {len(where[p])} subfields of {self.d}")
-                delta = self.subfields[({0, 1, 2} - where[p]).pop()].delta
-                if delta % p == 0:
-                    raise InconsistencyError(
-                        f"{p} ramifies in the inertia-complement subfield of {self.d}")
-                # p splits there iff Delta = 1 mod 8 at p = 2, else iff Delta
-                # is a square mod p (Euler's criterion)
-                splits = delta % 8 == 1 if p == 2 else pow(delta, p >> 1, p) == 1
-                f = 1 if splits else 2
-                efg[p] = (2, f, 2 // f)
-        s_k = len(efg)
-        i2 = 1 if efg.get(2, (0, 0, 0))[0] == 4 else 0
-        e2 = efg.get(2, (1, 1, 1))[0]
-        product_e = prod(e for e, _, _ in efg.values())
+                where.setdefault(p, []).append(i)
+        for p, ks in where.items():
+            if len(ks) == 3 and p != 2:
+                raise InconsistencyError(f"odd {p} ramifies in every subfield of {self.d}")
+            if len(ks) == 1:
+                raise InconsistencyError(f"prime {p} ramifies in 1 subfield of {self.d}")
+            if len(ks) == 2 and self.subfields[3 - sum(ks)].delta % p == 0:
+                raise InconsistencyError(
+                    f"{p} divides the discriminant of the third subfield of {self.d}")
+        primes = sorted(where)
+        s_k, i2 = len(primes), int(len(where.get(2, ())) == 3)
         if sum(k.s for k in self.subfields) != 2 * s_k + i2:
             raise InconsistencyError(f"s1+s2+s3 != 2*s_K + i2 for {self.d}")
-        if product_e != 2 ** (s_k + i2):
-            raise InconsistencyError(f"prod e_p != 2^(s_K+i2) for {self.d}")
-        return RamificationProfile(efg, s_k, i2, e2, product_e)
+        # 2 sorts first, so a totally ramified 2 leads the exponents
+        return SimpleNamespace(primes=primes, exponents=[4] * i2 + [2] * (s_k - i2), s_k=s_k,
+                               i2=i2, e2=4 if i2 else 2 if 2 in where else 1,
+                               product_e=2 ** (s_k + i2))
 
     # -- lazily computed unit and ideal data ---------------------------------
 

@@ -108,7 +108,7 @@ every field that reads one is charged the units its computation recorded
 before it.
 
 A descent reads everything off the exponent vector of
-a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As efg = 4,
+a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As N(rad(p)) = p^(4/e_p),
 N(a) = prod_p p^((4/e_p)*v_p).  Membership needs no lattice either: by the
 same valuations xi is in rad(p) iff xi^e_p is in p*O_K, i.e. iff p divides
 every basis coordinate of xi^e_p, and xi is in a iff xi is in rad(p) for
@@ -215,11 +215,12 @@ def prime_radical(K: BiquadField, p: int) -> IdealLattice:
     prime P above 2 has residue field F_2 and v_2(N(x)) = v_P(x), so P is the
     kernel of the ring map x -> N(x) mod 2.  It is certified by one product,
     P^2 = P_i*O_K, which gives P^4 = P_i^2*O_K = 2*O_K.  Both certificates,
-    and N(rad) = p^(f*g), raise InconsistencyError.
+    and N(rad) = p^(4/e_p), raise InconsistencyError: rad(p) is the product
+    of the g primes above p, each of norm p^f, and e_p*f*g = 4.
     """
-    if p not in K.profile.efg:
+    if p not in K.profile.primes:
         raise DomainError(f"{p} is unramified in the field {K.d}")
-    e, f, g = K.profile.efg[p]
+    e = K.profile.exponents[K.profile.primes.index(p)]
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     rows = [[p * x for x in u] for u in eye]
     i = next(i for i, k in enumerate(K.subfields) if p in k.ramified_primes)
@@ -231,9 +232,9 @@ def prime_radical(K: BiquadField, p: int) -> IdealLattice:
         rad = IdealLattice(K, hnf_rows(
             rows + [[-(K.norm(u) % 2), *u[1:]] for u in eye[1:]], 4))
         square = extended
-    if rad.norm != p ** (f * g):
+    if rad.norm != p ** (4 // e):
         raise InconsistencyError(
-            f"radical norm {rad.norm} != p^(f*g) = {p**(f*g)} for p={p}, field {K.d}")
+            f"radical norm {rad.norm} != p^(4/e_p) = {p ** (4 // e)} for p={p}, field {K.d}")
     if rad.multiply(rad) != square:
         raise InconsistencyError(
             f"rad(pO_K)^2 != {'pO_K' if e == 2 else 'P_i*O_K'} for p={p}, field {K.d}")
@@ -355,11 +356,7 @@ class AmbiguousIdealOracle:
         self.K = K
         self.budget = Budget(budget_units)
         self.primes = K.profile.primes
-        self.exponents = [K.profile.efg[p][0] for p in self.primes]
-        if self.exponents[0] not in (2, 4) or any(e != 2 for e in self.exponents[1:]):
-            raise InconsistencyError(
-                f"ramification indices {self.exponents} of {self.primes} are not "
-                f"e_2 in (2, 4) followed by 2s")
+        self.exponents = K.profile.exponents
         # the packed image (e_p/2)*u_p of P*O_K for the prime P above p of
         # a subfield in which p ramifies: rad(p) when e_p = 2 and rad(2)^2
         # when 2 is totally ramified
@@ -489,12 +486,13 @@ class AmbiguousIdealOracle:
     def _descend(self, vec: tuple[int, ...]) -> bool:
         """Principality of a = prod_p rad(p)^v_p from its exponent vector.
 
-        N(a) = prod_p p^((4/e_p)*v_p), as rad(p) has norm p^(f*g) and efg = 4.
-        For a root xi with |N(xi)| = N(a), xi is in a iff xi is in rad(p) for
-        every p with v_p > 0, i.e. iff v_P(xi) >= v_P(a) for every prime P
-        above such a p.  When e_2 = 4 the one P above 2 has f = 1, so
-        v_P(xi) = v_2(N(xi)) = v_2(N(a)) = v_P(a).  When e_p = 2, v_p = 1 and
-        f*g = 2: xi in rad(p) gives v_P(xi) >= 1 = v_P(a) at each P above p.
+        N(a) = prod_p p^((4/e_p)*v_p), as rad(p) has norm p^(4/e_p) (see
+        prime_radical).  For a root xi with |N(xi)| = N(a), xi is in a iff xi
+        is in rad(p) for every p with v_p > 0, i.e. iff v_P(xi) >= v_P(a) for
+        every prime P above such a p.  When e_2 = 4 the one P above 2 has
+        residue field F_2, so v_P(xi) = v_2(N(xi)) = v_2(N(a)) = v_P(a).
+        When e_p = 2, v_p = 1: xi in rad(p) gives v_P(xi) >= 1 = v_P(a) at
+        each P above p.
         """
         n = prod(p ** (4 // e * v) for p, e, v in zip(self.primes, self.exponents, vec))
         return principal_ideal_generator(self.K, n, self._relative_norm_generators(vec),

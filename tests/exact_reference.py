@@ -97,9 +97,10 @@
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
   subfields, with their units, books and generators above 2.
-- The general Kronecker symbol kronecker; the program reads the splitting
-  of a prime in a quadratic field by Euler's criterion, and at 2 from
-  Delta mod 8.
+- The general Kronecker symbol kronecker, against which test_lattice
+  checks which primes l the residue maps take and the characters of
+  rational integers under them; the program reads the symbols below 300
+  off a table of squares and past 300 by Euler's criterion.
 - The earlier table of the order of mu_K by the d_i, mu_order_table, and
   the earlier scan over range(p) for the double root of the minimal
   polynomial of omega at a ramified prime, minpoly_double_root_scan.

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
                              embed_quad, generic_basis_tables, gram_determinant,
-                             integral_coords, integral_square_root_fraction, kronecker,
-                             loop_mul, mat_det_fraction, mu_order_table)
+                             integral_coords, integral_square_root_fraction, loop_mul,
+                             mat_det_fraction, mu_order_table)
 from polyabiquad import biquadratic
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.errors import InconsistencyError, InvalidInputError
-from polyabiquad.intmath import squarefree_part
+from polyabiquad.intmath import factorize, squarefree_part
 from polyabiquad.linalg import hnf_rows
 from polyabiquad.polya import polya_report
-from polyabiquad.quadratic import QuadraticField
+from polyabiquad.quadratic import QuadraticField, quadratic_field
 from polyabiquad.units import integral_square_root, unit_structure
 
 
@@ -396,44 +396,61 @@ def test_the_radical_map_raises_on_a_non_integral_element():
 
 def test_profile_examples():
     K = biquadratic_field(-1, 2)
-    assert K.profile.efg == {2: (4, 1, 1)}
-    assert (K.profile.s_k, K.profile.i2, K.profile.product_e) == (1, 1, 4)
+    assert (K.profile.primes, K.profile.exponents) == ([2], [4])
+    assert (K.profile.s_k, K.profile.i2, K.profile.e2, K.profile.product_e) == (1, 1, 4, 4)
 
     K13 = biquadratic_field(-1, -3)
-    assert all(e == 2 for e, f, g in K13.profile.efg.values())
-    assert K13.profile.product_e == 4
+    assert (K13.profile.primes, K13.profile.exponents) == ([2, 3], [2, 2])
+    assert (K13.profile.i2, K13.profile.e2, K13.profile.product_e) == (0, 2, 4)
 
     K23 = biquadratic_field(2, 3)
+    assert (K23.profile.primes, K23.profile.exponents) == ([2, 3], [4, 2])
     assert K23.profile.product_e == 2 ** (2 + 1) == 8
 
-
-def test_profile_efg_product_is_degree():
-    for K in small_corpus(8):
-        for e, f, g in K.profile.efg.values():
-            assert e * f * g == 4
+    K5 = biquadratic_field(5, 13)
+    assert (K5.profile.primes, K5.profile.exponents) == ([5, 13], [2, 2])
+    assert (K5.profile.i2, K5.profile.e2, K5.profile.product_e) == (0, 1, 4)
 
 
-def test_profiles_of_bound_60_match_the_kronecker_symbol():
-    # every profile of |d_i| <= 60 against one built with the reference
-    # Kronecker symbol: p ramified in two subfields has f = 1 exactly when
-    # (Delta_j | p) = 1 for the third, in which p is unramified; each of
-    # p = 2 and odd p is seen both split and inert there
+def test_profiles_of_bound_60_match_the_subfield_discriminants():
+    # every profile of |d_i| <= 60 against one read off the subfield
+    # discriminants: p ramifies in k_i exactly when p | Delta_i, in two
+    # subfields (e_p = 2) or, for p = 2 alone, in all three (e_2 = 4);
+    # 2 is seen unramified, in two subfields and in three
     seen = Counter()
     fields = _scan_tasks(60, False, False)
     for pair in fields:
         K = biquadratic_field(*pair)
-        reference = {}
-        for p in sorted({p for k in K.subfields for p in k.ramified_primes}):
-            unramified = [k for k in K.subfields if p not in k.ramified_primes]
-            if not unramified:
-                reference[p] = (4, 1, 1)
-                continue
-            symbol = kronecker(unramified[0].delta, p)
-            assert len(unramified) == 1 and symbol != 0, (K.d, p)
-            reference[p] = (2, 1, 2) if symbol == 1 else (2, 2, 1)
-            seen[p == 2, symbol] += 1
-        assert K.profile.efg == reference, K.d
-    assert len(fields) == 2284 and len(seen) == 4
+        deltas = [k.delta for k in K.subfields]
+        primes = sorted(factorize(prod(deltas)))
+        count = {p: sum(delta % p == 0 for delta in deltas) for p in primes}
+        assert all(c == 2 or c == 3 and p == 2 for p, c in count.items()), K.d
+        exponents = [2 * count[p] - 2 for p in primes]
+        i2 = int(count.get(2) == 3)
+        prof = K.profile
+        assert (prof.primes, prof.exponents, prof.i2) == (primes, exponents, i2), K.d
+        assert prof.s_k == len(primes) and prof.e2 == {0: 1, 2: 2, 3: 4}[count.get(2, 0)]
+        assert prof.product_e == prod(exponents) == 2 ** (prof.s_k + prof.i2), K.d
+        seen[count.get(2, 0)] += 1
+    assert len(fields) == 2284 and sorted(seen) == [0, 2, 3]
+
+
+def test_each_profile_certificate_raises(monkeypatch):
+    # Q(sqrt(3), sqrt(5)) has subfields k(3), k(5), k(15) with ramified
+    # primes [2, 3], [5], [2, 3, 5]; each fault is planted on the interned
+    # k(5), which monkeypatch restores
+    k5 = quadratic_field(5)
+    assert biquadratic_field(3, 5).profile.primes == [2, 3, 5]
+    for name, value, message in (
+            ("ramified_primes", [3, 5], "odd 3 ramifies in every subfield"),
+            ("ramified_primes", [5, 7], "prime 7 ramifies in 1 subfield"),
+            ("delta", 15, "3 divides the discriminant of the third subfield"),
+            ("s", 2, r"s1\+s2\+s3 != 2\*s_K \+ i2")):
+        with monkeypatch.context() as m:
+            m.setattr(k5, name, value)
+            with pytest.raises(InconsistencyError, match=message):
+                biquadratic_field(3, 5)
+    assert biquadratic_field(3, 5).profile.primes == [2, 3, 5]
 
 
 def test_multiplication_sign_convention():

@@ -73,7 +73,7 @@ def test_factorize_past_the_sieve():
 
 
 # the Kronecker symbol is a test reference (exact_reference.kronecker): the
-# ramification profiles of test_biquadratic are checked against it
+# residue maps of test_lattice are checked against it
 def test_kronecker_examples():
     assert kronecker(2, 7) == 1      # 2 = 3^2 mod 7
     assert kronecker(3, 5) == -1

@@ -1165,14 +1165,14 @@ def test_radical_above_2_by_ramification_index():
 
 
 def test_ideals_closed_under_multiplication():
-    # each radical is an ideal, of norm p^(f*g), whose e_p-th power is p*O_K;
-    # for e_2 = 4 prime_radical certifies only rad^2 = P_i*O_K, so the fourth
-    # power is taken here by explicit products
+    # each radical is an ideal, of norm p^(4/e_p), whose e_p-th power is
+    # p*O_K; for e_2 = 4 prime_radical certifies only rad^2 = P_i*O_K, so the
+    # fourth power is taken here by explicit products
     cases = 0
     for K, p, rad in radicals_up_to_30():
-        e, f, g = K.profile.efg[p]
+        e = K.profile.exponents[K.profile.primes.index(p)]
         assert is_closed_under_multiplication(rad), (K.d, p)
-        assert rad.norm == p ** (f * g), (K.d, p)
+        assert rad.norm == p ** (4 // e), (K.d, p)
         power = rational_ideal(K, 1)
         for _ in range(e):
             power = power.multiply(rad)
