@@ -55,7 +55,7 @@ after the clear starts cold.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt, prod
 
 from .cosets import CosetBook, f2_kernel
@@ -273,14 +273,10 @@ def _cf_fundamental_unit(k: QuadraticField) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadIdeal:
+class QuadIdeal(namedtuple("QuadIdeal", "field a b c")):
     """Integral ideal with Z-basis (A, B + C*omega); norm A*C."""
 
-    field: QuadraticField
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @property
     def norm(self) -> int:

@@ -132,7 +132,6 @@ no arithmetic in K (h = w/2):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import reduce
 from math import isqrt, prod
 from operator import mul
@@ -219,21 +218,24 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
     return xi
 
 
-@dataclass
 class UnitStructure:
     """What the unit search finds: the unit index q_K, the order of mu_K,
     the subfield norm signs and the number of norm +1 real subfield units."""
 
-    q_k: int
-    mu_order: int
-    lam: tuple[int, int, int]
-    nu_k: int
-    # exact roots of the subfield-unit products that are squares in K, keyed
-    # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
-    # pairs (imaginary K)
-    square_class_roots: dict = field(default_factory=dict, repr=False)
-    # the radical index j of each root that a square witness wrote down
-    radical_index: dict = field(default_factory=dict, repr=False)
+    def __init__(self, q_k: int, mu_order: int, lam: tuple[int, int, int], nu_k: int,
+                 square_class_roots: dict | None = None, radical_index: dict | None = None):
+        self.q_k, self.mu_order, self.lam, self.nu_k = q_k, mu_order, lam, nu_k
+        # exact roots of the subfield-unit products that are squares in K, keyed
+        # by (a1, a2, a3) exponent triples (real K) or (torsion_exp, eps_exp)
+        # pairs (imaginary K)
+        self.square_class_roots = {} if square_class_roots is None else square_class_roots
+        # the radical index j of each root that a square witness wrote down
+        self.radical_index = {} if radical_index is None else radical_index
+
+    def __repr__(self) -> str:
+        # no root: str() of one with more than 4,300 digits raises ValueError
+        return (f"UnitStructure(q_k={self.q_k}, mu_order={self.mu_order}, "
+                f"lam={self.lam}, nu_k={self.nu_k})")
 
 
 def _checked_root(K: BiquadField, x, n: int, eta) -> tuple[int, ...]:

@@ -114,7 +114,6 @@
 """
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -122,7 +121,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import attrgetter, mul
+from operator import mul
 
 from polyabiquad import units
 from polyabiquad.biquadratic import _ROOT_CAP, BiquadField, _root_mod
@@ -132,7 +131,7 @@ from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_ge
 from polyabiquad.linalg import hnf_contains, hnf_rows
 from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
                                    principal_generator_quad, radical_coords)
-from polyabiquad.report import OutputRecord, _columns
+from polyabiquad.report import OutputRecord
 from polyabiquad.units import UnitStructure, integral_square_root
 
 _F0 = Fraction(0)
@@ -1304,14 +1303,9 @@ def kronecker(a: int, n: int) -> int:
 
 def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
     """Inverse of report.render_records; returns a list of cls instances."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-
     def build(mapping):
-        kwargs = {}
-        for name, typ in types.items():
-            v = mapping[name]
-            kwargs[name] = str(v) if typ == "str" else int(v)
-        return cls(**kwargs)
+        return cls(*(int(mapping[name]) for name in cls._fields[:-1]),
+                   str(mapping["verify_status"]))
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if fmt == "json":
@@ -1328,9 +1322,8 @@ def parse_records(text: str, fmt: str, cls=OutputRecord) -> list:
 def render_json_by_dumps(records) -> str:
     """The JSON rows of report._render before its %-template, with the same
     json.dumps call per row; the caller lifts the int -> str limit."""
-    cols = _columns(type(records[0]))
-    values = attrgetter(*cols)
-    lines = [json.dumps(dict(zip(cols, values(r))), separators=(", ", ": "))
+    cols = type(records[0])._fields
+    lines = [json.dumps(dict(zip(cols, r)), separators=(", ", ": "))
              for r in records]
     return "\n".join(lines) + "\n"
 

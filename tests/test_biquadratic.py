@@ -595,6 +595,9 @@ def test_unit_structure_named_fields():
     us12 = unit_structure(biquadratic_field(-1, -3))
     assert (us12.q_k, us12.mu_order, us12.nu_k) == (2, 12, 1)
     assert unit_structure(biquadratic_field(-1, 5)).q_k == 1
+    # the repr prints no root: str() of one past 4,300 digits raises
+    assert repr(biquadratic_field(2, 3).units) == \
+        "UnitStructure(q_k=4, mu_order=2, lam=(-1, 1, 1), nu_k=2)"
 
 
 def units_over_star(rec) -> int:

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 
@@ -344,21 +343,21 @@ def test_internal_inconsistency_is_exit_4(capsys, monkeypatch):
 
 def test_a_verified_row_is_checked_once(capsys, monkeypatch):
     # setting the verify status checks the status, not the identities
-    # polya_report already checked: one __post_init__ per verified row
-    import dataclasses
+    # polya_report already checked: one constructor call per verified row
     calls = []
-    check = OutputRecord.__post_init__
+    check = OutputRecord.__new__
 
-    def counting(rec):
+    def counting(cls, *args, **kwargs):
+        rec = check(cls, *args, **kwargs)
         calls.append(rec.d3)
-        check(rec)
+        return rec
 
-    monkeypatch.setattr(OutputRecord, "__post_init__", counting)
+    monkeypatch.setattr(OutputRecord, "__new__", counting)
     code, out, _ = run(capsys, "scan", "--bound", "5", "--verify", "--json")
     assert code == 0 and len(calls) == len(out.splitlines()) > 0
     rec = parse_records(out, "json", OutputRecord)[0]
     assert rec.with_status("budget_exceeded") == \
-        dataclasses.replace(rec, verify_status="budget_exceeded")
+        OutputRecord(**{**rec._asdict(), "verify_status": "budget_exceeded"})
     with pytest.raises(InvalidInputError, match="unknown verify status"):
         rec.with_status("fine")
 
@@ -487,7 +486,8 @@ def test_json_template_prints_what_json_dumps_printed(capsys):
     limit = sys.get_int_max_str_digits()
     for status in VERIFY_STATUSES:
         for rows in ([r.with_status(status) for r in records],
-                     [dataclasses.replace(r, verify_status=status) for r in quads]):
+                     [QuadRecord(**{**r._asdict(), "verify_status": status})
+                      for r in quads]):
             text = render_records(rows, "json")
             assert sys.get_int_max_str_digits() == limit
             sys.set_int_max_str_digits(0)
@@ -500,14 +500,26 @@ def test_json_template_prints_what_json_dumps_printed(capsys):
 
 
 def test_the_json_template_takes_only_int_columns():
+    # %d would truncate a float and print a bool as 0 or 1, so each record
+    # refuses any column but verify_status that is not exactly an int, and
+    # a status outside VERIFY_STATUSES
+    from polyabiquad.biquadratic import biquadratic_field
     from polyabiquad.errors import InconsistencyError
-    from polyabiquad.report import _json_template
+    from polyabiquad.polya import polya_report
+    from polyabiquad.quadratic import quadratic_field
+    from polyabiquad.report import _json_template, quad_record
 
     assert _json_template(QuadRecord).startswith('{"d": %d, "delta": %d, ')
-    for fields in ([("d", int), ("name", str), ("verify_status", str)],
-                   [("d", int), ("verify_status", str), ("po", int)]):
-        with pytest.raises(InconsistencyError, match="cannot print"):
-            _json_template(dataclasses.make_dataclass("Row", fields))
+    for rec in (polya_report(biquadratic_field(2, 3)), quad_record(quadratic_field(13), 1)):
+        cls, row = type(rec), rec._asdict()
+        assert cls(**row) == rec
+        for col in cls._fields[:-1]:
+            for bad in (str(row[col]), float(row[col]), bool(row[col])):
+                with pytest.raises(InconsistencyError, match="cannot print"):
+                    cls(**{**row, col: bad})
+        for status in ("fine", "", None):
+            with pytest.raises(InvalidInputError, match="unknown verify status"):
+                cls(**{**row, "verify_status": status})
 
 
 def test_real_unit_cohomology_takes_no_arithmetic_in_k(monkeypatch):
@@ -625,12 +637,14 @@ def test_src_has_no_bare_assert():
 
 def test_src_imports_no_fractions():
     # elements and ideals are integer coordinates, so no rational type belongs
-    # in the program
+    # in the program, and the records need no dataclasses, whose import pulls
+    # in inspect and ast
+    banned = ("fractions", "dataclasses")
     found = [where for where, node in _src_nodes()
              if isinstance(node, ast.Import) and any(
-                 a.name.split(".")[0] == "fractions" for a in node.names)
+                 a.name.split(".")[0] in banned for a in node.names)
              or isinstance(node, ast.ImportFrom) and node.level == 0
-             and node.module.split(".")[0] == "fractions"]
+             and node.module.split(".")[0] in banned]
     assert not found, found
 
 
@@ -842,13 +856,16 @@ def test_the_readme_synopsis_is_the_usage_text():
 
 def test_a_request_imports_neither_argparse_nor_multiprocessing():
     # both cost more to import than a formula request takes; only scan
-    # --jobs J > 1 starts a pool
+    # --jobs J > 1 starts a pool.  Nor does the package load dataclasses or
+    # the inspect it pulls in: no record needs them
     import subprocess, sys
     env = _package_env()
     script = ("import sys\n"
+              "before = set(sys.modules)\n"
               "from polyabiquad import cli\n"
               "assert cli.main(['biquad', '-1', '2', '--json']) == 0\n"
-              "print(sorted({'argparse', 'multiprocessing'} & set(sys.modules)))\n")
+              "print(sorted({'argparse', 'multiprocessing', 'dataclasses', 'inspect'}\n"
+              "             & (set(sys.modules) - before)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr

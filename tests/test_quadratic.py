@@ -175,6 +175,10 @@ def test_ideal_arithmetic():
     assert quad_ideal_multiply(p2, quad_ideal_conjugate(p2)).norm == 4
     one = quad_ideal_from_elements(k, [(1, 0)])
     assert quad_ideal_multiply(p2, one) == p2
+    # error messages quote an ideal by its repr; two builds are equal and
+    # hash alike
+    assert repr(p2) == "QuadIdeal(field=QuadraticField(-5), a=2, b=1, c=1)"
+    assert p2 == prime_above(k, 2) and hash(p2) == hash(prime_above(k, 2))
 
 
 def test_polya_order_examples():
