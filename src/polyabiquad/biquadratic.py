@@ -50,6 +50,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from types import SimpleNamespace
 
+from .cosets import f2_span
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
 from .lazy import cached_attribute
 from .quadratic import (_SIEVE_PRIMES, _SQUARE_ROOTS, MINUS_ONE_MASK, quadratic_field,
@@ -464,10 +465,6 @@ class BiquadField:
                     mask[0] |= bit
         return [tuple(mask) for mask in masks]
 
-    def character_mask(self, factors, scale: int = 1) -> tuple[int, int]:
-        """character_masks of the one item (factors, scale)."""
-        return self.character_masks([(factors, scale)])[0]
-
     @cached_attribute
     def generator_masks(self) -> tuple[int, ...]:
         """The non-residue bits under residue_maps of -1, of the twist
@@ -519,10 +516,7 @@ class BiquadField:
         masks of -1 and of the three subfield twist generators in
         generator_masks, each map at its own bit, as a unit is never 0 mod
         a prime and the characters are multiplicative."""
-        masks = {0}
-        for m in self.generator_masks[:4]:
-            masks |= {x ^ m for x in masks}
-        return frozenset(masks)
+        return frozenset(f2_span(self.generator_masks[:4]))
 
     @property
     def twist_count(self) -> int:

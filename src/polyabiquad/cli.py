@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import sys
 from math import gcd
 from types import SimpleNamespace
 
 from .biquadratic import biquadratic_field
-from .errors import (Budget, BudgetExceededError, DomainError, InconsistencyError,
-                     InvalidInputError, default_budget_units)
+from .errors import Budget, BudgetExceededError, DomainError, InconsistencyError, InvalidInputError
 from .intmath import squarefree_part
 from .lattice import AmbiguousIdealOracle
 from .polya import polya_order_quad, polya_report, verify_biquad, verify_quad
@@ -38,12 +38,30 @@ usage: polyabiquad quad D [--verify] [--json|--csv|--text] [--budget N]
 """
 
 
+_BUDGET_VAR = "POLYA_ORACLE_BUDGET"
+
+
 def _budget_units(args) -> int:
+    """The oracle's budget per field: --budget, else POLYA_ORACLE_BUDGET,
+    else 50,000,000 units.  Only the command line reads the variable: a
+    library Budget() has no limit."""
     if args.budget is not None:
         if args.budget <= 0:
             raise InvalidInputError("--budget must be positive")
         return args.budget
-    return default_budget_units()
+    raw = os.environ.get(_BUDGET_VAR, "50000000")
+    try:
+        units = int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"{_BUDGET_VAR} must be an integer, got {raw!r}") from exc
+    if units <= 0:
+        raise InvalidInputError(f"{_BUDGET_VAR} must be positive, got {units}")
+    return units
+
+
+def _mismatch_note(K, details: dict) -> str:
+    """One stderr line saying what the oracle and the formulas disagreed on."""
+    return f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
 
 
 def _cmd_quad(args) -> int:
@@ -51,15 +69,13 @@ def _cmd_quad(args) -> int:
     k = quadratic_field(args.d)
     status = "unchecked"
     if args.verify:
-        status, _ = verify_quad(k, Budget(units))
+        status, details = verify_quad(k, Budget(units))
     rec = quad_record(k, polya_order_quad(k), status)
     sys.stdout.write(render_records([rec], args.format))
-    return 2 if status == "mismatch" else 0
-
-
-def _mismatch_note(K, details: dict) -> str:
-    """One stderr line saying what the oracle and the formulas disagreed on."""
-    return f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
+    if status == "mismatch":
+        print(_mismatch_note(k, details), file=sys.stderr)
+        return 2
+    return 0
 
 
 def _verified(K, rec, units: int):

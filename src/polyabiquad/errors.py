@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
-
-DEFAULT_BUDGET = 50_000_000
-BUDGET_ENV_VAR = "POLYA_ORACLE_BUDGET"
+import sys
 
 
 class InvalidInputError(ValueError):
@@ -37,25 +34,13 @@ def bit_lengths(x) -> str:
     return "/".join(str(c.bit_length()) for c in x)
 
 
-def default_budget_units() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        units = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if units <= 0:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be positive, got {units}")
-    return units
-
-
 class Budget:
     """Mutable counter of abstract work units (cycle steps, candidate
-    tests).  charge() raises once the allowance is spent."""
+    tests).  charge() raises once the allowance is spent; no units means
+    no limit (the command line reads its limit in cli._budget_units)."""
 
     def __init__(self, units: int | None = None):
-        self.limit = default_budget_units() if units is None else units
+        self.limit = sys.maxsize if units is None else units
         self.spent = 0
 
     def charge(self, units: int = 1) -> None:

@@ -136,7 +136,6 @@ for the prime P above 2 of the first subfield when e_2 = 4.
 
 from __future__ import annotations
 
-import sys
 from math import prod
 
 from .biquadratic import BiquadField
@@ -144,8 +143,7 @@ from .cosets import CosetBook, f2_kernel
 from .errors import Budget, DomainError, InconsistencyError, InvalidInputError, bit_lengths
 from .lazy import cached_attribute
 from .linalg import hnf_contains, hnf_rows
-from .quadratic import (AmbiguousClassesQuad, QuadIdeal, ambiguous_classes, generator_above_2,
-                        omega_norm, prime_above)
+from .quadratic import QuadIdeal, ambiguous_classes, generator_above_2, omega_norm, prime_above
 from .units import integral_square_root
 
 
@@ -281,14 +279,14 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
     are inconsistent and InconsistencyError is raised (see the module
     docstring)."""
     if budget is None:
-        budget = Budget(sys.maxsize)
+        budget = Budget()
     for k, gi in zip(K.subfields, gens):
         norm = omega_norm(k.d, *gi)
         if abs(norm) != n:
             raise InconsistencyError(
                 f"the relative norm generator of Q(sqrt({k.d})) with {bit_lengths(gi)}-bit "
                 f"coordinates has a norm of {norm.bit_length()} bits, expected +-{n}")
-    nonresidue, zero = K.character_mask(list(enumerate(gens)), n)
+    nonresidue, zero = K.character_masks([(list(enumerate(gens)), n)])[0]
     if all((m ^ nonresidue) & ~zero for m in K.twist_masks):
         budget.charge(K.twist_count)
         return None  # every g*u / n is a non-residue under some ring map
@@ -372,7 +370,7 @@ class AmbiguousIdealOracle:
         return tuple(reversed(vec))
 
     @cached_attribute
-    def _subfield_books(self) -> list[AmbiguousClassesQuad]:
+    def _subfield_books(self) -> list[CosetBook]:
         """The completed book of each subfield, from quadratic.ambiguous_classes."""
         return [ambiguous_classes(k, self.budget) for k in self.K.subfields]
 
@@ -393,10 +391,10 @@ class AmbiguousIdealOracle:
         n = len(self.primes)
         book = CosetBook(n - 1, self.exponents[0], lambda x: self._descend(self.unpack(x)))
         images = self._prime_images
-        for sub in self._subfield_books:
-            for x in sub.principal.basis():
+        for k, sub in zip(self.K.subfields, self._subfield_books):
+            for x in sub.basis():
                 image = 0  # prime images have order 2, so they add by XOR
-                for i, p in enumerate(sub.primes):
+                for i, p in enumerate(k.ramified_primes):
                     if x >> i & 1:
                         image ^= images[p]
                 book.add_principal(image)
@@ -456,17 +454,6 @@ class AmbiguousIdealOracle:
         return contains
 
     @cached_attribute
-    def _characters(self) -> list[int]:
-        """The character bits of each ramified p under K.residue_maps, each
-        map at its own bit, in the order of self.primes, which is
-        K.profile's: the tail of K.generator_masks, which reads them, with
-        the bits of -1 and of the twist generators that K.twist_masks
-        combines, off the subfields' tables and builds no map below 300.
-        No map sends p to 0, or K.generator_masks raises
-        InconsistencyError."""
-        return list(self.K.generator_masks[4:])
-
-    @cached_attribute
     def _table_kernel(self) -> list[int]:
         """A basis of T, the even vectors whose character bits lie in
         K.twist_masks, by elimination over F_2: the packed image
@@ -478,10 +465,13 @@ class AmbiguousIdealOracle:
         relative-norm generators (r, 0), so its candidates are r*u for the
         twists u of K, and the characters of r*u are the XOR of the bits of
         the primes of r and the mask of u: a vector outside T is
-        nonprincipal."""
-        return f2_kernel([(0, mask) for mask in self.K.generator_masks[:4]]
+        nonprincipal.  The bits of the primes are the tail of
+        K.generator_masks, in the order of self.primes, which is
+        K.profile's."""
+        masks = self.K.generator_masks
+        return f2_kernel([(0, mask) for mask in masks[:4]]
                          + [(self._prime_images[p], bits)
-                            for p, bits in zip(self.primes, self._characters)])
+                            for p, bits in zip(self.primes, masks[4:])])
 
     def _descend(self, vec: tuple[int, ...]) -> bool:
         """Principality of a = prod_p rad(p)^v_p from its exponent vector.
@@ -524,8 +514,8 @@ class AmbiguousIdealOracle:
         prod_i |Po(k_i)| * |P| / |<im phi, P>|, with |Po(k_i)| = 2^s_i / |P_i|
         from each subfield book and |<im phi, P>| = prod e_p / |coker|."""
         span = prod(self.exponents) // self.cokernel_order_oracle()
-        domain = prod((1 << sub.k.s) // sub.principal.order
-                      for sub in self._subfield_books) * self._book.order
+        domain = prod((1 << k.s) // sub.order
+                      for k, sub in zip(self.K.subfields, self._subfield_books)) * self._book.order
         if domain % span:
             raise InconsistencyError(
                 f"|<im phi, P>| = {span} does not divide prod |Po(k_i)| * |P| = {domain}")

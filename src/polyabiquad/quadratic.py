@@ -18,8 +18,9 @@ iff it occurs as a leading coefficient of the cycle (any |m| < sqrt(Delta)/2
 does).  Both routes return an exact generator and both "nonprincipal"
 verdicts are complete, never heuristic.
 
-The strongly ambiguous classes are counted by AmbiguousClassesQuad, which
-first sieves each product of ramified primes by Gauss's genus characters.
+The strongly ambiguous classes are counted off the coset book that
+ambiguous_classes returns, which first sieves each product of ramified
+primes by Gauss's genus characters.
 For an odd prime q dividing Delta, 4a*f(x, y) = (2ax + bb*y)^2 - Delta*y^2
 is a square mod q, so every value of a form f = (a, bb, c) prime to q has
 the same Legendre symbol chi_q(f); a primitive form has such a value among
@@ -54,7 +55,6 @@ after the clear starts cold.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from math import gcd, isqrt, prod
 
@@ -438,7 +438,7 @@ def principal_generator_quad(ideal: QuadIdeal,
     no budget means no limit.  A lattice that is not an ideal fails
     content_and_primitive or _ideal_form."""
     if budget is None:
-        budget = Budget(sys.maxsize)
+        budget = Budget()
     k = ideal.field
     content, prim = ideal.content_and_primitive()
     form = _ideal_form(k, prim.a, prim.b)
@@ -466,13 +466,33 @@ def polya_order_quad(k: QuadraticField) -> int:
     return 2 ** (k.s - 1 - k.nu)
 
 
-class AmbiguousClassesQuad:
-    """Enumeration of the classes of products of ramified primes.
+def _subset_ideal(k: QuadraticField, mask: int) -> QuadIdeal:
+    """The product of the ramified primes of k at the set bits of mask, bit
+    i for k.ramified_primes[i]."""
+    return ramified_product(k, [p for i, p in enumerate(k.ramified_primes) if mask >> i & 1])
+
+
+def _genus_kernel(k: QuadraticField) -> list[int]:
+    """A basis of the masks of H: the kernel of the genus map, which sends
+    each ramified p to the character vector of the form of [p, b + omega],
+    modulo the vectors a principal ideal can have: that of +1, and that of
+    -1 in a real field (bit j set when q_j = 3 mod 4)."""
+    odd = [q for q in k.ramified_primes if q != 2]
+    minus_one = sum(1 << j for j, q in enumerate(odd) if q % 4 == 3)
+    return f2_kernel(([(0, minus_one)] if k.is_real else []) + [
+        (1 << i, _form_characters(_ideal_form(k, p, -_minpoly_double_root(k.d, p) % p), odd))
+        for i, p in enumerate(k.ramified_primes)])
+
+
+def ambiguous_classes(k: QuadraticField, budget: Budget) -> CosetBook:
+    """The completed book of the principal products of ramified primes of
+    k, built once per process and charged to budget at the units its build
+    spent (errors.Budget.cached).
 
     Squares of ramified primes are rational, so the 2**s products with
     exponents 0/1 generate every strongly ambiguous class.  A product is
     named by its mask, bit i for the i-th prime; the masks form
-    G = (Z/2)**s under XOR, and a CosetBook decides which masks, i.e. which
+    G = (Z/2)**s under XOR, and the book decides which masks, i.e. which
     symmetric differences of two products, are principal.  The book packs
     a mask as it is, so its reduced vectors are the least masks of their
     cosets.  The product over a mask is written down in closed
@@ -486,66 +506,24 @@ class AmbiguousClassesQuad:
     vector is that of +1, or of -1 in a real field: a subgroup, found by
     elimination over F_2 on the vectors of the primes.  Every mask outside
     H is nonprincipal by Gauss's genus characters, with no ideal, no search
-    and no budget unit; every coset of P in H is decided by
-    principal_generator_quad.  So each verdict is a finite computation
-    completed for its coset: a few Legendre symbols, or a complete search.
+    and no budget unit; H is decided one mask per coset of P, in increasing
+    order of mask, each by principal_generator_quad.  So each verdict is a
+    finite computation completed for its coset: a few Legendre symbols, or
+    a complete search.
     """
-
-    def __init__(self, k: QuadraticField, budget: Budget | None = None):
-        self.k = k
-        self.budget = Budget(sys.maxsize) if budget is None else budget  # no limit
-        self.primes = k.ramified_primes
-        self._book = CosetBook(k.s - 1, 2, self._descend)
-        mask = sum(1 << i for i, p in enumerate(self.primes) if k.d % p == 0)
-        ideal = self.subset_ideal(mask)
+    def build() -> CosetBook:
+        book = CosetBook(k.s - 1, 2, lambda mask: principal_generator_quad(
+            _subset_ideal(k, mask), budget) is not None)
+        mask = sum(1 << i for i, p in enumerate(k.ramified_primes) if k.d % p == 0)
+        ideal = _subset_ideal(k, mask)
         root = (-1, 2) if k.d % 4 == 1 else (0, 1)  # sqrt(d) = 2*omega - 1 or omega
         # an element of the ideal whose norm is +-N(ideal) generates it
         if not ideal.contains(root) or abs(omega_norm(k.d, *root)) != ideal.norm:
             raise InconsistencyError(f"sqrt({k.d}) does not generate {ideal}")
-        self._book.add_principal(mask)
-
-    def subset_ideal(self, mask: int) -> QuadIdeal:
-        return ramified_product(
-            self.k, [p for i, p in enumerate(self.primes) if mask >> i & 1])
-
-    def _genus_table(self) -> tuple[list[int], set[int]]:
-        """The character vector of each ramified prime, from the form of
-        [p, b + omega], and the vectors a principal ideal can have: that of
-        +1, and that of -1 in a real field (bit j set when q_j = 3 mod 4)."""
-        k = self.k
-        odd = [q for q in self.primes if q != 2]
-        vectors = [_form_characters(_ideal_form(k, p, -_minpoly_double_root(k.d, p) % p), odd)
-                   for p in self.primes]
-        minus_one = sum(1 << j for j, q in enumerate(odd) if q % 4 == 3)
-        return vectors, {0, minus_one} if k.is_real else {0}
-
-    def _genus_kernel(self) -> list[int]:
-        """A basis of the masks of H: the kernel of the genus map onto the
-        character vectors modulo those a principal ideal can have."""
-        vectors, allowed = self._genus_table()
-        return f2_kernel([(0, a) for a in allowed] + [(1 << i, v) for i, v in enumerate(vectors)])
-
-    def _descend(self, mask: int) -> bool:
-        return principal_generator_quad(self.subset_ideal(mask), self.budget) is not None
-
-    @cached_attribute
-    def principal(self) -> CosetBook:
-        """The book with every mask decided, and so complete: the genus
-        table is built only when the (sqrt(d)) seed leaves masks undecided,
-        and H is decided one mask per coset of P, in increasing order of
-        mask."""
-        if self._book.order < 1 << self.k.s:
-            self._book.decide(self._genus_kernel())
-        self._book.complete = True
-        return self._book
-
-
-def ambiguous_classes(k: QuadraticField, budget: Budget) -> AmbiguousClassesQuad:
-    """The completed book of k, built once per process and charged to
-    budget at the units its build spent (errors.Budget.cached)."""
-    def build() -> AmbiguousClassesQuad:
-        book = AmbiguousClassesQuad(k, budget)
-        book.principal  # decides every mask
+        book.add_principal(mask)
+        if book.order < 1 << k.s:
+            book.decide(_genus_kernel(k))
+        book.complete = True
         return book
 
     return budget.cached(k.searched, "book", build)
@@ -564,5 +542,4 @@ def ambiguous_oracle_quad(k: QuadraticField, budget: Budget | None = None) -> in
     masks P in G = (Z/2)**s: |G : P| = 2**s / |P| from the completed book.
     Uses no closed formula, so it independently checks polya_order_quad.  No
     budget means no limit."""
-    budget = Budget(sys.maxsize) if budget is None else budget
-    return (1 << k.s) // ambiguous_classes(k, budget).principal.order
+    return (1 << k.s) // ambiguous_classes(k, Budget() if budget is None else budget).order

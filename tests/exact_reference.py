@@ -129,8 +129,9 @@ from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputErro
 from polyabiquad.lattice import (IdealLattice, prime_radical, principal_ideal_generator,
                                  rational_ideal, relative_norm_ideal)
 from polyabiquad.linalg import hnf_contains, hnf_rows
-from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, omega_norm,
-                                   principal_generator_quad, radical_coords)
+from polyabiquad.quadratic import (QuadIdeal, _form_characters, _ideal_form, omega_norm,
+                                   prime_above, principal_generator_quad, radical_coords,
+                                   ramified_product)
 from polyabiquad.report import OutputRecord
 from polyabiquad.units import UnitStructure, integral_square_root
 
@@ -875,9 +876,21 @@ class PrincipalCosets:
         return reps
 
 
-def subfield_class_representatives(sub) -> list[int]:
-    """The least mask of each class of the subfield book sub, in increasing order."""
-    return list(sub.principal.representatives())
+def subfield_class_representatives(book) -> list[int]:
+    """The least mask of each class of the subfield book, in increasing order."""
+    return list(book.representatives())
+
+
+def genus_vectors(k) -> tuple[list[int], set[int]]:
+    """The genus character vector of each ramified prime of k, read off the
+    form of its prime ideal, bit j for the j-th odd ramified q; and the
+    vectors a principal ideal can have: that of +1, and in a real field
+    that of -1, whose symbol at q is taken by Euler's criterion."""
+    odd = [q for q in k.ramified_primes if q != 2]
+    vectors = [_form_characters(_ideal_form(k, P.a, P.b), odd)
+               for P in (prime_above(k, p) for p in k.ramified_primes)]
+    minus_one = sum(1 << j for j, q in enumerate(odd) if pow(-1, q >> 1, q) != 1)
+    return vectors, {0, minus_one} if k.is_real else {0}
 
 
 def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
@@ -885,18 +898,19 @@ def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
     PrincipalCosets: the book starts with the mask of (sqrt(d)) and decides
     every mask in increasing order, each by its genus characters and then a
     search."""
-    sub = AmbiguousClassesQuad(k)
-    vectors, allowed = sub._genus_table()
+    vectors, allowed = genus_vectors(k)
 
     def test(mask):
-        chars = 0
-        for i, v in enumerate(vectors):
+        chars, primes = 0, []
+        for i, (p, v) in enumerate(zip(k.ramified_primes, vectors)):
             if mask >> i & 1:
                 chars ^= v
-        return chars in allowed and principal_generator_quad(sub.subset_ideal(mask)) is not None
+                primes.append(p)
+        return chars in allowed \
+            and principal_generator_quad(ramified_product(k, primes)) is not None
 
     book = PrincipalCosets(0, int.__xor__, test)
-    book.add_principal(sum(1 << i for i, p in enumerate(sub.primes) if k.d % p == 0))
+    book.add_principal(sum(1 << i for i, p in enumerate(k.ramified_primes) if k.d % p == 0))
     return book.classes(range(1 << k.s)), book.principal
 
 
@@ -919,7 +933,7 @@ def reference_classes(orc) -> dict:
                 return False
         else:
             bits = 0
-            for c, e, v in zip(orc._characters, orc.exponents, vec):
+            for c, e, v in zip(K.generator_masks[4:], orc.exponents, vec):
                 if 2 * v // e:
                     bits ^= c
             if bits not in K.twist_masks:
@@ -1228,7 +1242,7 @@ def scanned_residue_maps(K) -> tuple[tuple[int, int, tuple[int, int, int]], ...]
 
 
 def euler_character_mask(K, factors, scale: int = 1) -> tuple[int, int]:
-    """K.character_mask with every Legendre symbol by Euler's criterion,
+    """K.character_masks of one item with every Legendre symbol by Euler's criterion,
     each map of K.residue_maps setting its own bit."""
     nonresidue = zero = 0
     for l, bit, omegas in K.residue_maps:

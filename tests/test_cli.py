@@ -228,6 +228,21 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+def test_library_calls_ignore_the_budget_env_var(monkeypatch):
+    # only the command line reads POLYA_ORACLE_BUDGET: with it at 3 units,
+    # or not an integer, a library call with no budget has no limit
+    from polyabiquad import AmbiguousIdealOracle, Budget, biquadratic_field, polya_report
+    from polyabiquad import quadratic_field, verify_biquad, verify_quad
+    for raw in ("3", "abc"):
+        monkeypatch.setenv("POLYA_ORACLE_BUDGET", raw)
+        K = biquadratic_field(11, 14)
+        assert verify_biquad(K, polya_report(K))[0] == "ok"
+        orc = AmbiguousIdealOracle(biquadratic_field(11, 14))
+        assert orc.polya_order_oracle() == polya_report(K).po_k and orc.budget.spent > 3
+        assert verify_quad(quadratic_field(-304250263527210))[0] == "ok"
+        assert Budget().limit > 1 << 62
+
+
 def test_scan_reads_the_budget_only_under_verify(capsys, monkeypatch):
     # like biquad and quad, scan reads --budget and POLYA_ORACLE_BUDGET only
     # when it runs the oracle
@@ -375,11 +390,13 @@ def test_biquad_verifies_a_field_with_nine_ramified_primes(capsys):
 
 
 def test_quad_mismatch_exit_2(capsys, monkeypatch):
+    # like biquad, quad prints the oracle's number beside the formula's
     import polyabiquad.cli as cli_mod
     monkeypatch.setattr(cli_mod, "verify_quad",
-                        lambda k, budget=None: ("mismatch", {}))
-    code, out, _ = run(capsys, "quad", "-5", "--verify")
-    assert code == 2
+                        lambda k, budget=None: ("mismatch", {"po_formula": 2, "po_oracle": 1}))
+    code, out, err = run(capsys, "quad", "-5", "--verify")
+    assert code == 2 and out
+    assert err == "mismatch for -5: po_formula=2 po_oracle=1\n"
 
 
 @pytest.mark.parametrize("d", [51, 123, 187, 287])

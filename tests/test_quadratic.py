@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (QuadElement, elementwise_decide, minpoly_double_root_scan,
-                             quad_ideal_closed_under_multiplication, quad_ideal_conjugate,
-                             quad_ideal_euclid, quad_ideal_from_elements, quad_ideal_multiply,
-                             reference_subfield_classes, subfield_class_representatives,
-                             subset_ideal_chain, two_pass_fundamental_unit)
+from exact_reference import (QuadElement, elementwise_decide, genus_vectors,
+                             minpoly_double_root_scan, quad_ideal_closed_under_multiplication,
+                             quad_ideal_conjugate, quad_ideal_euclid, quad_ideal_from_elements,
+                             quad_ideal_multiply, reference_subfield_classes,
+                             subfield_class_representatives, subset_ideal_chain,
+                             two_pass_fundamental_unit)
+from polyabiquad import quadratic
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cosets import CosetBook, f2_span
-from polyabiquad.errors import DomainError, InconsistencyError, InvalidInputError
+from polyabiquad.errors import Budget, DomainError, InconsistencyError, InvalidInputError
 from polyabiquad.intmath import factorize, squarefree_part
-from polyabiquad.quadratic import (AmbiguousClassesQuad, QuadIdeal, QuadraticField,
-                                   _form_characters, _ideal_form, _minpoly_double_root,
+from polyabiquad.quadratic import (QuadIdeal, QuadraticField, _form_characters, _ideal_form,
+                                   _minpoly_double_root, _subset_ideal, ambiguous_classes,
                                    ambiguous_oracle_quad, omega_norm, polya_order_quad,
                                    prime_above, principal_generator_quad, quadratic_field,
                                    radical_coords)
@@ -201,10 +203,32 @@ def test_oracle_matches_formula_small_sweep():
         assert ambiguous_oracle_quad(k) == polya_order_quad(k), d
 
 
+def cold_book(d: int) -> CosetBook:
+    """The completed book of Q(sqrt(d)), built afresh on a field outside
+    quadratic_field's table, so that no search of an earlier build is read."""
+    return ambiguous_classes(QuadraticField(d), Budget())
+
+
+def open_book(k: QuadraticField, seeded: bool = True) -> CosetBook:
+    """A book of the masks of k that nothing has decided, with the (sqrt(d))
+    seed of ambiguous_classes unless seeded is False: each test searches
+    the mask's product through quadratic.principal_generator_quad, looked
+    up at call time as the library's book does."""
+    book = CosetBook(k.s - 1, 2, lambda mask: quadratic.principal_generator_quad(
+        _subset_ideal(k, mask)) is not None)
+    if seeded:
+        book.add_principal(sum(1 << i for i, p in enumerate(k.ramified_primes) if k.d % p == 0))
+    return book
+
+
+def every_mask(k: QuadraticField) -> list[int]:
+    """A stand-in for quadratic._genus_kernel that leaves every mask to decide."""
+    return [1 << i for i in range(k.s)]
+
+
 def test_oracle_representatives_deterministic():
-    k = quadratic_field(-21)  # s = 3
-    reps1 = subfield_class_representatives(AmbiguousClassesQuad(k))
-    reps2 = subfield_class_representatives(AmbiguousClassesQuad(k))
+    reps1 = subfield_class_representatives(cold_book(-21))  # s = 3
+    reps2 = subfield_class_representatives(cold_book(-21))
     assert reps1 == reps2
     assert reps1[0] == 0  # the principal class is represented by the empty product
 
@@ -213,9 +237,7 @@ def test_class_representatives_list_masks_in_increasing_order():
     # with every mask its own class, the representatives are every mask, in
     # increasing order
     for s in range(1, 13):
-        orc = AmbiguousClassesQuad.__new__(AmbiguousClassesQuad)
-        orc.__dict__["principal"] = CosetBook(s - 1, 2, None)
-        assert subfield_class_representatives(orc) == list(range(2 ** s)), s
+        assert subfield_class_representatives(CosetBook(s - 1, 2, None)) == list(range(2 ** s)), s
 
 
 def test_minpoly_double_root_closed_form_matches_the_scan():
@@ -245,57 +267,47 @@ def test_coset_verdicts_agree_with_a_descent_on_every_subset():
         if d in (0, 1) or squarefree_part(d) != d:
             continue
         k = quadratic_field(d)
-        lex, rev = AmbiguousClassesQuad(k), AmbiguousClassesQuad(k)
-        masks = range(2 ** len(lex.primes))
-        direct = [principal_generator_quad(lex.subset_ideal(m)) is not None
-                  for m in masks]
-        lex.principal  # decides every mask
+        masks = range(2 ** k.s)
+        direct = [principal_generator_quad(_subset_ideal(k, m)) is not None for m in masks]
+        lex, rev = cold_book(d), open_book(k)
         for m in reversed(masks):
-            assert rev._book.is_principal(m) == direct[m], (d, m)
+            assert rev.is_principal(m) == direct[m], (d, m)
         for m in masks:
-            assert lex._book.is_principal(m) == direct[m], (d, m)
+            assert lex.is_principal(m) == direct[m], (d, m)
 
 
-def _count_descents(monkeypatch) -> list:
-    calls = []
-    descend = AmbiguousClassesQuad._descend
+def _count_searches(monkeypatch) -> list:
+    calls, search = [], quadratic.principal_generator_quad
 
-    def recording(book, mask):
-        calls.append(mask)
-        return descend(book, mask)
+    def recording(ideal, budget=None):
+        calls.append(ideal)
+        return search(ideal, budget)
 
-    monkeypatch.setattr(AmbiguousClassesQuad, "_descend", recording)
+    monkeypatch.setattr(quadratic, "principal_generator_quad", recording)
     return calls
 
 
 def test_sqrt_d_is_principal_before_any_descent(monkeypatch):
     # the book starts with the mask of (sqrt(d)), the product of the primes
-    # dividing d, certified by sqrt(d) itself
-    calls = _count_descents(monkeypatch)
+    # dividing d, certified by sqrt(d) itself: with every search answering
+    # "nonprincipal", P is exactly the span of that mask
+    monkeypatch.setattr(quadratic, "principal_generator_quad", lambda ideal, budget=None: None)
     fields = 0
     for d in range(-1000, 1001):
         if d in (0, 1) or squarefree_part(d) != d:
             continue
-        book = AmbiguousClassesQuad(quadratic_field(d))
-        mask = sum(1 << i for i, p in enumerate(book.primes) if d % p == 0)
-        assert book._book.is_principal(mask), d
+        mask = sum(1 << i for i, p in enumerate(quadratic_field(d).ramified_primes) if d % p == 0)
+        assert cold_book(d).basis() == ([mask] if mask else []), d
         fields += 1
-    assert fields == 1215 and calls == []
+    assert fields == 1215
 
 
 def test_a_sqrt_d_that_does_not_generate_the_seeded_ideal_raises(monkeypatch):
     # the seed is certified, not assumed: (sqrt(-5)) is the prime above 5,
     # and sqrt(-5) does not lie in the prime above 2
-    k = quadratic_field(-5)
-    monkeypatch.setattr(AmbiguousClassesQuad, "subset_ideal", lambda book, mask: prime_above(k, 2))
+    monkeypatch.setattr(quadratic, "_subset_ideal", lambda k, mask: prime_above(k, 2))
     with pytest.raises(InconsistencyError):
-        AmbiguousClassesQuad(k)
-
-
-def unseeded(book: AmbiguousClassesQuad) -> AmbiguousClassesQuad:
-    """book with its coset book emptied of the (sqrt(d)) seed."""
-    book._book = CosetBook(book.k.s - 1, 2, book._descend)
-    return book
+        cold_book(-5)
 
 
 def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
@@ -306,58 +318,54 @@ def test_the_sqrt_d_seed_halves_the_descents_of_a_large_subfield(monkeypatch):
     # last descent of 8,191.  The genus kernel has order 4
     # and holds one nonprincipal coset of P: the seeded book descends once,
     # on it, and a book without the seed three times
-    calls = _count_descents(monkeypatch)
-    k = quadratic_field(-304250263527210)
+    calls = _count_searches(monkeypatch)
+    d = -304250263527210
+    k = quadratic_field(d)
     assert k.s == 13
     counts = []
-    for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
-        book._genus_kernel = lambda s=k.s: [1 << i for i in range(s)]
-        assert len(subfield_class_representatives(book)) == polya_order_quad(k) == 4096
+    for kernel in (every_mask, quadratic._genus_kernel):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadratic, "_genus_kernel", kernel)
+            assert len(subfield_class_representatives(cold_book(d))) == polya_order_quad(k) == 4096
         counts.append(len(calls))
         calls.clear()
-    assert counts == [4095, 8191]
-    for book in (AmbiguousClassesQuad(k), unseeded(AmbiguousClassesQuad(k))):
-        assert len(subfield_class_representatives(book)) == 4096
+        unseeded = open_book(k, seeded=False)
+        unseeded.decide(kernel(k))
+        assert len(subfield_class_representatives(unseeded)) == 4096
         counts.append(len(calls))
         calls.clear()
-    assert counts[2:] == [1, 3]
+    assert counts == [4095, 8191, 1, 3]
 
 
 def test_the_genus_sieve_leaves_one_search_in_a_large_subfield(monkeypatch):
     # of the 4,095 descents above, genus characters prove all but one
     # nonprincipal, so the book runs one form search where it ran 4,095
-    import polyabiquad.quadratic as quadratic
-    searched, search = [], quadratic.principal_generator_quad
-
-    def recording(ideal, budget=None):
-        searched.append(ideal)
-        return search(ideal, budget)
-
-    monkeypatch.setattr(quadratic, "principal_generator_quad", recording)
+    searched = _count_searches(monkeypatch)
     assert ambiguous_oracle_quad(quadratic_field(-304250263527210)) == 4096
     assert len(searched) <= 1
 
 
-def test_genus_sieve_agrees_with_the_search_on_every_mask():
-    # on every mask of every squarefree |d| <= 1000: the XOR of the prime
-    # vectors is the character vector read off the mask's own form, a
-    # principal mask has the characters of +1 or -1, the span of the
-    # eliminated kernel holds exactly the masks with those characters, and
-    # the book's verdicts are those of a book with no sieve
+def test_genus_sieve_agrees_with_the_search_on_every_mask(monkeypatch):
+    # on every mask of every squarefree |d| <= 1000: the XOR of the vectors
+    # of the primes' own forms is the character vector read off the mask's
+    # form, a principal mask has the characters of +1 or -1 (by Euler's
+    # criterion), the span of the eliminated kernel holds exactly the masks
+    # with those characters, and the book's verdicts are those of a book
+    # with no sieve
     masks = 0
     for d in range(-1000, 1001):
         if d in (0, 1) or squarefree_part(d) != d:
             continue
         k = quadratic_field(d)
-        book, plain = AmbiguousClassesQuad(k), AmbiguousClassesQuad(k)
-        plain._genus_kernel = lambda s=k.s: [1 << i for i in range(s)]  # every mask
-        vectors, allowed = book._genus_table()
+        book = ambiguous_classes(k, Budget())
+        with monkeypatch.context() as patch:
+            patch.setattr(quadratic, "_genus_kernel", every_mask)
+            plain = cold_book(d)
+        vectors, allowed = genus_vectors(k)
         odd = [q for q in k.ramified_primes if q != 2]
-        span = {0}
-        for x in book._genus_kernel():
-            span |= {y ^ x for y in span}
+        span = set(f2_span(quadratic._genus_kernel(k)))
         for mask in range(2 ** k.s):
-            ideal = book.subset_ideal(mask)
+            ideal = _subset_ideal(k, mask)
             chars = functools.reduce(xor, (v for i, v in enumerate(vectors) if mask >> i & 1), 0)
             assert chars == _form_characters(_ideal_form(k, ideal.a, ideal.b), odd), (d, mask)
             principal = principal_generator_quad(ideal) is not None
@@ -365,8 +373,8 @@ def test_genus_sieve_agrees_with_the_search_on_every_mask():
             assert (mask in span) == (chars in allowed), (d, mask)
             masks += 1
         assert subfield_class_representatives(book) == subfield_class_representatives(plain), d
-        assert [book.principal.reduce(x) for x in range(2 ** k.s)] \
-            == [plain.principal.reduce(x) for x in range(2 ** k.s)], d
+        assert [book.reduce(x) for x in range(2 ** k.s)] \
+            == [plain.reduce(x) for x in range(2 ** k.s)], d
     assert masks == 7096
 
 
@@ -379,12 +387,11 @@ def test_subfield_books_match_the_set_based_reference():
         if d in (0, 1) or squarefree_part(d) != d:
             continue
         k = quadratic_field(d)
-        book = AmbiguousClassesQuad(k)
+        book = ambiguous_classes(k, Budget())
         reps, principal = reference_subfield_classes(k)
         assert subfield_class_representatives(book) == reps, d
-        assert {m for m in range(2 ** k.s)
-                if not book.principal.reduce(m)} == principal, d
-        assert book.principal.order == len(principal), d
+        assert {m for m in range(2 ** k.s) if not book.reduce(m)} == principal, d
+        assert book.order == len(principal), d
         # the oracle counts the classes as 2**s / |P|, listing none
         assert ambiguous_oracle_quad(k) == len(reps), d
         fields += 1
@@ -578,8 +585,7 @@ def test_closed_form_products_match_the_multiplication_chain():
         if d in (0, 1) or squarefree_part(d) != d:
             continue
         k = quadratic_field(d)
-        classes = AmbiguousClassesQuad(k)
         for mask in range(2 ** k.s):
-            assert classes.subset_ideal(mask) == subset_ideal_chain(k, mask), (d, mask)
+            assert _subset_ideal(k, mask) == subset_ideal_chain(k, mask), (d, mask)
             pairs += 1
     assert pairs == 7096

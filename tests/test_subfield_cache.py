@@ -120,18 +120,18 @@ def test_the_formula_route_reads_no_cached_book(capsys):
 
 
 def test_each_cached_attribute_is_computed_once_and_stored_under_its_name(monkeypatch):
-    # every lazily computed attribute of a field, a subfield, a subfield
-    # book and an oracle is computed on its first read, once, and stored in
-    # the instance __dict__ under its own name, where later reads find it;
-    # the first read of any basis table still writes and installs all four
-    # through BiquadField.__getattr__, once
+    # every lazily computed attribute of a field, a subfield and an oracle
+    # is computed on its first read, once, and stored in the instance
+    # __dict__ under its own name, where later reads find it; the first read
+    # of any basis table still writes and installs all four through
+    # BiquadField.__getattr__, once
     from collections import Counter
     from polyabiquad.biquadratic import _BASIS_TABLES, BiquadField
     from polyabiquad.lazy import cached_attribute
-    from polyabiquad.quadratic import AmbiguousClassesQuad, QuadraticField
+    from polyabiquad.quadratic import QuadraticField
     computed = Counter()
     names = {}
-    for cls in (BiquadField, QuadraticField, AmbiguousClassesQuad, AmbiguousIdealOracle):
+    for cls in (BiquadField, QuadraticField, AmbiguousIdealOracle):
         names[cls] = [name for name, attr in vars(cls).items()
                       if isinstance(attr, cached_attribute)]
         for name in names[cls]:
@@ -143,7 +143,7 @@ def test_each_cached_attribute_is_computed_once_and_stored_under_its_name(monkey
                 return func(obj)
 
             monkeypatch.setattr(attr, "func", counting)
-    assert sum(map(len, names.values())) == 20
+    assert sum(map(len, names.values())) == 18
     written, integral_basis = [], BiquadField._integral_basis
     monkeypatch.setattr(BiquadField, "_integral_basis",
                         lambda K: written.append(K.d) or integral_basis(K))
@@ -156,7 +156,6 @@ def test_each_cached_attribute_is_computed_once_and_stored_under_its_name(monkey
     orc.kernel_order_oracle()
     objects = [(K, BiquadField), (orc, AmbiguousIdealOracle)]
     objects += [(k, QuadraticField) for k in K.subfields]
-    objects += [(sub, AmbiguousClassesQuad) for sub in orc._subfield_books]
     for obj, cls in objects:
         for name in names[cls]:
             value = getattr(obj, name)
