@@ -4,7 +4,8 @@ A field is keyed by the canonical ascending triple (d1, d2, d3) of squarefree
 integers, d3 = d1*d2/gcd(d1, d2)^2, so any generating pair of the same field
 produces the same object.  sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z) with
 m_xy = +-gcd(d_x, d_y), negative exactly when d_x, d_y < 0 (the principal
-branch), and the construction checks d_x*d_y = m_xy^2*d_z.
+branch); the construction checks d_x*d_y = m_xy^2*d_z and keeps the three
+as cofactors = (m23, m13, m12), entry l - 1 for the pair that leaves out d_l.
 
 Every element the program builds is an algebraic integer, so an element is a
 vector of integer coordinates over the integral basis (H. Cohen, A Course in
@@ -47,10 +48,9 @@ quadratic subfields each prime ramifies in (see _ramification_profile).
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from types import SimpleNamespace
 
-from .cosets import f2_span
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
 from .lazy import cached_attribute
 from .quadratic import (_SIEVE_PRIMES, _SQUARE_ROOTS, MINUS_ONE_MASK, quadratic_field,
@@ -130,13 +130,14 @@ class BiquadField:
         self.subfields = tuple(sorted((k1, k2, k3), key=lambda k: k.d))
         self.d: tuple[int, int, int] = tuple(k.d for k in self.subfields)
         self.is_real = all(x > 0 for x in self.d)
-        self.mul_table = self._build_mul_table()
-        # the product of two d_i is the third times a square, so an imaginary
-        # field has two negative d_i and its one real subfield sorts last
-        self.real_radical_index = None if self.is_real else 3
-        self.disc = 1
-        for k in self.subfields:
-            self.disc *= k.delta
+        cofactors = []  # entry l holds m_xy for the pair {x, y} that leaves out d_l
+        for l, dl in enumerate(self.d):
+            dx, dy = (x for i, x in enumerate(self.d) if i != l)
+            m = -gcd(dx, dy) if dx < 0 and dy < 0 else gcd(dx, dy)
+            if dx * dy != m * m * dl:
+                raise InconsistencyError(f"{self.d} is not multiplicatively closed")
+            cofactors.append(m)
+        self.cofactors: tuple[int, int, int] = tuple(cofactors)
         self.profile = self._ramification_profile()
 
     def __getattr__(self, name):
@@ -148,19 +149,6 @@ class BiquadField:
         return self.__dict__[name]
 
     # -- construction helpers; the basis is written on its first read ------
-
-    def _build_mul_table(self):
-        """sqrt(d_i)*sqrt(d_j) = m_ij*sqrt(d_l) as {(i, j): (l, m_ij)}, with
-        |m_ij| = gcd(d_i, d_j) and m_ij < 0 exactly when d_i, d_j < 0."""
-        table = {}
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            l = 6 - i - j
-            di, dj, dl = self.d[i - 1], self.d[j - 1], self.d[l - 1]
-            m = -gcd(di, dj) if di < 0 and dj < 0 else gcd(di, dj)
-            if di * dj != m * m * dl:
-                raise InconsistencyError(f"{self.d} is not multiplicatively closed")
-            table[(i, j)] = table[(j, i)] = (l, m)
-        return table
 
     def from_quad(self, i: int, el: tuple[int, int]) -> list[int]:
         """Basis coordinates of the integer u + v*omega_i, el = (u, v), of the
@@ -177,7 +165,6 @@ class BiquadField:
         is the cofactor in sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z); every entry
         is written down from the d_i and m_xy."""
         d = self.d
-        table = self.mul_table
 
         def exact(n: int, q: int) -> int:
             x, r = divmod(n, q)
@@ -189,7 +176,7 @@ class BiquadField:
         res = [x % 4 for x in d]
         if res == [1, 1, 1]:
             d1, d2, d3 = d
-            m12, m13, m23 = table[(1, 2)][1], table[(1, 3)][1], table[(2, 3)][1]
+            m23, m13, m12 = self.cofactors
             # e1 = (sqrt(d1) + sqrt(d3))/2, e2 = (sqrt(d2) + sqrt(d3))/2 and
             # e3 = (1 + sqrt(d1))(1 + sqrt(d2))/4 - (m12 // 4)*sqrt(d3)
             #    = (1 + sqrt(d1) + sqrt(d2) + c*sqrt(d3))/4 with c = m12 mod 4,
@@ -232,7 +219,7 @@ class BiquadField:
             return x
 
         da, db, dc = d[a - 1], d[b - 1], d[c - 1]
-        mab, mac, mbc = table[(a, b)][1], table[(a, c)][1], table[(b, c)][1]
+        mab, mac, mbc = self.cofactors[c - 1], self.cofactors[b - 1], self.cofactors[a - 1]
         h = 1 if res[a - 1] == 1 else 0
         q = 1 + h
         rows = at([4, 0, 0, 0], at(2 * h, 4 // q, 0, 0), at(0, 0, 2, 2), at(0, 0, 0, 4))
@@ -273,10 +260,10 @@ class BiquadField:
         det = 4 * (a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1)
                    + a3 * (b1 * c2 - b2 * c1))
         d1, d2, d3 = self.d
-        if det * det * d1 * d2 * d3 != 256 * self.disc:
+        disc = prod(k.delta for k in self.subfields)
+        if det * det * d1 * d2 * d3 != 256 * disc:
             raise InconsistencyError(
-                f"lattice discriminant {det * det * d1 * d2 * d3}/256 "
-                f"!= {self.disc} for {self.d}")
+                f"lattice discriminant {det * det * d1 * d2 * d3}/256 != {disc} for {self.d}")
         # the one map from radicals to the basis must invert the rows; it
         # sends the first row, 4, to 1 whatever the omega rows are
         for r, unit in zip(rows[1:], _IDENTITY[1:]):
@@ -429,7 +416,7 @@ class BiquadField:
     def _maps(self, roots) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
         """The maps of residue_maps for roots (l, bit, s1, s2), with each
         s_i^2 = d_i certified."""
-        d, m12 = self.d, self.mul_table[(1, 2)][1]
+        d, m12 = self.d, self.cofactors[2]
         # the image of omega_i = (1 + sqrt(d_i))/2 when d_i = 1 mod 4, else
         # of sqrt(d_i)
         halved = [i for i in range(3) if d[i] % 4 == 1]
@@ -484,7 +471,7 @@ class BiquadField:
         split = self.split_mask
         t3 = k3.twist_mask
         if k3.lam == -1:
-            d, m12 = self.d, self.mul_table[(1, 2)][1]
+            d, m12 = self.d, self.cofactors[2]
             for bit, l in sieve_bits(split & MINUS_ONE_MASK):
                 table = _SQUARE_ROOTS[l]
                 if (table[d[0] % l] * table[d[1] % l] - m12 * table[d[2] % l]) % l:
@@ -509,15 +496,6 @@ class BiquadField:
             raise InconsistencyError(f"a residue map of {self.d} sends a ramified prime to 0")
         return tuple(masks)
 
-    @cached_attribute
-    def twist_masks(self) -> frozenset[int]:
-        """The character masks of the entries of unit_twists, without forming
-        them or any residue map below 300: the XOR combinations of the
-        masks of -1 and of the three subfield twist generators in
-        generator_masks, each map at its own bit, as a unit is never 0 mod
-        a prime and the characters are multiplicative."""
-        return frozenset(f2_span(self.generator_masks[:4]))
-
     @property
     def twist_count(self) -> int:
         """The number of entries of unit_twists: 16 for real K; for imaginary
@@ -534,10 +512,9 @@ class BiquadField:
         the XOR of the masks of -1 and of the subfield generators, so the
         masks cost no big-integer product.  The twists cover each
         subfield's units modulo squares, so the descent in
-        lattice.principal_ideal_generator tries g*u for each u; it forms
-        this table only when some candidate's mask lies in twist_masks.
-        There must be twist_count entries, or InconsistencyError is
-        raised."""
+        lattice.principal_ideal_generator tries g*u for each u, and the
+        first descent in K forms this table.  There must be twist_count
+        entries, or InconsistencyError is raised."""
         minus = self.generator_masks[0]
         table = [(_IDENTITY[0], 0)]
         for i, k in enumerate(self.subfields):

@@ -41,10 +41,13 @@ usage: polyabiquad quad D [--verify] [--json|--csv|--text] [--budget N]
 _BUDGET_VAR = "POLYA_ORACLE_BUDGET"
 
 
-def _budget_units(args) -> int:
-    """The oracle's budget per field: --budget, else POLYA_ORACLE_BUDGET,
-    else 50,000,000 units.  Only the command line reads the variable: a
+def _budget_units(args) -> int | None:
+    """The oracle's budget per field under --verify: --budget, else
+    POLYA_ORACLE_BUDGET, else 50,000,000 units; None without --verify,
+    which reads neither.  Only the command line reads the variable: a
     library Budget() has no limit."""
+    if not args.verify:
+        return None
     if args.budget is not None:
         if args.budget <= 0:
             raise InvalidInputError("--budget must be positive")
@@ -65,7 +68,7 @@ def _mismatch_note(K, details: dict) -> str:
 
 
 def _cmd_quad(args) -> int:
-    units = _budget_units(args) if args.verify else None
+    units = _budget_units(args)
     k = quadratic_field(args.d)
     status = "unchecked"
     if args.verify:
@@ -87,7 +90,7 @@ def _verified(K, rec, units: int):
 
 
 def _cmd_biquad(args) -> int:
-    units = _budget_units(args) if args.verify else None
+    units = _budget_units(args)
     K = biquadratic_field(args.d1, args.d2)
     rec, note = polya_report(K), None
     if args.verify:
@@ -139,12 +142,13 @@ def _cmd_scan(args) -> int:
         raise InvalidInputError("--real-only and --imag-only are exclusive")
     if args.jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
-    units = _budget_units(args) if args.verify else None
+    units = _budget_units(args)
     tasks = [(a, b, args.verify, units)
              for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
     # FILE is created before the first field, so an unwritable one costs no scan
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        workers = min(args.jobs, len(tasks))
+        # pool.map keeps the order; more workers than CPUs would only add processes
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             import multiprocessing  # only here: it costs more to import than a request
             with multiprocessing.Pool(workers) as pool:

@@ -40,16 +40,15 @@ of them is a non-residue is not a square in K.  That is a proof, not a
 heuristic.  A character mask has one bit per map, the map's own: bit t for
 the t-th odd prime below 300 (quadratic._SIEVE_PRIMES), the layout of the
 subfields' sieve masks, and the bits after those for the maps past 300.
-Each twist u carries the mask of its characters, and
-BiquadField.twist_masks gives the set of those masks without forming a
-twist.  The characters of g / n are those of n * tau_1 tau_2 tau_3, read
-off the subfield generators mod l, so a refuted candidate costs no
-big-integer product.  A map that sends n * g to 0 refutes nothing.  A
-descent whose mask matches no twist mask returns None before it forms the
-twist table; each surviving candidate is settled by the exact square-root
-test, and g is formed once, at the first of them.  So every twist is either
-refuted by a ring map or settled by the root, and "nonprincipal" stays a
-completed finite computation; the principal direction is complete too.
+Each twist u carries the mask of its characters, the XOR of the masks of
+-1 and of the subfield twist generators.  The characters of g / n are
+those of n * tau_1 tau_2 tau_3, read off the subfield generators mod l, so
+a refuted candidate costs no big-integer product.  A map that sends n * g
+to 0 refutes nothing.  Each surviving candidate is settled by the exact
+square-root test, and g is formed once, at the first of them.  So every
+twist is either refuted by a ring map or settled by the root, and
+"nonprincipal" stays a completed finite computation; the principal
+direction is complete too.
 g / n is integral, as b_1 b_2 b_3 = N(a) * a^2, so an n that does not
 divide every coordinate of g means inconsistent generators and raises
 InconsistencyError.
@@ -68,12 +67,12 @@ bits of the field's maps, and builds no map; only a descent builds
 residue_maps.  The even vectors form (Z/2)^s_K and their bits are the XOR
 of the bits of the primes of r, a linear map to F_2 at the bits of the
 maps, so the vectors whose bits match some twist mask form a subgroup T,
-the preimage of the subgroup K.twist_masks, found by one elimination over
-F_2.  T holds the even vectors of P, and on every field of bound 60 that
-reads the table nothing else.  A vector outside T has no square
-candidate and is nonprincipal without a descent; each coset of P that the
-table settles is charged the budget units its descent would have
-charged, one per twist.  That is the per-candidate sieve read from a
+the preimage of the span of the masks of -1 and of the three twist
+generators, found by one elimination over F_2.  T holds the even vectors
+of P, and on every field of bound 60 that reads the table nothing else.
+A vector outside T has no square candidate and is nonprincipal without a
+descent; each coset of P that the table settles is charged the budget
+units its descent would have charged, one per twist.  That is the per-candidate sieve read from a
 table, so the verdict is the same completed finite computation, made once
 for the whole coset.  Only T and the odd vectors are left to descents,
 and of T one vector per coset of P (cosets.CosetBook.decide).
@@ -268,16 +267,13 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
     character under some map of K.residue_maps is -1: the character of
     g / n, which is that of n * g and is taken on the subfield generators,
     times that of u, which is a bit of u's mask.  A map that sends n * g to
-    0 (l | n, or g in the prime above l) rejects nothing.  When the mask of
-    g / n matches no mask of K.twist_masks every candidate is rejected, and
-    the descent charges K.twist_count units and returns None before it
-    touches the twist table.  A ring map sends squares to squares, so a
-    rejected candidate is not a square in K, and every other one is settled
-    by the exact square root: "nonprincipal" stays a completed finite
-    search.  g is formed only at the first candidate that survives.  g / n
-    must be integral, as b_1 b_2 b_3 = N(a) * a^2; otherwise the generators
-    are inconsistent and InconsistencyError is raised (see the module
-    docstring)."""
+    0 (l | n, or g in the prime above l) rejects nothing.  A ring map sends
+    squares to squares, so a rejected candidate is not a square in K, and
+    every other one is settled by the exact square root: "nonprincipal"
+    stays a completed finite search.  g is formed only at the first
+    candidate that survives.  g / n must be integral, as
+    b_1 b_2 b_3 = N(a) * a^2; otherwise the generators are inconsistent and
+    InconsistencyError is raised (see the module docstring)."""
     if budget is None:
         budget = Budget()
     for k, gi in zip(K.subfields, gens):
@@ -287,9 +283,6 @@ def principal_ideal_generator(K: BiquadField, n: int, gens, contains,
                 f"the relative norm generator of Q(sqrt({k.d})) with {bit_lengths(gi)}-bit "
                 f"coordinates has a norm of {norm.bit_length()} bits, expected +-{n}")
     nonresidue, zero = K.character_masks([(list(enumerate(gens)), n)])[0]
-    if all((m ^ nonresidue) & ~zero for m in K.twist_masks):
-        budget.charge(K.twist_count)
-        return None  # every g*u / n is a non-residue under some ring map
     h = None  # g / n
     for u, mask in K.unit_twists:
         budget.charge()
@@ -378,10 +371,10 @@ class AmbiguousIdealOracle:
     def _book(self) -> CosetBook:
         """The book with every vector decided, and so complete.  P is
         seeded with the extension of a basis of each subfield's principal
-        subgroup.  An even vector whose character bits lie outside
-        K.twist_masks is nonprincipal by the table; the book decides only
-        T, the even vectors whose bits lie inside, one vector per coset of
-        P, and only when the seed leaves even vectors undecided.  The
+        subgroup.  An even vector whose character bits match no twist mask
+        is nonprincipal by the table; the book decides only T, the even
+        vectors whose bits match one, one vector per coset of P, and only
+        when the seed leaves even vectors undecided.  The
         cosets the table settles are charged K.twist_count units each, as
         their descents would be.  Then the odd vectors, when e_2 = 4: none
         is principal when some gamma_i is None, as its relative norms are
@@ -455,12 +448,12 @@ class AmbiguousIdealOracle:
 
     @cached_attribute
     def _table_kernel(self) -> list[int]:
-        """A basis of T, the even vectors whose character bits lie in
-        K.twist_masks, by elimination over F_2: the packed image
-        (e_p/2)*u_p of each ramified p, read off _prime_images, against its
-        bits, modulo K.twist_masks, the span of the masks of -1 and of the
-        three twist generators, the first four of K.generator_masks.  Each
-        bit is that of one map, the bit of its prime l (see the module
+        """A basis of T, the even vectors whose character bits match some
+        twist mask, by elimination over F_2: the packed image (e_p/2)*u_p
+        of each ramified p, read off _prime_images, against its bits,
+        modulo the span of the twist masks, that of the masks of -1 and of
+        the three twist generators, the first four of K.generator_masks.
+        Each bit is that of one map, the bit of its prime l (see the module
         docstring).  A vector with even v_2 has the
         relative-norm generators (r, 0), so its candidates are r*u for the
         twists u of K, and the characters of r*u are the XOR of the bits of

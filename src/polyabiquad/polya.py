@@ -76,13 +76,6 @@ def kernel_order(K: BiquadField) -> int:
     return prof.product_e // den
 
 
-def _polya_order(K: BiquadField, j2: int) -> int:
-    """|Po(K)| by the closed formula; OutputRecord checks it against the
-    kernel / cokernel decomposition."""
-    return _times_power_of_two(K.units.q_k, K.profile.s_k + j2 - 2 - _drop(K),
-                               f"the Polya order formula for {K.d}")
-
-
 def _chain_indices(K: BiquadField, ker: int, po_sub_prod: int) -> tuple[int, int, int, int]:
     """Indices ((H3:H0), (H2:H1), (H1:H0), (H3:H2)) of the subgroup chain
     between extended rational principal ideals H0 and ambiguous products H3,
@@ -123,12 +116,16 @@ def polya_report(K: BiquadField) -> OutputRecord:
     ker = kernel_order(K)
     po1, po2, po3 = (polya_order_quad(k) for k in K.subfields)
     h30, h21, h10, h32 = _chain_indices(K, ker, po1 * po2 * po3)
+    # |Po(K)| by the closed formula; OutputRecord checks it against the
+    # kernel / cokernel decomposition
+    po_k = _times_power_of_two(us.q_k, prof.s_k + j2 - 2 - _drop(K),
+                               f"the Polya order formula for {K.d}")
     return OutputRecord(
         d1=k1.d, d2=k2.d, d3=k3.d, delta1=k1.delta, delta2=k2.delta, delta3=k3.delta,
         s1=k1.s, s2=k2.s, s3=k3.s, s_k=prof.s_k, i2=prof.i2, e2=prof.e2, j2=j2,
         q_k=us.q_k, mu_order=us.mu_order,
         lambda1=us.lam[0], lambda2=us.lam[1], lambda3=us.lam[2], nu_k=us.nu_k,
-        po1=po1, po2=po2, po3=po3, ker=ker, coker=2 ** j2, po_k=_polya_order(K, j2),
+        po1=po1, po2=po2, po3=po3, ker=ker, coker=2 ** j2, po_k=po_k,
         h3_h0=h30, h2_h1=h21, h1_h0=h10, h3_h2=h32, verify_status="unchecked")
 
 

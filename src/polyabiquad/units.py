@@ -203,7 +203,7 @@ def integral_square_root(K: BiquadField, eta) -> tuple[int, ...] | None:
     x^2 - eta), so a root without integer basis coordinates raises.
     """
     d1, d2 = K.d[0], K.d[1]
-    m = K.mul_table[(1, 2)][1]
+    m = K.cofactors[2]
     c0, c1, c2, c3 = (sum(map(mul, eta, col)) for col in K.basis_columns)
     f = 4 * m * m
     root = _relative_sqrt(f * c0, f * c1, f * c2, 4 * m * c3, d1, d2)
@@ -280,7 +280,7 @@ def _all_minus_root(K: BiquadField) -> tuple[int, ...] | None:
     (x1, y1), (x2, y2), (x3, y3) = halves
     d1, d2 = K.d[0], K.d[1]
     # sqrt(d2)*sqrt(d3) = m*sqrt(d1), so 2*(2 + Tr_{K/k1} eps2*eps3) = p + q*sqrt(d1)
-    p, q = 4 + x2 * x3, K.mul_table[(2, 3)][1] * y2 * y3
+    p, q = 4 + x2 * x3, K.cofactors[0] * y2 * y3
     bx, by = x1 * p + d1 * y1 * q, x1 * q + y1 * p  # 4*beta
     for f in (1, d2):
         g = _k1_sqrt(f * bx, f * by, d1)
@@ -405,17 +405,13 @@ def _imaginary_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, ...
     return w, *k, c1, c2
 
 
-def _imaginary_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    w, k1, k2, c1, c2 = _imaginary_cocycle_data(K, us)
-    lifts = _cocycle_count(w, k1, k2, c1, c2) > 0
-    return _h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
-
-
 def unit_cohomology_order(K: BiquadField) -> int:
     """|H^1(G, O_K^x)|, from the unit structure alone (module docstring)."""
     if K.is_real:
         return _real_h1_order(K, K.units)
-    return _imaginary_h1_order(K, K.units)
+    w, k1, k2, c1, c2 = _imaginary_cocycle_data(K, K.units)
+    lifts = _cocycle_count(w, k1, k2, c1, c2) > 0
+    return _h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
 
 
 # each nonempty subset of the three subfield units: its exponent triple
@@ -454,8 +450,9 @@ def unit_structure(K: BiquadField) -> UnitStructure:
         q_range = (1, 2, 4)
     else:
         w, c, n, rho = _torsion_generator(K)
-        r = K.real_radical_index - 1
-        k = K.subfields[r]
+        # the product of two d_i is the third times a square, so an imaginary
+        # field has two negative d_i and its one real subfield, k_r, sorts last
+        k = K.subfields[2]
         # (a, b) stands for zeta**a * eps_r**b, a square exactly when its
         # rational c**a * (Tr eps_r + 2)**b is; with N(eps_r) = -1 neither
         # eps_r nor zeta*eps_r is a square, and eps_r never is
@@ -470,7 +467,7 @@ def unit_structure(K: BiquadField) -> UnitStructure:
             radical_index[key] = witness[0]
             factors = [_torsion_elements(K, c, n, rho)]  # (x, eta) pairs
             if key[1]:
-                eps_r = K.from_quad(r, k.fundamental_unit)
+                eps_r = K.from_quad(2, k.fundamental_unit)
                 factors.append(([eps_r[0] + 1, *eps_r[1:]], eps_r))
             x_factors, eta_factors = zip(*factors)
             roots[key] = _witness_root(K, witness, x_factors, n, eta_factors)

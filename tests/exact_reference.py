@@ -523,7 +523,7 @@ def integral_square_root_fraction(K, eta) -> tuple[int, ...] | None:
     """The earlier square root: the same denesting over k1 on the Fraction
     radical coordinates of eta, with no common scale."""
     d1, d2 = K.d[0], K.d[1]
-    m = K.mul_table[(1, 2)][1]
+    m = K.cofactors[2]
     c0, c1, c2, c3 = (Fraction(sum(map(mul, eta, col)), 4) for col in zip(*K.basis_rows))
     root = _relative_sqrt((c0, c1), (c2, c3 / m), d1, d2)
     if root is None:
@@ -914,6 +914,16 @@ def reference_subfield_classes(k) -> tuple[list[int], set[int]]:
     return book.classes(range(1 << k.s)), book.principal
 
 
+def twist_mask_span(K) -> set[int]:
+    """The character masks of K.unit_twists without forming a twist: the
+    XOR combinations of the masks of -1 and of the three subfield twist
+    generators, the first four of K.generator_masks."""
+    span = {0}
+    for mask in K.generator_masks[:4]:
+        span |= {x ^ mask for x in span}
+    return span
+
+
 def reference_classes(orc) -> dict:
     """The ambiguous classes of the field of the oracle orc by
     PrincipalCosets, for an oracle that has made no verdict: its class
@@ -925,6 +935,7 @@ def reference_classes(orc) -> dict:
     are r*P_2; every other vector is decided by the oracle's descent."""
     K = orc.K
     subs = [reference_subfield_classes(k) for k in K.subfields]
+    twists = twist_mask_span(K)
 
     def test(x):
         vec = orc.unpack(x)
@@ -936,7 +947,7 @@ def reference_classes(orc) -> dict:
             for c, e, v in zip(K.generator_masks[4:], orc.exponents, vec):
                 if 2 * v // e:
                     bits ^= c
-            if bits not in K.twist_masks:
+            if bits not in twists:
                 return False
         return orc._descend(vec)
 
@@ -1052,7 +1063,8 @@ def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
     (g4, o4), (g6, o6) = sorted(gens, key=lambda t: t[1])
     if (o4, o6) != (4, 6):
         raise InconsistencyError(f"subfield roots of unity of orders {o4}, {o6} in {K.d}")
-    z12 = K.mul_basis_coords(g4, K.sigma(g6, K.real_radical_index))
+    # the real subfield sorts last, so that element is sigma_3
+    z12 = K.mul_basis_coords(g4, K.sigma(g6, 3))
     z2 = K.mul_basis_coords(z12, z12)
     z6 = K.mul_basis_coords(z2, K.mul_basis_coords(z2, z2))
     if z6 != [-1, 0, 0, 0] or z2 == [-1, 0, 0, 0]:
@@ -1082,8 +1094,7 @@ def denesting_unit_structure(K: BiquadField) -> UnitStructure:
         q_range = (1, 2, 4)
     else:
         zeta, zorder = _torsion_generator(K)
-        r = K.real_radical_index - 1
-        eps_r = K.from_quad(r, K.subfields[r].fundamental_unit)
+        eps_r = K.from_quad(2, K.subfields[2].fundamental_unit)  # the real subfield
         candidates = {(1, 0): zeta, (0, 1): eps_r, (1, 1): K.mul_basis_coords(zeta, eps_r)}
         for key, eta in candidates.items():
             xi = integral_square_root(K, eta)
@@ -1122,8 +1133,7 @@ def relative_norm_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, 
     of eta, each read off as a power of zeta."""
     _, c, n, rho = units._torsion_generator(K)
     zeta = units._torsion_elements(K, c, n, rho)[1]
-    r = K.real_radical_index - 1
-    eta = K.from_quad(r, K.subfields[r].fundamental_unit)
+    eta = K.from_quad(2, K.subfields[2].fundamental_unit)  # the real subfield
     for key, xi in us.square_class_roots.items():
         if key == (1, 0):
             zeta = xi
@@ -1213,7 +1223,7 @@ def scanned_residue_maps(K) -> tuple[tuple[int, int, tuple[int, int, int]], ...]
     max(8, s_K + 4) maps, s_K the number of primes that ramify in some
     subfield: the t-th odd prime has bit t, and the j-th map past 300 bit
     61 + j."""
-    d, m12 = K.d, K.mul_table[(1, 2)][1]
+    d, m12 = K.d, K.cofactors[2]
     target = max(8, len({p for k in K.subfields for p in k.ramified_primes}) + 4)
     roots = []  # (l, bit, s1, s2)
     for t, (l, table) in enumerate(_SCANNED_SQUARE_ROOTS):

@@ -32,10 +32,10 @@ def brute_principal_imaginary(lat) -> bool:
     K = lat.field
     assert not K.is_real
     n = lat.norm
-    r = K.real_radical_index
-    eps = QuadElement.from_omega(K.d[r - 1], *K.subfields[r - 1].fundamental_unit)
+    # the one real subfield sorts last
+    eps = QuadElement.from_omega(K.d[2], *K.subfields[2].fundamental_unit)
     eps_upper = (Fraction(eps.x, eps.den)
-                 + Fraction(eps.y, eps.den) * _sqrt_upper(Fraction(K.d[r - 1])))
+                 + Fraction(eps.y, eps.den) * _sqrt_upper(Fraction(K.d[2])))
     # |sigma(alpha)| <= B with B^2 = 1.1 * eps * sqrt(n)
     b_sq = Fraction(11, 10) * eps_upper * _sqrt_upper(Fraction(n))
     bound0 = _sqrt_upper(b_sq)
@@ -49,7 +49,7 @@ def brute_principal_imaginary(lat) -> bool:
     #   256*N(alpha) = A^2 - d1*B^2,
     #   A = q0^2 + d1 q1^2 - d2 q2^2 - d3 q3^2,  B = 2 q0 q1 - 2 s f q2 q3.
     d1, d2, d3 = K.d
-    _, sf = K.mul_table[(2, 3)]
+    sf = K.cofactors[0]
     target = 256 * n
     for q0, q1, q2, q3 in itertools.product(*ranges):
         a = q0 * q0 + d1 * q1 * q1 - d2 * q2 * q2 - d3 * q3 * q3

@@ -308,10 +308,11 @@ def test_scan_budget_exceeded_rows_exit_3(capsys):
     # the largest spend on a field of bound 3 is 11 units, on Q(sqrt(2), sqrt(3))
     code, out, err = run(capsys, "scan", "--bound", "3", "--verify",
                          "--budget", "10")
-    assert code == 3
-    if out:
-        recs = parse_records(out, "text", OutputRecord)
-        assert any(r.verify_status == "budget_exceeded" for r in recs) or err
+    assert code == 3 and err == ""
+    recs = parse_records(out, "text", OutputRecord)
+    assert len(recs) == 6
+    assert {(r.d1, r.d2, r.d3): r.verify_status for r in recs if r.verify_status != "ok"} == {
+        (2, 3, 6): "budget_exceeded"}
 
 
 def test_mismatch_numbers_go_to_stderr(capsys, monkeypatch):
@@ -715,8 +716,8 @@ def test_a_closed_pipe_is_one_error_line_and_exit_1():
 
 
 def test_scan_starts_no_more_workers_than_fields(capsys, monkeypatch):
-    # a recording stand-in for the pool: --jobs J starts min(J, fields)
-    # workers, and none for one field
+    # a recording stand-in for the pool, which starts no process: --jobs J
+    # starts min(J, fields, CPUs) workers, and none for one field or one CPU
     import multiprocessing
     started = []
 
@@ -734,14 +735,18 @@ def test_scan_starts_no_more_workers_than_fields(capsys, monkeypatch):
             return [func(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code, one, _ = run(capsys, "scan", "--bound", "2", "--jobs", "3", "--json")
     assert code == 0 and len(one.splitlines()) == 1 and started == []
     _, serial, _ = run(capsys, "scan", "--bound", "3", "--json")
     assert len(serial.splitlines()) == 6
-    for jobs, workers in (("2", 2), ("6", 6), ("9", 6)):
+    # os.cpu_count() is None when the count is unknown: one CPU, in-process
+    for cpus, jobs, workers in ((8, "2", [2]), (8, "6", [6]), (8, "9", [6]),
+                                (4, "5000", [4]), (None, "5000", [])):
+        monkeypatch.setattr(os, "cpu_count", lambda count=cpus: count)
         started.clear()
         code, out, _ = run(capsys, "scan", "--bound", "3", "--json", "--jobs", jobs)
-        assert code == 0 and out == serial and started == [workers], jobs
+        assert code == 0 and out == serial and started == workers, (cpus, jobs)
 
 
 def test_scan_output_survives_python_O():

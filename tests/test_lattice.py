@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (BiquadElement, cokernel_by_hermite_form, element_from_coords,
-                             embed_quad, euler_character_mask, generator_items,
-                             ideal_from_elements,
-                             integral_coords, is_closed_under_multiplication, is_galois_stable,
+from exact_reference import (BiquadElement, clear_subfield_caches, cokernel_by_hermite_form,
+                             element_from_coords, embed_quad, euler_character_mask,
+                             generator_items, ideal_from_elements, integral_coords,
+                             is_closed_under_multiplication, is_galois_stable,
                              kernel_order_by_triples, kronecker, lattice_generator,
-                             mapped_generator_masks, pack_vector,
-                             packed_add, quad_ideal_from_elements, quad_ideal_multiply,
-                             reduce_vector, reference_classes, relative_norm_fraction,
-                             scanned_residue_maps, subfield_class_representatives,
-                             subfield_image, twisted_products, unsieved_generator,
-                             vector_lattice)
+                             mapped_generator_masks, pack_vector, packed_add,
+                             quad_ideal_from_elements, quad_ideal_multiply, reduce_vector,
+                             reference_classes, relative_norm_fraction, scanned_residue_maps,
+                             subfield_class_representatives, subfield_image, twist_mask_span,
+                             twisted_products, unsieved_generator, vector_lattice)
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
 from polyabiquad.cosets import CosetBook
@@ -437,7 +436,6 @@ def test_every_root_certificate_raises(monkeypatch):
     # squares, those past 300 from d^((l+1)/4) mod l, and each s_i^2 = d_i
     # is certified: a wrong root raises for the field's maps, below 300 and
     # past it, and for a subfield's twist mask
-    from exact_reference import clear_subfield_caches
     from polyabiquad import biquadratic, quadratic
     l = 17  # splits in the field, and r + 1 is a root of neither d1 = -30030 nor d2 = -2310
     table = quadratic._SQUARE_ROOTS
@@ -598,7 +596,7 @@ def descents_against_the_unsieved_reference(fields, prepare=lambda orc: None):
             reference = Budget()
             for vec in orc.class_representatives():
                 if any(2 * v % e for e, v in zip(orc.exponents, vec)) \
-                        or table_bits(orc, vec) in K.twist_masks:
+                        or table_bits(orc, vec) in twist_mask_span(K):
                     continue
                 n = prod(p ** (4 // e * v) for p, e, v in zip(orc.primes, orc.exponents, vec))
                 if unsieved_generator(K, n, orc._relative_norm_generators(vec),
@@ -1077,6 +1075,32 @@ def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):
         assert reduced[id(orc._book)] == 8, pair
         assert main(["biquad", *map(str, pair), "--verify", "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, pair
+
+
+# the three s_K = 12/13 fields of test_cli.test_biquad_verify_wide_fields and
+# the s_K = 17 field
+WIDE_PAIRS = ((-9699690, 765049), (9699690, -765049), (-9699690, 31367009),
+              (-6469693230, 297194980009))
+
+
+def test_cold_oracle_figures_of_bound_60_are_frozen():
+    # |Po|, the kernel, the cokernel and the budget spent of the oracle on
+    # every field of bound 60, the many-prime and the wide fields, each
+    # built with the subfield caches empty, so that each field is charged
+    # every subfield search it reads: 2,293 fields, 105,983 units in all
+    import hashlib
+    rows, units = hashlib.sha256(), 0
+    for pair in _scan_tasks(60, False, False) + list(MANYPRIME_PAIRS + WIDE_PAIRS):
+        clear_subfield_caches()
+        K = biquadratic_field(*pair)
+        orc = AmbiguousIdealOracle(K)
+        row = (K.d, orc.polya_order_oracle(), orc.kernel_order_oracle(),
+               orc.cokernel_order_oracle(), orc.budget.spent)
+        rows.update(repr(row).encode() + b"\n")
+        units += orc.budget.spent
+    assert units == 105983
+    assert rows.hexdigest() == \
+        "d786943d12533f8f5297c7f5de6e84f545fe8f7ae03dc54306d59c9b39d0da73"
 
 
 def test_kernel_and_cokernel_take_no_hermite_form(monkeypatch):

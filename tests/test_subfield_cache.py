@@ -143,7 +143,7 @@ def test_each_cached_attribute_is_computed_once_and_stored_under_its_name(monkey
                 return func(obj)
 
             monkeypatch.setattr(attr, "func", counting)
-    assert sum(map(len, names.values())) == 18
+    assert sum(map(len, names.values())) == 17
     written, integral_basis = [], BiquadField._integral_basis
     monkeypatch.setattr(BiquadField, "_integral_basis",
                         lambda K: written.append(K.d) or integral_basis(K))
