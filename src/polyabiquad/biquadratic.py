@@ -53,6 +53,7 @@ from types import SimpleNamespace
 
 from .errors import InconsistencyError, InvalidInputError, bit_lengths
 from .lazy import cached_attribute
+from . import quadratic
 from .quadratic import (_SIEVE_PRIMES, _SQUARE_ROOTS, MINUS_ONE_MASK, quadratic_field,
                         sieve_bits)
 
@@ -124,20 +125,21 @@ class BiquadField:
         if k1.d == k2.d:
             raise InvalidInputError("generators span the same quadratic field")
         g = gcd(k1.d, k2.d)
-        # the primes of d3 = d1*d2/g^2 are those dividing exactly one of d1, d2
-        k3 = quadratic_field(k1.d * k2.d // (g * g), _primes=sorted(
+        d12 = k1.d * k2.d // (g * g)
+        # an interned d12 is its field's own d; otherwise its primes are
+        # those dividing exactly one of k1.d, k2.d
+        k3 = quadratic._FIELDS.get(d12) or quadratic_field(d12, _primes=sorted(
             {p for k in (k1, k2) for p in k.ramified_primes if k.d % p == 0 and g % p}))
         self.subfields = tuple(sorted((k1, k2, k3), key=lambda k: k.d))
         self.d: tuple[int, int, int] = tuple(k.d for k in self.subfields)
-        self.is_real = all(x > 0 for x in self.d)
-        cofactors = []  # entry l holds m_xy for the pair {x, y} that leaves out d_l
-        for l, dl in enumerate(self.d):
-            dx, dy = (x for i, x in enumerate(self.d) if i != l)
-            m = -gcd(dx, dy) if dx < 0 and dy < 0 else gcd(dx, dy)
-            if dx * dy != m * m * dl:
-                raise InconsistencyError(f"{self.d} is not multiplicatively closed")
-            cofactors.append(m)
-        self.cofactors: tuple[int, int, int] = tuple(cofactors)
+        d1, d2, d3 = self.d
+        self.is_real = d1 > 0
+        # m_xy for each pair {x, y}, at the index of the d_l it leaves out
+        m23, m13, m12 = (-gcd(x, y) if x < 0 and y < 0 else gcd(x, y)
+                         for x, y in ((d2, d3), (d1, d3), (d1, d2)))
+        if d2 * d3 != m23 * m23 * d1 or d1 * d3 != m13 * m13 * d2 or d1 * d2 != m12 * m12 * d3:
+            raise InconsistencyError(f"{self.d} is not multiplicatively closed")
+        self.cofactors: tuple[int, int, int] = (m23, m13, m12)
         self.profile = self._ramification_profile()
 
     def __getattr__(self, name):
@@ -319,36 +321,36 @@ class BiquadField:
         return n[0]
 
     def _ramification_profile(self) -> SimpleNamespace:
-        """The ramification of K, read off the subfields each prime ramifies
-        in: the ramified primes in increasing order as primes, their
-        ramification indices as exponents, s_K, i2, e2 (1 when 2 is
-        unramified) and product_e = 2^(s_K + i2).  An odd ramified p ramifies in exactly two
-        subfields and is unramified in the third, so e_p = 2.  2 ramifies in
-        two or in all three; in all three it is totally ramified, e_2 = 4 and
-        i2 = 1.  So the exponents are 4 for a totally ramified 2, else 2, and
-        their product is 2^(s_K + i2).  InconsistencyError is raised for an
-        odd prime in all three subfields, a prime in one, a prime that
-        divides the third subfield's discriminant, or
-        s1 + s2 + s3 != 2*s_K + i2."""
-        where: dict[int, list[int]] = {}  # the subfields each prime ramifies in
-        for i, k in enumerate(self.subfields):
-            for p in k.ramified_primes:
-                where.setdefault(p, []).append(i)
-        for p, ks in where.items():
-            if len(ks) == 3 and p != 2:
-                raise InconsistencyError(f"odd {p} ramifies in every subfield of {self.d}")
-            if len(ks) == 1:
-                raise InconsistencyError(f"prime {p} ramifies in 1 subfield of {self.d}")
-            if len(ks) == 2 and self.subfields[3 - sum(ks)].delta % p == 0:
+        """The ramification of K, read off set operations on the three
+        subfields' sets of ramified primes: the ramified primes in
+        increasing order as primes, their ramification indices as
+        exponents, s_K, i2, e2 (1 when 2 is unramified) and product_e =
+        2^(s_K + i2).  An odd ramified p ramifies in exactly two subfields
+        and is unramified in the third, so e_p = 2.  2 ramifies in two or in
+        all three; in all three it is totally ramified, e_2 = 4 and i2 = 1.
+        So the exponents are 4 for a totally ramified 2, else 2, and their
+        product is 2^(s_K + i2).  InconsistencyError is raised for an odd
+        prime in all three subfields, a prime in one, a prime that divides
+        the third subfield's discriminant, or s1 + s2 + s3 != 2*s_K + i2."""
+        (k1, k2, k3), d = self.subfields, self.d
+        p1, p2, p3 = (set(k.ramified_primes) for k in self.subfields)
+        every, ramified = p1 & p2 & p3, p1 | p2 | p3
+        if odd := every - {2}:
+            raise InconsistencyError(f"odd {min(odd)} ramifies in every subfield of {d}")
+        # p1 ^ p2 ^ p3 holds the primes in one subfield or in all three
+        if once := (p1 ^ p2 ^ p3) - every:
+            raise InconsistencyError(f"prime {min(once)} ramifies in 1 subfield of {d}")
+        for k, others in ((k1, p2 & p3), (k2, p1 & p3), (k3, p1 & p2)):
+            if third := [p for p in others - every if k.delta % p == 0]:
                 raise InconsistencyError(
-                    f"{p} divides the discriminant of the third subfield of {self.d}")
-        primes = sorted(where)
-        s_k, i2 = len(primes), int(len(where.get(2, ())) == 3)
-        if sum(k.s for k in self.subfields) != 2 * s_k + i2:
-            raise InconsistencyError(f"s1+s2+s3 != 2*s_K + i2 for {self.d}")
+                    f"{min(third)} divides the discriminant of the third subfield of {d}")
+        primes = sorted(ramified)
+        s_k, i2 = len(primes), int(2 in every)
+        if k1.s + k2.s + k3.s != 2 * s_k + i2:
+            raise InconsistencyError(f"s1+s2+s3 != 2*s_K + i2 for {d}")
         # 2 sorts first, so a totally ramified 2 leads the exponents
         return SimpleNamespace(primes=primes, exponents=[4] * i2 + [2] * (s_k - i2), s_k=s_k,
-                               i2=i2, e2=4 if i2 else 2 if 2 in where else 1,
+                               i2=i2, e2=4 if i2 else 2 if 2 in ramified else 1,
                                product_e=2 ** (s_k + i2))
 
     # -- lazily computed unit and ideal data ---------------------------------

@@ -120,13 +120,13 @@ def polya_report(K: BiquadField) -> OutputRecord:
     # kernel / cokernel decomposition
     po_k = _times_power_of_two(us.q_k, prof.s_k + j2 - 2 - _drop(K),
                                f"the Polya order formula for {K.d}")
+    # by position, in the order of OutputRecord._fields
     return OutputRecord(
-        d1=k1.d, d2=k2.d, d3=k3.d, delta1=k1.delta, delta2=k2.delta, delta3=k3.delta,
-        s1=k1.s, s2=k2.s, s3=k3.s, s_k=prof.s_k, i2=prof.i2, e2=prof.e2, j2=j2,
-        q_k=us.q_k, mu_order=us.mu_order,
-        lambda1=us.lam[0], lambda2=us.lam[1], lambda3=us.lam[2], nu_k=us.nu_k,
-        po1=po1, po2=po2, po3=po3, ker=ker, coker=2 ** j2, po_k=po_k,
-        h3_h0=h30, h2_h1=h21, h1_h0=h10, h3_h2=h32, verify_status="unchecked")
+        k1.d, k2.d, k3.d, k1.delta, k2.delta, k3.delta,
+        k1.s, k2.s, k3.s, prof.s_k, prof.i2, prof.e2, j2,
+        us.q_k, us.mu_order, *us.lam, us.nu_k,
+        po1, po2, po3, ker, 2 ** j2, po_k,
+        h30, h21, h10, h32, "unchecked")
 
 
 def verify_biquad(K: BiquadField, rep: OutputRecord,

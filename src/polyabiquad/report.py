@@ -77,7 +77,7 @@ def _checked(rec):
     is exactly an int, the one type the JSON template prints under %d as
     json.dumps prints it (%d truncates a float and prints a bool as 1 or 0)."""
     _check_status(rec.verify_status)
-    if any(type(v) is not int for v in rec[:-1]):
+    if {*map(type, rec[:-1])} != {int}:
         raise InconsistencyError(f"{type(rec).__name__} has a column the JSON template cannot print")
     return rec
 

@@ -127,12 +127,24 @@ no arithmetic in K (h = w/2):
   zeta_3**2, c = -2, n = 2 and zeta = -i*zeta_3: N_{K/k_1}(rho) = 2*zeta_3
   gives -zeta_3 = zeta^10 and N_{K/k_2}(rho) = 2i gives -i = zeta^9.
 - The class (0, 1) cannot occur (see the unit search above).
+
+Both counts are memoised per signature (functools.cache), a tuple of small
+ints: for a real K, (lambda, q_K, the square classes, their chi), read by
+_real_h1_fraction; for an imaginary K, (w, k1, k2, c1, c2), read by
+_cocycle_count and _h1_roots_of_unity.  The signatures are finitely many:
+lambda lies in {+-1}^3, q_K in (1, 2, 4), the classes are a subset of the
+seven nonzero exponent triples with two bits of chi each, w is 2, 4, 6, 8 or
+12 and k_t, c_t lie below w.  After the 2,284 fields of bound 60 the tables
+hold 39, 12 and 3 entries.  Each field still reads its own signature, so
+_real_characters and _imaginary_cocycle_data raise on that field's own call;
+the divisibility of the real count is checked outside the memo, and
+functools.cache stores no exception.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from math import isqrt, prod
 from operator import mul
 
@@ -254,7 +266,8 @@ _SQRT_D = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 def _square_witness(K: BiquadField, r: int) -> tuple[int, int] | None:
     """The one (j, s) with r*d_j == s**2 for d_j in (1, d1, d2, d3), None if r is no square in K."""
     for j, d in enumerate((1, *K.d)):
-        if s := _int_sqrt(r * d):
+        n = r * d
+        if n > 0 and (s := isqrt(n)) * s == n:
             return j, s
     return None
 
@@ -325,6 +338,7 @@ def _torsion_elements(K: BiquadField, c: int, n: int, rho) -> tuple[list[int], l
     return c_rho, K.divide(K.mul_basis_coords(c_rho, rho), n * n)
 
 
+@cache
 def _cocycle_count(w: int, k1: int, k2: int, c1: int = 0, c2: int = 0) -> int:
     """Number of (x, y) mod w with zeta^x * h, zeta^y * h a cocycle on (s1, s2),
     where s_t(zeta) = zeta^k_t and N_{K/k_t}(h) = zeta^c_t (h = 1 for c = 0)."""
@@ -333,6 +347,7 @@ def _cocycle_count(w: int, k1: int, k2: int, c1: int = 0, c2: int = 0) -> int:
                == (x + k1 * y + c1 - y - k2 * x - c2) % w == 0)
 
 
+@cache
 def _h1_roots_of_unity(w: int, k1: int, k2: int) -> int:
     """|H^1(G, mu)| for mu cyclic of order w, s_t acting by zeta -> zeta^k_t."""
     coboundaries = {((k1 - 1) * m % w, (k2 - 1) * m % w) for m in range(w)}
@@ -351,14 +366,31 @@ def _real_characters(K: BiquadField, us: UnitStructure) -> dict:
 
 
 def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
+    """|H^1(G, O_K^x)| of a real field, from its own characters (which raise
+    on a class read with no radical index) and the memoised count over its
+    signature; the count's divisibility is checked on every call."""
     chi = _real_characters(K, us)
-    found = {(0, 0, 0), *us.square_class_roots}
+    num, den = _real_h1_fraction(us.lam, us.q_k, tuple(us.square_class_roots),
+                                 tuple(chi.items()))
+    if num % den:
+        raise InconsistencyError(f"|H^1(G, O_K^x)| = {num}/{den} for {K.d}")
+    return num // den
+
+
+@cache
+def _real_h1_fraction(lam: tuple[int, int, int], q_k: int, classes: tuple,
+                      chi_items: tuple) -> tuple[int, int]:
+    """(|H^1(mu_K)| * |V| * 8, q_K * |delta(Z)|), whose quotient is |H^1(G,
+    O_K^x)| of a real field with the norm signs lam, the unit index q_k, the
+    square classes classes and the characters chi_items (module docstring)."""
+    chi = dict(chi_items)
+    found = {(0, 0, 0), *classes}
 
     def char(t: int, v) -> int:
         """chi_t (t = 1, 2) on the half-exponent vector v in L."""
         a = tuple(c & 1 for c in v)
         return (chi[a][t - 1] + sum((c - r) // 2 for i, (c, r) in enumerate(zip(v, a))
-                                    if i != t - 1 and us.lam[i] == -1)) & 1
+                                    if i != t - 1 and lam[i] == -1)) & 1
 
     def delta(x2: int, y1: int, c: int) -> int:
         x, y = (0, x2, c), (y1, 0, c)
@@ -372,10 +404,7 @@ def _real_h1_order(K: BiquadField, us: UnitStructure) -> int:
         if d not in image:
             image |= {d ^ s for s in image}
     # |H^1(mu_K)| * [Z : B] / |delta(Z)| = 4 * |V| * 8 / q / |delta(Z)|
-    num, den = 32 * len(cocycles_mod_2), us.q_k * len(image)
-    if num % den:
-        raise InconsistencyError(f"|H^1(G, O_K^x)| = {num}/{den} for {K.d}")
-    return num // den
+    return 32 * len(cocycles_mod_2), q_k * len(image)
 
 
 def _imaginary_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, ...]:

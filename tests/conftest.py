@@ -1,6 +1,7 @@
-"""Every test starts with the per-process subfield caches empty and leaves
-them empty: a monkeypatched build cannot leak into a later test, and a test
-that counts searches counts them from a cold start."""
+"""Every test starts with the per-process subfield caches and the memo
+tables of the |H^1| counts empty and leaves them empty: a monkeypatched
+build cannot leak into a later test, and a test that counts searches or
+memo entries counts them from a cold start."""
 
 import pytest
 

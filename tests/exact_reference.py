@@ -77,10 +77,19 @@
   t = 1, 2, 3 and reads each sign off it; the program reads the signs off
   the radical index of each class.
 - The earlier cohomology data of an imaginary field
-  relative_norm_cocycle_data, with relative_norm_h1_order: it forms zeta,
-  its w powers, s_1(zeta), s_2(zeta) and the three relative norms of eta in
-  K and reads each off as a power of zeta; the program reads (w, k1, k2,
-  c1, c2) off K.d, lambda_3 and the radical index of the square class.
+  relative_norm_cocycle_data: it forms zeta, its w powers, s_1(zeta),
+  s_2(zeta) and the three relative norms of eta in K and reads each off as
+  a power of zeta; the program reads (w, k1, k2, c1, c2) off K.d, lambda_3
+  and the radical index of the square class.
+- relative_norm_h1_order, |H^1(G, O_K^x)| of any field counted afresh on
+  every call from the data formed in K: the characters of
+  relative_norm_characters (real K) or relative_norm_cocycle_data
+  (imaginary K), with the earlier uncached counts cocycle_count and
+  h1_roots_of_unity; the program memoises its counts per signature.
+- The earlier ramification profile dict_ramification_profile, which
+  collects the subfields each prime ramifies in as a dict of lists and
+  checks prime by prime; the program reads the profile off set operations
+  on the three subfields' prime sets.
 - The earlier loop product loop_mul, which reads all 64 entries of the
   structure constants, e_0 = 1 included; the program's _mul reads the nine
   products e_i*e_j with i, j >= 1 in straight lines.
@@ -96,7 +105,8 @@
 - clear_subfield_caches, which empties the per-process table of quadratic
   fields, so that a field built after it starts cold and no monkeypatched
   result leaks into another test; a field built before it keeps its
-  subfields, with their units, books and generators above 2.
+  subfields, with their units, books and generators above 2.  It also
+  empties H1_MEMOS, the memo tables of the |H^1| counts in units.
 - The general Kronecker symbol kronecker, against which test_lattice
   checks which primes l the residue maps take and the characters of
   rational integers under them; the program reads the symbols below 300
@@ -122,6 +132,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from types import SimpleNamespace
 
 from polyabiquad import units
 from polyabiquad.biquadratic import _ROOT_CAP, BiquadField, _root_mod
@@ -1157,12 +1168,92 @@ def relative_norm_cocycle_data(K: BiquadField, us: UnitStructure) -> tuple[int, 
     return w, k1, k2, c1, c2
 
 
+def cocycle_count(w: int, k1: int, k2: int, c1: int = 0, c2: int = 0) -> int:
+    """Number of (x, y) mod w with zeta^x * h, zeta^y * h a cocycle on (s1, s2),
+    where s_t(zeta) = zeta^k_t and N_{K/k_t}(h) = zeta^c_t (h = 1 for c = 0)."""
+    return sum(1 for x in range(w) for y in range(w)
+               if (x * (1 + k1) + c1) % w == (y * (1 + k2) + c2) % w
+               == (x + k1 * y + c1 - y - k2 * x - c2) % w == 0)
+
+
+def h1_roots_of_unity(w: int, k1: int, k2: int) -> int:
+    """|H^1(G, mu)| for mu cyclic of order w, s_t acting by zeta -> zeta^k_t."""
+    coboundaries = {((k1 - 1) * m % w, (k2 - 1) * m % w) for m in range(w)}
+    return cocycle_count(w, k1, k2) // len(coboundaries)
+
+
 def relative_norm_h1_order(K: BiquadField, us: UnitStructure) -> int:
-    """The earlier |H^1(G, O_K^x)| of an imaginary field, from
-    relative_norm_cocycle_data."""
+    """|H^1(G, O_K^x)|, counted afresh from the data formed in K: for a real
+    field over the characters of relative_norm_characters, for an imaginary
+    one from relative_norm_cocycle_data."""
+    if K.is_real:
+        return _real_h1_from_characters(K, us, relative_norm_characters(K, us))
     w, k1, k2, c1, c2 = relative_norm_cocycle_data(K, us)
-    lifts = units._cocycle_count(w, k1, k2, c1, c2) > 0
-    return units._h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
+    lifts = cocycle_count(w, k1, k2, c1, c2) > 0
+    return h1_roots_of_unity(w, k1, k2) * (2 if lifts else 1)
+
+
+def _real_h1_from_characters(K: BiquadField, us: UnitStructure, chi: dict) -> int:
+    """The earlier uncached count of a real field's |H^1(G, O_K^x)| over the
+    character table chi."""
+    found = {(0, 0, 0), *us.square_class_roots}
+
+    def char(t: int, v) -> int:
+        """chi_t (t = 1, 2) on the half-exponent vector v in L."""
+        a = tuple(c & 1 for c in v)
+        return (chi[a][t - 1] + sum((c - r) // 2 for i, (c, r) in enumerate(zip(v, a))
+                                    if i != t - 1 and us.lam[i] == -1)) & 1
+
+    def delta(x2: int, y1: int, c: int) -> int:
+        x, y = (0, x2, c), (y1, 0, c)
+        return char(1, x) | char(2, y) << 1 | (char(1, y) ^ char(2, x)) << 2
+
+    cocycles_mod_2 = [z for z in itertools.product((0, 1), repeat=3)
+                      if (0, z[0], z[2]) in found and (z[1], 0, z[2]) in found]
+    image = {0}
+    for z in [(2, 0, 0), (0, 2, 0), (0, 0, 2), *cocycles_mod_2]:
+        d = delta(*z)
+        if d not in image:
+            image |= {d ^ s for s in image}
+    # |H^1(mu_K)| * [Z : B] / |delta(Z)| = 4 * |V| * 8 / q / |delta(Z)|
+    num, den = 32 * len(cocycles_mod_2), us.q_k * len(image)
+    if num % den:
+        raise InconsistencyError(f"|H^1(G, O_K^x)| = {num}/{den} for {K.d}")
+    return num // den
+
+
+def dict_ramification_profile(K: BiquadField) -> SimpleNamespace:
+    """The ramification of K, read off the subfields each prime ramifies
+    in: the ramified primes in increasing order as primes, their
+    ramification indices as exponents, s_K, i2, e2 (1 when 2 is
+    unramified) and product_e = 2^(s_K + i2).  An odd ramified p ramifies in exactly two
+    subfields and is unramified in the third, so e_p = 2.  2 ramifies in
+    two or in all three; in all three it is totally ramified, e_2 = 4 and
+    i2 = 1.  So the exponents are 4 for a totally ramified 2, else 2, and
+    their product is 2^(s_K + i2).  InconsistencyError is raised for an
+    odd prime in all three subfields, a prime in one, a prime that
+    divides the third subfield's discriminant, or
+    s1 + s2 + s3 != 2*s_K + i2."""
+    where: dict[int, list[int]] = {}  # the subfields each prime ramifies in
+    for i, k in enumerate(K.subfields):
+        for p in k.ramified_primes:
+            where.setdefault(p, []).append(i)
+    for p, ks in where.items():
+        if len(ks) == 3 and p != 2:
+            raise InconsistencyError(f"odd {p} ramifies in every subfield of {K.d}")
+        if len(ks) == 1:
+            raise InconsistencyError(f"prime {p} ramifies in 1 subfield of {K.d}")
+        if len(ks) == 2 and K.subfields[3 - sum(ks)].delta % p == 0:
+            raise InconsistencyError(
+                f"{p} divides the discriminant of the third subfield of {K.d}")
+    primes = sorted(where)
+    s_k, i2 = len(primes), int(len(where.get(2, ())) == 3)
+    if sum(k.s for k in K.subfields) != 2 * s_k + i2:
+        raise InconsistencyError(f"s1+s2+s3 != 2*s_K + i2 for {K.d}")
+    # 2 sorts first, so a totally ramified 2 leads the exponents
+    return SimpleNamespace(primes=primes, exponents=[4] * i2 + [2] * (s_k - i2), s_k=s_k,
+                           i2=i2, e2=4 if i2 else 2 if 2 in where else 1,
+                           product_e=2 ** (s_k + i2))
 
 
 def relative_norm_characters(K: BiquadField, us: UnitStructure) -> dict:
@@ -1285,12 +1376,19 @@ def mapped_generator_masks(K) -> tuple[int, ...]:
     return tuple(bits for bits, _ in masks)
 
 
+# the memo tables of units, one per memoised |H^1| count
+H1_MEMOS = (units._real_h1_fraction, units._cocycle_count, units._h1_roots_of_unity)
+
+
 def clear_subfield_caches() -> None:
-    """Empty the per-process table of quadratic fields.  A BiquadField built
-    before the clear keeps its subfields, their units and k.searched, so a
-    test that wants a cold field builds it after the clear."""
+    """Empty the per-process table of quadratic fields and the memo tables
+    of the |H^1| counts.  A BiquadField built before the clear keeps its
+    subfields, their units and k.searched, so a test that wants a cold field
+    builds it after the clear."""
     from polyabiquad import quadratic
     quadratic._FIELDS.clear()
+    for memo in H1_MEMOS:
+        memo.cache_clear()
 
 
 def kronecker(a: int, n: int) -> int:

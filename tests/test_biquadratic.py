@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from exact_reference import (BiquadElement, basis_elements, char_poly, element_from_coords,
-                             embed_quad, generic_basis_tables, gram_determinant,
-                             integral_coords, integral_square_root_fraction, loop_mul,
-                             mat_det_fraction, mu_order_table)
+from exact_reference import (BiquadElement, basis_elements, char_poly, dict_ramification_profile,
+                             element_from_coords, embed_quad, generic_basis_tables,
+                             gram_determinant, integral_coords, integral_square_root_fraction,
+                             loop_mul, mat_det_fraction, mu_order_table)
 from polyabiquad import biquadratic
 from polyabiquad.biquadratic import BiquadField, biquadratic_field
 from polyabiquad.cli import _scan_tasks
@@ -428,6 +428,24 @@ def test_profiles_of_bound_60_match_the_subfield_discriminants():
         assert prof.product_e == prod(exponents) == 2 ** (prof.s_k + prof.i2), K.d
         seen[count.get(2, 0)] += 1
     assert len(fields) == 2284 and sorted(seen) == [0, 2, 3]
+
+
+def test_profiles_match_the_dict_of_lists_reference():
+    # the profile read off set operations on the subfields' prime sets
+    # against the earlier one that lists the subfields of each prime, on
+    # every field of bound 60, the many-prime fields and the four wide
+    # fields of s_K = 12, 13 and 17
+    pairs = _scan_tasks(60, False, False)
+    assert len(pairs) == 2284
+    pairs += [(-210, 143), (210, 143), (-2310, 13), (-1155, 26), (30, 77),
+              (-9699690, 765049), (9699690, -765049), (-9699690, 31367009),
+              (-6469693230, 297194980009)]
+    columns = ("primes", "exponents", "s_k", "i2", "e2", "product_e")
+    for pair in pairs:
+        K = biquadratic_field(*pair)
+        ref = dict_ramification_profile(K)
+        assert [getattr(K.profile, c) for c in columns] == [getattr(ref, c) for c in columns], pair
+    assert K.profile.s_k == 17
 
 
 def test_each_profile_certificate_raises(monkeypatch):

@@ -97,6 +97,35 @@ def test_report_assembles_and_decomposition_identity():
             assert v & (v - 1) == 0
 
 
+def test_the_positional_row_names_every_column():
+    # polya_report writes its row by position; here each column is named and
+    # read from K, its subfields, K.profile and K.units, so on every field of
+    # bound 30 a swapped column fails by its name
+    from polyabiquad.cli import _scan_tasks
+    from polyabiquad.polya import _chain_indices
+    pairs = _scan_tasks(30, False, False)
+    assert len(pairs) == 534
+    for pair in pairs:
+        K = biquadratic_field(*pair)
+        (k1, k2, k3), prof, us = K.subfields, K.profile, K.units
+        j2, ker = j2_value(K), kernel_order(K)
+        po1, po2, po3 = (polya_order_quad(k) for k in K.subfields)
+        h30, h21, h10, h32 = _chain_indices(K, ker, po1 * po2 * po3)
+        drop = max(1, us.nu_k) if K.is_real else us.nu_k
+        e = prof.s_k + j2 - 2 - drop
+        expected = dict(
+            d1=k1.d, d2=k2.d, d3=k3.d, delta1=k1.delta, delta2=k2.delta, delta3=k3.delta,
+            s1=k1.s, s2=k2.s, s3=k3.s, s_k=prof.s_k, i2=prof.i2, e2=prof.e2, j2=j2,
+            q_k=us.q_k, mu_order=us.mu_order,
+            lambda1=us.lam[0], lambda2=us.lam[1], lambda3=us.lam[2], nu_k=us.nu_k,
+            po1=po1, po2=po2, po3=po3, ker=ker, coker=2 ** j2,
+            po_k=us.q_k << e if e >= 0 else us.q_k >> -e,
+            h3_h0=h30, h2_h1=h21, h1_h0=h10, h3_h2=h32, verify_status="unchecked")
+        rec = polya_report(K)
+        assert rec._asdict() == expected, pair
+        assert rec == OutputRecord(**expected), pair
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda r: {"po_k": 2 * r.po_k}, "decomposition identity"),
     (lambda r: {"h3_h2": 2 * r.h3_h2}, "telescope"),

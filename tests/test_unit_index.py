@@ -4,11 +4,14 @@ forms each candidate product in K and denests it (denesting_unit_structure);
 the real fields' cohomology characters, read off the radical indices,
 against the signs of the relative norms (relative_norm_characters); and the
 imaginary fields' (w, k1, k2, c1, c2), read off closed forms, against the
-powers of zeta formed in K (relative_norm_cocycle_data)."""
+powers of zeta formed in K (relative_norm_cocycle_data); and |H^1(G, O_K^x)|,
+memoised per signature, against the count formed afresh in K
+(relative_norm_h1_order), with the raises that each field's own call
+keeps."""
 
 import pytest
 
-from exact_reference import (denesting_unit_structure, relative_norm_characters,
+from exact_reference import (H1_MEMOS, denesting_unit_structure, relative_norm_characters,
                              relative_norm_cocycle_data, relative_norm_h1_order)
 from polyabiquad.biquadratic import biquadratic_field
 from polyabiquad.cli import _scan_tasks
@@ -51,6 +54,70 @@ def test_unit_structure_matches_the_denesting_reference():
             assert _imaginary_cocycle_data(K, us) == relative_norm_cocycle_data(ref_K, ref), pair
             assert unit_cohomology_order(K) == relative_norm_h1_order(ref_K, ref), pair
     assert imaginary == 1722 + 6
+
+
+def test_memoised_h1_matches_the_in_k_reference():
+    # every field of bound 60 whose row reads |H^1| (i2 = 1) and LARGE_PAIRS:
+    # the memoised count from empty memo tables, and again warm on fields
+    # built afresh, against the count formed in K on every call
+    from polyabiquad import units
+    pairs = [p for p in _scan_tasks(60, False, False) if biquadratic_field(*p).profile.i2]
+    assert len(pairs) == 624
+    pairs += LARGE_PAIRS
+    fields = [biquadratic_field(*pair) for pair in pairs]
+    expected = [relative_norm_h1_order(K, K.units) for K in fields]
+    assert not any(memo.cache_info().currsize for memo in H1_MEMOS)
+    assert [unit_cohomology_order(K) for K in fields] == expected
+    cold = [memo.cache_info() for memo in H1_MEMOS]
+    assert [unit_cohomology_order(biquadratic_field(*pair)) for pair in pairs] == expected
+    warm = [memo.cache_info() for memo in H1_MEMOS]
+    assert [info.misses for info in warm] == [info.misses for info in cold]
+    real = sum(K.is_real for K in fields)
+    assert warm[0].hits + warm[0].misses == 2 * real == 2 * (174 + 2)
+    assert units._real_h1_fraction is H1_MEMOS[0]
+
+
+def test_h1_memo_tables_stay_small(capsys):
+    # scan --bound 60 --json reads |H^1| on 624 rows, 174 of them real, from
+    # a few dozen signatures; a second scan adds no entry
+    from polyabiquad.cli import main
+    infos = []
+    for _ in range(2):
+        assert main(["scan", "--bound", "60", "--json"]) == 0
+        capsys.readouterr()
+        infos.append([memo.cache_info() for memo in H1_MEMOS])
+    first, second = infos
+    assert [info.currsize for info in first] == [39, 12, 3]
+    assert (first[0].hits, first[0].hits + first[0].misses) == (135, 174)
+    assert [info.currsize for info in second] == [39, 12, 3]
+    assert second[0].hits == first[0].hits + 174
+
+
+def test_a_memo_hit_never_skips_a_raise():
+    # the divisibility of the real count is checked outside its memo, and
+    # each field reads its own characters and cocycle data before the memo
+    # is asked: a signature seen before raises again, and a field whose
+    # square class lost its radical index raises after a good field with
+    # the same classes has filled the memo
+    from polyabiquad import units
+    from polyabiquad.errors import InconsistencyError
+
+    for n in (1, 2):
+        K = biquadratic_field(2, 3)
+        assert (0, 1, 1) in K.units.square_class_roots
+        K.units.q_k = 3
+        with pytest.raises(InconsistencyError, match=r"\| = \d+/\d+ for \(2, 3, 6\)"):
+            unit_cohomology_order(K)
+        info = units._real_h1_fraction.cache_info()
+        assert (info.misses, info.hits) == (1, n - 1)
+    for pair, key in (((2, 3), (0, 1, 1)), ((-2, -118), (1, 1))):
+        h1 = unit_cohomology_order(biquadratic_field(*pair))
+        K = biquadratic_field(*pair)
+        assert key in K.units.radical_index
+        K.units.radical_index.clear()
+        with pytest.raises(InconsistencyError, match=r"has no radical index"):
+            unit_cohomology_order(K)
+        assert unit_cohomology_order(biquadratic_field(*pair)) == h1
 
 
 def test_trace_plus_2_of_named_units():
