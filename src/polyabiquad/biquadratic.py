@@ -2,8 +2,9 @@
 
 A field is keyed by the canonical ascending triple (d1, d2, d3) of squarefree
 integers, d3 = d1*d2/gcd(d1, d2)^2, so any generating pair of the same field
-produces the same object.  sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z) with
-m_xy = +-gcd(d_x, d_y), negative exactly when d_x, d_y < 0 (the principal
+gives an equal BiquadField (__eq__ compares d), though not the same object:
+only quadratic_field interns its fields.  sqrt(d_x)*sqrt(d_y) = m_xy*sqrt(d_z)
+with m_xy = +-gcd(d_x, d_y), negative exactly when d_x, d_y < 0 (the principal
 branch); the construction checks d_x*d_y = m_xy^2*d_z and keeps the three
 as cofactors = (m23, m13, m12), entry l - 1 for the pair that leaves out d_l.
 

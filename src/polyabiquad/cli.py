@@ -62,47 +62,53 @@ def _budget_units(args) -> int | None:
     return units
 
 
-def _mismatch_note(K, details: dict) -> str:
-    """One stderr line saying what the oracle and the formulas disagreed on."""
-    return f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
+def _mismatch_note(K, status: str, details) -> str | None:
+    """The stderr line of a mismatch, saying what the oracle and the formulas
+    disagreed on; None for any other status."""
+    return (f"mismatch for {K.d}: " + " ".join(f"{k}={v}" for k, v in details.items())
+            if status == "mismatch" else None)
+
+
+def _write(fh, results, fmt: str) -> int:
+    """Print the mismatch line of each (row, line) pair to stderr, then the
+    rows to fh, and return the exit code: 2 if a row is a mismatch, else 3
+    if one ran out of budget, else 0."""
+    for _, note in results:
+        if note is not None:
+            print(note, file=sys.stderr)
+    fh.write(render_records([rec for rec, _ in results], fmt) if results else "")
+    statuses = {rec.verify_status for rec, _ in results}
+    return 2 if "mismatch" in statuses else 3 if "budget_exceeded" in statuses else 0
 
 
 def _cmd_quad(args) -> int:
     units = _budget_units(args)
     k = quadratic_field(args.d)
-    status = "unchecked"
-    if args.verify:
-        status, details = verify_quad(k, Budget(units))
+    status, details = verify_quad(k, Budget(units)) if args.verify else ("unchecked", None)
     rec = quad_record(k, polya_order_quad(k), status)
-    sys.stdout.write(render_records([rec], args.format))
-    if status == "mismatch":
-        print(_mismatch_note(k, details), file=sys.stderr)
-        return 2
-    return 0
+    return _write(sys.stdout, [(rec, _mismatch_note(k, status, details))], args.format)
 
 
-def _verified(K, rec, units: int):
-    """The row rec of K with the oracle's verify status, and the stderr
-    line of a mismatch or None; budget exhaustion propagates."""
+def _row(K, rec, units: int | None):
+    """The row rec = polya_report(K) with the oracle's verify status under a
+    budget of units (unchecked when None), and its mismatch line or None;
+    budget exhaustion propagates."""
+    if units is None:
+        return rec, None
     status, details = verify_biquad(K, rec, AmbiguousIdealOracle(K, units))
-    note = _mismatch_note(K, details) if status == "mismatch" else None
-    return rec.with_status(status), note
+    return rec.with_status(status), _mismatch_note(K, status, details)
 
 
 def _cmd_biquad(args) -> int:
     units = _budget_units(args)
     K = biquadratic_field(args.d1, args.d2)
-    rec, note = polya_report(K), None
-    if args.verify:
-        rec, note = _verified(K, rec, units)
-    sys.stdout.write(render_records([rec], args.format))
-    if note is not None:
-        print(note, file=sys.stderr)
+    rec, note = _row(K, polya_report(K), units)
+    code = _write(sys.stdout, [(rec, note)], args.format)
     if args.chain and args.format == "text":
         sys.stdout.write(
             f"chain: (H3:H2)={rec.h3_h2}  (H2:H1)={rec.h2_h1}  (H1:H0)={rec.h1_h0}  "
             f"product={rec.h3_h2 * rec.h2_h1 * rec.h1_h0} = 2^s_K = (H3:H0)={rec.h3_h0}\n")
-    return 2 if rec.verify_status == "mismatch" else 0
+    return code
 
 
 def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
@@ -124,15 +130,13 @@ def _scan_tasks(bound: int, real_only: bool, imag_only: bool):
 
 
 def _scan_worker(task):
-    a, b, verify, units = task
+    a, b, units = task
     K = biquadratic_field(a, b)
-    rec, note = polya_report(K), None
-    if verify:
-        try:
-            rec, note = _verified(K, rec, units)
-        except BudgetExceededError:
-            rec = rec.with_status("budget_exceeded")
-    return rec, note
+    rec = polya_report(K)
+    try:
+        return _row(K, rec, units)
+    except BudgetExceededError:
+        return rec.with_status("budget_exceeded"), None
 
 
 def _cmd_scan(args) -> int:
@@ -143,8 +147,7 @@ def _cmd_scan(args) -> int:
     if args.jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
     units = _budget_units(args)
-    tasks = [(a, b, args.verify, units)
-             for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
+    tasks = [(a, b, units) for a, b in _scan_tasks(args.bound, args.real_only, args.imag_only)]
     # FILE is created before the first field, so an unwritable one costs no scan
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         # pool.map keeps the order; more workers than CPUs would only add processes
@@ -155,17 +158,7 @@ def _cmd_scan(args) -> int:
                 results = pool.map(_scan_worker, tasks)
         else:
             results = [_scan_worker(t) for t in tasks]
-        records = []
-        for rec, note in results:
-            records.append(rec)
-            if note is not None:
-                print(note, file=sys.stderr)
-        fh.write(render_records(records, args.format) if records else "")
-    if any(r.verify_status == "mismatch" for r in records):
-        return 2
-    if any(r.verify_status == "budget_exceeded" for r in records):
-        return 3
-    return 0
+        return _write(fh, results, args.format)
 
 
 # subcommand -> (handler, positionals, flags, valued options: name -> (type,

@@ -154,14 +154,12 @@ class QuadraticField:
     def nu(self) -> int:
         return 1 if self.is_real and self.lam == 1 else 0
 
-    def torsion_generator(self) -> tuple[int, int]:
-        """Generator of the roots of unity: omega, which is i or zeta_6, or -1."""
-        return (0, 1) if self.d in (-1, -3) else (-1, 0)
-
     def twist_generator(self) -> tuple[int, int]:
         """The twist generator: eps in a real field, else the generator of
-        the roots of unity (i, zeta_6 or -1)."""
-        return self.fundamental_unit if self.is_real else self.torsion_generator()
+        the roots of unity: omega, which is i or zeta_6, or -1."""
+        if self.is_real:
+            return self.fundamental_unit
+        return (0, 1) if self.d in (-1, -3) else (-1, 0)
 
     @cached_attribute
     def twist_mask(self) -> int:

@@ -1012,7 +1012,7 @@ def twisted_products(K, gens) -> list[tuple[int, ...]]:
     order first seen."""
     twist_sets = []
     for i, (k, g) in enumerate(zip(K.subfields, gens)):
-        unit = k.fundamental_unit if k.is_real else k.torsion_generator()
+        unit = k.twist_generator()
         g = K.from_quad(i, g)
         gu = K.mul_basis_coords(g, K.from_quad(i, unit))
         twist_sets.append([g, [-c for c in g], gu, [-c for c in gu]] if k.is_real
@@ -1063,7 +1063,7 @@ def _torsion_generator(K: BiquadField) -> tuple[list[int], int]:
     gens = []
     for i, k in enumerate(K.subfields):
         if torsion_order(k) > 2:
-            gens.append((K.from_quad(i, k.torsion_generator()), torsion_order(k)))
+            gens.append((K.from_quad(i, k.twist_generator()), torsion_order(k)))
     if not gens:
         return [-1, 0, 0, 0], 2
     if len(gens) == 1:

@@ -400,6 +400,14 @@ def test_quad_mismatch_exit_2(capsys, monkeypatch):
     assert err == "mismatch for -5: po_formula=2 po_oracle=1\n"
 
 
+def test_quad_budget_exit_3(capsys):
+    # the oracle of Q(sqrt(34)) spends 2 units; out of budget, quad prints
+    # no row, one error line, and exits 3 as biquad does
+    code, out, err = run(capsys, "quad", "34", "--verify", "--budget", "1", "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: work budget exhausted (2 > 1 units)\n"
+
+
 @pytest.mark.parametrize("d", [51, 123, 187, 287])
 def test_biquad_verify_q_sqrt2_j2_family(capsys, d):
     # the prime above 2 is nonprincipal, but its class is extended from a
