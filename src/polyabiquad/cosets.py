@@ -62,14 +62,18 @@ class CosetBook:
     G mapping onto ideal classes.  An element is packed into one integer
     t*2^m + w: the digit t mod e is the most significant, and the m low
     bits w add by XOR, so the integer order is the lexicographic order of
-    the digits.  The principal subgroup P is held as a basis in echelon
-    form, pivots on the most significant digit: at most one vector, top,
-    whose top digit, 1 or 2, generates the top digits of P, and rows,
-    vectors with top digit 0 and distinct highest bits.  Reducing x
-    by the pivots from the most significant down gives the least element
-    of x + P, so a coset is named by its reduced vector, |P| is the product
-    of the orders of the pivots, and the reduced vectors, listed in
-    increasing order, are the first element of each coset.
+    the digits.  Adding an element with top digit 0 or 2 is XOR on the
+    integer, as (t + 2) mod 4 = t ^ 2, and so is subtracting one with an
+    odd digit from another, as t - t' = t ^ t' mod 4 when both are odd.  So
+    the principal subgroup P is held as rows, vectors with even top digit
+    (any vector when e = 2) and distinct highest bits, and at most one
+    vector, odd, whose top digit is odd and whose double (2, 0) the rows
+    then hold.  Reducing x by odd when its digit is odd, and then by the rows
+    from the highest bit down, gives the least element of x + P: with odd
+    in P the least has top digit 0.  So a coset is named by its reduced
+    vector, |P| is 2 per row and 2 for odd, and the reduced vectors, clear
+    at every pivot bit, listed in increasing order, are the first element
+    of each coset.
 
     The known-nonprincipal cosets are held by their reduced vectors.  Only
     a vector in neither P nor one of them is tested, so each coset at most
@@ -82,28 +86,23 @@ class CosetBook:
 
     def __init__(self, m: int, e: int, test):
         self.m, self.e, self.test = m, e, test
-        self.low = (1 << m) - 1
-        self.top = 0
+        self.odd = 0
         self.rows: list[tuple[int, int]] = []  # (highest bit, vector), highest first
         self.nonprincipal: set[int] = set()
         self.complete = False
 
     @property
     def order(self) -> int:
-        """|P|: e, or e/2, for the top pivot times 2 for each row."""
-        q = self.top >> self.m
-        return (self.e // q if q else 1) << len(self.rows)
+        """|P|: 2 for each row, and 2 for odd."""
+        return (2 if self.odd else 1) << len(self.rows)
 
     def basis(self) -> list[int]:
-        return ([self.top] if self.top else []) + [v for _, v in self.rows]
+        return ([self.odd] if self.odd else []) + [v for _, v in self.rows]
 
     def reduce(self, x: int) -> int:
         """The least element of x + P."""
-        t, q = x >> self.m, self.top >> self.m
-        if q == 1 and t:  # add (e - t)*top: the low bits change when t is odd
-            x = x & self.low ^ (self.top & self.low if t & 1 else 0)
-        elif q == 2 and t & 2:
-            x = (x - (2 << self.m)) ^ self.top & self.low
+        if self.odd and x >> self.m & 1:
+            x ^= self.odd  # x - odd
         for bit, v in self.rows:
             if x & bit:
                 x ^= v
@@ -112,12 +111,8 @@ class CosetBook:
     def add_principal(self, x: int) -> None:
         """Grow P to <P, x> for an x known to be principal, tested or not."""
         y = self.reduce(x)
-        t = y >> self.m
-        if t:  # no top pivot yet, or one with digit 2 and t = 1
-            old = self.top
-            self.top = y - (2 << self.m) if t == 3 else y  # -y has digit 1
-            # old - 2*top, with 2*top = 2*2^m, is a row
-            y = old and self.reduce(old & self.low)
+        if self.e == 4 and y >> self.m & 1:  # so P held no odd vector
+            self.odd, y = y, self.reduce(2 << self.m)
         if y:
             self.rows.append((1 << y.bit_length() - 1, y))
             self.rows.sort(reverse=True)
@@ -162,11 +157,11 @@ class CosetBook:
     def representatives(self):
         """The reduced vectors, i.e. the first element of each coset of P,
         in increasing order."""
-        pivots = 0
+        pivots = 1 << self.m if self.odd else 0
         for bit, _ in self.rows:
             pivots |= bit
-        low = [0]
-        for j in range(self.m):
+        reps = [0]
+        for j in range(self.m + self.e // 2):
             if not pivots >> j & 1:
-                low += [w | 1 << j for w in low]
-        return (t << self.m | w for t in range(self.top >> self.m or self.e) for w in low)
+                reps += [w | 1 << j for w in reps]
+        return reps

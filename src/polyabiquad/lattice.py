@@ -98,13 +98,13 @@ group law; each subfield book starts with the mask of (sqrt(d)).  The same
 fact puts (e_p/2)*u_p in the image of every p, so the kernel and cokernel of
 the extension map are group orders read off the pivots of the books, with
 no Hermite form.  The books hold exponent vectors packed into integers, and
-P as a basis in echelon form (see AmbiguousIdealOracle and
-cosets.CosetBook).  A subfield's book and gamma_i (below) depend on its d
-alone, so each is computed once per process and kept on the interned
-subfield (quadratic.ambiguous_classes, quadratic.generator_above_2), and
-every field that reads one is charged the units its computation recorded
-(errors.Budget.cached): a field's budget spent does not depend on what ran
-before it.
+P as XOR rows in echelon form and at most one vector with odd v_2 (see
+AmbiguousIdealOracle and cosets.CosetBook).  A subfield's book and gamma_i
+(below) depend on its d alone, so each is computed once per process and
+kept on the interned subfield (quadratic.ambiguous_classes,
+quadratic.generator_above_2), and every field that reads one is charged
+the units its computation recorded (errors.Budget.cached): a field's
+budget spent does not depend on what ran before it.
 
 A descent reads everything off the exponent vector of
 a = prod_p rad(p)^v_p with 0 <= v_p < e_p.  As N(rad(p)) = p^(4/e_p),
@@ -326,11 +326,13 @@ class AmbiguousIdealOracle:
     first prime most significant, so range(|G|) lists G in the order of
     itertools.product.  Only p = 2 can have e_p = 4 and it sorts first, so
     G = Z/e_2 + (Z/2)^(s-1): the low s - 1 bits add by XOR and the top digit
-    mod e_2.  The book holds P as a basis in echelon form, so the first
-    vector of each class is its reduced vector, and the book lists them
-    without visiting G; the classes are counted as |G : P| without
-    listing any.  It decides only what the tables leave (see _book):
-    the vectors of T, and the odd vectors when every gamma_i exists.  A
+    mod e_2.  A vector with even v_2 adds by XOR too, so the book holds P
+    as rows of such vectors in echelon form and at most one vector with odd
+    v_2, whose double the rows hold.  The first vector of each class is its
+    reduced vector, and the book lists them without visiting G; the classes
+    are counted as |G : P| without listing any.  It decides only what the
+    tables leave (see _book): the vectors of T, and the odd vectors when
+    every gamma_i exists.  A
     coset settled otherwise is still a completed finite computation: the
     ring maps of the descent's sieve, read once from the table for every
     candidate of every vector of the coset, or the search that found no
@@ -497,8 +499,8 @@ class AmbiguousIdealOracle:
         """Order of the cokernel of the extension map on ambiguous classes,
         |G / <im phi, P>| = |Po(K) / im phi|.  im phi holds (e_p/2)*u_p for
         every p, so the quotient is Z/2 when e_2 = 4 and no basis vector of
-        P has odd v_2, i.e. the top pivot of the book is not 1, else 1."""
-        if self.exponents[0] == 4 and self._book.top >> len(self.primes) - 1 != 1:
+        P has odd v_2, i.e. the book holds no odd vector, else 1."""
+        if self.exponents[0] == 4 and not self._book.odd:
             return 2
         return 1
 

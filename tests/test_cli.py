@@ -104,6 +104,26 @@ def test_biquad_verify_wide_fields(capsys, d1, d2, s_k, po_k, ker):
         s_k, po_k, ker, "ok")
 
 
+def test_biquad_verify_real_signatures_missing_from_bound_60(capsys):
+    # the six coarse signatures of a real K (sorted lambda_i, q_K, |mu_K|,
+    # nu_K, i_2, e_2, j_2) that no field with |d_i| <= 60 has, each on the
+    # pair with the least max |d_i| among the 50,000 fields of
+    # tests/sweep.py --seed 4: every row is verified ok
+    signatures = []
+    for d1, d2 in ((13, 493), (13, 145), (17, 165), (1393, 1221), (78, 119), (385, 213)):
+        code, out, _ = run(capsys, "biquad", str(d1), str(d2), "--verify", "--json")
+        data = json.loads(out)
+        assert (code, data["verify_status"]) == (0, "ok"), (d1, d2)
+        signatures.append((tuple(sorted(data[f"lambda{i}"] for i in (1, 2, 3))),
+                           *(data[key] for key in ("q_k", "mu_order", "nu_k", "i2", "e2", "j2"))))
+    assert signatures == [((-1, -1, -1), 1, 2, 0, 0, 1, 0),
+                          ((-1, -1, 1), 1, 2, 1, 0, 1, 0),
+                          ((-1, 1, 1), 1, 2, 2, 0, 1, 0),
+                          ((1, 1, 1), 1, 2, 3, 0, 1, 0),
+                          ((1, 1, 1), 1, 2, 3, 1, 4, 1),
+                          ((1, 1, 1), 2, 2, 3, 0, 1, 0)]
+
+
 def test_biquad_chain_flag(capsys):
     code, out, _ = run(capsys, "biquad", "2", "3", "--chain")
     assert code == 0

@@ -1038,12 +1038,19 @@ def test_the_class_count_is_the_number_of_representatives():
     # |G : P| off the completed book against the representatives it lists,
     # on every field with |d_i| <= 60 and the many-prime fields
     pairs = _scan_tasks(60, False, False) + list(MANYPRIME_PAIRS)
-    tops = set()
+    shapes = set()
     for pair in pairs:
         orc = AmbiguousIdealOracle(biquadratic_field(*pair))
         assert orc.polya_order_oracle() == len(orc.class_representatives()), pair
-        tops.add(orc._book.top >> len(orc.primes) - 1)
-    assert tops == {0, 1, 2}  # every top digit of a pivot occurs
+        book, top = orc._book, 1 << len(orc.primes) - 1
+        if orc.exponents[0] == 4:
+            shapes.add("odd" if book.odd else "neither" if book.reduce(2 * top) else "(2, 0)")
+        else:
+            shapes.add("top row" if any(bit == top for bit, _ in book.rows) else "no top row")
+    # every shape of P occurs: with e_2 = 4 an odd vector, e.g. (-2, -1),
+    # (2, 0) and no odd vector, e.g. (-58, 59), or neither, e.g. (-57, 58);
+    # with e_2 < 4 a row on the top bit or none
+    assert shapes == {"odd", "(2, 0)", "neither", "top row", "no top row"}
 
 
 def test_the_oracle_visits_far_fewer_vectors_than_g(capsys, monkeypatch):

@@ -518,7 +518,7 @@ def test_deciding_one_vector_per_coset_matches_the_elementwise_walk(data, e, m):
     elementwise_decide(old, sorted(f2_span(basis)))
     new.decide(basis)
     assert new_tested == old_tested
-    assert (new.top, new.rows, new.nonprincipal) == (old.top, old.rows, old.nonprincipal)
+    assert (new.odd, new.rows, new.nonprincipal) == (old.odd, old.rows, old.nonprincipal)
     assert new.order == len(principal)  # every coset of S is decided
 
 
